@@ -1,9 +1,15 @@
 //! Criterion bench: per-step cost of the online machinery (supports E4).
 //!
-//! LCP's step is O(m): the bound tracker performs two relaxation scans.
+//! LCP's step is O(m): the bound tracker runs one relaxation of
+//! `\hat C^L` (Lemma 7 derives `\hat C^U` from it), one batched pass of the
+//! slot cost and one scan for both bounds. `server_m1024` prices the
+//! `large-m` shape: `Server` costs on a diurnal load at m = 1024, through
+//! the bare tracker and through LCP+OPT and HalfStep+OPT tenants.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsdc_core::prelude::*;
+use rsdc_engine::tenant::{StepScratch, Tenant};
+use rsdc_engine::{PolicySpec, TenantConfig};
 use rsdc_online::bounds::BoundTracker;
 use rsdc_online::lcp::Lcp;
 use rsdc_online::traits::OnlineAlgorithm;
@@ -48,9 +54,64 @@ fn bench_tracker_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// 256 `Server` slot costs on a noisy diurnal load over `m` servers.
+fn diurnal_server_costs(m: u32) -> Vec<Cost> {
+    let cap = m as f64;
+    (0..256)
+        .map(|k| {
+            let angle = 2.0 * std::f64::consts::PI * k as f64 / 48.0;
+            let noise = ((k * 37 % 101) as f64 / 50.0 - 1.0) * 0.1;
+            let lambda = (0.4 - 0.3 * angle.cos()) * cap * (1.0 + noise);
+            Cost::Server {
+                lambda: (lambda * 16.0).round() / 16.0,
+                params: ServerParams::default(),
+                overload: 20.0,
+            }
+        })
+        .collect()
+}
+
+fn bench_server_m1024(c: &mut Criterion) {
+    const M: u32 = 1024;
+    const BETA: f64 = 6.0;
+    let costs = diurnal_server_costs(M);
+    let mut group = c.benchmark_group("online/server_m1024_T256");
+    group.bench_function("tracker", |b| {
+        b.iter(|| {
+            let mut tr = BoundTracker::new(M, BETA);
+            for f in &costs {
+                tr.step(black_box(f));
+            }
+            black_box((tr.x_low(), tr.x_up()))
+        })
+    });
+    for (name, policy) in [
+        ("lcp_opt_tenant", PolicySpec::Lcp),
+        (
+            "halfstep_opt_tenant",
+            PolicySpec::HalfStepRounded { seed: 1 },
+        ),
+    ] {
+        let cfg = TenantConfig::new("t", M, BETA, policy).with_opt_tracking();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut tenant = Tenant::new(cfg.clone()).expect("valid tenant");
+                let mut scratch = StepScratch::default();
+                for f in &costs {
+                    tenant
+                        .step_into(black_box(f), None, &mut scratch)
+                        .expect("scalar step");
+                }
+                black_box(tenant.report().opt_cost)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_lcp_step, bench_tracker_step
+    targets = bench_lcp_step, bench_tracker_step, bench_server_m1024
 );
 criterion_main!(benches);

@@ -204,6 +204,50 @@ impl Cost {
         self.eval_analytic(x as f64)
     }
 
+    /// Add `f(x)` to `acc[x]` for every `x in 0..acc.len()`: the batched
+    /// form of [`Cost::eval`] the dynamic programs use to fold a slot's
+    /// cost into a value column.
+    ///
+    /// The variant is matched once per call rather than once per state, and
+    /// [`Cost::Server`] computes its junction terms once. Every sum is
+    /// bit-identical to `acc[x] += self.eval(x)`.
+    pub fn add_to(&self, acc: &mut [f64]) {
+        match self {
+            Cost::Zero => add_each(acc, |_| 0.0),
+            Cost::Const(c) => add_each(acc, |_| *c),
+            Cost::Abs { slope, center } => add_each(acc, |x| slope * (x - center).abs()),
+            Cost::Quadratic { a, center, offset } => add_each(acc, |x| {
+                let d = x - center;
+                a * d * d + offset
+            }),
+            Cost::Linear { intercept, slope } => add_each(acc, |x| intercept + slope * x),
+            Cost::Table(v) => {
+                // Integer states read the table directly; states past its
+                // end clamp to the last entry, as `interpolate_table` does.
+                let last = v.len() - 1;
+                for (x, a) in acc.iter_mut().enumerate() {
+                    *a += v[x.min(last)];
+                }
+            }
+            Cost::Server {
+                lambda,
+                params,
+                overload,
+            } => {
+                let x0 = server_x0(*lambda);
+                let (g_x0, pen) = server_extension(*lambda, params, *overload, x0);
+                add_each(acc, |x| {
+                    if x >= x0 {
+                        server_g(*lambda, params, x)
+                    } else {
+                        g_x0 + (x0 - x) * pen
+                    }
+                });
+            }
+            _ => add_each(acc, |x| self.eval_analytic(x)),
+        }
+    }
+
     /// Evaluate at a real state using the variant's analytic formula.
     ///
     /// For [`Cost::Table`] this falls back to linear interpolation, which is
@@ -246,26 +290,12 @@ impl Cost {
                 params,
                 overload,
             } => {
-                // Perspective function g(x) = x * unit(lambda/x), convex on
-                // x >= lambda when unit is convex.
-                let g = |x: f64| {
-                    if x <= 0.0 {
-                        0.0
-                    } else {
-                        x * params.unit_cost((lambda / x).clamp(0.0, 1.0))
-                    }
-                };
-                // Smallest integer state that can serve the load without
-                // overload (0 when there is no load: idle fleet costs 0).
-                let x0 = lambda.max(0.0).ceil();
+                let x0 = server_x0(*lambda);
                 if x >= x0 {
-                    g(x)
+                    server_g(*lambda, params, x)
                 } else {
-                    // Backward linear extension with a slope steep enough to
-                    // dominate the junction slope of g, keeping convexity.
-                    let junction_drop = (g(x0) - g(x0 + 1.0)).max(0.0);
-                    let pen = overload.max(junction_drop);
-                    g(x0) + (x0 - x) * pen
+                    let (g_x0, pen) = server_extension(*lambda, params, *overload, x0);
+                    g_x0 + (x0 - x) * pen
                 }
             }
             Cost::Scaled { factor, inner } => factor * inner.eval_analytic(x),
@@ -361,6 +391,42 @@ impl Cost {
         }
         best
     }
+}
+
+/// `acc[x] += f(x)` over the integer states `0..acc.len()`.
+#[inline(always)]
+fn add_each(acc: &mut [f64], f: impl Fn(f64) -> f64) {
+    for (x, a) in acc.iter_mut().enumerate() {
+        *a += f(x as f64);
+    }
+}
+
+/// The perspective function `g(x) = x * unit(lambda/x)` of [`Cost::Server`],
+/// convex on `x >= lambda` when the unit cost is convex.
+#[inline(always)]
+fn server_g(lambda: f64, params: &ServerParams, x: f64) -> f64 {
+    if x <= 0.0 {
+        0.0
+    } else {
+        x * params.unit_cost((lambda / x).clamp(0.0, 1.0))
+    }
+}
+
+/// Smallest integer state of [`Cost::Server`] that serves the load without
+/// overload (0 when there is no load: an idle fleet costs 0).
+#[inline(always)]
+fn server_x0(lambda: f64) -> f64 {
+    lambda.max(0.0).ceil()
+}
+
+/// `(g(x0), pen)` of [`Cost::Server`]'s backward linear extension below
+/// `x0`: its slope `pen` is steep enough to dominate the junction slope of
+/// `g`, which keeps the cost convex.
+#[inline(always)]
+fn server_extension(lambda: f64, params: &ServerParams, overload: f64, x0: f64) -> (f64, f64) {
+    let g_x0 = server_g(lambda, params, x0);
+    let junction_drop = (g_x0 - server_g(lambda, params, x0 + 1.0)).max(0.0);
+    (g_x0, overload.max(junction_drop))
 }
 
 fn interpolate_table(v: &[f64], x: f64) -> f64 {

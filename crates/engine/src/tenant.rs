@@ -90,7 +90,9 @@ impl PolicySpec {
     /// Instantiate the policy for a tenant with `m` servers and power-up
     /// cost `beta` (both ignored by the hetero variant, which carries its
     /// own fleet spec). `track_opt` sizes the hetero prefix-optimum
-    /// tracker; scalar policies track through a separate [`BoundTracker`].
+    /// tracker; scalar policies track through their own bound tracker (LCP,
+    /// see [`StreamingPolicy::opt_tracker`]) or a separate
+    /// [`BoundTracker`].
     pub fn build(
         &self,
         m: u32,
@@ -180,8 +182,10 @@ pub struct TenantConfig {
     pub beta: f64,
     /// The online policy to run.
     pub policy: PolicySpec,
-    /// Maintain a prefix-optimum tracker (one extra `O(m)` pass per event)
-    /// so reports include the competitive ratio.
+    /// Report the prefix optimum and the competitive ratio. Free for LCP,
+    /// whose own bound tracker already holds the prefix optimum; other
+    /// scalar policies run one extra `O(m)` tracker pass per committed
+    /// slot.
     pub track_opt: bool,
     /// Cost model used to price raw `load` events for this tenant, when it
     /// differs from the beta-derived default. Carried in the config (and
@@ -325,7 +329,10 @@ pub struct TenantSnapshot {
     /// Slots ingested but not yet matched to a committed state
     /// (lookahead lag).
     pub pending: Vec<PendingSlot>,
-    /// Prefix-optimum tracker state, when tracked.
+    /// Prefix-optimum tracker state, when tracked by a separate tracker.
+    /// `None` for LCP tenants, whose policy snapshot carries the tracker
+    /// (snapshots that still carry a duplicate one restore fine; it is
+    /// ignored).
     pub opt: Option<TrackerSnapshot>,
 }
 
@@ -356,6 +363,8 @@ pub struct Tenant {
     phases_closed: u64,
     dir: Direction,
     pending: VecDeque<PendingSlot>,
+    /// Separate prefix-optimum tracker: only for `track_opt` scalar
+    /// policies without an [`StreamingPolicy::opt_tracker`] of their own.
     opt: Option<BoundTracker>,
 }
 
@@ -424,8 +433,12 @@ impl Tenant {
     /// configuration is invalid (e.g. a degenerate or oversized fleet).
     pub fn new(cfg: TenantConfig) -> Result<Self, rsdc_core::Error> {
         let policy = cfg.policy.build(cfg.m, cfg.beta, cfg.track_opt)?;
-        let opt =
-            (cfg.track_opt && !cfg.policy.is_hetero()).then(|| BoundTracker::new(cfg.m, cfg.beta));
+        let opt = match &policy {
+            PolicyRuntime::Scalar(p) if cfg.track_opt && p.opt_tracker().is_none() => {
+                Some(BoundTracker::new(cfg.m, cfg.beta))
+            }
+            _ => None,
+        };
         Ok(Self {
             policy,
             opt,
@@ -620,13 +633,11 @@ impl Tenant {
     /// Current report.
     pub fn report(&self) -> TenantReport {
         let opt_cost = match &self.policy {
-            PolicyRuntime::Scalar(_) => self.opt.as_ref().and_then(|t| {
-                (t.tau() > 0).then(|| {
-                    (0..=self.cfg.m)
-                        .map(|x| t.c_low(x))
-                        .fold(f64::INFINITY, f64::min)
-                })
-            }),
+            PolicyRuntime::Scalar(policy) => self
+                .opt
+                .as_ref()
+                .or_else(|| self.cfg.track_opt.then(|| policy.opt_tracker()).flatten())
+                .and_then(BoundTracker::prefix_opt),
             PolicyRuntime::Hetero(stream) => {
                 self.cfg.track_opt.then(|| stream.opt_cost()).flatten()
             }
@@ -733,19 +744,19 @@ impl Tenant {
         tenant.phases_closed = s.phases_closed;
         tenant.dir = s.dir;
         tenant.pending = s.pending.into_iter().collect();
-        tenant.opt = match s.opt {
-            Some(t) => Some(BoundTracker::from_snapshot(&t)?),
-            None => {
-                // Hetero tenants track their optimum inside the stream
-                // snapshot (the hetero restore above enforces its presence).
-                if tenant.cfg.track_opt && !tenant.cfg.policy.is_hetero() {
-                    return Err(rsdc_core::Error::InvalidParameter(
-                        "snapshot lacks the opt tracker its config requires".into(),
-                    ));
-                }
-                None
-            }
-        };
+        // Only a tenant built with a separate tracker restores one. LCP
+        // tenants read the optimum from their policy's tracker, restored
+        // above, and ignore the duplicate older snapshots carry; hetero
+        // tenants track it inside the stream snapshot (the hetero restore
+        // above enforces its presence).
+        if tenant.opt.is_some() {
+            let Some(t) = s.opt else {
+                return Err(rsdc_core::Error::InvalidParameter(
+                    "snapshot lacks the opt tracker its config requires".into(),
+                ));
+            };
+            tenant.opt = Some(BoundTracker::from_snapshot(&t)?);
+        }
         Ok(tenant)
     }
 }

@@ -21,39 +21,92 @@
 use crate::dp::Solution;
 use rsdc_core::prelude::*;
 
+/// The two-DP recursion for the LCP bounds, kept as the reference the
+/// online tracker is tested against.
+///
+/// It maintains `\hat C^L` (switching charged for powering up, eq. 11) and
+/// `\hat C^U` (charged for powering down, eq. 12) as two independent
+/// vectors, each with its own parent-tracking relaxation
+/// ([`crate::dp::relax`], [`crate::dp::relax_down`]) and its own per-state
+/// evaluation of `f`. The online `BoundTracker` keeps only `\hat C^L` and
+/// derives `\hat C^U(x) = \hat C^L(x) - beta x` (Lemma 7).
+#[derive(Debug, Clone)]
+pub struct TwoDpBounds {
+    beta: f64,
+    c_low: Vec<f64>,
+    c_up: Vec<f64>,
+    scratch: Vec<f64>,
+    parent: Vec<u32>,
+    x_low: u32,
+    x_up: u32,
+}
+
+impl TwoDpBounds {
+    /// Both value functions at `tau = 0`: only state 0 is reachable.
+    pub fn new(m: u32, beta: f64) -> Self {
+        let m1 = m as usize + 1;
+        let mut c_low = vec![f64::INFINITY; m1];
+        c_low[0] = 0.0;
+        Self {
+            beta,
+            c_up: c_low.clone(),
+            c_low,
+            scratch: vec![0.0; m1],
+            parent: vec![0; m1],
+            x_low: 0,
+            x_up: 0,
+        }
+    }
+
+    /// Incorporate the next cost function.
+    pub fn step(&mut self, f: &Cost) {
+        crate::dp::relax(&self.c_low, self.beta, &mut self.scratch, &mut self.parent);
+        for (x, v) in self.scratch.iter_mut().enumerate() {
+            *v += f.eval(x as u32);
+        }
+        std::mem::swap(&mut self.c_low, &mut self.scratch);
+
+        crate::dp::relax_down(&self.c_up, self.beta, &mut self.scratch, &mut self.parent);
+        for (x, v) in self.scratch.iter_mut().enumerate() {
+            *v += f.eval(x as u32);
+        }
+        std::mem::swap(&mut self.c_up, &mut self.scratch);
+
+        self.x_low = smallest_argmin(&self.c_low);
+        self.x_up = largest_argmin(&self.c_up);
+    }
+
+    /// Smallest argmin of `\hat C^L`.
+    pub fn x_low(&self) -> u32 {
+        self.x_low
+    }
+
+    /// Largest argmin of `\hat C^U`.
+    pub fn x_up(&self) -> u32 {
+        self.x_up
+    }
+
+    /// The `\hat C^L` vector.
+    pub fn c_low(&self) -> &[f64] {
+        &self.c_low
+    }
+
+    /// The `\hat C^U` vector.
+    pub fn c_up(&self) -> &[f64] {
+        &self.c_up
+    }
+}
+
 /// The per-slot bounds `(x^L_t, x^U_t)` for every `t`, computed in one
-/// forward pass (`O(T m)` total).
+/// forward pass of [`TwoDpBounds`] (`O(T m)` total).
 pub fn bound_trajectories(inst: &Instance) -> (Vec<u32>, Vec<u32>) {
-    let m1 = inst.m() as usize + 1;
-    let beta = inst.beta();
-
-    let mut c_low = vec![f64::INFINITY; m1];
-    c_low[0] = 0.0;
-    let mut c_up = c_low.clone();
-    let mut scratch = vec![0.0; m1];
-    let mut parent = vec![0u32; m1];
-
+    let mut dp = TwoDpBounds::new(inst.m(), inst.beta());
     let mut lows = Vec::with_capacity(inst.horizon());
     let mut ups = Vec::with_capacity(inst.horizon());
-
     for t in 1..=inst.horizon() {
-        let f = inst.cost_fn(t);
-        crate::dp::relax(&c_low, beta, &mut scratch, &mut parent);
-        for (x, v) in scratch.iter_mut().enumerate() {
-            *v += f.eval(x as u32);
-        }
-        std::mem::swap(&mut c_low, &mut scratch);
-
-        crate::dp::relax_down(&c_up, beta, &mut scratch, &mut parent);
-        for (x, v) in scratch.iter_mut().enumerate() {
-            *v += f.eval(x as u32);
-        }
-        std::mem::swap(&mut c_up, &mut scratch);
-
-        let x_low = smallest_argmin(&c_low);
-        let x_up = largest_argmin(&c_up);
-        lows.push(x_low);
-        ups.push(x_up);
+        dp.step(inst.cost_fn(t));
+        lows.push(dp.x_low());
+        ups.push(dp.x_up());
     }
     (lows, ups)
 }

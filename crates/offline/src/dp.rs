@@ -71,6 +71,10 @@ pub fn relax(prev: &[f64], beta: f64, out: &mut [f64], parent: &mut [u32]) {
 /// Mirror of [`relax`] for the `C^U` convention (eq. 12), where switching
 /// cost is charged for powering **down**: writes
 /// `min_{j'} (prev[j'] + beta (j' - j)^+)` into `out`.
+///
+/// The online tracker derives `\hat C^U` from `\hat C^L` (Lemma 7) and
+/// never calls this; it backs the two-DP reference recursion
+/// [`crate::backward::TwoDpBounds`].
 pub fn relax_down(prev: &[f64], beta: f64, out: &mut [f64], parent: &mut [u32]) {
     let m1 = prev.len();
     debug_assert_eq!(out.len(), m1);
@@ -127,10 +131,7 @@ pub fn solve(inst: &Instance) -> Solution {
 
     for t in 1..=t_len {
         relax(&prev, inst.beta(), &mut cur, &mut scratch_parent);
-        let f = inst.cost_fn(t);
-        for (j, c) in cur.iter_mut().enumerate() {
-            *c += f.eval(j as u32);
-        }
+        inst.cost_fn(t).add_to(&mut cur);
         parents.push(scratch_parent.clone());
         std::mem::swap(&mut prev, &mut cur);
     }
@@ -169,10 +170,7 @@ pub fn solve_cost_only(inst: &Instance) -> f64 {
     let mut parent = vec![0u32; m1];
     for t in 1..=t_len {
         relax(&prev, inst.beta(), &mut cur, &mut parent);
-        let f = inst.cost_fn(t);
-        for (j, c) in cur.iter_mut().enumerate() {
-            *c += f.eval(j as u32);
-        }
+        inst.cost_fn(t).add_to(&mut cur);
         std::mem::swap(&mut prev, &mut cur);
     }
     prev.iter().copied().fold(f64::INFINITY, f64::min)

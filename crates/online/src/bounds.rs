@@ -3,39 +3,48 @@
 //!
 //! `\hat C^L_tau(x)` is the cheapest cost of serving `f_1..=f_tau` ending in
 //! state `x` when switching cost is charged for powering **up** (eq. 11);
-//! `\hat C^U_tau(x)` charges powering **down** instead (eq. 12). Both evolve
-//! by the recursion
-//!
-//! ```text
-//! \hat C_tau(x) = min_{x'} ( \hat C_{tau-1}(x') + switch(x', x) ) + f_tau(x)
-//! ```
-//!
-//! which [`rsdc_offline::dp::relax`] / [`rsdc_offline::dp::relax_down`]
-//! evaluate for all `x` in `O(m)`. The bounds are then
+//! `\hat C^U_tau(x)` charges powering **down** instead (eq. 12). The bounds
+//! are
 //!
 //! * `x^L_tau` — the **smallest** minimizer of `\hat C^L_tau` (smallest
 //!   final state of an optimal truncated schedule),
 //! * `x^U_tau` — the **largest** minimizer of `\hat C^U_tau`.
 //!
+//! Both schedules start at `x_0 = 0`, so every path to `x` powers up `x`
+//! more servers than it powers down, and the two value functions differ by
+//! exactly that charge (Lemma 7):
+//!
+//! ```text
+//! \hat C^U_tau(x) = \hat C^L_tau(x) - beta * x
+//! ```
+//!
+//! The tracker therefore runs a single dynamic program, `O(m)` per step:
+//! one batched pass evaluates `f_tau` ([`Cost::add_to`]), and the
+//! relaxation of [`rsdc_offline::dp::relax`] (without parent pointers)
+//! adds it to `\hat C^L` while the same scan takes `x^L`, the smallest
+//! argmin of `\hat C^L`, and `x^U`, the largest argmin of
+//! `\hat C^L(x) - beta x`. The minimum of `\hat C^L` is the optimum of the
+//! truncated instance, so the same tracker serves as a prefix-OPT tracker
+//! ([`BoundTracker::prefix_opt`]).
+//!
 //! The tracker also exposes the structural facts the analysis rests on so
-//! tests can assert them: both value functions are convex (Lemma 8), they
-//! differ by exactly `beta * x` (Lemma 7), and `\hat C^L` has slope at most
-//! `beta` up to `x^U` and at least `beta` after it (Lemma 9).
+//! tests can assert them: the value function is convex (Lemma 8) and
+//! `\hat C^L` has slope at most `beta` up to `x^U` and at least `beta` after
+//! it (Lemma 9). Lemma 7 itself is checked against the two-DP recursion of
+//! [`rsdc_offline::backward`], which keeps both vectors.
 
 use rsdc_core::prelude::*;
-use rsdc_offline::dp::{relax, relax_down};
 use serde::{Deserialize, Serialize};
 
-/// Incrementally maintained `\hat C^L`, `\hat C^U` and the derived bounds.
+/// Incrementally maintained `\hat C^L` and the derived bounds.
 #[derive(Debug, Clone)]
 pub struct BoundTracker {
     m: u32,
     beta: f64,
     tau: usize,
     c_low: Vec<f64>,
-    c_up: Vec<f64>,
     scratch: Vec<f64>,
-    parent: Vec<u32>,
+    f_vals: Vec<f64>,
     x_low: u32,
     x_up: u32,
 }
@@ -49,15 +58,13 @@ impl BoundTracker {
         // infinite cost elsewhere.
         let mut c_low = vec![f64::INFINITY; m1];
         c_low[0] = 0.0;
-        let c_up = c_low.clone();
         Self {
             m,
             beta,
             tau: 0,
             c_low,
-            c_up,
             scratch: vec![0.0; m1],
-            parent: vec![0; m1],
+            f_vals: vec![0.0; m1],
             x_low: 0,
             x_up: 0,
         }
@@ -66,21 +73,11 @@ impl BoundTracker {
     /// Incorporate the next cost function; `O(m)`.
     pub fn step(&mut self, f: &Cost) {
         self.tau += 1;
-
-        relax(&self.c_low, self.beta, &mut self.scratch, &mut self.parent);
-        for (x, v) in self.scratch.iter_mut().enumerate() {
-            *v += f.eval(x as u32);
-        }
+        self.f_vals.fill(0.0);
+        f.add_to(&mut self.f_vals);
+        (self.x_low, self.x_up) =
+            step_bounds(&self.c_low, self.beta, &self.f_vals, &mut self.scratch);
         std::mem::swap(&mut self.c_low, &mut self.scratch);
-
-        relax_down(&self.c_up, self.beta, &mut self.scratch, &mut self.parent);
-        for (x, v) in self.scratch.iter_mut().enumerate() {
-            *v += f.eval(x as u32);
-        }
-        std::mem::swap(&mut self.c_up, &mut self.scratch);
-
-        self.x_low = smallest_argmin(&self.c_low);
-        self.x_up = largest_argmin(&self.c_up);
     }
 
     /// `x^L_tau`: smallest final state of an optimal power-up-charged
@@ -105,9 +102,9 @@ impl BoundTracker {
         self.c_low[x as usize]
     }
 
-    /// `\hat C^U_tau(x)`.
+    /// `\hat C^U_tau(x)`, derived from `\hat C^L` by Lemma 7.
     pub fn c_up(&self, x: u32) -> f64 {
-        self.c_up[x as usize]
+        self.c_low[x as usize] - self.beta * x as f64
     }
 
     /// Full `\hat C^L` vector (for diagnostics/tests).
@@ -115,15 +112,17 @@ impl BoundTracker {
         &self.c_low
     }
 
-    /// Full `\hat C^U` vector (for diagnostics/tests).
-    pub fn c_up_vec(&self) -> &[f64] {
-        &self.c_up
+    /// The optimum of the truncated instance `f_1..=f_tau`, i.e.
+    /// `min_x \hat C^L_tau(x)` (`None` before the first step).
+    pub fn prefix_opt(&self) -> Option<f64> {
+        (self.tau > 0).then(|| self.c_low[self.x_low as usize])
     }
 
-    /// Verify Lemma 7 (`\hat C^L(x) = \hat C^U(x) + beta x`), Lemma 8
-    /// (convexity of both) and Lemma 9 (slope of `\hat C^L` at most `beta`
-    /// up to `x^U`, at least `beta` above). Returns a description of the
-    /// first violation, if any. Only meaningful after at least one step.
+    /// Verify Lemma 8 (convexity of `\hat C^L`) and Lemma 9 (slope of
+    /// `\hat C^L` at most `beta` up to `x^U`, at least `beta` above). Returns
+    /// a description of the first violation, if any. Only meaningful after
+    /// at least one step. (`\hat C^U` is derived from `\hat C^L` by
+    /// Lemma 7, so its convexity follows.)
     pub fn check_lemmas(&self) -> Result<(), String> {
         let m1 = self.m as usize + 1;
         let scale = self
@@ -133,26 +132,16 @@ impl BoundTracker {
             .fold(1.0f64, |a, &b| a.max(b.abs()));
         let tol = 1e-9 * scale;
 
-        // Lemma 7.
-        for x in 0..m1 {
-            let (l, u) = (self.c_low[x], self.c_up[x]);
-            if l.is_finite() != u.is_finite() {
-                return Err(format!("lemma 7: finiteness mismatch at {x}"));
-            }
-            if l.is_finite() && (l - (u + self.beta * x as f64)).abs() > tol {
-                return Err(format!(
-                    "lemma 7 violated at x={x}: C^L={l}, C^U+bx={}",
-                    u + self.beta * x as f64
-                ));
-            }
-        }
         // Lemma 8: convexity (on the finite suffix).
-        for (name, v) in [("C^L", &self.c_low), ("C^U", &self.c_up)] {
-            let fin: Vec<f64> = v.iter().copied().filter(|x| x.is_finite()).collect();
-            for w in fin.windows(3) {
-                if (w[1] - w[0]) > (w[2] - w[1]) + tol {
-                    return Err(format!("lemma 8 violated for {name}: {w:?}"));
-                }
+        let fin: Vec<f64> = self
+            .c_low
+            .iter()
+            .copied()
+            .filter(|x| x.is_finite())
+            .collect();
+        for w in fin.windows(3) {
+            if (w[1] - w[0]) > (w[2] - w[1]) + tol {
+                return Err(format!("lemma 8 violated for C^L: {w:?}"));
             }
         }
         // Lemma 9.
@@ -185,8 +174,10 @@ pub struct TrackerSnapshot {
     pub tau: u64,
     /// `\hat C^L` vector (non-finite entries encode unreachable states).
     pub c_low: Vec<f64>,
-    /// `\hat C^U` vector.
-    pub c_up: Vec<f64>,
+    /// Always `None` (written as `null`): `\hat C^U` is derived from
+    /// `\hat C^L` (Lemma 7). Snapshots from the former two-DP tracker carry
+    /// the vector here; restore ignores it.
+    pub c_up: Option<Vec<f64>>,
     /// Current `x^L`.
     pub x_low: u32,
     /// Current `x^U`.
@@ -201,17 +192,16 @@ impl BoundTracker {
     /// within a factor of 2 of it) so the vectors survive any JSON
     /// implementation, and [`BoundTracker::from_snapshot`] maps them back.
     pub fn snapshot(&self) -> TrackerSnapshot {
-        let encode = |v: &[f64]| -> Vec<f64> {
-            v.iter()
-                .map(|&x| if x.is_finite() { x } else { f64::MAX })
-                .collect()
-        };
         TrackerSnapshot {
             m: self.m,
             beta: self.beta,
             tau: self.tau as u64,
-            c_low: encode(&self.c_low),
-            c_up: encode(&self.c_up),
+            c_low: self
+                .c_low
+                .iter()
+                .map(|&x| if x.is_finite() { x } else { f64::MAX })
+                .collect(),
+            c_up: None,
             x_low: self.x_low,
             x_up: self.x_up,
         }
@@ -224,11 +214,10 @@ impl BoundTracker {
     /// value the tracker ever produces.
     pub fn from_snapshot(s: &TrackerSnapshot) -> Result<Self, Error> {
         let m1 = s.m as usize + 1;
-        if s.c_low.len() != m1 || s.c_up.len() != m1 {
+        if s.c_low.len() != m1 {
             return Err(Error::InvalidParameter(format!(
-                "tracker snapshot has {} / {} states, expected {m1}",
-                s.c_low.len(),
-                s.c_up.len()
+                "tracker snapshot has {} states, expected {m1}",
+                s.c_low.len()
             )));
         }
         if !(s.beta.is_finite() && s.beta > 0.0) {
@@ -237,53 +226,94 @@ impl BoundTracker {
                 s.beta
             )));
         }
-        let sanitize = |v: &[f64]| -> Vec<f64> {
-            v.iter()
-                .map(|&x| {
-                    if x.is_finite() && x < f64::MAX / 2.0 {
-                        x
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .collect()
-        };
+        let c_low = s
+            .c_low
+            .iter()
+            .map(|&x| {
+                if x.is_finite() && x < f64::MAX / 2.0 {
+                    x
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
         Ok(Self {
             m: s.m,
             beta: s.beta,
             tau: s.tau as usize,
-            c_low: sanitize(&s.c_low),
-            c_up: sanitize(&s.c_up),
+            c_low,
             scratch: vec![0.0; m1],
-            parent: vec![0; m1],
+            f_vals: vec![0.0; m1],
             x_low: s.x_low.min(s.m),
             x_up: s.x_up.min(s.m),
         })
     }
 }
 
-fn smallest_argmin(v: &[f64]) -> u32 {
+/// One step of the dynamic program: writes `\hat C^L_tau` into `next`,
+/// given `\hat C^L_{tau-1}` in `prev` and the values of `f_tau` in
+/// `f_vals`, and returns `(x^L_tau, x^U_tau)`.
+///
+/// `next` receives exactly the values [`rsdc_offline::dp::relax`] plus `f`
+/// would: the same candidates, compared the same way. For `x^U` the scan
+/// needs `\hat C^U(x) = \hat C^L(x) - beta x`, and takes the `- beta x`
+/// inside the two relaxation candidates instead of after them. The power-up
+/// candidate `min_{x' <= x} (prev(x') - beta x') + beta x` then contributes
+/// its minimum before `beta x` is added back. So where `\hat C^U` is flat in
+/// exact arithmetic (a flat stretch of `f` the schedule powers up into), it
+/// is flat in floating point too, and its largest argmin is not decided by
+/// rounding noise.
+fn step_bounds(prev: &[f64], beta: f64, f_vals: &[f64], next: &mut [f64]) -> (u32, u32) {
+    // Forward: the power-up candidate's running minimum, before `+ beta x`.
     let mut best = f64::INFINITY;
-    let mut best_i = 0u32;
-    for (i, &x) in v.iter().enumerate() {
-        if x < best {
-            best = x;
-            best_i = i as u32;
+    for (x, (&p, up_min)) in prev.iter().zip(next.iter_mut()).enumerate() {
+        let cand = p - beta * x as f64;
+        if cand < best {
+            best = cand;
+        }
+        *up_min = best;
+    }
+    // Backward: the stay-or-power-down candidate (the suffix minimum of
+    // `prev`), both value functions and both argmins. Scanning down, `<=`
+    // keeps the smallest argmin and `<` the largest.
+    let m = prev.len() - 1;
+    let mut suffix = f64::INFINITY;
+    let (mut best_low, mut x_low) = (f64::INFINITY, 0u32);
+    let (mut best_up, mut x_up) = (f64::INFINITY, m as u32);
+    let column = prev.iter().zip(f_vals).zip(next.iter_mut());
+    for (x, ((&p, &f), next)) in column.enumerate().rev() {
+        if p < suffix {
+            suffix = p;
+        }
+        let shift = beta * x as f64;
+        let up_min = *next;
+        let relaxed_low = if suffix < up_min + shift {
+            suffix
+        } else {
+            up_min + shift
+        };
+        let relaxed_up = if suffix - shift < up_min {
+            suffix - shift
+        } else {
+            up_min
+        };
+        let (low, up) = (relaxed_low + f, relaxed_up + f);
+        *next = low;
+        // Index and value updates are split so each running minimum stays
+        // a plain `a < b ? a : b`: a single min instruction on the loop's
+        // critical path.
+        if low <= best_low {
+            x_low = x as u32;
+        }
+        if low < best_low {
+            best_low = low;
+        }
+        if up < best_up {
+            best_up = up;
+            x_up = x as u32;
         }
     }
-    best_i
-}
-
-fn largest_argmin(v: &[f64]) -> u32 {
-    let mut best = f64::INFINITY;
-    let mut best_i = 0u32;
-    for (i, &x) in v.iter().enumerate() {
-        if x <= best {
-            best = x;
-            best_i = i as u32;
-        }
-    }
-    best_i
+    (x_low, x_up)
 }
 
 #[cfg(test)]

@@ -49,19 +49,63 @@ impl EvalMode {
     /// Continuous minimizer of the convex function over `[0, m]` by ternary
     /// search (exact enough for piecewise-linear/quadratic shapes).
     fn argmin(self, f: &Cost, m: f64) -> f64 {
-        let mut lo = 0.0f64;
-        let mut hi = m;
-        for _ in 0..200 {
-            let a = lo + (hi - lo) / 3.0;
-            let b = hi - (hi - lo) / 3.0;
-            if self.eval(f, a) <= self.eval(f, b) {
-                hi = b;
-            } else {
-                lo = a;
-            }
-        }
-        0.5 * (lo + hi)
+        ternary_argmin(|x| self.eval(f, x), m, true)
     }
+}
+
+/// At most this many iterations for the ternary and bisection searches.
+const SEARCH_ITERS: usize = 200;
+
+/// Shrink `bracket` by `step` [`SEARCH_ITERS`] times and return its
+/// midpoint.
+///
+/// With `stop_at_fixed_point`, the loop ends as soon as a step leaves the
+/// bracket bit-for-bit unchanged: every later step would see the same
+/// bracket and return it again, so the result is bit-identical to running
+/// all iterations.
+fn narrow(
+    mut bracket: (f64, f64),
+    stop_at_fixed_point: bool,
+    step: impl Fn(f64, f64) -> (f64, f64),
+) -> f64 {
+    for _ in 0..SEARCH_ITERS {
+        let next = step(bracket.0, bracket.1);
+        let fixed =
+            next.0.to_bits() == bracket.0.to_bits() && next.1.to_bits() == bracket.1.to_bits();
+        bracket = next;
+        if stop_at_fixed_point && fixed {
+            break;
+        }
+    }
+    0.5 * (bracket.0 + bracket.1)
+}
+
+/// Ternary search for the minimizer of a convex `eval` over `[0, m]`. (On
+/// `Server` costs at m = 1024 the bracket reaches its fixed point after
+/// about 91 of the [`SEARCH_ITERS`] steps.)
+fn ternary_argmin(eval: impl Fn(f64) -> f64, m: f64, stop_at_fixed_point: bool) -> f64 {
+    narrow((0.0, m), stop_at_fixed_point, |lo, hi| {
+        let a = lo + (hi - lo) / 3.0;
+        let b = hi - (hi - lo) / 3.0;
+        if eval(a) <= eval(b) {
+            (lo, b)
+        } else {
+            (a, hi)
+        }
+    })
+}
+
+/// Bisection for the sign change of `h` between `lo` (where `h > 0`) and
+/// `hi`.
+fn bisect(h: impl Fn(f64) -> f64, lo: f64, hi: f64, stop_at_fixed_point: bool) -> f64 {
+    narrow((lo, hi), stop_at_fixed_point, |lo, hi| {
+        let mid = 0.5 * (lo + hi);
+        if h(mid) > 0.0 {
+            (mid, hi)
+        } else {
+            (lo, mid)
+        }
+    })
 }
 
 /// The half-subgradient fractional algorithm (see module docs).
@@ -224,16 +268,7 @@ fn balance_point(mode: EvalMode, f: &Cost, from: f64, m: f64, move_rate: f64, ga
         return target;
     }
     // h changes sign on [from, target]; h is continuous.
-    let (mut lo, mut hi) = (from, target);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if h(mid) > 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
+    bisect(h, from, target, true)
 }
 
 #[cfg(test)]
@@ -312,6 +347,74 @@ mod tests {
         let mut b = HalfStep::new(4, 0.5, EvalMode::Interpolate);
         let x = b.step(&f);
         assert!(x > 0.0 && x <= 2.0 + 1e-9);
+    }
+
+    /// Random convex costs over `[0, m]` for the search tests: every shape
+    /// the streaming policies meet, including `Server` and `Table` costs.
+    fn random_costs(n: usize) -> Vec<(Cost, u32)> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        (0..n)
+            .map(|i| {
+                let m = rng.gen_range(1..=64u32);
+                let mf = m as f64;
+                let c = rng.gen_range(0.0..mf);
+                let f = match i % 5 {
+                    0 => Cost::abs(rng.gen_range(0.01..5.0), c),
+                    1 => Cost::quadratic(rng.gen_range(0.01..2.0), c, rng.gen_range(0.0..1.0)),
+                    2 => Cost::Hinge {
+                        knee: c,
+                        left_slope: rng.gen_range(0.0..4.0),
+                        right_slope: rng.gen_range(0.0..4.0),
+                    },
+                    3 => Cost::Server {
+                        lambda: c,
+                        params: ServerParams::default(),
+                        overload: rng.gen_range(0.0..50.0),
+                    },
+                    _ => {
+                        let mut slopes: Vec<f64> =
+                            (0..m).map(|_| rng.gen_range(-4.0..4.0)).collect();
+                        slopes.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                        let mut v = vec![rng.gen_range(0.0..3.0)];
+                        for s in slopes {
+                            v.push((v.last().unwrap() + s).max(0.0));
+                        }
+                        Cost::table(v)
+                    }
+                };
+                (f, m)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ternary_fixed_point_stop_is_bit_identical() {
+        for (f, m) in random_costs(400) {
+            for mode in [EvalMode::Analytic, EvalMode::Interpolate] {
+                let eval = |x: f64| mode.eval(&f, x);
+                let early = ternary_argmin(eval, m as f64, true);
+                let full = ternary_argmin(eval, m as f64, false);
+                assert_eq!(early.to_bits(), full.to_bits(), "{f:?} m={m} {mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn memoryless_fixed_point_stop_is_bit_identical() {
+        for (i, (f, m)) in random_costs(400).into_iter().enumerate() {
+            let mode = EvalMode::Interpolate;
+            let mf = m as f64;
+            let target = mode.argmin(&f, mf);
+            for from in [0.0, mf, mf * (i % 7) as f64 / 7.0] {
+                // The balance of `balance_point` at move rate 1 and gamma 1.
+                let h = |x: f64| mode.eval(&f, x) - (x - from).abs();
+                let early = bisect(h, from, target, true);
+                let full = bisect(h, from, target, false);
+                assert_eq!(early.to_bits(), full.to_bits(), "{f:?} m={m} from={from}");
+            }
+        }
     }
 
     #[test]

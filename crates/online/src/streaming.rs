@@ -10,7 +10,7 @@
 //!   through an out-buffer because lookahead policies emit them with a lag;
 //! * **finish** — end-of-stream: flush states still held back by lookahead;
 //! * **snapshot / restore** — capture and re-install the *complete*
-//!   mutable state (bound-tracker value functions, fractional states,
+//!   mutable state (bound-tracker value function, fractional states,
 //!   rounder RNG words, buffered windows) as a [`serde::Value`] tree, so a
 //!   restored policy continues **bit-identically** — including the
 //!   randomized policies, whose RNG state rides along.
@@ -21,7 +21,7 @@
 //! corresponding batch runner produces on the equivalent [`Instance`].
 
 use crate::baselines::{FollowTheMinimizer, Hysteresis};
-use crate::bounds::TrackerSnapshot;
+use crate::bounds::{BoundTracker, TrackerSnapshot};
 use crate::flcp::GridLcp;
 use crate::fractional::{EvalMode, HalfStep, MemorylessBalance};
 use crate::lcp::Lcp;
@@ -70,6 +70,16 @@ pub trait StreamingPolicy: Send {
     /// Re-install a previously captured state. The receiver must have been
     /// built with the same configuration (`m`, `beta`, policy parameters).
     fn restore(&mut self, snapshot: &serde::Value) -> Result<(), StreamError>;
+
+    /// The policy's own bound tracker, when it is stepped with exactly the
+    /// ingested costs, one per committed state, over the policy's `m` and
+    /// `beta`. Its `min \hat C^L` is then the prefix optimum of the
+    /// committed slots ([`BoundTracker::prefix_opt`]), so a caller tracking
+    /// the competitive ratio can read it here instead of running a second
+    /// tracker. `None` (the default) for every other policy.
+    fn opt_tracker(&self) -> Option<&BoundTracker> {
+        None
+    }
 }
 
 fn decode<T: Deserialize>(v: &serde::Value, what: &str) -> Result<T, StreamError> {
@@ -128,6 +138,10 @@ impl StreamingPolicy for StreamLcp {
         }
         self.inner = Lcp::from_snapshot(&s.tracker, s.state)?;
         Ok(())
+    }
+
+    fn opt_tracker(&self) -> Option<&BoundTracker> {
+        Some(self.inner.tracker())
     }
 }
 

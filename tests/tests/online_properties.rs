@@ -37,7 +37,8 @@ proptest! {
         }
     }
 
-    /// Lemmas 7-9 hold along arbitrary convex sequences.
+    /// Lemmas 8 and 9 hold along arbitrary convex sequences (Lemma 7 is
+    /// checked against the two-DP recursion in `bound_tracker_oracle`).
     #[test]
     fn bound_tracker_lemmas(inst in instance(1..=10, 1..=20)) {
         let mut tr = BoundTracker::new(inst.m(), inst.beta());

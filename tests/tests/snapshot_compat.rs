@@ -1,0 +1,141 @@
+//! Tenant snapshots written by the two-DP bound tracker still restore.
+//!
+//! `fixtures/two_dp_tenant_snapshots.jsonl` holds the `snapshot` replies of
+//! an LCP and a HalfStep tenant, both with `track_opt`, taken by
+//! `rsdc engine --events` over [`prefix_records`] before the tracker
+//! collapsed to one DP. Those snapshots carry a `c_up` vector in every
+//! tracker and, for the LCP tenant, a duplicate prefix-OPT tracker. Restored
+//! into the current engine, they must answer the rest of the stream with
+//! replies byte-identical to tenants that never snapshotted.
+
+use rsdc_engine::wire::Session;
+use rsdc_engine::{Engine, EngineConfig};
+use serde_json::json;
+
+const FIXTURE: &str = include_str!("../fixtures/two_dp_tenant_snapshots.jsonl");
+
+const TENANTS: [&str; 2] = ["lcp", "half"];
+
+fn line(record: serde::Value) -> String {
+    serde_json::to_string(&record).expect("JSON values render")
+}
+
+fn step_load(id: &str, load: f64) -> String {
+    line(json!({"op": "step", "id": id, "load": load}))
+}
+
+/// The admits and steps the fixture was captured after.
+fn prefix_records() -> Vec<String> {
+    let mut lines = vec![
+        line(
+            json!({"op": "admit", "id": "lcp", "m": 16, "beta": 3.5, "policy": "Lcp",
+               "track_opt": true}),
+        ),
+        line(json!({"op": "admit", "id": "half", "m": 16, "beta": 3.5,
+               "policy": {"HalfStepRounded": {"seed": 7}}, "track_opt": true})),
+    ];
+    let loads = [
+        2.0, 5.5, 9.25, 12.0, 7.5, 3.0, 1.0, 0.5, 4.75, 11.5, 14.0, 6.25,
+    ];
+    for (i, &load) in loads.iter().enumerate() {
+        lines.extend(TENANTS.map(|id| step_load(id, load)));
+        if i == 5 {
+            lines.extend(TENANTS.map(|id| {
+                line(json!({"op": "step", "id": id,
+                       "cost": {"Abs": {"slope": 2.0, "center": 9.0}}}))
+            }));
+        }
+    }
+    lines
+}
+
+/// The rest of the stream: more steps, then both reports.
+fn suffix_records() -> Vec<String> {
+    let mut lines = Vec::new();
+    for load in [8.0, 15.5, 13.25, 2.5, 0.0, 10.0, 16.0, 4.0, 9.5, 6.75] {
+        lines.extend(TENANTS.map(|id| step_load(id, load)));
+    }
+    lines.extend(TENANTS.map(|id| line(json!({"op": "report", "id": id}))));
+    lines
+}
+
+fn run(lines: &[String]) -> Vec<String> {
+    let mut session = Session::new(Engine::new(EngineConfig::with_shards(1)));
+    session.handle_lines(lines.iter().map(String::as_str))
+}
+
+fn fixture_snapshots() -> Vec<serde::Value> {
+    FIXTURE
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("fixture line is JSON"))
+        .collect()
+}
+
+#[test]
+fn two_dp_snapshots_restore_and_continue_byte_identically() {
+    let fixture = fixture_snapshots();
+    for (reply, id) in fixture.iter().zip(TENANTS) {
+        assert_eq!(reply["id"], id);
+        let opt = &reply["snapshot"]["opt"];
+        assert!(
+            opt["c_up"].as_array().is_some(),
+            "{id}: fixture is pre-change"
+        );
+    }
+
+    let mut uninterrupted = prefix_records();
+    uninterrupted.extend(suffix_records());
+    let want = run(&uninterrupted);
+    let want = &want[want.len() - suffix_records().len()..];
+
+    let mut restored: Vec<String> = fixture
+        .iter()
+        .map(|reply| {
+            line(
+                json!({"op": "restore", "snapshot": reply["snapshot"].clone(),
+                   "cost_model": reply["cost_model"].clone()}),
+            )
+        })
+        .collect();
+    restored.extend(suffix_records());
+    let got = run(&restored);
+    assert!(
+        got[..TENANTS.len()]
+            .iter()
+            .all(|l| l.contains("\"restored\"")),
+        "{:?}",
+        &got[..TENANTS.len()]
+    );
+    assert_eq!(&got[TENANTS.len()..], want);
+    assert!(
+        want.last().unwrap().contains("\"ratio\":"),
+        "reports carry the ratio"
+    );
+}
+
+#[test]
+fn snapshots_share_the_lcp_tracker_and_drop_c_up() {
+    let mut lines = prefix_records();
+    lines.extend(TENANTS.map(|id| line(json!({"op": "snapshot", "id": id}))));
+    let out = run(&lines);
+    let fresh: Vec<serde::Value> = out[out.len() - TENANTS.len()..]
+        .iter()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    let (lcp, half) = (&fresh[0]["snapshot"], &fresh[1]["snapshot"]);
+    assert!(
+        lcp["opt"].is_null(),
+        "LCP reads its optimum from its policy"
+    );
+    assert!(lcp["policy"]["tracker"]["c_up"].is_null());
+    assert!(half["opt"]["c_up"].is_null());
+
+    // The one-DP tracker's value function is the two-DP tracker's, bit for
+    // bit.
+    let fixture = fixture_snapshots();
+    assert_eq!(
+        lcp["policy"]["tracker"]["c_low"],
+        fixture[0]["snapshot"]["policy"]["tracker"]["c_low"]
+    );
+    assert_eq!(half["opt"]["c_low"], fixture[1]["snapshot"]["opt"]["c_low"]);
+}
