@@ -3,7 +3,7 @@
 //! engine's performance shape is recorded alongside the code that produced
 //! it.
 //!
-//! Seven measurements, mirroring the Criterion `engine_throughput` and
+//! Eight measurements, mirroring the Criterion `engine_throughput` and
 //! `wire_codec` groups but cheap enough to re-run by hand (and, with
 //! `--quick`, in CI):
 //!
@@ -21,6 +21,9 @@
 //! - `serve_throughput` — end-to-end served steps/s through the TCP
 //!   reactor on loopback, concurrent connections per framing (prices the
 //!   full stack: reactor, framing, engine, socket I/O)
+//! - `fleet_scaling` — median latency of one 8-event batch on 2 shards
+//!   with 1k, 10k and 100k admitted tenants: a batch must cost O(batch),
+//!   not O(fleet), so the schema caps the 100k row at 1.5x the 1k row
 //!
 //! The engine runs with the metrics registry **disabled** (the documented
 //! hot-path configuration), so these numbers price the engine, not the
@@ -29,10 +32,11 @@
 //! USAGE: engine_bench [--quick] [--out FILE] [--validate FILE] [--shape FILE]
 //!
 //! `--validate` checks an existing file against the schema (sections
-//! present, every rate positive, binary wire decode ≥2x JSONL) and exits
-//! non-zero on mismatch — CI runs it over both a fresh `--quick` run and
-//! the checked-in trajectory. Absolute numbers are machine-dependent;
-//! only the schema and that one ratio are enforced.
+//! present, every rate positive, binary wire decode ≥2x JSONL, the 100k
+//! fleet batch ≤1.5x the 1k one) and exits non-zero on mismatch — CI runs
+//! it over both a fresh `--quick` run and the checked-in trajectory.
+//! Absolute numbers are machine-dependent; only the schema and those two
+//! ratios are enforced.
 //!
 //! `--shape FILE` prints the file's deterministic projection — schema tag
 //! plus section/row structure with every measured number elided — which
@@ -51,7 +55,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Schema tag validated by `--validate`; bump on shape changes.
-const SCHEMA: &str = "rsdc-engine-bench/v4";
+const SCHEMA: &str = "rsdc-engine-bench/v5";
 
 const M: u32 = 128;
 const BETA: f64 = 4.0;
@@ -482,6 +486,60 @@ fn measure_serve(s: &Scale) -> Vec<serde::Value> {
         .collect()
 }
 
+/// Fleet sizes the `fleet_scaling` rows admit (quick runs too: the point
+/// is the 100k row).
+const FLEET_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
+
+/// The cap `--validate` puts on the largest fleet's batch latency,
+/// relative to the smallest's.
+const FLEET_SPREAD: f64 = 1.5;
+
+/// Median wall time of one 8-event batch on 2 shards per fleet size.
+/// The batches cycle through the same 64 tenants, spread evenly over the
+/// fleet, so the rows differ only in how many tenants sit idle: any work
+/// proportional to the fleet shows up as a slope, and cache misses on a
+/// cold working set do not.
+fn measure_fleet_scaling(s: &Scale) -> Vec<serde::Value> {
+    const BATCH: usize = 8;
+    const HOT: usize = 64;
+    let repeats = if s.quick { 400 } else { 4_000 };
+    FLEET_SIZES
+        .iter()
+        .map(|&tenants| {
+            let engine = Engine::new(bench_cfg(2));
+            let ids: Vec<String> = (0..tenants).map(|i| format!("f{i}")).collect();
+            for id in &ids {
+                engine
+                    .admit(TenantConfig::new(id.clone(), 16, BETA, PolicySpec::Lcp))
+                    .expect("admit");
+            }
+            let hot: Vec<&String> = (0..HOT).map(|k| &ids[k * tenants / HOT]).collect();
+            let mut samples: Vec<f64> = (0..repeats + repeats / 10)
+                .map(|r| {
+                    let batch: Vec<_> = (0..BATCH)
+                        .map(|k| {
+                            let load = ((r + k) % 16) as f64;
+                            let id = hot[(r * BATCH + k) % HOT].clone();
+                            (id, Cost::abs(1.0, load), Some(load))
+                        })
+                        .collect();
+                    let start = Instant::now();
+                    engine.step_batch_loads(batch).expect("step");
+                    start.elapsed().as_secs_f64() * 1e6
+                })
+                .skip(repeats / 10) // warm-up
+                .collect();
+            engine.shutdown();
+            samples.sort_by(f64::total_cmp);
+            serde_json::json!({
+                "tenants": tenants,
+                "shards": 2,
+                "batch_us": samples[samples.len() / 2],
+            })
+        })
+        .collect()
+}
+
 /// Schema check: every section present, every rate a positive number.
 /// Returns the list of violations (empty = valid).
 pub fn validate(doc: &serde::Value) -> Vec<String> {
@@ -489,7 +547,7 @@ pub fn validate(doc: &serde::Value) -> Vec<String> {
     if doc["schema"].as_str() != Some(SCHEMA) {
         errs.push(format!("schema != {SCHEMA:?}"));
     }
-    let sections: [(&str, &[&str]); 7] = [
+    let sections: [(&str, &[&str]); 8] = [
         ("throughput", &["shards", "steps_per_sec"]),
         ("store_overhead", &["backend", "steps_per_sec"]),
         ("hetero", &["algo", "steps_per_sec"]),
@@ -500,6 +558,7 @@ pub fn validate(doc: &serde::Value) -> Vec<String> {
             &["framing", "steps_per_sec", "bytes_per_event"],
         ),
         ("serve_throughput", &["framing", "conns", "steps_per_sec"]),
+        ("fleet_scaling", &["tenants", "shards", "batch_us"]),
     ];
     for (section, fields) in sections {
         let rows = match doc["results"][section].as_array() {
@@ -534,6 +593,26 @@ pub fn validate(doc: &serde::Value) -> Vec<String> {
             )),
             (Some(_), Some(_)) => {}
             _ => errs.push("results.wire_codec: missing jsonl/binary rows".into()),
+        }
+    }
+    // Per-batch cost is O(batch): the largest fleet's batch stays within
+    // a fixed factor of the smallest's.
+    if let Some(rows) = doc["results"]["fleet_scaling"].as_array() {
+        let latency = |tenants: usize| {
+            rows.iter()
+                .find(|r| r["tenants"].as_u64() == Some(tenants as u64))
+                .and_then(|r| r["batch_us"].as_f64())
+        };
+        let (small, large) = (FLEET_SIZES[0], FLEET_SIZES[FLEET_SIZES.len() - 1]);
+        match (latency(small), latency(large)) {
+            (Some(a), Some(b)) if b > FLEET_SPREAD * a => errs.push(format!(
+                "results.fleet_scaling: an 8-event batch takes {b:.1} us at {large} tenants \
+                 vs {a:.1} us at {small} — over the {FLEET_SPREAD}x cap"
+            )),
+            (Some(_), Some(_)) => {}
+            _ => errs.push(format!(
+                "results.fleet_scaling: missing {small}/{large}-tenant rows"
+            )),
         }
     }
     errs
@@ -620,6 +699,8 @@ fn main() {
     eprintln!("engine_bench: wire codec done");
     let serve_throughput = measure_serve(&scale);
     eprintln!("engine_bench: serve throughput done");
+    let fleet_scaling = measure_fleet_scaling(&scale);
+    eprintln!("engine_bench: fleet scaling done");
 
     let doc = serde_json::json!({
         "schema": SCHEMA,
@@ -634,6 +715,7 @@ fn main() {
             "energy": serde::Value::Array(energy),
             "wire_codec": serde::Value::Array(wire_codec),
             "serve_throughput": serde::Value::Array(serve_throughput),
+            "fleet_scaling": serde::Value::Array(fleet_scaling),
         },
     });
     let errs = validate(&doc);

@@ -1111,16 +1111,9 @@ impl Engine {
             .count();
         // Fleet-total counters survive the topology change by merging every
         // old shard's aggregates onto the new shard 0, in shard order.
-        let mut merged = ShardMeta {
-            shard: 0,
-            events: 0,
-            states: 0,
-            metrics: rsdc_sim::metrics::Metrics::default(),
-        };
+        let mut merged = ShardMeta::new(0);
         for meta in &old_meta {
-            merged.events += meta.events;
-            merged.states += meta.states;
-            merged.metrics.merge(&meta.metrics);
+            merged.merge(meta);
         }
         let count = tenants.len();
         // The snapshots are moved into the (future fencing-checkpoint)
@@ -1384,9 +1377,7 @@ impl Engine {
                 // full-state checkpoint carrying the new topology.
                 let (tenants, mut shard_meta) = Engine::capture_set(&new_senders, seq)?;
                 for meta in retired_meta.iter() {
-                    shard_meta[0].events += meta.events;
-                    shard_meta[0].states += meta.states;
-                    shard_meta[0].metrics.merge(&meta.metrics);
+                    shard_meta[0].merge(meta);
                 }
                 let doc = CheckpointDoc {
                     seq,

@@ -56,9 +56,10 @@
 //!   accumulated load-imbalance cost provably exceeds the migration's
 //!   switching cost.
 //! * **Accounting** reuses [`rsdc_core::analysis`] (cost breakdowns,
-//!   schedule statistics with identical phase semantics) and
-//!   [`rsdc_sim::metrics`] (shard-level load/energy aggregation), all
-//!   maintained incrementally in O(1) per event.
+//!   schedule statistics with identical phase semantics); shard-level
+//!   load aggregates are fixed-size running totals ([`ShardTotals`]) and
+//!   the committed machine count is a running sum, all maintained in O(1)
+//!   per event — a batch costs O(batch) work, not O(fleet).
 //! * **Snapshots** ([`tenant::TenantSnapshot`]) capture the *complete*
 //!   tenant state — policy value functions, fractional states, rounder RNG
 //!   words, lookahead buffers and the running accounting — so a tenant
@@ -124,7 +125,7 @@ pub use ring::{HashRing, RingSpec, DEFAULT_VNODES};
 pub use rsdc_hetero::{FleetSpec, HeteroAlgo};
 pub use rsdc_power::{EnergyStatus, PowerConfig, PowerSpec, PriceSchedule};
 pub use serve::{ServeConfig, ServeSummary, Server, WireMode};
-pub use shard::{ShardMeta, ShardStats, StepOutcome};
+pub use shard::{ShardMeta, ShardStats, ShardTotals, StepOutcome};
 pub use statelist::StateList;
 pub use tenant::{PolicySpec, TenantConfig, TenantEnergy, TenantReport, TenantSnapshot};
 pub use topology::{TopologyConfig, TopologyPolicy, TopologyStatus};
@@ -460,7 +461,7 @@ mod tests {
         assert_eq!(stats.len(), 2);
         let total_events: u64 = stats.iter().map(|s| s.events).sum();
         assert_eq!(total_events, 30);
-        let slots: usize = stats.iter().map(|s| s.metric_slots).sum();
+        let slots: u64 = stats.iter().map(|s| s.metric_slots).sum();
         assert_eq!(slots, 30);
         assert!(stats.iter().map(|s| s.total_energy).sum::<f64>() > 0.0);
         engine.shutdown();

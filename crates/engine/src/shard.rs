@@ -7,17 +7,23 @@
 //! exact request-stream position of the snapshot — the shard thread is the
 //! serialization point, so the snapshot/WAL boundary is always consistent.
 //!
-//! Tenants live in a slab indexed by the engine's interned tenant key
-//! (see [`crate::intern`]): the per-event path is an array index, not a
-//! string hash. A small id → key side map serves the cold control ops
-//! (snapshot/evict/report-by-id), which still arrive keyed by id.
+//! Tenants live in a per-shard slab addressed by the engine's interned
+//! tenant key (see [`crate::intern`]): the per-event path is an array
+//! index plus one indirection, not a string hash, and tenant storage is
+//! sized to the shard's own tenants. A small id → key side map serves the
+//! cold control ops (snapshot/evict/report-by-id), which still arrive
+//! keyed by id.
+//!
+//! Everything a batch reports beyond its outcomes is a running total —
+//! the committed machine count and the load-aware [`ShardTotals`] — so a
+//! batch costs O(batch) work and a shard's checkpointed aggregates have a
+//! fixed size however many events it has processed.
 
 use crate::journal::{JournalEvent, JournalRecord};
 use crate::obs::{EngineObs, ShardObs};
 use crate::statelist::StateList;
 use crate::tenant::{StepScratch, Tenant, TenantConfig, TenantReport, TenantSnapshot};
 use crate::EngineError;
-use rsdc_sim::metrics::{Metrics, SlotRecord};
 use rsdc_store::Durability;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -27,7 +33,7 @@ use std::time::Instant;
 
 /// One streamed event: a tenant id (shared, interned), its slab key, the
 /// next cost function, and (when the event was derived from a load) the
-/// offered load — which feeds the shard-level [`Metrics`].
+/// offered load — which feeds the shard-level [`ShardTotals`].
 #[derive(Debug)]
 pub struct Event {
     /// Original position in the caller's batch (used to reassemble replies
@@ -62,7 +68,8 @@ pub struct StepOutcome {
     pub error: Option<String>,
 }
 
-/// Aggregate statistics for one shard.
+/// Aggregate statistics for one shard, derived in O(1) from its
+/// [`ShardTotals`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardStats {
     /// Shard index.
@@ -73,20 +80,118 @@ pub struct ShardStats {
     pub events: u64,
     /// States committed.
     pub states: u64,
-    /// Slots recorded in the load-aware metrics.
-    pub metric_slots: usize,
-    /// Total energy proxy (1 unit per committed server per slot).
+    /// Load-carrying committed slots counted in the load-aware totals
+    /// (a commit whose slot carried no load is not counted).
+    pub metric_slots: u64,
+    /// Server-slots committed over those slots: 1 unit per committed
+    /// server per slot. A logical-fleet count, not joules — the engine's
+    /// `PowerModel` meter reports energy.
     pub total_energy: f64,
     /// Fraction of offered load dropped (capacity shortfall).
     pub drop_rate: f64,
     /// Mean committed servers per load-aware slot.
     pub mean_committed: f64,
     /// Total power-up events.
-    pub total_wakes: u32,
+    pub total_wakes: u64,
+}
+
+/// A shard's running load-aware totals over its load-carrying commits,
+/// in a logical-fleet model: every committed server serves (and costs 1
+/// unit per slot), so a slot serves `min(load, state)` and drops the
+/// rest. Fixed-size, so checkpoints do not grow with event count.
+///
+/// Summing in slot order gives bit-for-bit the values a full per-slot log
+/// would sum to. Merging two shards' totals (on a rebalance) adds the
+/// integer fields exactly; the two float sums become `a + b`, which can
+/// differ from the sum over the concatenated slots in the last bits.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct ShardTotals {
+    /// Load-carrying committed slots.
+    pub slots: u64,
+    /// Offered load, summed.
+    pub load: f64,
+    /// Load dropped for lack of committed servers, summed.
+    pub dropped: f64,
+    /// Committed servers, summed (server-slots).
+    pub committed: u64,
+    /// Servers powered up entering those slots, summed.
+    pub wakes: u64,
+}
+
+impl ShardTotals {
+    /// Count one load-carrying committed slot.
+    pub(crate) fn record(&mut self, state: u32, load: f64, ups: u64) {
+        self.slots += 1;
+        self.load += load;
+        self.dropped += (load - state as f64).max(0.0);
+        self.committed += state as u64;
+        self.wakes += ups;
+    }
+
+    /// Fold another shard's totals into these (exact for the counts).
+    pub(crate) fn merge(&mut self, other: &ShardTotals) {
+        self.slots += other.slots;
+        self.load += other.load;
+        self.dropped += other.dropped;
+        self.committed += other.committed;
+        self.wakes += other.wakes;
+    }
+
+    /// Fraction of offered load dropped (0 when no load was offered).
+    pub(crate) fn drop_rate(&self) -> f64 {
+        if self.load == 0.0 {
+            0.0
+        } else {
+            self.dropped / self.load
+        }
+    }
+
+    /// Mean committed servers per counted slot (0 before the first).
+    pub(crate) fn mean_committed(&self) -> f64 {
+        if self.slots == 0 {
+            0.0
+        } else {
+            self.committed as f64 / self.slots as f64
+        }
+    }
+}
+
+/// Decodes both the current field form and the per-slot record log that
+/// checkpoints written before running totals carry
+/// (`{"records":[{"committed":..,"load":..,"woken":..,..},..]}`),
+/// recording each in slot order — so the recovered totals are
+/// bit-identical to what the old log summed to.
+impl Deserialize for ShardTotals {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        fn field<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::DeError> {
+            let f = v
+                .get_field(name)
+                .ok_or_else(|| serde::DeError::missing_field("ShardTotals", name))?;
+            T::from_value(f)
+        }
+        let Some(records) = v.get_field("records") else {
+            return Ok(ShardTotals {
+                slots: field(v, "slots")?,
+                load: field(v, "load")?,
+                dropped: field(v, "dropped")?,
+                committed: field(v, "committed")?,
+                wakes: field(v, "wakes")?,
+            });
+        };
+        let records = records
+            .as_array()
+            .ok_or_else(|| serde::DeError::custom("ShardTotals: records is not an array"))?;
+        let mut totals = ShardTotals::default();
+        for r in records {
+            let woken: u32 = field(r, "woken")?;
+            totals.record(field(r, "committed")?, field(r, "load")?, woken as u64);
+        }
+        Ok(totals)
+    }
 }
 
 /// Aggregate shard state that lives outside any tenant: the counters and
-/// load metrics a checkpoint must carry for the recovered engine to be
+/// load totals a checkpoint must carry for the recovered engine to be
 /// bit-identical to the pre-crash one.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardMeta {
@@ -96,8 +201,28 @@ pub struct ShardMeta {
     pub events: u64,
     /// States committed.
     pub states: u64,
-    /// Load-aware metrics accumulated by this shard.
-    pub metrics: Metrics,
+    /// Load-aware running totals accumulated by this shard.
+    pub metrics: ShardTotals,
+}
+
+impl ShardMeta {
+    /// Empty aggregates for shard `shard`.
+    pub(crate) fn new(shard: usize) -> Self {
+        ShardMeta {
+            shard,
+            events: 0,
+            states: 0,
+            metrics: ShardTotals::default(),
+        }
+    }
+
+    /// Fold another shard's aggregates into these (used when a rebalance
+    /// retires shards: fleet totals survive on the target shard).
+    pub(crate) fn merge(&mut self, other: &ShardMeta) {
+        self.events += other.events;
+        self.states += other.states;
+        self.metrics.merge(&other.metrics);
+    }
 }
 
 /// What one shard contributes to a checkpoint: every tenant snapshot plus
@@ -125,7 +250,8 @@ pub struct BatchReply {
     /// Live tenants on this shard after the batch.
     pub tenants: usize,
     /// Machines committed across this shard's tenants after the batch
-    /// (sum of last committed states) — the energy meter's load sample.
+    /// (sum of last committed states, kept as a running total) — the
+    /// energy meter's load sample.
     pub machines: u64,
 }
 
@@ -185,18 +311,80 @@ pub enum Request {
     Shutdown,
 }
 
+/// A shard's tenant storage: tenants packed densely in a vector sized to
+/// this shard's own tenants, plus a `u32` position per interned key. The
+/// index spans the engine-wide key space at 4 bytes a key; the tenants do
+/// not.
+#[derive(Default)]
+struct Slab {
+    /// Position in `tenants` per key ([`VACANT`] for keys whose tenant
+    /// lives on another shard, was evicted, or was never admitted). A
+    /// shard holds at most one tenant per key and keys stay below
+    /// [`crate::intern::UNKNOWN_KEY`], so positions fit below `VACANT`.
+    index: Vec<u32>,
+    /// Live tenants with their keys, in no particular order.
+    tenants: Vec<(u32, Tenant)>,
+}
+
+const VACANT: u32 = u32::MAX;
+
+impl Slab {
+    fn position(&self, key: u32) -> Option<usize> {
+        match self.index.get(key as usize) {
+            Some(&at) if at != VACANT => Some(at as usize),
+            _ => None,
+        }
+    }
+
+    fn get(&self, key: u32) -> Option<&Tenant> {
+        self.position(key).map(|at| &self.tenants[at].1)
+    }
+
+    fn get_mut(&mut self, key: u32) -> Option<&mut Tenant> {
+        self.position(key).map(|at| &mut self.tenants[at].1)
+    }
+
+    /// Place `tenant` under `key`, returning the tenant it replaced.
+    fn insert(&mut self, key: u32, tenant: Tenant) -> Option<Tenant> {
+        if let Some(at) = self.position(key) {
+            return Some(std::mem::replace(&mut self.tenants[at].1, tenant));
+        }
+        let at = key as usize;
+        if at >= self.index.len() {
+            self.index.resize(at + 1, VACANT);
+        }
+        self.index[at] = self.tenants.len() as u32;
+        self.tenants.push((key, tenant));
+        None
+    }
+
+    /// Remove the tenant under `key`; the last tenant fills its place.
+    fn remove(&mut self, key: u32) -> Option<Tenant> {
+        let at = self.position(key)?;
+        self.index[key as usize] = VACANT;
+        let (_, tenant) = self.tenants.swap_remove(at);
+        if let Some(&(moved, _)) = self.tenants.get(at) {
+            self.index[moved as usize] = at as u32;
+        }
+        Some(tenant)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Tenant> {
+        self.tenants.iter().map(|(_, t)| t)
+    }
+}
+
 /// State owned by one shard thread.
 pub struct Shard {
     index: usize,
-    /// Tenant slab, indexed by interned key. Slots for tenants living on
-    /// other shards (or evicted) are `None`; the vector grows to the
-    /// engine-wide key space high-water mark.
-    slots: Vec<Option<Tenant>>,
+    slab: Slab,
     /// Cold-path id → key map for the control ops that address by id.
     by_id: HashMap<String, u32>,
-    metrics: Metrics,
-    events: u64,
-    states: u64,
+    /// Running sum of every live tenant's last committed state. Each
+    /// update adds the new state before subtracting the old, so no
+    /// intermediate value underflows.
+    machines: u64,
+    meta: ShardMeta,
     store: Option<Arc<dyn Durability>>,
     obs: ShardObs,
     scratch: StepScratch,
@@ -207,11 +395,10 @@ impl Shard {
     pub fn run(index: usize, rx: Receiver<Request>, obs: Arc<EngineObs>) {
         let mut shard = Shard {
             index,
-            slots: Vec::new(),
+            slab: Slab::default(),
             by_id: HashMap::new(),
-            metrics: Metrics::default(),
-            events: 0,
-            states: 0,
+            machines: 0,
+            meta: ShardMeta::new(index),
             store: None,
             obs: ShardObs::for_shard(&obs, index),
             scratch: StepScratch::default(),
@@ -249,7 +436,8 @@ impl Shard {
                     let _ = reply.send(shard.tenant(&id).map(|t| vec![t.report()]));
                 }
                 Request::Report(None, reply) => {
-                    let mut reports: Vec<TenantReport> = shard.live().map(|t| t.report()).collect();
+                    let mut reports: Vec<TenantReport> =
+                        shard.slab.iter().map(|t| t.report()).collect();
                     reports.sort_by(|a, b| a.id.cmp(&b.id));
                     let _ = reply.send(Ok(reports));
                 }
@@ -272,15 +460,14 @@ impl Shard {
                     let _ = reply.send(shard.checkpoint(seq));
                 }
                 Request::InstallMeta(meta, reply) => {
-                    shard.events = meta.events;
-                    shard.states = meta.states;
-                    shard.metrics = meta.metrics;
+                    shard.meta = ShardMeta {
+                        shard: index,
+                        ..*meta
+                    };
                     let _ = reply.send(());
                 }
                 Request::MergeMeta(meta, reply) => {
-                    shard.events += meta.events;
-                    shard.states += meta.states;
-                    shard.metrics.merge(&meta.metrics);
+                    shard.meta.merge(&meta);
                     let _ = reply.send(());
                 }
                 Request::Shutdown => break,
@@ -316,40 +503,28 @@ impl Shard {
                 .rotate(self.index, seq)
                 .map_err(|e| EngineError::Store(e.to_string()))?;
         }
-        let mut snapshots: Vec<TenantSnapshot> = self.live().map(|t| t.snapshot()).collect();
+        let mut snapshots: Vec<TenantSnapshot> = self.slab.iter().map(|t| t.snapshot()).collect();
         snapshots.sort_by(|a, b| a.config.id.cmp(&b.config.id));
         Ok(ShardDump {
             snapshots,
-            meta: ShardMeta {
-                shard: self.index,
-                events: self.events,
-                states: self.states,
-                metrics: self.metrics.clone(),
-            },
+            meta: self.meta.clone(),
         })
-    }
-
-    /// Iterate the live tenants of this shard.
-    fn live(&self) -> impl Iterator<Item = &Tenant> {
-        self.slots.iter().flatten()
     }
 
     fn tenant(&self, id: &str) -> Result<&Tenant, EngineError> {
         self.by_id
             .get(id)
-            .and_then(|&key| self.slots.get(key as usize))
-            .and_then(|slot| slot.as_ref())
+            .and_then(|&key| self.slab.get(key))
             .ok_or_else(|| EngineError::UnknownTenant(id.to_string()))
     }
 
-    /// Grow the slab to cover `key` and place `tenant` there.
+    /// Place `tenant` under `key`, replacing any tenant already there.
     fn place(&mut self, key: u32, tenant: Tenant) {
-        let at = key as usize;
-        if at >= self.slots.len() {
-            self.slots.resize_with(at + 1, || None);
-        }
         let id = tenant.config().id.clone();
-        self.slots[at] = Some(tenant);
+        self.machines += tenant.last_state() as u64;
+        if let Some(old) = self.slab.insert(key, tenant) {
+            self.machines -= old.last_state() as u64;
+        }
         self.by_id.insert(id, key);
     }
 
@@ -367,9 +542,9 @@ impl Shard {
 
     fn take(&mut self, id: &str) -> Option<Tenant> {
         let key = self.by_id.remove(id)?;
-        self.slots
-            .get_mut(key as usize)
-            .and_then(|slot| slot.take())
+        let tenant = self.slab.remove(key)?;
+        self.machines -= tenant.last_state() as u64;
+        Some(tenant)
     }
 
     fn evict(&mut self, id: &str) -> Result<TenantReport, EngineError> {
@@ -425,11 +600,7 @@ impl Shard {
         let mut out = Vec::with_capacity(events.len());
         let (mut ingested, mut dropped) = (0u64, 0u64);
         for ev in events.drain(..) {
-            let Some(tenant) = self
-                .slots
-                .get_mut(ev.key as usize)
-                .and_then(|slot| slot.as_mut())
-            else {
+            let Some(tenant) = self.slab.get_mut(ev.key) else {
                 dropped += 1;
                 out.push((
                     ev.index,
@@ -442,12 +613,13 @@ impl Shard {
                 ));
                 continue;
             };
+            let before = tenant.last_state() as u64;
             match tenant.step_into(&ev.cost, ev.load, &mut self.scratch) {
                 Ok(()) => {
+                    self.machines = self.machines + tenant.last_state() as u64 - before;
                     let effect = &self.scratch.effect;
-                    self.events += 1;
+                    self.meta.events += 1;
                     ingested += 1;
-                    self.states += effect.commits.len() as u64;
                     out.push((
                         ev.index,
                         StepOutcome {
@@ -486,7 +658,7 @@ impl Shard {
             outcomes: out,
             events,
             tenants: self.by_id.len(),
-            machines: self.live().map(|t| t.last_state() as u64).sum(),
+            machines: self.machines,
         })
     }
 
@@ -495,9 +667,10 @@ impl Shard {
             return Err(EngineError::UnknownTenant(id.to_string()));
         };
         self.journal(&JournalRecord::Finish(id.to_string()))?;
-        let tenant = self.slots[key as usize].as_mut().expect("keyed above");
+        let tenant = self.slab.get_mut(key).expect("keyed above");
+        let before = tenant.last_state() as u64;
         let effect = tenant.finish();
-        self.states += effect.commits.len() as u64;
+        self.machines = self.machines + tenant.last_state() as u64 - before;
         let id: Arc<str> = Arc::from(id);
         let outcome = StepOutcome {
             id,
@@ -510,32 +683,16 @@ impl Shard {
         Ok(outcome)
     }
 
-    /// Feed the scratch effect's committed slots into the load-aware
-    /// metrics. Each commit pairs a state with *its own* slot's load (they
-    /// differ under lookahead lag), using a logical-fleet model: 1 power
-    /// unit per committed server per slot, "serving" equal to the
-    /// committed state.
+    /// Count the scratch effect's commits: every commit towards `states`,
+    /// and each load-carrying one into the load totals — paired with *its
+    /// own* slot's load (they differ under lookahead lag).
     fn meter(&mut self) {
-        for c in &self.scratch.effect.commits {
-            let Some(load) = c.load else { continue };
-            let x = c.state;
-            self.metrics.push(SlotRecord {
-                target: x,
-                committed: x,
-                serving: x,
-                load,
-                served: load.min(x as f64),
-                dropped: (load - x as f64).max(0.0),
-                utilisation: if x > 0 {
-                    (load / x as f64).min(1.0)
-                } else {
-                    0.0
-                },
-                power: x as f64,
-                wake_energy: 0.0,
-                woken: c.ups as u32,
-                slept: c.downs as u32,
-            });
+        let commits = &self.scratch.effect.commits;
+        self.meta.states += commits.len() as u64;
+        for c in commits {
+            if let Some(load) = c.load {
+                self.meta.metrics.record(c.state, load, c.ups);
+            }
         }
     }
 
@@ -547,16 +704,17 @@ impl Shard {
     }
 
     fn stats(&self) -> ShardStats {
+        let totals = &self.meta.metrics;
         ShardStats {
             shard: self.index,
             tenants: self.by_id.len(),
-            events: self.events,
-            states: self.states,
-            metric_slots: self.metrics.slots(),
-            total_energy: self.metrics.total_energy(),
-            drop_rate: self.metrics.drop_rate(),
-            mean_committed: self.metrics.mean_committed(),
-            total_wakes: self.metrics.total_wakes(),
+            events: self.meta.events,
+            states: self.meta.states,
+            metric_slots: totals.slots,
+            total_energy: totals.committed as f64,
+            drop_rate: totals.drop_rate(),
+            mean_committed: totals.mean_committed(),
+            total_wakes: totals.wakes,
         }
     }
 }
