@@ -412,324 +412,94 @@ impl<'a> BodyWriter<'a> {
 
 // ---- binary server session ----
 
-use crate::wire::{
-    error_reply_line, parse_record, stepped_states_line, PendingStep, Record, Reply, Session,
-    WireError,
-};
+use crate::framed::{Codec, Core};
+use crate::wire::{error_reply_line, stepped_states_line, Record, Reply, Request, WireError};
 use rsdc_core::Cost;
 use serde::Deserialize;
 
-/// Connection lifecycle of a [`BinSession`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnState {
-    /// Waiting for the 6-byte preamble.
-    AwaitPreamble,
-    /// Preamble accepted and echoed; streaming frames.
-    Open,
-    /// The connection ended: end-of-stream, or a fatal framing error.
-    Dead,
-}
-
-/// A binary-framed server connection over the same [`Session`] the JSONL
-/// framing drives: feed connection bytes in with [`BinSession::feed`],
-/// response frames come back out, and [`BinSession::finish`] flushes the
-/// final step batch at end-of-stream.
+/// A binary-framed server connection over the same
+/// [`Session`](crate::wire::Session) and framing core the JSONL framing
+/// drives: feed connection bytes in with `feed`, response frames come
+/// back out, and `finish` flushes the final step batch at end of stream.
 ///
 /// Sequencing mirrors the text protocol exactly: the N-th frame of the
 /// connection is "line N", and every error reply carries that number.
-/// Step frames batch across `feed` boundaries just like consecutive JSONL
-/// step lines batch within [`Session::handle_lines`] — the batch flushes
-/// on a control frame, at the batch cap, or at `finish` — so a chunked
-/// binary connection drives the engine through the same batch boundaries
-/// as the equivalent one-shot JSONL input (the differential suite pins
-/// this).
-pub struct BinSession {
-    session: Session,
+/// The response stream opens with the echoed [`PREAMBLE`] once the
+/// request preamble is accepted. A bad preamble kills the connection
+/// with an error frame at sequence 0; a fatal framing violation
+/// ([`FrameError::Oversize`] / [`FrameError::Empty`]) kills it with an
+/// error frame at the offending sequence; a [`FrameError::BadCrc`] on a
+/// well-delimited frame is reported at its sequence and the stream
+/// continues. End of stream mid-frame (or mid-preamble) is reported as a
+/// truncation error at the next sequence (or at 0).
+pub type BinSession = crate::framed::Framed<Frames>;
+
+/// The binary codec of a [`BinSession`]: the preamble handshake, then
+/// [`FrameDecoder`] frames in and compact or line frames out.
+#[derive(Default)]
+pub struct Frames {
     decoder: FrameDecoder,
-    state: ConnState,
-    /// Frames consumed so far; the next frame is number `seq + 1`.
-    seq: usize,
-    pending: Vec<PendingStep>,
-    replies: Vec<Reply>,
+    preamble: [u8; 6],
+    /// Preamble bytes received; frames follow once all 6 are accepted.
+    preamble_len: usize,
     /// Reusable response-payload scratch.
     payload: Vec<u8>,
-    preamble: [u8; 6],
-    preamble_len: usize,
-    frames_in: u64,
-    frames_out: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-    /// Counter values already flushed into the engine's metrics registry
-    /// (same order as [`BinSession::io_counters`]).
-    reported: [u64; 4],
 }
 
-impl BinSession {
-    /// Serve binary framing over `session`.
-    pub fn new(session: Session) -> BinSession {
-        BinSession {
-            session,
-            decoder: FrameDecoder::new(),
-            state: ConnState::AwaitPreamble,
-            seq: 0,
-            pending: Vec::new(),
-            replies: Vec::new(),
-            payload: Vec::new(),
-            preamble: [0; 6],
-            preamble_len: 0,
-            frames_in: 0,
-            frames_out: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            reported: [0; 4],
-        }
-    }
-
-    /// The underlying session.
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// Unwrap the underlying session (the differential tests inspect the
-    /// engine behind a finished connection).
-    pub fn into_session(self) -> Session {
-        self.session
-    }
-
-    /// True once the connection hit a fatal framing error or finished.
-    pub fn is_dead(&self) -> bool {
-        self.state == ConnState::Dead
-    }
-
-    /// The 1-based sequence number the next request frame will get —
-    /// errors the serving layer injects (e.g. a slow-consumer shed) are
-    /// attributed to this sequence.
-    pub fn next_seq(&self) -> usize {
-        self.seq + 1
-    }
-
-    /// Abandon the connection with a typed error frame at the next
-    /// sequence number: the pending step batch flushes first (its replies
-    /// are owed — the overshoot is bounded by one batch), then the error
-    /// frame is emitted and the connection dies. Used by the serving
-    /// layer to shed slow consumers.
-    pub fn shed(&mut self, message: &str, out: &mut Vec<u8>) {
-        if self.state == ConnState::Dead {
-            return;
-        }
-        let start = out.len();
-        self.session
-            .flush_steps(&mut self.pending, &mut self.replies);
-        self.replies.push(Reply::Error {
-            seq: self.next_seq(),
-            id: None,
-            message: message.to_string(),
-        });
-        self.state = ConnState::Dead;
-        self.drain_replies(out);
-        self.bytes_out += (out.len() - start) as u64;
-        self.fold_obs();
-    }
-
-    /// Per-connection I/O counters: `(frames_in, frames_out, bytes_in,
-    /// bytes_out)`.
-    pub fn io_counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.frames_in,
-            self.frames_out,
-            self.bytes_in,
-            self.bytes_out,
-        )
-    }
-
-    /// Ingest connection bytes, appending any response bytes to `out`.
-    ///
-    /// The response stream opens with the echoed [`PREAMBLE`] once the
-    /// request preamble is accepted. A bad preamble kills the connection
-    /// with an error frame at sequence 0; a fatal framing violation
-    /// ([`FrameError::Oversize`] / [`FrameError::Empty`]) kills it with an
-    /// error frame at the offending sequence; a [`FrameError::BadCrc`] on
-    /// a well-delimited frame is reported at its sequence and the stream
-    /// continues. Bytes fed after death are ignored.
-    pub fn feed(&mut self, bytes: &[u8], out: &mut Vec<u8>) {
-        if self.state == ConnState::Dead {
-            return;
-        }
-        self.bytes_in += bytes.len() as u64;
-        let start = out.len();
-        let mut bytes = bytes;
-        if self.state == ConnState::AwaitPreamble {
-            let take = (6 - self.preamble_len).min(bytes.len());
-            self.preamble[self.preamble_len..self.preamble_len + take]
-                .copy_from_slice(&bytes[..take]);
+impl Codec for Frames {
+    fn decode(&mut self, mut bytes: &[u8], core: &mut Core, out: &mut Vec<u8>) {
+        if self.preamble_len < PREAMBLE.len() {
+            let take = (PREAMBLE.len() - self.preamble_len).min(bytes.len());
+            self.preamble[self.preamble_len..][..take].copy_from_slice(&bytes[..take]);
             self.preamble_len += take;
             bytes = &bytes[take..];
-            if self.preamble_len < 6 {
+            if self.preamble_len < PREAMBLE.len() {
                 return;
             }
-            match check_preamble(&self.preamble) {
-                Ok(()) => {
-                    self.state = ConnState::Open;
-                    out.extend_from_slice(&PREAMBLE);
-                }
-                Err(e) => {
-                    self.state = ConnState::Dead;
-                    self.replies.push(Reply::Error {
-                        seq: 0,
-                        id: None,
-                        message: e.to_string(),
-                    });
-                }
+            if let Err(e) = check_preamble(&self.preamble) {
+                return core.end(Some((0, e.to_string())));
             }
+            out.extend_from_slice(&PREAMBLE);
         }
-        if self.state == ConnState::Open {
-            self.decoder.extend(bytes);
-            self.pump();
-        }
-        self.drain_replies(out);
-        self.bytes_out += (out.len() - start) as u64;
-        self.fold_obs();
-    }
-
-    /// End-of-stream: flush the pending step batch, report a mid-frame
-    /// (or mid-preamble) truncation as an error at the next sequence
-    /// number, and append the final response frames to `out`.
-    pub fn finish(&mut self, out: &mut Vec<u8>) {
-        let start = out.len();
-        match self.state {
-            ConnState::Dead => {}
-            ConnState::AwaitPreamble => {
-                if self.preamble_len > 0 {
-                    let e = FrameError::Truncated {
-                        need: 6,
-                        have: self.preamble_len,
-                    };
-                    self.replies.push(Reply::Error {
-                        seq: 0,
-                        id: None,
-                        message: e.to_string(),
-                    });
-                }
-            }
-            ConnState::Open => {
-                self.session
-                    .flush_steps(&mut self.pending, &mut self.replies);
-                if let Err(e) = self.decoder.finish() {
-                    self.replies.push(Reply::Error {
-                        seq: self.seq + 1,
-                        id: None,
-                        message: e.to_string(),
-                    });
-                }
-            }
-        }
-        self.state = ConnState::Dead;
-        self.drain_replies(out);
-        self.bytes_out += (out.len() - start) as u64;
-        self.fold_obs();
-    }
-
-    fn pump(&mut self) {
+        self.decoder.extend(bytes);
         loop {
             match self.decoder.next_frame() {
-                Ok(None) => break,
+                Ok(None) => return,
                 Ok(Some(Frame { tag, body })) => {
-                    self.seq += 1;
-                    self.frames_in += 1;
-                    handle_frame(
-                        &mut self.session,
-                        &mut self.pending,
-                        &mut self.replies,
-                        self.seq,
-                        tag,
-                        body,
-                    );
+                    core.request(decode_request(tag, body).unwrap_or_else(Request::Error));
                 }
-                Err(e @ FrameError::BadCrc { .. }) => {
-                    // The corrupt frame occupied a sequence slot; like a
-                    // JSONL parse error, it flushes the batch and the
-                    // stream continues.
-                    self.seq += 1;
-                    self.frames_in += 1;
-                    self.session
-                        .flush_steps(&mut self.pending, &mut self.replies);
-                    self.replies.push(Reply::Error {
-                        seq: self.seq,
-                        id: None,
-                        message: e.to_string(),
-                    });
-                }
-                Err(e) => {
-                    // Oversize/empty length prefix: the byte stream cannot
-                    // be resynchronized — report and die.
-                    self.seq += 1;
-                    self.session
-                        .flush_steps(&mut self.pending, &mut self.replies);
-                    self.replies.push(Reply::Error {
-                        seq: self.seq,
-                        id: None,
-                        message: e.to_string(),
-                    });
-                    self.state = ConnState::Dead;
-                    break;
-                }
+                // The corrupt frame occupies a sequence slot; like a JSONL
+                // parse error, it flushes the batch and the stream
+                // continues.
+                Err(e @ FrameError::BadCrc { .. }) => core.request(Request::Error(e.to_string())),
+                // Oversize/empty length prefix: the byte stream cannot be
+                // resynchronized — report and die.
+                Err(e) => return core.end(Some((core.next_seq(), e.to_string()))),
             }
         }
     }
 
-    fn drain_replies(&mut self, out: &mut Vec<u8>) {
-        for reply in self.replies.drain(..) {
-            encode_reply(reply, &mut self.payload, out);
-            self.frames_out += 1;
+    fn finish(&mut self, core: &mut Core) -> Option<(usize, String)> {
+        if self.preamble_len < PREAMBLE.len() {
+            let have = self.preamble_len;
+            return (have > 0).then(|| (0, FrameError::Truncated { need: 6, have }.to_string()));
         }
+        let truncated = self.decoder.finish().err()?;
+        Some((core.next_seq(), truncated.to_string()))
     }
 
-    /// Fold the per-connection counters into the engine's registry-backed
-    /// wire metrics — the delta since the last fold, applied after every
-    /// `feed` and at `finish`, so a long-lived server connection reports
-    /// its traffic while still open instead of a lifetime of zeros.
-    /// (PR 9 deferred this to connection close; that made an external
-    /// registry scrape of a server connection read zero forever.) A
-    /// `metrics` dump requested *on* this connection reflects traffic up
-    /// to the previous feed boundary — chunk-dependent, which is why the
-    /// JSONL↔binary differential excludes the `metrics` op by design.
-    fn fold_obs(&mut self) {
-        let now = [
-            self.frames_in,
-            self.frames_out,
-            self.bytes_in,
-            self.bytes_out,
-        ];
-        let obs = self.session.engine().obs();
-        obs.wire_frames_in.add(now[0] - self.reported[0]);
-        obs.wire_frames_out.add(now[1] - self.reported[1]);
-        obs.wire_bytes_in.add(now[2] - self.reported[2]);
-        obs.wire_bytes_out.add(now[3] - self.reported[3]);
-        self.reported = now;
+    fn encode(&mut self, reply: Reply, out: &mut Vec<u8>) {
+        encode_reply(reply, &mut self.payload, out);
     }
-}
-
-/// A request decoded from one frame.
-enum Req<'a> {
-    /// A hot-path step, id still borrowed from the frame body.
-    Step {
-        id: &'a str,
-        cost: Option<Cost>,
-        load: Option<f64>,
-    },
-    /// A parsed control (or JSON-envelope) record.
-    Record(Record),
-    /// A blank/comment JSON envelope: consumes a sequence number, does
-    /// nothing — exactly like a blank JSONL line.
-    Skip,
 }
 
 fn underrun(tag: u8) -> String {
     format!("truncated body for frame tag {tag:#04x}")
 }
 
-/// The step-load validation [`parse_record`] applies, with its exact
-/// message — binary and JSONL reject a bad load identically.
+/// The step-load validation [`parse_record`](crate::wire::parse_record)
+/// applies, with its exact message — binary and JSONL reject a bad load
+/// identically.
 fn check_load(l: f64) -> Result<(), String> {
     if l.is_finite() && l >= 0.0 {
         Ok(())
@@ -738,14 +508,14 @@ fn check_load(l: f64) -> Result<(), String> {
     }
 }
 
-fn decode_request(tag: u8, body: &[u8]) -> Result<Req<'_>, String> {
+fn decode_request(tag: u8, body: &[u8]) -> Result<Request<'_>, String> {
     let mut r = BodyReader::new(body);
     match tag {
         TAG_STEP_LOAD => {
             let id = r.str16().ok_or_else(|| underrun(tag))?;
             let load = r.f64().ok_or_else(|| underrun(tag))?;
             check_load(load)?;
-            Ok(Req::Step {
+            Ok(Request::Step {
                 id,
                 cost: None,
                 load: Some(load),
@@ -767,7 +537,7 @@ fn decode_request(tag: u8, body: &[u8]) -> Result<Req<'_>, String> {
                 .map_err(|e| WireError(format!("bad cost: {e}")).to_string())?;
             let cost = Cost::from_value(&v)
                 .map_err(|e| WireError(format!("bad cost: {e}")).to_string())?;
-            Ok(Req::Step {
+            Ok(Request::Step {
                 id,
                 cost: Some(cost),
                 load,
@@ -775,31 +545,31 @@ fn decode_request(tag: u8, body: &[u8]) -> Result<Req<'_>, String> {
         }
         TAG_FINISH => {
             let id = r.str16().ok_or_else(|| underrun(tag))?;
-            Ok(Req::Record(Record::Finish { id: id.to_string() }))
+            Ok(Request::Record(Record::Finish { id: id.to_string() }))
         }
         TAG_SNAPSHOT => {
             let id = r.str16().ok_or_else(|| underrun(tag))?;
-            Ok(Req::Record(Record::Snapshot { id: id.to_string() }))
+            Ok(Request::Record(Record::Snapshot { id: id.to_string() }))
         }
         TAG_REPORT => {
             if body.is_empty() {
-                Ok(Req::Record(Record::Report(None)))
+                Ok(Request::Record(Record::Report(None)))
             } else {
                 let id = r.str16().ok_or_else(|| underrun(tag))?;
-                Ok(Req::Record(Record::Report(Some(id.to_string()))))
+                Ok(Request::Record(Record::Report(Some(id.to_string()))))
             }
         }
-        TAG_STATS => Ok(Req::Record(Record::Stats)),
-        TAG_CHECKPOINT => Ok(Req::Record(Record::Checkpoint)),
-        TAG_RECOVER => Ok(Req::Record(Record::Recover)),
-        TAG_WAL_STATS => Ok(Req::Record(Record::WalStats)),
-        TAG_METRICS => Ok(Req::Record(Record::Metrics)),
+        TAG_STATS => Ok(Request::Record(Record::Stats)),
+        TAG_CHECKPOINT => Ok(Request::Record(Record::Checkpoint)),
+        TAG_RECOVER => Ok(Request::Record(Record::Recover)),
+        TAG_WAL_STATS => Ok(Request::Record(Record::WalStats)),
+        TAG_METRICS => Ok(Request::Record(Record::Metrics)),
         TAG_TRACE => {
             if body.is_empty() {
-                Ok(Req::Record(Record::Trace { last: None }))
+                Ok(Request::Record(Record::Trace { last: None }))
             } else {
                 let last = r.u32().ok_or_else(|| underrun(tag))?;
-                Ok(Req::Record(Record::Trace {
+                Ok(Request::Record(Record::Trace {
                     last: Some(last as usize),
                 }))
             }
@@ -824,7 +594,7 @@ fn decode_request(tag: u8, body: &[u8]) -> Result<Req<'_>, String> {
                 None
             };
             let incremental = r.u8().ok_or_else(|| underrun(tag))? != 0;
-            Ok(Req::Record(Record::Rebalance {
+            Ok(Request::Record(Record::Rebalance {
                 shards: shards as usize,
                 vnodes,
                 incremental,
@@ -833,47 +603,9 @@ fn decode_request(tag: u8, body: &[u8]) -> Result<Req<'_>, String> {
         TAG_JSON => {
             let text = std::str::from_utf8(body)
                 .map_err(|_| "frame body is not valid UTF-8".to_string())?;
-            let trimmed = text.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                return Ok(Req::Skip);
-            }
-            let record = parse_record(trimmed).map_err(|e| e.to_string())?;
-            Ok(Req::Record(record))
+            Ok(Request::line(text))
         }
         _ => Err(format!("unknown frame tag {tag:#04x}")),
-    }
-}
-
-fn handle_frame(
-    session: &mut Session,
-    pending: &mut Vec<PendingStep>,
-    replies: &mut Vec<Reply>,
-    seq: usize,
-    tag: u8,
-    body: &[u8],
-) {
-    match decode_request(tag, body) {
-        Err(message) => {
-            // Mirror a JSONL parse error: flush the open batch first, then
-            // report at this frame's sequence.
-            session.flush_steps(pending, replies);
-            replies.push(Reply::Error {
-                seq,
-                id: None,
-                message,
-            });
-        }
-        Ok(Req::Skip) => {}
-        Ok(Req::Step { id, cost, load }) => {
-            session.queue_step(seq, id, cost, load, pending, replies);
-        }
-        Ok(Req::Record(Record::Step { id, cost, load })) => {
-            session.queue_step(seq, &id, cost, load, pending, replies);
-        }
-        Ok(Req::Record(record)) => {
-            session.flush_steps(pending, replies);
-            session.handle_control(record, seq, replies);
-        }
     }
 }
 
@@ -960,7 +692,8 @@ pub fn encode_request_line(line: &str, payload: &mut Vec<u8>, out: &mut Vec<u8>)
 
 /// Try the compact encoding for `line`; true when `payload` holds it.
 /// Any shape the compact tags can't represent faithfully (per
-/// [`parse_record`]'s field semantics) falls back to the JSON envelope.
+/// [`parse_record`](crate::wire::parse_record)'s field semantics) falls
+/// back to the JSON envelope.
 fn compact_request(line: &str, payload: &mut Vec<u8>) -> bool {
     if line.is_empty() || line.starts_with('#') {
         return false;
@@ -1162,6 +895,7 @@ fn decode_response_frame(tag: u8, body: &[u8]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Session;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -1410,7 +1144,7 @@ mod tests {
         let wire = transcode(&lines);
         let mut bin = BinSession::new(fresh_session());
         let mut out = Vec::new();
-        let frames_in_of = |bin: &BinSession| {
+        let counter = |bin: &BinSession, name: &str| {
             bin.session()
                 .engine()
                 .obs()
@@ -1418,18 +1152,27 @@ mod tests {
                 .snapshot()
                 .iter()
                 .find_map(|m| match (&m.id.name[..], &m.value) {
-                    ("engine_wire_frames", rsdc_obs::MetricValue::Counter(v))
-                        if m.id.label.as_ref().map(|(k, v)| (k.as_str(), v.as_str()))
-                            == Some(("dir", "in")) =>
+                    (n, rsdc_obs::MetricValue::Counter(v))
+                        if n == name
+                            && m.id.label.as_ref().map(|(k, v)| (k.as_str(), v.as_str()))
+                                == Some(("dir", "in")) =>
                     {
                         Some(*v)
                     }
                     _ => None,
                 })
         };
+        let frames_in_of = |bin: &BinSession| counter(bin, "engine_wire_frames");
+        // A feed that ends mid-preamble folds its bytes too.
+        bin.feed(&wire[..3], &mut out);
+        assert_eq!(
+            counter(&bin, "engine_wire_bytes"),
+            Some(3),
+            "mid-preamble feed folds"
+        );
         // Feed everything but the last byte: both frames' bytes minus one
         // — only the fully decoded first frame has been consumed.
-        bin.feed(&wire[..wire.len() - 1], &mut out);
+        bin.feed(&wire[3..wire.len() - 1], &mut out);
         assert_eq!(frames_in_of(&bin), Some(1), "first frame folds mid-stream");
         // The long-lived-connection regression (PR 9 folded only at
         // close): an open connection must already report its traffic.

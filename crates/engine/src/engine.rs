@@ -389,10 +389,27 @@ impl Engine {
     /// the returned pair and reuse it across [`Engine::step_events`]
     /// batches.
     pub fn resolve(&self, id: &str) -> (Arc<str>, u32) {
-        match self.interner().lookup(id) {
-            Some((arc, key, _)) => (arc, key),
-            None => (Arc::from(id), UNKNOWN_KEY),
-        }
+        resolve_in(&self.interner(), id)
+    }
+
+    /// [`Engine::resolve`] for a whole batch, under one intern-table lock.
+    fn resolve_batch(
+        &self,
+        events: impl IntoIterator<Item = (String, Cost, Option<f64>)>,
+    ) -> Vec<StepEvent> {
+        let interner = self.interner();
+        events
+            .into_iter()
+            .map(|(id, cost, load)| {
+                let (id, key) = resolve_in(&interner, &id);
+                StepEvent {
+                    id,
+                    key,
+                    cost,
+                    load,
+                }
+            })
+            .collect()
     }
 
     /// Enable (`Some`) or disable (`None`) energy accounting. Installing
@@ -624,13 +641,24 @@ impl Engine {
     /// Feed one cost function to one tenant; returns the states committed
     /// by this event (empty while a lookahead window fills).
     pub fn step(&self, id: &str, cost: Cost) -> Result<Vec<u32>, EngineError> {
-        let outcomes = self.step_batch(vec![(id.to_string(), cost)])?;
-        match outcomes.into_iter().next() {
-            Some(o) => match o.error {
-                None => Ok(o.states.to_vec()),
-                Some(message) => Err(Engine::classify_event_error(id, message)),
-            },
-            None => Err(EngineError::UnknownTenant(id.to_string())),
+        self.step_one(id, cost, None).map(|o| o.states.to_vec())
+    }
+
+    /// Run one event through the batch path and unwrap its outcome.
+    fn step_one(
+        &self,
+        id: &str,
+        cost: Cost,
+        load: Option<f64>,
+    ) -> Result<StepOutcome, EngineError> {
+        let outcome = self
+            .step_batch_loads(vec![(id.to_string(), cost, load)])?
+            .into_iter()
+            .next()
+            .ok_or_else(|| EngineError::UnknownTenant(id.to_string()))?;
+        match outcome.error {
+            None => Ok(outcome),
+            Some(message) => Err(Engine::classify_event_error(id, message)),
         }
     }
 
@@ -652,15 +680,7 @@ impl Engine {
                 format!("tenant {id:?} is not heterogeneous: price the load into a Cost and use step instead"),
             )));
         }
-        let outcomes = self.step_batch_loads(vec![(id.to_string(), Cost::Zero, Some(load))])?;
-        let outcome = outcomes
-            .into_iter()
-            .next()
-            .ok_or_else(|| EngineError::UnknownTenant(id.to_string()))?;
-        match outcome.error {
-            None => Ok(outcome),
-            Some(message) => Err(Engine::classify_event_error(id, message)),
-        }
+        self.step_one(id, Cost::Zero, Some(load))
     }
 
     /// Feed a batch of `(tenant, cost)` events. Events are fanned out to
@@ -683,32 +703,15 @@ impl Engine {
         &self,
         events: Vec<(String, Cost, Option<f64>)>,
     ) -> Result<Vec<StepOutcome>, EngineError> {
-        let throttled = self.tick_gate(&mut events.iter().map(|(id, _, _)| id.as_str()));
-        let mut resolved = {
-            let interner = self.interner();
-            events
-                .into_iter()
-                .map(|(id, cost, load)| {
-                    let (id, key) = match interner.lookup(&id) {
-                        Some((arc, key, _)) => (arc, key),
-                        None => (Arc::from(id), UNKNOWN_KEY),
-                    };
-                    StepEvent {
-                        id,
-                        key,
-                        cost,
-                        load,
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
+        let mut resolved = self.resolve_batch(events);
         let mut out = Vec::with_capacity(resolved.len());
-        self.dispatch_resolved(&mut resolved, &throttled, true, &mut out)?;
+        self.step_events(&mut resolved, &mut out)?;
         Ok(out)
     }
 
     /// [`Engine::step_batch_loads`] over pre-resolved events with reused
-    /// buffers — the zero-allocation ingest path. `events` is drained (its
+    /// buffers — the zero-allocation ingest path, and the one every other
+    /// step entry point wraps. `events` is drained (its
     /// capacity survives for the caller's next batch); outcomes are
     /// appended to `out` in submission order. Resolve ids once with
     /// [`Engine::resolve`] and recycle both vectors across batches:
@@ -1648,32 +1651,11 @@ impl Engine {
         let outcome = match record {
             JournalRecord::Admit(cfg) => self.admit_unchecked(cfg),
             JournalRecord::Batch(events) => {
-                let mut resolved = {
-                    let interner = self.interner();
-                    events
-                        .into_iter()
-                        .map(|e| {
-                            let (id, key) = match interner.lookup(&e.id) {
-                                Some((arc, key, _)) => (arc, key),
-                                None => (Arc::from(e.id), UNKNOWN_KEY),
-                            };
-                            StepEvent {
-                                id,
-                                key,
-                                cost: e.cost,
-                                load: e.load,
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                };
+                let mut resolved =
+                    self.resolve_batch(events.into_iter().map(|e| (e.id, e.cost, e.load)));
                 let mut outcomes = Vec::with_capacity(resolved.len());
-                match self.dispatch_resolved(&mut resolved, &[], false, &mut outcomes) {
-                    Ok(()) => {
-                        report.events_replayed += outcomes.len();
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                }
+                self.dispatch_resolved(&mut resolved, &[], false, &mut outcomes)
+                    .map(|()| report.events_replayed += outcomes.len())
             }
             JournalRecord::Finish(id) => self.finish(&id).map(|_| ()),
             JournalRecord::Evict(id) => self.evict(&id).map(|_| ()),
@@ -1699,6 +1681,15 @@ impl Engine {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+/// Resolve `id` against `interner` without inserting; see
+/// [`Engine::resolve`].
+fn resolve_in(interner: &Interner, id: &str) -> (Arc<str>, u32) {
+    match interner.lookup(id) {
+        Some((arc, key, _)) => (arc, key),
+        None => (Arc::from(id), UNKNOWN_KEY),
     }
 }
 

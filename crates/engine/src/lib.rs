@@ -102,6 +102,7 @@
 pub mod admission;
 pub mod binwire;
 pub mod engine;
+mod framed;
 pub mod intern;
 pub mod journal;
 pub mod obs;

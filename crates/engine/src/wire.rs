@@ -53,6 +53,7 @@
 //! The full protocol, with request/response examples for every op, is
 //! documented in `docs/WIRE.md`.
 
+use crate::framed::{Codec, Core};
 use crate::shard::StepOutcome;
 use crate::tenant::{PolicySpec, TenantConfig, TenantSnapshot};
 use rsdc_core::Cost;
@@ -587,7 +588,8 @@ pub fn trace_records(id: &str, trace: &Trace) -> Vec<String> {
 
 /// A stateful JSONL server: an [`Engine`](crate::Engine) plus the per-tenant
 /// cost models used to price `load` events. Consecutive `step` records are
-/// ingested as one batched [`Engine::step_batch_loads`](crate::Engine) call.
+/// ingested as one batched [`Engine::step_events`](crate::Engine::step_events)
+/// call.
 ///
 /// When the engine journals through a durable store, the session also
 /// serves the `checkpoint`/`recover`/`wal_stats` ops and can checkpoint
@@ -786,33 +788,49 @@ impl Session {
         }
     }
 
-    /// Price one parsed `step` and queue it on the session's batch,
-    /// flushing when the batch cap is hit. Shared by both framings;
-    /// `number` is the record's 1-based sequence (line or frame).
-    pub(crate) fn queue_step(
+    /// Route one decoded request, the `seq`-th of its stream: a step is
+    /// priced and queued on the `pending` batch (flushing at the batch
+    /// cap), a control record flushes the batch and runs, and a malformed
+    /// request flushes the batch and answers with an error at `seq`. The
+    /// one dispatch behind [`Session::handle_lines`] and both streaming
+    /// framings.
+    pub(crate) fn dispatch(
         &mut self,
-        number: usize,
-        id: &str,
-        cost: Option<Cost>,
-        load: Option<f64>,
+        seq: usize,
+        request: Request<'_>,
         pending: &mut Vec<PendingStep>,
         out: &mut Vec<Reply>,
     ) {
-        match self.cost_of(id, cost, load) {
+        let owned;
+        let priced = match request {
+            Request::Skip => return,
+            Request::Step { id, cost, load } => self.cost_of(id, cost, load).map(|p| (id, p)),
+            Request::Record(Record::Step { id, cost, load }) => {
+                owned = id;
+                self.cost_of(&owned, cost, load)
+                    .map(|p| (owned.as_str(), p))
+            }
+            Request::Record(record) => {
+                self.flush_steps(pending, out);
+                return self.handle_control(record, seq, out);
+            }
+            Request::Error(message) => Err(message),
+        };
+        match priced {
             Err(message) => {
                 self.flush_steps(pending, out);
                 out.push(Reply::Error {
-                    seq: number,
+                    seq,
                     id: None,
                     message,
                 });
             }
-            Ok((cost, load)) => {
+            Ok((id, (cost, load))) => {
                 // Resolve the id once, here: the batch then flushes through
                 // the engine's pre-resolved zero-allocation path.
                 let (id, key) = self.engine.resolve(id);
                 pending.push(PendingStep {
-                    line: number,
+                    line: seq,
                     id,
                     key,
                     cost,
@@ -942,18 +960,17 @@ impl Session {
         Ok(report)
     }
 
-    pub(crate) fn handle_control(&mut self, record: Record, line: usize, out: &mut Vec<Reply>) {
+    fn handle_control(&mut self, record: Record, line: usize, out: &mut Vec<Reply>) {
         let error_line = |message: &str| Reply::Error {
             seq: line,
             id: None,
             message: message.to_string(),
         };
         match record {
-            // Both framings batch steps through `queue_step` before
-            // dispatching controls; a step landing here means a framing
-            // layer misrouted it. Answer with a typed error — a server
-            // multiplexing thousands of connections must never panic on
-            // one connection's traffic.
+            // `dispatch` queues steps before it hands controls here; a
+            // step landing here is a routing bug. Answer with a typed
+            // error — a server multiplexing thousands of connections must
+            // never panic on one connection's traffic.
             Record::Step { .. } => out.push(error_line("step record misrouted as control")),
             Record::Admit { config, cost_model } => {
                 let id = config.id.clone();
@@ -1323,302 +1340,135 @@ impl Session {
         let mut replies = Vec::new();
         let mut pending: Vec<PendingStep> = Vec::new();
         for (index, line) in lines.into_iter().enumerate() {
-            let number = index + 1;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match parse_record(line) {
-                Err(e) => {
-                    self.flush_steps(&mut pending, &mut replies);
-                    replies.push(Reply::Error {
-                        seq: number,
-                        id: None,
-                        message: e.to_string(),
-                    });
-                }
-                Ok(Record::Step { id, cost, load }) => {
-                    self.queue_step(number, &id, cost, load, &mut pending, &mut replies);
-                }
-                Ok(control) => {
-                    self.flush_steps(&mut pending, &mut replies);
-                    self.handle_control(control, number, &mut replies);
-                }
-            }
+            self.dispatch(index + 1, Request::line(line), &mut pending, &mut replies);
         }
         self.flush_steps(&mut pending, &mut replies);
         replies.into_iter().map(Reply::into_line).collect()
     }
 }
 
-/// Streaming JSONL framing over a [`Session`]: the line-oriented twin of
-/// [`crate::binwire::BinSession`], built for long-lived connections that
-/// deliver bytes in arbitrary chunks.
-///
-/// [`Session::handle_lines`] numbers lines from 1 per call and flushes
-/// the step batch when its input ends — correct for one-shot files,
-/// wrong for a socket. A `LineSession` keeps the 1-based line counter
-/// and the pending step batch **across** [`LineSession::feed`] calls, so
-/// a chunked connection batches exactly like the equivalent one-shot
-/// input: runs of consecutive `step` lines flush on a control record, at
-/// the batch cap, or at [`LineSession::finish`] — never at a TCP read
-/// boundary. The serve-layer differential suite pins this equivalence.
-///
-/// Per-connection I/O counters fold into the engine's wire metrics after
-/// every feed (frames = request/response lines, bytes = raw stream
-/// bytes), mirroring the binary framing's accounting.
-///
-/// Untrusted buffering is capped: an unterminated line longer than
-/// [`MAX_LINE_LEN`] is a fatal framing error — typed, line-numbered —
-/// and the session dies, exactly as an oversize length prefix kills the
-/// binary framing.
-pub struct LineSession {
-    session: Session,
-    pending: Vec<PendingStep>,
-    replies: Vec<Reply>,
-    /// Bytes of the current incomplete line (no `\n` seen yet), capped
-    /// at [`MAX_LINE_LEN`].
-    partial: Vec<u8>,
-    /// Lines consumed so far; the next line is number `line + 1`.
-    line: usize,
-    done: bool,
-    frames_in: u64,
-    frames_out: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-    /// Counter values already folded into the engine's metrics registry
-    /// (same order as [`LineSession::io_counters`]).
-    reported: [u64; 4],
+/// One decoded request, before [`Session::dispatch`] routes it: a JSONL
+/// line or a binary frame, whichever framing it arrived in.
+pub(crate) enum Request<'a> {
+    /// A hot-path step, its id borrowed from the input.
+    Step {
+        id: &'a str,
+        cost: Option<Cost>,
+        load: Option<f64>,
+    },
+    /// A parsed record (a JSON `step` included).
+    Record(Record),
+    /// A blank or `#` comment line: consumes a sequence number, does
+    /// nothing.
+    Skip,
+    /// A malformed request, answered with this error message.
+    Error(String),
 }
 
-impl LineSession {
-    /// Serve streaming JSONL framing over `session`.
-    pub fn new(session: Session) -> LineSession {
-        LineSession {
-            session,
-            pending: Vec::new(),
-            replies: Vec::new(),
-            partial: Vec::new(),
-            line: 0,
-            done: false,
-            frames_in: 0,
-            frames_out: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            reported: [0; 4],
+impl Request<'_> {
+    /// Decode one JSONL request line.
+    pub(crate) fn line(text: &str) -> Request<'static> {
+        let text = text.trim();
+        if text.is_empty() || text.starts_with('#') {
+            return Request::Skip;
+        }
+        match parse_record(text) {
+            Ok(record) => Request::Record(record),
+            Err(e) => Request::Error(e.to_string()),
         }
     }
+}
 
-    /// The underlying session.
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
+/// Streaming JSONL framing over a [`Session`]: the framing core the
+/// binary framing shares, driven by the line codec, so a chunked
+/// connection batches, numbers and answers exactly like
+/// [`Session::handle_lines`] over the same lines.
+///
+/// Untrusted buffering is capped: a line longer than [`MAX_LINE_LEN`],
+/// terminated or not, is a fatal framing error — typed, line-numbered —
+/// and the session dies, exactly as an oversize length prefix kills the
+/// binary framing. The check counts the whole line, however its bytes
+/// were chunked.
+pub type LineSession = crate::framed::Framed<Lines>;
 
-    /// Unwrap the underlying session.
-    pub fn into_session(self) -> Session {
-        self.session
-    }
+/// The JSONL codec of a [`LineSession`]: splits bytes into `\n`-terminated
+/// lines and renders each reply as one line.
+#[derive(Default)]
+pub struct Lines {
+    /// Bytes of the current incomplete line (no `\n` seen yet), capped at
+    /// [`MAX_LINE_LEN`].
+    partial: Vec<u8>,
+}
 
-    /// The 1-based sequence number the next request line will get —
-    /// errors the serving layer injects (e.g. a slow-consumer shed) are
-    /// attributed to this sequence.
-    pub fn next_seq(&self) -> usize {
-        self.line + 1
-    }
-
-    /// True once the stream finished or was shed.
-    pub fn is_dead(&self) -> bool {
-        self.done
-    }
-
-    /// Per-connection I/O counters: `(lines_in, lines_out, bytes_in,
-    /// bytes_out)`.
-    pub fn io_counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.frames_in,
-            self.frames_out,
-            self.bytes_in,
-            self.bytes_out,
-        )
-    }
-
-    /// Ingest connection bytes, appending rendered response lines (each
-    /// `\n`-terminated) to `out`. Bytes fed after death are ignored.
-    pub fn feed(&mut self, bytes: &[u8], out: &mut Vec<u8>) {
-        if self.done {
-            return;
+impl Lines {
+    /// Refuse the current line when `more` bytes would take it past
+    /// [`MAX_LINE_LEN`]: the connection ends with a typed error at the
+    /// line's number, so a peer streaming newline-free bytes cannot grow
+    /// the buffer without bound.
+    fn overlong(&mut self, more: usize, core: &mut Core) -> bool {
+        if self.partial.len() + more <= MAX_LINE_LEN {
+            return false;
         }
-        self.bytes_in += bytes.len() as u64;
-        let start = out.len();
+        self.partial = Vec::new();
+        let message = format!("line length exceeds cap {MAX_LINE_LEN}");
+        core.end(Some((core.next_seq(), message)));
+        true
+    }
+}
+
+/// Decode one complete request line (sans newline), the `seq`-th.
+fn line_request(seq: usize, raw: &[u8]) -> Request<'static> {
+    match std::str::from_utf8(raw) {
+        Ok(text) => Request::line(text),
+        // Whole-file input is read as `String` and never reaches here; on
+        // a socket invalid UTF-8 is a line-numbered error like any other.
+        Err(_) => Request::Error(format!("line {seq} is not valid UTF-8")),
+    }
+}
+
+impl Codec for Lines {
+    fn decode(&mut self, bytes: &[u8], core: &mut Core, _out: &mut Vec<u8>) {
         let mut rest = bytes;
         while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
             let (head, tail) = rest.split_at(pos);
             rest = &tail[1..];
+            if self.overlong(head.len(), core) {
+                return;
+            }
             if self.partial.is_empty() {
-                self.take_line(head);
+                core.request(line_request(core.next_seq(), head));
             } else {
                 self.partial.extend_from_slice(head);
-                let owned = std::mem::take(&mut self.partial);
-                self.take_line(&owned);
-                self.partial = owned;
+                core.request(line_request(core.next_seq(), &self.partial));
                 self.partial.clear();
             }
         }
-        self.partial.extend_from_slice(rest);
-        if self.partial.len() > MAX_LINE_LEN {
-            self.overlong_line();
+        if !self.overlong(rest.len(), core) {
+            self.partial.extend_from_slice(rest);
         }
-        self.drain_replies(out);
-        self.bytes_out += (out.len() - start) as u64;
-        self.fold_obs();
     }
 
-    /// End-of-stream: a trailing unterminated line is processed as the
-    /// final request, the pending step batch flushes, and the remaining
-    /// response lines are appended to `out`.
-    pub fn finish(&mut self, out: &mut Vec<u8>) {
-        if self.done {
-            return;
-        }
-        let start = out.len();
+    /// A trailing unterminated line is the final request.
+    fn finish(&mut self, core: &mut Core) -> Option<(usize, String)> {
         if !self.partial.is_empty() {
-            let owned = std::mem::take(&mut self.partial);
-            self.take_line(&owned);
+            let line = std::mem::take(&mut self.partial);
+            core.request(line_request(core.next_seq(), &line));
         }
-        self.session
-            .flush_steps(&mut self.pending, &mut self.replies);
-        self.done = true;
-        self.drain_replies(out);
-        self.bytes_out += (out.len() - start) as u64;
-        self.fold_obs();
+        None
     }
 
-    /// Abandon the connection with a typed error at the next sequence
-    /// number: the pending step batch flushes first (its replies are
-    /// owed — the overshoot is bounded by one batch), then the error is
-    /// rendered and the session dies. Used by the serving layer to shed
-    /// slow consumers.
-    pub fn shed(&mut self, message: &str, out: &mut Vec<u8>) {
-        if self.done {
-            return;
-        }
-        let start = out.len();
-        self.session
-            .flush_steps(&mut self.pending, &mut self.replies);
-        self.replies.push(Reply::Error {
-            seq: self.next_seq(),
-            id: None,
-            message: message.to_string(),
-        });
-        self.done = true;
-        self.drain_replies(out);
-        self.bytes_out += (out.len() - start) as u64;
-        self.fold_obs();
-    }
-
-    /// The partial buffer outgrew [`MAX_LINE_LEN`] with no terminator in
-    /// sight: fatal, like an oversize binary length prefix. The pending
-    /// step batch flushes (its replies are owed), the overlong line gets
-    /// a typed error at its own number, and the session dies — a peer
-    /// streaming newline-free bytes cannot grow the buffer without
-    /// bound.
-    fn overlong_line(&mut self) {
-        let len = self.partial.len();
-        self.partial = Vec::new();
-        self.line += 1;
-        self.session
-            .flush_steps(&mut self.pending, &mut self.replies);
-        self.replies.push(Reply::Error {
-            seq: self.line,
-            id: None,
-            message: format!("line length {len}+ exceeds cap {MAX_LINE_LEN}"),
-        });
-        self.done = true;
-    }
-
-    /// Consume one complete request line (sans newline).
-    fn take_line(&mut self, raw: &[u8]) {
-        self.line += 1;
-        self.frames_in += 1;
-        let number = self.line;
-        let Ok(text) = std::str::from_utf8(raw) else {
-            // The batch-oriented path never sees invalid UTF-8 (it reads
-            // whole files as `String`); on a socket it is a typed,
-            // line-numbered error like any other malformed request.
-            self.session
-                .flush_steps(&mut self.pending, &mut self.replies);
-            self.replies.push(Reply::Error {
-                seq: number,
-                id: None,
-                message: format!("line {number} is not valid UTF-8"),
-            });
-            return;
-        };
-        let text = text.trim();
-        if text.is_empty() || text.starts_with('#') {
-            return;
-        }
-        match parse_record(text) {
-            Err(e) => {
-                self.session
-                    .flush_steps(&mut self.pending, &mut self.replies);
-                self.replies.push(Reply::Error {
-                    seq: number,
-                    id: None,
-                    message: e.to_string(),
-                });
-            }
-            Ok(Record::Step { id, cost, load }) => {
-                self.session.queue_step(
-                    number,
-                    &id,
-                    cost,
-                    load,
-                    &mut self.pending,
-                    &mut self.replies,
-                );
-            }
-            Ok(control) => {
-                self.session
-                    .flush_steps(&mut self.pending, &mut self.replies);
-                self.session
-                    .handle_control(control, number, &mut self.replies);
-            }
-        }
-    }
-
-    fn drain_replies(&mut self, out: &mut Vec<u8>) {
-        for reply in self.replies.drain(..) {
-            out.extend_from_slice(reply.into_line().as_bytes());
-            out.push(b'\n');
-            self.frames_out += 1;
-        }
-    }
-
-    /// Fold the per-connection counters into the engine's registry-backed
-    /// wire metrics (delta since the last fold — called after every feed
-    /// so long-lived connections report traffic while still open).
-    fn fold_obs(&mut self) {
-        let now = [
-            self.frames_in,
-            self.frames_out,
-            self.bytes_in,
-            self.bytes_out,
-        ];
-        let obs = self.session.engine().obs();
-        obs.wire_frames_in.add(now[0] - self.reported[0]);
-        obs.wire_frames_out.add(now[1] - self.reported[1]);
-        obs.wire_bytes_in.add(now[2] - self.reported[2]);
-        obs.wire_bytes_out.add(now[3] - self.reported[3]);
-        self.reported = now;
+    fn encode(&mut self, reply: Reply, out: &mut Vec<u8>) {
+        out.extend_from_slice(reply.into_line().as_bytes());
+        out.push(b'\n');
     }
 }
 
 /// Most bytes one JSONL request line may span (terminator excluded)
 /// before the connection is refused — the line framing's cap on
 /// untrusted buffering, mirroring the binary framing's
-/// [`crate::binwire::MAX_FRAME_LEN`]: a [`LineSession`] fed past it
-/// emits a typed line-numbered error and dies.
+/// [`crate::binwire::MAX_FRAME_LEN`]: a [`LineSession`] fed a longer
+/// line, terminated or not and however chunked, emits a typed
+/// line-numbered error and dies.
 pub const MAX_LINE_LEN: usize = crate::binwire::MAX_FRAME_LEN as usize;
 
 /// Most step events a [`Session`] batches into one engine call: large

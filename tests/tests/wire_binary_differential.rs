@@ -3,7 +3,8 @@
 //! engine behind both — so any random valid request stream must produce
 //!
 //! * **byte-identical response lines** (modulo framing: binary responses
-//!   are decoded back to their JSONL text),
+//!   are decoded back to their JSONL text), from the one-shot
+//!   `handle_lines` and from both streaming framings at any feed chunking,
 //! * **byte-identical durable stores** when both sessions journal to a
 //!   `FileStore`, and
 //! * **byte-identical recovery**: a binary connection killed at an
@@ -20,7 +21,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rsdc_engine::binwire::{encode_request_line, BinSession, FrameDecoder, PREAMBLE};
-use rsdc_engine::wire::Session;
+use rsdc_engine::wire::{LineSession, Session};
 use rsdc_engine::{Engine, EngineConfig};
 use rsdc_store::{Durability, FileStore, FileStoreConfig};
 use rsdc_tests::heavy_cases;
@@ -126,6 +127,20 @@ fn serve_binary(session: Session, stream: &[u8], chunk: usize) -> (Vec<String>, 
     (lines, session)
 }
 
+/// Serve the JSONL `lines` through a streaming line session in
+/// `chunk`-byte feeds and split the responses back into lines.
+fn serve_jsonl(lines: &[String], chunk: usize) -> Vec<String> {
+    let stream: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let mut ls = LineSession::new(ephemeral_session());
+    let mut reply_bytes = Vec::new();
+    for part in stream.as_bytes().chunks(chunk.max(1)) {
+        ls.feed(part, &mut reply_bytes);
+    }
+    ls.finish(&mut reply_bytes);
+    let text = String::from_utf8(reply_bytes).expect("JSONL responses are UTF-8");
+    text.lines().map(str::to_string).collect()
+}
+
 fn ephemeral_session() -> Session {
     Session::new(Engine::new(EngineConfig::with_shards(SHARDS)))
 }
@@ -178,8 +193,9 @@ fn complete_frames(stream: &[u8], cut: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random op streams answer byte-identically through both framings,
-    /// for any feed chunking of the binary connection.
+    /// Random op streams answer byte-identically through both framings
+    /// and the one-shot `handle_lines`, for any feed chunking of the
+    /// streaming connections.
     #[test]
     fn responses_are_byte_identical_across_framings(
         ops in vec(line_strategy(), 1..40),
@@ -193,7 +209,8 @@ proptest! {
 
         let stream = transcode(&lines);
         let (got, _session) = serve_binary(ephemeral_session(), &stream, chunk);
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(serve_jsonl(&lines, chunk), want);
     }
 
     /// With a durable store behind each session, the same stream leaves
@@ -298,6 +315,7 @@ proptest! {
         let want = jsonl.handle_lines(lines.iter().map(|s| s.as_str()));
         let stream = transcode(&lines);
         let (got, _session) = serve_binary(ephemeral_session(), &stream, chunk);
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(serve_jsonl(&lines, chunk), want);
     }
 }

@@ -474,30 +474,46 @@ fn line_session_rejects_invalid_utf8_typed_and_numbered() {
 /// framing's partial buffer without bound: one byte over `MAX_LINE_LEN`
 /// the session answers a typed, line-numbered error and dies — the
 /// JSONL twin of the oversize-length-prefix refusal above — and stays
-/// silent (never panics) on bytes fed after death.
+/// silent (never panics) on bytes fed after death. The cap counts the
+/// whole line: an overlong line that is terminated and followed by more
+/// requests is refused identically whether it arrives in one feed or in
+/// chunks.
 #[test]
 fn unterminated_line_over_the_cap_kills_the_session_typed() {
     use rsdc_engine::wire::{LineSession, MAX_LINE_LEN};
-    let mut ls = LineSession::new(Session::new(Engine::new(EngineConfig::with_shards(1))));
-    let mut out = Vec::new();
-    ls.feed(b"{\"op\":\"stats\"}\n", &mut out);
-    let chunk = vec![b'x'; 1 << 20];
-    let mut sent = 0;
-    while sent <= MAX_LINE_LEN {
-        ls.feed(&chunk, &mut out);
-        sent += chunk.len();
+    let stats = b"{\"op\":\"stats\"}\n";
+    let line = vec![b'x'; MAX_LINE_LEN + (2 << 20)];
+    let unterminated = [&stats[..], &line].concat();
+    let terminated = [&stats[..], &line, b"\n", stats].concat();
+    let mut first: Option<Vec<u8>> = None;
+    for (input, chunk) in [
+        (&unterminated, 1 << 20),
+        (&terminated, terminated.len()),
+        (&terminated, 1 << 20),
+    ] {
+        let case = format!("{} bytes in {chunk}-byte feeds", input.len());
+        let mut ls = LineSession::new(Session::new(Engine::new(EngineConfig::with_shards(1))));
+        let mut out = Vec::new();
+        for part in input.chunks(chunk) {
+            ls.feed(part, &mut out);
+        }
+        assert!(ls.is_dead(), "overlong line is fatal: {case}");
+        let text = String::from_utf8(out.clone()).expect("replies are valid UTF-8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{case}: {lines:?}");
+        assert!(lines[0].contains("\"op\":\"stats\""), "{}", lines[0]);
+        let v: serde::Value = serde_json::from_str(lines[1]).unwrap();
+        assert_eq!(v["op"], "error", "{}", lines[1]);
+        assert_eq!(v["line"].as_u64().unwrap(), 2, "the overlong line's number");
+        assert!(v["message"].as_str().unwrap().contains("exceeds cap"));
+        assert_eq!(
+            out_len_after_death(&mut ls),
+            0,
+            "a dead connection stays silent"
+        );
+        let first = first.get_or_insert_with(|| out.clone());
+        assert_eq!(&out, first, "{case} answers like the first case");
     }
-    assert!(ls.is_dead(), "overlong line is fatal");
-    let text = String::from_utf8(out).expect("replies are valid UTF-8");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2, "{lines:?}");
-    assert!(lines[0].contains("\"op\":\"stats\""), "{}", lines[0]);
-    let v: serde::Value = serde_json::from_str(lines[1]).unwrap();
-    assert_eq!(v["op"], "error", "{}", lines[1]);
-    assert_eq!(v["line"].as_u64().unwrap(), 2, "the overlong line's number");
-    assert!(v["message"].as_str().unwrap().contains("exceeds cap"));
-    let before = out_len_after_death(&mut ls);
-    assert_eq!(before, 0, "a dead connection stays silent");
 }
 
 fn out_len_after_death(ls: &mut rsdc_engine::wire::LineSession) -> usize {
