@@ -127,7 +127,7 @@ struct TokenBucket {
 }
 
 /// The admission gate: config, logical clock, and per-tenant buckets.
-/// Lives in the [`Engine`](crate::Engine) handle; shard workers never see
+/// Lives in the [`Engine`](crate::Engine) handle; shards never see
 /// refused traffic.
 #[derive(Debug, Default)]
 pub struct AdmissionControl {

@@ -8,7 +8,7 @@ use crate::journal::{CheckpointDoc, JournalRecord};
 use crate::obs::EngineObs;
 use crate::power::PowerRuntime;
 use crate::ring::{moved_ids, HashRing, RingSpec, DEFAULT_VNODES};
-use crate::shard::{Event, Request, Shard, ShardMeta, ShardStats, StepOutcome};
+use crate::shard::{Event, Shard, ShardDump, ShardMeta, ShardStats, StepOutcome, Worker};
 use crate::statelist::StateList;
 use crate::tenant::{TenantConfig, TenantReport, TenantSnapshot};
 use crate::topology::{TopologyConfig, TopologyPolicy, TopologyStatus};
@@ -18,15 +18,13 @@ use rsdc_power::{EnergyStatus, PowerConfig};
 use rsdc_store::{Durability, InstrumentedStore, NullStore};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Number of shard worker threads (tenants are partitioned by the
-    /// consistent-hash ring).
+    /// Number of shards, each with one batch worker thread (tenants are
+    /// partitioned by the consistent-hash ring).
     pub shards: usize,
     /// Virtual nodes per shard on the ring.
     pub vnodes: usize,
@@ -85,17 +83,23 @@ impl EngineConfig {
 
 /// A sharded multi-tenant streaming engine.
 ///
-/// Tenants are partitioned across `shards` worker threads by a
-/// consistent-hash ring ([`crate::ring`]); every operation routes by
-/// tenant id, and batched ingestion ([`Engine::step_batch`]) fans a mixed
-/// batch out to all shards in one message per shard. The handle also owns
-/// the control plane: admission limits ([`Engine::set_limits`]) are
-/// enforced here, before anything reaches a shard or its WAL, and
-/// [`Engine::rebalance`] migrates tenants onto a new topology without a
-/// restart. See the crate docs for the full lifecycle.
+/// Tenants are partitioned across `shards` shards by a consistent-hash
+/// ring ([`crate::ring`]); every operation routes by tenant id. Control
+/// operations run on the caller's thread under the owning shard's lock;
+/// batched ingestion ([`Engine::step_batch`]) hands each shard's slice of
+/// a mixed batch to that shard's persistent worker thread, so shards step
+/// in parallel. The handle also owns the control plane: admission limits
+/// ([`Engine::set_limits`]) are enforced here, before anything reaches a
+/// shard or its WAL, and [`Engine::rebalance`] migrates tenants onto a
+/// new topology without a restart. See the crate docs for the full
+/// lifecycle.
+///
+/// Lock order — a thread holding one of these only ever takes a later
+/// one: admission gate → dispatch pool → intern table → shard. The
+/// topology-policy and power-meter locks are leaves, held alone or taken
+/// last. Shard code takes no engine lock.
 pub struct Engine {
-    senders: Vec<Sender<Request>>,
-    handles: Vec<JoinHandle<()>>,
+    shards: Vec<Arc<Mutex<Shard>>>,
     ring: HashRing,
     /// The journaling handle shards write through: `raw_store` wrapped in
     /// an [`InstrumentedStore`] reporting to `obs`.
@@ -110,7 +114,7 @@ pub struct Engine {
     power: Mutex<Option<PowerRuntime>>,
     /// Tenant-id intern table: hash once at admit, route on the integer.
     intern: Mutex<Interner>,
-    /// Reusable fan-out buffers for the batched ingest path.
+    /// The shard workers and the batched ingest path's reusable buffers.
     dispatch: Mutex<DispatchPool>,
 }
 
@@ -130,14 +134,20 @@ pub struct StepEvent {
     pub load: Option<f64>,
 }
 
-/// Reusable buffers behind [`Engine::step_events`]: one event vector per
-/// shard (recycled through the [`crate::shard::BatchReply`]) and the
-/// order-restoring outcome staging area. Lives behind its own mutex so
-/// concurrent callers serialize on dispatch, not on tenant state.
+/// What [`Engine::step_events`] dispatches through: one persistent
+/// [`Worker`] per shard index (each parking its shard's recycled event
+/// and outcome buffers), the order-restoring outcome staging area, and
+/// the per-shard pulse vectors the topology policy and energy meter
+/// read. Lives behind its own mutex so concurrent callers serialize on
+/// dispatch, not on tenant state — and so one batch at a time owns the
+/// workers' reply channels.
 #[derive(Default)]
 struct DispatchPool {
-    per_shard: Vec<Vec<Event>>,
+    workers: Vec<Worker>,
     indexed: Vec<(usize, StepOutcome)>,
+    shard_events: Vec<u64>,
+    pulses: Vec<(usize, usize)>,
+    machines: Vec<(usize, u64)>,
 }
 
 /// What [`Engine::checkpoint`] produced.
@@ -158,9 +168,9 @@ pub struct RebalanceReport {
     pub shards: usize,
     /// Virtual nodes per shard after the rebalance.
     pub vnodes: usize,
-    /// Live tenants the operation re-installed onto workers: the whole
-    /// fleet for a full rebalance (every tenant restarts on a fresh
-    /// worker thread), only the ring diff for an incremental one.
+    /// Live tenants the operation re-installed: the whole fleet for a
+    /// full rebalance (every tenant restarts on a fresh shard), only the
+    /// ring diff for an incremental one.
     pub tenants: usize,
     /// Tenants whose ring placement changed (the consistent-hashing
     /// minority; the rest stayed on a same-index shard).
@@ -223,7 +233,7 @@ pub struct RecoveryReport {
 }
 
 impl Engine {
-    /// Start the shard workers with no durability (a [`NullStore`]).
+    /// Start an engine with no durability (a [`NullStore`]).
     pub fn new(cfg: EngineConfig) -> Engine {
         Engine::spawn(cfg, Arc::new(NullStore))
     }
@@ -245,36 +255,6 @@ impl Engine {
         Ok(engine)
     }
 
-    fn spawn_workers(
-        n: usize,
-        obs: &Arc<EngineObs>,
-    ) -> (Vec<Sender<Request>>, Vec<JoinHandle<()>>) {
-        Engine::spawn_worker_range(0, n, obs)
-    }
-
-    /// Spawn workers for shard indices `from..to` (an incremental grow
-    /// spawns only the new indices).
-    fn spawn_worker_range(
-        from: usize,
-        to: usize,
-        obs: &Arc<EngineObs>,
-    ) -> (Vec<Sender<Request>>, Vec<JoinHandle<()>>) {
-        let mut senders = Vec::with_capacity(to.saturating_sub(from));
-        let mut handles = Vec::with_capacity(to.saturating_sub(from));
-        for index in from..to {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            let obs = obs.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("rsdc-shard-{index}"))
-                    .spawn(move || Shard::run(index, rx, obs))
-                    .expect("spawn shard worker"),
-            );
-        }
-        (senders, handles)
-    }
-
     fn spawn(cfg: EngineConfig, store: Arc<dyn Durability>) -> Engine {
         let spec = cfg.ring_spec();
         let obs = Arc::new(EngineObs::new(cfg.metrics, cfg.trace_capacity));
@@ -283,10 +263,10 @@ impl Engine {
         let raw_store = store;
         let store: Arc<dyn Durability> =
             Arc::new(InstrumentedStore::new(raw_store.clone(), obs.clone()));
-        let (senders, handles) = Engine::spawn_workers(spec.shards, &obs);
         Engine {
-            senders,
-            handles,
+            shards: (0..spec.shards)
+                .map(|i| Arc::new(Mutex::new(Shard::new(i, &obs))))
+                .collect(),
             ring: HashRing::new(spec),
             store,
             raw_store,
@@ -296,17 +276,17 @@ impl Engine {
             topology: Mutex::new(None),
             power: Mutex::new(None),
             intern: Mutex::new(Interner::new()),
-            dispatch: Mutex::new(DispatchPool::default()),
+            dispatch: Mutex::new(DispatchPool {
+                workers: (0..spec.shards).map(Worker::spawn).collect(),
+                ..DispatchPool::default()
+            }),
         }
     }
 
     /// Hand every shard its journaling handle. Mutations before this point
     /// are not journaled, which is exactly what recovery replay needs.
     fn attach_store(&self) -> Result<(), EngineError> {
-        for shard in 0..self.senders.len() {
-            let store = self.store.clone();
-            self.send_plain(shard, move |tx| Request::AttachStore(store, tx))?;
-        }
+        self.each_shard(|s| s.attach(self.store.clone()))?;
         self.attached.store(true, Ordering::Release);
         Ok(())
     }
@@ -337,7 +317,7 @@ impl Engine {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.senders.len()
+        self.shards.len()
     }
 
     /// The routing-ring topology.
@@ -379,6 +359,26 @@ impl Engine {
 
     fn dispatch_pool(&self) -> std::sync::MutexGuard<'_, DispatchPool> {
         self.dispatch.lock().expect("dispatch pool poisoned")
+    }
+
+    /// Lock shard `index`. A poisoned lock — a panic mid-operation — reads
+    /// as a down shard.
+    fn shard(&self, index: usize) -> Result<MutexGuard<'_, Shard>, EngineError> {
+        self.shards[index]
+            .lock()
+            .map_err(|_| EngineError::ShardDown(index))
+    }
+
+    /// Lock the shard that owns `id`.
+    fn shard_of(&self, id: &str) -> Result<MutexGuard<'_, Shard>, EngineError> {
+        self.shard(self.ring.route(id))
+    }
+
+    /// Lock each shard in turn and apply `f` to it.
+    fn each_shard<T>(&self, mut f: impl FnMut(&mut Shard) -> T) -> Result<Vec<T>, EngineError> {
+        (0..self.shards.len())
+            .map(|i| Ok(f(&mut *self.shard(i)?)))
+            .collect()
     }
 
     /// Resolve a tenant id against the intern table without inserting:
@@ -547,41 +547,7 @@ impl Engine {
 
     /// Live tenants across all shards.
     pub fn live_tenants(&self) -> Result<usize, EngineError> {
-        Ok(self.shard_stats()?.iter().map(|s| s.tenants).sum())
-    }
-
-    fn shard_of(&self, id: &str) -> usize {
-        self.ring.route(id)
-    }
-
-    fn send<T>(
-        &self,
-        shard: usize,
-        make: impl FnOnce(Sender<Result<T, EngineError>>) -> Request,
-    ) -> Result<T, EngineError> {
-        self.send_plain(shard, make)?
-    }
-
-    fn send_plain<T>(
-        &self,
-        shard: usize,
-        make: impl FnOnce(Sender<T>) -> Request,
-    ) -> Result<T, EngineError> {
-        Engine::send_to(&self.senders, shard, make)
-    }
-
-    /// Request/reply against an explicit worker set (used during a
-    /// rebalance, when the replacement workers are not yet installed).
-    fn send_to<T>(
-        senders: &[Sender<Request>],
-        shard: usize,
-        make: impl FnOnce(Sender<T>) -> Request,
-    ) -> Result<T, EngineError> {
-        let (tx, rx) = channel();
-        senders[shard]
-            .send(make(tx))
-            .map_err(|_| EngineError::ShardDown(shard))?;
-        rx.recv().map_err(|_| EngineError::ShardDown(shard))
+        Ok(self.each_shard(|s| s.stats().tenants)?.into_iter().sum())
     }
 
     /// Admit a new tenant. Refused with a typed
@@ -590,8 +556,9 @@ impl Engine {
     pub fn admit(&self, cfg: TenantConfig) -> Result<(), EngineError> {
         // The gate guard is held across the count *and* the insert, so
         // concurrent cap-checked admits serialize — a check-then-act race
-        // cannot push the fleet past `max_tenants`. Shard threads never
-        // take this lock, so the round trips inside cannot deadlock.
+        // cannot push the fleet past `max_tenants`. The gate comes first
+        // in the lock order, so the shard locks taken inside cannot
+        // deadlock.
         let mut gate = self.gate();
         if gate.config().max_tenants > 0 || gate.in_migration_window() {
             // The live count is only fetched when a cap could bite.
@@ -613,7 +580,7 @@ impl Engine {
     /// and handed to its shard as a stable slab key.
     fn admit_unchecked(&self, cfg: TenantConfig) -> Result<(), EngineError> {
         let (_, key, shard) = self.interner().intern(&cfg.id, &self.ring);
-        self.send(shard, |tx| Request::Admit(cfg, key, tx))
+        self.shard(shard)?.admit(cfg, key)
     }
 
     /// Classify a per-event error string back into the [`EngineError`] it
@@ -664,8 +631,7 @@ impl Engine {
 
     /// Fetch a tenant's static configuration.
     pub fn tenant_config(&self, id: &str) -> Result<crate::TenantConfig, EngineError> {
-        let shard = self.shard_of(id);
-        self.send(shard, |tx| Request::Config(id.to_string(), tx))
+        Ok(self.shard_of(id)?.tenant(id)?.config().clone())
     }
 
     /// Feed one offered load to one **heterogeneous** tenant; returns the
@@ -684,8 +650,8 @@ impl Engine {
     }
 
     /// Feed a batch of `(tenant, cost)` events. Events are fanned out to
-    /// the owning shards in one message per shard; per-tenant order is
-    /// preserved, and outcomes come back in submission order.
+    /// the owning shards' workers, one handoff per shard; per-tenant order
+    /// is preserved, and outcomes come back in submission order.
     pub fn step_batch(&self, events: Vec<(String, Cost)>) -> Result<Vec<StepOutcome>, EngineError> {
         self.step_batch_loads(events.into_iter().map(|(id, c)| (id, c, None)).collect())
     }
@@ -721,14 +687,14 @@ impl Engine {
         events: &mut Vec<StepEvent>,
         out: &mut Vec<StepOutcome>,
     ) -> Result<(), EngineError> {
-        let throttled = self.tick_gate(&mut events.iter().map(|ev| &*ev.id));
-        self.dispatch_resolved(events, &throttled, true, out)
+        let (throttled, tick) = self.tick_gate(&mut events.iter().map(|ev| &*ev.id));
+        self.dispatch_resolved(events, &throttled, Some(tick), out)
     }
 
     /// Advance the admission gate one tick for a batch and compute its
     /// throttle mask (empty when no rate limit is configured — the common
-    /// case allocates nothing).
-    fn tick_gate(&self, ids: &mut dyn Iterator<Item = &str>) -> Vec<bool> {
+    /// case allocates nothing). Returns the mask and the new tick.
+    fn tick_gate(&self, ids: &mut dyn Iterator<Item = &str>) -> (Vec<bool>, u64) {
         let (throttled, tick, window_open) = {
             let mut gate = self.gate();
             gate.tick();
@@ -747,35 +713,34 @@ impl Engine {
             self.obs.admission_throttled.add(throttled_events);
             self.obs.events_dropped.add(throttled_events);
         }
-        throttled
+        (throttled, tick)
     }
 
     /// Fan events out to shards, short-circuiting throttled ones into
     /// local error outcomes. `throttled` is empty (nothing throttled) or
-    /// parallel to `events`. With `observe`, the per-shard batch sizes and
-    /// the live-tenant pulses piggybacked on the batch replies feed the
-    /// auto-rebalancing policy one tick (recovery replay passes `false`:
-    /// replayed traffic is history, not load).
+    /// parallel to `events`. With `observe` (the batch's logical tick),
+    /// the per-shard batch sizes and the live-tenant pulses each shard
+    /// returns with its outcomes feed the auto-rebalancing policy and the
+    /// energy meter one tick (recovery replay passes `None`: replayed
+    /// traffic is history, not load).
     ///
-    /// The per-shard fan-out buffers live in the engine's dispatch pool
-    /// and round-trip through the shards (a [`crate::shard::BatchReply`]
-    /// hands the drained vector back), so steady-state batches reuse the
-    /// same allocations end to end. Shard routing comes from the intern
-    /// table's cached routes; only never-admitted ids fall back to hashing
-    /// the ring.
+    /// Every non-empty per-shard batch goes to that shard's persistent
+    /// worker, and every handed-off batch is collected before this
+    /// returns — also on an error — so a worker's reply channel never
+    /// holds a stale reply. The event and outcome buffers round-trip
+    /// through the workers, so steady-state batches reuse the same
+    /// allocations end to end. Shard routing comes from the intern
+    /// table's cached routes; only never-admitted ids fall back to
+    /// hashing the ring.
     fn dispatch_resolved(
         &self,
         events: &mut Vec<StepEvent>,
         throttled: &[bool],
-        observe: bool,
+        observe: Option<u64>,
         out: &mut Vec<StepOutcome>,
     ) -> Result<(), EngineError> {
-        let shards = self.senders.len();
         let mut pool = self.dispatch_pool();
         let pool = &mut *pool;
-        if pool.per_shard.len() < shards {
-            pool.per_shard.resize_with(shards, Vec::new);
-        }
         pool.indexed.clear();
         {
             let interner = self.interner();
@@ -801,7 +766,7 @@ impl Engine {
                     Some(e) => e.shard as usize,
                     None => self.ring.route(&ev.id),
                 };
-                pool.per_shard[shard].push(Event {
+                pool.workers[shard].events.push(Event {
                     index,
                     id: ev.id,
                     key: ev.key,
@@ -810,34 +775,36 @@ impl Engine {
                 });
             }
         }
-        let mut shard_events = vec![0u64; shards];
-        let mut pulses: Vec<(usize, usize)> = Vec::new();
-        let mut machines: Vec<(usize, u64)> = Vec::new();
-        let mut replies = Vec::new();
-        for (shard, count) in shard_events.iter_mut().enumerate() {
-            if pool.per_shard[shard].is_empty() {
-                continue;
+        let mut failure = None;
+        pool.shard_events.clear();
+        for (worker, shard) in pool.workers.iter_mut().zip(&self.shards) {
+            pool.shard_events.push(worker.events.len() as u64);
+            if !worker.events.is_empty() {
+                if let Err(e) = worker.start(shard) {
+                    failure.get_or_insert(e);
+                }
             }
-            let batch = std::mem::take(&mut pool.per_shard[shard]);
-            *count = batch.len() as u64;
-            let (tx, rx) = channel();
-            self.senders[shard]
-                .send(Request::Batch(batch, tx))
-                .map_err(|_| EngineError::ShardDown(shard))?;
-            replies.push((shard, rx));
         }
-        for (shard, rx) in replies {
-            let reply = rx.recv().map_err(|_| EngineError::ShardDown(shard))??;
-            pulses.push((shard, reply.tenants));
-            machines.push((shard, reply.machines));
-            pool.indexed.extend(reply.outcomes);
-            // The shard drained its batch in place and handed the empty
-            // vector back; park it for the next dispatch.
-            pool.per_shard[shard] = reply.events;
+        pool.pulses.clear();
+        pool.machines.clear();
+        for (shard, worker) in pool.workers.iter_mut().enumerate() {
+            match worker.finish(&mut pool.indexed) {
+                Some(Ok(pulse)) => {
+                    pool.pulses.push((shard, pulse.tenants));
+                    pool.machines.push((shard, pulse.machines));
+                }
+                Some(Err(e)) => {
+                    failure.get_or_insert(e);
+                }
+                None => {}
+            }
         }
-        if observe {
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        if let Some(tick) = observe {
             if let Some(policy) = self.policy().as_mut() {
-                policy.observe(&shard_events, &pulses);
+                policy.observe(&pool.shard_events, &pool.pulses);
             }
             if let Some(runtime) = self.power_runtime().as_mut() {
                 // One metered tick: the shard samples drive the meter,
@@ -851,13 +818,13 @@ impl Engine {
                     .filter_map(|(_, o)| {
                         o.states
                             .last()
-                            .map(|&last| (&*o.id, last, self.shard_of(&o.id)))
+                            .map(|&last| (&*o.id, last, self.ring.route(&o.id)))
                     })
                     .collect();
                 runtime.observe(
-                    self.logical_tick(),
-                    &shard_events,
-                    &machines,
+                    tick,
+                    &pool.shard_events,
+                    &pool.machines,
                     &commits,
                     &self.obs,
                 );
@@ -872,15 +839,12 @@ impl Engine {
 
     /// End-of-stream for one tenant: flush pending lookahead states.
     pub fn finish(&self, id: &str) -> Result<Vec<u32>, EngineError> {
-        let shard = self.shard_of(id);
-        self.send(shard, |tx| Request::Finish(id.to_string(), tx))
-            .map(|o| o.states.to_vec())
+        Ok(self.shard_of(id)?.finish(id)?.states.to_vec())
     }
 
     /// Capture a tenant's full state.
     pub fn snapshot(&self, id: &str) -> Result<TenantSnapshot, EngineError> {
-        let shard = self.shard_of(id);
-        self.send(shard, |tx| Request::Snapshot(id.to_string(), tx))
+        Ok(self.shard_of(id)?.tenant(id)?.snapshot())
     }
 
     /// Re-install a tenant from a snapshot (replaces any existing tenant
@@ -911,15 +875,14 @@ impl Engine {
 
     fn restore_unchecked(&self, snapshot: TenantSnapshot) -> Result<(), EngineError> {
         let (_, key, shard) = self.interner().intern(&snapshot.config.id, &self.ring);
-        self.send(shard, |tx| Request::Restore(Box::new(snapshot), key, tx))
+        self.shard(shard)?.restore(snapshot, key)
     }
 
     /// Remove a tenant, returning its final report (with its attributed
     /// energy, when accounting is on — the attribution entry is dropped
     /// with the tenant).
     pub fn evict(&self, id: &str) -> Result<TenantReport, EngineError> {
-        let shard = self.shard_of(id);
-        let mut report = self.send(shard, |tx| Request::Evict(id.to_string(), tx))?;
+        let mut report = self.shard_of(id)?.evict(id)?;
         self.gate().forget(id);
         if let Some(runtime) = self.power_runtime().as_mut() {
             report.energy = runtime.tenant_energy(id);
@@ -930,29 +893,15 @@ impl Engine {
 
     /// Report for one tenant.
     pub fn report(&self, id: &str) -> Result<TenantReport, EngineError> {
-        let shard = self.shard_of(id);
-        let mut reports = self.send(shard, |tx| Request::Report(Some(id.to_string()), tx))?;
-        let mut report = reports
-            .pop()
-            .ok_or_else(|| EngineError::UnknownTenant(id.to_string()))?;
+        let mut report = self.shard_of(id)?.tenant(id)?.report();
         self.decorate_energy(&mut report);
         Ok(report)
     }
 
     /// Reports for every tenant, sorted by id.
     pub fn report_all(&self) -> Result<Vec<TenantReport>, EngineError> {
-        let mut replies = Vec::new();
-        for (shard, tx_req) in self.senders.iter().enumerate() {
-            let (tx, rx) = channel();
-            tx_req
-                .send(Request::Report(None, tx))
-                .map_err(|_| EngineError::ShardDown(shard))?;
-            replies.push((shard, rx));
-        }
         let mut all = Vec::new();
-        for (shard, rx) in replies {
-            all.extend(rx.recv().map_err(|_| EngineError::ShardDown(shard))??);
-        }
+        self.each_shard(|s| all.extend(s.reports()))?;
         all.sort_by(|a, b| a.id.cmp(&b.id));
         if let Some(runtime) = self.power_runtime().as_ref() {
             for report in &mut all {
@@ -964,50 +913,42 @@ impl Engine {
 
     /// Aggregate per-shard statistics.
     pub fn shard_stats(&self) -> Result<Vec<ShardStats>, EngineError> {
-        let mut replies = Vec::new();
-        for (shard, tx_req) in self.senders.iter().enumerate() {
-            let (tx, rx) = channel();
-            tx_req
-                .send(Request::Stats(tx))
-                .map_err(|_| EngineError::ShardDown(shard))?;
-            replies.push((shard, rx));
-        }
-        let mut all = Vec::new();
-        for (shard, rx) in replies {
-            all.push(rx.recv().map_err(|_| EngineError::ShardDown(shard))?);
-        }
-        Ok(all)
+        self.each_shard(|s| s.stats())
     }
 
     /// Ids of every tenant across all shards, sorted.
     pub fn tenant_ids(&self) -> Result<Vec<String>, EngineError> {
-        let mut replies = Vec::new();
-        for (shard, tx_req) in self.senders.iter().enumerate() {
-            let (tx, rx) = channel();
-            tx_req
-                .send(Request::TenantIds(tx))
-                .map_err(|_| EngineError::ShardDown(shard))?;
-            replies.push((shard, rx));
-        }
         let mut all = Vec::new();
-        for (shard, rx) in replies {
-            all.extend(rx.recv().map_err(|_| EngineError::ShardDown(shard))?);
-        }
+        self.each_shard(|s| all.extend(s.ids().cloned()))?;
         all.sort_unstable();
         Ok(all)
     }
 
+    /// Merge shard checkpoint contributions into the tenant snapshots,
+    /// sorted by id, plus the per-shard aggregates in shard order.
+    fn collect_dumps(
+        dumps: impl IntoIterator<Item = Result<ShardDump, EngineError>>,
+    ) -> Result<(Vec<TenantSnapshot>, Vec<ShardMeta>), EngineError> {
+        let mut tenants = Vec::new();
+        let mut shard_meta = Vec::new();
+        for dump in dumps {
+            let dump = dump?;
+            tenants.extend(dump.snapshots);
+            shard_meta.push(dump.meta);
+        }
+        tenants.sort_by(|a, b| a.config.id.cmp(&b.config.id));
+        Ok((tenants, shard_meta))
+    }
+
     /// Capture each shard's checkpoint contribution (rotating its WAL to
-    /// `seq` at the capture point when journaling is live), returning the
-    /// tenant snapshots sorted by id plus the per-shard aggregates in
-    /// shard order.
+    /// `seq` at the capture point when journaling is live).
     fn capture_all(&self, seq: u64) -> Result<(Vec<TenantSnapshot>, Vec<ShardMeta>), EngineError> {
-        Engine::capture_set(&self.senders, seq)
+        Engine::collect_dumps(self.each_shard(|s| s.checkpoint(seq))?)
     }
 
     /// Capture a full-state checkpoint and truncate the write-ahead log.
     ///
-    /// Each shard rotates its WAL at the exact request-stream position of
+    /// Each shard rotates its WAL under its lock, at the exact position of
     /// its snapshot, so the published document plus the (now empty) new
     /// segments are equivalent to the old checkpoint plus the old WAL —
     /// committing the document then deletes the superseded files. On a
@@ -1045,7 +986,7 @@ impl Engine {
 
     /// Re-partition the engine onto a new ring topology, live: drain and
     /// capture every shard, migrate all tenants bit-exactly (snapshot →
-    /// restore) onto a fresh worker set routed by the new ring, and swap.
+    /// restore) onto fresh shards routed by the new ring, and swap.
     ///
     /// Crash safety on a durable engine follows the WAL discipline:
     ///
@@ -1060,9 +1001,9 @@ impl Engine {
     ///
     /// Per-shard aggregates merge onto the new shard 0 (fleet totals are
     /// exact; per-shard attribution restarts). On failure the engine keeps
-    /// serving on its old workers. `vnodes = None` keeps the current ring
+    /// serving on its old shards. `vnodes = None` keeps the current ring
     /// density. Passing the current topology re-shuffles onto fresh
-    /// workers and reports `moved: 0`.
+    /// shards and reports `moved: 0`.
     pub fn rebalance(
         &mut self,
         new_shards: usize,
@@ -1094,13 +1035,12 @@ impl Engine {
             ],
         );
         if durable {
-            // Write-ahead: the topology change is journaled before any
-            // tenant moves, through shard 0's thread (which owns that WAL).
-            let record = JournalRecord::Rebalance {
+            // Write-ahead: the topology change is journaled to shard 0's
+            // WAL before any tenant moves.
+            self.shard(0)?.journal(&JournalRecord::Rebalance {
                 shards: spec.shards,
                 vnodes: spec.vnodes,
-            };
-            self.send(0, move |tx| Request::Journal(Box::new(record), tx))?;
+            })?;
         }
         let seq = self
             .store
@@ -1129,17 +1069,16 @@ impl Engine {
             tenants,
             shard_meta: vec![merged.clone()],
         };
-        let (senders, handles) = Engine::spawn_workers(spec.shards, &self.obs);
+        // The new topology is plain shards with no store attached: filling
+        // them journals nothing, and an abort just drops them.
+        let mut shards: Vec<Shard> = (0..spec.shards).map(|i| Shard::new(i, &self.obs)).collect();
         let migrate = || -> Result<(), EngineError> {
             for snapshot in &doc.tenants {
-                let shard = ring.route(&snapshot.config.id);
                 // Key only — routes are re-cached when the ring is swapped.
                 let (_, key, _) = self.interner().intern(&snapshot.config.id, &ring);
-                Engine::send_to(&senders, shard, |tx| {
-                    Request::Restore(Box::new(snapshot.clone()), key, tx)
-                })??;
+                shards[ring.route(&snapshot.config.id)].restore(snapshot.clone(), key)?;
             }
-            Engine::send_to(&senders, 0, |tx| Request::InstallMeta(Box::new(merged), tx))?;
+            shards[0].install_meta(merged);
             if durable {
                 // The fence: committing this checkpoint is the migration's
                 // commit point, and truncates the Rebalance record away.
@@ -1157,42 +1096,24 @@ impl Engine {
                 "rebalance_abort",
                 vec![("mode", "full".into()), ("error", e.to_string().into())],
             );
-            // Abort: tear down the half-built replacement workers and keep
-            // serving on the old topology.
-            for tx in &senders {
-                let _ = tx.send(Request::Shutdown);
-            }
-            for handle in handles {
-                let _ = handle.join();
-            }
-            // The half-run migration may have cached new-ring routes in
-            // the intern table; re-derive them from the ring we kept.
+            // Abort: the new shards are dropped and the engine keeps
+            // serving on the old topology. The half-run migration may have
+            // cached new-ring routes in the intern table; re-derive them
+            // from the ring we kept.
             self.interner().reroute(&self.ring);
             if durable {
-                // Neutralize the write-ahead Rebalance record: the
-                // migration did not happen, so a crash before the next
-                // checkpoint must not replay it. Recovery takes the *last*
-                // record's topology, so re-journaling the current one
-                // restores the truth (best-effort — if this append fails
-                // too, the next successful checkpoint truncates both).
-                let current = self.ring.spec();
-                let record = JournalRecord::Rebalance {
-                    shards: current.shards,
-                    vnodes: current.vnodes,
-                };
-                let _ = self.send(0, move |tx| Request::Journal(Box::new(record), tx));
+                self.neutralize(JournalRecord::Rebalance {
+                    shards: self.ring.spec().shards,
+                    vnodes: self.ring.spec().vnodes,
+                });
             }
             return Err(e);
         }
-        let old_senders = std::mem::replace(&mut self.senders, senders);
-        let old_handles = std::mem::replace(&mut self.handles, handles);
-        for tx in &old_senders {
-            let _ = tx.send(Request::Shutdown);
-        }
-        drop(old_senders);
-        for handle in old_handles {
-            let _ = handle.join();
-        }
+        self.shards = shards
+            .into_iter()
+            .map(|shard| Arc::new(Mutex::new(shard)))
+            .collect();
+        self.resize_workers(spec.shards);
         self.ring = ring;
         self.interner().reroute(&self.ring);
         if self.attached.load(Ordering::Acquire) {
@@ -1229,14 +1150,13 @@ impl Engine {
     /// ring route diff), instead of draining and re-installing the whole
     /// fleet.
     ///
-    /// Mechanics: surviving shard workers keep running (their unmoved
-    /// tenants, aggregates and per-shard attribution stay in place), a
-    /// grow spawns only the new indices, a shrink retires only the dead
-    /// ones (their historical aggregates merge onto shard 0), and each
-    /// moved tenant is extracted from its old shard and installed on its
-    /// new one bit-exactly — through journal-bypassing plumbing requests,
-    /// because crash safety is owned by the protocol, not per-tenant
-    /// records:
+    /// Mechanics: surviving shards stay in place (their unmoved tenants,
+    /// aggregates and per-shard attribution untouched), a grow adds only
+    /// the new indices, a shrink retires only the dead ones (their
+    /// historical aggregates merge onto shard 0), and each moved tenant is
+    /// taken from its old shard and placed on its new one as the same live
+    /// object — bypassing the journal, because crash safety is owned by the
+    /// protocol, not per-tenant records:
     ///
     /// 1. a [`JournalRecord::Migrate`] (carrying the target spec and the
     ///    moved-id list) is journaled write-ahead to shard 0's WAL, so a
@@ -1250,14 +1170,14 @@ impl Engine {
     ///    routed by the old ring; after it, the WAL restarts empty on the
     ///    new ring. No record ever spans a tenant's move.
     ///
-    /// On failure before the fence commits, the extracted tenants are
-    /// re-installed on their old shards and the engine keeps serving on
-    /// its old topology; an error in the bookkeeping *after* the commit
+    /// On failure before the fence commits, the moved tenants go back to
+    /// their old shards and the engine keeps serving on its old
+    /// topology; an error in the bookkeeping *after* the commit
     /// point is reported with the engine already on the new topology
     /// (matching the committed checkpoint — the migration happened).
     /// `vnodes = None` keeps the current ring density. Requesting the
     /// current topology is a true no-op: `moved: 0`, no journal record,
-    /// no fence, no worker touched.
+    /// no fence, no shard touched.
     pub fn rebalance_incremental(
         &mut self,
         new_shards: usize,
@@ -1268,7 +1188,7 @@ impl Engine {
     }
 
     fn migrate_diff(&mut self, spec: RingSpec) -> Result<RebalanceReport, EngineError> {
-        let old_shards = self.senders.len();
+        let old_shards = self.shards.len();
         if spec == self.ring.spec() {
             // The documented no-op: identical topology means an empty
             // diff — nothing to journal, fence, or touch.
@@ -1306,59 +1226,31 @@ impl Engine {
         if durable {
             // Write-ahead: the topology change (and its intended diff) is
             // journaled before any tenant moves.
-            let record = JournalRecord::Migrate {
+            self.shard(0)?.journal(&JournalRecord::Migrate {
                 shards: spec.shards,
                 vnodes: spec.vnodes,
                 moved: moved.clone(),
-            };
-            self.send(0, move |tx| Request::Journal(Box::new(record), tx))?;
+            })?;
         }
         let seq = self
             .store
             .begin_checkpoint()
             .map_err(EngineError::from_store)?;
-        // Fresh workers for a grow; they see no store until the fence
-        // commits, so nothing they do before the swap is journaled.
-        let (fresh_senders, fresh_handles) =
-            Engine::spawn_worker_range(old_shards, spec.shards, &self.obs);
-        // The post-migration worker set: surviving indices + fresh ones.
-        let new_senders: Vec<Sender<Request>> = self
-            .senders
-            .iter()
-            .take(spec.shards)
-            .cloned()
-            .chain(fresh_senders.iter().cloned())
+        // A grow's new shards are plain values with no store until the
+        // fence commits, so nothing they do before the swap is journaled.
+        let mut fresh: Vec<Shard> = (old_shards..spec.shards)
+            .map(|i| Shard::new(i, &self.obs))
             .collect();
-        // Extract every moved tenant from its old shard, then install on
-        // its new one. Both sides bypass the journal (see Request::Extract):
-        // crash safety is owned by the Migrate record + fence, and a
-        // journaled per-tenant record would corrupt replay.
-        let mut extracted: Vec<crate::tenant::TenantSnapshot> = Vec::with_capacity(moved.len());
-        let mut installed: Vec<String> = Vec::with_capacity(moved.len());
+        let mut placed = 0;
         let mut retired_meta: Vec<ShardMeta> = Vec::new();
-        let migrate = |extracted: &mut Vec<crate::tenant::TenantSnapshot>,
-                       installed: &mut Vec<String>,
-                       retired_meta: &mut Vec<ShardMeta>|
-         -> Result<(), EngineError> {
+        let mut migrate = || -> Result<(), EngineError> {
             for id in &moved {
-                let from = self.ring.route(id);
-                let snapshot = self.send(from, |tx| Request::Extract(id.clone(), tx))?;
-                extracted.push(snapshot);
-            }
-            // Popping (rather than moving the whole vector) keeps every
-            // not-yet-attempted snapshot inside `extracted` if an install
-            // fails mid-loop — the abort path re-installs exactly what is
-            // left there. (The one in-flight snapshot of a failed install
-            // is gone with its worker; everything behind it survives.)
-            while let Some(snapshot) = extracted.pop() {
-                let id = snapshot.config.id.clone();
-                let to = ring.route(&id);
-                // A moved tenant is already interned; its key follows it.
-                let (_, key, _) = self.interner().intern(&id, &self.ring);
-                Engine::send_to(&new_senders, to, |tx| {
-                    Request::Install(Box::new(snapshot), key, tx)
-                })??;
-                installed.push(id);
+                let (key, tenant) = self
+                    .shard_of(id)?
+                    .take(id)
+                    .ok_or_else(|| EngineError::UnknownTenant(id.clone()))?;
+                self.on_new_shard(&mut fresh, ring.route(id), |s| s.place(key, tenant))?;
+                placed += 1;
             }
             // Retired shards must be empty now (every tenant they held was
             // in the route diff by construction). Capture their aggregates;
@@ -1366,7 +1258,7 @@ impl Engine {
             // the live shard 0 only after the commit point, so an abort
             // never double-counts.
             for shard in spec.shards..old_shards {
-                let dump = self.send(shard, |tx| Request::Checkpoint(seq, tx))?;
+                let dump = self.shard(shard)?.checkpoint(seq)?;
                 debug_assert!(
                     dump.snapshots.is_empty(),
                     "retired shard {shard} still held tenants"
@@ -1378,7 +1270,10 @@ impl Engine {
                 // its WAL to this sequence), fold the retired shards'
                 // history onto the document's shard 0, and commit a
                 // full-state checkpoint carrying the new topology.
-                let (tenants, mut shard_meta) = Engine::capture_set(&new_senders, seq)?;
+                let (tenants, mut shard_meta) = Engine::collect_dumps(
+                    (0..spec.shards)
+                        .map(|i| self.on_new_shard(&mut fresh, i, |s| s.checkpoint(seq))?),
+                )?;
                 for meta in retired_meta.iter() {
                     shard_meta[0].merge(meta);
                 }
@@ -1397,7 +1292,7 @@ impl Engine {
             }
             Ok(())
         };
-        if let Err(e) = migrate(&mut extracted, &mut installed, &mut retired_meta) {
+        if let Err(e) = migrate() {
             self.obs.event(
                 tick,
                 "rebalance_abort",
@@ -1406,38 +1301,21 @@ impl Engine {
                     ("error", e.to_string().into()),
                 ],
             );
-            // Abort: pull back any tenant already installed on its new
-            // shard, re-install it (and the extracted-but-not-installed
-            // ones) on its old shard, tear down the fresh workers, and
-            // keep serving on the old topology.
-            for id in installed {
-                if let Ok(Ok(snapshot)) = Engine::send_to(&new_senders, ring.route(&id), |tx| {
-                    Request::Extract(id.clone(), tx)
-                }) {
-                    extracted.push(snapshot);
+            // Abort: move every tenant already placed back to its old
+            // shard, drop the fresh shards, and keep serving on the old
+            // topology.
+            for id in &moved[..placed] {
+                let taken = self.on_new_shard(&mut fresh, ring.route(id), |s| s.take(id));
+                if let (Ok(Some((key, tenant))), Ok(mut from)) = (taken, self.shard_of(id)) {
+                    from.place(key, tenant);
                 }
             }
-            for snapshot in extracted {
-                let from = self.ring.route(&snapshot.config.id);
-                let (_, key, _) = self.interner().intern(&snapshot.config.id, &self.ring);
-                let _ = self.send_plain(from, |tx| Request::Install(Box::new(snapshot), key, tx));
-            }
-            for tx in &fresh_senders {
-                let _ = tx.send(Request::Shutdown);
-            }
-            for handle in fresh_handles {
-                let _ = handle.join();
-            }
             if durable {
-                // Neutralize the write-ahead Migrate record (same
-                // last-record-wins discipline as a failed full rebalance).
-                let current = self.ring.spec();
-                let record = JournalRecord::Migrate {
-                    shards: current.shards,
-                    vnodes: current.vnodes,
+                self.neutralize(JournalRecord::Migrate {
+                    shards: self.ring.spec().shards,
+                    vnodes: self.ring.spec().vnodes,
                     moved: Vec::new(),
-                };
-                let _ = self.send(0, move |tx| Request::Journal(Box::new(record), tx));
+                });
             }
             return Err(e);
         }
@@ -1447,29 +1325,20 @@ impl Engine {
         // reported with the engine already on the new topology, matching
         // the store; returning the old topology here would tell the
         // caller a committed migration failed.
-        let retired: Vec<Sender<Request>> =
-            self.senders.drain(spec.shards.min(old_shards)..).collect();
-        for tx in &retired {
-            let _ = tx.send(Request::Shutdown);
-        }
-        drop(retired);
-        let mut retired_handles: Vec<JoinHandle<()>> =
-            self.handles.drain(spec.shards.min(old_shards)..).collect();
-        for handle in retired_handles.drain(..) {
-            let _ = handle.join();
-        }
-        self.senders.extend(fresh_senders);
-        self.handles.extend(fresh_handles);
+        self.shards.truncate(spec.shards);
+        self.shards
+            .extend(fresh.into_iter().map(|shard| Arc::new(Mutex::new(shard))));
+        self.resize_workers(spec.shards);
         self.ring = ring;
         self.interner().reroute(&self.ring);
         self.sync_policy_topology(spec.shards);
         // The in-memory shard 0 absorbs the retired shards' history
         // (matching what the fence document recorded).
-        for meta in retired_meta {
-            self.send_plain(0, |tx| Request::MergeMeta(Box::new(meta), tx))?;
+        for meta in &retired_meta {
+            self.shard(0)?.merge_meta(meta);
         }
         if self.attached.load(Ordering::Acquire) {
-            // Idempotent for the survivors; hands the fresh workers their
+            // Idempotent for the survivors; hands the fresh shards their
             // journaling handle.
             self.attach_store()?;
         }
@@ -1498,30 +1367,41 @@ impl Engine {
         })
     }
 
-    /// The capture loop behind [`Engine::capture_all`], against an
-    /// explicit worker set — the incremental migration fences over its
-    /// post-migration workers before they are installed on the handle.
-    fn capture_set(
-        senders: &[Sender<Request>],
-        seq: u64,
-    ) -> Result<(Vec<TenantSnapshot>, Vec<ShardMeta>), EngineError> {
-        let mut replies = Vec::new();
-        for (shard, tx_req) in senders.iter().enumerate() {
-            let (tx, rx) = channel();
-            tx_req
-                .send(Request::Checkpoint(seq, tx))
-                .map_err(|_| EngineError::ShardDown(shard))?;
-            replies.push((shard, rx));
+    /// Apply `f` to post-migration shard `index` during an incremental
+    /// migration: a surviving shard (under its lock) or, past the current
+    /// shard count, one of the `fresh` shards a grow adds.
+    fn on_new_shard<T>(
+        &self,
+        fresh: &mut [Shard],
+        index: usize,
+        f: impl FnOnce(&mut Shard) -> T,
+    ) -> Result<T, EngineError> {
+        match index.checked_sub(self.shards.len()) {
+            Some(i) => Ok(f(&mut fresh[i])),
+            None => Ok(f(&mut *self.shard(index)?)),
         }
-        let mut tenants = Vec::new();
-        let mut shard_meta = Vec::new();
-        for (shard, rx) in replies {
-            let dump = rx.recv().map_err(|_| EngineError::ShardDown(shard))??;
-            tenants.extend(dump.snapshots);
-            shard_meta.push(dump.meta);
+    }
+
+    /// Neutralize an aborted migration's write-ahead topology record: the
+    /// migration did not happen, so a crash before the next checkpoint
+    /// must not replay it. Recovery takes the *last* record's topology, so
+    /// re-journaling the current one restores the truth (best-effort — if
+    /// this append fails too, the next successful checkpoint truncates
+    /// both).
+    fn neutralize(&self, record: JournalRecord) {
+        if let Ok(shard) = self.shard(0) {
+            let _ = shard.journal(&record);
         }
-        tenants.sort_by(|a, b| a.config.id.cmp(&b.config.id));
-        Ok((tenants, shard_meta))
+    }
+
+    /// Grow or shrink the worker set to one worker per shard index.
+    fn resize_workers(&mut self, shards: usize) {
+        let pool = self.dispatch.get_mut().unwrap_or_else(|e| e.into_inner());
+        let keep = shards.min(pool.workers.len());
+        for worker in pool.workers.drain(keep..) {
+            worker.stop();
+        }
+        pool.workers.extend((keep..shards).map(Worker::spawn));
     }
 
     /// Rebuild the pre-crash engine from a store: load the newest valid
@@ -1555,8 +1435,7 @@ impl Engine {
             }
             if doc.shards == engine.shards() {
                 for meta in doc.shard_meta {
-                    let shard = meta.shard;
-                    engine.send_plain(shard, move |tx| Request::InstallMeta(Box::new(meta), tx))?;
+                    engine.shard(meta.shard)?.install_meta(meta);
                 }
                 report.shard_meta_restored = true;
             }
@@ -1654,7 +1533,7 @@ impl Engine {
                 let mut resolved =
                     self.resolve_batch(events.into_iter().map(|e| (e.id, e.cost, e.load)));
                 let mut outcomes = Vec::with_capacity(resolved.len());
-                self.dispatch_resolved(&mut resolved, &[], false, &mut outcomes)
+                self.dispatch_resolved(&mut resolved, &[], None, &mut outcomes)
                     .map(|()| report.events_replayed += outcomes.len())
             }
             JournalRecord::Finish(id) => self.finish(&id).map(|_| ()),
@@ -1668,20 +1547,9 @@ impl Engine {
         }
     }
 
-    /// Stop all shard workers and join their threads.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(Request::Shutdown);
-        }
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
+    /// Stop all shard workers, join their threads and sync the store —
+    /// what dropping the engine does.
+    pub fn shutdown(self) {}
 }
 
 /// Resolve `id` against `interner` without inserting; see
@@ -1695,6 +1563,10 @@ fn resolve_in(interner: &Interner, id: &str) -> (Arc<str>, u32) {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.resize_workers(0);
+        // Whatever the store buffered reaches disk before the engine goes.
+        if self.attached.load(Ordering::Acquire) {
+            let _ = self.store.sync();
+        }
     }
 }

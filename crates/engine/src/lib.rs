@@ -16,7 +16,8 @@
 //!                            │ consistent-hash ring (vnodes)
 //!              ┌─────────────┼─────────────┐
 //!              ▼             ▼             ▼
-//!          shard 0       shard 1  ...  shard N-1     (one thread each)
+//!          shard 0       shard 1  ...  shard N-1     (one lock + one
+//!                                                     batch worker each)
 //!          tenants:      tenants:      tenants:
 //!          policy +      policy +      policy +
 //!          accounting    accounting    accounting
@@ -36,11 +37,13 @@
 //!   total-machine scalar `states`), and participate in snapshots,
 //!   checkpoints and recovery with the same bit-exactness as scalar
 //!   tenants.
-//! * **Shards** ([`shard`]) are plain `std::thread` workers fed batched
-//!   events over channels; tenants are partitioned by a consistent-hash
-//!   ring with virtual nodes ([`ring`]) so all per-tenant operations are
-//!   single-threaded and deterministic — and so changing the shard count
-//!   moves only a minority of tenants.
+//! * **Shards** ([`shard`]) are plain state, one mutex each: control
+//!   calls run on the caller's thread under the owning shard's lock, and
+//!   step batches run in parallel on one persistent worker thread per
+//!   shard, handed over through a handoff created at spawn. Tenants are
+//!   partitioned by a consistent-hash ring with virtual nodes ([`ring`])
+//!   so all per-tenant operations are serialized and deterministic — and
+//!   so changing the shard count moves only a minority of tenants.
 //! * **Control plane** ([`admission`], [`Engine::rebalance`],
 //!   [`Engine::rebalance_incremental`], [`topology`]): an admission gate
 //!   in front of the shards enforces tenant caps and per-tenant
@@ -138,7 +141,8 @@ pub enum EngineError {
     UnknownTenant(String),
     /// A tenant with this id already exists.
     DuplicateTenant(String),
-    /// The shard worker thread is gone.
+    /// The shard is unusable: its batch worker thread is gone, or its
+    /// lock was poisoned by a panic mid-operation.
     ShardDown(usize),
     /// Policy-level failure (invalid snapshot, bad parameters).
     Policy(rsdc_core::Error),

@@ -2,7 +2,7 @@
 //! control-plane trace the engine records into.
 //!
 //! One [`EngineObs`] lives in the [`Engine`](crate::Engine) handle (shared
-//! with the shard workers and the store seam via `Arc`). Everything here
+//! with the store seam via `Arc`; each shard holds its own handles). Everything here
 //! is observation-only state **outside** journaled engine state: enabling
 //! or disabling metrics changes no journaled byte, so recovery remains
 //! byte-identical with observability on or off — the regression tests
@@ -10,8 +10,8 @@
 //!
 //! Metric handles are registered once at engine spawn (registry lookups
 //! take a lock; the handles themselves are lock-free), except the
-//! per-shard batch-latency histograms, which each shard worker registers
-//! for its own index when it starts.
+//! per-shard batch-latency histograms, which each shard registers for its
+//! own index when it is built.
 
 use rsdc_obs::{Counter, FieldValue, Gauge, Histogram, MetricId, Registry, TraceBuffer};
 use rsdc_store::{StoreObserver, StoreOp};
@@ -23,7 +23,7 @@ pub struct EngineObs {
     registry: Registry,
     trace: TraceBuffer,
 
-    /// Events applied by shard workers.
+    /// Events applied by shards.
     pub(crate) events_ingested: Counter,
     /// Events that did not apply: throttled at the gate, unknown tenant,
     /// or a deterministic per-event policy failure.
@@ -248,7 +248,7 @@ impl StoreObserver for EngineObs {
     }
 }
 
-/// The slice of [`EngineObs`] a shard worker touches per batch: plain
+/// The slice of [`EngineObs`] a shard touches per batch: plain
 /// handle clones plus the baked-in enabled flag, so the hot loop never
 /// looks anything up.
 pub(crate) struct ShardObs {

@@ -1,11 +1,17 @@
-//! Shard workers: each shard is one OS thread owning a disjoint set of
-//! tenants, driven by batched requests over an MPSC channel.
+//! Shards: each shard is plain state — a disjoint set of tenants plus its
+//! aggregates — owned by the [`crate::Engine`] behind one mutex per shard.
+//! Control-plane operations (admit, finish, snapshot, checkpoint, …) are
+//! direct calls on the caller's thread under that lock; step batches run
+//! in parallel on one persistent worker thread per shard index, which
+//! receives each batch through a one-slot handoff created at spawn.
 //!
-//! When a durable store is attached, every state-mutating request is
+//! When a durable store is attached, every state-mutating operation is
 //! journaled to the shard's write-ahead log *before* it is applied
 //! (write-ahead discipline), and checkpoint captures rotate the WAL at the
-//! exact request-stream position of the snapshot — the shard thread is the
-//! serialization point, so the snapshot/WAL boundary is always consistent.
+//! exact position of the snapshot. The shard lock is held across
+//! journal-then-apply, so it is the WAL serialization point: the
+//! snapshot/WAL boundary is always consistent. Shard code takes no engine
+//! lock.
 //!
 //! Tenants live in a per-shard slab addressed by the engine's interned
 //! tenant key (see [`crate::intern`]): the per-event path is an array
@@ -27,8 +33,9 @@ use crate::EngineError;
 use rsdc_store::Durability;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// One streamed event: a tenant id (shared, interned), its slab key, the
@@ -235,80 +242,132 @@ pub struct ShardDump {
     pub meta: ShardMeta,
 }
 
-/// One shard's reply to a [`Request::Batch`]: the per-event outcomes plus
-/// the aggregate pulse the topology policy feeds on (the shard's live
-/// tenant count after the batch) — piggybacked so observing load costs no
-/// extra round trips.
-#[derive(Debug)]
-pub struct BatchReply {
-    /// Outcomes, tagged with their original batch positions.
-    pub outcomes: Vec<(usize, StepOutcome)>,
-    /// The drained event buffer, handed back so the engine's dispatch
-    /// pool can reuse its capacity (steady state allocates no new event
-    /// vectors).
-    pub events: Vec<Event>,
+/// The aggregate pulse one batch leaves behind, for the topology policy
+/// and the energy meter — piggybacked so observing load costs nothing
+/// extra.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pulse {
     /// Live tenants on this shard after the batch.
-    pub tenants: usize,
+    pub(crate) tenants: usize,
     /// Machines committed across this shard's tenants after the batch
     /// (sum of last committed states, kept as a running total) — the
     /// energy meter's load sample.
-    pub machines: u64,
+    pub(crate) machines: u64,
 }
 
-/// Requests a shard worker serves. Slot-addressed requests carry the
-/// interned key the engine resolved; id strings ride along for journaling
-/// and error messages.
-pub enum Request {
-    /// Admit a new tenant under the given interned key.
-    Admit(TenantConfig, u32, Sender<Result<(), EngineError>>),
-    /// Process a batch of events (already routed to this shard).
-    Batch(Vec<Event>, Sender<Result<BatchReply, EngineError>>),
-    /// End-of-stream for one tenant: flush lookahead states.
-    Finish(String, Sender<Result<StepOutcome, EngineError>>),
-    /// Capture one tenant's full state.
-    Snapshot(String, Sender<Result<TenantSnapshot, EngineError>>),
-    /// Fetch one tenant's static configuration.
-    Config(String, Sender<Result<TenantConfig, EngineError>>),
-    /// Re-install a tenant from a snapshot (admits it if absent).
-    Restore(Box<TenantSnapshot>, u32, Sender<Result<(), EngineError>>),
-    /// Migration plumbing: remove a tenant and hand back its snapshot
-    /// **without journaling** — an incremental migration's moves are
-    /// covered by the write-ahead `Migrate` record plus the fencing
-    /// checkpoint, so per-tenant records would corrupt replay (a
-    /// journaled `Evict` would delete the tenant on recovery).
-    Extract(String, Sender<Result<TenantSnapshot, EngineError>>),
-    /// Migration plumbing: install a tenant from a snapshot **without
-    /// journaling** (counterpart of [`Extract`](Request::Extract); also
-    /// used to land tenants on freshly spawned workers).
-    Install(Box<TenantSnapshot>, u32, Sender<Result<(), EngineError>>),
-    /// Remove a tenant, returning its final report.
-    Evict(String, Sender<Result<TenantReport, EngineError>>),
-    /// Report one tenant (`Some(id)`) or all tenants on this shard.
-    Report(
-        Option<String>,
-        Sender<Result<Vec<TenantReport>, EngineError>>,
-    ),
-    /// Shard-level aggregate statistics.
-    Stats(Sender<ShardStats>),
-    /// Ids of the tenants living on this shard (sorted).
-    TenantIds(Sender<Vec<String>>),
-    /// Attach a durability backend: subsequent mutations are journaled.
-    AttachStore(Arc<dyn Durability>, Sender<()>),
-    /// Journal a record to this shard's WAL without applying anything —
-    /// the engine handle routes control-plane records (topology changes)
-    /// through the owning shard thread so WAL appends stay serialized.
-    Journal(Box<JournalRecord>, Sender<Result<(), EngineError>>),
-    /// Capture this shard's checkpoint contribution, rotating its WAL to
-    /// the segment for the given checkpoint sequence at the capture point.
-    Checkpoint(u64, Sender<Result<ShardDump, EngineError>>),
-    /// Install shard-level aggregates from a checkpoint (recovery only).
-    InstallMeta(Box<ShardMeta>, Sender<()>),
-    /// Merge shard-level aggregates *into* this shard's own (used when an
-    /// incremental migration retires shards: the retired indices' history
-    /// folds onto shard 0 so fleet totals stay exact).
-    MergeMeta(Box<ShardMeta>, Sender<()>),
-    /// Stop the worker.
-    Shutdown,
+/// One step batch in flight: the shard to apply it to, the events and
+/// the vector their outcomes go into. The worker hands all three back,
+/// so the buffers keep their capacity for the next batch.
+struct Job {
+    shard: Arc<Mutex<Shard>>,
+    events: Vec<Event>,
+    outcomes: Vec<(usize, StepOutcome)>,
+}
+
+/// The persistent worker thread for one shard index (named
+/// `rsdc-shard-<i>`), plus the parked buffers of its next batch. The
+/// handoff — a one-slot job channel and a one-slot reply channel — is
+/// created once, at spawn; a batch moves the buffers over and back, so
+/// steady-state dispatch allocates nothing.
+pub(crate) struct Worker {
+    index: usize,
+    jobs: SyncSender<Job>,
+    done: Receiver<(Job, Result<Pulse, EngineError>)>,
+    thread: JoinHandle<()>,
+    busy: bool,
+    /// Events routed to this shard for the next batch.
+    pub(crate) events: Vec<Event>,
+    outcomes: Vec<(usize, StepOutcome)>,
+}
+
+impl Worker {
+    /// Spawn the worker thread for shard index `index`. Returns once the
+    /// thread runs, so it already carries its name (`/proc/<pid>/task/
+    /// <tid>/comm`) for whoever looks it up, e.g. to pin it to a CPU.
+    pub(crate) fn spawn(index: usize) -> Worker {
+        let (jobs, inbox) = sync_channel::<Job>(1);
+        let (reply, done) = sync_channel(1);
+        let running = Arc::new(Barrier::new(2));
+        let started = running.clone();
+        let thread = std::thread::Builder::new()
+            .name(format!("rsdc-shard-{index}"))
+            .spawn(move || {
+                started.wait();
+                for mut job in inbox {
+                    let result = match job.shard.lock() {
+                        Ok(mut shard) => shard.batch(&mut job.events, &mut job.outcomes),
+                        Err(_) => Err(EngineError::ShardDown(index)),
+                    };
+                    if reply.send((job, result)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawn shard worker");
+        running.wait();
+        Worker {
+            index,
+            jobs,
+            done,
+            thread,
+            busy: false,
+            events: Vec::new(),
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// Hand the routed events to the worker thread as a batch on `shard`.
+    pub(crate) fn start(&mut self, shard: &Arc<Mutex<Shard>>) -> Result<(), EngineError> {
+        let job = Job {
+            shard: shard.clone(),
+            events: std::mem::take(&mut self.events),
+            outcomes: std::mem::take(&mut self.outcomes),
+        };
+        match self.jobs.send(job) {
+            Ok(()) => {
+                self.busy = true;
+                Ok(())
+            }
+            Err(failed) => {
+                self.park(failed.0);
+                Err(EngineError::ShardDown(self.index))
+            }
+        }
+    }
+
+    /// Wait for the batch [`Worker::start`] handed over, if any. A
+    /// successful batch's outcomes are appended to `out`; either way the
+    /// buffers come back empty, so no stale event or outcome reaches the
+    /// next batch.
+    pub(crate) fn finish(
+        &mut self,
+        out: &mut Vec<(usize, StepOutcome)>,
+    ) -> Option<Result<Pulse, EngineError>> {
+        if !std::mem::take(&mut self.busy) {
+            return None;
+        }
+        let Ok((mut job, result)) = self.done.recv() else {
+            return Some(Err(EngineError::ShardDown(self.index)));
+        };
+        if result.is_ok() {
+            out.append(&mut job.outcomes);
+        }
+        self.park(job);
+        Some(result)
+    }
+
+    fn park(&mut self, mut job: Job) {
+        job.events.clear();
+        job.outcomes.clear();
+        self.events = job.events;
+        self.outcomes = job.outcomes;
+    }
+
+    /// Close the handoff and join the thread.
+    pub(crate) fn stop(self) {
+        drop(self.jobs);
+        let _ = self.thread.join();
+    }
 }
 
 /// A shard's tenant storage: tenants packed densely in a vector sized to
@@ -374,7 +433,7 @@ impl Slab {
     }
 }
 
-/// State owned by one shard thread.
+/// One shard's state: its tenants, aggregates and journaling handle.
 pub struct Shard {
     index: usize,
     slab: Slab,
@@ -391,92 +450,24 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Worker entry point: serve requests until `Shutdown` or hangup.
-    pub fn run(index: usize, rx: Receiver<Request>, obs: Arc<EngineObs>) {
-        let mut shard = Shard {
+    /// An empty shard `index`, journaling nothing until a store is
+    /// attached.
+    pub(crate) fn new(index: usize, obs: &EngineObs) -> Shard {
+        Shard {
             index,
             slab: Slab::default(),
             by_id: HashMap::new(),
             machines: 0,
             meta: ShardMeta::new(index),
             store: None,
-            obs: ShardObs::for_shard(&obs, index),
+            obs: ShardObs::for_shard(obs, index),
             scratch: StepScratch::default(),
-        };
-        while let Ok(req) = rx.recv() {
-            match req {
-                Request::Admit(cfg, key, reply) => {
-                    let _ = reply.send(shard.admit(cfg, key));
-                }
-                Request::Batch(events, reply) => {
-                    let _ = reply.send(shard.batch(events));
-                }
-                Request::Finish(id, reply) => {
-                    let _ = reply.send(shard.finish(&id));
-                }
-                Request::Snapshot(id, reply) => {
-                    let _ = reply.send(shard.tenant(&id).map(|t| t.snapshot()));
-                }
-                Request::Config(id, reply) => {
-                    let _ = reply.send(shard.tenant(&id).map(|t| t.config().clone()));
-                }
-                Request::Restore(snapshot, key, reply) => {
-                    let _ = reply.send(shard.restore(*snapshot, key));
-                }
-                Request::Extract(id, reply) => {
-                    let _ = reply.send(shard.extract(&id));
-                }
-                Request::Install(snapshot, key, reply) => {
-                    let _ = reply.send(shard.install(*snapshot, key));
-                }
-                Request::Evict(id, reply) => {
-                    let _ = reply.send(shard.evict(&id));
-                }
-                Request::Report(Some(id), reply) => {
-                    let _ = reply.send(shard.tenant(&id).map(|t| vec![t.report()]));
-                }
-                Request::Report(None, reply) => {
-                    let mut reports: Vec<TenantReport> =
-                        shard.slab.iter().map(|t| t.report()).collect();
-                    reports.sort_by(|a, b| a.id.cmp(&b.id));
-                    let _ = reply.send(Ok(reports));
-                }
-                Request::Stats(reply) => {
-                    let _ = reply.send(shard.stats());
-                }
-                Request::TenantIds(reply) => {
-                    let mut ids: Vec<String> = shard.by_id.keys().cloned().collect();
-                    ids.sort_unstable();
-                    let _ = reply.send(ids);
-                }
-                Request::AttachStore(store, reply) => {
-                    shard.store = Some(store);
-                    let _ = reply.send(());
-                }
-                Request::Journal(record, reply) => {
-                    let _ = reply.send(shard.journal(&record));
-                }
-                Request::Checkpoint(seq, reply) => {
-                    let _ = reply.send(shard.checkpoint(seq));
-                }
-                Request::InstallMeta(meta, reply) => {
-                    shard.meta = ShardMeta {
-                        shard: index,
-                        ..*meta
-                    };
-                    let _ = reply.send(());
-                }
-                Request::MergeMeta(meta, reply) => {
-                    shard.meta.merge(&meta);
-                    let _ = reply.send(());
-                }
-                Request::Shutdown => break,
-            }
         }
-        // Whatever the store buffered reaches disk before the thread dies.
-        if let Some(store) = &shard.store {
-            let _ = store.sync();
-        }
+    }
+
+    /// Journal subsequent mutations through `store`.
+    pub(crate) fn attach(&mut self, store: Arc<dyn Durability>) {
+        self.store = Some(store);
     }
 
     fn durable(&self) -> bool {
@@ -486,7 +477,7 @@ impl Shard {
     /// Write-ahead hook: persist `record` to this shard's WAL. Callers
     /// journal *before* mutating, so a crash between the two replays the
     /// mutation instead of losing it.
-    fn journal(&self, record: &JournalRecord) -> Result<(), EngineError> {
+    pub(crate) fn journal(&self, record: &JournalRecord) -> Result<(), EngineError> {
         if self.durable() {
             let store = self.store.as_ref().expect("durable implies store");
             store
@@ -496,7 +487,9 @@ impl Shard {
         Ok(())
     }
 
-    fn checkpoint(&mut self, seq: u64) -> Result<ShardDump, EngineError> {
+    /// Capture this shard's checkpoint contribution, rotating its WAL to
+    /// the segment for checkpoint `seq` at the capture point.
+    pub(crate) fn checkpoint(&mut self, seq: u64) -> Result<ShardDump, EngineError> {
         if self.durable() {
             let store = self.store.as_ref().expect("durable implies store");
             store
@@ -511,15 +504,28 @@ impl Shard {
         })
     }
 
-    fn tenant(&self, id: &str) -> Result<&Tenant, EngineError> {
+    /// The tenant with this id.
+    pub(crate) fn tenant(&self, id: &str) -> Result<&Tenant, EngineError> {
         self.by_id
             .get(id)
             .and_then(|&key| self.slab.get(key))
             .ok_or_else(|| EngineError::UnknownTenant(id.to_string()))
     }
 
+    /// Reports for every tenant on this shard, in no particular order.
+    pub(crate) fn reports(&self) -> impl Iterator<Item = TenantReport> + '_ {
+        self.slab.iter().map(|t| t.report())
+    }
+
+    /// Ids of the tenants on this shard, in no particular order.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = &String> {
+        self.by_id.keys()
+    }
+
     /// Place `tenant` under `key`, replacing any tenant already there.
-    fn place(&mut self, key: u32, tenant: Tenant) {
+    /// Bypasses the journal: a migration's moves are covered by its
+    /// write-ahead topology record plus the fencing checkpoint.
+    pub(crate) fn place(&mut self, key: u32, tenant: Tenant) {
         let id = tenant.config().id.clone();
         self.machines += tenant.last_state() as u64;
         if let Some(old) = self.slab.insert(key, tenant) {
@@ -528,7 +534,7 @@ impl Shard {
         self.by_id.insert(id, key);
     }
 
-    fn admit(&mut self, cfg: TenantConfig, key: u32) -> Result<(), EngineError> {
+    pub(crate) fn admit(&mut self, cfg: TenantConfig, key: u32) -> Result<(), EngineError> {
         if self.by_id.contains_key(&cfg.id) {
             return Err(EngineError::DuplicateTenant(cfg.id));
         }
@@ -540,38 +546,32 @@ impl Shard {
         Ok(())
     }
 
-    fn take(&mut self, id: &str) -> Option<Tenant> {
+    /// Remove a tenant without journaling (migration plumbing, like
+    /// [`Shard::place`]).
+    pub(crate) fn take(&mut self, id: &str) -> Option<(u32, Tenant)> {
         let key = self.by_id.remove(id)?;
         let tenant = self.slab.remove(key)?;
         self.machines -= tenant.last_state() as u64;
-        Some(tenant)
+        Some((key, tenant))
     }
 
-    fn evict(&mut self, id: &str) -> Result<TenantReport, EngineError> {
+    pub(crate) fn evict(&mut self, id: &str) -> Result<TenantReport, EngineError> {
         if !self.by_id.contains_key(id) {
             return Err(EngineError::UnknownTenant(id.to_string()));
         }
         self.journal(&JournalRecord::Evict(id.to_string()))?;
-        Ok(self.take(id).expect("checked above").report())
+        Ok(self.take(id).expect("checked above").1.report())
     }
 
-    /// Remove a tenant and return its snapshot, bypassing the journal
-    /// (incremental-migration plumbing; see [`Request::Extract`]).
-    fn extract(&mut self, id: &str) -> Result<TenantSnapshot, EngineError> {
-        self.take(id)
-            .map(|t| t.snapshot())
-            .ok_or_else(|| EngineError::UnknownTenant(id.to_string()))
-    }
-
-    /// Install a tenant from a snapshot, bypassing the journal
-    /// (incremental-migration plumbing; see [`Request::Install`]).
-    fn install(&mut self, snapshot: TenantSnapshot, key: u32) -> Result<(), EngineError> {
-        let tenant = Tenant::from_snapshot(snapshot).map_err(EngineError::Policy)?;
-        self.place(key, tenant);
-        Ok(())
-    }
-
-    fn batch(&mut self, mut events: Vec<Event>) -> Result<BatchReply, EngineError> {
+    /// Run one batch: journal it as one record, then step each event,
+    /// appending its outcome (tagged with its batch position) to `out`.
+    /// `events` is drained on success; on a journal failure nothing is
+    /// applied.
+    fn batch(
+        &mut self,
+        events: &mut Vec<Event>,
+        out: &mut Vec<(usize, StepOutcome)>,
+    ) -> Result<Pulse, EngineError> {
         // One clock pair per *batch*, journal included, gated on a bool
         // baked in at spawn — with metrics off the hot path pays exactly
         // this branch and two counter no-ops.
@@ -597,7 +597,6 @@ impl Shard {
             );
             self.journal(&record)?;
         }
-        let mut out = Vec::with_capacity(events.len());
         let (mut ingested, mut dropped) = (0u64, 0u64);
         for ev in events.drain(..) {
             let Some(tenant) = self.slab.get_mut(ev.key) else {
@@ -654,15 +653,13 @@ impl Shard {
                 .batch_ns
                 .record(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
-        Ok(BatchReply {
-            outcomes: out,
-            events,
+        Ok(Pulse {
             tenants: self.by_id.len(),
             machines: self.machines,
         })
     }
 
-    fn finish(&mut self, id: &str) -> Result<StepOutcome, EngineError> {
+    pub(crate) fn finish(&mut self, id: &str) -> Result<StepOutcome, EngineError> {
         let Some(&key) = self.by_id.get(id) else {
             return Err(EngineError::UnknownTenant(id.to_string()));
         };
@@ -696,14 +693,41 @@ impl Shard {
         }
     }
 
-    fn restore(&mut self, snapshot: TenantSnapshot, key: u32) -> Result<(), EngineError> {
-        if self.durable() {
-            self.journal(&JournalRecord::Restore(Box::new(snapshot.clone())))?;
+    /// Re-install a tenant from a snapshot (admitting it if absent). The
+    /// snapshot is validated before it is journaled, so a refused restore
+    /// leaves no record behind.
+    pub(crate) fn restore(
+        &mut self,
+        snapshot: TenantSnapshot,
+        key: u32,
+    ) -> Result<(), EngineError> {
+        let record = self
+            .durable()
+            .then(|| JournalRecord::Restore(Box::new(snapshot.clone())));
+        let tenant = Tenant::from_snapshot(snapshot).map_err(EngineError::Policy)?;
+        if let Some(record) = record {
+            self.journal(&record)?;
         }
-        self.install(snapshot, key)
+        self.place(key, tenant);
+        Ok(())
     }
 
-    fn stats(&self) -> ShardStats {
+    /// Install shard-level aggregates from a checkpoint (recovery and a
+    /// full rebalance's new shard 0).
+    pub(crate) fn install_meta(&mut self, meta: ShardMeta) {
+        self.meta = ShardMeta {
+            shard: self.index,
+            ..meta
+        };
+    }
+
+    /// Fold another shard's aggregates into this one's (an incremental
+    /// migration retiring shards folds their history onto shard 0).
+    pub(crate) fn merge_meta(&mut self, meta: &ShardMeta) {
+        self.meta.merge(meta);
+    }
+
+    pub(crate) fn stats(&self) -> ShardStats {
         let totals = &self.meta.metrics;
         ShardStats {
             shard: self.index,

@@ -146,14 +146,14 @@ pub struct StoreStats {
 
 /// Object-safe durability backend the engine journals through.
 ///
-/// Shard workers call [`append`](Durability::append) (journal a batch
+/// Shards call [`append`](Durability::append) (journal an operation
 /// before applying it) and [`rotate`](Durability::rotate) (at checkpoint
 /// capture); the engine handle drives
 /// [`begin_checkpoint`](Durability::begin_checkpoint) /
 /// [`commit_checkpoint`](Durability::commit_checkpoint) and
 /// [`recover`](Durability::recover). Implementations must be safe to share
-/// across the shard threads (`Send + Sync`), with `append`/`rotate` calls
-/// for a given shard serialized by that shard's own thread.
+/// across threads (`Send + Sync`), with `append`/`rotate` calls for a
+/// given shard serialized by that shard's lock in the engine.
 pub trait Durability: Send + Sync {
     /// True when appends actually persist. Callers may skip serialization
     /// work entirely when this is `false`.
@@ -174,8 +174,9 @@ pub trait Durability: Send + Sync {
     fn begin_checkpoint(&self) -> Result<u64, StoreError>;
 
     /// Switch `shard`'s WAL to the segment for checkpoint `seq`. Called by
-    /// the shard thread at the exact point it captures its snapshot, so
-    /// records before/after the capture land in the old/new segment.
+    /// the shard, under its lock, at the exact point it captures its
+    /// snapshot, so records before/after the capture land in the old/new
+    /// segment.
     fn rotate(&self, shard: usize, seq: u64) -> Result<(), StoreError>;
 
     /// Durably publish checkpoint `seq` (atomic: temp file + rename +

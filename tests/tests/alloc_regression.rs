@@ -18,14 +18,19 @@
 //!
 //! The `#[ignore]`d heavy variant re-runs the pin at `RSDC_HEAVY_CASES`
 //! scale for the nightly `--include-ignored` CI job.
+//!
+//! A second pin holds the engine's batch handoff itself: small
+//! `Engine::step_events` batches with recycled buffers, compared at `B`
+//! and `2B` batches, may not allocate per batch either.
 
+use rsdc_core::Cost;
 use rsdc_engine::binwire::{put_frame, BinSession, BodyWriter, PREAMBLE, TAG_STEP_LOAD};
 use rsdc_engine::wire::Session;
-use rsdc_engine::{Engine, EngineConfig, PolicySpec, TenantConfig};
+use rsdc_engine::{Engine, EngineConfig, PolicySpec, StepEvent, StepOutcome, TenantConfig};
 use rsdc_tests::heavy_cases;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Counts every `alloc`/`realloc` (not bytes — the pin is on allocation
 /// *events*) and forwards to the system allocator.
@@ -138,4 +143,75 @@ fn steady_state_binary_ingest_allocates_nothing_per_event() {
 fn steady_state_binary_ingest_allocates_nothing_per_event_heavy() {
     let scale = heavy_cases(16) as usize;
     run_pin((4096 * scale).min(1 << 20));
+}
+
+/// Events per `step_events` batch in the engine-level pin.
+const BATCH: usize = 8;
+
+/// Step `batches` batches of [`BATCH`] events through `engine`, tenants
+/// round-robin from `*next`, reusing `events` and `out`; returns the
+/// allocations counted meanwhile.
+fn engine_allocations(
+    engine: &Engine,
+    ids: &[(Arc<str>, u32)],
+    batches: usize,
+    next: &mut usize,
+    events: &mut Vec<StepEvent>,
+    out: &mut Vec<StepOutcome>,
+) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..batches {
+        for _ in 0..BATCH {
+            let (id, key) = &ids[*next % ids.len()];
+            *next += 1;
+            events.push(StepEvent {
+                id: id.clone(),
+                key: *key,
+                cost: Cost::abs(1.0, (*next % 7) as f64),
+                load: None,
+            });
+        }
+        out.clear();
+        engine.step_events(events, out).expect("step");
+        assert_eq!(out.len(), BATCH);
+        assert!(out.iter().all(|o| o.error.is_none()));
+    }
+    ALLOCATIONS.load(Ordering::SeqCst) - before
+}
+
+/// Steady-state `Engine::step_events` batches allocate nothing per batch:
+/// the per-shard handoff (job and reply channels, event and outcome
+/// buffers) is created once and recycled.
+#[test]
+fn steady_state_engine_batches_allocate_nothing_per_batch() {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let batches = 2048;
+    let mut cfg = EngineConfig::with_shards(2);
+    cfg.metrics = false;
+    let engine = Engine::new(cfg);
+    let ids: Vec<(Arc<str>, u32)> = (0..TENANTS)
+        .map(|i| {
+            let id = format!("t{i}");
+            engine
+                .admit(TenantConfig::new(id.clone(), 16, 4.0, PolicySpec::Lcp))
+                .expect("admit");
+            engine.resolve(&id)
+        })
+        .collect();
+    let mut events = Vec::with_capacity(BATCH);
+    let mut out = Vec::with_capacity(BATCH);
+    let mut next = 0;
+    let mut run = |n| engine_allocations(&engine, &ids, n, &mut next, &mut events, &mut out);
+    // Warmup sizes every buffer to its high-water mark.
+    run(batches * 2);
+    let small = run(batches);
+    let large = run(batches * 2);
+    let delta = large.saturating_sub(small);
+    let slack = (batches / 4) as u64;
+    eprintln!("engine batches: {small} allocations for {batches}, {large} for twice that");
+    assert!(
+        delta <= slack,
+        "engine batches allocate per batch: {batches} extra batches cost {delta} \
+         allocations (small run {small}, large run {large}, slack {slack})"
+    );
 }

@@ -1,0 +1,342 @@
+//! The engine's shard handoff: shards are plain state behind one lock
+//! each, control calls run on the caller's thread, and step batches go
+//! through one persistent worker per shard.
+//!
+//! * One `&Engine` shared across threads: stepping threads admit, step,
+//!   finish and report disjoint tenant sets on one durable (`FileStore`)
+//!   engine while another thread loops on `shard_stats`, `report_all` and
+//!   `checkpoint`. Tenants are independent, so however the threads
+//!   interleave, every tenant's report must equal a serial run's — and,
+//!   because each shard's lock orders its journal appends with the
+//!   mutations they record, an engine recovered from the store must
+//!   report the same again.
+//! * A batch that fails on one shard (its WAL append is refused) leaves
+//!   that shard's tenants untouched and the handoff clean: the next
+//!   batch's outcomes are exactly its own.
+//! * A rebalance whose fencing checkpoint fails — full or incremental,
+//!   grow or shrink — leaves the engine serving on its old shards, and
+//!   the run continues (and recovers) exactly as if it had not been
+//!   tried.
+
+use rsdc_core::Cost;
+use rsdc_engine::wire::Session;
+use rsdc_engine::{
+    Engine, EngineConfig, EngineError, HashRing, PolicySpec, TenantConfig, TenantReport,
+};
+use rsdc_store::{Durability, FileStore, FileStoreConfig, Recovery, StoreError, StoreStats};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// Both handles can be shared by reference across threads.
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<Engine>();
+    shareable::<Session>();
+};
+
+const THREADS: usize = 3;
+const TENANTS_PER_THREAD: usize = 4;
+const SLOTS: usize = 200;
+
+/// The tenants stepping thread `t` owns.
+fn tenants(t: usize) -> Vec<TenantConfig> {
+    (0..TENANTS_PER_THREAD)
+        .map(|i| {
+            let id = format!("w{t}-t{i}");
+            let policy = match i % 3 {
+                0 => PolicySpec::Lcp,
+                1 => PolicySpec::HalfStepRounded {
+                    seed: (t * 31 + i) as u64,
+                },
+                _ => PolicySpec::Lookahead { window: 2 },
+            };
+            TenantConfig::new(id, 10, 3.0, policy)
+        })
+        .collect()
+}
+
+/// Thread `t`'s whole workload: admit its tenants, step them slot by
+/// slot, finish them, and return their reports.
+fn run_thread(engine: &Engine, t: usize) -> Vec<TenantReport> {
+    let fleet = tenants(t);
+    for cfg in &fleet {
+        engine.admit(cfg.clone()).expect("admit");
+    }
+    for slot in 0..SLOTS {
+        let load = ((slot * 7 + t * 3) % 10) as f64;
+        let batch = fleet
+            .iter()
+            .map(|cfg| (cfg.id.clone(), Cost::abs(1.0, load), Some(load)))
+            .collect();
+        let outcomes = engine.step_batch_loads(batch).expect("step");
+        assert!(outcomes.iter().all(|o| o.error.is_none()));
+        assert!(outcomes.iter().zip(&fleet).all(|(o, c)| *o.id == c.id));
+    }
+    fleet
+        .iter()
+        .map(|cfg| {
+            engine.finish(&cfg.id).expect("finish");
+            engine.report(&cfg.id).expect("report")
+        })
+        .collect()
+}
+
+fn texts(reports: &[TenantReport]) -> Vec<String> {
+    use serde::Serialize as _;
+    let mut texts: Vec<String> = reports
+        .iter()
+        .map(|r| serde_json::to_string(&r.to_value()).expect("serializable"))
+        .collect();
+    texts.sort();
+    texts
+}
+
+#[test]
+fn shared_engine_matches_a_serial_run_and_recovers_it() {
+    let serial: Vec<TenantReport> = {
+        let engine = Engine::new(EngineConfig::with_shards(2));
+        (0..THREADS).flat_map(|t| run_thread(&engine, t)).collect()
+    };
+
+    let dir = std::env::temp_dir().join(format!("rsdc-engine-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store: Arc<dyn Durability> =
+        Arc::new(FileStore::open(&dir, FileStoreConfig { sync_every: 16 }).expect("open store"));
+    let engine = Engine::with_store(EngineConfig::with_shards(2), store).expect("engine");
+    let done = AtomicBool::new(false);
+    let shared = std::thread::scope(|scope| {
+        let observer = scope.spawn(|| loop {
+            let stats = engine.shard_stats().expect("stats");
+            assert_eq!(stats.len(), 2);
+            let reports = engine.report_all().expect("report_all");
+            assert!(reports.windows(2).all(|w| w[0].id < w[1].id));
+            engine.checkpoint().expect("checkpoint");
+            if done.load(Ordering::Acquire) {
+                break;
+            }
+        });
+        let steppers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let engine = &engine;
+                scope.spawn(move || run_thread(engine, t))
+            })
+            .collect();
+        let shared: Vec<TenantReport> = steppers
+            .into_iter()
+            .flat_map(|h| h.join().expect("stepping thread"))
+            .collect();
+        done.store(true, Ordering::Release);
+        observer.join().expect("observer thread");
+        shared
+    });
+    let want = texts(&serial);
+    assert_eq!(texts(&shared), want);
+    assert_eq!(texts(&engine.report_all().expect("report_all")), want);
+    let raw = engine.raw_store().clone();
+    drop(engine);
+
+    let (recovered, report) = Engine::recover(EngineConfig::with_shards(2), raw).expect("recover");
+    assert_eq!(report.replay_errors, 0);
+    assert_eq!(texts(&recovered.report_all().expect("report_all")), want);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `FileStore` whose appends for shard `fail` fail (none while it is
+/// out of range), and whose checkpoint commits fail while `fail_commit`
+/// is set.
+struct FailingStore {
+    inner: FileStore,
+    fail: AtomicUsize,
+    fail_commit: AtomicBool,
+}
+
+impl FailingStore {
+    fn open(dir: &std::path::Path) -> FailingStore {
+        FailingStore {
+            inner: FileStore::open(dir, FileStoreConfig { sync_every: 16 }).expect("open store"),
+            fail: AtomicUsize::new(NO_SHARD),
+            fail_commit: AtomicBool::new(false),
+        }
+    }
+}
+
+impl Durability for FailingStore {
+    fn is_durable(&self) -> bool {
+        self.inner.is_durable()
+    }
+    fn has_state(&self) -> Result<bool, StoreError> {
+        self.inner.has_state()
+    }
+    fn append(&self, shard: usize, payload: &[u8]) -> Result<(), StoreError> {
+        if shard == self.fail.load(Ordering::SeqCst) {
+            return Err(StoreError::InvalidState("append refused".into()));
+        }
+        self.inner.append(shard, payload)
+    }
+    fn sync(&self) -> Result<(), StoreError> {
+        self.inner.sync()
+    }
+    fn begin_checkpoint(&self) -> Result<u64, StoreError> {
+        self.inner.begin_checkpoint()
+    }
+    fn rotate(&self, shard: usize, seq: u64) -> Result<(), StoreError> {
+        self.inner.rotate(shard, seq)
+    }
+    fn commit_checkpoint(&self, seq: u64, payload: &[u8]) -> Result<(), StoreError> {
+        if self.fail_commit.load(Ordering::SeqCst) {
+            return Err(StoreError::InvalidState("commit refused".into()));
+        }
+        self.inner.commit_checkpoint(seq, payload)
+    }
+    fn recover(&self) -> Result<Recovery, StoreError> {
+        self.inner.recover()
+    }
+    fn wal_stats(&self) -> Result<StoreStats, StoreError> {
+        self.inner.wal_stats()
+    }
+}
+
+const NO_SHARD: usize = usize::MAX;
+
+/// Fail one batch's append on `shard`, then check that shard applied
+/// nothing and the next batch comes back clean.
+fn failed_batch_case(shard: usize) {
+    let dir =
+        std::env::temp_dir().join(format!("rsdc-engine-failed-{shard}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(FailingStore::open(&dir));
+    let engine = Engine::with_store(EngineConfig::with_shards(2), store.clone()).expect("engine");
+    let ring = HashRing::new(engine.ring_spec());
+    let ids: Vec<String> = (0..12).map(|i| format!("t{i}")).collect();
+    let failing: Vec<&String> = ids.iter().filter(|id| ring.route(id) == shard).collect();
+    assert!(!failing.is_empty() && failing.len() < ids.len());
+    for id in &ids {
+        engine
+            .admit(TenantConfig::new(id.clone(), 8, 2.0, PolicySpec::Lcp))
+            .expect("admit");
+    }
+    let batch = |ids: &[String], load: f64| -> Vec<(String, Cost, Option<f64>)> {
+        ids.iter()
+            .map(|id| (id.clone(), Cost::abs(1.0, load), Some(load)))
+            .collect()
+    };
+    engine
+        .step_batch_loads(batch(&ids, 3.0))
+        .expect("healthy batch");
+    let snapshots = |engine: &Engine| -> Vec<String> {
+        use serde::Serialize as _;
+        failing
+            .iter()
+            .map(|id| {
+                let snapshot = engine.snapshot(id).expect("snapshot");
+                serde_json::to_string(&snapshot.to_value()).expect("serializable")
+            })
+            .collect()
+    };
+    let before = snapshots(&engine);
+
+    store.fail.store(shard, Ordering::SeqCst);
+    let failed = engine.step_batch_loads(batch(&ids, 6.0));
+    assert!(
+        matches!(failed, Err(EngineError::Store(_))),
+        "a refused append fails the batch: {failed:?}"
+    );
+    assert_eq!(snapshots(&engine), before, "shard {shard} applied nothing");
+
+    store.fail.store(NO_SHARD, Ordering::SeqCst);
+    let next: Vec<String> = ids.iter().rev().step_by(2).cloned().collect();
+    let outcomes = engine
+        .step_batch_loads(batch(&next, 1.0))
+        .expect("next batch");
+    let got: Vec<&str> = outcomes.iter().map(|o| &*o.id).collect();
+    let want: Vec<&str> = next.iter().map(|id| id.as_str()).collect();
+    assert_eq!(got, want, "the next batch's outcomes are exactly its own");
+    assert!(outcomes
+        .iter()
+        .all(|o| o.error.is_none() && o.states.len() == 1));
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_batch_leaves_the_handoff_clean() {
+    // Shard 1 fails after shard 0 succeeded; shard 0 failing first must
+    // not leave shard 1's reply behind for the next batch either.
+    failed_batch_case(1);
+    failed_batch_case(0);
+}
+
+#[test]
+fn aborted_rebalances_keep_the_old_shards() {
+    let ids: Vec<String> = (0..12).map(|i| format!("t{i}")).collect();
+    let admit_all = |engine: &Engine| {
+        for (i, id) in ids.iter().enumerate() {
+            let policy = if i % 2 == 0 {
+                PolicySpec::Lcp
+            } else {
+                PolicySpec::HalfStepRounded { seed: i as u64 }
+            };
+            engine
+                .admit(TenantConfig::new(id.clone(), 8, 2.0, policy))
+                .expect("admit");
+        }
+    };
+    let step = |engine: &Engine, slot: usize| {
+        let load = (slot % 7) as f64;
+        let batch = ids
+            .iter()
+            .map(|id| (id.clone(), Cost::abs(1.0, load), Some(load)))
+            .collect();
+        engine.step_batch_loads(batch).expect("step");
+    };
+    let reference = {
+        let engine = Engine::new(EngineConfig::with_shards(2));
+        admit_all(&engine);
+        (0..20).for_each(|slot| step(&engine, slot));
+        texts(&engine.report_all().expect("report_all"))
+    };
+    for (incremental, target) in [(false, 3), (true, 3), (false, 1), (true, 1)] {
+        let dir = std::env::temp_dir().join(format!(
+            "rsdc-engine-abort-{incremental}-{target}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(FailingStore::open(&dir));
+        let mut engine =
+            Engine::with_store(EngineConfig::with_shards(2), store.clone()).expect("engine");
+        admit_all(&engine);
+        (0..10).for_each(|slot| step(&engine, slot));
+        let before = texts(&engine.report_all().expect("report_all"));
+
+        store.fail_commit.store(true, Ordering::SeqCst);
+        let aborted = if incremental {
+            engine.rebalance_incremental(target, None)
+        } else {
+            engine.rebalance(target, None)
+        };
+        assert!(
+            matches!(aborted, Err(EngineError::Store(_))),
+            "the fence commit fails the rebalance: {aborted:?}"
+        );
+        store.fail_commit.store(false, Ordering::SeqCst);
+        assert_eq!(engine.shards(), 2, "still on the old shards");
+        assert_eq!(texts(&engine.report_all().expect("report_all")), before);
+
+        (10..20).for_each(|slot| step(&engine, slot));
+        assert_eq!(texts(&engine.report_all().expect("report_all")), reference);
+        drop(engine);
+        let (recovered, _) = Engine::recover(EngineConfig::with_shards(2), store).expect("recover");
+        assert_eq!(
+            recovered.shards(),
+            2,
+            "the aborted topology is not replayed"
+        );
+        assert_eq!(
+            texts(&recovered.report_all().expect("report_all")),
+            reference
+        );
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -416,3 +416,37 @@ fn eviction_and_late_admission_survive_recovery() {
     assert_eq!(engine.report("new").unwrap().events, 5);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn refused_restore_leaves_no_wal_record() {
+    // A restore whose snapshot fails validation is refused before it is
+    // journaled, like an invalid admit: the WAL must not carry a record
+    // that can only fail again on replay.
+    let dir = case_dir("refused-restore");
+    let engine =
+        Engine::with_store(EngineConfig::with_shards(2), open_store(&dir)).expect("engine");
+    engine
+        .admit(TenantConfig::new("a", 8, 2.0, PolicySpec::Lcp))
+        .unwrap();
+    engine.step("a", Cost::abs(1.0, 3.0)).unwrap();
+    let mut bad = engine.snapshot("a").unwrap();
+    bad.config.id = "b".into();
+    bad.policy = serde::Value::String("garbage".into());
+    assert!(
+        engine.restore(bad).is_err(),
+        "garbage policy state is refused"
+    );
+    assert!(engine.report("b").is_err());
+    let (appended, _, _) = engine.obs().wal_volume();
+    assert_eq!(
+        appended, 2,
+        "admit + one batch; the refused restore adds none"
+    );
+    drop(engine);
+
+    let (engine, report) = Engine::recover(EngineConfig::with_shards(2), open_store(&dir)).unwrap();
+    assert_eq!(report.records_replayed, 2);
+    assert_eq!(report.replay_errors, 0);
+    assert_eq!(engine.tenant_ids().unwrap(), vec!["a".to_string()]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
