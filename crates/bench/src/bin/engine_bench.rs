@@ -400,10 +400,10 @@ fn measure_wire_codec(s: &Scale) -> Vec<serde::Value> {
 }
 
 /// End-to-end served throughput: a reactor on loopback, concurrent
-/// connections each streaming admits + steps through a private engine,
-/// wall clock from first connect to last EOF. Unlike `wire_codec` this
-/// prices the full serving stack — reactor turns, framing, engine
-/// dispatch and socket I/O — per framing.
+/// connections each streaming admits + steps for its own tenants through
+/// the server's one engine, wall clock from first connect to last EOF.
+/// Unlike `wire_codec` this prices the full serving stack — reactor
+/// turns, framing, engine dispatch and socket I/O — per framing.
 fn measure_serve(s: &Scale) -> Vec<serde::Value> {
     use rsdc_engine::binwire::{encode_request_line, PREAMBLE};
     use rsdc_engine::{ServeConfig, Server, WireMode};
@@ -414,32 +414,44 @@ fn measure_serve(s: &Scale) -> Vec<serde::Value> {
     let tenants = 50usize;
     let conns = 4usize;
 
-    let mut lines: Vec<String> = (0..tenants)
-        .map(|i| format!(r#"{{"op":"admit","id":"t{i}","m":{M},"beta":{BETA},"policy":"lcp"}}"#))
-        .collect();
-    for k in 0..events {
-        lines.push(format!(
-            r#"{{"op":"step","id":"t{}","cost":{{"Abs":{{"slope":1.0,"center":{}.0}}}}}}"#,
-            k % tenants,
-            k % (M as usize + 1)
-        ));
-    }
+    // Connection `c` drives tenants `c{c}-t*`: the engine is shared, so
+    // each connection admits and steps a fleet of its own.
+    let conn_lines = |c: usize| -> Vec<String> {
+        let mut lines: Vec<String> = (0..tenants)
+            .map(|i| {
+                format!(r#"{{"op":"admit","id":"c{c}-t{i}","m":{M},"beta":{BETA},"policy":"lcp"}}"#)
+            })
+            .collect();
+        for k in 0..events {
+            lines.push(format!(
+                r#"{{"op":"step","id":"c{c}-t{}","cost":{{"Abs":{{"slope":1.0,"center":{}.0}}}}}}"#,
+                k % tenants,
+                k % (M as usize + 1)
+            ));
+        }
+        lines
+    };
 
     ["jsonl", "binary"]
         .iter()
         .map(|&framing| {
-            let request: Arc<Vec<u8>> = Arc::new(match framing {
-                "jsonl" => (lines.join("\n") + "\n").into_bytes(),
-                _ => {
-                    let mut out = Vec::new();
-                    out.extend_from_slice(&PREAMBLE);
-                    let mut payload = Vec::new();
-                    for line in &lines {
-                        encode_request_line(line, &mut payload, &mut out);
+            let requests: Vec<Vec<u8>> = (0..conns)
+                .map(|c| {
+                    let lines = conn_lines(c);
+                    match framing {
+                        "jsonl" => (lines.join("\n") + "\n").into_bytes(),
+                        _ => {
+                            let mut out = Vec::new();
+                            out.extend_from_slice(&PREAMBLE);
+                            let mut payload = Vec::new();
+                            for line in &lines {
+                                encode_request_line(line, &mut payload, &mut out);
+                            }
+                            out
+                        }
                     }
-                    out
-                }
-            });
+                })
+                .collect();
             let cfg = ServeConfig {
                 engine: bench_cfg(1),
                 wire: WireMode::Auto,
@@ -451,9 +463,9 @@ fn measure_serve(s: &Scale) -> Vec<serde::Value> {
             let addr = server.local_addr();
             let server = std::thread::spawn(move || server.run().expect("serve"));
             let start = Instant::now();
-            let clients: Vec<_> = (0..conns)
-                .map(|_| {
-                    let request = Arc::clone(&request);
+            let clients: Vec<_> = requests
+                .into_iter()
+                .map(|request| {
                     std::thread::spawn(move || {
                         let mut stream = TcpStream::connect(addr).expect("connect");
                         let mut writer = stream.try_clone().expect("clone");

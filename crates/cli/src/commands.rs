@@ -103,7 +103,9 @@ COMMANDS
              after checkpoints; query live via {\"op\":\"metrics\"} /
              {\"op\":\"trace\"})
   serve      multiplexed TCP server for the engine wire protocol: one
-             reactor, one engine-backed session per connection
+             reactor and one engine-backed session shared by every
+             connection (tenants, topology and stats are server-wide;
+             tenants outlive the connection that admitted them)
              [--listen ADDR] (default 127.0.0.1:7700; :0 picks a port —
              the bound address is announced on stdout as a JSONL line)
              [--max-conns N] (connection cap, default 64; over-cap
@@ -113,7 +115,7 @@ COMMANDS
              cap past --shed-timeout-ms is shed with a typed error)
              [--wire auto|jsonl|binary] (framing negotiation; auto sniffs
              the 6-byte RSDC preamble per connection)
-             [--shards N] [--vnodes V] [--no-metrics] (per-connection
+             [--shards N] [--vnodes V] [--no-metrics] (the server's
              engine topology) [--handshake-timeout-ms MS] (default 10000)
              [--shed-timeout-ms MS] (default 5000)
              [--max-accepts N] (serve N connections then exit; smoke
@@ -687,7 +689,7 @@ fn cmd_engine(args: &Args) -> Result<String, CmdError> {
 }
 
 /// Serve the engine wire protocol over TCP: one reactor multiplexing up
-/// to `--max-conns` connections, each backed by its own engine. Blocks
+/// to `--max-conns` connections over one shared engine. Blocks
 /// until the reactor drains (`--max-accepts`) or the process is killed,
 /// so the bound address is announced eagerly on stdout rather than in
 /// the dispatch result.

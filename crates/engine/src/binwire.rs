@@ -653,22 +653,6 @@ fn encode_reply(reply: Reply, payload: &mut Vec<u8>, out: &mut Vec<u8>) {
     }
 }
 
-/// Encode one standalone error frame with no session behind it — the
-/// serving layer answers pre-session refusals (e.g. a connection-cap
-/// reject on a forced-binary listener) with this.
-pub(crate) fn error_frame(seq: usize, message: &str, out: &mut Vec<u8>) {
-    let mut payload = Vec::new();
-    encode_reply(
-        Reply::Error {
-            seq,
-            id: None,
-            message: message.to_string(),
-        },
-        &mut payload,
-        out,
-    );
-}
-
 // ---- client-side codecs ----
 
 /// Transcode one JSONL request line into its binary frame, appended to

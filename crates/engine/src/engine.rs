@@ -127,6 +127,8 @@ pub struct StepEvent {
     /// Interned tenant id.
     pub id: Arc<str>,
     /// Slab key ([`crate::intern::UNKNOWN_KEY`] for never-admitted ids).
+    /// A key that does not name `id` in this engine's intern table is
+    /// looked up again by `id`.
     pub key: u32,
     /// Cost function for this slot.
     pub cost: Cost,
@@ -762,14 +764,23 @@ impl Engine {
                     ));
                     continue;
                 }
-                let shard = match interner.entry(ev.key) {
-                    Some(e) => e.shard as usize,
-                    None => self.ring.route(&ev.id),
+                // The key is trusted only while it still names the event's
+                // id (a pair resolved against another intern table, or
+                // before its id was admitted, is looked up again): shards
+                // step the key but journal the id.
+                let (key, shard) = match interner.entry(ev.key) {
+                    Some(e) if Arc::ptr_eq(&e.id, &ev.id) || e.id == ev.id => {
+                        (ev.key, e.shard as usize)
+                    }
+                    _ => match interner.lookup(&ev.id) {
+                        Some((_, key, shard)) => (key, shard),
+                        None => (UNKNOWN_KEY, self.ring.route(&ev.id)),
+                    },
                 };
                 pool.workers[shard].events.push(Event {
                     index,
                     id: ev.id,
-                    key: ev.key,
+                    key,
                     cost: ev.cost,
                     load: ev.load,
                 });

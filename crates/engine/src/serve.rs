@@ -1,14 +1,15 @@
-//! Multiplexed serving layer: one readiness-driven reactor, many wire
-//! sessions.
+//! Multiplexed serving layer: one readiness-driven reactor, many
+//! connections, one engine.
 //!
 //! The wire protocol (JSONL lines or CRC-framed binary, [`crate::wire`] /
 //! [`crate::binwire`]) was built batch-first: a single blocking session
 //! over stdin/stdout. This module is the server shape: a std-only
-//! [`Server`] owning one nonblocking [`TcpListener`] and N nonblocking
-//! [`TcpStream`]s, multiplexed over a `poll(2)` readiness shim — no async
+//! [`Server`] owning one nonblocking [`TcpListener`], N nonblocking
+//! [`TcpStream`]s multiplexed over a `poll(2)` readiness shim — no async
 //! runtime, no extra dependencies, structured so a future tokio-backed
 //! reactor can slot in behind the same [`ServeConfig`]/[`Server`] surface
-//! (the readiness loop is the only piece that would change).
+//! (the readiness loop is the only piece that would change) — and one
+//! engine-backed [`Session`], built by [`Server::bind`].
 //!
 //! ## Connection lifecycle
 //!
@@ -16,19 +17,29 @@
 //!   accept ──► handshake (sniff ≤ 6 bytes, deadline-bound)
 //!                │ first byte `R` (0x52)        │ anything else
 //!                ▼                              ▼
-//!           BinSession                     LineSession
-//!        (binary framing)               (JSONL framing)
+//!          binary framing                  JSONL framing
 //!                │  EOF / fatal framing error / shed
 //!                ▼
 //!           drain outbound queue ──► close
 //! ```
 //!
-//! * Every connection wraps its **own** engine-backed session
-//!   ([`crate::wire::LineSession`] or [`crate::binwire::BinSession`]),
-//!   spawned lazily once the framing is decided — connection state is
-//!   fully isolated, so per-connection response streams are byte-identical
-//!   to the same requests served by a standalone session (the concurrency
-//!   differential suite pins this).
+//! * **One engine per server**: a connection keeps only its framing
+//!   state ([`crate::framed::Framing`]: codec, pending step batch,
+//!   sequence counter, I/O counters) and borrows the server's session for
+//!   every feed. The reactor is single-threaded, so requests from all
+//!   connections apply one at a time, in the order the reactor reads
+//!   them. Tenants, the topology (`rebalance`), the logical tick, the
+//!   `stats`/`report`/`wal_stats` replies and the engine's wire counters
+//!   are server-wide, and tenants outlive the connection that admitted
+//!   them (the admission `limits` cap bounds them). Traffic where each
+//!   connection keeps to its own tenants is byte-identical to the same
+//!   requests served by standalone sessions (the concurrency differential
+//!   suite pins this, and pins shared tenants against one session fed the
+//!   connections in turn).
+//! * **Unflushed steps**: a connection's consecutive steps batch until a
+//!   control request, a malformed request, the batch cap, end of stream
+//!   or a shed flushes them. A connection that dies on an I/O error drops
+//!   the steps it has not flushed; they were never acknowledged.
 //! * **`--wire auto` preamble sniff**: the reactor buffers at most 6
 //!   bytes. A first byte of `R` (0x52, [`MAGIC`]`[0]` — no JSONL request
 //!   line starts with it) routes to the binary framing once all 6
@@ -52,12 +63,14 @@
 //!   drain window before the socket closes. The queue is bounded;
 //!   the reactor never is.
 //!
-//! Pre-negotiation errors (handshake timeout, connection-cap reject on an
-//! `auto`/`jsonl` listener) are rendered as JSONL error lines at sequence
-//! 0; a forced-`binary` listener renders them as binary error frames.
+//! Pre-negotiation errors (handshake truncation or timeout, connection-cap
+//! reject on an `auto`/`jsonl` listener) are rendered as JSONL error lines
+//! at sequence 0; a forced-`binary` listener renders them as binary error
+//! frames.
 
-use crate::binwire::{error_frame, BinSession, MAGIC};
-use crate::wire::{error_reply_line, LineSession, Session};
+use crate::binwire::{Frames, MAGIC, PREAMBLE};
+use crate::framed::{Codec, Core, Framing};
+use crate::wire::{Lines, Reply, Session};
 use crate::{Engine, EngineConfig};
 use rsdc_obs::{Counter, Gauge, MetricId, Registry};
 use std::io::{ErrorKind, Read, Write};
@@ -112,8 +125,8 @@ impl WireMode {
 /// the CLI overrides the knobs it exposes.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Engine topology for each connection's private engine (spawned
-    /// lazily once the framing is decided).
+    /// Topology of the server's one engine, built by [`Server::bind`] and
+    /// shared by every connection.
     pub engine: EngineConfig,
     /// Framing negotiation mode.
     pub wire: WireMode,
@@ -159,9 +172,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Server-level metrics, on their own registry (per-connection engines
-/// each own an [`crate::EngineObs`]; the reactor's accept/shed/backlog
-/// accounting is process state and lives here).
+/// Server-level metrics, on their own registry (the server's engine owns
+/// an [`crate::EngineObs`]; the reactor's accept/shed/backlog accounting
+/// is connection state and lives here).
 pub struct ServeObs {
     registry: Registry,
     accepted: Counter,
@@ -316,31 +329,89 @@ fn raw_fd<T>(_io: &T) -> i32 {
 
 // ---- connection state ----
 
-/// Per-connection framing state.
-enum ConnSession {
-    /// Handshake: collecting at most 6 bytes to decide the framing.
+/// The codec of a served connection: sniffing while the handshake decides
+/// the framing, then the JSONL or binary codec for the rest of the
+/// connection.
+enum ConnCodec {
+    /// Handshake: buffering the first bytes (up to the whole 6-byte
+    /// preamble when they route to binary). `binary` marks a forced-binary
+    /// listener, which also renders pre-negotiation errors as frames.
     Sniff {
         buf: Vec<u8>,
-        deadline: Instant,
-        force_binary: bool,
+        binary: bool,
     },
-    Jsonl(Box<LineSession>),
-    Binary(Box<BinSession>),
+    Lines(Lines),
+    Frames(Frames),
+}
+
+impl Codec for ConnCodec {
+    fn decode(&mut self, bytes: &[u8], core: &mut Core, out: &mut Vec<u8>) {
+        match self {
+            ConnCodec::Lines(lines) => lines.decode(bytes, core, out),
+            ConnCodec::Frames(frames) => frames.decode(bytes, core, out),
+            ConnCodec::Sniff { buf, binary } => {
+                buf.extend_from_slice(bytes);
+                let binary = *binary || buf.first() == Some(&MAGIC[0]);
+                if buf.is_empty() || (binary && buf.len() < PREAMBLE.len()) {
+                    return;
+                }
+                // Decided: the chosen codec takes every byte buffered so
+                // far (the binary one validates and echoes the preamble).
+                let sniffed = std::mem::take(buf);
+                *self = if binary {
+                    ConnCodec::Frames(Frames::default())
+                } else {
+                    ConnCodec::Lines(Lines::default())
+                };
+                self.decode(&sniffed, core, out);
+            }
+        }
+    }
+
+    fn finish(&mut self, core: &mut Core) -> Option<(usize, String)> {
+        match self {
+            ConnCodec::Lines(lines) => lines.finish(core),
+            ConnCodec::Frames(frames) => frames.finish(core),
+            // Died mid-handshake: the truncation the binary framing
+            // reports, in the listener's framing like every other
+            // pre-negotiation error.
+            ConnCodec::Sniff { buf, .. } => {
+                let have = buf.len();
+                let message = format!("handshake truncated: need 6 preamble bytes, have {have}");
+                (have > 0).then_some((0, message))
+            }
+        }
+    }
+
+    fn encode(&mut self, reply: Reply, out: &mut Vec<u8>) {
+        match self {
+            ConnCodec::Lines(lines) => lines.encode(reply, out),
+            ConnCodec::Frames(frames) => frames.encode(reply, out),
+            // Nothing is numbered before the framing is decided: the only
+            // replies are the reactor's own errors, all at sequence 0.
+            ConnCodec::Sniff { binary, .. } => {
+                if let Reply::Error { message, .. } = reply {
+                    prenegotiation_error(*binary, &message, out);
+                }
+            }
+        }
+    }
 }
 
 struct Conn {
     stream: TcpStream,
     fd: i32,
-    sess: ConnSession,
+    framing: Framing<ConnCodec>,
+    /// When an undecided handshake is shed.
+    handshake: Instant,
     /// Outbound queue; `outbuf[sent..]` is still unwritten.
     outbuf: Vec<u8>,
     sent: usize,
     /// When the backlog first exceeded the cap (None = not slow).
     slow_since: Option<Instant>,
-    /// Input side finished (EOF, shed, or fatal error): drain and close.
-    closing: bool,
-    /// Hard deadline to finish draining a closing connection.
-    drain_deadline: Option<Instant>,
+    /// Input side finished (EOF, shed, or fatal error): drain until this
+    /// deadline, then close.
+    closing: Option<Instant>,
     /// Shed reason, when the close is a shed rather than a clean EOF.
     shed: Option<&'static str>,
     dead: bool,
@@ -352,18 +423,29 @@ impl Conn {
     }
 
     fn wants_read(&self) -> bool {
-        !self.closing && self.slow_since.is_none()
+        self.closing.is_none() && self.slow_since.is_none()
+    }
+
+    /// Preamble bytes so far, while an open connection's framing is
+    /// still undecided.
+    fn sniffing(&self) -> Option<usize> {
+        match self.framing.codec() {
+            ConnCodec::Sniff { buf, .. } if self.closing.is_none() => Some(buf.len()),
+            _ => None,
+        }
     }
 }
 
 // ---- the server ----
 
-/// The reactor: one nonblocking listener, N multiplexed connections.
+/// The reactor: one nonblocking listener, N multiplexed connections, one
+/// session they all drive.
 pub struct Server {
     cfg: ServeConfig,
     listener: TcpListener,
     listener_fd: i32,
     local_addr: SocketAddr,
+    session: Session,
     conns: Vec<Conn>,
     /// Round-robin start offset for this turn's connection sweep.
     rr: usize,
@@ -375,7 +457,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` (e.g. `127.0.0.1:0`) and build the reactor.
+    /// Bind `addr` (e.g. `127.0.0.1:0`) and build the reactor and its
+    /// engine.
     pub fn bind(cfg: ServeConfig, addr: &str) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -385,6 +468,7 @@ impl Server {
             listener_fd: raw_fd(&listener),
             listener,
             local_addr,
+            session: Session::new(Engine::new(cfg.engine.clone())),
             conns: Vec::new(),
             rr: 0,
             obs: ServeObs::new(),
@@ -500,14 +584,15 @@ impl Server {
             });
         };
         for conn in &self.conns {
-            if let ConnSession::Sniff { deadline, .. } = &conn.sess {
-                consider(*deadline);
+            if let Some(deadline) = conn.closing {
+                consider(deadline);
+                continue;
+            }
+            if conn.sniffing().is_some() {
+                consider(conn.handshake);
             }
             if let Some(since) = conn.slow_since {
                 consider(since + self.cfg.shed_timeout);
-            }
-            if let Some(deadline) = conn.drain_deadline {
-                consider(deadline);
             }
         }
         match next {
@@ -550,7 +635,7 @@ impl Server {
                 self.cfg.max_conns
             );
             let mut bytes = Vec::new();
-            prenegotiation_error(self.cfg.wire, &message, &mut bytes);
+            prenegotiation_error(self.cfg.wire == WireMode::Binary, &message, &mut bytes);
             let mut stream = stream;
             let mut sent = 0;
             let mut waited = false;
@@ -571,30 +656,25 @@ impl Server {
         }
         self.obs.accepted.inc();
         self.obs.open.inc();
-        let sess = match self.cfg.wire {
-            WireMode::Jsonl => ConnSession::Jsonl(Box::new(LineSession::new(self.fresh_session()))),
-            mode => ConnSession::Sniff {
-                buf: Vec::with_capacity(6),
-                deadline: Instant::now() + self.cfg.handshake_timeout,
-                force_binary: mode == WireMode::Binary,
+        let codec = match self.cfg.wire {
+            WireMode::Jsonl => ConnCodec::Lines(Lines::default()),
+            mode => ConnCodec::Sniff {
+                buf: Vec::with_capacity(PREAMBLE.len()),
+                binary: mode == WireMode::Binary,
             },
         };
         self.conns.push(Conn {
             fd: raw_fd(&stream),
             stream,
-            sess,
+            framing: Framing::new(codec),
+            handshake: Instant::now() + self.cfg.handshake_timeout,
             outbuf: Vec::new(),
             sent: 0,
             slow_since: None,
-            closing: false,
-            drain_deadline: None,
+            closing: None,
             shed: None,
             dead: false,
         });
-    }
-
-    fn fresh_session(&self) -> Session {
-        Session::new(Engine::new(self.cfg.engine.clone()))
     }
 
     /// Service one connection for this turn: flush writes, read one
@@ -602,174 +682,91 @@ impl Server {
     /// deadline state transitions.
     fn service(&mut self, idx: usize) {
         let now = Instant::now();
+        let drain_by = now + self.cfg.shed_timeout;
         self.flush_writes(idx);
 
         // Read one fairness quantum and feed the framing layer.
-        if self.conns[idx].wants_read() && !self.conns[idx].dead {
-            match self.conns[idx].stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    let wire = self.cfg.wire;
-                    let conn = &mut self.conns[idx];
-                    let before = conn.outbuf.len();
-                    match &mut conn.sess {
-                        ConnSession::Sniff { buf, .. } if buf.is_empty() => {}
-                        ConnSession::Sniff { buf, .. } => {
-                            // Died mid-handshake: same truncation shape
-                            // the binary framing reports at sequence 0,
-                            // rendered in the listener's framing like
-                            // every other pre-negotiation error.
-                            let message = format!(
-                                "handshake truncated: need 6 preamble bytes, have {}",
-                                buf.len()
-                            );
-                            prenegotiation_error(wire, &message, &mut conn.outbuf);
-                        }
-                        ConnSession::Jsonl(ls) => ls.finish(&mut conn.outbuf),
-                        ConnSession::Binary(bs) => bs.finish(&mut conn.outbuf),
-                    }
-                    self.obs.bytes_out.add((conn.outbuf.len() - before) as u64);
-                    conn.closing = true;
-                    conn.drain_deadline = Some(now + self.cfg.shed_timeout);
-                }
+        let conn = &mut self.conns[idx];
+        if conn.wants_read() && !conn.dead {
+            match conn.stream.read(&mut self.scratch) {
+                Ok(0) => conn.framing.finish(&mut self.session, &mut conn.outbuf),
                 Ok(n) => {
                     self.obs.bytes_in.add(n as u64);
-                    self.ingest(idx, n);
+                    let bytes = &self.scratch[..n];
+                    conn.framing
+                        .feed(&mut self.session, bytes, &mut conn.outbuf);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {
-                    let conn = &mut self.conns[idx];
+                    // Steps this connection queued but never flushed were
+                    // never acknowledged; they go with it.
                     conn.shed = Some(SHED_IO_ERROR);
                     conn.dead = true;
                 }
+            }
+            // End of stream, or a fatal framing error (bad preamble,
+            // oversize frame, overlong line) whose typed error the framing
+            // already rendered: close once drained, so a connection born
+            // dead cannot pin its slot until the peer half-closes.
+            if conn.framing.is_dead() {
+                conn.closing = Some(drain_by);
             }
             self.flush_writes(idx);
         }
 
         // Backpressure: mark/unmark slow by backlog against the cap.
-        {
-            let over = self.conns[idx].backlog() > self.cfg.write_buf;
-            let conn = &mut self.conns[idx];
-            match (over, conn.slow_since) {
-                (true, None) if !conn.closing => {
-                    conn.slow_since = Some(now);
-                    self.obs.slow.inc();
-                }
-                (false, Some(_)) => {
-                    conn.slow_since = None;
-                    self.obs.slow.dec();
-                }
-                _ => {}
+        let over = self.conns[idx].backlog() > self.cfg.write_buf;
+        let conn = &mut self.conns[idx];
+        match (over, conn.slow_since) {
+            (true, None) if conn.closing.is_none() => {
+                conn.slow_since = Some(now);
+                self.obs.slow.inc();
             }
+            (false, Some(_)) => {
+                conn.slow_since = None;
+                self.obs.slow.dec();
+            }
+            _ => {}
         }
 
-        // Deadlines: handshake, slow-consumer shed, drain window.
-        let (handshake_expired, shed_expired) = {
-            let conn = &self.conns[idx];
-            (
-                matches!(&conn.sess, ConnSession::Sniff { deadline, .. } if now >= *deadline)
-                    && !conn.closing,
-                conn.slow_since
-                    .is_some_and(|since| now >= since + self.cfg.shed_timeout),
-            )
-        };
-        if handshake_expired {
-            let have = match &self.conns[idx].sess {
-                ConnSession::Sniff { buf, .. } => buf.len(),
-                _ => 0,
-            };
-            let message = format!(
-                "handshake timeout: framing undecided after {} preamble byte(s)",
-                have
-            );
-            self.shed_conn(idx, SHED_HANDSHAKE_TIMEOUT, &message, now);
-        } else if shed_expired {
+        // Deadlines of an open connection: handshake, slow-consumer shed.
+        if let Some(have) = conn.sniffing().filter(|_| now >= conn.handshake) {
+            let message =
+                format!("handshake timeout: framing undecided after {have} preamble byte(s)");
+            self.shed_conn(idx, SHED_HANDSHAKE_TIMEOUT, &message, drain_by);
+        } else if conn.closing.is_none()
+            && conn
+                .slow_since
+                .is_some_and(|since| now >= since + self.cfg.shed_timeout)
+        {
             let message = format!(
                 "connection shed: outbound queue held over {} bytes past the \
                  slow-consumer deadline",
                 self.cfg.write_buf
             );
-            self.shed_conn(idx, SHED_SLOW_CONSUMER, &message, now);
+            self.shed_conn(idx, SHED_SLOW_CONSUMER, &message, drain_by);
         }
 
-        // Drain-window expiry: stop waiting on a peer that will not read.
+        // Close once drained, or once the drain window expires: stop
+        // waiting on a peer that will not read.
         let conn = &mut self.conns[idx];
-        if conn.closing && conn.drain_deadline.is_some_and(|d| now >= d) {
+        if conn
+            .closing
+            .is_some_and(|deadline| now >= deadline || conn.backlog() == 0)
+        {
             conn.dead = true;
         }
-        if conn.closing && conn.backlog() == 0 {
-            conn.dead = true;
-        }
-    }
-
-    /// Feed `n` freshly read bytes through the connection's framing,
-    /// transitioning out of the handshake when it resolves.
-    fn ingest(&mut self, idx: usize, n: usize) {
-        let cfg_wire = self.cfg.wire;
-        let mut fresh: Option<ConnSession> = None;
-        let conn = &mut self.conns[idx];
-        let before = conn.outbuf.len();
-        let bytes = &self.scratch[..n];
-        match &mut conn.sess {
-            ConnSession::Sniff {
-                buf, force_binary, ..
-            } => {
-                buf.extend_from_slice(bytes);
-                let binary = *force_binary || buf.first() == Some(&MAGIC[0]);
-                if binary && buf.len() >= 6 {
-                    // Whole preamble (and possibly more) buffered: the
-                    // BinSession validates and echoes it.
-                    let mut bs = Box::new(BinSession::new(Session::new(Engine::new(
-                        self.cfg.engine.clone(),
-                    ))));
-                    bs.feed(buf, &mut conn.outbuf);
-                    fresh = Some(ConnSession::Binary(bs));
-                } else if !binary && cfg_wire == WireMode::Auto && !buf.is_empty() {
-                    let mut ls =
-                        LineSession::new(Session::new(Engine::new(self.cfg.engine.clone())));
-                    ls.feed(buf, &mut conn.outbuf);
-                    fresh = Some(ConnSession::Jsonl(Box::new(ls)));
-                }
-            }
-            ConnSession::Jsonl(ls) => ls.feed(bytes, &mut conn.outbuf),
-            ConnSession::Binary(bs) => bs.feed(bytes, &mut conn.outbuf),
-        }
-        if let Some(sess) = fresh {
-            conn.sess = sess;
-        }
-        // Fatal framing error (bad preamble, oversize frame, overlong
-        // line): the session already rendered its typed error; close
-        // once drained. Checked after any handshake transition too, so
-        // a session born dead cannot pin its slot until the peer
-        // half-closes.
-        let fatal = match &conn.sess {
-            ConnSession::Sniff { .. } => false,
-            ConnSession::Jsonl(ls) => ls.is_dead(),
-            ConnSession::Binary(bs) => bs.is_dead(),
-        };
-        if fatal && !conn.closing {
-            conn.closing = true;
-            conn.drain_deadline = Some(Instant::now() + self.cfg.shed_timeout);
-        }
-        self.obs.bytes_out.add((conn.outbuf.len() - before) as u64);
     }
 
     /// Shed `idx`: typed error at the next sequence number, then a
-    /// bounded drain window.
-    fn shed_conn(&mut self, idx: usize, reason: &'static str, message: &str, now: Instant) {
+    /// drain window until `drain_by`.
+    fn shed_conn(&mut self, idx: usize, reason: &'static str, message: &str, drain_by: Instant) {
         let conn = &mut self.conns[idx];
-        let before = conn.outbuf.len();
-        match &mut conn.sess {
-            ConnSession::Sniff { .. } => {
-                prenegotiation_error(self.cfg.wire, message, &mut conn.outbuf);
-            }
-            ConnSession::Jsonl(ls) => ls.shed(message, &mut conn.outbuf),
-            ConnSession::Binary(bs) => bs.shed(message, &mut conn.outbuf),
-        }
-        self.obs.bytes_out.add((conn.outbuf.len() - before) as u64);
+        conn.framing
+            .shed(&mut self.session, message, &mut conn.outbuf);
         conn.shed = Some(reason);
-        conn.closing = true;
-        conn.drain_deadline = Some(now + self.cfg.shed_timeout);
+        conn.closing = Some(drain_by);
         self.flush_writes(idx);
     }
 
@@ -778,15 +775,14 @@ impl Server {
         let conn = &mut self.conns[idx];
         while conn.sent < conn.outbuf.len() {
             match conn.stream.write(&conn.outbuf[conn.sent..]) {
-                Ok(0) => {
-                    conn.shed = conn.shed.or(Some(SHED_IO_ERROR));
-                    conn.dead = true;
-                    break;
+                Ok(n) if n > 0 => {
+                    conn.sent += n;
+                    self.obs.bytes_out.add(n as u64);
                 }
-                Ok(n) => conn.sent += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
+                // A zero-length write or a hard error: the peer is gone.
+                _ => {
                     conn.shed = conn.shed.or(Some(SHED_IO_ERROR));
                     conn.dead = true;
                     break;
@@ -822,15 +818,20 @@ impl Server {
     }
 }
 
-/// Render a pre-negotiation error (no framing decided): JSONL error line
-/// at sequence 0 — except on a forced-binary listener, where the client
+/// Render a pre-negotiation error (no framing decided) at sequence 0, as
+/// the codec of the listener's framing encodes it: a JSONL error line, or
+/// a binary error frame on a forced-`binary` listener, where the client
 /// expects frames.
-fn prenegotiation_error(mode: WireMode, message: &str, out: &mut Vec<u8>) {
-    if mode == WireMode::Binary {
-        error_frame(0, message, out);
+fn prenegotiation_error(binary: bool, message: &str, out: &mut Vec<u8>) {
+    let reply = Reply::Error {
+        seq: 0,
+        id: None,
+        message: message.to_string(),
+    };
+    if binary {
+        Frames::default().encode(reply, out);
     } else {
-        out.extend_from_slice(error_reply_line(0, None, message).as_bytes());
-        out.push(b'\n');
+        Lines::default().encode(reply, out);
     }
 }
 
@@ -980,5 +981,44 @@ mod tests {
         first.read_to_string(&mut rest).expect("read");
         let summary = handle.join().expect("join");
         assert_eq!((summary.closed, summary.shed), (1, 1));
+    }
+
+    #[test]
+    fn shed_reader_that_never_reads_is_closed_after_one_drain_window() {
+        let shed_timeout = Duration::from_millis(150);
+        let cfg = ServeConfig {
+            max_accepts: Some(1),
+            write_buf: 1024,
+            shed_timeout,
+            ..ServeConfig::default()
+        };
+        let (addr, handle) = spawn_server(cfg);
+        let mut client = TcpStream::connect(addr).expect("connect");
+        // Small requests, multi-megabyte replies: the backlog outgrows
+        // every socket buffer and stays over the cap, since this client
+        // never reads.
+        let mut request = String::new();
+        for i in 0..64 {
+            request += &format!(
+                "{{\"op\":\"admit\",\"id\":\"w{i}\",\"m\":8,\"beta\":2.0,\"policy\":\"lcp\"}}\n"
+            );
+        }
+        for _ in 0..3000 {
+            request += "{\"op\":\"report\"}\n";
+        }
+        client.write_all(request.as_bytes()).expect("send");
+        // Shed at slow-mark + timeout, closed one drain window later: the
+        // shed must not restart the drain window on every turn.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !handle.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "a shed connection whose peer never reads must still close"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let summary = handle.join().expect("join");
+        assert_eq!((summary.closed, summary.shed), (0, 1));
+        drop(client);
     }
 }

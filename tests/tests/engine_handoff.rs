@@ -17,11 +17,14 @@
 //!   grow or shrink — leaves the engine serving on its old shards, and
 //!   the run continues (and recovers) exactly as if it had not been
 //!   tried.
+//! * A resolved `(id, key)` pair that outlived the intern table it came
+//!   from steps the tenant its id names, live and on replay.
 
 use rsdc_core::Cost;
 use rsdc_engine::wire::Session;
 use rsdc_engine::{
-    Engine, EngineConfig, EngineError, HashRing, PolicySpec, TenantConfig, TenantReport,
+    Engine, EngineConfig, EngineError, HashRing, PolicySpec, StepEvent, TenantConfig, TenantReport,
+    UNKNOWN_KEY,
 };
 use rsdc_store::{Durability, FileStore, FileStoreConfig, Recovery, StoreError, StoreStats};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -339,4 +342,58 @@ fn aborted_rebalances_keep_the_old_shards() {
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A pending step can hold its resolved `(id, key)` pair while the intern
+/// table it came from goes away — another connection on the same server
+/// runs `recover`, or admits the id after the step was resolved. The
+/// batch must step the tenant the id names: the journal records ids, so
+/// anything else makes the live engine and its replay disagree.
+#[test]
+fn stale_resolved_keys_step_the_tenant_their_id_names() {
+    let lcp = |id: &str| TenantConfig::new(id, 4, 2.0, PolicySpec::Lcp);
+    // `a` is key 0 on the other engine, key 1 on this one.
+    let other = Engine::new(EngineConfig::with_shards(2));
+    other.admit(lcp("a")).expect("admit");
+    let (a, stale_key) = other.resolve("a");
+
+    let dir = std::env::temp_dir().join(format!("rsdc-engine-stale-key-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store: Arc<dyn Durability> =
+        Arc::new(FileStore::open(&dir, FileStoreConfig { sync_every: 1 }).expect("open store"));
+    let engine = Engine::with_store(EngineConfig::with_shards(2), store).expect("engine");
+    // `c` is resolved before it is admitted.
+    let (c, unknown) = engine.resolve("c");
+    assert_eq!(unknown, UNKNOWN_KEY);
+    for id in ["b", "a", "c"] {
+        engine.admit(lcp(id)).expect("admit");
+    }
+    assert_ne!(engine.resolve("a").1, stale_key);
+
+    let step = |id: &Arc<str>, key| StepEvent {
+        id: Arc::clone(id),
+        key,
+        cost: Cost::abs(1.0, 2.0),
+        load: Some(2.0),
+    };
+    let mut events = vec![step(&a, stale_key), step(&c, unknown)];
+    let mut out = Vec::new();
+    engine.step_events(&mut events, &mut out).expect("step");
+    let stepped: Vec<(&str, bool)> = out.iter().map(|o| (&*o.id, o.error.is_none())).collect();
+    assert_eq!(stepped, [("a", true), ("c", true)]);
+    let events_of = |id: &str| engine.report(id).expect("report").events;
+    assert_eq!(
+        (events_of("a"), events_of("b"), events_of("c")),
+        (1, 0, 1),
+        "each step lands on the tenant its id names"
+    );
+
+    let want = texts(&engine.report_all().expect("report_all"));
+    let raw = engine.raw_store().clone();
+    drop(engine);
+    let (recovered, report) = Engine::recover(EngineConfig::with_shards(2), raw).expect("recover");
+    assert_eq!(report.replay_errors, 0);
+    assert_eq!(texts(&recovered.report_all().expect("report_all")), want);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
 }

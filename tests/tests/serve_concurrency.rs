@@ -1,12 +1,24 @@
-//! Serve concurrency differential: the reactor multiplexes connections,
-//! but each connection wraps its own engine-backed session — so K
-//! interleaved client connections over loopback must be **byte-identical**
-//! to K standalone serial sessions fed the same request streams, for both
-//! framings at once (JSONL clients against `Session::handle_lines`,
-//! binary clients against a one-shot `BinSession` run).
+//! Serve concurrency differentials. The reactor multiplexes many
+//! connections over **one** engine-backed session, so tenants, topology,
+//! the logical tick and the `stats`/`report`/`wal_stats` replies are
+//! server-wide. Two differentials pin that, for both framings at once:
 //!
-//! The `metrics` op is excluded from generated streams, as in the
-//! JSONL↔binary differential: its dump embeds wall-clock histograms.
+//! * **Interleaved**: K concurrent client connections, each over its own
+//!   tenant ids and without server-wide ops, must be **byte-identical**
+//!   to K standalone serial sessions fed the same request streams (JSONL
+//!   clients against `Session::handle_lines`, binary clients against a
+//!   one-shot `BinSession` run). Tenants are independent, so however the
+//!   reactor interleaves the connections, each one's replies are its own.
+//! * **Sequential**: K connections over the *same* tenant ids plus the
+//!   server-wide ops (all-tenant `report`, `stats`, `wal_stats`,
+//!   `rebalance`), run one after another, must be byte-identical to one
+//!   session fed the same streams in turn — `LineSession`/`BinSession`
+//!   chained through `into_session()`. Each connection sees the tenants
+//!   and topology the earlier ones left behind.
+//!
+//! Every request kind is covered by one of the two. The `metrics` op is
+//! excluded from generated streams, as in the JSONL↔binary differential:
+//! its dump embeds wall-clock histograms.
 //!
 //! The suite also pins the backpressure contract end to end: a client
 //! that requests a multi-megabyte response stream and then stops reading
@@ -15,7 +27,7 @@
 //! byte-identically — one stalled consumer cannot wedge the fleet.
 
 use rsdc_engine::binwire::{encode_request_line, BinSession, PREAMBLE};
-use rsdc_engine::wire::Session;
+use rsdc_engine::wire::{LineSession, Session};
 use rsdc_engine::{Engine, EngineConfig, ServeConfig, ServeSummary, Server, WireMode};
 use rsdc_tests::heavy_cases;
 use std::io::{Read, Write};
@@ -53,11 +65,13 @@ impl Mix {
     }
 }
 
-/// One client's request stream: an admit prelude establishing its private
-/// tenant universe, then `ops` mixed operations — steps (the hot path),
-/// every deterministic control op, skip lines, and deliberate errors, so
-/// sequence-number accounting is differentially pinned under concurrency.
-fn client_lines(seed: u64, ops: usize) -> Vec<String> {
+/// One client's request stream over the tenants `{prefix}t0..t3` and
+/// `{prefix}h0`: an admit prelude, then `ops` mixed operations — steps
+/// (the hot path), per-tenant control ops, skip lines, and deliberate
+/// errors, so sequence-number accounting is differentially pinned — plus,
+/// with `global`, the server-wide ops (all-tenant `report`, `stats`,
+/// `wal_stats`, `rebalance`).
+fn client_lines(seed: u64, ops: usize, prefix: &str, global: bool) -> Vec<String> {
     let mut mix = Mix(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) + 1);
     let mut lines: Vec<String> = (0..4)
         .map(|i| {
@@ -66,38 +80,37 @@ fn client_lines(seed: u64, ops: usize) -> Vec<String> {
             } else {
                 format!(r#"{{"HalfStepRounded":{{"seed":{i}}}}}"#)
             };
-            format!(r#"{{"op":"admit","id":"t{i}","m":16,"beta":4.0,"policy":{policy}}}"#)
+            format!(r#"{{"op":"admit","id":"{prefix}t{i}","m":16,"beta":4.0,"policy":{policy}}}"#)
         })
         .collect();
-    lines.push(
-        r#"{"op":"admit","id":"h0","policy":"hetero:greedy","fleet":{"types":[{"count":3,"beta":1.0,"energy":1.0,"capacity":1.0},{"count":2,"beta":2.5,"energy":1.4,"capacity":2.0}]}}"#
-            .to_string(),
-    );
+    lines.push(format!(
+        r#"{{"op":"admit","id":"{prefix}h0","policy":"hetero:greedy","fleet":{{"types":[{{"count":3,"beta":1.0,"energy":1.0,"capacity":1.0}},{{"count":2,"beta":2.5,"energy":1.4,"capacity":2.0}}]}}}}"#
+    ));
     for _ in 0..ops {
         let line = match mix.pick(12) {
-            // Weight toward steps: the hot path.
-            0..=4 => {
-                let i = mix.pick(4);
-                let c = mix.pick(17);
-                format!(
-                    r#"{{"op":"step","id":"t{i}","cost":{{"Abs":{{"slope":1.0,"center":{c}.0}}}}}}"#
-                )
-            }
-            5 => format!(
-                r#"{{"op":"step","id":"h0","load":{}}}"#,
-                mix.pick(9) as f64 * 0.5 + 0.5
-            ),
-            6 => format!(r#"{{"op":"snapshot","id":"t{}"}}"#, mix.pick(4)),
-            7 => format!(r#"{{"op":"report","id":"t{}"}}"#, mix.pick(4)),
-            8 => match mix.pick(3) {
+            8 if global => match mix.pick(3) {
                 0 => r#"{"op":"report"}"#.to_string(),
                 1 => r#"{"op":"stats"}"#.to_string(),
                 _ => r#"{"op":"wal_stats"}"#.to_string(),
             },
-            9 => format!(
+            9 if global => format!(
                 r#"{{"op":"rebalance","shards":{},"vnodes":8}}"#,
                 mix.pick(3) + 1
             ),
+            // Weight toward steps: the hot path.
+            0..=4 | 8 | 9 => {
+                let i = mix.pick(4);
+                let c = mix.pick(17);
+                format!(
+                    r#"{{"op":"step","id":"{prefix}t{i}","cost":{{"Abs":{{"slope":1.0,"center":{c}.0}}}}}}"#
+                )
+            }
+            5 => format!(
+                r#"{{"op":"step","id":"{prefix}h0","load":{}}}"#,
+                mix.pick(9) as f64 * 0.5 + 0.5
+            ),
+            6 => format!(r#"{{"op":"snapshot","id":"{prefix}t{}"}}"#, mix.pick(4)),
+            7 => format!(r#"{{"op":"report","id":"{prefix}t{}"}}"#, mix.pick(4)),
             10 => match mix.pick(3) {
                 0 => String::new(),
                 1 => "   ".to_string(),
@@ -105,7 +118,7 @@ fn client_lines(seed: u64, ops: usize) -> Vec<String> {
             },
             _ => match mix.pick(4) {
                 0 => r#"{"op":"step","id":"ghost","load":1.0}"#.to_string(),
-                1 => r#"{"op":"step","id":"t0","load":-1}"#.to_string(),
+                1 => format!(r#"{{"op":"step","id":"{prefix}t0","load":-1}}"#),
                 2 => r#"{"op":"warp"}"#.to_string(),
                 _ => r#"{"op":"#.to_string(),
             },
@@ -172,7 +185,7 @@ fn run_client(addr: std::net::SocketAddr, request: Vec<u8>, seed: u64) -> Vec<u8
 }
 
 /// K interleaved connections, alternating JSONL and binary framing, each
-/// byte-identical to its standalone serial twin.
+/// over its own tenants and byte-identical to its standalone serial twin.
 fn differential(clients: usize, ops: usize) {
     let cfg = ServeConfig {
         engine: engine_cfg(),
@@ -186,7 +199,7 @@ fn differential(clients: usize, ops: usize) {
     let mut want = Vec::new();
     let mut handles = Vec::new();
     for i in 0..clients {
-        let lines = client_lines(i as u64 + 1, ops);
+        let lines = client_lines(i as u64 + 1, ops, &format!("c{i}-"), false);
         let (request, expect) = if i % 2 == 0 {
             ((lines.join("\n") + "\n").into_bytes(), serial_jsonl(&lines))
         } else {
@@ -226,6 +239,57 @@ fn interleaved_connections_match_serial_sessions() {
 fn interleaved_connections_match_serial_sessions_heavy() {
     let clients = (heavy_cases(512) / 32).clamp(8, 32) as usize;
     differential(clients, 120);
+}
+
+/// K connections over the shared tenant ids and the server-wide ops, run
+/// one after another (each drained to EOF before the next connects),
+/// alternating JSONL and binary framing: byte-identical to one session
+/// fed the same streams in turn.
+fn sequential_differential(clients: usize, ops: usize) {
+    let cfg = ServeConfig {
+        engine: engine_cfg(),
+        wire: WireMode::Auto,
+        max_accepts: Some(clients as u64),
+        ..ServeConfig::default()
+    };
+    let (addr, server) = spawn_server(cfg);
+
+    let mut session = Session::new(Engine::new(engine_cfg()));
+    for i in 0..clients {
+        let lines = client_lines(i as u64 + 1, ops, "", true);
+        let mut want = Vec::new();
+        let request = if i % 2 == 0 {
+            let request = (lines.join("\n") + "\n").into_bytes();
+            let mut ls = LineSession::new(session);
+            ls.feed(&request, &mut want);
+            ls.finish(&mut want);
+            session = ls.into_session();
+            request
+        } else {
+            let request = transcode(&lines);
+            let mut bin = BinSession::new(session);
+            bin.feed(&request, &mut want);
+            bin.finish(&mut want);
+            session = bin.into_session();
+            request
+        };
+        let got = run_client(addr, request, i as u64);
+        let framing = if i % 2 == 0 { "jsonl" } else { "binary" };
+        assert_eq!(
+            got, want,
+            "connection {i} ({framing}) diverged from the shared serial session"
+        );
+    }
+    let summary = server.join().expect("server thread");
+    assert_eq!(
+        (summary.accepted, summary.closed, summary.shed),
+        (clients as u64, clients as u64, 0)
+    );
+}
+
+#[test]
+fn sequential_connections_share_one_session() {
+    sequential_differential(6, 40);
 }
 
 /// A deliberately stalled consumer: requests a multi-megabyte response
@@ -280,7 +344,7 @@ fn slow_client_is_shed_typed_while_the_rest_complete() {
     let mut want = Vec::new();
     let mut handles = Vec::new();
     for i in 0..clients - 1 {
-        let lines = client_lines(100 + i as u64, 30);
+        let lines = client_lines(100 + i as u64, 30, &format!("c{i}-"), false);
         let (request, expect) = if i % 2 == 0 {
             ((lines.join("\n") + "\n").into_bytes(), {
                 let mut session = Session::new(Engine::new(EngineConfig::with_shards(1)));
