@@ -213,8 +213,8 @@ const REBALANCE_TENANTS: usize = 1_000;
 
 /// Migration cost: every sample is one full `Engine::rebalance` swinging
 /// a 1k-tenant fleet between 4 and 8 shards, so throughput reads as
-/// tenants/s migrated (every tenant is snapshot→restored onto the new
-/// worker set; the ring only *moves* the consistent-hashing minority).
+/// tenants/s migrated (every shard is rebuilt and every tenant moves onto
+/// it; the ring only *re-routes* the consistent-hashing minority).
 /// The `durable` variant adds the write-ahead `Rebalance` record and the
 /// fencing full-state checkpoint — the price of crash-safe elasticity.
 fn bench_rebalance(c: &mut Criterion) {
@@ -276,10 +276,11 @@ fn bench_rebalance(c: &mut Criterion) {
 /// re-partitions a 1k-tenant fleet between 4 and 8 shards, and throughput
 /// reads as tenants/s **moved** (the ring diff, `~1/2` of the fleet on a
 /// 4↔8 swing — both paths move the same set, so the number isolates the
-/// mechanism). The full path additionally re-installs every unmoved
-/// tenant onto fresh workers and restarts all threads; the incremental
-/// path touches only the diff, which is the entire point of the
-/// `mode:"incremental"` rebalance and the autoscale policy built on it.
+/// mechanism). The full mode additionally moves every unmoved tenant
+/// onto a rebuilt shard (the shard workers persist per index either
+/// way); the incremental mode touches only the diff, which is the entire
+/// point of the `mode:"incremental"` rebalance and the autoscale policy
+/// built on it.
 fn bench_incremental_vs_full(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/incremental_vs_full_rebalance");
     // Moved set on a 4↔8 vnode-default swing (measured once below so the

@@ -170,20 +170,18 @@ pub struct RebalanceReport {
     pub shards: usize,
     /// Virtual nodes per shard after the rebalance.
     pub vnodes: usize,
-    /// Live tenants the operation re-installed: the whole fleet for a
-    /// full rebalance (every tenant restarts on a fresh shard), only the
-    /// ring diff for an incremental one.
+    /// Live tenants the operation moved: the whole fleet for a full
+    /// rebalance (every shard is rebuilt), only the ring diff for an
+    /// incremental one.
     pub tenants: usize,
     /// Tenants whose ring placement changed (the consistent-hashing
-    /// minority; the rest stayed on a same-index shard).
+    /// minority; the rest map to a same-index shard).
     pub moved: usize,
-    /// The moved tenants themselves, sorted by id. Populated only by the
-    /// incremental path, where "exactly the ring diff moved" is the
-    /// contract the migration tests hold it to; the full path reports an
-    /// empty list (everything was re-installed anyway).
+    /// The tenants whose ring placement changed, sorted by id: the ring
+    /// diff, in both modes.
     pub moved_ids: Vec<String>,
     /// True for an incremental (diff-only) migration, false for a full
-    /// drain-everything rebalance.
+    /// rebuild-every-shard rebalance.
     pub incremental: bool,
     /// Sequence of the fencing checkpoint (0 on a non-durable engine).
     pub seq: u64,
@@ -227,7 +225,7 @@ pub struct RecoveryReport {
     /// cut short.
     pub rebalances_replayed: usize,
     /// Interrupted incremental `Migrate` records found in the WAL tail —
-    /// counted separately so an operator can tell which migration path
+    /// counted separately so an operator can tell which rebalance mode
     /// the crash interrupted (both are completed the same way).
     pub migrations_replayed: usize,
     /// Sequence of the fresh checkpoint written right after recovery.
@@ -951,12 +949,6 @@ impl Engine {
         Ok((tenants, shard_meta))
     }
 
-    /// Capture each shard's checkpoint contribution (rotating its WAL to
-    /// `seq` at the capture point when journaling is live).
-    fn capture_all(&self, seq: u64) -> Result<(Vec<TenantSnapshot>, Vec<ShardMeta>), EngineError> {
-        Engine::collect_dumps(self.each_shard(|s| s.checkpoint(seq))?)
-    }
-
     /// Capture a full-state checkpoint and truncate the write-ahead log.
     ///
     /// Each shard rotates its WAL under its lock, at the exact position of
@@ -972,7 +964,8 @@ impl Engine {
             .store
             .begin_checkpoint()
             .map_err(EngineError::from_store)?;
-        let (tenants, shard_meta) = self.capture_all(seq)?;
+        // Each shard rotates its WAL to `seq` at its capture point.
+        let (tenants, shard_meta) = Engine::collect_dumps(self.each_shard(|s| s.checkpoint(seq))?)?;
         let count = tenants.len();
         if durable {
             let spec = self.ring.spec();
@@ -995,214 +988,59 @@ impl Engine {
         })
     }
 
-    /// Re-partition the engine onto a new ring topology, live: drain and
-    /// capture every shard, migrate all tenants bit-exactly (snapshot →
-    /// restore) onto fresh shards routed by the new ring, and swap.
-    ///
-    /// Crash safety on a durable engine follows the WAL discipline:
-    ///
-    /// 1. a [`JournalRecord::Rebalance`] is journaled (shard 0's WAL)
-    ///    *before* anything moves, so a crash mid-migration leaves a
-    ///    record that [`Engine::recover`] replays to finish the job;
-    /// 2. the capture rotates every shard's WAL, and the migration is
-    ///    *fenced* by committing a full-state checkpoint carrying the new
-    ///    topology — the commit is the migration's atomic commit point
-    ///    (before it: old checkpoint + WAL incl. the `Rebalance` record;
-    ///    after it: new-topology checkpoint, record truncated away).
-    ///
-    /// Per-shard aggregates merge onto the new shard 0 (fleet totals are
-    /// exact; per-shard attribution restarts). On failure the engine keeps
-    /// serving on its old shards. `vnodes = None` keeps the current ring
-    /// density. Passing the current topology re-shuffles onto fresh
-    /// shards and reports `moved: 0`.
+    /// Re-partition the engine onto a new ring topology, live, rebuilding
+    /// every shard: each old shard is retired, every tenant moves as the
+    /// same live object onto a new shard routed by the new ring, and the
+    /// old shards' aggregates fold onto the new shard 0 in shard order
+    /// (fleet totals are exact; per-shard attribution restarts). The
+    /// journaled record is a [`JournalRecord::Rebalance`]; crash safety is
+    /// [`Engine::rebalance_incremental`]'s protocol, which this shares.
+    /// `vnodes = None` keeps the current ring density. Passing the current
+    /// topology still rebuilds (and, on a durable engine, fences) and
+    /// reports `moved: 0`.
     pub fn rebalance(
         &mut self,
         new_shards: usize,
         vnodes: Option<usize>,
     ) -> Result<RebalanceReport, EngineError> {
         let spec = RingSpec::new(new_shards, vnodes.unwrap_or(self.ring.spec().vnodes));
-        self.rebalance_inner(spec, true)
-    }
-
-    /// The migration itself. `fence` selects the durable protocol above;
-    /// recovery passes `false` (pure in-memory re-partition — the caller
-    /// writes its own checkpoint afterwards).
-    fn rebalance_inner(
-        &mut self,
-        spec: RingSpec,
-        fence: bool,
-    ) -> Result<RebalanceReport, EngineError> {
-        let durable = fence && self.store.is_durable() && self.attached.load(Ordering::Acquire);
-        let lap = self.obs.clock();
-        let tick = self.logical_tick();
-        self.obs.event(
-            tick,
-            "rebalance_begin",
-            vec![
-                ("mode", "full".into()),
-                ("shards", spec.shards.into()),
-                ("vnodes", spec.vnodes.into()),
-                ("fenced", durable.into()),
-            ],
-        );
-        if durable {
-            // Write-ahead: the topology change is journaled to shard 0's
-            // WAL before any tenant moves.
-            self.shard(0)?.journal(&JournalRecord::Rebalance {
-                shards: spec.shards,
-                vnodes: spec.vnodes,
-            })?;
-        }
-        let seq = self
-            .store
-            .begin_checkpoint()
-            .map_err(EngineError::from_store)?;
-        let (tenants, old_meta) = self.capture_all(seq)?;
-        let ring = HashRing::new(spec);
-        let moved = tenants
-            .iter()
-            .filter(|s| ring.route(&s.config.id) != self.ring.route(&s.config.id))
-            .count();
-        // Fleet-total counters survive the topology change by merging every
-        // old shard's aggregates onto the new shard 0, in shard order.
-        let mut merged = ShardMeta::new(0);
-        for meta in &old_meta {
-            merged.merge(meta);
-        }
-        let count = tenants.len();
-        // The snapshots are moved into the (future fencing-checkpoint)
-        // document up front: the restore loop borrows them from there, so
-        // the full fleet state is never deep-cloned a second time.
-        let doc = CheckpointDoc {
-            seq,
-            shards: spec.shards,
-            vnodes: spec.vnodes,
-            tenants,
-            shard_meta: vec![merged.clone()],
-        };
-        // The new topology is plain shards with no store attached: filling
-        // them journals nothing, and an abort just drops them.
-        let mut shards: Vec<Shard> = (0..spec.shards).map(|i| Shard::new(i, &self.obs)).collect();
-        let migrate = || -> Result<(), EngineError> {
-            for snapshot in &doc.tenants {
-                // Key only — routes are re-cached when the ring is swapped.
-                let (_, key, _) = self.interner().intern(&snapshot.config.id, &ring);
-                shards[ring.route(&snapshot.config.id)].restore(snapshot.clone(), key)?;
-            }
-            shards[0].install_meta(merged);
-            if durable {
-                // The fence: committing this checkpoint is the migration's
-                // commit point, and truncates the Rebalance record away.
-                self.store
-                    .commit_checkpoint(seq, &doc.encode())
-                    .map_err(EngineError::from_store)?;
-                self.obs
-                    .event(tick, "rebalance_fence", vec![("seq", seq.into())]);
-            }
-            Ok(())
-        };
-        if let Err(e) = migrate() {
-            self.obs.event(
-                tick,
-                "rebalance_abort",
-                vec![("mode", "full".into()), ("error", e.to_string().into())],
-            );
-            // Abort: the new shards are dropped and the engine keeps
-            // serving on the old topology. The half-run migration may have
-            // cached new-ring routes in the intern table; re-derive them
-            // from the ring we kept.
-            self.interner().reroute(&self.ring);
-            if durable {
-                self.neutralize(JournalRecord::Rebalance {
-                    shards: self.ring.spec().shards,
-                    vnodes: self.ring.spec().vnodes,
-                });
-            }
-            return Err(e);
-        }
-        self.shards = shards
-            .into_iter()
-            .map(|shard| Arc::new(Mutex::new(shard)))
-            .collect();
-        self.resize_workers(spec.shards);
-        self.ring = ring;
-        self.interner().reroute(&self.ring);
-        if self.attached.load(Ordering::Acquire) {
-            self.attach_store()?;
-        }
-        self.sync_policy_topology(spec.shards);
-        self.obs.lap(&self.obs.migration_ns, lap);
-        self.obs.migration_tenants_moved.add(moved as u64);
-        self.obs.event(
-            tick,
-            "rebalance_commit",
-            vec![
-                ("mode", "full".into()),
-                ("shards", spec.shards.into()),
-                ("moved", moved.into()),
-                ("seq", seq.into()),
-            ],
-        );
-        Ok(RebalanceReport {
-            shards: spec.shards,
-            vnodes: spec.vnodes,
-            tenants: count,
-            moved,
-            moved_ids: Vec::new(),
-            incremental: false,
-            seq: if durable { seq } else { 0 },
-            durable,
-            tick,
-        })
+        self.migrate(spec, 0)
     }
 
     /// Re-partition onto a new ring topology by moving **only** the
     /// tenants whose placement the ring change affects (the old-ring/new-
-    /// ring route diff), instead of draining and re-installing the whole
-    /// fleet.
+    /// ring route diff). Surviving shards stay in place (their unmoved
+    /// tenants, aggregates and per-shard attribution untouched), a grow
+    /// adds only the new indices, and a shrink retires only the dead ones
+    /// (their historical aggregates fold onto shard 0).
     ///
-    /// Mechanics: surviving shards stay in place (their unmoved tenants,
-    /// aggregates and per-shard attribution untouched), a grow adds only
-    /// the new indices, a shrink retires only the dead ones (their
-    /// historical aggregates merge onto shard 0), and each moved tenant is
-    /// taken from its old shard and placed on its new one as the same live
-    /// object — bypassing the journal, because crash safety is owned by the
-    /// protocol, not per-tenant records:
+    /// Crash safety on a durable engine, for both rebalance modes:
     ///
-    /// 1. a [`JournalRecord::Migrate`] (carrying the target spec and the
-    ///    moved-id list) is journaled write-ahead to shard 0's WAL, so a
-    ///    crash mid-migration leaves a record [`Engine::recover`] replays
-    ///    to finish the topology change;
-    /// 2. the migration is *fenced* by a full-state checkpoint carrying
-    ///    the new topology, captured after the moves — its commit is the
-    ///    atomic commit point, truncating the `Migrate` record away. The
-    ///    fence is what makes the diff-only move safe under the
-    ///    per-shard-ordered WAL: before it, every journaled record was
-    ///    routed by the old ring; after it, the WAL restarts empty on the
-    ///    new ring. No record ever spans a tenant's move.
+    /// 1. the topology record ([`JournalRecord::Migrate`] here, carrying
+    ///    the target spec and the moved-id list) is journaled write-ahead
+    ///    to shard 0's WAL, so a crash mid-migration leaves a record
+    ///    [`Engine::recover`] replays to finish the topology change;
+    /// 2. tenants move with take/place, bypassing the journal, and the
+    ///    migration is *fenced* by a full-state checkpoint carrying the
+    ///    new topology — its commit is the atomic commit point, truncating
+    ///    the record away. Before it, every journaled record was routed by
+    ///    the old ring; after it, the WAL restarts empty on the new ring.
+    ///    No record ever spans a tenant's move.
     ///
     /// On failure before the fence commits, the moved tenants go back to
-    /// their old shards and the engine keeps serving on its old
-    /// topology; an error in the bookkeeping *after* the commit
-    /// point is reported with the engine already on the new topology
-    /// (matching the committed checkpoint — the migration happened).
-    /// `vnodes = None` keeps the current ring density. Requesting the
-    /// current topology is a true no-op: `moved: 0`, no journal record,
-    /// no fence, no shard touched.
+    /// their old shards and the engine keeps serving on its old topology;
+    /// an error in the bookkeeping *after* the commit point is reported
+    /// with the engine already on the new topology (matching the committed
+    /// checkpoint — the migration happened). `vnodes = None` keeps the
+    /// current ring density. Requesting the current topology is a true
+    /// no-op: `moved: 0`, no journal record, no fence, no shard touched.
     pub fn rebalance_incremental(
         &mut self,
         new_shards: usize,
         vnodes: Option<usize>,
     ) -> Result<RebalanceReport, EngineError> {
         let spec = RingSpec::new(new_shards, vnodes.unwrap_or(self.ring.spec().vnodes));
-        self.migrate_diff(spec)
-    }
-
-    fn migrate_diff(&mut self, spec: RingSpec) -> Result<RebalanceReport, EngineError> {
-        let old_shards = self.shards.len();
         if spec == self.ring.spec() {
-            // The documented no-op: identical topology means an empty
-            // diff — nothing to journal, fence, or touch.
             self.sync_policy_topology(spec.shards);
             return Ok(RebalanceReport {
                 shards: spec.shards,
@@ -1216,10 +1054,51 @@ impl Engine {
                 tick: self.logical_tick(),
             });
         }
+        self.migrate(spec, self.shards.len())
+    }
+
+    /// The one migration routine behind both rebalance modes and
+    /// recovery. Post-migration shard `i` is the old shard `i` when `i`
+    /// is below both `fresh_from` and the old shard count, else a new
+    /// plain [`Shard`]; every old shard not kept retires, and its
+    /// aggregates fold onto shard 0. A tenant moves when the ring diff
+    /// re-routes it or its shard retires: `fresh_from = 0` moves the
+    /// whole fleet (a full rebalance), the old shard count moves exactly
+    /// the ring diff (an incremental one). The journaled record kind
+    /// follows the mode. The protocol is fenced only on a durable engine
+    /// whose store is attached — recovery runs it before attaching, and
+    /// checkpoints afterwards itself.
+    fn migrate(
+        &mut self,
+        spec: RingSpec,
+        fresh_from: usize,
+    ) -> Result<RebalanceReport, EngineError> {
+        let incremental = fresh_from > 0;
+        let mode = if incremental { "incremental" } else { "full" };
+        let record = |spec: RingSpec, moved: Vec<String>| {
+            let (shards, vnodes) = (spec.shards, spec.vnodes);
+            if incremental {
+                JournalRecord::Migrate {
+                    shards,
+                    vnodes,
+                    moved,
+                }
+            } else {
+                JournalRecord::Rebalance { shards, vnodes }
+            }
+        };
+        let (old_shards, keep) = (self.shards.len(), fresh_from.min(spec.shards));
         let ring = HashRing::new(spec);
         let ids = self.tenant_ids()?;
-        let mut moved = moved_ids(&self.ring, &ring, ids.iter().map(|s| s.as_str()));
-        moved.sort_unstable();
+        // Sorted, because `ids` is.
+        let moved = moved_ids(&self.ring, &ring, ids.iter().map(|s| s.as_str()));
+        let movers: Vec<&String> = ids
+            .iter()
+            .filter(|id| {
+                let from = self.ring.route(id);
+                from >= keep || from != ring.route(id)
+            })
+            .collect();
         let durable = self.store.is_durable() && self.attached.load(Ordering::Acquire);
         let lap = self.obs.clock();
         let tick = self.logical_tick();
@@ -1227,7 +1106,7 @@ impl Engine {
             tick,
             "rebalance_begin",
             vec![
-                ("mode", "incremental".into()),
+                ("mode", mode.into()),
                 ("shards", spec.shards.into()),
                 ("vnodes", spec.vnodes.into()),
                 ("moved", moved.len().into()),
@@ -1235,40 +1114,35 @@ impl Engine {
             ],
         );
         if durable {
-            // Write-ahead: the topology change (and its intended diff) is
-            // journaled before any tenant moves.
-            self.shard(0)?.journal(&JournalRecord::Migrate {
-                shards: spec.shards,
-                vnodes: spec.vnodes,
-                moved: moved.clone(),
-            })?;
+            // Write-ahead: the topology change is journaled before any
+            // tenant moves.
+            self.shard(0)?.journal(&record(spec, moved.clone()))?;
         }
         let seq = self
             .store
             .begin_checkpoint()
             .map_err(EngineError::from_store)?;
-        // A grow's new shards are plain values with no store until the
-        // fence commits, so nothing they do before the swap is journaled.
-        let mut fresh: Vec<Shard> = (old_shards..spec.shards)
+        // New shards are plain values with no store until the fence
+        // commits, so nothing they do before the swap is journaled.
+        let mut fresh: Vec<Shard> = (keep..spec.shards)
             .map(|i| Shard::new(i, &self.obs))
             .collect();
         let mut placed = 0;
         let mut retired_meta: Vec<ShardMeta> = Vec::new();
         let mut migrate = || -> Result<(), EngineError> {
-            for id in &moved {
+            for id in &movers {
                 let (key, tenant) = self
                     .shard_of(id)?
                     .take(id)
-                    .ok_or_else(|| EngineError::UnknownTenant(id.clone()))?;
-                self.on_new_shard(&mut fresh, ring.route(id), |s| s.place(key, tenant))?;
+                    .ok_or_else(|| EngineError::UnknownTenant(id.to_string()))?;
+                self.on_new_shard(&mut fresh, keep, ring.route(id), |s| s.place(key, tenant))?;
                 placed += 1;
             }
-            // Retired shards must be empty now (every tenant they held was
-            // in the route diff by construction). Capture their aggregates;
-            // they are folded into the fence document here and merged onto
-            // the live shard 0 only after the commit point, so an abort
-            // never double-counts.
-            for shard in spec.shards..old_shards {
+            // Retired shards are empty now. Capture their aggregates: they
+            // are folded into the fence document here and merged onto the
+            // live shard 0 only after the commit point, so an abort never
+            // double-counts.
+            for shard in keep..old_shards {
                 let dump = self.shard(shard)?.checkpoint(seq)?;
                 debug_assert!(
                     dump.snapshots.is_empty(),
@@ -1278,14 +1152,14 @@ impl Engine {
             }
             if durable {
                 // The fence: capture every post-migration shard (rotating
-                // its WAL to this sequence), fold the retired shards'
-                // history onto the document's shard 0, and commit a
-                // full-state checkpoint carrying the new topology.
-                let (tenants, mut shard_meta) = Engine::collect_dumps(
-                    (0..spec.shards)
-                        .map(|i| self.on_new_shard(&mut fresh, i, |s| s.checkpoint(seq))?),
-                )?;
-                for meta in retired_meta.iter() {
+                // a survivor's WAL to this sequence), fold the retired
+                // shards' history onto the document's shard 0, and commit
+                // a full-state checkpoint carrying the new topology.
+                let (tenants, mut shard_meta) =
+                    Engine::collect_dumps((0..spec.shards).map(|i| {
+                        self.on_new_shard(&mut fresh, keep, i, |s| s.checkpoint(seq))?
+                    }))?;
+                for meta in &retired_meta {
                     shard_meta[0].merge(meta);
                 }
                 let doc = CheckpointDoc {
@@ -1307,36 +1181,30 @@ impl Engine {
             self.obs.event(
                 tick,
                 "rebalance_abort",
-                vec![
-                    ("mode", "incremental".into()),
-                    ("error", e.to_string().into()),
-                ],
+                vec![("mode", mode.into()), ("error", e.to_string().into())],
             );
             // Abort: move every tenant already placed back to its old
-            // shard, drop the fresh shards, and keep serving on the old
+            // shard, drop the new shards, and keep serving on the old
             // topology.
-            for id in &moved[..placed] {
-                let taken = self.on_new_shard(&mut fresh, ring.route(id), |s| s.take(id));
+            for id in &movers[..placed] {
+                let taken = self.on_new_shard(&mut fresh, keep, ring.route(id), |s| s.take(id));
                 if let (Ok(Some((key, tenant))), Ok(mut from)) = (taken, self.shard_of(id)) {
                     from.place(key, tenant);
                 }
             }
             if durable {
-                self.neutralize(JournalRecord::Migrate {
-                    shards: self.ring.spec().shards,
-                    vnodes: self.ring.spec().vnodes,
-                    moved: Vec::new(),
-                });
+                self.neutralize(record(self.ring.spec(), Vec::new()));
             }
             return Err(e);
         }
+        let tenants = movers.len();
         // Past the commit point: the migration *happened* (on a durable
         // engine the fence is on disk), so the swap — pure in-memory,
         // infallible — comes first. Any error in the bookkeeping below is
         // reported with the engine already on the new topology, matching
         // the store; returning the old topology here would tell the
         // caller a committed migration failed.
-        self.shards.truncate(spec.shards);
+        self.shards.truncate(keep);
         self.shards
             .extend(fresh.into_iter().map(|shard| Arc::new(Mutex::new(shard))));
         self.resize_workers(spec.shards);
@@ -1349,7 +1217,7 @@ impl Engine {
             self.shard(0)?.merge_meta(meta);
         }
         if self.attached.load(Ordering::Acquire) {
-            // Idempotent for the survivors; hands the fresh shards their
+            // Idempotent for the survivors; hands the new shards their
             // journaling handle.
             self.attach_store()?;
         }
@@ -1359,7 +1227,7 @@ impl Engine {
             tick,
             "rebalance_commit",
             vec![
-                ("mode", "incremental".into()),
+                ("mode", mode.into()),
                 ("shards", spec.shards.into()),
                 ("moved", moved.len().into()),
                 ("seq", seq.into()),
@@ -1368,26 +1236,27 @@ impl Engine {
         Ok(RebalanceReport {
             shards: spec.shards,
             vnodes: spec.vnodes,
-            tenants: moved.len(),
+            tenants,
             moved: moved.len(),
             moved_ids: moved,
-            incremental: true,
+            incremental,
             seq: if durable { seq } else { 0 },
             durable,
             tick,
         })
     }
 
-    /// Apply `f` to post-migration shard `index` during an incremental
-    /// migration: a surviving shard (under its lock) or, past the current
-    /// shard count, one of the `fresh` shards a grow adds.
+    /// Apply `f` to post-migration shard `index`: a shard the migration
+    /// keeps (under its lock) or, from `keep` on, one of the `fresh`
+    /// shards it builds.
     fn on_new_shard<T>(
         &self,
         fresh: &mut [Shard],
+        keep: usize,
         index: usize,
         f: impl FnOnce(&mut Shard) -> T,
     ) -> Result<T, EngineError> {
-        match index.checked_sub(self.shards.len()) {
+        match index.checked_sub(keep) {
             Some(i) => Ok(f(&mut fresh[i])),
             None => Ok(f(&mut *self.shard(index)?)),
         }
@@ -1513,7 +1382,7 @@ impl Engine {
         );
         if let Some(spec) = interrupted {
             if spec != engine.ring.spec() {
-                engine.rebalance_inner(spec, false)?;
+                engine.migrate(spec, 0)?;
             }
             engine.obs.event(
                 0,

@@ -50,14 +50,14 @@
 //!   token-bucket rate limits with typed
 //!   [`Rejected`](AdmissionError::Rejected)/[`Throttled`](AdmissionError::Throttled)
 //!   errors (refused traffic never reaches a WAL), and live rebalancing
-//!   migrates tenants bit-exactly onto a new ring topology — the full
-//!   path drains everything, the incremental path moves exactly the
-//!   ring-diff tenant set — journaled and checkpoint-fenced so a kill
-//!   mid-migration recovers exactly. The [`topology`] module closes the
-//!   loop: a [`TopologyPolicy`] applies the paper's own LCP hysteresis to
-//!   the shard count, auto-triggering incremental migrations only when
-//!   accumulated load-imbalance cost provably exceeds the migration's
-//!   switching cost.
+//!   migrates tenants bit-exactly onto a new ring topology — one
+//!   migration routine whose full mode rebuilds every shard and whose
+//!   incremental mode moves exactly the ring-diff tenant set — journaled
+//!   and checkpoint-fenced so a kill mid-migration recovers exactly. The
+//!   [`topology`] module closes the loop: a [`TopologyPolicy`] applies
+//!   the paper's own LCP hysteresis to the shard count, auto-triggering
+//!   incremental migrations only when accumulated load-imbalance cost
+//!   provably exceeds the migration's switching cost.
 //! * **Accounting** reuses [`rsdc_core::analysis`] (cost breakdowns,
 //!   schedule statistics with identical phase semantics); shard-level
 //!   load aggregates are fixed-size running totals ([`ShardTotals`]) and

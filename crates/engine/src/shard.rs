@@ -712,8 +712,7 @@ impl Shard {
         Ok(())
     }
 
-    /// Install shard-level aggregates from a checkpoint (recovery and a
-    /// full rebalance's new shard 0).
+    /// Install shard-level aggregates from a checkpoint (recovery).
     pub(crate) fn install_meta(&mut self, meta: ShardMeta) {
         self.meta = ShardMeta {
             shard: self.index,
@@ -721,8 +720,8 @@ impl Shard {
         };
     }
 
-    /// Fold another shard's aggregates into this one's (an incremental
-    /// migration retiring shards folds their history onto shard 0).
+    /// Fold another shard's aggregates into this one's (a migration
+    /// retiring shards folds their history onto shard 0).
     pub(crate) fn merge_meta(&mut self, meta: &ShardMeta) {
         self.meta.merge(meta);
     }

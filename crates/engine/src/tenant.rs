@@ -90,9 +90,9 @@ impl PolicySpec {
     /// Instantiate the policy for a tenant with `m` servers and power-up
     /// cost `beta` (both ignored by the hetero variant, which carries its
     /// own fleet spec). `track_opt` sizes the hetero prefix-optimum
-    /// tracker; scalar policies track through their own bound tracker (LCP,
-    /// see [`StreamingPolicy::opt_tracker`]) or a separate
-    /// [`BoundTracker`].
+    /// tracker; scalar policies track through their own bound tracker (LCP
+    /// and lookahead LCP, see [`StreamingPolicy::opt_tracker`]) or a
+    /// separate [`BoundTracker`].
     pub fn build(
         &self,
         m: u32,
@@ -182,10 +182,10 @@ pub struct TenantConfig {
     pub beta: f64,
     /// The online policy to run.
     pub policy: PolicySpec,
-    /// Report the prefix optimum and the competitive ratio. Free for LCP,
-    /// whose own bound tracker already holds the prefix optimum; other
-    /// scalar policies run one extra `O(m)` tracker pass per committed
-    /// slot.
+    /// Report the prefix optimum and the competitive ratio. Free for LCP
+    /// and lookahead LCP, whose own bound trackers already hold the prefix
+    /// optimum of the committed slots; other scalar policies run one extra
+    /// `O(m)` tracker pass per committed slot.
     pub track_opt: bool,
     /// Cost model used to price raw `load` events for this tenant, when it
     /// differs from the beta-derived default. Carried in the config (and
@@ -330,9 +330,9 @@ pub struct TenantSnapshot {
     /// (lookahead lag).
     pub pending: Vec<PendingSlot>,
     /// Prefix-optimum tracker state, when tracked by a separate tracker.
-    /// `None` for LCP tenants, whose policy snapshot carries the tracker
-    /// (snapshots that still carry a duplicate one restore fine; it is
-    /// ignored).
+    /// `None` for LCP and lookahead tenants, whose policy snapshot carries
+    /// the tracker (snapshots that still carry a duplicate one restore
+    /// fine; it is ignored).
     pub opt: Option<TrackerSnapshot>,
 }
 
@@ -745,10 +745,10 @@ impl Tenant {
         tenant.dir = s.dir;
         tenant.pending = s.pending.into_iter().collect();
         // Only a tenant built with a separate tracker restores one. LCP
-        // tenants read the optimum from their policy's tracker, restored
-        // above, and ignore the duplicate older snapshots carry; hetero
-        // tenants track it inside the stream snapshot (the hetero restore
-        // above enforces its presence).
+        // and lookahead tenants read the optimum from their policy's
+        // tracker, restored above, and ignore the duplicate older
+        // snapshots carry; hetero tenants track it inside the stream
+        // snapshot (the hetero restore above enforces its presence).
         if tenant.opt.is_some() {
             let Some(t) = s.opt else {
                 return Err(rsdc_core::Error::InvalidParameter(
@@ -826,6 +826,72 @@ mod tests {
         let breakdown = analysis::breakdown(&inst, &schedule);
         assert_eq!(report.breakdown.operating, breakdown.operating);
         assert_eq!(report.breakdown.switching, breakdown.switching);
+    }
+
+    fn lookahead_with_opt(window: usize) -> Tenant {
+        let cfg = TenantConfig::new("t", 6, 2.0, PolicySpec::Lookahead { window });
+        Tenant::new(cfg.with_opt_tracking()).unwrap()
+    }
+
+    #[test]
+    fn lookahead_opt_cost_is_the_committed_prefix_optimum() {
+        let fs = costs(24);
+        let mut tenant = lookahead_with_opt(3);
+        assert!(tenant.opt.is_none(), "read from the policy's own tracker");
+        let check = |tenant: &Tenant| {
+            let report = tenant.report();
+            let committed = report.committed as usize;
+            let got = report.opt_cost;
+            if committed == 0 {
+                assert_eq!(got, None);
+                return;
+            }
+            let inst = Instance::new(6, 2.0, fs[..committed].to_vec()).unwrap();
+            let opt = rsdc_offline::dp::solve_cost_only(&inst);
+            let got = got.expect("tracked");
+            assert!((got - opt).abs() < 1e-9 * (1.0 + opt), "{got} vs {opt}");
+        };
+        for f in &fs {
+            tenant.step(f, None).unwrap();
+            check(&tenant);
+        }
+        assert_eq!(tenant.report().committed, 21);
+        tenant.finish();
+        check(&tenant);
+        assert!(tenant.snapshot().opt.is_none());
+    }
+
+    #[test]
+    fn parent_shaped_lookahead_snapshot_restores_bit_identically() {
+        let fs = costs(30);
+        let mut a = lookahead_with_opt(2);
+        for f in &fs[..13] {
+            a.step(f, None).unwrap();
+        }
+        // A snapshot as written when lookahead tenants still ran a
+        // separate prefix-OPT tracker: the same tracker, stepped once per
+        // committed slot, carried in `opt`.
+        let mut snap = a.snapshot();
+        let mut separate = BoundTracker::new(6, 2.0);
+        for f in &fs[..a.report().committed as usize] {
+            separate.step(f);
+        }
+        snap.opt = Some(separate.snapshot());
+        let text = serde_json::to_string(&snap.to_value()).unwrap();
+        let value: serde::Value = serde_json::from_str(&text).unwrap();
+        let mut b = Tenant::from_snapshot(TenantSnapshot::from_value(&value).unwrap()).unwrap();
+        for f in &fs[13..] {
+            let (ea, eb) = (a.step(f, None).unwrap(), b.step(f, None).unwrap());
+            assert_eq!(ea.states(), eb.states());
+            assert_eq!(a.report().opt_cost, b.report().opt_cost);
+        }
+        assert_eq!(a.finish().states(), b.finish().states());
+        let (ra, rb) = (a.report(), b.report());
+        assert_eq!(ra.breakdown.operating, rb.breakdown.operating);
+        assert_eq!(ra.breakdown.switching, rb.breakdown.switching);
+        assert_eq!(ra.stats, rb.stats);
+        assert_eq!(ra.opt_cost, rb.opt_cost);
+        assert_eq!(ra.ratio, rb.ratio);
     }
 
     #[test]

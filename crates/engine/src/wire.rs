@@ -119,7 +119,8 @@ pub enum Record {
         vnodes: Option<usize>,
         /// `"mode":"incremental"` moves only the ring-diff tenant set
         /// ([`Engine::rebalance_incremental`](crate::Engine::rebalance_incremental));
-        /// the default (`"full"`) drains and re-installs the whole fleet.
+        /// the default (`"full"`) rebuilds every shard and moves the whole
+        /// fleet onto them.
         incremental: bool,
     },
     /// Configure (`min`/`max` present), disable (`"off":true`) or read

@@ -74,6 +74,13 @@ impl LookaheadLcp {
         }
     }
 
+    /// The bound tracker. It advances by the committed slot's function
+    /// only (the window is peeked on a copy), so it holds the prefix
+    /// optimum of the committed prefix.
+    pub fn tracker(&self) -> &BoundTracker {
+        &self.tracker
+    }
+
     /// Capture full state (tracker + current state) for streaming snapshots.
     pub fn snapshot(&self) -> (crate::bounds::TrackerSnapshot, u32) {
         (self.tracker.snapshot(), self.state)

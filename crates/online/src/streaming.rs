@@ -273,6 +273,7 @@ impl<F: ResumableFractional> StreamingPolicy for StreamRounded<F> {
 /// [`crate::traits::run_lookahead`] near the horizon).
 pub struct StreamLookahead {
     m: u32,
+    beta: f64,
     window: usize,
     inner: LookaheadLcp,
     buf: VecDeque<Cost>,
@@ -294,6 +295,7 @@ impl StreamLookahead {
     pub fn new(m: u32, beta: f64, window: usize) -> Self {
         Self {
             m,
+            beta,
             window,
             inner: LookaheadLcp::new(m, beta),
             buf: VecDeque::new(),
@@ -341,9 +343,16 @@ impl StreamingPolicy for StreamLookahead {
         if s.buffered.len() > self.window + 1 {
             return Err(bad_snapshot("lookahead buffer exceeds window"));
         }
+        if s.tracker.m != self.m || s.tracker.beta != self.beta {
+            return Err(bad_snapshot("lookahead snapshot m/beta mismatch"));
+        }
         self.inner = LookaheadLcp::from_snapshot(&s.tracker, s.state)?;
         self.buf = s.buffered.into_iter().collect();
         Ok(())
+    }
+
+    fn opt_tracker(&self) -> Option<&BoundTracker> {
+        Some(self.inner.tracker())
     }
 }
 
@@ -582,5 +591,12 @@ mod tests {
         assert!(b.restore(&snap).is_err());
         let mut c = StreamLcp::new(4, 2.0);
         assert!(c.restore(&snap).is_err());
+
+        let mut a = StreamLookahead::new(4, 1.0, 2);
+        a.ingest(&Cost::abs(1.0, 2.0), &mut out);
+        let snap = a.snapshot();
+        assert!(StreamLookahead::new(4, 1.0, 2).restore(&snap).is_ok());
+        assert!(StreamLookahead::new(8, 1.0, 2).restore(&snap).is_err());
+        assert!(StreamLookahead::new(4, 2.0, 2).restore(&snap).is_err());
     }
 }

@@ -14,9 +14,10 @@
 //!   that shard's tenants untouched and the handoff clean: the next
 //!   batch's outcomes are exactly its own.
 //! * A rebalance whose fencing checkpoint fails — full or incremental,
-//!   grow or shrink — leaves the engine serving on its old shards, and
-//!   the run continues (and recovers) exactly as if it had not been
-//!   tried.
+//!   grow or shrink — leaves the engine serving on its old shards, with
+//!   every tenant back on its old shard and every shard's aggregates
+//!   untouched, and the run continues (and recovers) exactly as if it had
+//!   not been tried.
 //! * A resolved `(id, key)` pair that outlived the intern table it came
 //!   from steps the tenant its id names, live and on replay.
 
@@ -82,6 +83,26 @@ fn run_thread(engine: &Engine, t: usize) -> Vec<TenantReport> {
             engine.report(&cfg.id).expect("report")
         })
         .collect()
+}
+
+/// Each shard's statistics and tenant set, read through the public API:
+/// a tenant is listed under the shard its ring routes it to, and must be
+/// installed there (every id-addressed call looks it up on that shard).
+fn placement(engine: &Engine) -> (Vec<String>, Vec<Vec<String>>) {
+    let stats = engine.shard_stats().expect("stats");
+    let ring = HashRing::new(engine.ring_spec());
+    let mut sets = vec![Vec::new(); engine.shards()];
+    for id in engine.tenant_ids().expect("ids") {
+        engine
+            .tenant_config(&id)
+            .expect("installed on its ring shard");
+        sets[ring.route(&id)].push(id);
+    }
+    for (s, set) in stats.iter().zip(&sets) {
+        assert_eq!(s.tenants, set.len(), "shard {} holds its ring set", s.shard);
+    }
+    let stats = stats.iter().map(|s| format!("{s:?}")).collect();
+    (stats, sets)
 }
 
 fn texts(reports: &[TenantReport]) -> Vec<String> {
@@ -311,6 +332,7 @@ fn aborted_rebalances_keep_the_old_shards() {
         admit_all(&engine);
         (0..10).for_each(|slot| step(&engine, slot));
         let before = texts(&engine.report_all().expect("report_all"));
+        let placed = placement(&engine);
 
         store.fail_commit.store(true, Ordering::SeqCst);
         let aborted = if incremental {
@@ -325,6 +347,11 @@ fn aborted_rebalances_keep_the_old_shards() {
         store.fail_commit.store(false, Ordering::SeqCst);
         assert_eq!(engine.shards(), 2, "still on the old shards");
         assert_eq!(texts(&engine.report_all().expect("report_all")), before);
+        assert_eq!(
+            placement(&engine),
+            placed,
+            "placement and aggregates untouched (incremental {incremental}, target {target})"
+        );
 
         (10..20).for_each(|slot| step(&engine, slot));
         assert_eq!(texts(&engine.report_all().expect("report_all")), reference);

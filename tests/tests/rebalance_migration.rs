@@ -671,6 +671,82 @@ fn durable_rebalance_storm_survives_a_crash_losslessly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Fleet totals summed over the shards: tenants, events, states.
+fn fleet_totals(engine: &Engine) -> (usize, u64, u64) {
+    engine
+        .shard_stats()
+        .expect("stats")
+        .iter()
+        .fold((0, 0, 0), |(t, e, s), st| {
+            (t + st.tenants, e + st.events, s + st.states)
+        })
+}
+
+/// The two rebalance modes agree. Two engines fed the same stream are
+/// rebalanced to the same targets — a grow, then a shrink — one in full
+/// mode and one in incremental mode. After each rebalance and at the end
+/// of the stream they report identical tenants and integer fleet totals;
+/// both report the ring diff as `moved` and `moved_ids`, and full mode
+/// counts the whole fleet as re-installed.
+#[test]
+fn full_and_incremental_rebalances_agree() {
+    let fleet = build_fleet(11, 10, 4);
+    let trace = Diurnal::default().generate(SLOTS, 11);
+    let mut ids: Vec<String> = fleet.iter().map(|cfg| cfg.id.clone()).collect();
+    ids.sort();
+    let [mut full, mut incremental] = [(); 2].map(|_| Engine::new(EngineConfig::with_shards(3)));
+    for engine in [&full, &incremental] {
+        for cfg in &fleet {
+            engine.admit(cfg.clone()).expect("admit");
+        }
+    }
+    let mut loads = trace.loads.chunks(SLOTS / 3);
+    let mut step = |full: &Engine, incremental: &Engine| {
+        for &load in loads.next().expect("a chunk per phase") {
+            for engine in [full, incremental] {
+                engine
+                    .step_batch_loads(slot_events(&fleet, load))
+                    .expect("step");
+            }
+        }
+    };
+    for to in [5, 2] {
+        step(&full, &incremental);
+        let want = moved_ids(
+            &HashRing::new(full.ring_spec()),
+            &HashRing::new(RingSpec::new(to, full.ring_spec().vnodes)),
+            ids.iter().map(|s| s.as_str()),
+        );
+        assert!(!want.is_empty(), "the swing moves someone");
+        let a = full.rebalance(to, None).expect("full rebalance");
+        let b = incremental
+            .rebalance_incremental(to, None)
+            .expect("incremental rebalance");
+        assert!(!a.incremental && b.incremental);
+        assert_eq!((a.moved, b.moved), (want.len(), want.len()));
+        assert_eq!(a.moved_ids, want, "full mode reports the ring diff");
+        assert_eq!(b.moved_ids, want, "incremental mode moves the ring diff");
+        assert_eq!(a.tenants, fleet.len(), "full mode re-installs the fleet");
+        assert_eq!(b.tenants, want.len());
+        assert_eq!((full.shards(), incremental.shards()), (to, to));
+        assert_eq!(report_texts(&full), report_texts(&incremental));
+        assert_eq!(fleet_totals(&full), fleet_totals(&incremental));
+    }
+    step(&full, &incremental);
+    for engine in [&full, &incremental] {
+        for cfg in &fleet {
+            engine.finish(&cfg.id).expect("finish");
+        }
+    }
+    assert_eq!(report_texts(&full), report_texts(&incremental));
+    assert_eq!(
+        report_texts(&full),
+        reference_run(&trace.loads, &fleet),
+        "both match a static single-shard run"
+    );
+    assert_eq!(fleet_totals(&full), fleet_totals(&incremental));
+}
+
 /// Admission limits survive a rebalance (they live in the handle, not the
 /// workers), and migrated tenants keep their identity for the gate.
 #[test]
