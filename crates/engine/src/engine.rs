@@ -3,14 +3,14 @@
 //! rebalancing (full and incremental), and lazy auto-rebalancing.
 
 use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionError};
-use crate::intern::{Interner, UNKNOWN_KEY};
+use crate::intern::{Interner, Pricing, UNKNOWN_KEY};
 use crate::journal::{CheckpointDoc, JournalRecord};
 use crate::obs::EngineObs;
 use crate::power::PowerRuntime;
 use crate::ring::{moved_ids, HashRing, RingSpec, DEFAULT_VNODES};
 use crate::shard::{Event, Shard, ShardDump, ShardMeta, ShardStats, StepOutcome, Worker};
 use crate::statelist::StateList;
-use crate::tenant::{TenantConfig, TenantReport, TenantSnapshot};
+use crate::tenant::{Tenant, TenantConfig, TenantReport, TenantSnapshot};
 use crate::topology::{TopologyConfig, TopologyPolicy, TopologyStatus};
 use crate::EngineError;
 use rsdc_core::Cost;
@@ -112,7 +112,8 @@ pub struct Engine {
     admission: Mutex<AdmissionControl>,
     topology: Mutex<Option<TopologyPolicy>>,
     power: Mutex<Option<PowerRuntime>>,
-    /// Tenant-id intern table: hash once at admit, route on the integer.
+    /// The one id → tenant index: per id, the slab key, the cached route
+    /// and the load pricing. Hash once at admit, route on the integer.
     intern: Mutex<Interner>,
     /// The shard workers and the batched ingest path's reusable buffers.
     dispatch: Mutex<DispatchPool>,
@@ -369,9 +370,27 @@ impl Engine {
             .map_err(|_| EngineError::ShardDown(index))
     }
 
-    /// Lock the shard that owns `id`.
-    fn shard_of(&self, id: &str) -> Result<MutexGuard<'_, Shard>, EngineError> {
-        self.shard(self.ring.route(id))
+    /// The slab key and shard index of tenant `id`: one intern lookup,
+    /// whose lock is released before the caller locks the shard. Ids
+    /// never admitted fail with `UnknownTenant` without touching a shard.
+    fn locate(&self, id: &str) -> Result<(u32, usize), EngineError> {
+        let interner = self.interner();
+        let (key, e) = interner.lookup(id).ok_or_else(|| unknown(id))?;
+        Ok((key, e.shard as usize))
+    }
+
+    /// Apply `f` to live tenant `id` under its shard's lock.
+    fn read_tenant<T>(&self, id: &str, f: impl FnOnce(&Tenant) -> T) -> Result<T, EngineError> {
+        let (key, shard) = self.locate(id)?;
+        self.shard(shard)?
+            .tenant(key)
+            .map(f)
+            .ok_or_else(|| unknown(id))
+    }
+
+    /// Whether mutations are journaled: the store is durable and attached.
+    fn journaling(&self) -> bool {
+        self.store.is_durable() && self.attached.load(Ordering::Acquire)
     }
 
     /// Lock each shard in turn and apply `f` to it.
@@ -389,6 +408,13 @@ impl Engine {
     /// the returned pair and reuse it across [`Engine::step_events`]
     /// batches.
     pub fn resolve(&self, id: &str) -> (Arc<str>, u32) {
+        let (id, key, _) = self.resolve_priced(id);
+        (id, key)
+    }
+
+    /// [`Engine::resolve`] plus the tenant's load [`Pricing`] from the
+    /// same lookup (the default pricing for ids never admitted).
+    pub(crate) fn resolve_priced(&self, id: &str) -> (Arc<str>, u32, Pricing) {
         resolve_in(&self.interner(), id)
     }
 
@@ -401,7 +427,7 @@ impl Engine {
         events
             .into_iter()
             .map(|(id, cost, load)| {
-                let (id, key) = resolve_in(&interner, &id);
+                let (id, key, _) = resolve_in(&interner, &id);
                 StepEvent {
                     id,
                     key,
@@ -575,12 +601,36 @@ impl Engine {
         self.admit_unchecked(cfg)
     }
 
-    /// Admit bypassing admission control (recovery replay, migrations).
-    /// This is where a tenant id is interned: hashed once, routed once,
-    /// and handed to its shard as a stable slab key.
+    /// Admit bypassing admission control (recovery replay). A live id is
+    /// refused before its config is built; the config is validated (and
+    /// the tenant built) before anything is interned or journaled.
+    /// Admits and restores serialize on the admission gate (replay runs
+    /// before the engine is shared), so the duplicate check holds until
+    /// the install.
     fn admit_unchecked(&self, cfg: TenantConfig) -> Result<(), EngineError> {
-        let (_, key, shard) = self.interner().intern(&cfg.id, &self.ring);
-        self.shard(shard)?.admit(cfg, key)
+        if self.read_tenant(&cfg.id, |_| ()).is_ok() {
+            return Err(EngineError::DuplicateTenant(cfg.id));
+        }
+        let tenant = Tenant::new(cfg.clone()).map_err(EngineError::Policy)?;
+        self.install(tenant, Some(JournalRecord::Admit(cfg)))
+    }
+
+    /// Install a validated tenant: intern its id (hashed once, routed
+    /// once, handed to its shard as a stable slab key), journal `record`
+    /// and place the tenant on its shard, replacing any tenant there. Its
+    /// pricing is recorded only once the install succeeded.
+    fn install(&self, tenant: Tenant, record: Option<JournalRecord>) -> Result<(), EngineError> {
+        let pricing = Pricing::of(tenant.config());
+        let (key, shard) = self.interner().intern(&tenant.config().id, &self.ring);
+        {
+            let mut shard = self.shard(shard)?;
+            if let Some(record) = &record {
+                shard.journal(record)?;
+            }
+            shard.place(key, tenant);
+        }
+        self.interner().set_pricing(key, pricing);
+        Ok(())
     }
 
     /// Classify a per-event error string back into the [`EngineError`] it
@@ -631,7 +681,7 @@ impl Engine {
 
     /// Fetch a tenant's static configuration.
     pub fn tenant_config(&self, id: &str) -> Result<crate::TenantConfig, EngineError> {
-        Ok(self.shard_of(id)?.tenant(id)?.config().clone())
+        self.read_tenant(id, |t| t.config().clone())
     }
 
     /// Feed one offered load to one **heterogeneous** tenant; returns the
@@ -771,7 +821,7 @@ impl Engine {
                         (ev.key, e.shard as usize)
                     }
                     _ => match interner.lookup(&ev.id) {
-                        Some((_, key, shard)) => (key, shard),
+                        Some((key, e)) => (key, e.shard as usize),
                         None => (UNKNOWN_KEY, self.ring.route(&ev.id)),
                     },
                 };
@@ -848,12 +898,13 @@ impl Engine {
 
     /// End-of-stream for one tenant: flush pending lookahead states.
     pub fn finish(&self, id: &str) -> Result<Vec<u32>, EngineError> {
-        Ok(self.shard_of(id)?.finish(id)?.states.to_vec())
+        let (key, shard) = self.locate(id)?;
+        self.shard(shard)?.finish(key)?.ok_or_else(|| unknown(id))
     }
 
     /// Capture a tenant's full state.
     pub fn snapshot(&self, id: &str) -> Result<TenantSnapshot, EngineError> {
-        Ok(self.shard_of(id)?.tenant(id)?.snapshot())
+        self.read_tenant(id, Tenant::snapshot)
     }
 
     /// Re-install a tenant from a snapshot (replaces any existing tenant
@@ -882,16 +933,23 @@ impl Engine {
         self.restore_unchecked(snapshot)
     }
 
+    /// Restore bypassing admission control (recovery). The snapshot is
+    /// validated before it is interned or journaled, so a refused restore
+    /// leaves neither an intern entry nor a record behind.
     fn restore_unchecked(&self, snapshot: TenantSnapshot) -> Result<(), EngineError> {
-        let (_, key, shard) = self.interner().intern(&snapshot.config.id, &self.ring);
-        self.shard(shard)?.restore(snapshot, key)
+        let record = self
+            .journaling()
+            .then(|| JournalRecord::Restore(Box::new(snapshot.clone())));
+        let tenant = Tenant::from_snapshot(snapshot).map_err(EngineError::Policy)?;
+        self.install(tenant, record)
     }
 
     /// Remove a tenant, returning its final report (with its attributed
     /// energy, when accounting is on — the attribution entry is dropped
     /// with the tenant).
     pub fn evict(&self, id: &str) -> Result<TenantReport, EngineError> {
-        let mut report = self.shard_of(id)?.evict(id)?;
+        let (key, shard) = self.locate(id)?;
+        let mut report = self.shard(shard)?.evict(key)?.ok_or_else(|| unknown(id))?;
         self.gate().forget(id);
         if let Some(runtime) = self.power_runtime().as_mut() {
             report.energy = runtime.tenant_energy(id);
@@ -902,7 +960,7 @@ impl Engine {
 
     /// Report for one tenant.
     pub fn report(&self, id: &str) -> Result<TenantReport, EngineError> {
-        let mut report = self.shard_of(id)?.tenant(id)?.report();
+        let mut report = self.read_tenant(id, Tenant::report)?;
         self.decorate_energy(&mut report);
         Ok(report)
     }
@@ -1099,7 +1157,7 @@ impl Engine {
                 from >= keep || from != ring.route(id)
             })
             .collect();
-        let durable = self.store.is_durable() && self.attached.load(Ordering::Acquire);
+        let durable = self.journaling();
         let lap = self.obs.clock();
         let tick = self.logical_tick();
         self.obs.event(
@@ -1131,10 +1189,8 @@ impl Engine {
         let mut retired_meta: Vec<ShardMeta> = Vec::new();
         let mut migrate = || -> Result<(), EngineError> {
             for id in &movers {
-                let (key, tenant) = self
-                    .shard_of(id)?
-                    .take(id)
-                    .ok_or_else(|| EngineError::UnknownTenant(id.to_string()))?;
+                let (key, from) = self.locate(id)?;
+                let tenant = self.shard(from)?.take(key).ok_or_else(|| unknown(id))?;
                 self.on_new_shard(&mut fresh, keep, ring.route(id), |s| s.place(key, tenant))?;
                 placed += 1;
             }
@@ -1187,8 +1243,11 @@ impl Engine {
             // shard, drop the new shards, and keep serving on the old
             // topology.
             for id in &movers[..placed] {
-                let taken = self.on_new_shard(&mut fresh, keep, ring.route(id), |s| s.take(id));
-                if let (Ok(Some((key, tenant))), Ok(mut from)) = (taken, self.shard_of(id)) {
+                let Ok((key, from)) = self.locate(id) else {
+                    continue;
+                };
+                let taken = self.on_new_shard(&mut fresh, keep, ring.route(id), |s| s.take(key));
+                if let (Ok(Some(tenant)), Ok(mut from)) = (taken, self.shard(from)) {
                     from.place(key, tenant);
                 }
             }
@@ -1433,12 +1492,16 @@ impl Engine {
 }
 
 /// Resolve `id` against `interner` without inserting; see
-/// [`Engine::resolve`].
-fn resolve_in(interner: &Interner, id: &str) -> (Arc<str>, u32) {
+/// [`Engine::resolve_priced`].
+fn resolve_in(interner: &Interner, id: &str) -> (Arc<str>, u32, Pricing) {
     match interner.lookup(id) {
-        Some((arc, key, _)) => (arc, key),
-        None => (Arc::from(id), UNKNOWN_KEY),
+        Some((key, e)) => (Arc::clone(&e.id), key, e.pricing),
+        None => (Arc::from(id), UNKNOWN_KEY, Pricing::default()),
     }
+}
+
+fn unknown(id: &str) -> EngineError {
+    EngineError::UnknownTenant(id.to_string())
 }
 
 impl Drop for Engine {
@@ -1448,5 +1511,54 @@ impl Drop for Engine {
         if self.attached.load(Ordering::Acquire) {
             let _ = self.store.sync();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::PolicySpec;
+    use rsdc_hetero::{FleetSpec, HeteroAlgo};
+
+    #[test]
+    fn refused_admits_and_restores_leave_no_intern_entry() {
+        let engine = Engine::new(EngineConfig::with_shards(2));
+        engine
+            .admit(TenantConfig::new("live", 4, 2.0, PolicySpec::Lcp))
+            .unwrap();
+        let good = engine.snapshot("live").unwrap();
+        let interned = || engine.interner().len();
+        assert_eq!(interned(), 1);
+        for i in 0..50 {
+            let id = format!("fresh-{i}");
+            let refused = [
+                TenantConfig::hetero(&id, FleetSpec::new(Vec::new()), HeteroAlgo::Frontier),
+                TenantConfig::new(&id, 4_000_000_000, 1.0, PolicySpec::Lcp),
+                TenantConfig::new(&id, 4, -1.0, PolicySpec::Lcp),
+                TenantConfig::new(&id, 4, f64::NAN, PolicySpec::Lcp),
+            ];
+            for cfg in refused {
+                assert!(matches!(engine.admit(cfg), Err(EngineError::Policy(_))));
+            }
+            // A snapshot whose policy state does not fit its config.
+            let mut bad = good.clone();
+            bad.config.id = id.clone();
+            bad.config.m = 9;
+            assert!(matches!(engine.restore(bad), Err(EngineError::Policy(_))));
+            let mut oversized = good.clone();
+            oversized.config.id = id;
+            oversized.config.m = u32::MAX;
+            assert!(matches!(
+                engine.restore(oversized),
+                Err(EngineError::Policy(_))
+            ));
+        }
+        // Duplicates are refused without interning either.
+        assert!(matches!(
+            engine.admit(TenantConfig::new("live", 4, 2.0, PolicySpec::Lcp)),
+            Err(EngineError::DuplicateTenant(_))
+        ));
+        assert_eq!(interned(), 1);
+        assert_eq!(engine.tenant_ids().unwrap(), vec!["live".to_string()]);
     }
 }

@@ -16,9 +16,9 @@
 //! Tenants live in a per-shard slab addressed by the engine's interned
 //! tenant key (see [`crate::intern`]): the per-event path is an array
 //! index plus one indirection, not a string hash, and tenant storage is
-//! sized to the shard's own tenants. A small id → key side map serves the
-//! cold control ops (snapshot/evict/report-by-id), which still arrive
-//! keyed by id.
+//! sized to the shard's own tenants. Shards keep no id index of their
+//! own: every operation arrives keyed, resolved against the engine's
+//! intern table, and a tenant's id is read from its config.
 //!
 //! Everything a batch reports beyond its outcomes is a running total —
 //! the committed machine count and the load-aware [`ShardTotals`] — so a
@@ -28,11 +28,10 @@
 use crate::journal::{JournalEvent, JournalRecord};
 use crate::obs::{EngineObs, ShardObs};
 use crate::statelist::StateList;
-use crate::tenant::{StepScratch, Tenant, TenantConfig, TenantReport, TenantSnapshot};
+use crate::tenant::{StepScratch, Tenant, TenantReport, TenantSnapshot};
 use crate::EngineError;
 use rsdc_store::Durability;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
@@ -431,14 +430,16 @@ impl Slab {
     fn iter(&self) -> impl Iterator<Item = &Tenant> {
         self.tenants.iter().map(|(_, t)| t)
     }
+
+    fn len(&self) -> usize {
+        self.tenants.len()
+    }
 }
 
 /// One shard's state: its tenants, aggregates and journaling handle.
 pub struct Shard {
     index: usize,
     slab: Slab,
-    /// Cold-path id → key map for the control ops that address by id.
-    by_id: HashMap<String, u32>,
     /// Running sum of every live tenant's last committed state. Each
     /// update adds the new state before subtracting the old, so no
     /// intermediate value underflows.
@@ -456,7 +457,6 @@ impl Shard {
         Shard {
             index,
             slab: Slab::default(),
-            by_id: HashMap::new(),
             machines: 0,
             meta: ShardMeta::new(index),
             store: None,
@@ -504,12 +504,9 @@ impl Shard {
         })
     }
 
-    /// The tenant with this id.
-    pub(crate) fn tenant(&self, id: &str) -> Result<&Tenant, EngineError> {
-        self.by_id
-            .get(id)
-            .and_then(|&key| self.slab.get(key))
-            .ok_or_else(|| EngineError::UnknownTenant(id.to_string()))
+    /// The tenant under slab key `key`, if it lives on this shard.
+    pub(crate) fn tenant(&self, key: u32) -> Option<&Tenant> {
+        self.slab.get(key)
     }
 
     /// Reports for every tenant on this shard, in no particular order.
@@ -519,48 +516,41 @@ impl Shard {
 
     /// Ids of the tenants on this shard, in no particular order.
     pub(crate) fn ids(&self) -> impl Iterator<Item = &String> {
-        self.by_id.keys()
+        self.slab.iter().map(|t| &t.config().id)
     }
 
     /// Place `tenant` under `key`, replacing any tenant already there.
-    /// Bypasses the journal: a migration's moves are covered by its
-    /// write-ahead topology record plus the fencing checkpoint.
+    /// Bypasses the journal: an admit or restore journals its record
+    /// first, and a migration's moves are covered by its write-ahead
+    /// topology record plus the fencing checkpoint.
     pub(crate) fn place(&mut self, key: u32, tenant: Tenant) {
-        let id = tenant.config().id.clone();
         self.machines += tenant.last_state() as u64;
         if let Some(old) = self.slab.insert(key, tenant) {
             self.machines -= old.last_state() as u64;
         }
-        self.by_id.insert(id, key);
     }
 
-    pub(crate) fn admit(&mut self, cfg: TenantConfig, key: u32) -> Result<(), EngineError> {
-        if self.by_id.contains_key(&cfg.id) {
-            return Err(EngineError::DuplicateTenant(cfg.id));
-        }
-        // Validate (and build) before journaling so an invalid config is
-        // rejected without leaving a doomed admit in the WAL.
-        let tenant = Tenant::new(cfg.clone()).map_err(EngineError::Policy)?;
-        self.journal(&JournalRecord::Admit(cfg))?;
-        self.place(key, tenant);
-        Ok(())
-    }
-
-    /// Remove a tenant without journaling (migration plumbing, like
-    /// [`Shard::place`]).
-    pub(crate) fn take(&mut self, id: &str) -> Option<(u32, Tenant)> {
-        let key = self.by_id.remove(id)?;
+    /// Remove the tenant under `key` without journaling (migration
+    /// plumbing, like [`Shard::place`]).
+    pub(crate) fn take(&mut self, key: u32) -> Option<Tenant> {
         let tenant = self.slab.remove(key)?;
         self.machines -= tenant.last_state() as u64;
-        Some((key, tenant))
+        Some(tenant)
     }
 
-    pub(crate) fn evict(&mut self, id: &str) -> Result<TenantReport, EngineError> {
-        if !self.by_id.contains_key(id) {
-            return Err(EngineError::UnknownTenant(id.to_string()));
-        }
-        self.journal(&JournalRecord::Evict(id.to_string()))?;
-        Ok(self.take(id).expect("checked above").1.report())
+    /// The id of the tenant under `key`, for a journal record.
+    fn id_of(&self, key: u32) -> Option<String> {
+        self.slab.get(key).map(|t| t.config().id.clone())
+    }
+
+    /// Journal and remove the tenant under `key`, returning its final
+    /// report (`None` when no tenant lives there).
+    pub(crate) fn evict(&mut self, key: u32) -> Result<Option<TenantReport>, EngineError> {
+        let Some(id) = self.id_of(key) else {
+            return Ok(None);
+        };
+        self.journal(&JournalRecord::Evict(id))?;
+        Ok(self.take(key).map(|t| t.report()))
     }
 
     /// Run one batch: journal it as one record, then step each event,
@@ -654,30 +644,26 @@ impl Shard {
                 .record(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
         Ok(Pulse {
-            tenants: self.by_id.len(),
+            tenants: self.slab.len(),
             machines: self.machines,
         })
     }
 
-    pub(crate) fn finish(&mut self, id: &str) -> Result<StepOutcome, EngineError> {
-        let Some(&key) = self.by_id.get(id) else {
-            return Err(EngineError::UnknownTenant(id.to_string()));
+    /// End-of-stream for the tenant under `key`: journal, then flush its
+    /// pending lookahead states (`None` when no tenant lives there).
+    pub(crate) fn finish(&mut self, key: u32) -> Result<Option<Vec<u32>>, EngineError> {
+        let Some(id) = self.id_of(key) else {
+            return Ok(None);
         };
-        self.journal(&JournalRecord::Finish(id.to_string()))?;
+        self.journal(&JournalRecord::Finish(id))?;
         let tenant = self.slab.get_mut(key).expect("keyed above");
         let before = tenant.last_state() as u64;
         let effect = tenant.finish();
         self.machines = self.machines + tenant.last_state() as u64 - before;
-        let id: Arc<str> = Arc::from(id);
-        let outcome = StepOutcome {
-            id,
-            states: effect.state_list(),
-            configs: effect.configs(),
-            error: None,
-        };
+        let states = effect.states();
         self.scratch.effect = effect;
         self.meter();
-        Ok(outcome)
+        Ok(Some(states))
     }
 
     /// Count the scratch effect's commits: every commit towards `states`,
@@ -691,25 +677,6 @@ impl Shard {
                 self.meta.metrics.record(c.state, load, c.ups);
             }
         }
-    }
-
-    /// Re-install a tenant from a snapshot (admitting it if absent). The
-    /// snapshot is validated before it is journaled, so a refused restore
-    /// leaves no record behind.
-    pub(crate) fn restore(
-        &mut self,
-        snapshot: TenantSnapshot,
-        key: u32,
-    ) -> Result<(), EngineError> {
-        let record = self
-            .durable()
-            .then(|| JournalRecord::Restore(Box::new(snapshot.clone())));
-        let tenant = Tenant::from_snapshot(snapshot).map_err(EngineError::Policy)?;
-        if let Some(record) = record {
-            self.journal(&record)?;
-        }
-        self.place(key, tenant);
-        Ok(())
     }
 
     /// Install shard-level aggregates from a checkpoint (recovery).
@@ -730,7 +697,7 @@ impl Shard {
         let totals = &self.meta.metrics;
         ShardStats {
             shard: self.index,
-            tenants: self.by_id.len(),
+            tenants: self.slab.len(),
             events: self.meta.events,
             states: self.meta.states,
             metric_slots: totals.slots,

@@ -171,6 +171,12 @@ impl PolicySpec {
     }
 }
 
+/// Largest fleet size `m` a tenant may declare. A scalar tenant's bound
+/// tracker holds `O(m)` state and steps in `O(m)`, so the cap keeps one
+/// admit record from allocating gigabytes — the scalar counterpart of
+/// [`rsdc_hetero::streaming::MAX_LATTICE`].
+pub const MAX_M: u32 = 65_536;
+
 /// Static configuration of one tenant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantConfig {
@@ -233,6 +239,20 @@ impl TenantConfig {
     pub fn with_cost_model(mut self, model: CostModel) -> Self {
         self.cost_model = Some(model);
         self
+    }
+
+    /// Check the scalar parameters every tenant is built from: `m` at
+    /// most [`MAX_M`], `beta` finite and non-negative. [`Tenant::new`]
+    /// runs this, so admits, restores and recovery replay share it.
+    pub fn validate(&self) -> Result<(), rsdc_core::Error> {
+        let invalid = |m: String| Err(rsdc_core::Error::InvalidParameter(m));
+        if self.m > MAX_M {
+            return invalid(format!("m = {} exceeds the cap of {MAX_M}", self.m));
+        }
+        if !(self.beta.is_finite() && self.beta >= 0.0) {
+            return invalid(format!("beta must be finite and >= 0, got {}", self.beta));
+        }
+        Ok(())
     }
 
     /// The cost model that prices this tenant's `load` events: the
@@ -430,8 +450,10 @@ impl StepEffect {
 
 impl Tenant {
     /// Build a fresh tenant from its configuration. Fails when the
-    /// configuration is invalid (e.g. a degenerate or oversized fleet).
+    /// configuration is invalid ([`TenantConfig::validate`], or e.g. a
+    /// degenerate or oversized fleet).
     pub fn new(cfg: TenantConfig) -> Result<Self, rsdc_core::Error> {
+        cfg.validate()?;
         let policy = cfg.policy.build(cfg.m, cfg.beta, cfg.track_opt)?;
         let opt = match &policy {
             PolicyRuntime::Scalar(p) if cfg.track_opt && p.opt_tracker().is_none() => {

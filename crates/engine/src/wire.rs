@@ -54,6 +54,7 @@
 //! documented in `docs/WIRE.md`.
 
 use crate::framed::{Codec, Core};
+use crate::intern::Pricing;
 use crate::shard::StepOutcome;
 use crate::tenant::{PolicySpec, TenantConfig, TenantSnapshot};
 use rsdc_core::Cost;
@@ -66,12 +67,11 @@ use serde::{Deserialize, Serialize};
 /// A parsed request record.
 #[derive(Debug, Clone)]
 pub enum Record {
-    /// Admit a tenant; optional cost model for pricing `load` events.
+    /// Admit a tenant; its config carries the optional cost model that
+    /// prices its `load` events.
     Admit {
         /// Tenant configuration.
         config: TenantConfig,
-        /// Cost model for `load`-carrying step events.
-        cost_model: CostModel,
     },
     /// One streamed slot for one tenant.
     Step {
@@ -298,8 +298,7 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
             // snapshots and journaled admits — load pricing then survives
             // crash recovery.
             config.cost_model = explicit_model;
-            let cost_model = config.load_cost_model();
-            Ok(Record::Admit { config, cost_model })
+            Ok(Record::Admit { config })
         }
         "step" => {
             let id = string_field(&v, "id")?;
@@ -587,10 +586,11 @@ pub fn trace_records(id: &str, trace: &Trace) -> Vec<String> {
         .collect()
 }
 
-/// A stateful JSONL server: an [`Engine`](crate::Engine) plus the per-tenant
-/// cost models used to price `load` events. Consecutive `step` records are
-/// ingested as one batched [`Engine::step_events`](crate::Engine::step_events)
-/// call.
+/// A stateful JSONL server over an [`Engine`](crate::Engine). A `load`
+/// step is priced by the tenant's [`Pricing`], read from the engine's
+/// intern table in the same lookup that resolves the id. Consecutive
+/// `step` records are ingested as one batched
+/// [`Engine::step_events`](crate::Engine::step_events) call.
 ///
 /// When the engine journals through a durable store, the session also
 /// serves the `checkpoint`/`recover`/`wal_stats` ops and can checkpoint
@@ -598,7 +598,6 @@ pub fn trace_records(id: &str, trace: &Trace) -> Vec<String> {
 /// ([`with_auto_checkpoint`](Session::with_auto_checkpoint)).
 pub struct Session {
     engine: crate::Engine,
-    models: std::collections::HashMap<String, Pricing>,
     auto_checkpoint: u64,
     since_checkpoint: u64,
     /// The report of the most recent recovery this session performed
@@ -651,31 +650,11 @@ impl Reply {
     }
 }
 
-/// How a tenant's `load` step events are priced into engine events.
-enum Pricing {
-    /// Scalar tenant: load becomes a [`Cost::Server`] via the cost model.
-    Scalar(CostModel),
-    /// Hetero tenant: the load rides through unpriced (the tenant's fleet
-    /// spec prices it inside the engine); explicit costs are rejected.
-    Hetero,
-}
-
-impl Pricing {
-    fn for_config(config: &TenantConfig) -> Pricing {
-        if config.policy.is_hetero() {
-            Pricing::Hetero
-        } else {
-            Pricing::Scalar(config.load_cost_model())
-        }
-    }
-}
-
 impl Session {
     /// Serve over the given engine.
     pub fn new(engine: crate::Engine) -> Self {
         Session {
             engine,
-            models: std::collections::HashMap::new(),
             auto_checkpoint: 0,
             since_checkpoint: 0,
             last_recovery: None,
@@ -711,7 +690,6 @@ impl Session {
             let (engine, report) = crate::Engine::recover(cfg, store)?;
             let mut session = Session::new(engine);
             session.last_recovery = Some(report.clone());
-            session.reload_models()?;
             Ok((session, Some(report)))
         } else {
             let engine = crate::Engine::with_store(cfg, store)?;
@@ -727,65 +705,38 @@ impl Session {
         self
     }
 
-    /// Rebuild the per-tenant pricing from engine state (each tenant's
-    /// config carries its explicit model — or its hetero fleet — so
-    /// pricing survives recovery).
-    fn reload_models(&mut self) -> Result<(), crate::EngineError> {
-        self.models.clear();
-        for id in self.engine.tenant_ids()? {
-            let snapshot = self.engine.snapshot(&id)?;
-            self.models
-                .insert(id, Pricing::for_config(&snapshot.config));
-        }
-        Ok(())
-    }
-
     /// The underlying engine.
     pub fn engine(&self) -> &crate::Engine {
         &self.engine
     }
 
+    /// Price one step for tenant `id` under its `pricing`.
     fn cost_of(
-        &self,
         id: &str,
+        pricing: Pricing,
         cost: Option<Cost>,
         load: Option<f64>,
     ) -> Result<(Cost, Option<f64>), String> {
-        if let Some(Pricing::Hetero) = self.models.get(id) {
-            if cost.is_some() {
-                return Err(format!(
-                    "hetero tenant {id:?} accepts only load-carrying steps"
-                ));
-            }
+        match (pricing, cost, load) {
+            (Pricing::Hetero, Some(_), _) => Err(format!(
+                "hetero tenant {id:?} accepts only load-carrying steps"
+            )),
+            // The fleet spec prices the load inside the engine; the 1-D
+            // cost slot of the event is unused.
+            (Pricing::Hetero, None, Some(load)) => Ok((Cost::Zero, Some(load))),
+            (Pricing::Scalar(_), Some(c), load) => Ok((c, load)),
+            (Pricing::Scalar(model), None, Some(load)) => Ok((
+                Cost::Server {
+                    lambda: load,
+                    params: model.server,
+                    overload: model.overload,
+                },
+                Some(load),
+            )),
             // `parse_record` guarantees cost or load on the JSONL path,
             // but steps also arrive pre-parsed from the binary framing —
             // answer a malformed frame with a typed error, never a panic.
-            let Some(load) = load else {
-                return Err(format!("step for {id:?} carries neither cost nor load"));
-            };
-            // The fleet spec prices the load inside the engine; the 1-D
-            // cost slot of the event is unused.
-            return Ok((Cost::Zero, Some(load)));
-        }
-        match cost {
-            Some(c) => Ok((c, load)),
-            None => {
-                let Some(load) = load else {
-                    return Err(format!("step for {id:?} carries neither cost nor load"));
-                };
-                let model = match self.models.get(id) {
-                    Some(Pricing::Scalar(model)) => *model,
-                    _ => CostModel::default(),
-                };
-                Ok((
-                    Cost::Server {
-                        lambda: load,
-                        params: model.server,
-                        overload: model.overload,
-                    },
-                    Some(load),
-                ))
-            }
+            (_, None, None) => Err(format!("step for {id:?} carries neither cost nor load")),
         }
     }
 
@@ -803,13 +754,12 @@ impl Session {
         out: &mut Vec<Reply>,
     ) {
         let owned;
-        let priced = match request {
+        let step = match request {
             Request::Skip => return,
-            Request::Step { id, cost, load } => self.cost_of(id, cost, load).map(|p| (id, p)),
+            Request::Step { id, cost, load } => Ok((id, cost, load)),
             Request::Record(Record::Step { id, cost, load }) => {
                 owned = id;
-                self.cost_of(&owned, cost, load)
-                    .map(|p| (owned.as_str(), p))
+                Ok((owned.as_str(), cost, load))
             }
             Request::Record(record) => {
                 self.flush_steps(pending, out);
@@ -817,6 +767,20 @@ impl Session {
             }
             Request::Error(message) => Err(message),
         };
+        // Resolve the id once, here: its pricing comes from the same
+        // lookup, and the batch then flushes through the engine's
+        // pre-resolved zero-allocation path.
+        let priced = step.and_then(|(id, cost, load)| {
+            let (id, key, pricing) = self.engine.resolve_priced(id);
+            let (cost, load) = Session::cost_of(&id, pricing, cost, load)?;
+            Ok(PendingStep {
+                line: seq,
+                id,
+                key,
+                cost,
+                load,
+            })
+        });
         match priced {
             Err(message) => {
                 self.flush_steps(pending, out);
@@ -826,17 +790,8 @@ impl Session {
                     message,
                 });
             }
-            Ok((id, (cost, load))) => {
-                // Resolve the id once, here: the batch then flushes through
-                // the engine's pre-resolved zero-allocation path.
-                let (id, key) = self.engine.resolve(id);
-                pending.push(PendingStep {
-                    line: seq,
-                    id,
-                    key,
-                    cost,
-                    load,
-                });
+            Ok(step) => {
+                pending.push(step);
                 // Cap the batch: an unbounded run of consecutive steps
                 // would otherwise become one giant engine call (and one
                 // giant WAL record), starving the checkpoint cadence and
@@ -957,7 +912,6 @@ impl Session {
         std::mem::replace(&mut self.engine, engine).shutdown();
         self.since_checkpoint = 0;
         self.last_recovery = Some(report.clone());
-        self.reload_models()?;
         Ok(report)
     }
 
@@ -973,23 +927,15 @@ impl Session {
             // error — a server multiplexing thousands of connections must
             // never panic on one connection's traffic.
             Record::Step { .. } => out.push(error_line("step record misrouted as control")),
-            Record::Admit { config, cost_model } => {
+            Record::Admit { config } => {
                 let id = config.id.clone();
-                let pricing = if config.policy.is_hetero() {
-                    Pricing::Hetero
-                } else {
-                    Pricing::Scalar(cost_model)
-                };
                 match self.engine.admit(config) {
-                    Ok(()) => {
-                        self.models.insert(id.clone(), pricing);
-                        out.push(Reply::Line(
-                            serde_json::to_string(&serde_json::json!({
-                                "op": "admitted", "id": id,
-                            }))
-                            .expect("serializable"),
-                        ));
-                    }
+                    Ok(()) => out.push(Reply::Line(
+                        serde_json::to_string(&serde_json::json!({
+                            "op": "admitted", "id": id,
+                        }))
+                        .expect("serializable"),
+                    )),
                     Err(e) => out.push(error_line(&e.to_string())),
                 }
             }
@@ -1009,10 +955,9 @@ impl Session {
                 // price through the fleet spec inside the snapshot's config,
                 // so their cost model is null.
                 Ok(snapshot) => {
-                    let model = match self.models.get(&id) {
-                        Some(Pricing::Scalar(model)) => model.to_value(),
-                        Some(Pricing::Hetero) => serde::Value::Null,
-                        None => CostModel::default().to_value(),
+                    let model = match Pricing::of(&snapshot.config) {
+                        Pricing::Scalar(model) => model.to_value(),
+                        Pricing::Hetero => serde::Value::Null,
                     };
                     out.push(Reply::Line(
                         serde_json::to_string(&serde_json::json!({
@@ -1036,17 +981,13 @@ impl Session {
                 if cost_model.is_some() {
                     snapshot.config.cost_model = cost_model;
                 }
-                let pricing = Pricing::for_config(&snapshot.config);
                 match self.engine.restore(*snapshot) {
-                    Ok(()) => {
-                        self.models.insert(id.clone(), pricing);
-                        out.push(Reply::Line(
-                            serde_json::to_string(&serde_json::json!({
-                                "op": "restored", "id": id,
-                            }))
-                            .expect("serializable"),
-                        ));
-                    }
+                    Ok(()) => out.push(Reply::Line(
+                        serde_json::to_string(&serde_json::json!({
+                            "op": "restored", "id": id,
+                        }))
+                        .expect("serializable"),
+                    )),
                     Err(e) => out.push(error_line(&e.to_string())),
                 }
             }
@@ -1694,9 +1635,9 @@ mod tests {
             .with_opt_tracking();
         let line = admit_line(&cfg);
         match parse_record(&line).unwrap() {
-            Record::Admit { config, cost_model } => {
+            Record::Admit { config } => {
                 assert_eq!(config, cfg);
-                assert_eq!(cost_model.beta, 2.5);
+                assert_eq!(config.load_cost_model().beta, 2.5);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1834,6 +1775,42 @@ mod tests {
             got["report"]["breakdown"], want["report"]["breakdown"],
             "restored session must price load events with the admit-time cost model"
         );
+    }
+
+    #[test]
+    fn pricing_follows_the_tenant_not_the_session() {
+        // A tenant admitted straight through the engine, before any session
+        // existed, is priced by its own cost model — exactly like a twin
+        // admitted over the wire.
+        let model = CostModel {
+            server: rsdc_core::ServerParams {
+                e_idle: 0.5,
+                e_peak: 9.0,
+                delay_weight: 4.0,
+                delay_eps: 0.01,
+            },
+            overload: 99.0,
+            beta: 2.0,
+        };
+        let cfg = TenantConfig::new("a", 8, 2.0, PolicySpec::Lcp).with_cost_model(model);
+        let mut lines: Vec<String> = [2.0, 5.5, 3.0, 7.5, 1.0]
+            .iter()
+            .map(|&l| step_load_line("a", l))
+            .collect();
+        lines.push("{\"op\":\"snapshot\",\"id\":\"a\"}".to_string());
+
+        let engine = crate::Engine::new(crate::EngineConfig::with_shards(2));
+        engine.admit(cfg.clone()).unwrap();
+        let direct = Session::new(engine).handle_lines(lines.iter().map(|s| s.as_str()));
+
+        let mut twin = Session::new(crate::Engine::new(crate::EngineConfig::with_shards(2)));
+        let admitted = twin.handle_lines([admit_line(&cfg).as_str()]);
+        assert!(admitted[0].contains("\"admitted\""), "{admitted:?}");
+        let wired = twin.handle_lines(lines.iter().map(|s| s.as_str()));
+
+        assert_eq!(direct, wired);
+        let snapshot: serde::Value = serde_json::from_str(direct.last().unwrap()).unwrap();
+        assert_eq!(snapshot["cost_model"], model.to_value());
     }
 
     const HETERO_ADMIT: &str = "{\"op\":\"admit\",\"id\":\"h\",\"policy\":\"hetero:frontier\",\

@@ -14,7 +14,11 @@
 //!   crash recoveries keep each shard's running `machines` equal to the
 //!   sum of its tenants' last committed states (read back through the
 //!   energy meter) and its `ShardStats` equal to the record log
-//!   (`rsdc_sim::metrics::Metrics`) fed the same commits.
+//!   (`rsdc_sim::metrics::Metrics`) fed the same commits. The same
+//!   sequences pin id reachability through the engine's one id index
+//!   (the intern table): after every operation `tenant_ids()` is exactly
+//!   the live set, every live id answers `report` and `snapshot`, and
+//!   evicted or never-admitted ids answer `UnknownTenant`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,14 +26,14 @@ use rand::{Rng, SeedableRng};
 use rsdc_core::Cost;
 use rsdc_engine::wire::Session;
 use rsdc_engine::{
-    Engine, EngineConfig, FleetSpec, HashRing, HeteroAlgo, PolicySpec, PowerConfig, PowerSpec,
-    ShardStats, StepOutcome, TenantConfig, TenantSnapshot,
+    Engine, EngineConfig, EngineError, FleetSpec, HashRing, HeteroAlgo, PolicySpec, PowerConfig,
+    PowerSpec, ShardStats, StepOutcome, TenantConfig, TenantSnapshot,
 };
 use rsdc_hetero::ServerType;
 use rsdc_sim::metrics::{Metrics, SlotRecord};
 use rsdc_store::{Durability, FileStore, FileStoreConfig};
 use rsdc_tests::heavy_cases;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -248,6 +252,8 @@ impl ShardLog {
 
 struct Oracle {
     tenants: BTreeMap<String, Shadow>,
+    /// Evicted ids not restored since.
+    evicted: BTreeSet<String>,
     saved: Vec<(TenantSnapshot, Shadow)>,
     shards: Vec<ShardLog>,
 }
@@ -256,6 +262,7 @@ impl Oracle {
     fn new(shards: usize) -> Oracle {
         Oracle {
             tenants: BTreeMap::new(),
+            evicted: BTreeSet::new(),
             saved: Vec::new(),
             shards: (0..shards).map(|_| ShardLog::default()).collect(),
         }
@@ -351,7 +358,31 @@ fn power() -> PowerConfig {
     PowerConfig::new(PowerSpec::Constant { watts: 1.0 })
 }
 
+/// Every live id, and only those, is reachable by id.
+fn check_reachability(engine: &Engine, oracle: &Oracle, step: usize) {
+    let live: Vec<String> = oracle.tenants.keys().cloned().collect();
+    assert_eq!(engine.tenant_ids().expect("ids"), live, "op {step}");
+    for id in &live {
+        let snapshot = engine.snapshot(id).expect("live id snapshots");
+        assert_eq!(&snapshot.config.id, id, "op {step}");
+        assert_eq!(&engine.report(id).expect("live id reports").id, id);
+    }
+    let never = ["never-admitted", "probe-0"];
+    for id in oracle.evicted.iter().map(String::as_str).chain(never) {
+        let unknown = |r: Result<(), EngineError>| {
+            assert!(
+                matches!(&r, Err(EngineError::UnknownTenant(u)) if u == id),
+                "op {step}: {id} answered {r:?}"
+            )
+        };
+        unknown(engine.report(id).map(|_| ()));
+        unknown(engine.snapshot(id).map(|_| ()));
+        unknown(engine.tenant_config(id).map(|_| ()));
+    }
+}
+
 fn check(engine: &Engine, oracle: &Oracle, step: usize) {
+    check_reachability(engine, oracle, step);
     let ring = HashRing::new(engine.ring_spec());
     let shards = engine.shards();
     assert_eq!(oracle.shards.len(), shards);
@@ -516,6 +547,7 @@ fn run_case(seed: u64, ops: usize, shards: usize) {
                 if let Some(id) = pick(&mut rng, &live) {
                     engine.evict(id).expect("evict");
                     oracle.tenants.remove(id);
+                    oracle.evicted.insert(id.clone());
                 }
             }
             70..=75 => {
@@ -530,6 +562,7 @@ fn run_case(seed: u64, ops: usize, shards: usize) {
                     let (snapshot, shadow) = oracle.saved[at].clone();
                     let id = snapshot.config.id.clone();
                     engine.restore(snapshot).expect("restore");
+                    oracle.evicted.remove(&id);
                     oracle.tenants.insert(id, shadow);
                 }
             }

@@ -534,6 +534,10 @@ fn hostile_corner_case_lines_are_rejected() {
         r#"{"op":"step","id":"web","load":null}"#,
         r#"{"op":"admit","id":"web","m":99999999999999999999,"beta":1.0,"policy":"lcp"}"#,
         r#"{"op":"admit","id":"web","m":-4,"beta":1.0,"policy":"lcp"}"#,
+        // In range for a u32 but past the tenant cap: refused before a
+        // 3 x (m + 1) tracker allocation could abort the process.
+        r#"{"op":"admit","id":"x","m":4000000000,"beta":1.0,"policy":"lcp"}"#,
+        r#"{"op":"admit","id":"x","m":4,"beta":-1.0,"policy":"lcp"}"#,
         r#"{"op":"rebalance","shards":-1}"#,
         r#"{"op":"rebalance","shards":1.5}"#,
         r#"{"op":"limits","rate":"fast"}"#,
