@@ -10,6 +10,16 @@
 //!   refill `rate` tokens per *tick*. Events arriving on an empty bucket
 //!   fail with [`AdmissionError::Throttled`].
 //!
+//! The gate owns the config and the clock; the buckets live on the
+//! tenants' intern entries ([`crate::intern`]), so a bucket exists
+//! exactly while its tenant does. Each batch ticks the gate once and
+//! takes a [`Refill`] snapshot, which the engine's routing loop spends
+//! against the bucket of every event whose id names a live tenant. Ids
+//! that are not live are never gated: they fail as unknown tenants and
+//! hold no bucket. An evict releases the entry with its bucket, so a
+//! re-admitted id starts with a full one, and bucket memory is bounded
+//! by the live-tenant high-water mark.
+//!
 //! The clock is logical, not wall time: one tick per batch the engine
 //! ingests ([`Engine::step_batch_loads`](crate::Engine::step_batch_loads)
 //! advances it once per call, and the wire session flushes one batch per
@@ -24,7 +34,6 @@
 //! byte-identical regardless of the limits configured at recovery time.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Control-plane limits. `Default` disables everything.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -116,24 +125,76 @@ impl std::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// How many ticks between bucket-prune sweeps (amortizes the map scan).
-const PRUNE_EVERY: u64 = 256;
-
-/// One tenant's token bucket, refilled lazily against the shared tick.
+/// One tenant's token bucket, refilled lazily against the gate's tick.
+/// The default is a full bucket: its infinite level clamps to `burst`
+/// at the first refill.
 #[derive(Debug, Clone, Copy)]
-struct TokenBucket {
+pub struct TokenBucket {
     tokens: f64,
     as_of_tick: u64,
 }
 
-/// The admission gate: config, logical clock, and per-tenant buckets.
-/// Lives in the [`Engine`](crate::Engine) handle; shards never see
-/// refused traffic.
+impl Default for TokenBucket {
+    fn default() -> Self {
+        TokenBucket {
+            tokens: f64::INFINITY,
+            as_of_tick: 0,
+        }
+    }
+}
+
+/// What one batch charges its buckets against: the rate limit and the
+/// gate's clock as of the batch's tick.
+#[derive(Debug, Clone, Copy)]
+pub struct Refill {
+    rate: f64,
+    burst: f64,
+    tick: u64,
+    /// Tick (exclusive) until which the migration window halves refill.
+    window_end: u64,
+}
+
+impl Refill {
+    /// Refill `bucket` up to this tick and spend one token from it;
+    /// `false` (throttled) when less than one token is left.
+    ///
+    /// Inside a migration window buckets refill at **half** the
+    /// configured rate — rate-limited tenants are throttled to half their
+    /// sustained rate while a just-applied topology change settles, but
+    /// never starved outright (a full bucket still serves its burst;
+    /// unlimited tenants are unaffected: the window defers admits, not
+    /// traffic, when no rate limit is configured).
+    pub fn spend(&self, bucket: &mut TokenBucket) -> bool {
+        let elapsed = self.tick.saturating_sub(bucket.as_of_tick);
+        // Split the elapsed span at the window's closing boundary: ticks
+        // inside the window refill at half rate, ticks after it at full.
+        // `begin_migration_window` settled all buckets at the opening
+        // boundary, so `as_of_tick` never predates an open window and the
+        // split below is exact.
+        let halved = self
+            .window_end
+            .saturating_sub(bucket.as_of_tick)
+            .min(elapsed);
+        let refill = halved as f64 * self.rate * 0.5 + (elapsed - halved) as f64 * self.rate;
+        bucket.tokens = (bucket.tokens + refill).min(self.burst);
+        // Concurrent batches may charge out of tick order; a bucket's
+        // clock never runs backwards, so no tick is funded twice.
+        bucket.as_of_tick = bucket.as_of_tick.max(self.tick);
+        if bucket.tokens >= 1.0 {
+            bucket.tokens -= 1.0;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+/// The admission gate: config and logical clock. Lives in the
+/// [`Engine`](crate::Engine) handle; shards never see refused traffic.
 #[derive(Debug, Default)]
 pub struct AdmissionControl {
     cfg: AdmissionConfig,
     tick: u64,
-    buckets: HashMap<String, TokenBucket>,
     /// Tick (exclusive) until which a topology-migration window is open:
     /// new admits are deferred and rate-limited buckets refill at half
     /// rate, so the topology settles before the fleet shifts under it
@@ -163,34 +224,36 @@ impl AdmissionControl {
     }
 
     /// Replace the limits. Buckets keep their levels (tightening `burst`
-    /// caps them at the next refill); disabling rate limits drops all
-    /// bucket state. `burst` is normalized to the effective (rate-clamped)
-    /// capacity on the way in, so [`config`](AdmissionControl::config) —
-    /// and therefore the wire `limits` read-back — always reports the
-    /// bucket size actually enforced.
+    /// caps them at the next refill); the engine resets every bucket to
+    /// full when rate limits are disabled. `burst` is normalized to the
+    /// effective (rate-clamped) capacity on the way in, so
+    /// [`config`](AdmissionControl::config) — and therefore the wire
+    /// `limits` read-back — always reports the bucket size actually
+    /// enforced.
     pub fn set_config(&mut self, mut cfg: AdmissionConfig) {
         if cfg.limits_rate() {
             cfg.burst = cfg.effective_burst();
         }
         self.cfg = cfg;
-        if !cfg.limits_rate() {
-            self.buckets.clear();
-        }
     }
 
     /// Open (or extend) the migration window for the next `ticks` ticks.
     /// Called by the engine when an auto-triggered incremental migration
     /// lands. `0` closes nothing and opens nothing.
     ///
-    /// Every bucket is settled (refilled at the full rate) up to the
-    /// opening tick first, so idle spans that *straddle* the boundary are
-    /// not retroactively halved — pre-window ticks fund at the full rate,
-    /// only in-window ticks at half (`check_step` splits the other
-    /// boundary symmetrically).
-    pub fn begin_migration_window(&mut self, ticks: u64) {
+    /// Every bucket of the fleet is settled (refilled at the full rate)
+    /// up to the opening tick first, so idle spans that *straddle* the
+    /// boundary are not retroactively halved — pre-window ticks fund at
+    /// the full rate, only in-window ticks at half ([`Refill::spend`]
+    /// splits the other boundary symmetrically).
+    pub fn begin_migration_window<'a>(
+        &mut self,
+        ticks: u64,
+        buckets: impl Iterator<Item = &'a mut TokenBucket>,
+    ) {
         if self.cfg.limits_rate() {
             let (rate, burst, now) = (self.cfg.rate, self.cfg.effective_burst(), self.tick);
-            for bucket in self.buckets.values_mut() {
+            for bucket in buckets {
                 let elapsed = now.saturating_sub(bucket.as_of_tick);
                 bucket.tokens = (bucket.tokens + elapsed as f64 * rate).min(burst);
                 bucket.as_of_tick = now;
@@ -227,69 +290,19 @@ impl AdmissionControl {
     }
 
     /// Advance the logical clock by one tick (one ingested batch).
-    ///
-    /// Periodically prunes buckets that have refilled to capacity: a full
-    /// bucket carries no information (a fresh one starts full), so ids
-    /// that stop arriving — evicted tenants, typos, hostile id floods —
-    /// are reclaimed instead of accumulating forever.
     pub fn tick(&mut self) {
         self.tick += 1;
-        // The sweep estimates refill at the full rate, which overshoots
-        // inside a migration window (half-rate refill) — and a pruned
-        // bucket resurrects full. Windows are short; skip the sweep.
-        if self.tick.is_multiple_of(PRUNE_EVERY)
-            && !self.buckets.is_empty()
-            && !self.in_migration_window()
-        {
-            let rate = self.cfg.rate;
-            let burst = self.cfg.effective_burst();
-            let now = self.tick;
-            self.buckets
-                .retain(|_, b| b.tokens + now.saturating_sub(b.as_of_tick) as f64 * rate < burst);
-        }
     }
 
-    /// Spend one token from `id`'s bucket, refilling it first. Inside a
-    /// migration window buckets refill at **half** the configured rate —
-    /// rate-limited tenants are throttled to half their sustained rate
-    /// while a just-applied topology change settles, but never starved
-    /// outright (a full bucket still serves its burst; unlimited tenants
-    /// are unaffected: the window defers admits, not traffic, when no
-    /// rate limit is configured).
-    pub fn check_step(&mut self, id: &str) -> Result<(), AdmissionError> {
-        if !self.cfg.limits_rate() {
-            return Ok(());
-        }
-        let burst = self.cfg.effective_burst();
-        let bucket = self.buckets.entry(id.to_string()).or_insert(TokenBucket {
-            tokens: burst,
-            as_of_tick: self.tick,
-        });
-        let elapsed = self.tick.saturating_sub(bucket.as_of_tick);
-        // Split the elapsed span at the window's closing boundary: ticks
-        // inside the window refill at half rate, ticks after it at full.
-        // `begin_migration_window` settled all buckets at the opening
-        // boundary, so `as_of_tick` never predates an open window and the
-        // split below is exact.
-        let halved = self
-            .migration_until
-            .saturating_sub(bucket.as_of_tick)
-            .min(elapsed);
-        let refill =
-            halved as f64 * self.cfg.rate * 0.5 + (elapsed - halved) as f64 * self.cfg.rate;
-        bucket.tokens = (bucket.tokens + refill).min(burst);
-        bucket.as_of_tick = self.tick;
-        if bucket.tokens >= 1.0 {
-            bucket.tokens -= 1.0;
-            Ok(())
-        } else {
-            Err(AdmissionError::Throttled { id: id.to_string() })
-        }
-    }
-
-    /// Drop a tenant's bucket (on evict).
-    pub fn forget(&mut self, id: &str) {
-        self.buckets.remove(id);
+    /// The refill the current tick's events are charged against, or
+    /// `None` when no rate limit is configured.
+    pub fn refill(&self) -> Option<Refill> {
+        self.cfg.limits_rate().then_some(Refill {
+            rate: self.cfg.rate,
+            burst: self.cfg.effective_burst(),
+            tick: self.tick,
+            window_end: self.migration_until,
+        })
     }
 }
 
@@ -297,14 +310,17 @@ impl AdmissionControl {
 mod tests {
     use super::*;
 
+    /// Charge one event to `bucket` at the gate's current tick.
+    fn spend(gate: &AdmissionControl, bucket: &mut TokenBucket) -> bool {
+        gate.refill().expect("rate limited").spend(bucket)
+    }
+
     #[test]
     fn default_config_is_fully_open() {
         let mut gate = AdmissionControl::default();
         gate.check_admit("a", usize::MAX - 1).unwrap();
-        for _ in 0..10_000 {
-            gate.check_step("a").unwrap();
-        }
-        assert!(gate.buckets.is_empty(), "open gate keeps no bucket state");
+        gate.tick();
+        assert!(gate.refill().is_none(), "an open gate charges no bucket");
     }
 
     #[test]
@@ -333,28 +349,29 @@ mod tests {
             rate: 1.0,
             burst: 3.0,
         });
+        let (mut a, mut b) = (TokenBucket::default(), TokenBucket::default());
         // Fresh bucket starts full: the burst passes, the 4th event fails.
         for _ in 0..3 {
-            gate.check_step("a").unwrap();
+            assert!(spend(&gate, &mut a));
         }
-        assert_eq!(
-            gate.check_step("a").unwrap_err(),
-            AdmissionError::Throttled { id: "a".into() }
-        );
+        assert!(!spend(&gate, &mut a));
+        assert!(AdmissionError::Throttled { id: "a".into() }
+            .to_string()
+            .contains("throttled"));
         // Other tenants have their own buckets.
-        gate.check_step("b").unwrap();
+        assert!(spend(&gate, &mut b));
         // One tick refills one token; two events still exceed it.
         gate.tick();
-        gate.check_step("a").unwrap();
-        assert!(gate.check_step("a").is_err());
+        assert!(spend(&gate, &mut a));
+        assert!(!spend(&gate, &mut a));
         // Many idle ticks cap at burst, not unbounded credit.
         for _ in 0..100 {
             gate.tick();
         }
         for _ in 0..3 {
-            gate.check_step("a").unwrap();
+            assert!(spend(&gate, &mut a));
         }
-        assert!(gate.check_step("a").is_err());
+        assert!(!spend(&gate, &mut a));
     }
 
     #[test]
@@ -364,12 +381,13 @@ mod tests {
             rate: 0.5,
             burst: 1.0,
         });
-        gate.check_step("a").unwrap();
-        assert!(gate.check_step("a").is_err(), "burst of 1 is spent");
+        let mut a = TokenBucket::default();
+        assert!(spend(&gate, &mut a));
+        assert!(!spend(&gate, &mut a), "burst of 1 is spent");
         gate.tick();
-        assert!(gate.check_step("a").is_err(), "half a token is not enough");
+        assert!(!spend(&gate, &mut a), "half a token is not enough");
         gate.tick();
-        gate.check_step("a").unwrap();
+        assert!(spend(&gate, &mut a));
     }
 
     #[test]
@@ -395,66 +413,40 @@ mod tests {
     }
 
     #[test]
-    fn idle_buckets_are_pruned() {
-        let mut gate = AdmissionControl::new(AdmissionConfig {
-            max_tenants: 0,
-            rate: 1.0,
-            burst: 4.0,
-        });
-        // A burst of distinct ids (typos, hostile floods, evicted
-        // tenants) must not pin memory forever.
-        for i in 0..1000 {
-            let _ = gate.check_step(&format!("ghost-{i}"));
-        }
-        assert_eq!(gate.buckets.len(), 1000);
-        for _ in 0..2 * PRUNE_EVERY {
-            gate.tick();
-        }
-        assert!(gate.buckets.is_empty(), "idle buckets refill and drop");
-        // An id kept busy (spending faster than it refills, so its bucket
-        // stays below capacity) survives the sweep.
-        for _ in 0..PRUNE_EVERY + 8 {
-            let _ = gate.check_step("busy");
-            let _ = gate.check_step("busy");
-            gate.tick();
-        }
-        assert!(gate.buckets.contains_key("busy"));
-    }
-
-    #[test]
     fn migration_window_defers_admits_and_halves_refill() {
         let mut gate = AdmissionControl::new(AdmissionConfig {
             max_tenants: 0,
             rate: 2.0,
             burst: 2.0,
         });
+        let mut a = TokenBucket::default();
         assert!(!gate.in_migration_window());
-        gate.begin_migration_window(4);
+        gate.begin_migration_window(4, std::iter::once(&mut a));
         assert!(gate.in_migration_window());
         // Admits are deferred even with no tenant cap configured.
         let err = gate.check_admit("new", 0).unwrap_err();
         assert_eq!(err, AdmissionError::Migrating { id: "new".into() });
         assert!(err.to_string().contains("migration window"));
         // The burst still serves — the window throttles, never starves.
-        gate.check_step("a").unwrap();
-        gate.check_step("a").unwrap();
-        assert!(gate.check_step("a").is_err());
+        assert!(spend(&gate, &mut a));
+        assert!(spend(&gate, &mut a));
+        assert!(!spend(&gate, &mut a));
         // Inside the window one tick refills at half rate: 1 token, not 2.
         gate.tick();
         assert!(gate.in_migration_window());
-        gate.check_step("a").unwrap();
-        assert!(gate.check_step("a").is_err(), "half refill serves one");
+        assert!(spend(&gate, &mut a));
+        assert!(!spend(&gate, &mut a), "half refill serves one");
         // Past the window, refill and admits return to normal.
         gate.tick();
         gate.tick();
         gate.tick();
         assert!(!gate.in_migration_window());
         gate.check_admit("new", 0).unwrap();
-        gate.check_step("a").unwrap();
-        gate.check_step("a").unwrap();
+        assert!(spend(&gate, &mut a));
+        assert!(spend(&gate, &mut a));
         // A zero-length window never opens.
         let mut idle = AdmissionControl::default();
-        idle.begin_migration_window(0);
+        idle.begin_migration_window(0, std::iter::empty());
         assert!(!idle.in_migration_window());
     }
 
@@ -465,21 +457,22 @@ mod tests {
             rate: 2.0,
             burst: 4.0,
         });
+        let mut a = TokenBucket::default();
         // Drain the bucket at tick 0, idle one full-rate tick, then open
         // the window and idle one half-rate tick: the straddling span
         // must fund 2 + 1 = 3 tokens, not 2 (retroactive halving) or 4.
         for _ in 0..4 {
-            gate.check_step("a").unwrap();
+            assert!(spend(&gate, &mut a));
         }
-        assert!(gate.check_step("a").is_err());
+        assert!(!spend(&gate, &mut a));
         gate.tick();
-        gate.begin_migration_window(8);
+        gate.begin_migration_window(8, std::iter::once(&mut a));
         gate.tick();
         for _ in 0..3 {
-            gate.check_step("a").unwrap();
+            assert!(spend(&gate, &mut a));
         }
         assert!(
-            gate.check_step("a").is_err(),
+            !spend(&gate, &mut a),
             "pre-window ticks fund at full rate, in-window ticks at half"
         );
     }
@@ -491,23 +484,24 @@ mod tests {
             rate: 2.0,
             burst: 10.0,
         });
+        let mut a = TokenBucket::default();
         // Drain at tick 0 with a 2-tick window open; spend again at tick
         // 4: the span covers 2 in-window ticks (half rate, 1 each) and 2
         // post-window ticks (full rate, 2 each) = 6 tokens — not 8 (the
         // whole span retroactively at full rate once the window closed).
-        gate.begin_migration_window(2);
+        gate.begin_migration_window(2, std::iter::once(&mut a));
         for _ in 0..10 {
-            gate.check_step("a").unwrap();
+            assert!(spend(&gate, &mut a));
         }
-        assert!(gate.check_step("a").is_err());
+        assert!(!spend(&gate, &mut a));
         for _ in 0..4 {
             gate.tick();
         }
         assert!(!gate.in_migration_window());
         for _ in 0..6 {
-            gate.check_step("a").unwrap();
+            assert!(spend(&gate, &mut a));
         }
-        assert!(gate.check_step("a").is_err(), "in-window ticks stay halved");
+        assert!(!spend(&gate, &mut a), "in-window ticks stay halved");
     }
 
     #[test]
@@ -515,7 +509,7 @@ mod tests {
         // The window is measured on the batch clock; a client that pauses
         // its step stream must still be able to retry its way in.
         let mut gate = AdmissionControl::default();
-        gate.begin_migration_window(3);
+        gate.begin_migration_window(3, std::iter::empty());
         for _ in 0..3 {
             assert!(gate.check_admit("new", 0).is_err());
         }
@@ -526,10 +520,8 @@ mod tests {
     #[test]
     fn migration_window_without_rate_limits_leaves_steps_alone() {
         let mut gate = AdmissionControl::default();
-        gate.begin_migration_window(5);
-        for _ in 0..100 {
-            gate.check_step("a").unwrap();
-        }
+        gate.begin_migration_window(5, std::iter::empty());
+        assert!(gate.refill().is_none(), "no bucket is charged");
         assert!(gate.check_admit("b", 0).is_err());
     }
 
@@ -540,14 +532,22 @@ mod tests {
             rate: 1.0,
             burst: 1.0,
         });
-        gate.check_step("a").unwrap();
-        assert!(gate.check_step("a").is_err());
-        // Evicting the tenant drops its bucket; a re-admitted tenant
-        // starts with a full one.
-        gate.forget("a");
-        gate.check_step("a").unwrap();
-        // Disabling limits clears state; re-enabling starts fresh.
+        let mut a = TokenBucket::default();
+        assert!(spend(&gate, &mut a));
+        assert!(!spend(&gate, &mut a));
+        // A released tenant's bucket is forgotten with its intern entry;
+        // a re-admitted tenant starts with a fresh, full one.
+        a = TokenBucket::default();
+        assert!(spend(&gate, &mut a));
+        // Charges out of tick order never run a bucket's clock backwards.
+        gate.tick();
+        gate.tick();
+        let late = gate.refill().unwrap();
+        assert!(late.spend(&mut a));
+        assert!(!Refill { tick: 1, ..late }.spend(&mut a));
+        assert!(!late.spend(&mut a), "tick 2 is not funded twice");
+        // Disabling limits stops all charging; re-enabling starts fresh.
         gate.set_config(AdmissionConfig::default());
-        assert!(gate.buckets.is_empty());
+        assert!(gate.refill().is_none());
     }
 }

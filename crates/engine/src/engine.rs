@@ -2,14 +2,13 @@
 //! admission control, checkpointing, crash recovery, live ring
 //! rebalancing (full and incremental), and lazy auto-rebalancing.
 
-use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionError};
+use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionError, Refill};
 use crate::intern::{Interner, Pricing, UNKNOWN_KEY};
 use crate::journal::{CheckpointDoc, JournalRecord};
 use crate::obs::EngineObs;
 use crate::power::PowerRuntime;
 use crate::ring::{moved_ids, HashRing, RingSpec, DEFAULT_VNODES};
 use crate::shard::{Event, Shard, ShardDump, ShardMeta, ShardStats, StepOutcome, Worker};
-use crate::statelist::StateList;
 use crate::tenant::{Tenant, TenantConfig, TenantReport, TenantSnapshot};
 use crate::topology::{TopologyConfig, TopologyPolicy, TopologyStatus};
 use crate::EngineError;
@@ -95,9 +94,12 @@ impl EngineConfig {
 /// lifecycle.
 ///
 /// Lock order — a thread holding one of these only ever takes a later
-/// one: admission gate → dispatch pool → intern table → shard. The
-/// topology-policy and power-meter locks are leaves, held alone or taken
-/// last. Shard code takes no engine lock.
+/// one: admission gate → dispatch pool → intern table → shard, and
+/// intern table → power meter. The topology-policy and power-meter locks
+/// are leaves, held alone or taken last. Shard code takes no engine lock.
+/// Installs (admit, restore) and evicts hold the gate, and installs also
+/// hold the dispatch pool, so no batch routes between a key's reuse and
+/// the install it belongs to.
 pub struct Engine {
     shards: Vec<Arc<Mutex<Shard>>>,
     ring: HashRing,
@@ -112,8 +114,9 @@ pub struct Engine {
     admission: Mutex<AdmissionControl>,
     topology: Mutex<Option<TopologyPolicy>>,
     power: Mutex<Option<PowerRuntime>>,
-    /// The one id → tenant index: per id, the slab key, the cached route
-    /// and the load pricing. Hash once at admit, route on the integer.
+    /// The one per-tenant record: per live id, the slab key, the cached
+    /// route, the load pricing, the token bucket and the energy
+    /// attribution. Hash once at admit, route on the integer.
     intern: Mutex<Interner>,
     /// The shard workers and the batched ingest path's reusable buffers.
     dispatch: Mutex<DispatchPool>,
@@ -127,9 +130,11 @@ pub struct Engine {
 pub struct StepEvent {
     /// Interned tenant id.
     pub id: Arc<str>,
-    /// Slab key ([`crate::intern::UNKNOWN_KEY`] for never-admitted ids).
-    /// A key that does not name `id` in this engine's intern table is
-    /// looked up again by `id`.
+    /// Slab key ([`crate::intern::UNKNOWN_KEY`] for ids that are not
+    /// live). The key is a hint and `id` the truth: keys are reused after
+    /// an evict, and a key that no longer names `id` in this engine's
+    /// intern table is looked up again by `id`. Ids that are not live are
+    /// never gated by a rate limit: they fail as unknown tenants.
     pub key: u32,
     /// Cost function for this slot.
     pub cost: Cost,
@@ -148,6 +153,8 @@ pub struct StepEvent {
 struct DispatchPool {
     workers: Vec<Worker>,
     indexed: Vec<(usize, StepOutcome)>,
+    /// `(key, shard)` per event of the batch, in submission order.
+    routes: Vec<(u32, usize)>,
     shard_events: Vec<u64>,
     pulses: Vec<(usize, usize)>,
     machines: Vec<(usize, u64)>,
@@ -338,7 +345,15 @@ impl Engine {
     pub fn set_limits(&self, cfg: AdmissionConfig) -> Result<(), EngineError> {
         cfg.validate()
             .map_err(|m| EngineError::Policy(rsdc_core::Error::InvalidParameter(m)))?;
-        self.gate().set_config(cfg);
+        let mut gate = self.gate();
+        if gate.config().limits_rate() && !cfg.limits_rate() {
+            // Buckets are charged only under a rate limit, so they stay
+            // full while it is off: re-enabling one starts them full.
+            self.interner()
+                .each_mut()
+                .for_each(|e| e.bucket = Default::default());
+        }
+        gate.set_config(cfg);
         Ok(())
     }
 
@@ -371,8 +386,8 @@ impl Engine {
     }
 
     /// The slab key and shard index of tenant `id`: one intern lookup,
-    /// whose lock is released before the caller locks the shard. Ids
-    /// never admitted fail with `UnknownTenant` without touching a shard.
+    /// whose lock is released before the caller locks the shard. Ids that
+    /// are not live fail with `UnknownTenant` without touching a shard.
     fn locate(&self, id: &str) -> Result<(u32, usize), EngineError> {
         let interner = self.interner();
         let (key, e) = interner.lookup(id).ok_or_else(|| unknown(id))?;
@@ -383,7 +398,7 @@ impl Engine {
     fn read_tenant<T>(&self, id: &str, f: impl FnOnce(&Tenant) -> T) -> Result<T, EngineError> {
         let (key, shard) = self.locate(id)?;
         self.shard(shard)?
-            .tenant(key)
+            .tenant(key, id)
             .map(f)
             .ok_or_else(|| unknown(id))
     }
@@ -401,19 +416,20 @@ impl Engine {
     }
 
     /// Resolve a tenant id against the intern table without inserting:
-    /// admitted ids come back as their shared string plus slab key, ids
-    /// never admitted get a fresh string and [`UNKNOWN_KEY`] (the owning
-    /// shard will report `UnknownTenant` for them). This is the one
-    /// allocation a caller pays per *distinct* id, not per event — hold
-    /// the returned pair and reuse it across [`Engine::step_events`]
-    /// batches.
+    /// live ids come back as their shared string plus slab key, other ids
+    /// get a fresh string and [`UNKNOWN_KEY`] (the owning shard will
+    /// report `UnknownTenant` for them). The key stays a hint: after an
+    /// evict it may name another tenant, and the step path then looks
+    /// the id up again. This is the one allocation a caller pays per
+    /// *distinct* id, not per event — hold the returned pair and reuse it
+    /// across [`Engine::step_events`] batches.
     pub fn resolve(&self, id: &str) -> (Arc<str>, u32) {
         let (id, key, _) = self.resolve_priced(id);
         (id, key)
     }
 
     /// [`Engine::resolve`] plus the tenant's load [`Pricing`] from the
-    /// same lookup (the default pricing for ids never admitted).
+    /// same lookup (the default pricing for ids that are not live).
     pub(crate) fn resolve_priced(&self, id: &str) -> (Arc<str>, u32, Pricing) {
         resolve_in(&self.interner(), id)
     }
@@ -457,7 +473,14 @@ impl Engine {
             }
             None => None,
         };
-        *self.power_runtime() = runtime;
+        let mut interner = self.interner();
+        let mut power = self.power_runtime();
+        if power.is_some() {
+            // Tenants are attributed only while a meter runs: the next
+            // one attributes from zero.
+            interner.each_mut().for_each(|e| e.energy = None);
+        }
+        *power = runtime;
         Ok(())
     }
 
@@ -475,12 +498,16 @@ impl Engine {
         self.power_runtime().as_ref().map(|rt| rt.meter().status())
     }
 
-    /// Fill a report's `energy` field from the attribution map.
-    fn decorate_energy(&self, report: &mut TenantReport) {
-        report.energy = self
-            .power_runtime()
-            .as_ref()
-            .and_then(|rt| rt.tenant_energy(&report.id));
+    /// Fill the reports' `energy` fields from their tenants' intern
+    /// entries, when energy accounting is on.
+    fn decorate_energy(&self, reports: &mut [TenantReport]) {
+        let interner = self.interner();
+        if self.power_runtime().is_some() {
+            for report in reports {
+                let entry = interner.lookup(&report.id);
+                report.energy = entry.and_then(|(_, e)| e.energy).map(|a| a.energy);
+            }
+        }
     }
 
     /// Enable (`Some`) or disable (`None`) the lazy auto-rebalancing
@@ -554,7 +581,11 @@ impl Engine {
         if let Some(policy) = self.policy().as_mut() {
             policy.record_applied(from, report.shards, report.moved);
         }
-        self.gate().begin_migration_window(cooldown);
+        {
+            let mut gate = self.gate();
+            let mut interner = self.interner();
+            gate.begin_migration_window(cooldown, interner.each_mut().map(|e| &mut e.bucket));
+        }
         if cooldown > 0 {
             self.obs.note_window(self.logical_tick(), true);
         }
@@ -586,19 +617,23 @@ impl Engine {
         // in the lock order, so the shard locks taken inside cannot
         // deadlock.
         let mut gate = self.gate();
-        if gate.config().max_tenants > 0 || gate.in_migration_window() {
+        self.check_admit(&mut gate, &cfg.id)?;
+        self.admit_unchecked(cfg)
+    }
+
+    /// Gate one new tenant `id` under the held `gate`: refused at the
+    /// tenant cap or inside a migration window.
+    fn check_admit(&self, gate: &mut AdmissionControl, id: &str) -> Result<(), EngineError> {
+        let cap = gate.config().max_tenants > 0;
+        if cap || gate.in_migration_window() {
             // The live count is only fetched when a cap could bite.
-            let live = if gate.config().max_tenants > 0 {
-                self.live_tenants()?
-            } else {
-                0
-            };
-            gate.check_admit(&cfg.id, live).map_err(|e| {
+            let live = if cap { self.live_tenants()? } else { 0 };
+            gate.check_admit(id, live).map_err(|e| {
                 self.obs.count_refusal(&e);
                 EngineError::Admission(e)
             })?;
         }
-        self.admit_unchecked(cfg)
+        Ok(())
     }
 
     /// Admit bypassing admission control (recovery replay). A live id is
@@ -616,21 +651,37 @@ impl Engine {
     }
 
     /// Install a validated tenant: intern its id (hashed once, routed
-    /// once, handed to its shard as a stable slab key), journal `record`
-    /// and place the tenant on its shard, replacing any tenant there. Its
-    /// pricing is recorded only once the install succeeded.
+    /// once, handed to its shard as a slab key), journal `record` and
+    /// place the tenant on its shard, replacing any tenant there. Its
+    /// pricing is recorded only once the install succeeded; a failed
+    /// install of a new id releases the key again.
+    ///
+    /// The dispatch pool is held throughout, so no batch is routed while
+    /// the id becomes live: a step routes either before the intern (and
+    /// fails as unknown, journaled before the install) or after the
+    /// place — live outcomes and replay agree.
     fn install(&self, tenant: Tenant, record: Option<JournalRecord>) -> Result<(), EngineError> {
+        let _dispatch = self.dispatch_pool();
         let pricing = Pricing::of(tenant.config());
-        let (key, shard) = self.interner().intern(&tenant.config().id, &self.ring);
-        {
-            let mut shard = self.shard(shard)?;
+        let id = tenant.config().id.clone();
+        let (key, shard) = self.interner().intern(&id, &self.ring);
+        let placed = self.shard(shard).and_then(|mut shard| {
             if let Some(record) = &record {
                 shard.journal(record)?;
             }
             shard.place(key, tenant);
+            Ok(())
+        });
+        let mut interner = self.interner();
+        if placed.is_ok() {
+            interner.set_pricing(key, pricing);
+        } else if self
+            .shard(shard)
+            .is_ok_and(|s| s.tenant(key, &id).is_none())
+        {
+            interner.release(key);
         }
-        self.interner().set_pricing(key, pricing);
-        Ok(())
+        placed
     }
 
     /// Classify a per-event error string back into the [`EngineError`] it
@@ -737,42 +788,30 @@ impl Engine {
         events: &mut Vec<StepEvent>,
         out: &mut Vec<StepOutcome>,
     ) -> Result<(), EngineError> {
-        let (throttled, tick) = self.tick_gate(&mut events.iter().map(|ev| &*ev.id));
-        self.dispatch_resolved(events, &throttled, Some(tick), out)
+        let (refill, tick) = self.tick_gate();
+        self.dispatch_resolved(events, refill, Some(tick), out)
     }
 
-    /// Advance the admission gate one tick for a batch and compute its
-    /// throttle mask (empty when no rate limit is configured — the common
-    /// case allocates nothing). Returns the mask and the new tick.
-    fn tick_gate(&self, ids: &mut dyn Iterator<Item = &str>) -> (Vec<bool>, u64) {
-        let (throttled, tick, window_open) = {
-            let mut gate = self.gate();
-            gate.tick();
-            let throttled: Vec<bool> = if gate.config().limits_rate() {
-                ids.map(|id| gate.check_step(id).is_err()).collect()
-            } else {
-                Vec::new()
-            };
-            (throttled, gate.now(), gate.in_migration_window())
-        };
+    /// Advance the admission gate one tick for a batch. Returns the
+    /// refill its buckets are charged against (`None` when no rate limit
+    /// is configured) and the new tick.
+    fn tick_gate(&self) -> (Option<Refill>, u64) {
+        let mut gate = self.gate();
+        gate.tick();
         // Window close is observed lazily (the gate has no timer): the
         // first tick past the cooldown records the close edge.
-        self.obs.note_window(tick, window_open);
-        let throttled_events = throttled.iter().filter(|&&t| t).count() as u64;
-        if throttled_events > 0 {
-            self.obs.admission_throttled.add(throttled_events);
-            self.obs.events_dropped.add(throttled_events);
-        }
-        (throttled, tick)
+        self.obs.note_window(gate.now(), gate.in_migration_window());
+        (gate.refill(), gate.now())
     }
 
-    /// Fan events out to shards, short-circuiting throttled ones into
-    /// local error outcomes. `throttled` is empty (nothing throttled) or
-    /// parallel to `events`. With `observe` (the batch's logical tick),
-    /// the per-shard batch sizes and the live-tenant pulses each shard
-    /// returns with its outcomes feed the auto-rebalancing policy and the
-    /// energy meter one tick (recovery replay passes `None`: replayed
-    /// traffic is history, not load).
+    /// Fan events out to shards. With `refill`, each event whose id names
+    /// a live tenant spends a token from that tenant's bucket first, and
+    /// a throttled event becomes a local error outcome. With `observe`
+    /// (the batch's logical tick), the per-shard batch sizes and the
+    /// live-tenant pulses each shard returns with its outcomes feed the
+    /// auto-rebalancing policy and the energy meter one tick (recovery
+    /// replay passes `None` for both: replayed traffic was admitted once
+    /// already, and it is history, not load).
     ///
     /// Every non-empty per-shard batch goes to that shard's persistent
     /// worker, and every handed-off batch is collected before this
@@ -780,51 +819,43 @@ impl Engine {
     /// holds a stale reply. The event and outcome buffers round-trip
     /// through the workers, so steady-state batches reuse the same
     /// allocations end to end. Shard routing comes from the intern
-    /// table's cached routes; only never-admitted ids fall back to
+    /// table's cached routes; only ids that are not live fall back to
     /// hashing the ring.
     fn dispatch_resolved(
         &self,
         events: &mut Vec<StepEvent>,
-        throttled: &[bool],
+        refill: Option<Refill>,
         observe: Option<u64>,
         out: &mut Vec<StepOutcome>,
     ) -> Result<(), EngineError> {
         let mut pool = self.dispatch_pool();
         let pool = &mut *pool;
         pool.indexed.clear();
+        pool.routes.clear();
+        let mut throttled = 0;
         {
-            let interner = self.interner();
+            let mut interner = self.interner();
             for (index, ev) in events.drain(..).enumerate() {
-                if throttled.get(index).copied().unwrap_or(false) {
-                    pool.indexed.push((
-                        index,
-                        StepOutcome {
-                            error: Some(
-                                AdmissionError::Throttled {
-                                    id: ev.id.to_string(),
-                                }
-                                .to_string(),
-                            ),
-                            id: ev.id,
-                            states: StateList::new(),
-                            configs: None,
-                        },
-                    ));
+                // Shards step the key but journal the id, so the key must
+                // still name the event's id (see `Interner::find_mut`).
+                let (key, shard, spent) = match interner.find_mut(ev.key, &ev.id) {
+                    Some((key, e)) => (
+                        key,
+                        e.shard as usize,
+                        refill.is_none_or(|r| r.spend(&mut e.bucket)),
+                    ),
+                    None => (UNKNOWN_KEY, self.ring.route(&ev.id), true),
+                };
+                pool.routes.push((key, shard));
+                if !spent {
+                    throttled += 1;
+                    let error = AdmissionError::Throttled {
+                        id: ev.id.to_string(),
+                    };
+                    pool.indexed
+                        .push((index, StepOutcome::failed(error, ev.id)));
                     continue;
                 }
-                // The key is trusted only while it still names the event's
-                // id (a pair resolved against another intern table, or
-                // before its id was admitted, is looked up again): shards
-                // step the key but journal the id.
-                let (key, shard) = match interner.entry(ev.key) {
-                    Some(e) if Arc::ptr_eq(&e.id, &ev.id) || e.id == ev.id => {
-                        (ev.key, e.shard as usize)
-                    }
-                    _ => match interner.lookup(&ev.id) {
-                        Some((key, e)) => (key, e.shard as usize),
-                        None => (UNKNOWN_KEY, self.ring.route(&ev.id)),
-                    },
-                };
                 pool.workers[shard].events.push(Event {
                     index,
                     id: ev.id,
@@ -833,6 +864,10 @@ impl Engine {
                     load: ev.load,
                 });
             }
+        }
+        if throttled > 0 {
+            self.obs.admission_throttled.add(throttled);
+            self.obs.events_dropped.add(throttled);
         }
         let mut failure = None;
         pool.shard_events.clear();
@@ -861,37 +896,36 @@ impl Engine {
         if let Some(e) = failure {
             return Err(e);
         }
+        // Unstable sort: indexes are distinct, so stability is moot, and
+        // (unlike the stable sort) it does not allocate a merge buffer.
+        pool.indexed.sort_unstable_by_key(|(index, _)| *index);
         if let Some(tick) = observe {
             if let Some(policy) = self.policy().as_mut() {
                 policy.observe(&pool.shard_events, &pool.pulses);
             }
+            let mut interner = self.interner();
             if let Some(runtime) = self.power_runtime().as_mut() {
-                // One metered tick: the shard samples drive the meter,
-                // the committed outcomes refresh per-tenant attribution.
-                // Shard routing is recomputed from the ring (identical to
-                // the dispatch above — the ring did not change mid-call).
-                let commits: Vec<(&str, u32, usize)> = pool
-                    .indexed
-                    .iter()
-                    .filter(|(_, o)| o.error.is_none())
-                    .filter_map(|(_, o)| {
-                        o.states
-                            .last()
-                            .map(|&last| (&*o.id, last, self.ring.route(&o.id)))
-                    })
-                    .collect();
+                // One metered tick: the committed outcomes refresh their
+                // tenants' attribution (key and shard as routed above),
+                // then the shard samples drive the meter.
+                // (A failed event commits no state.)
+                for ((_, o), &(key, shard)) in pool.indexed.iter().zip(&pool.routes) {
+                    if let (Some(&last), Some((_, e))) =
+                        (o.states.last(), interner.find_mut(key, &o.id))
+                    {
+                        let a = e.energy.get_or_insert_with(Default::default);
+                        (a.machines, a.shard) = (last as u64, shard);
+                    }
+                }
                 runtime.observe(
                     tick,
                     &pool.shard_events,
                     &pool.machines,
-                    &commits,
+                    interner.each_mut().filter_map(|e| e.energy.as_mut()),
                     &self.obs,
                 );
             }
         }
-        // Unstable sort: indexes are distinct, so stability is moot, and
-        // (unlike the stable sort) it does not allocate a merge buffer.
-        pool.indexed.sort_unstable_by_key(|(index, _)| *index);
         out.extend(pool.indexed.drain(..).map(|(_, o)| o));
         Ok(())
     }
@@ -899,7 +933,9 @@ impl Engine {
     /// End-of-stream for one tenant: flush pending lookahead states.
     pub fn finish(&self, id: &str) -> Result<Vec<u32>, EngineError> {
         let (key, shard) = self.locate(id)?;
-        self.shard(shard)?.finish(key)?.ok_or_else(|| unknown(id))
+        self.shard(shard)?
+            .finish(key, id)?
+            .ok_or_else(|| unknown(id))
     }
 
     /// Capture a tenant's full state.
@@ -917,18 +953,8 @@ impl Engine {
         // race past the cap. Only a *new* tenant is gated — re-installing
         // an existing one is neither an admit nor a migration hazard.
         let mut gate = self.gate();
-        if (gate.config().max_tenants > 0 || gate.in_migration_window())
-            && self.tenant_config(&snapshot.config.id).is_err()
-        {
-            let live = if gate.config().max_tenants > 0 {
-                self.live_tenants()?
-            } else {
-                0
-            };
-            gate.check_admit(&snapshot.config.id, live).map_err(|e| {
-                self.obs.count_refusal(&e);
-                EngineError::Admission(e)
-            })?;
+        if self.tenant_config(&snapshot.config.id).is_err() {
+            self.check_admit(&mut gate, &snapshot.config.id)?;
         }
         self.restore_unchecked(snapshot)
     }
@@ -945,23 +971,29 @@ impl Engine {
     }
 
     /// Remove a tenant, returning its final report (with its attributed
-    /// energy, when accounting is on — the attribution entry is dropped
-    /// with the tenant).
+    /// energy, when accounting is on). The tenant's intern entry is
+    /// released — its token bucket and attribution with it — and its key
+    /// is reused by a later admit. Serializes with admits and restores on
+    /// the admission gate, so no install reuses the key mid-evict.
     pub fn evict(&self, id: &str) -> Result<TenantReport, EngineError> {
+        let _gate = self.gate();
         let (key, shard) = self.locate(id)?;
-        let mut report = self.shard(shard)?.evict(key)?.ok_or_else(|| unknown(id))?;
-        self.gate().forget(id);
-        if let Some(runtime) = self.power_runtime().as_mut() {
-            report.energy = runtime.tenant_energy(id);
-            runtime.forget(id);
-        }
+        let mut report = self
+            .shard(shard)?
+            .evict(key, id)?
+            .ok_or_else(|| unknown(id))?;
+        report.energy = self
+            .interner()
+            .release(key)
+            .and_then(|e| e.energy)
+            .map(|a| a.energy);
         Ok(report)
     }
 
     /// Report for one tenant.
     pub fn report(&self, id: &str) -> Result<TenantReport, EngineError> {
         let mut report = self.read_tenant(id, Tenant::report)?;
-        self.decorate_energy(&mut report);
+        self.decorate_energy(std::slice::from_mut(&mut report));
         Ok(report)
     }
 
@@ -970,11 +1002,7 @@ impl Engine {
         let mut all = Vec::new();
         self.each_shard(|s| all.extend(s.reports()))?;
         all.sort_by(|a, b| a.id.cmp(&b.id));
-        if let Some(runtime) = self.power_runtime().as_ref() {
-            for report in &mut all {
-                report.energy = runtime.tenant_energy(&report.id);
-            }
-        }
+        self.decorate_energy(&mut all);
         Ok(all)
     }
 
@@ -1026,17 +1054,7 @@ impl Engine {
         let (tenants, shard_meta) = Engine::collect_dumps(self.each_shard(|s| s.checkpoint(seq))?)?;
         let count = tenants.len();
         if durable {
-            let spec = self.ring.spec();
-            let doc = CheckpointDoc {
-                seq,
-                shards: spec.shards,
-                vnodes: spec.vnodes,
-                tenants,
-                shard_meta,
-            };
-            self.store
-                .commit_checkpoint(seq, &doc.encode())
-                .map_err(EngineError::from_store)?;
+            self.commit_doc(seq, self.ring.spec(), tenants, shard_meta)?;
         }
         self.obs.lap(&self.obs.checkpoint_ns, lap);
         Ok(CheckpointReport {
@@ -1044,6 +1062,27 @@ impl Engine {
             tenants: count,
             durable,
         })
+    }
+
+    /// Publish checkpoint `seq`: the tenants and shard aggregates under
+    /// topology `spec`.
+    fn commit_doc(
+        &self,
+        seq: u64,
+        spec: RingSpec,
+        tenants: Vec<TenantSnapshot>,
+        shard_meta: Vec<ShardMeta>,
+    ) -> Result<(), EngineError> {
+        let doc = CheckpointDoc {
+            seq,
+            shards: spec.shards,
+            vnodes: spec.vnodes,
+            tenants,
+            shard_meta,
+        };
+        self.store
+            .commit_checkpoint(seq, &doc.encode())
+            .map_err(EngineError::from_store)
     }
 
     /// Re-partition the engine onto a new ring topology, live, rebuilding
@@ -1218,16 +1257,7 @@ impl Engine {
                 for meta in &retired_meta {
                     shard_meta[0].merge(meta);
                 }
-                let doc = CheckpointDoc {
-                    seq,
-                    shards: spec.shards,
-                    vnodes: spec.vnodes,
-                    tenants,
-                    shard_meta,
-                };
-                self.store
-                    .commit_checkpoint(seq, &doc.encode())
-                    .map_err(EngineError::from_store)?;
+                self.commit_doc(seq, spec, tenants, shard_meta)?;
                 self.obs
                     .event(tick, "rebalance_fence", vec![("seq", seq.into())]);
             }
@@ -1472,7 +1502,7 @@ impl Engine {
                 let mut resolved =
                     self.resolve_batch(events.into_iter().map(|e| (e.id, e.cost, e.load)));
                 let mut outcomes = Vec::with_capacity(resolved.len());
-                self.dispatch_resolved(&mut resolved, &[], None, &mut outcomes)
+                self.dispatch_resolved(&mut resolved, None, None, &mut outcomes)
                     .map(|()| report.events_replayed += outcomes.len())
             }
             JournalRecord::Finish(id) => self.finish(&id).map(|_| ()),
@@ -1519,6 +1549,87 @@ mod tests {
     use super::*;
     use crate::PolicySpec;
     use rsdc_hetero::{FleetSpec, HeteroAlgo};
+
+    /// `cycles` rounds of admit → step → evict over ever-fresh ids beside
+    /// a small resident fleet, with a rate limit and energy accounting
+    /// on: the intern table and every slab key index stay at the
+    /// live-tenant high-water mark, and each cycle's tenant starts with a
+    /// full bucket and no attributed energy.
+    fn churn(cycles: usize) {
+        const RESIDENT: usize = 3;
+        let lcp = |id: &str| TenantConfig::new(id, 4, 2.0, PolicySpec::Lcp);
+        let mut cfg = EngineConfig::with_shards(2);
+        cfg.metrics = false;
+        let engine = Engine::new(cfg);
+        engine
+            .set_limits(AdmissionConfig {
+                max_tenants: 0,
+                rate: 1.0,
+                burst: 2.0,
+            })
+            .unwrap();
+        engine
+            .set_power(Some(PowerConfig::new(rsdc_power::PowerSpec::Linear {
+                idle: 100.0,
+                peak: 250.0,
+            })))
+            .unwrap();
+        for i in 0..RESIDENT {
+            engine.admit(lcp(&format!("resident-{i}"))).unwrap();
+        }
+        let cost = || Cost::abs(1.0, 3.0);
+        let mut id = String::new();
+        for cycle in 0..cycles {
+            // Every tenth cycle re-admits the id just evicted.
+            if cycle % 10 != 1 {
+                id = format!("churn-{cycle}");
+            }
+            engine.admit(lcp(&id)).unwrap();
+            assert!(engine.report(&id).unwrap().energy.is_none());
+            // A full bucket serves the burst of 2, then throttles — in the
+            // same batch as a resident tenant's step.
+            let batch = vec![
+                (id.clone(), cost()),
+                (id.clone(), cost()),
+                (id.clone(), cost()),
+                (format!("resident-{}", cycle % RESIDENT), cost()),
+            ];
+            let errors: Vec<Option<String>> = engine
+                .step_batch(batch)
+                .unwrap()
+                .into_iter()
+                .map(|o| o.error)
+                .collect();
+            let throttled = AdmissionError::Throttled { id: id.clone() }.to_string();
+            assert_eq!(errors, [None, None, Some(throttled), None], "cycle {cycle}");
+            let report = engine.evict(&id).unwrap();
+            assert_eq!(report.events, 2);
+            assert!(report.energy.is_some(), "cycle {cycle}");
+        }
+        let high_water = RESIDENT + 1;
+        assert_eq!(engine.interner().len(), high_water);
+        for shard in &engine.shards {
+            assert!(shard.lock().unwrap().key_span() <= high_water);
+        }
+        assert_eq!(engine.live_tenants().unwrap(), RESIDENT);
+    }
+
+    #[test]
+    fn churned_ids_reuse_keys_and_start_fresh() {
+        churn(100_000);
+    }
+
+    /// Nightly-depth churn soak (`--include-ignored`), scaled by
+    /// `RSDC_HEAVY_CASES`.
+    #[test]
+    #[ignore = "heavy: run via the nightly --include-ignored CI job"]
+    fn churned_ids_reuse_keys_and_start_fresh_heavy() {
+        let cases: usize = std::env::var("RSDC_HEAVY_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256);
+        churn(100_000 * cases.div_ceil(64));
+    }
 
     #[test]
     fn refused_admits_and_restores_leave_no_intern_entry() {

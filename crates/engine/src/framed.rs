@@ -11,7 +11,7 @@
 //! its session: `wire::LineSession` is `Framed<wire::Lines>` and
 //! `binwire::BinSession` is `Framed<binwire::Frames>`.
 
-use crate::wire::{PendingStep, Reply, Request, Session};
+use crate::wire::{Reply, Request, Session};
 
 /// The framing-specific half of a [`Framing`] connection.
 pub trait Codec {
@@ -31,7 +31,7 @@ pub trait Codec {
 /// The framing-independent connection state, kept across calls.
 #[derive(Default)]
 struct State {
-    pending: Vec<PendingStep>,
+    pending: Vec<(usize, crate::StepEvent)>,
     replies: Vec<Reply>,
     /// Requests consumed so far; the next one is number `seq + 1`.
     seq: usize,

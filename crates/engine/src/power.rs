@@ -1,7 +1,15 @@
 //! The engine's energy runtime: the [`EnergyMeter`] plus the handle-side
-//! bookkeeping that feeds it — last-known per-shard machine counts,
-//! per-tenant attribution, and the floor-diff emission into the metrics
-//! registry.
+//! bookkeeping that feeds it — last-known per-shard machine counts, the
+//! per-tenant attribution pass, and the floor-diff emission into the
+//! metrics registry.
+//!
+//! Per-tenant attribution lives on the tenants' intern entries
+//! ([`crate::intern`]), not in a map of its own: a tenant's
+//! [`Attribution`] starts at its first commit under the current meter,
+//! is released with its entry when it is evicted (a re-admitted id
+//! starts with none), and is cleared fleet-wide when a new meter is
+//! installed. Attribution memory is therefore bounded by the live-tenant
+//! high-water mark, and ids that are not live are never charged.
 //!
 //! Like the metrics registry, the admission gate and the topology policy,
 //! the runtime is **process state, never journaled**: enabling energy
@@ -12,7 +20,6 @@ use crate::obs::EngineObs;
 use crate::tenant::TenantEnergy;
 use rsdc_obs::Gauge;
 use rsdc_power::{EnergyDelta, EnergyMeter, PowerConfig, PowerModel, ShardSample};
-use std::collections::HashMap;
 
 /// Handle-side energy accounting state (lives behind the engine's power
 /// mutex; one instance per `set_power(Some(..))` install).
@@ -22,11 +29,6 @@ pub(crate) struct PowerRuntime {
     /// tick keep drawing at their last reported commitment — machines do
     /// not power down just because a batch skipped their shard.
     shard_machines: Vec<u64>,
-    /// Per-tenant machine counts and attributed energy, updated from
-    /// batch outcomes (evictions prune entries via [`forget`]).
-    ///
-    /// [`forget`]: PowerRuntime::forget
-    tenants: HashMap<String, TenantPower>,
     /// Per-shard watts gauges, registered lazily as shards appear.
     gauges: Vec<Gauge>,
     /// Whole joules already emitted to the registry counter.
@@ -35,13 +37,17 @@ pub(crate) struct PowerRuntime {
     emitted_cost_milli: u64,
 }
 
-struct TenantPower {
-    machines: u64,
+/// One tenant's machine count and attributed energy under the current
+/// meter, kept on its intern entry.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Attribution {
+    /// The tenant's last committed state.
+    pub(crate) machines: u64,
     /// The shard the tenant last committed on — where its machines run,
     /// and therefore whose utilization prices its per-machine draw.
-    shard: usize,
-    joules: f64,
-    cost: f64,
+    pub(crate) shard: usize,
+    /// The energy attributed so far, as reported.
+    pub(crate) energy: TenantEnergy,
 }
 
 impl PowerRuntime {
@@ -49,7 +55,6 @@ impl PowerRuntime {
         PowerRuntime {
             meter: EnergyMeter::new(cfg),
             shard_machines: Vec::new(),
-            tenants: HashMap::new(),
             gauges: Vec::new(),
             emitted_joules: 0,
             emitted_cost_milli: 0,
@@ -61,19 +66,19 @@ impl PowerRuntime {
     }
 
     /// Meter one engine tick: fold the per-shard samples into the meter,
-    /// refresh per-tenant machine counts from the batch outcomes, charge
-    /// each known tenant its share, and emit gauges/counters/trace.
+    /// charge each attributed tenant its share, and emit
+    /// gauges/counters/trace.
     ///
     /// `shard_events[i]` is the events shard `i` applied this tick;
     /// `machines` carries `(shard, committed machines)` for the shards
-    /// that replied; `commits` carries `(tenant, last committed state,
-    /// owning shard)` for the outcomes that committed anything.
-    pub(crate) fn observe(
+    /// that replied; `tenants` are the attributions, already refreshed
+    /// from this tick's commits.
+    pub(crate) fn observe<'a>(
         &mut self,
         tick: u64,
         shard_events: &[u64],
         machines: &[(usize, u64)],
-        commits: &[(&str, u32, usize)],
+        tenants: impl Iterator<Item = &'a mut Attribution>,
         obs: &EngineObs,
     ) -> EnergyDelta {
         self.shard_machines.resize(shard_events.len(), 0);
@@ -86,41 +91,28 @@ impl PowerRuntime {
             .map(|(&events, &machines)| ShardSample { events, machines })
             .collect();
         let price = self.meter.config().price.price_at(self.meter.ticks());
-        for &(id, last, shard) in commits {
-            let entry = self
-                .tenants
-                .entry(id.to_string())
-                .or_insert_with(|| TenantPower {
-                    machines: 0,
-                    shard: 0,
-                    joules: 0.0,
-                    cost: 0.0,
-                });
-            entry.machines = last as u64;
-            entry.shard = shard;
-        }
         let delta = self.meter.observe(&samples);
-        self.attribute(price);
+        self.attribute(price, tenants);
         self.emit(tick, &delta, obs);
         delta
     }
 
-    /// Charge each known tenant `machines * watts_per_machine(util of its
+    /// Charge each tenant `machines * watts_per_machine(util of its
     /// shard's sample)` for this tick. The per-machine draw is derived
     /// from the fleet-wide model at the shard-mean utilization recorded by
     /// the meter; the idle floor of shards with zero committed machines
     /// stays unattributed (the meter total is the authoritative bill).
-    fn attribute(&mut self, price: f64) {
+    fn attribute<'a>(&self, price: f64, tenants: impl Iterator<Item = &'a mut Attribution>) {
         let cfg = self.meter.config();
         let utils = self.meter.last_utilization();
-        for t in self.tenants.values_mut() {
+        for t in tenants {
             if t.machines == 0 {
                 continue;
             }
             let util = utils.get(t.shard).copied().unwrap_or(0.0);
             let joules = t.machines as f64 * cfg.model.watts(util);
-            t.joules += joules;
-            t.cost += joules * price;
+            t.energy.joules += joules;
+            t.energy.cost += joules * price;
         }
     }
 
@@ -155,18 +147,5 @@ impl PowerRuntime {
                 ],
             );
         }
-    }
-
-    /// The energy attributed to one tenant so far, if any was.
-    pub(crate) fn tenant_energy(&self, id: &str) -> Option<TenantEnergy> {
-        self.tenants.get(id).map(|t| TenantEnergy {
-            joules: t.joules,
-            cost: t.cost,
-        })
-    }
-
-    /// Drop a tenant's attribution entry (after an evict).
-    pub(crate) fn forget(&mut self, id: &str) {
-        self.tenants.remove(id);
     }
 }

@@ -18,7 +18,10 @@
 //! index plus one indirection, not a string hash, and tenant storage is
 //! sized to the shard's own tenants. Shards keep no id index of their
 //! own: every operation arrives keyed, resolved against the engine's
-//! intern table, and a tenant's id is read from its config.
+//! intern table, and a tenant's id is read from its config. Keys are
+//! reused after an evict, so a key is only a hint: every keyed lookup
+//! also checks that the tenant it finds carries the id the operation
+//! names, and answers "no such tenant" otherwise.
 //!
 //! Everything a batch reports beyond its outcomes is a running total —
 //! the committed machine count and the load-aware [`ShardTotals`] — so a
@@ -48,7 +51,7 @@ pub struct Event {
     /// Tenant id (interned; shared with the engine's intern table).
     pub id: Arc<str>,
     /// The tenant's slab key ([`crate::intern::UNKNOWN_KEY`] when the id
-    /// was never admitted — the shard reports it unknown without a probe).
+    /// is not live — the shard reports it unknown without a probe).
     pub key: u32,
     /// Cost function for this slot.
     pub cost: rsdc_core::Cost,
@@ -72,6 +75,19 @@ pub struct StepOutcome {
     /// Per-event failure (e.g. unknown tenant, or a hetero step without a
     /// load). A failed event never poisons the other events of its batch.
     pub error: Option<String>,
+}
+
+impl StepOutcome {
+    /// The outcome of an event that failed with `error`: nothing
+    /// committed.
+    pub(crate) fn failed(error: impl std::fmt::Display, id: Arc<str>) -> StepOutcome {
+        StepOutcome {
+            id,
+            states: StateList::new(),
+            configs: None,
+            error: Some(error.to_string()),
+        }
+    }
 }
 
 /// Aggregate statistics for one shard, derived in O(1) from its
@@ -371,14 +387,14 @@ impl Worker {
 
 /// A shard's tenant storage: tenants packed densely in a vector sized to
 /// this shard's own tenants, plus a `u32` position per interned key. The
-/// index spans the engine-wide key space at 4 bytes a key; the tenants do
-/// not.
+/// index spans the engine-wide key space (the live-tenant high-water
+/// mark, since keys are reused) at 4 bytes a key; the tenants do not.
 #[derive(Default)]
 struct Slab {
     /// Position in `tenants` per key ([`VACANT`] for keys whose tenant
-    /// lives on another shard, was evicted, or was never admitted). A
-    /// shard holds at most one tenant per key and keys stay below
-    /// [`crate::intern::UNKNOWN_KEY`], so positions fit below `VACANT`.
+    /// lives on another shard or is not live). A shard holds at most one
+    /// tenant per key and keys stay below [`crate::intern::UNKNOWN_KEY`],
+    /// so positions fit below `VACANT`.
     index: Vec<u32>,
     /// Live tenants with their keys, in no particular order.
     tenants: Vec<(u32, Tenant)>,
@@ -394,12 +410,16 @@ impl Slab {
         }
     }
 
-    fn get(&self, key: u32) -> Option<&Tenant> {
-        self.position(key).map(|at| &self.tenants[at].1)
+    /// The tenant under `key`, if it is the tenant `id` names.
+    fn get(&self, key: u32, id: &str) -> Option<&Tenant> {
+        let tenant = &self.tenants[self.position(key)?].1;
+        (tenant.config().id == id).then_some(tenant)
     }
 
-    fn get_mut(&mut self, key: u32) -> Option<&mut Tenant> {
-        self.position(key).map(|at| &mut self.tenants[at].1)
+    fn get_mut(&mut self, key: u32, id: &str) -> Option<&mut Tenant> {
+        let at = self.position(key)?;
+        let tenant = &mut self.tenants[at].1;
+        (tenant.config().id == id).then_some(tenant)
     }
 
     /// Place `tenant` under `key`, returning the tenant it replaced.
@@ -504,9 +524,10 @@ impl Shard {
         })
     }
 
-    /// The tenant under slab key `key`, if it lives on this shard.
-    pub(crate) fn tenant(&self, key: u32) -> Option<&Tenant> {
-        self.slab.get(key)
+    /// Tenant `id`, found under slab key `key`, if it lives on this
+    /// shard.
+    pub(crate) fn tenant(&self, key: u32, id: &str) -> Option<&Tenant> {
+        self.slab.get(key, id)
     }
 
     /// Reports for every tenant on this shard, in no particular order.
@@ -538,18 +559,17 @@ impl Shard {
         Some(tenant)
     }
 
-    /// The id of the tenant under `key`, for a journal record.
-    fn id_of(&self, key: u32) -> Option<String> {
-        self.slab.get(key).map(|t| t.config().id.clone())
-    }
-
-    /// Journal and remove the tenant under `key`, returning its final
-    /// report (`None` when no tenant lives there).
-    pub(crate) fn evict(&mut self, key: u32) -> Result<Option<TenantReport>, EngineError> {
-        let Some(id) = self.id_of(key) else {
+    /// Journal and remove tenant `id` from under `key`, returning its
+    /// final report (`None` when it does not live there).
+    pub(crate) fn evict(
+        &mut self,
+        key: u32,
+        id: &str,
+    ) -> Result<Option<TenantReport>, EngineError> {
+        if self.slab.get(key, id).is_none() {
             return Ok(None);
-        };
-        self.journal(&JournalRecord::Evict(id))?;
+        }
+        self.journal(&JournalRecord::Evict(id.to_string()))?;
         Ok(self.take(key).map(|t| t.report()))
     }
 
@@ -589,17 +609,10 @@ impl Shard {
         }
         let (mut ingested, mut dropped) = (0u64, 0u64);
         for ev in events.drain(..) {
-            let Some(tenant) = self.slab.get_mut(ev.key) else {
+            let Some(tenant) = self.slab.get_mut(ev.key, &ev.id) else {
                 dropped += 1;
-                out.push((
-                    ev.index,
-                    StepOutcome {
-                        error: Some(EngineError::UnknownTenant(ev.id.to_string()).to_string()),
-                        id: ev.id,
-                        states: StateList::new(),
-                        configs: None,
-                    },
-                ));
+                let error = EngineError::UnknownTenant(ev.id.to_string());
+                out.push((ev.index, StepOutcome::failed(error, ev.id)));
                 continue;
             };
             let before = tenant.last_state() as u64;
@@ -624,15 +637,7 @@ impl Shard {
                 // no load): replay reproduces it identically.
                 Err(e) => {
                     dropped += 1;
-                    out.push((
-                        ev.index,
-                        StepOutcome {
-                            id: ev.id,
-                            states: StateList::new(),
-                            configs: None,
-                            error: Some(e.to_string()),
-                        },
-                    ));
+                    out.push((ev.index, StepOutcome::failed(e, ev.id)));
                 }
             }
         }
@@ -649,14 +654,14 @@ impl Shard {
         })
     }
 
-    /// End-of-stream for the tenant under `key`: journal, then flush its
-    /// pending lookahead states (`None` when no tenant lives there).
-    pub(crate) fn finish(&mut self, key: u32) -> Result<Option<Vec<u32>>, EngineError> {
-        let Some(id) = self.id_of(key) else {
+    /// End-of-stream for tenant `id` under `key`: journal, then flush its
+    /// pending lookahead states (`None` when it does not live there).
+    pub(crate) fn finish(&mut self, key: u32, id: &str) -> Result<Option<Vec<u32>>, EngineError> {
+        if self.slab.get(key, id).is_none() {
             return Ok(None);
-        };
-        self.journal(&JournalRecord::Finish(id))?;
-        let tenant = self.slab.get_mut(key).expect("keyed above");
+        }
+        self.journal(&JournalRecord::Finish(id.to_string()))?;
+        let tenant = self.slab.get_mut(key, id).expect("keyed above");
         let before = tenant.last_state() as u64;
         let effect = tenant.finish();
         self.machines = self.machines + tenant.last_state() as u64 - before;
@@ -693,6 +698,12 @@ impl Shard {
         self.meta.merge(meta);
     }
 
+    /// Length of the slab's key index (the highest key placed here + 1).
+    #[cfg(test)]
+    pub(crate) fn key_span(&self) -> usize {
+        self.slab.index.len()
+    }
+
     pub(crate) fn stats(&self) -> ShardStats {
         let totals = &self.meta.metrics;
         ShardStats {
@@ -706,5 +717,38 @@ impl Shard {
             mean_committed: totals.mean_committed(),
             total_wakes: totals.wakes,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{PolicySpec, TenantConfig};
+
+    /// Keys are reused after an evict: a lookup keyed by a key that now
+    /// holds another tenant misses, for every keyed operation.
+    #[test]
+    fn stale_keys_miss_the_tenant_that_reused_them() {
+        let mut shard = Shard::new(0, &EngineObs::new(false, 1));
+        let tenant = |id: &str| Tenant::new(TenantConfig::new(id, 4, 2.0, PolicySpec::Lcp));
+        shard.place(0, tenant("z").unwrap());
+        assert!(shard.tenant(0, "a").is_none());
+        assert!(shard.finish(0, "a").unwrap().is_none());
+        assert!(shard.evict(0, "a").unwrap().is_none());
+        let event = |id: &str| Event {
+            index: 0,
+            id: Arc::from(id),
+            key: 0,
+            cost: rsdc_core::Cost::abs(1.0, 2.0),
+            load: None,
+        };
+        let mut out = Vec::new();
+        shard.batch(&mut vec![event("a")], &mut out).unwrap();
+        let unknown = EngineError::UnknownTenant("a".into()).to_string();
+        assert_eq!(out[0].1.error.as_deref(), Some(unknown.as_str()));
+        assert_eq!(shard.tenant(0, "z").unwrap().report().events, 0);
+        shard.batch(&mut vec![event("z")], &mut out).unwrap();
+        assert!(out[1].1.error.is_none());
+        assert!(shard.evict(0, "z").unwrap().is_some());
     }
 }

@@ -273,7 +273,7 @@ impl TenantConfig {
 /// idle floor a shard burns with zero committed machines stays
 /// unattributed, so the fleet-wide meter total is an upper bound on the
 /// sum of tenant shares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantEnergy {
     /// Joules (watt·ticks) attributed to this tenant.
     pub joules: f64,

@@ -750,7 +750,7 @@ impl Session {
         &mut self,
         seq: usize,
         request: Request<'_>,
-        pending: &mut Vec<PendingStep>,
+        pending: &mut Vec<(usize, crate::StepEvent)>,
         out: &mut Vec<Reply>,
     ) {
         let owned;
@@ -773,13 +773,15 @@ impl Session {
         let priced = step.and_then(|(id, cost, load)| {
             let (id, key, pricing) = self.engine.resolve_priced(id);
             let (cost, load) = Session::cost_of(&id, pricing, cost, load)?;
-            Ok(PendingStep {
-                line: seq,
-                id,
-                key,
-                cost,
-                load,
-            })
+            Ok((
+                seq,
+                crate::StepEvent {
+                    id,
+                    key,
+                    cost,
+                    load,
+                },
+            ))
         });
         match priced {
             Err(message) => {
@@ -803,20 +805,21 @@ impl Session {
         }
     }
 
-    pub(crate) fn flush_steps(&mut self, pending: &mut Vec<PendingStep>, out: &mut Vec<Reply>) {
+    /// Ingest the pending steps as one batch, each `(seq, event)`
+    /// answered at its request sequence.
+    pub(crate) fn flush_steps(
+        &mut self,
+        pending: &mut Vec<(usize, crate::StepEvent)>,
+        out: &mut Vec<Reply>,
+    ) {
         if pending.is_empty() {
             return;
         }
         self.lines_buf.clear();
         self.outcomes_buf.clear();
-        for p in pending.drain(..) {
-            self.lines_buf.push(p.line);
-            self.events_buf.push(crate::StepEvent {
-                id: p.id,
-                key: p.key,
-                cost: p.cost,
-                load: p.load,
-            });
+        for (line, event) in pending.drain(..) {
+            self.lines_buf.push(line);
+            self.events_buf.push(event);
         }
         match self
             .engine
@@ -1280,7 +1283,7 @@ impl Session {
     /// the 1-based input line number of the record that caused them.
     pub fn handle_lines<'a>(&mut self, lines: impl IntoIterator<Item = &'a str>) -> Vec<String> {
         let mut replies = Vec::new();
-        let mut pending: Vec<PendingStep> = Vec::new();
+        let mut pending = Vec::new();
         for (index, line) in lines.into_iter().enumerate() {
             self.dispatch(index + 1, Request::line(line), &mut pending, &mut replies);
         }
@@ -1417,17 +1420,6 @@ pub const MAX_LINE_LEN: usize = crate::binwire::MAX_FRAME_LEN as usize;
 /// enough to amortize dispatch, small enough that journaling and
 /// auto-checkpointing stay fine-grained under an unbounded step stream.
 pub(crate) const MAX_STEP_BATCH: usize = 1024;
-
-/// A priced `step` event waiting in a session batch: its id already
-/// resolved against the engine's intern table, remembering the input
-/// sequence it came from so a per-event failure is locatable.
-pub(crate) struct PendingStep {
-    line: usize,
-    id: std::sync::Arc<str>,
-    key: u32,
-    cost: Cost,
-    load: Option<f64>,
-}
 
 /// Render an error response line: `{"op":"error","line":N[,"id":...],
 /// "message":...}`. The single rendering both framings decode to — the

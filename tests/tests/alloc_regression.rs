@@ -21,12 +21,16 @@
 //!
 //! A second pin holds the engine's batch handoff itself: small
 //! `Engine::step_events` batches with recycled buffers, compared at `B`
-//! and `2B` batches, may not allocate per batch either.
+//! and `2B` batches, may not allocate per batch either — with no limits
+//! and under a per-tenant rate limit that never throttles (the bucket
+//! check runs in the routing loop, on the tenant's intern entry).
 
 use rsdc_core::Cost;
 use rsdc_engine::binwire::{put_frame, BinSession, BodyWriter, PREAMBLE, TAG_STEP_LOAD};
 use rsdc_engine::wire::Session;
-use rsdc_engine::{Engine, EngineConfig, PolicySpec, StepEvent, StepOutcome, TenantConfig};
+use rsdc_engine::{
+    AdmissionConfig, Engine, EngineConfig, PolicySpec, StepEvent, StepOutcome, TenantConfig,
+};
 use rsdc_tests::heavy_cases;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -181,37 +185,48 @@ fn engine_allocations(
 
 /// Steady-state `Engine::step_events` batches allocate nothing per batch:
 /// the per-shard handoff (job and reply channels, event and outcome
-/// buffers) is created once and recycled.
+/// buffers) is created once and recycled, and a rate limit adds no
+/// per-event or per-batch allocation either.
 #[test]
 fn steady_state_engine_batches_allocate_nothing_per_batch() {
     let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
-    let batches = 2048;
-    let mut cfg = EngineConfig::with_shards(2);
-    cfg.metrics = false;
-    let engine = Engine::new(cfg);
-    let ids: Vec<(Arc<str>, u32)> = (0..TENANTS)
-        .map(|i| {
-            let id = format!("t{i}");
-            engine
-                .admit(TenantConfig::new(id.clone(), 16, 4.0, PolicySpec::Lcp))
-                .expect("admit");
-            engine.resolve(&id)
-        })
-        .collect();
-    let mut events = Vec::with_capacity(BATCH);
-    let mut out = Vec::with_capacity(BATCH);
-    let mut next = 0;
-    let mut run = |n| engine_allocations(&engine, &ids, n, &mut next, &mut events, &mut out);
-    // Warmup sizes every buffer to its high-water mark.
-    run(batches * 2);
-    let small = run(batches);
-    let large = run(batches * 2);
-    let delta = large.saturating_sub(small);
-    let slack = (batches / 4) as u64;
-    eprintln!("engine batches: {small} allocations for {batches}, {large} for twice that");
-    assert!(
-        delta <= slack,
-        "engine batches allocate per batch: {batches} extra batches cost {delta} \
-         allocations (small run {small}, large run {large}, slack {slack})"
-    );
+    let rate_limited = AdmissionConfig {
+        rate: 8.0,
+        burst: 64.0,
+        ..AdmissionConfig::default()
+    };
+    for limits in [AdmissionConfig::default(), rate_limited] {
+        let batches = 2048;
+        let mut cfg = EngineConfig::with_shards(2);
+        cfg.metrics = false;
+        let engine = Engine::new(cfg);
+        engine.set_limits(limits).expect("limits");
+        let ids: Vec<(Arc<str>, u32)> = (0..TENANTS)
+            .map(|i| {
+                let id = format!("t{i}");
+                engine
+                    .admit(TenantConfig::new(id.clone(), 16, 4.0, PolicySpec::Lcp))
+                    .expect("admit");
+                engine.resolve(&id)
+            })
+            .collect();
+        let mut events = Vec::with_capacity(BATCH);
+        let mut out = Vec::with_capacity(BATCH);
+        let mut next = 0;
+        let mut run = |n| engine_allocations(&engine, &ids, n, &mut next, &mut events, &mut out);
+        // Warmup sizes every buffer to its high-water mark.
+        run(batches * 2);
+        let small = run(batches);
+        let large = run(batches * 2);
+        let delta = large.saturating_sub(small);
+        let slack = (batches / 4) as u64;
+        eprintln!(
+            "engine batches ({limits:?}): {small} allocations for {batches}, {large} for twice that"
+        );
+        assert!(
+            delta <= slack,
+            "engine batches allocate per batch under {limits:?}: {batches} extra batches cost \
+             {delta} allocations (small run {small}, large run {large}, slack {slack})"
+        );
+    }
 }

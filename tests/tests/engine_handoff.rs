@@ -20,6 +20,11 @@
 //!   not been tried.
 //! * A resolved `(id, key)` pair that outlived the intern table it came
 //!   from steps the tenant its id names, live and on replay.
+//! * Keys are reused after an evict, but a key is only a hint: a stale
+//!   pair whose key now names another tenant fails as an unknown tenant
+//!   and never touches the tenant that took the key — also while another
+//!   thread evicts and re-admits ids under the steps and reports — and
+//!   the recovered engine reports the same.
 
 use rsdc_core::Cost;
 use rsdc_engine::wire::Session;
@@ -423,4 +428,126 @@ fn stale_resolved_keys_step_the_tenant_their_id_names() {
     assert_eq!(texts(&recovered.report_all().expect("report_all")), want);
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh 1-shard durable engine on a temp-dir `FileStore` named `tag`.
+fn durable_engine(tag: &str) -> (Engine, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("rsdc-engine-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store: Arc<dyn Durability> =
+        Arc::new(FileStore::open(&dir, FileStoreConfig { sync_every: 64 }).expect("open store"));
+    let engine = Engine::with_store(EngineConfig::with_shards(1), store).expect("engine");
+    (engine, dir)
+}
+
+/// Recover `engine`'s store into a fresh engine and check it reports what
+/// `engine` did (`gone` ids stay unknown).
+fn recovers_identically(engine: Engine, dir: std::path::PathBuf, gone: &[&str]) {
+    let want = texts(&engine.report_all().expect("report_all"));
+    let raw = engine.raw_store().clone();
+    drop(engine);
+    let (recovered, report) = Engine::recover(EngineConfig::with_shards(1), raw).expect("recover");
+    assert_eq!(report.replay_errors, 0);
+    assert_eq!(texts(&recovered.report_all().expect("report_all")), want);
+    for id in gone {
+        assert!(matches!(
+            recovered.report(id),
+            Err(EngineError::UnknownTenant(_))
+        ));
+    }
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `a` is evicted and `z` takes its key: the stale `(a, key)` pair fails
+/// as an unknown tenant and leaves `z` untouched.
+#[test]
+fn stale_keys_never_step_the_tenant_that_reused_them() {
+    let lcp = |id: &str| TenantConfig::new(id, 4, 2.0, PolicySpec::Lcp);
+    let (engine, dir) = durable_engine("reused-key");
+    engine.admit(lcp("a")).expect("admit");
+    let (a, key) = engine.resolve("a");
+    engine.evict("a").expect("evict");
+    engine.admit(lcp("z")).expect("admit");
+    assert_eq!(engine.resolve("z").1, key, "z reuses a's key");
+
+    let mut events = vec![StepEvent {
+        id: a,
+        key,
+        cost: Cost::abs(1.0, 2.0),
+        load: Some(2.0),
+    }];
+    let mut out = Vec::new();
+    engine.step_events(&mut events, &mut out).expect("step");
+    let unknown = EngineError::UnknownTenant("a".into()).to_string();
+    assert_eq!(out[0].error.as_deref(), Some(unknown.as_str()));
+    assert_eq!(engine.report("z").expect("report").events, 0);
+    assert!(matches!(
+        engine.report("a"),
+        Err(EngineError::UnknownTenant(_))
+    ));
+    recovers_identically(engine, dir, &["a"]);
+}
+
+/// One thread evicts and re-admits ids (each admit reuses the key the
+/// evict freed, usually for another id) while the other steps through
+/// stale and fresh pairs and reads reports: every report names the id
+/// asked for, every failed step is an unknown tenant, and the recovered
+/// engine reports the same.
+#[test]
+fn key_reuse_races_with_steps_and_reports() {
+    const IDS: usize = 6;
+    const ROUNDS: usize = 2000;
+    let ids: Vec<String> = (0..IDS).map(|i| format!("r{i}")).collect();
+    let lcp = |id: &str| TenantConfig::new(id, 6, 2.0, PolicySpec::Lcp);
+    let (engine, dir) = durable_engine("key-race");
+    for id in &ids[..IDS / 2] {
+        engine.admit(lcp(id)).expect("admit");
+    }
+    let stale: Vec<(Arc<str>, u32)> = ids.iter().map(|id| engine.resolve(id)).collect();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            // Live ids are r{k}..r{k+2} (mod 6): evict the oldest, admit
+            // the next.
+            for k in 0..ROUNDS {
+                engine.evict(&ids[k % IDS]).expect("evict");
+                engine.admit(lcp(&ids[(k + IDS / 2) % IDS])).expect("admit");
+            }
+            done.store(true, Ordering::Release);
+        });
+        let mut round = 0;
+        while !done.load(Ordering::Acquire) || round < 10 {
+            round += 1;
+            let mut events: Vec<StepEvent> = stale
+                .iter()
+                .map(|(id, _)| engine.resolve(id))
+                .chain(stale.iter().cloned())
+                .map(|(id, key)| StepEvent {
+                    id,
+                    key,
+                    cost: Cost::abs(1.0, (round % 5) as f64),
+                    load: Some((round % 5) as f64),
+                })
+                .collect();
+            let mut out = Vec::new();
+            engine.step_events(&mut events, &mut out).expect("step");
+            for o in &out {
+                if let Some(error) = &o.error {
+                    assert_eq!(
+                        *error,
+                        EngineError::UnknownTenant(o.id.to_string()).to_string()
+                    );
+                }
+            }
+            for id in &ids {
+                match engine.report(id) {
+                    Ok(report) => assert_eq!(&report.id, id),
+                    Err(e) => assert!(matches!(e, EngineError::UnknownTenant(_)), "{e}"),
+                }
+            }
+        }
+    });
+    assert_eq!(engine.live_tenants().expect("live"), IDS / 2);
+    recovers_identically(engine, dir, &[]);
 }
