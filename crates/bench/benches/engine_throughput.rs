@@ -90,10 +90,10 @@ fn bench_engine_throughput(c: &mut Criterion) {
 
 const HETERO_TENANTS: usize = 500;
 
-/// Heterogeneous tenants: each policy step is an `O(S^2)` frontier advance
-/// over the configuration lattice (here two classes, `S = 4 * 3 = 12`), so
-/// per-step cost is dominated by the DP — this group prices it against the
-/// scalar groups above. Frontier vs greedy isolates the DP itself from the
+/// Heterogeneous tenants: each policy step is an `O(S * D)` frontier
+/// advance over the configuration lattice (here two classes,
+/// `S = 4 * 3 = 12`) — this group prices it against the scalar groups
+/// above. Frontier vs greedy isolates the DP itself from the
 /// plain lattice scan.
 fn bench_hetero_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/hetero_steps_500_tenants");

@@ -5,11 +5,16 @@
 //! slot cost and one scan for both bounds. `server_m1024` prices the
 //! `large-m` shape: `Server` costs on a diurnal load at m = 1024, through
 //! the bare tracker and through LCP+OPT and HalfStep+OPT tenants.
+//! `hetero/frontier_step` prices one `FrontierDp` step (O(S * D): one
+//! scalar relaxation per lattice line along each axis) on the `durable-mixed`
+//! 12+6 fleet (S = 91) and on a 63 x 63 fleet at the lattice cap
+//! (S = 4096).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsdc_core::prelude::*;
 use rsdc_engine::tenant::{StepScratch, Tenant};
 use rsdc_engine::{PolicySpec, TenantConfig};
+use rsdc_hetero::{FleetSpec, FrontierDp, ServerType};
 use rsdc_online::bounds::BoundTracker;
 use rsdc_online::lcp::Lcp;
 use rsdc_online::traits::OnlineAlgorithm;
@@ -109,9 +114,58 @@ fn bench_server_m1024(c: &mut Criterion) {
     group.finish();
 }
 
+/// Two classes (power-up betas 4 and 10) of `small` and `large` machines.
+fn two_class_fleet(small: u32, large: u32) -> FleetSpec {
+    FleetSpec::new(vec![
+        ServerType {
+            count: small,
+            beta: 4.0,
+            energy: 1.0,
+            capacity: 1.0,
+        },
+        ServerType {
+            count: large,
+            beta: 10.0,
+            energy: 1.6,
+            capacity: 2.0,
+        },
+    ])
+}
+
+fn bench_frontier_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hetero/frontier_step");
+    for fleet in [two_class_fleet(12, 6), two_class_fleet(63, 63)] {
+        let cap: f64 = fleet
+            .types
+            .iter()
+            .map(|t| t.count as f64 * t.capacity)
+            .sum();
+        let costs: Vec<_> = (0..48)
+            .map(|k| {
+                let angle = 2.0 * std::f64::consts::PI * k as f64 / 48.0;
+                fleet.hcost((0.4 - 0.3 * angle.cos()) * cap)
+            })
+            .collect();
+        // Warm the frontier so every timed step is a steady-state step.
+        let mut dp = FrontierDp::new(&fleet.types);
+        for cost in &costs {
+            dp.step_cost(cost);
+        }
+        let mut k = 0usize;
+        let id = BenchmarkId::new("lattice", fleet.lattice_size());
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                k += 1;
+                dp.step_cost(black_box(&costs[k % costs.len()]))
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_lcp_step, bench_tracker_step, bench_server_m1024
+    targets = bench_lcp_step, bench_tracker_step, bench_server_m1024, bench_frontier_step
 );
 criterion_main!(benches);

@@ -1,12 +1,16 @@
 //! Exact offline optimum over the configuration lattice.
 //!
-//! A direct DP over all `prod (m_d + 1)` configurations per slot with
-//! pairwise transitions — exponential in the number of types, intended for
-//! the small `D` regimes where the heterogeneous extension is typically
-//! studied (2–3 types). The homogeneous solvers remain the scalable path;
-//! this is the ground truth they are compared against.
+//! The [`FrontierDp`] recurrence run over the whole horizon, plus a
+//! backtrack through the per-slot predecessors its lattice relaxation
+//! writes — `O(T * S * D)` time and `O(T * S)` parent memory for the
+//! `S = prod (m_d + 1)` configurations, exponential in the number of
+//! types and intended for the small `D` regimes where the heterogeneous
+//! extension is typically studied (2–3 types). The homogeneous solvers
+//! remain the scalable path; this is the ground truth they are compared
+//! against.
 
 use crate::model::{Config, HInstance};
+use crate::online::FrontierDp;
 
 /// An optimal configuration schedule with its cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,68 +21,21 @@ pub struct HSolution {
     pub cost: f64,
 }
 
-/// Exact DP. `O(T * S^2)` for `S = prod (m_d + 1)` lattice points.
+/// Exact DP: step a [`FrontierDp`] through every slot, then follow the
+/// predecessors back from the final frontier's argmin.
 pub fn solve(inst: &HInstance) -> HSolution {
-    let t_len = inst.horizon();
-    if t_len == 0 {
-        return HSolution {
-            schedule: vec![],
-            cost: 0.0,
-        };
+    let mut dp = FrontierDp::new(&inst.types);
+    let mut parents = Vec::with_capacity(inst.horizon());
+    let mut j = 0usize;
+    for cost in &inst.costs {
+        j = dp.advance(cost);
+        parents.push(dp.parent.clone());
     }
-    let states = inst.all_configs();
-    let s = states.len();
-    // Precompute pairwise switching costs (S^2 — fine for small lattices).
-    let mut switch = vec![0.0f64; s * s];
-    for (i, a) in states.iter().enumerate() {
-        for (j, b) in states.iter().enumerate() {
-            switch[i * s + j] = inst.switch_cost(a, b);
-        }
-    }
-
-    let zero_idx = 0usize; // all_configs starts at the all-zero config
-    debug_assert!(states[zero_idx].iter().all(|&v| v == 0));
-
-    let mut dist = vec![f64::INFINITY; s];
-    let mut parents: Vec<Vec<u32>> = Vec::with_capacity(t_len);
-    // First slot from the zero configuration.
-    for (j, st) in states.iter().enumerate() {
-        dist[j] = switch[zero_idx * s + j] + inst.eval(1, st);
-    }
-    parents.push(vec![zero_idx as u32; s]);
-
-    for t in 2..=t_len {
-        let mut next = vec![f64::INFINITY; s];
-        let mut parent = vec![0u32; s];
-        for (j, st) in states.iter().enumerate() {
-            let f = inst.eval(t, st);
-            let mut best = f64::INFINITY;
-            let mut best_i = 0u32;
-            for i in 0..s {
-                let c = dist[i] + switch[i * s + j];
-                if c < best {
-                    best = c;
-                    best_i = i as u32;
-                }
-            }
-            next[j] = best + f;
-            parent[j] = best_i;
-        }
-        dist = next;
-        parents.push(parent);
-    }
-
-    let (mut j, cost) = dist
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN"))
-        .map(|(j, &c)| (j, c))
-        .expect("non-empty lattice");
-
-    let mut schedule = vec![Vec::new(); t_len];
-    for t in (0..t_len).rev() {
-        schedule[t] = states[j].clone();
-        j = parents[t][j] as usize;
+    let cost = dp.opt_cost().unwrap_or(0.0);
+    let mut schedule = vec![Vec::new(); parents.len()];
+    for (t, parent) in parents.iter().enumerate().rev() {
+        schedule[t] = dp.lattice[j].clone();
+        j = parent[j] as usize;
     }
     HSolution { schedule, cost }
 }

@@ -55,7 +55,7 @@ impl CoordinateLcp {
                     inst.eval(t, &probe)
                 })
                 .collect();
-            let marginal = convex_upper_envelope(vals);
+            let marginal = convex_lower_envelope(vals);
             let x = self.trackers[d].step(&marginal);
             self.state[d] = x;
         }
@@ -130,28 +130,33 @@ impl GreedyConfig {
 /// * `min_j dist[j]` is the exact prefix offline optimum, so competitive-
 ///   ratio tracking comes for free (no second tracker needed).
 ///
-/// `O(S^2)` work per slot, like one column of the offline DP.
+/// `O(S * D)` work per slot: the min over predecessors runs as one scalar
+/// [`rsdc_offline::dp::relax`] per lattice line along each axis.
 #[derive(Debug, Clone)]
 pub struct FrontierDp {
     types: Vec<ServerType>,
-    lattice: Vec<Config>,
+    pub(crate) lattice: Vec<Config>,
     dist: Vec<f64>, // empty until the first slot is ingested
+    /// The last step's argmin predecessor (lattice index) of every point.
+    pub(crate) parent: Vec<u32>,
+    line: Vec<f64>,     // one lattice line's values, then its relaxed values
+    line_idx: Vec<u32>, // its predecessors, then its in-line argmins
     state: Config,
     slots: u64,
 }
 
 impl FrontierDp {
     /// Build for a fleet. The lattice (`prod (m_d + 1)` points) is
-    /// enumerated here; switching costs are computed on the fly in the DP
-    /// inner loop (`O(D)` each), keeping memory at `O(S * D)` — a dense
-    /// `S x S` table would cost `S^2` floats per tenant, which a
-    /// multi-tenant engine cannot afford near the lattice cap.
+    /// enumerated here; memory is `O(S * D)`.
     pub fn new(types: &[ServerType]) -> Self {
         FrontierDp {
             types: types.to_vec(),
             state: vec![0; types.len()],
             lattice: model::all_configs(types),
             dist: Vec::new(),
+            parent: Vec::new(),
+            line: Vec::new(),
+            line_idx: Vec::new(),
             slots: 0,
         }
     }
@@ -164,37 +169,66 @@ impl FrontierDp {
     /// Advance the frontier by one streamed cost and commit its argmin
     /// (ties break toward the lowest lattice index, deterministically).
     pub fn step_cost(&mut self, cost: &HCost) -> Config {
-        let s = self.lattice.len();
-        let mut next = vec![0.0f64; s];
+        let arg = self.advance(cost);
+        self.state = self.lattice[arg].clone();
+        self.state.clone()
+    }
+
+    /// Advance the frontier by one slot and return its argmin's lattice
+    /// index.
+    pub(crate) fn advance(&mut self, cost: &HCost) -> usize {
         if self.dist.is_empty() {
-            // First slot from the all-zero configuration (lattice index 0),
-            // exactly the offline DP's first column.
-            for (j, st) in self.lattice.iter().enumerate() {
-                next[j] = model::switch_cost(&self.types, &self.lattice[0], st)
-                    + cost.eval(&self.types, st);
-            }
-        } else {
-            for (j, st) in self.lattice.iter().enumerate() {
-                let mut best = f64::INFINITY;
-                for (i, from) in self.lattice.iter().enumerate() {
-                    let c = self.dist[i] + model::switch_cost(&self.types, from, st);
-                    if c < best {
-                        best = c;
-                    }
-                }
-                next[j] = best + cost.eval(&self.types, st);
-            }
+            // Every schedule starts at the all-zero configuration (index 0).
+            self.dist = vec![f64::INFINITY; self.lattice.len()];
+            self.dist[0] = 0.0;
         }
-        self.dist = next;
+        self.relax();
+        for (d, cfg) in self.dist.iter_mut().zip(&self.lattice) {
+            *d += cost.eval(&self.types, cfg);
+        }
         self.slots += 1;
         let mut arg = 0usize;
-        for j in 1..s {
+        for j in 1..self.dist.len() {
             if self.dist[j] < self.dist[arg] {
                 arg = j;
             }
         }
-        self.state = self.lattice[arg].clone();
-        self.state.clone()
+        arg
+    }
+
+    /// The min-plus step without the operating cost, in place:
+    /// `dist[j] <- min_i dist[i] + switch_cost(lattice[i], lattice[j])`
+    /// with `parent[j]` an argmin `i`. The switching cost
+    /// `sum_d beta_d (x_d - y_d)^+` is separable, so the min over all `S`
+    /// predecessors factorises into one scalar [`rsdc_offline::dp::relax`]
+    /// per lattice line along each axis in turn (a distance transform):
+    /// `O(S * D)` instead of `O(S^2 * D)`.
+    fn relax(&mut self) {
+        let s = self.dist.len();
+        self.parent.clear();
+        self.parent.extend(0..s as u32);
+        let mut stride = s;
+        for ty in &self.types {
+            // Row-major: along axis d the index steps by the product of
+            // the later axes' lengths, and lines start where x_d = 0.
+            let len = ty.count as usize + 1;
+            stride /= len;
+            self.line.resize(2 * len, 0.0);
+            self.line_idx.resize(2 * len, 0);
+            let (line, relaxed) = self.line.split_at_mut(len);
+            let (src, arg) = self.line_idx.split_at_mut(len);
+            for start in (0..s).step_by(len * stride).flat_map(|o| o..o + stride) {
+                for k in 0..len {
+                    line[k] = self.dist[start + k * stride];
+                    src[k] = self.parent[start + k * stride];
+                }
+                rsdc_offline::dp::relax(line, ty.beta, relaxed, arg);
+                for k in 0..len {
+                    self.dist[start + k * stride] = relaxed[k];
+                    self.parent[start + k * stride] = src[arg[k] as usize];
+                }
+            }
+        }
     }
 
     /// The fleet's server types.
@@ -251,6 +285,11 @@ impl FrontierDp {
         if dist.is_empty() != (slots == 0) {
             return Err(bad("slot count inconsistent with frontier"));
         }
+        // Every lattice point is reachable by powering up, so a genuine
+        // frontier is finite everywhere.
+        if dist.iter().any(|v| !v.is_finite()) {
+            return Err(bad("frontier entries must be finite"));
+        }
         self.dist = dist;
         self.state = state;
         self.slots = slots;
@@ -262,7 +301,7 @@ impl FrontierDp {
 /// function along one axis are convex already; numerical noise or the
 /// saturated overload branch can leave tiny violations, so take the convex
 /// lower envelope defensively (monotone-slope repair).
-fn convex_upper_envelope(vals: Vec<f64>) -> Cost {
+fn convex_lower_envelope(vals: Vec<f64>) -> Cost {
     let mut v = vals;
     // Repair: enforce non-decreasing slopes by a single pass of slope
     // averaging (Pool Adjacent Violators on the derivative).
@@ -460,6 +499,11 @@ mod tests {
         assert!(b.restore(a.frontier().to_vec(), vec![9, 9], 1).is_err());
         assert!(b.restore(a.frontier().to_vec(), vec![0, 0, 0], 1).is_err());
         assert!(b.restore(Vec::new(), vec![0, 0], 1).is_err());
+        for bad in [f64::NEG_INFINITY, f64::INFINITY, f64::NAN] {
+            let mut front = a.frontier().to_vec();
+            front[3] = bad;
+            assert!(b.restore(front, a.state().clone(), a.slots()).is_err());
+        }
         assert!(b
             .restore(a.frontier().to_vec(), a.state().clone(), a.slots())
             .is_ok());
@@ -468,11 +512,15 @@ mod tests {
     #[test]
     fn envelope_repair_is_convex_and_below_input() {
         let raw = vec![5.0, 1.0, 2.0, 1.5, 4.0];
-        let c = convex_upper_envelope(raw.clone());
+        let c = convex_lower_envelope(raw.clone());
         let vals: Vec<f64> = (0..5).map(|x| c.eval(x)).collect();
         for w in vals.windows(3) {
             assert!(w[1] - w[0] <= w[2] - w[1] + 1e-9, "{vals:?}");
         }
+        for (v, r) in vals.iter().zip(&raw) {
+            assert!(v <= &(r + 1e-9), "{vals:?} above {raw:?}");
+        }
+        assert!(vals[2] < raw[2], "the non-convex kink is cut: {vals:?}");
         assert_eq!(vals[0], raw[0], "anchored at the left end");
     }
 }

@@ -32,10 +32,9 @@ use crate::online::{FrontierDp, GreedyConfig};
 use serde::{Deserialize, Serialize};
 
 /// Largest configuration lattice a streaming tenant may declare
-/// (`prod (m_d + 1)` points). Memory per tenant is `O(S * D)` (the
-/// frontier and the lattice — switching costs are computed on the fly,
-/// never tabulated), so the cap bounds the `O(S^2 * D)` per-slot DP work
-/// that would otherwise let one admit record freeze its shard.
+/// (`prod (m_d + 1)` points, exponential in `D`). Per-tenant memory and
+/// per-slot DP work are both `O(S * D)`, so the cap bounds what one admit
+/// record can make its shard hold and do each slot.
 pub const MAX_LATTICE: usize = 4096;
 
 /// A heterogeneous tenant's static configuration: the machine classes and

@@ -523,6 +523,44 @@ fn out_len_after_death(ls: &mut rsdc_engine::wire::LineSession) -> usize {
     out.len()
 }
 
+/// A restore whose hetero frontier or opt frontier holds an infinite
+/// entry is refused, and the honest snapshot still restores. (Accepted,
+/// a `-1e999` entry would make the tenant commit its all-zero
+/// configuration from then on and report a null optimum.)
+#[test]
+fn non_finite_hetero_frontiers_are_refused() {
+    let fleet = r#""fleet":{"types":[{"count":3,"beta":1.0,"energy":1.0,"capacity":1.0},{"count":2,"beta":2.5,"energy":1.4,"capacity":2.0}]}"#;
+    let mut session = Session::new(Engine::new(EngineConfig::with_shards(1)));
+    for (id, policy, key) in [
+        ("hf", "hetero:frontier", r#""frontier":["#),
+        ("hg", "hetero:greedy", r#""opt_frontier":["#),
+    ] {
+        let lines = [
+            format!(r#"{{"op":"admit","id":"{id}","policy":"{policy}","track_opt":true,{fleet}}}"#),
+            format!(r#"{{"op":"step","id":"{id}","load":4.5}}"#),
+            format!(r#"{{"op":"snapshot","id":"{id}"}}"#),
+        ];
+        let out = session.handle_lines(lines.iter().map(|l| l.as_str()));
+        let restore = out[2].replacen(
+            &format!(r#""op":"snapshot","id":"{id}","#),
+            r#""op":"restore","#,
+            1,
+        );
+        let at = restore.find(key).expect("snapshot carries the frontier") + key.len();
+        let end = at
+            + restore[at..]
+                .find(',')
+                .expect("frontier has several entries");
+        for bad in ["-1e999", "1e999"] {
+            let forged = format!("{}{bad}{}", &restore[..at], &restore[end..]);
+            let reply = &session.handle_lines([forged.as_str()])[0];
+            assert!(reply.starts_with(r#"{"op":"error""#), "{id} {bad}: {reply}");
+        }
+        let reply = &session.handle_lines([restore.as_str()])[0];
+        assert!(reply.starts_with(r#"{"op":"restored""#), "{id}: {reply}");
+    }
+}
+
 /// Deep nesting, absurd numbers, NaN-ish spellings, and null injections
 /// are rejected as errors, not panics or silent acceptance.
 #[test]
