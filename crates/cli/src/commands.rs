@@ -376,31 +376,38 @@ fn cmd_analyze(args: &Args) -> Result<String, CmdError> {
     Ok(serde_json::to_string_pretty(&body).expect("serializable") + "\n")
 }
 
+/// The engine config `rsdc engine` and `rsdc serve` share: `--shards`
+/// (0 = the default count), `--vnodes` (0 = the default ring density),
+/// `--no-metrics` and `--trace-capacity`.
+fn engine_config(args: &Args) -> Result<rsdc_engine::EngineConfig, CmdError> {
+    use rsdc_engine::{EngineConfig, DEFAULT_TRACE_CAPACITY};
+
+    let shards: usize = args.get_or("shards", 0)?;
+    let vnodes: usize = args.get_or("vnodes", 0)?;
+    let mut cfg = if shards == 0 {
+        EngineConfig::default()
+    } else {
+        EngineConfig::with_shards(shards)
+    };
+    if vnodes > 0 {
+        cfg.vnodes = vnodes;
+    }
+    cfg.metrics = !args.has_flag("no-metrics");
+    cfg.trace_capacity = args.get_or("trace-capacity", DEFAULT_TRACE_CAPACITY)?;
+    Ok(cfg)
+}
+
 /// Run the streaming engine over a JSONL event file, or over a synthetic
 /// multi-tenant fleet derived from a trace. With `--data-dir` the engine
 /// journals every applied event to a write-ahead log and checkpoints
 /// periodically; restarting over a non-empty directory recovers the exact
 /// pre-crash engine (checkpoint + WAL replay) before processing new input.
 fn cmd_engine(args: &Args) -> Result<String, CmdError> {
-    use rsdc_engine::{wire, AdmissionConfig, Engine, EngineConfig, PolicySpec, TenantConfig};
+    use rsdc_engine::{wire, AdmissionConfig, Engine, PolicySpec, TenantConfig};
     use rsdc_store::{Durability, FileStore, FileStoreConfig};
     use std::sync::Arc;
 
-    let shards: usize = args.get_or("shards", 0)?;
-    let vnodes: usize = args.get_or("vnodes", 0)?;
-    let engine_cfg = {
-        let mut cfg = if shards == 0 {
-            EngineConfig::default()
-        } else {
-            EngineConfig::with_shards(shards)
-        };
-        if vnodes > 0 {
-            cfg.vnodes = vnodes;
-        }
-        cfg.metrics = !args.has_flag("no-metrics");
-        cfg.trace_capacity = args.get_or("trace-capacity", rsdc_engine::DEFAULT_TRACE_CAPACITY)?;
-        cfg
-    };
+    let engine_cfg = engine_config(args)?;
     let metrics_dump = args.get_str("metrics-dump").map(str::to_owned);
     let checkpoint_every: u64 = args.get_or("checkpoint-every", 0)?;
     let mut responses: Vec<String> = Vec::new();
@@ -694,23 +701,11 @@ fn cmd_engine(args: &Args) -> Result<String, CmdError> {
 /// so the bound address is announced eagerly on stdout rather than in
 /// the dispatch result.
 fn cmd_serve(args: &Args) -> Result<String, CmdError> {
-    use rsdc_engine::{EngineConfig, ServeConfig, Server, WireMode};
+    use rsdc_engine::{ServeConfig, Server, WireMode};
     use std::io::Write as _;
     use std::time::Duration;
 
-    let shards: usize = args.get_or("shards", 0)?;
-    let vnodes: usize = args.get_or("vnodes", 0)?;
-    let mut engine = if shards == 0 {
-        EngineConfig::default()
-    } else {
-        EngineConfig::with_shards(shards)
-    };
-    if vnodes > 0 {
-        engine.vnodes = vnodes;
-    }
-    engine.metrics = !args.has_flag("no-metrics");
-    engine.trace_capacity = args.get_or("trace-capacity", rsdc_engine::DEFAULT_TRACE_CAPACITY)?;
-
+    let engine = engine_config(args)?;
     let wire_spec: String = args.get_or("wire", "auto".to_string())?;
     let wire = WireMode::parse(&wire_spec).map_err(CmdError::Other)?;
     let mut cfg = ServeConfig {

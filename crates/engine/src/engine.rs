@@ -2,7 +2,7 @@
 //! admission control, checkpointing, crash recovery, live ring
 //! rebalancing (full and incremental), and lazy auto-rebalancing.
 
-use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionError, Refill};
+use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionError};
 use crate::intern::{Interner, Pricing, UNKNOWN_KEY};
 use crate::journal::{CheckpointDoc, JournalRecord};
 use crate::obs::EngineObs;
@@ -16,7 +16,6 @@ use rsdc_core::Cost;
 use rsdc_power::{EnergyStatus, PowerConfig};
 use rsdc_store::{Durability, InstrumentedStore, NullStore};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Engine configuration.
@@ -42,26 +41,15 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 256;
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            shards: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(4),
-            vnodes: DEFAULT_VNODES,
-            metrics: true,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-        }
+        let shards = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
+        EngineConfig::with_shards(shards)
     }
 }
 
 impl EngineConfig {
     /// Config with an explicit shard count (`>= 1`) and the default ring.
     pub fn with_shards(shards: usize) -> Self {
-        EngineConfig {
-            shards: shards.max(1),
-            vnodes: DEFAULT_VNODES,
-            metrics: true,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-        }
+        EngineConfig::with_topology(shards, DEFAULT_VNODES)
     }
 
     /// Config with an explicit shard count and virtual-node count.
@@ -93,16 +81,15 @@ impl EngineConfig {
 /// new topology without a restart. See the crate docs for the full
 /// lifecycle.
 ///
-/// Lock order — a thread holding one of these only ever takes a later
-/// one: admission gate → dispatch pool → intern table → shard, and
-/// intern table → power meter. The topology-policy and power-meter locks
-/// are leaves, held alone or taken last. Shard code takes no engine lock.
-/// Installs (admit, restore) and evicts hold the gate, and installs also
-/// hold the dispatch pool, so no batch routes between a key's reuse and
-/// the install it belongs to.
+/// One lock guards the handle: every public method past the `store`
+/// and `obs` accessors takes it once, at entry, and holds it until it
+/// returns — a step batch from its gate tick through routing, the
+/// worker round trip and energy attribution.
+/// Calls on one engine therefore never interleave. The lock order is
+/// handle, then shard: shard code (the workers included) takes no
+/// handle lock, and no thread takes the handle lock while it holds a
+/// shard lock.
 pub struct Engine {
-    shards: Vec<Arc<Mutex<Shard>>>,
-    ring: HashRing,
     /// The journaling handle shards write through: `raw_store` wrapped in
     /// an [`InstrumentedStore`] reporting to `obs`.
     store: Arc<dyn Durability>,
@@ -110,16 +97,27 @@ pub struct Engine {
     /// re-wraps, so stores never nest observers.
     raw_store: Arc<dyn Durability>,
     obs: Arc<EngineObs>,
-    attached: AtomicBool,
-    admission: Mutex<AdmissionControl>,
-    topology: Mutex<Option<TopologyPolicy>>,
-    power: Mutex<Option<PowerRuntime>>,
+    /// The handle lock.
+    control: Mutex<Control>,
+}
+
+/// Everything the handle keeps besides its store and its metrics, behind
+/// the one handle lock. Helpers take the held `&mut Control` (or
+/// `&Control`) rather than locking for themselves.
+struct Control {
+    shards: Vec<Arc<Mutex<Shard>>>,
+    ring: HashRing,
+    /// Whether the shards journal: set once the store is attached
+    /// (recovery replays before it).
+    attached: bool,
+    gate: AdmissionControl,
+    policy: Option<TopologyPolicy>,
+    power: Option<PowerRuntime>,
     /// The one per-tenant record: per live id, the slab key, the cached
     /// route, the load pricing, the token bucket and the energy
     /// attribution. Hash once at admit, route on the integer.
-    intern: Mutex<Interner>,
-    /// The shard workers and the batched ingest path's reusable buffers.
-    dispatch: Mutex<DispatchPool>,
+    intern: Interner,
+    pool: DispatchPool,
 }
 
 /// A step event with its tenant id already resolved against the engine's
@@ -131,10 +129,12 @@ pub struct StepEvent {
     /// Interned tenant id.
     pub id: Arc<str>,
     /// Slab key ([`crate::intern::UNKNOWN_KEY`] for ids that are not
-    /// live). The key is a hint and `id` the truth: keys are reused after
-    /// an evict, and a key that no longer names `id` in this engine's
-    /// intern table is looked up again by `id`. Ids that are not live are
-    /// never gated by a rate limit: they fail as unknown tenants.
+    /// live). The key is a hint and `id` the truth: resolving and
+    /// stepping are separate calls, each under the handle lock once, and
+    /// an evict between them may hand the key to another tenant. A key
+    /// that no longer names `id` in this engine's intern table is looked
+    /// up again by `id`. Ids that are not live are never gated by a rate
+    /// limit: they fail as unknown tenants.
     pub key: u32,
     /// Cost function for this slot.
     pub cost: Cost,
@@ -146,8 +146,8 @@ pub struct StepEvent {
 /// [`Worker`] per shard index (each parking its shard's recycled event
 /// and outcome buffers), the order-restoring outcome staging area, and
 /// the per-shard pulse vectors the topology policy and energy meter
-/// read. Lives behind its own mutex so concurrent callers serialize on
-/// dispatch, not on tenant state — and so one batch at a time owns the
+/// read. Part of the handle's control state: a batch holds the handle
+/// lock across its worker round trip, so one batch at a time owns the
 /// workers' reply channels.
 #[derive(Default)]
 struct DispatchPool {
@@ -158,6 +158,17 @@ struct DispatchPool {
     shard_events: Vec<u64>,
     pulses: Vec<(usize, usize)>,
     machines: Vec<(usize, u64)>,
+}
+
+impl DispatchPool {
+    /// Grow or shrink the worker set to one worker per shard index.
+    fn resize(&mut self, shards: usize) {
+        let keep = shards.min(self.workers.len());
+        for worker in self.workers.drain(keep..) {
+            worker.stop();
+        }
+        self.workers.extend((keep..shards).map(Worker::spawn));
+    }
 }
 
 /// What [`Engine::checkpoint`] produced.
@@ -240,6 +251,191 @@ pub struct RecoveryReport {
     pub post_checkpoint_seq: u64,
 }
 
+impl Control {
+    /// Lock shard `index`. A poisoned lock — a panic mid-operation — reads
+    /// as a down shard.
+    fn shard(&self, index: usize) -> Result<MutexGuard<'_, Shard>, EngineError> {
+        self.shards[index]
+            .lock()
+            .map_err(|_| EngineError::ShardDown(index))
+    }
+
+    /// Lock each shard in turn and apply `f` to it.
+    fn each_shard<T>(&self, mut f: impl FnMut(&mut Shard) -> T) -> Result<Vec<T>, EngineError> {
+        (0..self.shards.len())
+            .map(|i| Ok(f(&mut *self.shard(i)?)))
+            .collect()
+    }
+
+    /// The slab key and shard index of tenant `id`: one intern lookup.
+    /// Ids that are not live fail with `UnknownTenant` without touching a
+    /// shard.
+    fn locate(&self, id: &str) -> Result<(u32, usize), EngineError> {
+        let (key, e) = self.intern.lookup(id).ok_or_else(|| unknown(id))?;
+        Ok((key, e.shard as usize))
+    }
+
+    /// Apply `f` to live tenant `id` under its shard's lock.
+    fn read_tenant<T>(&self, id: &str, f: impl FnOnce(&Tenant) -> T) -> Result<T, EngineError> {
+        let (key, shard) = self.locate(id)?;
+        self.shard(shard)?
+            .tenant(key, id)
+            .map(f)
+            .ok_or_else(|| unknown(id))
+    }
+
+    /// Resolve `id` without inserting; see [`Engine::resolve_priced`].
+    fn resolve(&self, id: &str) -> (Arc<str>, u32, Pricing) {
+        match self.intern.lookup(id) {
+            Some((key, e)) => (Arc::clone(&e.id), key, e.pricing),
+            None => (Arc::from(id), UNKNOWN_KEY, Pricing::default()),
+        }
+    }
+
+    /// [`Control::resolve`] for a whole batch.
+    fn resolve_batch(
+        &self,
+        events: impl IntoIterator<Item = (String, Cost, Option<f64>)>,
+    ) -> Vec<StepEvent> {
+        events
+            .into_iter()
+            .map(|(id, cost, load)| {
+                let (id, key, _) = self.resolve(&id);
+                StepEvent {
+                    id,
+                    key,
+                    cost,
+                    load,
+                }
+            })
+            .collect()
+    }
+
+    fn live_tenants(&self) -> Result<usize, EngineError> {
+        Ok(self.each_shard(|s| s.stats().tenants)?.into_iter().sum())
+    }
+
+    fn tenant_ids(&self) -> Result<Vec<String>, EngineError> {
+        let mut all = Vec::new();
+        self.each_shard(|s| all.extend(s.ids().cloned()))?;
+        all.sort_unstable();
+        Ok(all)
+    }
+
+    /// Fill the reports' `energy` fields from their tenants' intern
+    /// entries, when energy accounting is on.
+    fn decorate_energy(&self, reports: &mut [TenantReport]) {
+        if self.power.is_some() {
+            for report in reports {
+                let entry = self.intern.lookup(&report.id);
+                report.energy = entry.and_then(|(_, e)| e.energy).map(|a| a.energy);
+            }
+        }
+    }
+
+    /// Keep the autoscale policy's view of the topology in sync after a
+    /// successful rebalance of either kind — including operator-requested
+    /// ones, which would otherwise leave the policy reasoning (and
+    /// reporting) against a stale shard count.
+    fn sync_policy_topology(&mut self, shards: usize) {
+        if let Some(policy) = &mut self.policy {
+            policy.note_topology(shards);
+        }
+    }
+
+    /// Admit bypassing admission control (recovery replay). A live id is
+    /// refused before its config is built; the config is validated (and
+    /// the tenant built) before anything is interned or journaled.
+    fn admit_unchecked(&mut self, cfg: TenantConfig) -> Result<(), EngineError> {
+        if self.read_tenant(&cfg.id, |_| ()).is_ok() {
+            return Err(EngineError::DuplicateTenant(cfg.id));
+        }
+        let tenant = Tenant::new(cfg.clone()).map_err(EngineError::Policy)?;
+        self.install(tenant, Some(JournalRecord::Admit(cfg)))
+    }
+
+    /// Install a validated tenant: intern its id (hashed once, routed
+    /// once, handed to its shard as a slab key), journal `record` and
+    /// place the tenant on its shard, replacing any tenant there. Its
+    /// pricing is recorded only once the install succeeded; a failed
+    /// install of a new id releases the key again. The handle lock is
+    /// held throughout, so no batch routes while the id becomes live.
+    fn install(
+        &mut self,
+        tenant: Tenant,
+        record: Option<JournalRecord>,
+    ) -> Result<(), EngineError> {
+        let pricing = Pricing::of(tenant.config());
+        let id = tenant.config().id.clone();
+        let (key, shard) = self.intern.intern(&id, &self.ring);
+        let placed = self.shard(shard).and_then(|mut shard| {
+            if let Some(record) = &record {
+                shard.journal(record)?;
+            }
+            shard.place(key, tenant);
+            Ok(())
+        });
+        if placed.is_ok() {
+            self.intern.set_pricing(key, pricing);
+        } else if self
+            .shard(shard)
+            .is_ok_and(|s| s.tenant(key, &id).is_none())
+        {
+            self.intern.release(key);
+        }
+        placed
+    }
+
+    fn finish(&self, id: &str) -> Result<Vec<u32>, EngineError> {
+        let (key, shard) = self.locate(id)?;
+        self.shard(shard)?
+            .finish(key, id)?
+            .ok_or_else(|| unknown(id))
+    }
+
+    fn evict(&mut self, id: &str) -> Result<TenantReport, EngineError> {
+        let (key, shard) = self.locate(id)?;
+        let mut report = self
+            .shard(shard)?
+            .evict(key, id)?
+            .ok_or_else(|| unknown(id))?;
+        report.energy = self
+            .intern
+            .release(key)
+            .and_then(|e| e.energy)
+            .map(|a| a.energy);
+        Ok(report)
+    }
+
+    /// Apply `f` to post-migration shard `index`: a shard the migration
+    /// keeps (under its lock) or, from `keep` on, one of the `fresh`
+    /// shards it builds.
+    fn on_new_shard<T>(
+        &self,
+        fresh: &mut [Shard],
+        keep: usize,
+        index: usize,
+        f: impl FnOnce(&mut Shard) -> T,
+    ) -> Result<T, EngineError> {
+        match index.checked_sub(keep) {
+            Some(i) => Ok(f(&mut fresh[i])),
+            None => Ok(f(&mut *self.shard(index)?)),
+        }
+    }
+
+    /// Neutralize an aborted migration's write-ahead topology record: the
+    /// migration did not happen, so a crash before the next checkpoint
+    /// must not replay it. Recovery takes the *last* record's topology, so
+    /// re-journaling the current one restores the truth (best-effort — if
+    /// this append fails too, the next successful checkpoint truncates
+    /// both).
+    fn neutralize(&self, record: JournalRecord) {
+        if let Ok(shard) = self.shard(0) {
+            let _ = shard.journal(&record);
+        }
+    }
+}
+
 impl Engine {
     /// Start an engine with no durability (a [`NullStore`]).
     pub fn new(cfg: EngineConfig) -> Engine {
@@ -259,7 +455,7 @@ impl Engine {
             ));
         }
         let engine = Engine::spawn(cfg, store);
-        engine.attach_store()?;
+        engine.attach_store(&mut engine.control())?;
         Ok(engine)
     }
 
@@ -271,31 +467,37 @@ impl Engine {
         let raw_store = store;
         let store: Arc<dyn Durability> =
             Arc::new(InstrumentedStore::new(raw_store.clone(), obs.clone()));
-        Engine {
+        let mut control = Control {
             shards: (0..spec.shards)
                 .map(|i| Arc::new(Mutex::new(Shard::new(i, &obs))))
                 .collect(),
             ring: HashRing::new(spec),
+            attached: false,
+            gate: AdmissionControl::default(),
+            policy: None,
+            power: None,
+            intern: Interner::new(),
+            pool: DispatchPool::default(),
+        };
+        control.pool.resize(spec.shards);
+        Engine {
             store,
             raw_store,
             obs,
-            attached: AtomicBool::new(false),
-            admission: Mutex::new(AdmissionControl::default()),
-            topology: Mutex::new(None),
-            power: Mutex::new(None),
-            intern: Mutex::new(Interner::new()),
-            dispatch: Mutex::new(DispatchPool {
-                workers: (0..spec.shards).map(Worker::spawn).collect(),
-                ..DispatchPool::default()
-            }),
+            control: Mutex::new(control),
         }
+    }
+
+    /// Take the handle lock.
+    fn control(&self) -> MutexGuard<'_, Control> {
+        self.control.lock().expect("engine handle poisoned")
     }
 
     /// Hand every shard its journaling handle. Mutations before this point
     /// are not journaled, which is exactly what recovery replay needs.
-    fn attach_store(&self) -> Result<(), EngineError> {
-        self.each_shard(|s| s.attach(self.store.clone()))?;
-        self.attached.store(true, Ordering::Release);
+    fn attach_store(&self, ctl: &mut Control) -> Result<(), EngineError> {
+        ctl.each_shard(|s| s.attach(self.store.clone()))?;
+        ctl.attached = true;
         Ok(())
     }
 
@@ -320,22 +522,22 @@ impl Engine {
     /// The engine's logical clock: admission-gate ticks, one per ingested
     /// batch. Stamped onto rebalance reports and trace events.
     pub fn logical_tick(&self) -> u64 {
-        self.gate().now()
+        self.control().gate.now()
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.control().shards.len()
     }
 
     /// The routing-ring topology.
     pub fn ring_spec(&self) -> RingSpec {
-        self.ring.spec()
+        self.control().ring.spec()
     }
 
     /// The admission limits in force.
     pub fn limits(&self) -> AdmissionConfig {
-        self.gate().config()
+        self.control().gate.config()
     }
 
     /// Install new admission limits (tenant cap, per-tenant rate limit).
@@ -343,76 +545,22 @@ impl Engine {
     /// state, deliberately not journaled — recovery replays exactly the
     /// traffic that was admitted, whatever the limits were.
     pub fn set_limits(&self, cfg: AdmissionConfig) -> Result<(), EngineError> {
-        cfg.validate()
-            .map_err(|m| EngineError::Policy(rsdc_core::Error::InvalidParameter(m)))?;
-        let mut gate = self.gate();
-        if gate.config().limits_rate() && !cfg.limits_rate() {
+        cfg.validate().map_err(invalid)?;
+        let mut ctl = self.control();
+        if ctl.gate.config().limits_rate() && !cfg.limits_rate() {
             // Buckets are charged only under a rate limit, so they stay
             // full while it is off: re-enabling one starts them full.
-            self.interner()
+            ctl.intern
                 .each_mut()
                 .for_each(|e| e.bucket = Default::default());
         }
-        gate.set_config(cfg);
+        ctl.gate.set_config(cfg);
         Ok(())
     }
 
-    fn gate(&self) -> std::sync::MutexGuard<'_, AdmissionControl> {
-        self.admission.lock().expect("admission gate poisoned")
-    }
-
-    fn policy(&self) -> std::sync::MutexGuard<'_, Option<TopologyPolicy>> {
-        self.topology.lock().expect("topology policy poisoned")
-    }
-
-    fn power_runtime(&self) -> std::sync::MutexGuard<'_, Option<PowerRuntime>> {
-        self.power.lock().expect("power runtime poisoned")
-    }
-
-    fn interner(&self) -> std::sync::MutexGuard<'_, Interner> {
-        self.intern.lock().expect("intern table poisoned")
-    }
-
-    fn dispatch_pool(&self) -> std::sync::MutexGuard<'_, DispatchPool> {
-        self.dispatch.lock().expect("dispatch pool poisoned")
-    }
-
-    /// Lock shard `index`. A poisoned lock — a panic mid-operation — reads
-    /// as a down shard.
-    fn shard(&self, index: usize) -> Result<MutexGuard<'_, Shard>, EngineError> {
-        self.shards[index]
-            .lock()
-            .map_err(|_| EngineError::ShardDown(index))
-    }
-
-    /// The slab key and shard index of tenant `id`: one intern lookup,
-    /// whose lock is released before the caller locks the shard. Ids that
-    /// are not live fail with `UnknownTenant` without touching a shard.
-    fn locate(&self, id: &str) -> Result<(u32, usize), EngineError> {
-        let interner = self.interner();
-        let (key, e) = interner.lookup(id).ok_or_else(|| unknown(id))?;
-        Ok((key, e.shard as usize))
-    }
-
-    /// Apply `f` to live tenant `id` under its shard's lock.
-    fn read_tenant<T>(&self, id: &str, f: impl FnOnce(&Tenant) -> T) -> Result<T, EngineError> {
-        let (key, shard) = self.locate(id)?;
-        self.shard(shard)?
-            .tenant(key, id)
-            .map(f)
-            .ok_or_else(|| unknown(id))
-    }
-
     /// Whether mutations are journaled: the store is durable and attached.
-    fn journaling(&self) -> bool {
-        self.store.is_durable() && self.attached.load(Ordering::Acquire)
-    }
-
-    /// Lock each shard in turn and apply `f` to it.
-    fn each_shard<T>(&self, mut f: impl FnMut(&mut Shard) -> T) -> Result<Vec<T>, EngineError> {
-        (0..self.shards.len())
-            .map(|i| Ok(f(&mut *self.shard(i)?)))
-            .collect()
+    fn journaling(&self, ctl: &Control) -> bool {
+        self.store.is_durable() && ctl.attached
     }
 
     /// Resolve a tenant id against the intern table without inserting:
@@ -431,27 +579,7 @@ impl Engine {
     /// [`Engine::resolve`] plus the tenant's load [`Pricing`] from the
     /// same lookup (the default pricing for ids that are not live).
     pub(crate) fn resolve_priced(&self, id: &str) -> (Arc<str>, u32, Pricing) {
-        resolve_in(&self.interner(), id)
-    }
-
-    /// [`Engine::resolve`] for a whole batch, under one intern-table lock.
-    fn resolve_batch(
-        &self,
-        events: impl IntoIterator<Item = (String, Cost, Option<f64>)>,
-    ) -> Vec<StepEvent> {
-        let interner = self.interner();
-        events
-            .into_iter()
-            .map(|(id, cost, load)| {
-                let (id, key, _) = resolve_in(&interner, &id);
-                StepEvent {
-                    id,
-                    key,
-                    cost,
-                    load,
-                }
-            })
-            .collect()
+        self.control().resolve(id)
     }
 
     /// Enable (`Some`) or disable (`None`) energy accounting. Installing
@@ -465,29 +593,25 @@ impl Engine {
     /// configured capacity) drives the power model, joules integrate over
     /// the logical clock, and the price schedule turns them into cost.
     pub fn set_power(&self, cfg: Option<PowerConfig>) -> Result<(), EngineError> {
-        let runtime = match cfg {
-            Some(cfg) => {
-                cfg.validate()
-                    .map_err(|m| EngineError::Policy(rsdc_core::Error::InvalidParameter(m)))?;
-                Some(PowerRuntime::new(cfg))
-            }
-            None => None,
-        };
-        let mut interner = self.interner();
-        let mut power = self.power_runtime();
-        if power.is_some() {
+        let runtime = cfg
+            .map(|cfg| cfg.validate().map(|()| PowerRuntime::new(cfg)))
+            .transpose()
+            .map_err(invalid)?;
+        let mut ctl = self.control();
+        if ctl.power.is_some() {
             // Tenants are attributed only while a meter runs: the next
             // one attributes from zero.
-            interner.each_mut().for_each(|e| e.energy = None);
+            ctl.intern.each_mut().for_each(|e| e.energy = None);
         }
-        *power = runtime;
+        ctl.power = runtime;
         Ok(())
     }
 
     /// The power configuration in force (`None` when energy accounting is
     /// disabled).
     pub fn power_config(&self) -> Option<PowerConfig> {
-        self.power_runtime()
+        self.control()
+            .power
             .as_ref()
             .map(|rt| rt.meter().config().clone())
     }
@@ -495,19 +619,7 @@ impl Engine {
     /// Point-in-time energy read-back: configuration, totals, and the
     /// last tick's per-shard physics (`None` when disabled).
     pub fn energy_status(&self) -> Option<EnergyStatus> {
-        self.power_runtime().as_ref().map(|rt| rt.meter().status())
-    }
-
-    /// Fill the reports' `energy` fields from their tenants' intern
-    /// entries, when energy accounting is on.
-    fn decorate_energy(&self, reports: &mut [TenantReport]) {
-        let interner = self.interner();
-        if self.power_runtime().is_some() {
-            for report in reports {
-                let entry = interner.lookup(&report.id);
-                report.energy = entry.and_then(|(_, e)| e.energy).map(|a| a.energy);
-            }
-        }
+        self.control().power.as_ref().map(|rt| rt.meter().status())
     }
 
     /// Enable (`Some`) or disable (`None`) the lazy auto-rebalancing
@@ -521,21 +633,18 @@ impl Engine {
     /// session does this after every batch) to apply pending decisions as
     /// incremental migrations.
     pub fn set_autoscale(&self, cfg: Option<TopologyConfig>) -> Result<(), EngineError> {
-        let policy = match cfg {
-            Some(cfg) => Some(
-                TopologyPolicy::new(cfg, self.shards())
-                    .map_err(|m| EngineError::Policy(rsdc_core::Error::InvalidParameter(m)))?,
-            ),
-            None => None,
-        };
-        *self.policy() = policy;
+        let mut ctl = self.control();
+        ctl.policy = cfg
+            .map(|cfg| TopologyPolicy::new(cfg, ctl.shards.len()))
+            .transpose()
+            .map_err(invalid)?;
         Ok(())
     }
 
     /// Point-in-time status of the auto-rebalancing policy (`None` when
     /// disabled).
     pub fn autoscale_status(&self) -> Option<TopologyStatus> {
-        self.policy().as_ref().map(|p| p.status())
+        self.control().policy.as_ref().map(|p| p.status())
     }
 
     /// Apply the auto-rebalancing policy's pending decision, if any, as
@@ -547,141 +656,73 @@ impl Engine {
     /// rate) so the topology settles before the fleet shifts under it
     /// again.
     pub fn maybe_autoscale(&mut self) -> Result<Option<RebalanceReport>, EngineError> {
-        let (target, cooldown, status) = match self.policy().as_ref() {
-            Some(policy) => (
-                policy.pending(),
-                policy.config().cooldown,
-                Some(policy.status()),
-            ),
-            None => (None, 0, None),
-        };
-        let Some(shards) = target else {
+        let mut ctl = self.control();
+        let Some((shards, cooldown, status)) = ctl
+            .policy
+            .as_ref()
+            .and_then(|p| Some((p.pending()?, p.config().cooldown, p.status())))
+        else {
             return Ok(None);
         };
-        let from = self.shards();
-        if let Some(status) = &status {
-            // The decision record carries the live LCP state that forced
-            // it: both bounds, and the accrued costs whose comparison is
-            // the paper's trigger condition.
-            self.obs.event(
-                self.logical_tick(),
-                "autoscale_decision",
-                vec![
-                    ("from", from.into()),
-                    ("target", shards.into()),
-                    ("lower", status.lower.into()),
-                    ("upper", status.upper.into()),
-                    ("imbalance_cost", status.imbalance_cost.into()),
-                    ("switch_cost_accrued", status.switch_cost_accrued.into()),
-                    ("event_skew", status.event_skew.into()),
-                ],
-            );
-        }
-        let report = self.rebalance_incremental(shards, None)?;
-        if let Some(policy) = self.policy().as_mut() {
+        let from = ctl.shards.len();
+        // The decision record carries the live LCP state that forced it:
+        // both bounds, and the accrued costs whose comparison is the
+        // paper's trigger condition.
+        self.obs.event(
+            ctl.gate.now(),
+            "autoscale_decision",
+            vec![
+                ("from", from.into()),
+                ("target", shards.into()),
+                ("lower", status.lower.into()),
+                ("upper", status.upper.into()),
+                ("imbalance_cost", status.imbalance_cost.into()),
+                ("switch_cost_accrued", status.switch_cost_accrued.into()),
+                ("event_skew", status.event_skew.into()),
+            ],
+        );
+        let report = self.rebalance_diff(&mut ctl, shards, None)?;
+        let ctl = &mut *ctl;
+        if let Some(policy) = &mut ctl.policy {
             policy.record_applied(from, report.shards, report.moved);
         }
-        {
-            let mut gate = self.gate();
-            let mut interner = self.interner();
-            gate.begin_migration_window(cooldown, interner.each_mut().map(|e| &mut e.bucket));
-        }
+        let buckets = ctl.intern.each_mut().map(|e| &mut e.bucket);
+        ctl.gate.begin_migration_window(cooldown, buckets);
         if cooldown > 0 {
-            self.obs.note_window(self.logical_tick(), true);
+            self.obs.note_window(ctl.gate.now(), true);
         }
         Ok(Some(report))
     }
 
-    /// Keep the autoscale policy's view of the topology in sync after a
-    /// successful rebalance of either kind — including operator-requested
-    /// ones, which would otherwise leave the policy reasoning (and
-    /// reporting) against a stale shard count.
-    fn sync_policy_topology(&self, shards: usize) {
-        if let Some(policy) = self.policy().as_mut() {
-            policy.note_topology(shards);
-        }
-    }
-
     /// Live tenants across all shards.
     pub fn live_tenants(&self) -> Result<usize, EngineError> {
-        Ok(self.each_shard(|s| s.stats().tenants)?.into_iter().sum())
+        self.control().live_tenants()
     }
 
     /// Admit a new tenant. Refused with a typed
     /// [`Rejected`](crate::AdmissionError::Rejected) error when the engine
-    /// is at its [`max_tenants`](AdmissionConfig::max_tenants) cap.
+    /// is at its [`max_tenants`](AdmissionConfig::max_tenants) cap. The
+    /// count and the insert happen under one hold of the handle lock, so
+    /// concurrent admits cannot push the fleet past the cap.
     pub fn admit(&self, cfg: TenantConfig) -> Result<(), EngineError> {
-        // The gate guard is held across the count *and* the insert, so
-        // concurrent cap-checked admits serialize — a check-then-act race
-        // cannot push the fleet past `max_tenants`. The gate comes first
-        // in the lock order, so the shard locks taken inside cannot
-        // deadlock.
-        let mut gate = self.gate();
-        self.check_admit(&mut gate, &cfg.id)?;
-        self.admit_unchecked(cfg)
+        let mut ctl = self.control();
+        self.check_admit(&mut ctl, &cfg.id)?;
+        ctl.admit_unchecked(cfg)
     }
 
-    /// Gate one new tenant `id` under the held `gate`: refused at the
-    /// tenant cap or inside a migration window.
-    fn check_admit(&self, gate: &mut AdmissionControl, id: &str) -> Result<(), EngineError> {
-        let cap = gate.config().max_tenants > 0;
-        if cap || gate.in_migration_window() {
+    /// Gate one new tenant `id`: refused at the tenant cap or inside a
+    /// migration window.
+    fn check_admit(&self, ctl: &mut Control, id: &str) -> Result<(), EngineError> {
+        let cap = ctl.gate.config().max_tenants > 0;
+        if cap || ctl.gate.in_migration_window() {
             // The live count is only fetched when a cap could bite.
-            let live = if cap { self.live_tenants()? } else { 0 };
-            gate.check_admit(id, live).map_err(|e| {
+            let live = if cap { ctl.live_tenants()? } else { 0 };
+            ctl.gate.check_admit(id, live).map_err(|e| {
                 self.obs.count_refusal(&e);
                 EngineError::Admission(e)
             })?;
         }
         Ok(())
-    }
-
-    /// Admit bypassing admission control (recovery replay). A live id is
-    /// refused before its config is built; the config is validated (and
-    /// the tenant built) before anything is interned or journaled.
-    /// Admits and restores serialize on the admission gate (replay runs
-    /// before the engine is shared), so the duplicate check holds until
-    /// the install.
-    fn admit_unchecked(&self, cfg: TenantConfig) -> Result<(), EngineError> {
-        if self.read_tenant(&cfg.id, |_| ()).is_ok() {
-            return Err(EngineError::DuplicateTenant(cfg.id));
-        }
-        let tenant = Tenant::new(cfg.clone()).map_err(EngineError::Policy)?;
-        self.install(tenant, Some(JournalRecord::Admit(cfg)))
-    }
-
-    /// Install a validated tenant: intern its id (hashed once, routed
-    /// once, handed to its shard as a slab key), journal `record` and
-    /// place the tenant on its shard, replacing any tenant there. Its
-    /// pricing is recorded only once the install succeeded; a failed
-    /// install of a new id releases the key again.
-    ///
-    /// The dispatch pool is held throughout, so no batch is routed while
-    /// the id becomes live: a step routes either before the intern (and
-    /// fails as unknown, journaled before the install) or after the
-    /// place — live outcomes and replay agree.
-    fn install(&self, tenant: Tenant, record: Option<JournalRecord>) -> Result<(), EngineError> {
-        let _dispatch = self.dispatch_pool();
-        let pricing = Pricing::of(tenant.config());
-        let id = tenant.config().id.clone();
-        let (key, shard) = self.interner().intern(&id, &self.ring);
-        let placed = self.shard(shard).and_then(|mut shard| {
-            if let Some(record) = &record {
-                shard.journal(record)?;
-            }
-            shard.place(key, tenant);
-            Ok(())
-        });
-        let mut interner = self.interner();
-        if placed.is_ok() {
-            interner.set_pricing(key, pricing);
-        } else if self
-            .shard(shard)
-            .is_ok_and(|s| s.tenant(key, &id).is_none())
-        {
-            interner.release(key);
-        }
-        placed
     }
 
     /// Classify a per-event error string back into the [`EngineError`] it
@@ -702,28 +743,29 @@ impl Engine {
                 .strip_prefix("invalid parameter: ")
                 .map(str::to_string)
                 .unwrap_or(message);
-            EngineError::Policy(rsdc_core::Error::InvalidParameter(message))
+            invalid(message)
         }
     }
 
     /// Feed one cost function to one tenant; returns the states committed
     /// by this event (empty while a lookahead window fills).
     pub fn step(&self, id: &str, cost: Cost) -> Result<Vec<u32>, EngineError> {
-        self.step_one(id, cost, None).map(|o| o.states.to_vec())
+        self.step_one(&mut self.control(), id, cost, None)
+            .map(|o| o.states.to_vec())
     }
 
     /// Run one event through the batch path and unwrap its outcome.
     fn step_one(
         &self,
+        ctl: &mut Control,
         id: &str,
         cost: Cost,
         load: Option<f64>,
     ) -> Result<StepOutcome, EngineError> {
-        let outcome = self
-            .step_batch_loads(vec![(id.to_string(), cost, load)])?
-            .into_iter()
-            .next()
-            .ok_or_else(|| EngineError::UnknownTenant(id.to_string()))?;
+        let mut events = ctl.resolve_batch([(id.to_string(), cost, load)]);
+        let mut out = Vec::with_capacity(1);
+        self.dispatch(ctl, &mut events, true, &mut out)?;
+        let outcome = out.pop().ok_or_else(|| unknown(id))?;
         match outcome.error {
             None => Ok(outcome),
             Some(message) => Err(Engine::classify_event_error(id, message)),
@@ -732,7 +774,7 @@ impl Engine {
 
     /// Fetch a tenant's static configuration.
     pub fn tenant_config(&self, id: &str) -> Result<crate::TenantConfig, EngineError> {
-        self.read_tenant(id, |t| t.config().clone())
+        self.control().read_tenant(id, |t| t.config().clone())
     }
 
     /// Feed one offered load to one **heterogeneous** tenant; returns the
@@ -742,12 +784,14 @@ impl Engine {
     /// the tenant's cost model) — silently ingesting an unpriced load
     /// would produce wrong accounting with an `Ok` result.
     pub fn step_load(&self, id: &str, load: f64) -> Result<StepOutcome, EngineError> {
-        if !self.tenant_config(id)?.policy.is_hetero() {
-            return Err(EngineError::Policy(rsdc_core::Error::InvalidParameter(
-                format!("tenant {id:?} is not heterogeneous: price the load into a Cost and use step instead"),
+        let mut ctl = self.control();
+        let (_, entry) = ctl.intern.lookup(id).ok_or_else(|| unknown(id))?;
+        if entry.pricing != Pricing::Hetero {
+            return Err(invalid(format!(
+                "tenant {id:?} is not heterogeneous: price the load into a Cost and use step instead"
             )));
         }
-        self.step_one(id, Cost::Zero, Some(load))
+        self.step_one(&mut ctl, id, Cost::Zero, Some(load))
     }
 
     /// Feed a batch of `(tenant, cost)` events. Events are fanned out to
@@ -770,9 +814,10 @@ impl Engine {
         &self,
         events: Vec<(String, Cost, Option<f64>)>,
     ) -> Result<Vec<StepOutcome>, EngineError> {
-        let mut resolved = self.resolve_batch(events);
+        let mut ctl = self.control();
+        let mut resolved = ctl.resolve_batch(events);
         let mut out = Vec::with_capacity(resolved.len());
-        self.step_events(&mut resolved, &mut out)?;
+        self.dispatch(&mut ctl, &mut resolved, true, &mut out)?;
         Ok(out)
     }
 
@@ -788,30 +833,18 @@ impl Engine {
         events: &mut Vec<StepEvent>,
         out: &mut Vec<StepOutcome>,
     ) -> Result<(), EngineError> {
-        let (refill, tick) = self.tick_gate();
-        self.dispatch_resolved(events, refill, Some(tick), out)
+        self.dispatch(&mut self.control(), events, true, out)
     }
 
-    /// Advance the admission gate one tick for a batch. Returns the
-    /// refill its buckets are charged against (`None` when no rate limit
-    /// is configured) and the new tick.
-    fn tick_gate(&self) -> (Option<Refill>, u64) {
-        let mut gate = self.gate();
-        gate.tick();
-        // Window close is observed lazily (the gate has no timer): the
-        // first tick past the cooldown records the close edge.
-        self.obs.note_window(gate.now(), gate.in_migration_window());
-        (gate.refill(), gate.now())
-    }
-
-    /// Fan events out to shards. With `refill`, each event whose id names
-    /// a live tenant spends a token from that tenant's bucket first, and
-    /// a throttled event becomes a local error outcome. With `observe`
-    /// (the batch's logical tick), the per-shard batch sizes and the
-    /// live-tenant pulses each shard returns with its outcomes feed the
-    /// auto-rebalancing policy and the energy meter one tick (recovery
-    /// replay passes `None` for both: replayed traffic was admitted once
-    /// already, and it is history, not load).
+    /// Fan events out to shards. A `live` batch first advances the
+    /// admission gate one tick; under a rate limit, each of its events
+    /// whose id names a live tenant then spends a token from that
+    /// tenant's bucket, and a throttled event becomes a local error
+    /// outcome. Its per-shard batch sizes and the live-tenant pulses each
+    /// shard returns with its outcomes feed the auto-rebalancing policy
+    /// and the energy meter one tick. Recovery replay is not `live`:
+    /// replayed traffic was admitted once already, and it is history,
+    /// not load.
     ///
     /// Every non-empty per-shard batch goes to that shard's persistent
     /// worker, and every handed-off batch is collected before this
@@ -821,49 +854,54 @@ impl Engine {
     /// allocations end to end. Shard routing comes from the intern
     /// table's cached routes; only ids that are not live fall back to
     /// hashing the ring.
-    fn dispatch_resolved(
+    fn dispatch(
         &self,
+        ctl: &mut Control,
         events: &mut Vec<StepEvent>,
-        refill: Option<Refill>,
-        observe: Option<u64>,
+        live: bool,
         out: &mut Vec<StepOutcome>,
     ) -> Result<(), EngineError> {
-        let mut pool = self.dispatch_pool();
-        let pool = &mut *pool;
+        let mut refill = None;
+        if live {
+            ctl.gate.tick();
+            // Window close is observed lazily (the gate has no timer): the
+            // first tick past the cooldown records the close edge.
+            self.obs
+                .note_window(ctl.gate.now(), ctl.gate.in_migration_window());
+            refill = ctl.gate.refill();
+        }
+        let pool = &mut ctl.pool;
         pool.indexed.clear();
         pool.routes.clear();
         let mut throttled = 0;
-        {
-            let mut interner = self.interner();
-            for (index, ev) in events.drain(..).enumerate() {
-                // Shards step the key but journal the id, so the key must
-                // still name the event's id (see `Interner::find_mut`).
-                let (key, shard, spent) = match interner.find_mut(ev.key, &ev.id) {
-                    Some((key, e)) => (
-                        key,
-                        e.shard as usize,
-                        refill.is_none_or(|r| r.spend(&mut e.bucket)),
-                    ),
-                    None => (UNKNOWN_KEY, self.ring.route(&ev.id), true),
-                };
-                pool.routes.push((key, shard));
-                if !spent {
-                    throttled += 1;
-                    let error = AdmissionError::Throttled {
-                        id: ev.id.to_string(),
-                    };
-                    pool.indexed
-                        .push((index, StepOutcome::failed(error, ev.id)));
-                    continue;
-                }
-                pool.workers[shard].events.push(Event {
-                    index,
-                    id: ev.id,
+        for (index, ev) in events.drain(..).enumerate() {
+            // Shards step the key but journal the id, so the key must
+            // still name the event's id (see `Interner::find_mut`).
+            let (key, shard, spent) = match ctl.intern.find_mut(ev.key, &ev.id) {
+                Some((key, e)) => (
                     key,
-                    cost: ev.cost,
-                    load: ev.load,
-                });
+                    e.shard as usize,
+                    refill.is_none_or(|r| r.spend(&mut e.bucket)),
+                ),
+                None => (UNKNOWN_KEY, ctl.ring.route(&ev.id), true),
+            };
+            pool.routes.push((key, shard));
+            if !spent {
+                throttled += 1;
+                let error = AdmissionError::Throttled {
+                    id: ev.id.to_string(),
+                };
+                pool.indexed
+                    .push((index, StepOutcome::failed(error, ev.id)));
+                continue;
             }
+            pool.workers[shard].events.push(Event {
+                index,
+                id: ev.id,
+                key,
+                cost: ev.cost,
+                load: ev.load,
+            });
         }
         if throttled > 0 {
             self.obs.admission_throttled.add(throttled);
@@ -871,7 +909,7 @@ impl Engine {
         }
         let mut failure = None;
         pool.shard_events.clear();
-        for (worker, shard) in pool.workers.iter_mut().zip(&self.shards) {
+        for (worker, shard) in pool.workers.iter_mut().zip(&ctl.shards) {
             pool.shard_events.push(worker.events.len() as u64);
             if !worker.events.is_empty() {
                 if let Err(e) = worker.start(shard) {
@@ -899,29 +937,28 @@ impl Engine {
         // Unstable sort: indexes are distinct, so stability is moot, and
         // (unlike the stable sort) it does not allocate a merge buffer.
         pool.indexed.sort_unstable_by_key(|(index, _)| *index);
-        if let Some(tick) = observe {
-            if let Some(policy) = self.policy().as_mut() {
+        if live {
+            if let Some(policy) = &mut ctl.policy {
                 policy.observe(&pool.shard_events, &pool.pulses);
             }
-            let mut interner = self.interner();
-            if let Some(runtime) = self.power_runtime().as_mut() {
+            if let Some(runtime) = &mut ctl.power {
                 // One metered tick: the committed outcomes refresh their
                 // tenants' attribution (key and shard as routed above),
                 // then the shard samples drive the meter.
                 // (A failed event commits no state.)
                 for ((_, o), &(key, shard)) in pool.indexed.iter().zip(&pool.routes) {
                     if let (Some(&last), Some((_, e))) =
-                        (o.states.last(), interner.find_mut(key, &o.id))
+                        (o.states.last(), ctl.intern.find_mut(key, &o.id))
                     {
                         let a = e.energy.get_or_insert_with(Default::default);
                         (a.machines, a.shard) = (last as u64, shard);
                     }
                 }
                 runtime.observe(
-                    tick,
+                    ctl.gate.now(),
                     &pool.shard_events,
                     &pool.machines,
-                    interner.each_mut().filter_map(|e| e.energy.as_mut()),
+                    ctl.intern.each_mut().filter_map(|e| e.energy.as_mut()),
                     &self.obs,
                 );
             }
@@ -932,91 +969,76 @@ impl Engine {
 
     /// End-of-stream for one tenant: flush pending lookahead states.
     pub fn finish(&self, id: &str) -> Result<Vec<u32>, EngineError> {
-        let (key, shard) = self.locate(id)?;
-        self.shard(shard)?
-            .finish(key, id)?
-            .ok_or_else(|| unknown(id))
+        self.control().finish(id)
     }
 
     /// Capture a tenant's full state.
     pub fn snapshot(&self, id: &str) -> Result<TenantSnapshot, EngineError> {
-        self.read_tenant(id, Tenant::snapshot)
+        self.control().read_tenant(id, Tenant::snapshot)
     }
 
     /// Re-install a tenant from a snapshot (replaces any existing tenant
     /// with the same id). Installing a *new* tenant this way counts
     /// against the [`max_tenants`](AdmissionConfig::max_tenants) cap,
-    /// exactly like `admit`.
+    /// exactly like `admit`; re-installing a live one is neither an admit
+    /// nor a migration hazard, so it is not gated.
     pub fn restore(&self, snapshot: TenantSnapshot) -> Result<(), EngineError> {
-        // Same guard discipline as `admit`: existence check, cap check and
-        // install all happen under the gate so concurrent restores cannot
-        // race past the cap. Only a *new* tenant is gated — re-installing
-        // an existing one is neither an admit nor a migration hazard.
-        let mut gate = self.gate();
-        if self.tenant_config(&snapshot.config.id).is_err() {
-            self.check_admit(&mut gate, &snapshot.config.id)?;
+        let mut ctl = self.control();
+        if ctl.intern.lookup(&snapshot.config.id).is_none() {
+            self.check_admit(&mut ctl, &snapshot.config.id)?;
         }
-        self.restore_unchecked(snapshot)
+        self.restore_unchecked(&mut ctl, snapshot)
     }
 
     /// Restore bypassing admission control (recovery). The snapshot is
     /// validated before it is interned or journaled, so a refused restore
     /// leaves neither an intern entry nor a record behind.
-    fn restore_unchecked(&self, snapshot: TenantSnapshot) -> Result<(), EngineError> {
+    fn restore_unchecked(
+        &self,
+        ctl: &mut Control,
+        snapshot: TenantSnapshot,
+    ) -> Result<(), EngineError> {
         let record = self
-            .journaling()
+            .journaling(ctl)
             .then(|| JournalRecord::Restore(Box::new(snapshot.clone())));
         let tenant = Tenant::from_snapshot(snapshot).map_err(EngineError::Policy)?;
-        self.install(tenant, record)
+        ctl.install(tenant, record)
     }
 
     /// Remove a tenant, returning its final report (with its attributed
     /// energy, when accounting is on). The tenant's intern entry is
     /// released — its token bucket and attribution with it — and its key
-    /// is reused by a later admit. Serializes with admits and restores on
-    /// the admission gate, so no install reuses the key mid-evict.
+    /// is reused by a later admit.
     pub fn evict(&self, id: &str) -> Result<TenantReport, EngineError> {
-        let _gate = self.gate();
-        let (key, shard) = self.locate(id)?;
-        let mut report = self
-            .shard(shard)?
-            .evict(key, id)?
-            .ok_or_else(|| unknown(id))?;
-        report.energy = self
-            .interner()
-            .release(key)
-            .and_then(|e| e.energy)
-            .map(|a| a.energy);
-        Ok(report)
+        self.control().evict(id)
     }
 
     /// Report for one tenant.
     pub fn report(&self, id: &str) -> Result<TenantReport, EngineError> {
-        let mut report = self.read_tenant(id, Tenant::report)?;
-        self.decorate_energy(std::slice::from_mut(&mut report));
+        let ctl = self.control();
+        let mut report = ctl.read_tenant(id, Tenant::report)?;
+        ctl.decorate_energy(std::slice::from_mut(&mut report));
         Ok(report)
     }
 
     /// Reports for every tenant, sorted by id.
     pub fn report_all(&self) -> Result<Vec<TenantReport>, EngineError> {
+        let ctl = self.control();
         let mut all = Vec::new();
-        self.each_shard(|s| all.extend(s.reports()))?;
+        ctl.each_shard(|s| all.extend(s.reports()))?;
         all.sort_by(|a, b| a.id.cmp(&b.id));
-        self.decorate_energy(&mut all);
+        ctl.decorate_energy(&mut all);
         Ok(all)
     }
 
     /// Aggregate per-shard statistics.
     pub fn shard_stats(&self) -> Result<Vec<ShardStats>, EngineError> {
-        self.each_shard(|s| s.stats())
+        self.control().each_shard(|s| s.stats())
     }
 
     /// Ids of every tenant across all shards, sorted.
     pub fn tenant_ids(&self) -> Result<Vec<String>, EngineError> {
-        let mut all = Vec::new();
-        self.each_shard(|s| all.extend(s.ids().cloned()))?;
-        all.sort_unstable();
-        Ok(all)
+        self.control().tenant_ids()
     }
 
     /// Merge shard checkpoint contributions into the tenant snapshots,
@@ -1044,6 +1066,10 @@ impl Engine {
     /// [`NullStore`] engine this is a consistent no-op dump
     /// (`durable: false`).
     pub fn checkpoint(&self) -> Result<CheckpointReport, EngineError> {
+        self.checkpoint_in(&self.control())
+    }
+
+    fn checkpoint_in(&self, ctl: &Control) -> Result<CheckpointReport, EngineError> {
         let lap = self.obs.clock();
         let durable = self.store.is_durable();
         let seq = self
@@ -1051,10 +1077,10 @@ impl Engine {
             .begin_checkpoint()
             .map_err(EngineError::from_store)?;
         // Each shard rotates its WAL to `seq` at its capture point.
-        let (tenants, shard_meta) = Engine::collect_dumps(self.each_shard(|s| s.checkpoint(seq))?)?;
+        let (tenants, shard_meta) = Engine::collect_dumps(ctl.each_shard(|s| s.checkpoint(seq))?)?;
         let count = tenants.len();
         if durable {
-            self.commit_doc(seq, self.ring.spec(), tenants, shard_meta)?;
+            self.commit_doc(seq, ctl.ring.spec(), tenants, shard_meta)?;
         }
         self.obs.lap(&self.obs.checkpoint_ns, lap);
         Ok(CheckpointReport {
@@ -1100,8 +1126,9 @@ impl Engine {
         new_shards: usize,
         vnodes: Option<usize>,
     ) -> Result<RebalanceReport, EngineError> {
-        let spec = RingSpec::new(new_shards, vnodes.unwrap_or(self.ring.spec().vnodes));
-        self.migrate(spec, 0)
+        let mut ctl = self.control();
+        let spec = RingSpec::new(new_shards, vnodes.unwrap_or(ctl.ring.spec().vnodes));
+        self.migrate(&mut ctl, spec, 0)
     }
 
     /// Re-partition onto a new ring topology by moving **only** the
@@ -1136,9 +1163,19 @@ impl Engine {
         new_shards: usize,
         vnodes: Option<usize>,
     ) -> Result<RebalanceReport, EngineError> {
-        let spec = RingSpec::new(new_shards, vnodes.unwrap_or(self.ring.spec().vnodes));
-        if spec == self.ring.spec() {
-            self.sync_policy_topology(spec.shards);
+        self.rebalance_diff(&mut self.control(), new_shards, vnodes)
+    }
+
+    /// [`Engine::rebalance_incremental`] under the held handle lock.
+    fn rebalance_diff(
+        &self,
+        ctl: &mut Control,
+        new_shards: usize,
+        vnodes: Option<usize>,
+    ) -> Result<RebalanceReport, EngineError> {
+        let spec = RingSpec::new(new_shards, vnodes.unwrap_or(ctl.ring.spec().vnodes));
+        if spec == ctl.ring.spec() {
+            ctl.sync_policy_topology(spec.shards);
             return Ok(RebalanceReport {
                 shards: spec.shards,
                 vnodes: spec.vnodes,
@@ -1148,10 +1185,11 @@ impl Engine {
                 incremental: true,
                 seq: 0,
                 durable: false,
-                tick: self.logical_tick(),
+                tick: ctl.gate.now(),
             });
         }
-        self.migrate(spec, self.shards.len())
+        let keep = ctl.shards.len();
+        self.migrate(ctl, spec, keep)
     }
 
     /// The one migration routine behind both rebalance modes and
@@ -1166,7 +1204,8 @@ impl Engine {
     /// whose store is attached — recovery runs it before attaching, and
     /// checkpoints afterwards itself.
     fn migrate(
-        &mut self,
+        &self,
+        ctl: &mut Control,
         spec: RingSpec,
         fresh_from: usize,
     ) -> Result<RebalanceReport, EngineError> {
@@ -1184,21 +1223,21 @@ impl Engine {
                 JournalRecord::Rebalance { shards, vnodes }
             }
         };
-        let (old_shards, keep) = (self.shards.len(), fresh_from.min(spec.shards));
+        let (old_shards, keep) = (ctl.shards.len(), fresh_from.min(spec.shards));
         let ring = HashRing::new(spec);
-        let ids = self.tenant_ids()?;
+        let ids = ctl.tenant_ids()?;
         // Sorted, because `ids` is.
-        let moved = moved_ids(&self.ring, &ring, ids.iter().map(|s| s.as_str()));
+        let moved = moved_ids(&ctl.ring, &ring, ids.iter().map(|s| s.as_str()));
         let movers: Vec<&String> = ids
             .iter()
             .filter(|id| {
-                let from = self.ring.route(id);
+                let from = ctl.ring.route(id);
                 from >= keep || from != ring.route(id)
             })
             .collect();
-        let durable = self.journaling();
+        let durable = self.journaling(ctl);
         let lap = self.obs.clock();
-        let tick = self.logical_tick();
+        let tick = ctl.gate.now();
         self.obs.event(
             tick,
             "rebalance_begin",
@@ -1213,7 +1252,7 @@ impl Engine {
         if durable {
             // Write-ahead: the topology change is journaled before any
             // tenant moves.
-            self.shard(0)?.journal(&record(spec, moved.clone()))?;
+            ctl.shard(0)?.journal(&record(spec, moved.clone()))?;
         }
         let seq = self
             .store
@@ -1228,9 +1267,9 @@ impl Engine {
         let mut retired_meta: Vec<ShardMeta> = Vec::new();
         let mut migrate = || -> Result<(), EngineError> {
             for id in &movers {
-                let (key, from) = self.locate(id)?;
-                let tenant = self.shard(from)?.take(key).ok_or_else(|| unknown(id))?;
-                self.on_new_shard(&mut fresh, keep, ring.route(id), |s| s.place(key, tenant))?;
+                let (key, from) = ctl.locate(id)?;
+                let tenant = ctl.shard(from)?.take(key).ok_or_else(|| unknown(id))?;
+                ctl.on_new_shard(&mut fresh, keep, ring.route(id), |s| s.place(key, tenant))?;
                 placed += 1;
             }
             // Retired shards are empty now. Capture their aggregates: they
@@ -1238,7 +1277,7 @@ impl Engine {
             // live shard 0 only after the commit point, so an abort never
             // double-counts.
             for shard in keep..old_shards {
-                let dump = self.shard(shard)?.checkpoint(seq)?;
+                let dump = ctl.shard(shard)?.checkpoint(seq)?;
                 debug_assert!(
                     dump.snapshots.is_empty(),
                     "retired shard {shard} still held tenants"
@@ -1250,10 +1289,10 @@ impl Engine {
                 // a survivor's WAL to this sequence), fold the retired
                 // shards' history onto the document's shard 0, and commit
                 // a full-state checkpoint carrying the new topology.
-                let (tenants, mut shard_meta) =
-                    Engine::collect_dumps((0..spec.shards).map(|i| {
-                        self.on_new_shard(&mut fresh, keep, i, |s| s.checkpoint(seq))?
-                    }))?;
+                let (tenants, mut shard_meta) = Engine::collect_dumps(
+                    (0..spec.shards)
+                        .map(|i| ctl.on_new_shard(&mut fresh, keep, i, |s| s.checkpoint(seq))?),
+                )?;
                 for meta in &retired_meta {
                     shard_meta[0].merge(meta);
                 }
@@ -1273,16 +1312,16 @@ impl Engine {
             // shard, drop the new shards, and keep serving on the old
             // topology.
             for id in &movers[..placed] {
-                let Ok((key, from)) = self.locate(id) else {
+                let Ok((key, from)) = ctl.locate(id) else {
                     continue;
                 };
-                let taken = self.on_new_shard(&mut fresh, keep, ring.route(id), |s| s.take(key));
-                if let (Ok(Some(tenant)), Ok(mut from)) = (taken, self.shard(from)) {
+                let taken = ctl.on_new_shard(&mut fresh, keep, ring.route(id), |s| s.take(key));
+                if let (Ok(Some(tenant)), Ok(mut from)) = (taken, ctl.shard(from)) {
                     from.place(key, tenant);
                 }
             }
             if durable {
-                self.neutralize(record(self.ring.spec(), Vec::new()));
+                ctl.neutralize(record(ctl.ring.spec(), Vec::new()));
             }
             return Err(e);
         }
@@ -1293,22 +1332,22 @@ impl Engine {
         // reported with the engine already on the new topology, matching
         // the store; returning the old topology here would tell the
         // caller a committed migration failed.
-        self.shards.truncate(keep);
-        self.shards
+        ctl.shards.truncate(keep);
+        ctl.shards
             .extend(fresh.into_iter().map(|shard| Arc::new(Mutex::new(shard))));
-        self.resize_workers(spec.shards);
-        self.ring = ring;
-        self.interner().reroute(&self.ring);
-        self.sync_policy_topology(spec.shards);
+        ctl.pool.resize(spec.shards);
+        ctl.ring = ring;
+        ctl.intern.reroute(&ctl.ring);
+        ctl.sync_policy_topology(spec.shards);
         // The in-memory shard 0 absorbs the retired shards' history
         // (matching what the fence document recorded).
         for meta in &retired_meta {
-            self.shard(0)?.merge_meta(meta);
+            ctl.shard(0)?.merge_meta(meta);
         }
-        if self.attached.load(Ordering::Acquire) {
+        if ctl.attached {
             // Idempotent for the survivors; hands the new shards their
             // journaling handle.
-            self.attach_store()?;
+            self.attach_store(ctl)?;
         }
         self.obs.lap(&self.obs.migration_ns, lap);
         self.obs.migration_tenants_moved.add(moved.len() as u64);
@@ -1335,44 +1374,6 @@ impl Engine {
         })
     }
 
-    /// Apply `f` to post-migration shard `index`: a shard the migration
-    /// keeps (under its lock) or, from `keep` on, one of the `fresh`
-    /// shards it builds.
-    fn on_new_shard<T>(
-        &self,
-        fresh: &mut [Shard],
-        keep: usize,
-        index: usize,
-        f: impl FnOnce(&mut Shard) -> T,
-    ) -> Result<T, EngineError> {
-        match index.checked_sub(keep) {
-            Some(i) => Ok(f(&mut fresh[i])),
-            None => Ok(f(&mut *self.shard(index)?)),
-        }
-    }
-
-    /// Neutralize an aborted migration's write-ahead topology record: the
-    /// migration did not happen, so a crash before the next checkpoint
-    /// must not replay it. Recovery takes the *last* record's topology, so
-    /// re-journaling the current one restores the truth (best-effort — if
-    /// this append fails too, the next successful checkpoint truncates
-    /// both).
-    fn neutralize(&self, record: JournalRecord) {
-        if let Ok(shard) = self.shard(0) {
-            let _ = shard.journal(&record);
-        }
-    }
-
-    /// Grow or shrink the worker set to one worker per shard index.
-    fn resize_workers(&mut self, shards: usize) {
-        let pool = self.dispatch.get_mut().unwrap_or_else(|e| e.into_inner());
-        let keep = shards.min(pool.workers.len());
-        for worker in pool.workers.drain(keep..) {
-            worker.stop();
-        }
-        pool.workers.extend((keep..shards).map(Worker::spawn));
-    }
-
     /// Rebuild the pre-crash engine from a store: load the newest valid
     /// checkpoint, replay the WAL tail on top of it, then write a fresh
     /// checkpoint so the next restart starts from a compact log.
@@ -1390,21 +1391,22 @@ impl Engine {
         store: Arc<dyn Durability>,
     ) -> Result<(Engine, RecoveryReport), EngineError> {
         let recovery = store.recover().map_err(EngineError::from_store)?;
-        let mut engine = Engine::spawn(cfg, store);
+        let engine = Engine::spawn(cfg, store);
         let mut report = RecoveryReport {
             checkpoints_skipped: recovery.checkpoints_skipped,
             ..RecoveryReport::default()
         };
+        let mut ctl = engine.control();
         if let Some(blob) = &recovery.checkpoint {
             let doc = CheckpointDoc::decode(&blob.payload).map_err(EngineError::Store)?;
             report.checkpoint_seq = doc.seq;
             for snapshot in doc.tenants {
-                engine.restore_unchecked(snapshot)?;
+                engine.restore_unchecked(&mut ctl, snapshot)?;
                 report.tenants_restored += 1;
             }
-            if doc.shards == engine.shards() {
+            if doc.shards == ctl.shards.len() {
                 for meta in doc.shard_meta {
-                    engine.shard(meta.shard)?.install_meta(meta);
+                    ctl.shard(meta.shard)?.install_meta(meta);
                 }
                 report.shard_meta_restored = true;
             }
@@ -1443,23 +1445,17 @@ impl Engine {
                         interrupted = Some(RingSpec::new(shards, vnodes));
                         report.migrations_replayed += 1;
                     }
-                    Ok(record) => engine.replay(record, &mut report),
+                    Ok(record) => engine.replay(&mut ctl, record, &mut report),
                 }
             }
         }
-        engine
-            .obs
-            .recovery_records_replayed
+        let obs = &engine.obs;
+        obs.recovery_records_replayed
             .add(report.records_replayed as u64);
-        engine
-            .obs
-            .recovery_events_replayed
+        obs.recovery_events_replayed
             .add(report.events_replayed as u64);
-        engine
-            .obs
-            .recovery_replay_errors
-            .add(report.replay_errors as u64);
-        engine.obs.event(
+        obs.recovery_replay_errors.add(report.replay_errors as u64);
+        obs.event(
             0,
             "recovery_wal_replayed",
             vec![
@@ -1470,8 +1466,8 @@ impl Engine {
             ],
         );
         if let Some(spec) = interrupted {
-            if spec != engine.ring.spec() {
-                engine.migrate(spec, 0)?;
+            if spec != ctl.ring.spec() {
+                engine.migrate(&mut ctl, spec, 0)?;
             }
             engine.obs.event(
                 0,
@@ -1482,32 +1478,33 @@ impl Engine {
                 ],
             );
         }
-        engine.attach_store()?;
-        report.post_checkpoint_seq = engine.checkpoint()?.seq;
+        engine.attach_store(&mut ctl)?;
+        report.post_checkpoint_seq = engine.checkpoint_in(&ctl)?.seq;
         engine.obs.event(
             0,
             "recovery_complete",
             vec![("post_checkpoint_seq", report.post_checkpoint_seq.into())],
         );
+        drop(ctl);
         Ok((engine, report))
     }
 
     /// Re-apply one journaled operation during recovery. Failures are
     /// counted, not fatal: a journaled operation that failed originally
     /// (e.g. an evict raced with an admit) fails identically here.
-    fn replay(&self, record: JournalRecord, report: &mut RecoveryReport) {
+    fn replay(&self, ctl: &mut Control, record: JournalRecord, report: &mut RecoveryReport) {
         let outcome = match record {
-            JournalRecord::Admit(cfg) => self.admit_unchecked(cfg),
+            JournalRecord::Admit(cfg) => ctl.admit_unchecked(cfg),
             JournalRecord::Batch(events) => {
                 let mut resolved =
-                    self.resolve_batch(events.into_iter().map(|e| (e.id, e.cost, e.load)));
+                    ctl.resolve_batch(events.into_iter().map(|e| (e.id, e.cost, e.load)));
                 let mut outcomes = Vec::with_capacity(resolved.len());
-                self.dispatch_resolved(&mut resolved, None, None, &mut outcomes)
+                self.dispatch(ctl, &mut resolved, false, &mut outcomes)
                     .map(|()| report.events_replayed += outcomes.len())
             }
-            JournalRecord::Finish(id) => self.finish(&id).map(|_| ()),
-            JournalRecord::Evict(id) => self.evict(&id).map(|_| ()),
-            JournalRecord::Restore(snapshot) => self.restore_unchecked(*snapshot),
+            JournalRecord::Finish(id) => ctl.finish(&id).map(|_| ()),
+            JournalRecord::Evict(id) => ctl.evict(&id).map(|_| ()),
+            JournalRecord::Restore(snapshot) => self.restore_unchecked(ctl, *snapshot),
             // Intercepted by the recovery loop before this point.
             JournalRecord::Rebalance { .. } | JournalRecord::Migrate { .. } => Ok(()),
         };
@@ -1521,24 +1518,20 @@ impl Engine {
     pub fn shutdown(self) {}
 }
 
-/// Resolve `id` against `interner` without inserting; see
-/// [`Engine::resolve_priced`].
-fn resolve_in(interner: &Interner, id: &str) -> (Arc<str>, u32, Pricing) {
-    match interner.lookup(id) {
-        Some((key, e)) => (Arc::clone(&e.id), key, e.pricing),
-        None => (Arc::from(id), UNKNOWN_KEY, Pricing::default()),
-    }
-}
-
 fn unknown(id: &str) -> EngineError {
     EngineError::UnknownTenant(id.to_string())
 }
 
+fn invalid(message: String) -> EngineError {
+    EngineError::Policy(rsdc_core::Error::InvalidParameter(message))
+}
+
 impl Drop for Engine {
     fn drop(&mut self) {
-        self.resize_workers(0);
+        let ctl = self.control.get_mut().unwrap_or_else(|e| e.into_inner());
+        ctl.pool.resize(0);
         // Whatever the store buffered reaches disk before the engine goes.
-        if self.attached.load(Ordering::Acquire) {
+        if ctl.attached {
             let _ = self.store.sync();
         }
     }
@@ -1607,8 +1600,8 @@ mod tests {
             assert!(report.energy.is_some(), "cycle {cycle}");
         }
         let high_water = RESIDENT + 1;
-        assert_eq!(engine.interner().len(), high_water);
-        for shard in &engine.shards {
+        assert_eq!(engine.control().intern.len(), high_water);
+        for shard in &engine.control().shards {
             assert!(shard.lock().unwrap().key_span() <= high_water);
         }
         assert_eq!(engine.live_tenants().unwrap(), RESIDENT);
@@ -1638,7 +1631,7 @@ mod tests {
             .admit(TenantConfig::new("live", 4, 2.0, PolicySpec::Lcp))
             .unwrap();
         let good = engine.snapshot("live").unwrap();
-        let interned = || engine.interner().len();
+        let interned = || engine.control().intern.len();
         assert_eq!(interned(), 1);
         for i in 0..50 {
             let id = format!("fresh-{i}");

@@ -89,7 +89,7 @@ pub struct InternEntry {
 }
 
 /// The id → key table plus the per-key entries. Owned by the engine
-/// handle behind a mutex; shards only ever see resolved keys.
+/// handle, under its one lock; shards only ever see resolved keys.
 #[derive(Debug, Default)]
 pub struct Interner {
     map: HashMap<Arc<str>, u32>,
@@ -186,9 +186,9 @@ impl Interner {
         Some(entry)
     }
 
-    /// Recompute every cached route after a ring change. Called under the
-    /// same lock that swaps the engine's ring, so events resolved after
-    /// the swap route onto the new topology.
+    /// Recompute every cached route after a ring change. Called in the
+    /// same hold of the handle lock that swaps the engine's ring, so
+    /// events resolved after the swap route onto the new topology.
     pub fn reroute(&mut self, ring: &HashRing) {
         for e in self.each_mut() {
             e.shard = ring.route(&e.id) as u32;

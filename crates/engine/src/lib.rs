@@ -38,12 +38,13 @@
 //!   checkpoints and recovery with the same bit-exactness as scalar
 //!   tenants.
 //! * **Shards** ([`shard`]) are plain state, one mutex each: control
-//!   calls run on the caller's thread under the owning shard's lock, and
-//!   step batches run in parallel on one persistent worker thread per
-//!   shard, handed over through a handoff created at spawn. Tenants are
-//!   partitioned by a consistent-hash ring with virtual nodes ([`ring`])
-//!   so all per-tenant operations are serialized and deterministic — and
-//!   so changing the shard count moves only a minority of tenants.
+//!   calls run on the caller's thread under the engine's one handle lock
+//!   and then the owning shard's lock, and step batches run in parallel
+//!   on one persistent worker thread per shard, handed over through a
+//!   handoff created at spawn. Tenants are partitioned by a
+//!   consistent-hash ring with virtual nodes ([`ring`]) so all per-tenant
+//!   operations are serialized and deterministic — and so changing the
+//!   shard count moves only a minority of tenants.
 //! * **Control plane** ([`admission`], [`Engine::rebalance`],
 //!   [`Engine::rebalance_incremental`], [`topology`]): an admission gate
 //!   in front of the shards enforces tenant caps and per-tenant

@@ -21,8 +21,8 @@ use crate::tenant::TenantEnergy;
 use rsdc_obs::Gauge;
 use rsdc_power::{EnergyDelta, EnergyMeter, PowerConfig, PowerModel, ShardSample};
 
-/// Handle-side energy accounting state (lives behind the engine's power
-/// mutex; one instance per `set_power(Some(..))` install).
+/// Handle-side energy accounting state (lives under the engine's handle
+/// lock; one instance per `set_power(Some(..))` install).
 pub(crate) struct PowerRuntime {
     meter: EnergyMeter,
     /// Last-known machines per shard. Shards that served no events this

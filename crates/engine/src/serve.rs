@@ -24,7 +24,7 @@
 //! ```
 //!
 //! * **One engine per server**: a connection keeps only its framing
-//!   state ([`crate::framed::Framing`]: codec, pending step batch,
+//!   state (`framed::Framing`: codec, pending step batch,
 //!   sequence counter, I/O counters) and borrows the server's session for
 //!   every feed. The reactor is single-threaded, so requests from all
 //!   connections apply one at a time, in the order the reactor reads
@@ -92,7 +92,7 @@ pub enum WireMode {
     /// Sniff the first bytes of each connection: `R` routes to binary,
     /// anything else to JSONL.
     Auto,
-    /// JSONL only: every connection gets a [`LineSession`] immediately
+    /// JSONL only: every connection gets a [`crate::wire::LineSession`] immediately
     /// (no handshake phase).
     Jsonl,
     /// Binary only: every connection must open with the 6-byte preamble.

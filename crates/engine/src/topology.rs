@@ -217,7 +217,7 @@ pub struct TopologyStatus {
 /// The lazy auto-rebalancing policy: per-shard load observations in,
 /// hysteretic shard-count targets out.
 ///
-/// Owned by the [`Engine`](crate::Engine) handle behind a mutex, fed by
+/// Owned by the [`Engine`](crate::Engine) handle under its one lock, fed by
 /// [`step_batch`](crate::Engine::step_batch) aggregates (one
 /// [`observe`](TopologyPolicy::observe) per ingested batch), and applied
 /// by [`maybe_autoscale`](crate::Engine::maybe_autoscale) as incremental

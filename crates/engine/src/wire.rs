@@ -186,10 +186,51 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Field `key` of `v`, when present and not `null`.
+fn optional<'v>(v: &'v serde::Value, key: &str) -> Option<&'v serde::Value> {
+    v.get(key).filter(|x| !x.is_null())
+}
+
 fn field<'v>(v: &'v serde::Value, key: &str) -> Result<&'v serde::Value, WireError> {
-    v.get(key)
-        .filter(|x| !x.is_null())
-        .ok_or_else(|| WireError(format!("missing field {key:?}")))
+    optional(v, key).ok_or_else(|| WireError(format!("missing field {key:?}")))
+}
+
+/// Field `key` of `v` converted by `parse`, when present and not `null`.
+/// A value `parse` refuses fails as ``field "key" must be {what}``.
+fn optional_as<T>(
+    v: &serde::Value,
+    key: &str,
+    what: &str,
+    parse: impl FnOnce(&serde::Value) -> Option<T>,
+) -> Result<Option<T>, WireError> {
+    optional(v, key)
+        .map(|x| parse(x).ok_or_else(|| WireError(format!("field {key:?} must be {what}"))))
+        .transpose()
+}
+
+fn as_usize(x: &serde::Value) -> Option<usize> {
+    x.as_u64().and_then(|n| usize::try_from(n).ok())
+}
+
+/// Optional field `key` of `v`: an integer `>= 1` when present.
+fn count(v: &serde::Value, key: &str) -> Result<Option<usize>, WireError> {
+    optional_as(v, key, "an integer >= 1", |x| {
+        as_usize(x).filter(|&n| n >= 1)
+    })
+}
+
+/// Optional field `key` of `v`: a finite number `> 0` when present.
+fn positive(v: &serde::Value, key: &str) -> Result<Option<f64>, WireError> {
+    optional_as(v, key, "a number > 0", |x| {
+        x.as_f64().filter(|n| n.is_finite() && *n > 0.0)
+    })
+}
+
+/// The optional `cost_model` field of an admit or restore record.
+fn cost_model(v: &serde::Value) -> Result<Option<CostModel>, WireError> {
+    optional(v, "cost_model")
+        .map(|cm| CostModel::from_value(cm).map_err(|e| WireError(format!("bad cost_model: {e}"))))
+        .transpose()
 }
 
 fn string_field(v: &serde::Value, key: &str) -> Result<String, WireError> {
@@ -207,11 +248,11 @@ fn fleet_from_value(v: &serde::Value) -> Result<FleetSpec, WireError> {
         .map_err(|e| WireError(format!("bad fleet types: {e}")))?;
     let mut fleet = FleetSpec::new(types);
     let num = |key: &str, default: f64| -> Result<f64, WireError> {
-        match v.get(key) {
-            Some(x) if !x.is_null() => x
+        match optional(v, key) {
+            Some(x) => x
                 .as_f64()
                 .ok_or_else(|| WireError(format!("fleet field {key:?} must be a number"))),
-            _ => Ok(default),
+            None => Ok(default),
         }
     };
     fleet.delay_weight = num("delay_weight", fleet.delay_weight)?;
@@ -257,20 +298,14 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
             // the vector accounting) from the fleet; scalar tenants must
             // state both.
             let (m, beta) = if let PolicySpec::Hetero { fleet, .. } = &policy {
-                let m = match v.get("m") {
-                    Some(x) if !x.is_null() => x
-                        .as_u64()
-                        .and_then(|m| u32::try_from(m).ok())
-                        .ok_or_else(|| WireError("field \"m\" must be a u32".into()))?,
-                    _ => fleet.total_machines(),
-                };
-                let beta = match v.get("beta") {
-                    Some(x) if !x.is_null() => x
-                        .as_f64()
-                        .ok_or_else(|| WireError("field \"beta\" must be a number".into()))?,
-                    _ => 0.0,
-                };
-                (m, beta)
+                let m = optional_as(&v, "m", "a u32", |x| {
+                    x.as_u64().and_then(|m| u32::try_from(m).ok())
+                })?;
+                let beta = optional_as(&v, "beta", "a number", |x| x.as_f64())?;
+                (
+                    m.unwrap_or_else(|| fleet.total_machines()),
+                    beta.unwrap_or(0.0),
+                )
             } else {
                 let m = field(&v, "m")?
                     .as_u64()
@@ -285,13 +320,7 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
                 .get("track_opt")
                 .and_then(|x| x.as_bool())
                 .unwrap_or(false);
-            let explicit_model = match v.get("cost_model") {
-                Some(cm) if !cm.is_null() => Some(
-                    CostModel::from_value(cm)
-                        .map_err(|e| WireError(format!("bad cost_model: {e}")))?,
-                ),
-                _ => None,
-            };
+            let explicit_model = cost_model(&v)?;
             let mut config = TenantConfig::new(id, m, beta, policy);
             config.track_opt = track_opt;
             // An explicit model rides in the config so it lands in
@@ -302,12 +331,9 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
         }
         "step" => {
             let id = string_field(&v, "id")?;
-            let cost = match v.get("cost") {
-                Some(c) if !c.is_null() => {
-                    Some(Cost::from_value(c).map_err(|e| WireError(format!("bad cost: {e}")))?)
-                }
-                _ => None,
-            };
+            let cost = optional(&v, "cost")
+                .map(|c| Cost::from_value(c).map_err(|e| WireError(format!("bad cost: {e}"))))
+                .transpose()?;
             let load = v.get("load").and_then(|x| x.as_f64());
             if let Some(l) = load {
                 if !(l.is_finite() && l >= 0.0) {
@@ -330,16 +356,9 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
         "restore" => {
             let snapshot = TenantSnapshot::from_value(field(&v, "snapshot")?)
                 .map_err(|e| WireError(format!("bad snapshot: {e}")))?;
-            let cost_model = match v.get("cost_model") {
-                Some(cm) if !cm.is_null() => Some(
-                    CostModel::from_value(cm)
-                        .map_err(|e| WireError(format!("bad cost_model: {e}")))?,
-                ),
-                _ => None,
-            };
             Ok(Record::Restore {
                 snapshot: Box::new(snapshot),
-                cost_model,
+                cost_model: cost_model(&v)?,
             })
         }
         "report" => Ok(Record::Report(
@@ -351,34 +370,14 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
         "wal_stats" => Ok(Record::WalStats),
         "metrics" => Ok(Record::Metrics),
         "trace" => {
-            let last = match v.get("last") {
-                Some(x) if !x.is_null() => Some(
-                    x.as_u64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| {
-                            WireError("field \"last\" must be a non-negative integer".into())
-                        })?,
-                ),
-                _ => None,
-            };
+            let last = optional_as(&v, "last", "a non-negative integer", as_usize)?;
             Ok(Record::Trace { last })
         }
         "rebalance" => {
-            let count = |key: &str| -> Result<Option<usize>, WireError> {
-                match v.get(key) {
-                    Some(x) if !x.is_null() => x
-                        .as_u64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .filter(|&n| n >= 1)
-                        .map(Some)
-                        .ok_or_else(|| WireError(format!("field {key:?} must be an integer >= 1"))),
-                    _ => Ok(None),
-                }
-            };
-            let shards =
-                count("shards")?.ok_or_else(|| WireError("rebalance needs \"shards\"".into()))?;
-            let incremental = match v.get("mode") {
-                Some(m) if !m.is_null() => match m.as_str() {
+            let shards = count(&v, "shards")?
+                .ok_or_else(|| WireError("rebalance needs \"shards\"".into()))?;
+            let incremental = match optional(&v, "mode") {
+                Some(m) => match m.as_str() {
                     Some("incremental") => true,
                     Some("full") => false,
                     _ => {
@@ -387,45 +386,20 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
                         ))
                     }
                 },
-                _ => false,
+                None => false,
             };
             Ok(Record::Rebalance {
                 shards,
-                vnodes: count("vnodes")?,
+                vnodes: count(&v, "vnodes")?,
                 incremental,
             })
         }
         "autoscale" => {
             let off = v.get("off").and_then(|x| x.as_bool()).unwrap_or(false);
-            let count = |key: &str| -> Result<Option<usize>, WireError> {
-                match v.get(key) {
-                    Some(x) if !x.is_null() => x
-                        .as_u64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .filter(|&n| n >= 1)
-                        .map(Some)
-                        .ok_or_else(|| WireError(format!("field {key:?} must be an integer >= 1"))),
-                    _ => Ok(None),
-                }
-            };
-            let num = |key: &str| -> Result<Option<f64>, WireError> {
-                match v.get(key) {
-                    Some(x) if !x.is_null() => x
-                        .as_f64()
-                        .filter(|n| n.is_finite() && *n > 0.0)
-                        .map(Some)
-                        .ok_or_else(|| WireError(format!("field {key:?} must be a number > 0"))),
-                    _ => Ok(None),
-                }
-            };
-            let cooldown = match v.get("cooldown") {
-                Some(x) if !x.is_null() => Some(x.as_u64().ok_or_else(|| {
-                    WireError("field \"cooldown\" must be a non-negative integer".into())
-                })?),
-                _ => None,
-            };
-            let (min, max) = (count("min")?, count("max")?);
-            let (switch_cost, shard_cost) = (num("switch_cost")?, num("shard_cost")?);
+            let cooldown = optional_as(&v, "cooldown", "a non-negative integer", |x| x.as_u64())?;
+            let (min, max) = (count(&v, "min")?, count(&v, "max")?);
+            let switch_cost = positive(&v, "switch_cost")?;
+            let shard_cost = positive(&v, "shard_cost")?;
             let priced = v.get("priced").and_then(|x| x.as_bool()).unwrap_or(false);
             if !off && min.is_some() != max.is_some() {
                 return Err(WireError(
@@ -458,26 +432,9 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
         }
         "energy" => {
             let off = v.get("off").and_then(|x| x.as_bool()).unwrap_or(false);
-            let text = |key: &str| -> Result<Option<String>, WireError> {
-                match v.get(key) {
-                    Some(x) if !x.is_null() => x
-                        .as_str()
-                        .map(|s| s.to_string())
-                        .map(Some)
-                        .ok_or_else(|| WireError(format!("field {key:?} must be a string"))),
-                    _ => Ok(None),
-                }
-            };
-            let capacity = match v.get("capacity") {
-                Some(x) if !x.is_null() => Some(
-                    x.as_f64()
-                        .filter(|n| n.is_finite() && *n > 0.0)
-                        .ok_or_else(|| {
-                            WireError("field \"capacity\" must be a number > 0".into())
-                        })?,
-                ),
-                _ => None,
-            };
+            let text =
+                |key: &str| optional_as(&v, key, "a string", |x| x.as_str().map(str::to_string));
+            let capacity = positive(&v, "capacity")?;
             let (model, price) = (text("model")?, text("price")?);
             // Same contract as autoscale: knobs without the model would
             // fall through to the read-back arm and be silently dropped.
@@ -494,25 +451,11 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
             })
         }
         "limits" => {
-            let max_tenants = match v.get("max_tenants") {
-                Some(x) if !x.is_null() => Some(
-                    x.as_u64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| {
-                            WireError("field \"max_tenants\" must be a non-negative integer".into())
-                        })?,
-                ),
-                _ => None,
-            };
-            let num = |key: &str| -> Result<Option<f64>, WireError> {
-                match v.get(key) {
-                    Some(x) if !x.is_null() => x
-                        .as_f64()
-                        .filter(|n| n.is_finite() && *n >= 0.0)
-                        .map(Some)
-                        .ok_or_else(|| WireError(format!("field {key:?} must be a number >= 0"))),
-                    _ => Ok(None),
-                }
+            let max_tenants = optional_as(&v, "max_tenants", "a non-negative integer", as_usize)?;
+            let num = |key: &str| {
+                optional_as(&v, key, "a number >= 0", |x| {
+                    x.as_f64().filter(|n| n.is_finite() && *n >= 0.0)
+                })
             };
             Ok(Record::Limits {
                 max_tenants,

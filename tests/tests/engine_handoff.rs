@@ -25,16 +25,20 @@
 //!   and never touches the tenant that took the key — also while another
 //!   thread evicts and re-admits ids under the steps and reports — and
 //!   the recovered engine reports the same.
+//! * Control-plane toggles — rate limits on and off, the energy meter on
+//!   and off, the autoscale policy on and off — interleave with stepping
+//!   threads without deadlock, and change no tenant's report.
 
 use rsdc_core::Cost;
 use rsdc_engine::wire::Session;
 use rsdc_engine::{
-    Engine, EngineConfig, EngineError, HashRing, PolicySpec, StepEvent, TenantConfig, TenantReport,
-    UNKNOWN_KEY,
+    AdmissionConfig, Engine, EngineConfig, EngineError, HashRing, PolicySpec, PowerConfig,
+    PowerSpec, StepEvent, TenantConfig, TenantReport, TopologyConfig, UNKNOWN_KEY,
 };
 use rsdc_store::{Durability, FileStore, FileStoreConfig, Recovery, StoreError, StoreStats};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 /// Both handles can be shared by reference across threads.
 const _: fn() = || {
@@ -550,4 +554,77 @@ fn key_reuse_races_with_steps_and_reports() {
     });
     assert_eq!(engine.live_tenants().expect("live"), IDS / 2);
     recovers_identically(engine, dir, &[]);
+}
+
+/// Stepping threads run their disjoint tenants while one thread loops
+/// over the control-plane toggles: a rate limit too loose to throttle
+/// and then none, an energy meter and then none, an autoscale policy
+/// and then none (never applied: that takes `&mut Engine`). All threads
+/// start together at a barrier. The run must finish within a bound, and
+/// every report, with `energy` masked, must equal a serial run's.
+#[test]
+fn control_toggles_race_with_steps() {
+    let masked = |mut reports: Vec<TenantReport>| {
+        reports.iter_mut().for_each(|r| r.energy = None);
+        texts(&reports)
+    };
+    let serial = {
+        let engine = Engine::new(EngineConfig::with_shards(2));
+        masked((0..THREADS).flat_map(|t| run_thread(&engine, t)).collect())
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let engine = Engine::new(EngineConfig::with_shards(2));
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(THREADS + 1);
+        let reports: Vec<TenantReport> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let loose = AdmissionConfig {
+                    max_tenants: 0,
+                    rate: 1e9,
+                    burst: 1e9,
+                };
+                let meter = PowerConfig::new(PowerSpec::Linear {
+                    idle: 100.0,
+                    peak: 250.0,
+                });
+                start.wait();
+                loop {
+                    engine.set_limits(loose).expect("limits on");
+                    engine.set_power(Some(meter.clone())).expect("power on");
+                    engine
+                        .set_autoscale(Some(TopologyConfig::new(1, 4)))
+                        .expect("autoscale on");
+                    engine
+                        .set_limits(AdmissionConfig::default())
+                        .expect("limits off");
+                    engine.set_power(None).expect("power off");
+                    engine.set_autoscale(None).expect("autoscale off");
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
+                }
+            });
+            let steppers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (engine, start) = (&engine, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        run_thread(engine, t)
+                    })
+                })
+                .collect();
+            let reports = steppers
+                .into_iter()
+                .flat_map(|h| h.join().expect("stepping thread"))
+                .collect();
+            done.store(true, Ordering::Release);
+            reports
+        });
+        let _ = tx.send(masked(reports));
+    });
+    let shared = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the toggled run finishes within two minutes");
+    assert_eq!(shared, serial);
 }
