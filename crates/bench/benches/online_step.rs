@@ -1,10 +1,13 @@
 //! Criterion bench: per-step cost of the online machinery (supports E4).
 //!
-//! LCP's step is O(m): the bound tracker runs one relaxation of
-//! `\hat C^L` (Lemma 7 derives `\hat C^U` from it), one batched pass of the
-//! slot cost and one scan for both bounds. `server_m1024` prices the
-//! `large-m` shape: `Server` costs on a diurnal load at m = 1024, through
-//! the bare tracker and through LCP+OPT and HalfStep+OPT tenants.
+//! LCP's step is O(x^U - x^L + moved): the bound tracker relaxes
+//! `\hat C^L` on its window around the bounds (Lemma 7 derives `\hat C^U`
+//! from it) and adds the slot cost on a slice grown from the old bounds.
+//! `server_m1024` prices the `large-m` shape: `Server` costs on a diurnal
+//! load at m = 1024, through the bare tracker and through LCP+OPT and
+//! HalfStep+OPT tenants; its `tracker_m65536` row runs the bare tracker on
+//! the same load shape at the engine's `MAX_M`, where the window's
+//! sublinear scaling shows against the m = 1024 row.
 //! `hetero/frontier_step` prices one `FrontierDp` step (O(S * D): one
 //! scalar relaxation per lattice line along each axis) on the `durable-mixed`
 //! 12+6 fleet (S = 91) and on a 63 x 63 fleet at the lattice cap
@@ -12,6 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsdc_core::prelude::*;
+use rsdc_engine::tenant::MAX_M;
 use rsdc_engine::tenant::{StepScratch, Tenant};
 use rsdc_engine::{PolicySpec, TenantConfig};
 use rsdc_hetero::{FleetSpec, FrontierDp, ServerType};
@@ -85,6 +89,16 @@ fn bench_server_m1024(c: &mut Criterion) {
         b.iter(|| {
             let mut tr = BoundTracker::new(M, BETA);
             for f in &costs {
+                tr.step(black_box(f));
+            }
+            black_box((tr.x_low(), tr.x_up()))
+        })
+    });
+    let big = diurnal_server_costs(MAX_M);
+    group.bench_function("tracker_m65536", |b| {
+        b.iter(|| {
+            let mut tr = BoundTracker::new(MAX_M, BETA);
+            for f in &big {
                 tr.step(black_box(f));
             }
             black_box((tr.x_low(), tr.x_up()))

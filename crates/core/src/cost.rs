@@ -212,22 +212,29 @@ impl Cost {
     /// [`Cost::Server`] computes its junction terms once. Every sum is
     /// bit-identical to `acc[x] += self.eval(x)`.
     pub fn add_to(&self, acc: &mut [f64]) {
+        self.add_range_to(0, acc);
+    }
+
+    /// [`Cost::add_to`] over the states `start..start + acc.len()`: adds
+    /// `f(start + i)` to `acc[i]`, bit-identical to
+    /// `acc[i] += self.eval(start + i)`. The window bound tracker evaluates
+    /// a slot's cost on a slice of the states with it.
+    pub fn add_range_to(&self, start: u32, acc: &mut [f64]) {
+        let at = |i: usize| (start as usize + i) as f64;
         match self {
             Cost::Zero => add_each(acc, |_| 0.0),
             Cost::Const(c) => add_each(acc, |_| *c),
-            Cost::Abs { slope, center } => add_each(acc, |x| slope * (x - center).abs()),
-            Cost::Quadratic { a, center, offset } => add_each(acc, |x| {
-                let d = x - center;
+            Cost::Abs { slope, center } => add_each(acc, |i| slope * (at(i) - center).abs()),
+            Cost::Quadratic { a, center, offset } => add_each(acc, |i| {
+                let d = at(i) - center;
                 a * d * d + offset
             }),
-            Cost::Linear { intercept, slope } => add_each(acc, |x| intercept + slope * x),
+            Cost::Linear { intercept, slope } => add_each(acc, |i| intercept + slope * at(i)),
             Cost::Table(v) => {
                 // Integer states read the table directly; states past its
                 // end clamp to the last entry, as `interpolate_table` does.
                 let last = v.len() - 1;
-                for (x, a) in acc.iter_mut().enumerate() {
-                    *a += v[x.min(last)];
-                }
+                add_each(acc, |i| v[(start as usize + i).min(last)]);
             }
             Cost::Server {
                 lambda,
@@ -236,7 +243,8 @@ impl Cost {
             } => {
                 let x0 = server_x0(*lambda);
                 let (g_x0, pen) = server_extension(*lambda, params, *overload, x0);
-                add_each(acc, |x| {
+                add_each(acc, |i| {
+                    let x = at(i);
                     if x >= x0 {
                         server_g(*lambda, params, x)
                     } else {
@@ -244,7 +252,7 @@ impl Cost {
                     }
                 });
             }
-            _ => add_each(acc, |x| self.eval_analytic(x)),
+            _ => add_each(acc, |i| self.eval_analytic(at(i))),
         }
     }
 
@@ -315,51 +323,44 @@ impl Cost {
     /// integer values. For `x` outside `[0, m]` the nearest endpoint value
     /// is extended linearly using the boundary slope of zero (clamped).
     pub fn interpolate(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return self.eval(0);
-        }
-        let lo = x.floor();
-        let hi = lo + 1.0;
-        let frac = x - lo;
-        if frac == 0.0 {
-            return self.eval(lo as u32);
-        }
-        let f_lo = self.eval(lo as u32);
-        let f_hi = self.eval(hi as u32);
-        (1.0 - frac) * f_lo + frac * f_hi
+        interpolate_integers(x, |i| self.eval(i))
     }
 
     /// Verify convexity and non-negativity of the integer restriction over
     /// `0..=m`, allowing an infinite prefix (infeasible low states in the
     /// restricted model). Returns `Err` with a human-readable reason.
     pub fn check_convex(&self, m: u32) -> Result<(), String> {
-        let vals: Vec<f64> = (0..=m).map(|x| self.eval(x)).collect();
+        // Two passes over the states, evaluating as they go, so the check
+        // allocates nothing (the engine runs it on every explicit step).
         // Infinite values must form a prefix.
-        let first_finite = vals.iter().position(|v| v.is_finite());
-        let Some(first_finite) = first_finite else {
+        let Some(first_finite) = (0..=m).find(|&x| self.eval(x).is_finite()) else {
             return Err("cost is infinite at every state".into());
         };
-        for (x, v) in vals.iter().enumerate().skip(first_finite) {
+        for x in first_finite..=m {
+            let v = self.eval(x);
             if !v.is_finite() {
                 return Err(format!(
                     "infinite cost at state {x} after finite state {first_finite}",
                 ));
             }
-            if *v < -1e-12 {
+            if v < -1e-12 {
                 return Err(format!("negative cost {v} at state {x}"));
             }
         }
-        let fin = &vals[first_finite..];
-        for w in fin.windows(3) {
-            let (a, b, c) = (w[0], w[1], w[2]);
-            let tol = 1e-9 * (1.0 + a.abs().max(b.abs()).max(c.abs()));
-            if (b - a) > (c - b) + tol {
-                return Err(format!(
-                    "not convex: slopes {} then {} (values {a}, {b}, {c})",
-                    b - a,
-                    c - b,
-                ));
+        let (mut a, mut b) = (0.0f64, 0.0f64);
+        for (i, x) in (first_finite..=m).enumerate() {
+            let c = self.eval(x);
+            if i >= 2 {
+                let tol = 1e-9 * (1.0 + a.abs().max(b.abs()).max(c.abs()));
+                if (b - a) > (c - b) + tol {
+                    return Err(format!(
+                        "slopes {} then {} (values {a}, {b}, {c})",
+                        b - a,
+                        c - b,
+                    ));
+                }
             }
+            (a, b) = (b, c);
         }
         Ok(())
     }
@@ -393,11 +394,11 @@ impl Cost {
     }
 }
 
-/// `acc[x] += f(x)` over the integer states `0..acc.len()`.
+/// `acc[i] += f(i)` over the indices `0..acc.len()`.
 #[inline(always)]
-fn add_each(acc: &mut [f64], f: impl Fn(f64) -> f64) {
-    for (x, a) in acc.iter_mut().enumerate() {
-        *a += f(x as f64);
+fn add_each(acc: &mut [f64], f: impl Fn(usize) -> f64) {
+    for (i, a) in acc.iter_mut().enumerate() {
+        *a += f(i);
     }
 }
 
@@ -427,6 +428,23 @@ fn server_extension(lambda: f64, params: &ServerParams, overload: f64, x0: f64) 
     let g_x0 = server_g(lambda, params, x0);
     let junction_drop = (g_x0 - server_g(lambda, params, x0 + 1.0)).max(0.0);
     (g_x0, overload.max(junction_drop))
+}
+
+/// [`Cost::interpolate`] over the integer values `int` reads: callers that
+/// read one cost at many nearby points can memoise `int`.
+pub fn interpolate_integers(x: f64, mut int: impl FnMut(u32) -> f64) -> f64 {
+    if x < 0.0 {
+        return int(0);
+    }
+    let lo = x.floor();
+    let hi = lo + 1.0;
+    let frac = x - lo;
+    if frac == 0.0 {
+        return int(lo as u32);
+    }
+    let f_lo = int(lo as u32);
+    let f_hi = int(hi as u32);
+    (1.0 - frac) * f_lo + frac * f_hi
 }
 
 fn interpolate_table(v: &[f64], x: f64) -> f64 {

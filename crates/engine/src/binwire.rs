@@ -413,7 +413,10 @@ impl<'a> BodyWriter<'a> {
 // ---- binary server session ----
 
 use crate::framed::{Codec, Core};
-use crate::wire::{error_reply_line, stepped_states_line, Record, Reply, Request, WireError};
+use crate::ring::{MAX_SHARDS, MAX_VNODES};
+use crate::wire::{
+    error_reply_line, stepped_states_line, too_large, Record, Reply, Request, WireError,
+};
 use rsdc_core::Cost;
 use serde::Deserialize;
 
@@ -581,6 +584,9 @@ fn decode_request(tag: u8, body: &[u8]) -> Result<Request<'_>, String> {
                     WireError("field \"shards\" must be an integer >= 1".into()).to_string()
                 );
             }
+            if shards as usize > MAX_SHARDS {
+                return Err(too_large("shards", MAX_SHARDS).to_string());
+            }
             let has_vnodes = r.u8().ok_or_else(|| underrun(tag))?;
             let vnodes = if has_vnodes != 0 {
                 let v = r.u32().ok_or_else(|| underrun(tag))?;
@@ -588,6 +594,9 @@ fn decode_request(tag: u8, body: &[u8]) -> Result<Request<'_>, String> {
                     return Err(
                         WireError("field \"vnodes\" must be an integer >= 1".into()).to_string()
                     );
+                }
+                if v as usize > MAX_VNODES {
+                    return Err(too_large("vnodes", MAX_VNODES).to_string());
                 }
                 Some(v as usize)
             } else {

@@ -126,7 +126,7 @@ pub use engine::{
 };
 pub use intern::UNKNOWN_KEY;
 pub use obs::EngineObs;
-pub use ring::{HashRing, RingSpec, DEFAULT_VNODES};
+pub use ring::{HashRing, RingSpec, DEFAULT_VNODES, MAX_SHARDS, MAX_VNODES};
 pub use rsdc_hetero::{FleetSpec, HeteroAlgo};
 pub use rsdc_power::{EnergyStatus, PowerConfig, PowerSpec, PriceSchedule};
 pub use serve::{ServeConfig, ServeSummary, Server, WireMode};

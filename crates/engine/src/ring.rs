@@ -69,6 +69,16 @@ impl RingSpec {
     }
 }
 
+/// Most shards a wire `rebalance` may ask for: the autoscale policy's
+/// 256-shard span. A shard is a worker thread, so the cap keeps one
+/// request line from starting thousands of them.
+pub const MAX_SHARDS: usize = 256;
+
+/// Most virtual nodes per shard a wire `rebalance` may ask for. With
+/// [`MAX_SHARDS`] the ring then holds at most 262 144 points, so one
+/// request line cannot abort the process on the ring's allocation.
+pub const MAX_VNODES: usize = 1024;
+
 /// Default virtual nodes per shard: enough that an 8-shard ring is within
 /// a few percent of uniform, small enough that building the ring is
 /// negligible next to spawning the worker threads.

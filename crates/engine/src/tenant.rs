@@ -172,7 +172,8 @@ impl PolicySpec {
 }
 
 /// Largest fleet size `m` a tenant may declare. A scalar tenant's bound
-/// tracker holds `O(m)` state and steps in `O(m)`, so the cap keeps one
+/// tracker keeps a window of up to `m + 1` states, and an explicit step
+/// cost is checked for convexity over all of them, so the cap keeps one
 /// admit record from allocating gigabytes — the scalar counterpart of
 /// [`rsdc_hetero::streaming::MAX_LATTICE`].
 pub const MAX_M: u32 = 65_536;
@@ -191,7 +192,7 @@ pub struct TenantConfig {
     /// Report the prefix optimum and the competitive ratio. Free for LCP
     /// and lookahead LCP, whose own bound trackers already hold the prefix
     /// optimum of the committed slots; other scalar policies run one extra
-    /// `O(m)` tracker pass per committed slot.
+    /// bound-tracker step per committed slot.
     pub track_opt: bool,
     /// Cost model used to price raw `load` events for this tenant, when it
     /// differs from the beta-derived default. Carried in the config (and
@@ -611,6 +612,16 @@ impl Tenant {
         scratch.effect.commits.clear();
         match &mut self.policy {
             PolicyRuntime::Scalar(policy) => {
+                // The LCP window search relies on convex slot costs. A
+                // load priced into a `Server` cost is convex by
+                // construction; any other cost is checked over `0..=m`.
+                if !matches!(f, Cost::Server { .. }) {
+                    f.check_convex(self.cfg.m)
+                        .map_err(|msg| rsdc_core::Error::NotConvex {
+                            t: self.events as usize + 1,
+                            msg,
+                        })?;
+                }
                 self.events += 1;
                 self.pending.push_back(PendingSlot {
                     cost: f.clone(),

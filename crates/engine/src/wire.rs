@@ -219,6 +219,21 @@ fn count(v: &serde::Value, key: &str) -> Result<Option<usize>, WireError> {
     })
 }
 
+/// [`count`] capped at `max`: a larger integer fails as
+/// [`too_large`] (the `rebalance` shard and vnode counts).
+fn count_at_most(v: &serde::Value, key: &str, max: usize) -> Result<Option<usize>, WireError> {
+    match count(v, key)? {
+        Some(n) if n > max => Err(too_large(key, max)),
+        n => Ok(n),
+    }
+}
+
+/// The error for an integer field `key` above its cap `max`, shared by
+/// both framings.
+pub(crate) fn too_large(key: &str, max: usize) -> WireError {
+    WireError(format!("field {key:?} must be at most {max}"))
+}
+
 /// Optional field `key` of `v`: a finite number `> 0` when present.
 fn positive(v: &serde::Value, key: &str) -> Result<Option<f64>, WireError> {
     optional_as(v, key, "a number > 0", |x| {
@@ -374,7 +389,7 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
             Ok(Record::Trace { last })
         }
         "rebalance" => {
-            let shards = count(&v, "shards")?
+            let shards = count_at_most(&v, "shards", crate::ring::MAX_SHARDS)?
                 .ok_or_else(|| WireError("rebalance needs \"shards\"".into()))?;
             let incremental = match optional(&v, "mode") {
                 Some(m) => match m.as_str() {
@@ -390,7 +405,7 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
             };
             Ok(Record::Rebalance {
                 shards,
-                vnodes: count(&v, "vnodes")?,
+                vnodes: count_at_most(&v, "vnodes", crate::ring::MAX_VNODES)?,
                 incremental,
             })
         }
@@ -1786,6 +1801,31 @@ mod tests {
             parse_record("{\"op\":\"admit\",\"id\":\"h\",\"policy\":\"hetero\"}").is_err(),
             "hetero admit requires a fleet"
         );
+    }
+
+    #[test]
+    fn non_convex_explicit_costs_are_refused_typed_and_numbered() {
+        let mut session = Session::new(crate::Engine::new(crate::EngineConfig::with_shards(1)));
+        let out = session.handle_lines([
+            "{\"op\":\"admit\",\"id\":\"c\",\"m\":4,\"beta\":2.0,\"policy\":\"lcp\",\"track_opt\":true}",
+            "{\"op\":\"step\",\"id\":\"c\",\"cost\":{\"Table\":[0.0,5.0,1.0,5.0,9.0]}}",
+            "{\"op\":\"step\",\"id\":\"c\",\"cost\":{\"Abs\":{\"slope\":1.0,\"center\":3.0}}}",
+            "{\"op\":\"step\",\"id\":\"c\",\"load\":2.5}",
+            "{\"op\":\"report\",\"id\":\"c\"}",
+        ]);
+        let parsed: Vec<serde::Value> = out
+            .iter()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(parsed[1]["op"], "error", "{out:?}");
+        assert_eq!(parsed[1]["line"], 2);
+        let message = parsed[1]["message"].as_str().unwrap();
+        assert!(message.contains("slot 1 is not convex"), "{message}");
+        // The refused step left the tenant untouched: the next two steps
+        // are its slots 1 and 2.
+        assert_eq!(parsed[2]["op"], "stepped");
+        assert_eq!(parsed[3]["op"], "stepped");
+        assert_eq!(parsed[4]["report"]["events"], 2);
     }
 
     #[test]

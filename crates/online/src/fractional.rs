@@ -26,6 +26,7 @@
 //! `[0, m]`.
 
 use crate::traits::FractionalAlgorithm;
+use rsdc_core::cost::interpolate_integers;
 use rsdc_core::prelude::*;
 
 /// How a fractional algorithm reads the arriving cost function.
@@ -39,17 +40,61 @@ pub enum EvalMode {
 }
 
 impl EvalMode {
+    #[cfg(test)]
     fn eval(self, f: &Cost, x: f64) -> f64 {
         match self {
             EvalMode::Analytic => f.eval_analytic(x),
             EvalMode::Interpolate => f.interpolate(x),
         }
     }
+}
 
-    /// Continuous minimizer of the convex function over `[0, m]` by ternary
-    /// search (exact enough for piecewise-linear/quadratic shapes).
-    fn argmin(self, f: &Cost, m: f64) -> f64 {
-        ternary_argmin(|x| self.eval(f, x), m, true)
+/// One cost read in one [`EvalMode`] during one step. `Interpolate`
+/// memoises the integer values it blends: once a search bracket is
+/// narrower than 2, every read lands on the same two or three integers.
+/// Each read is bit-identical to [`Cost::interpolate`].
+struct Reader<'a> {
+    mode: EvalMode,
+    f: &'a Cost,
+    /// The last integer reads, `(state, f(state))`, replaced round-robin.
+    memo: [(u32, f64); 4],
+    filled: usize,
+    next: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(mode: EvalMode, f: &'a Cost) -> Self {
+        Reader {
+            mode,
+            f,
+            memo: [(0, 0.0); 4],
+            filled: 0,
+            next: 0,
+        }
+    }
+
+    fn eval(&mut self, x: f64) -> f64 {
+        match self.mode {
+            EvalMode::Analytic => self.f.eval_analytic(x),
+            EvalMode::Interpolate => interpolate_integers(x, |i| self.integer(i)),
+        }
+    }
+
+    fn integer(&mut self, x: u32) -> f64 {
+        if let Some(&(_, v)) = self.memo[..self.filled].iter().find(|e| e.0 == x) {
+            return v;
+        }
+        let v = self.f.eval(x);
+        self.memo[self.next] = (x, v);
+        self.next = (self.next + 1) % self.memo.len();
+        self.filled = (self.filled + 1).min(self.memo.len());
+        v
+    }
+
+    /// Continuous minimizer of the convex function over `[0, m]` by
+    /// ternary search (exact enough for piecewise-linear/quadratic shapes).
+    fn argmin(&mut self, m: f64) -> f64 {
+        ternary_argmin(|x| self.eval(x), m, true)
     }
 }
 
@@ -66,7 +111,7 @@ const SEARCH_ITERS: usize = 200;
 fn narrow(
     mut bracket: (f64, f64),
     stop_at_fixed_point: bool,
-    step: impl Fn(f64, f64) -> (f64, f64),
+    mut step: impl FnMut(f64, f64) -> (f64, f64),
 ) -> f64 {
     for _ in 0..SEARCH_ITERS {
         let next = step(bracket.0, bracket.1);
@@ -83,7 +128,7 @@ fn narrow(
 /// Ternary search for the minimizer of a convex `eval` over `[0, m]`. (On
 /// `Server` costs at m = 1024 the bracket reaches its fixed point after
 /// about 91 of the [`SEARCH_ITERS`] steps.)
-fn ternary_argmin(eval: impl Fn(f64) -> f64, m: f64, stop_at_fixed_point: bool) -> f64 {
+fn ternary_argmin(mut eval: impl FnMut(f64) -> f64, m: f64, stop_at_fixed_point: bool) -> f64 {
     narrow((0.0, m), stop_at_fixed_point, |lo, hi| {
         let a = lo + (hi - lo) / 3.0;
         let b = hi - (hi - lo) / 3.0;
@@ -97,7 +142,7 @@ fn ternary_argmin(eval: impl Fn(f64) -> f64, m: f64, stop_at_fixed_point: bool) 
 
 /// Bisection for the sign change of `h` between `lo` (where `h > 0`) and
 /// `hi`.
-fn bisect(h: impl Fn(f64) -> f64, lo: f64, hi: f64, stop_at_fixed_point: bool) -> f64 {
+fn bisect(mut h: impl FnMut(f64) -> f64, lo: f64, hi: f64, stop_at_fixed_point: bool) -> f64 {
     narrow((lo, hi), stop_at_fixed_point, |lo, hi| {
         let mid = 0.5 * (lo + hi);
         if h(mid) > 0.0 {
@@ -141,12 +186,13 @@ impl HalfStep {
 
 impl FractionalAlgorithm for HalfStep {
     fn step(&mut self, f: &Cost) -> f64 {
-        let target = self.mode.argmin(f, self.m);
+        let mut reader = Reader::new(self.mode, f);
+        let target = reader.argmin(self.m);
         let dist = (target - self.state).abs();
         if dist > 1e-15 {
             // Average slope of f between the current state and the
             // minimizer; for phi-shaped functions this is the slope.
-            let drop = (self.mode.eval(f, self.state) - self.mode.eval(f, target)).max(0.0);
+            let drop = (reader.eval(self.state) - reader.eval(target)).max(0.0);
             let avg_slope = drop / dist;
             // Move by slope / beta, never past the minimizer. With the
             // symmetric convention (beta/2 per direction) this is the
@@ -257,8 +303,9 @@ impl FractionalAlgorithm for Obd {
 /// the hitting cost never drops that low. Bisection on the convex
 /// difference.
 fn balance_point(mode: EvalMode, f: &Cost, from: f64, m: f64, move_rate: f64, gamma: f64) -> f64 {
-    let target = mode.argmin(f, m);
-    let h = |x: f64| mode.eval(f, x) - gamma * move_rate * (x - from).abs();
+    let mut reader = Reader::new(mode, f);
+    let target = reader.argmin(m);
+    let mut h = |x: f64| reader.eval(x) - gamma * move_rate * (x - from).abs();
     if h(from) <= 0.0 {
         // Already cheap enough: don't move.
         return from;
@@ -406,13 +453,31 @@ mod tests {
         for (i, (f, m)) in random_costs(400).into_iter().enumerate() {
             let mode = EvalMode::Interpolate;
             let mf = m as f64;
-            let target = mode.argmin(&f, mf);
+            let target = Reader::new(mode, &f).argmin(mf);
             for from in [0.0, mf, mf * (i % 7) as f64 / 7.0] {
                 // The balance of `balance_point` at move rate 1 and gamma 1.
                 let h = |x: f64| mode.eval(&f, x) - (x - from).abs();
                 let early = bisect(h, from, target, true);
                 let full = bisect(h, from, target, false);
                 assert_eq!(early.to_bits(), full.to_bits(), "{f:?} m={m} from={from}");
+            }
+        }
+    }
+
+    #[test]
+    fn memoised_searches_are_bit_identical() {
+        for (i, (f, m)) in random_costs(400).into_iter().enumerate() {
+            let mf = m as f64;
+            for mode in [EvalMode::Analytic, EvalMode::Interpolate] {
+                let mut reader = Reader::new(mode, &f);
+                let plain = ternary_argmin(|x| mode.eval(&f, x), mf, true);
+                let target = reader.argmin(mf);
+                assert_eq!(plain.to_bits(), target.to_bits(), "{f:?} m={m} {mode:?}");
+                for from in [0.0, mf, mf * (i % 7) as f64 / 7.0] {
+                    let plain = bisect(|x| mode.eval(&f, x) - (x - from).abs(), from, target, true);
+                    let memo = bisect(|x| reader.eval(x) - (x - from).abs(), from, target, true);
+                    assert_eq!(plain.to_bits(), memo.to_bits(), "{f:?} m={m} from={from}");
+                }
             }
         }
     }

@@ -15,7 +15,9 @@ use crate::bounds::BoundTracker;
 use crate::traits::OnlineAlgorithm;
 use rsdc_core::prelude::*;
 
-/// The discrete Lazy Capacity Provisioning algorithm. `O(m)` per step.
+/// The discrete Lazy Capacity Provisioning algorithm. A step costs
+/// `O(x^U - x^L + moved)`: the bound tracker's window (see
+/// [`crate::bounds`]).
 #[derive(Debug, Clone)]
 pub struct Lcp {
     tracker: BoundTracker,

@@ -62,6 +62,8 @@ impl LookaheadAlgorithm for RecedingHorizon {
 #[derive(Debug, Clone)]
 pub struct LookaheadLcp {
     tracker: BoundTracker,
+    /// Scratch copy the window is peeked on, refreshed every step.
+    peek: BoundTracker,
     state: u32,
 }
 
@@ -70,6 +72,7 @@ impl LookaheadLcp {
     pub fn new(m: u32, beta: f64) -> Self {
         Self {
             tracker: BoundTracker::new(m, beta),
+            peek: BoundTracker::new(m, beta),
             state: 0,
         }
     }
@@ -93,6 +96,7 @@ impl LookaheadLcp {
     ) -> Result<Self, rsdc_core::Error> {
         Ok(Self {
             tracker: BoundTracker::from_snapshot(tracker)?,
+            peek: BoundTracker::new(tracker.m, tracker.beta),
             state,
         })
     }
@@ -103,12 +107,12 @@ impl LookaheadAlgorithm for LookaheadLcp {
         assert!(!window.is_empty());
         // Advance the persistent tracker by the current function only...
         self.tracker.step(&window[0]);
-        // ...then peek through the window on a scratch copy.
-        let mut peek = self.tracker.clone();
+        // ...then peek through the window on the scratch copy.
+        self.peek.clone_from(&self.tracker);
         for f in &window[1..] {
-            peek.step(f);
+            self.peek.step(f);
         }
-        let (lo, hi) = (peek.x_low(), peek.x_up());
+        let (lo, hi) = (self.peek.x_low(), self.peek.x_up());
         self.state = self.state.clamp(lo.min(hi), hi.max(lo));
         self.state
     }

@@ -303,8 +303,7 @@ impl StreamLookahead {
     }
 
     fn commit_front(&mut self, out: &mut Vec<u32>) {
-        let window: Vec<Cost> = self.buf.iter().cloned().collect();
-        let x = self.inner.step(&window).min(self.m);
+        let x = self.inner.step(self.buf.make_contiguous()).min(self.m);
         self.buf.pop_front();
         out.push(x);
     }

@@ -22,8 +22,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rsdc_engine::binwire::{
-    encode_request_line, BinSession, BodyReader, FrameDecoder, MAX_FRAME_LEN, PREAMBLE,
-    TAG_RESP_ERROR,
+    encode_request_line, put_frame, BinSession, BodyReader, BodyWriter, FrameDecoder,
+    MAX_FRAME_LEN, PREAMBLE, TAG_REBALANCE, TAG_RESP_ERROR,
 };
 use rsdc_engine::wire::{parse_record, Session};
 use rsdc_engine::{Engine, EngineConfig};
@@ -578,6 +578,12 @@ fn hostile_corner_case_lines_are_rejected() {
         r#"{"op":"admit","id":"x","m":4,"beta":-1.0,"policy":"lcp"}"#,
         r#"{"op":"rebalance","shards":-1}"#,
         r#"{"op":"rebalance","shards":1.5}"#,
+        // Past the shard and vnode caps: refused before a ring or worker
+        // pool of that size could abort the process.
+        r#"{"op":"rebalance","shards":4294967296}"#,
+        r#"{"op":"rebalance","shards":257}"#,
+        r#"{"op":"rebalance","shards":2,"vnodes":4294967296}"#,
+        r#"{"op":"rebalance","shards":2,"vnodes":1025}"#,
         r#"{"op":"limits","rate":"fast"}"#,
         // Step-shape guards swept from unwrap/expect to typed errors.
         r#"{"op":"step","id":"web"}"#,
@@ -608,5 +614,45 @@ fn hostile_corner_case_lines_are_rejected() {
         let v: serde::Value = serde_json::from_str(response).unwrap();
         assert_eq!(v["op"], "error", "line {}: {response}", i + 1);
         assert_eq!(v["line"].as_u64().unwrap(), i as u64 + 1);
+    }
+}
+
+/// The binary framing refuses the same oversized rebalances: lines past
+/// the caps (encoded as rebalance frames when they fit a `u32`, as JSON
+/// frames when not) and raw rebalance frames carrying `u32::MAX` shards or
+/// vnodes all answer typed errors whose text is the JSONL parser's.
+#[test]
+fn oversized_rebalances_are_refused_in_both_framings() {
+    let lines = [
+        r#"{"op":"rebalance","shards":4294967296}"#,
+        r#"{"op":"rebalance","shards":257}"#,
+        r#"{"op":"rebalance","shards":2,"vnodes":4294967296}"#,
+        r#"{"op":"rebalance","shards":2,"vnodes":1025}"#,
+    ];
+    let mut jsonl = Session::new(Engine::new(EngineConfig::with_shards(1)));
+    let want = jsonl.handle_lines(lines);
+    let mut stream = PREAMBLE.to_vec();
+    let mut payload = Vec::new();
+    for line in lines {
+        encode_request_line(line, &mut payload, &mut stream);
+    }
+    for (shards, vnodes) in [(u32::MAX, None), (2, Some(u32::MAX))] {
+        let mut w = BodyWriter::start(&mut payload, TAG_REBALANCE);
+        w.u32(shards);
+        match vnodes {
+            Some(v) => w.u8(1).u32(v).u8(0),
+            None => w.u8(0).u8(0),
+        };
+        put_frame(&mut stream, &payload);
+    }
+    let got = check_binary_contract(&stream, 7);
+    assert_eq!(got.len(), lines.len() + 2, "{got:?}");
+    assert_eq!(&got[..lines.len()], &want[..]);
+    for (i, reply) in got.iter().enumerate() {
+        let v: serde::Value = serde_json::from_str(reply).unwrap();
+        assert_eq!(v["op"], "error", "{reply}");
+        assert_eq!(v["line"].as_u64().unwrap(), i as u64 + 1, "{reply}");
+        let message = v["message"].as_str().unwrap();
+        assert!(message.contains("must be at most"), "{reply}");
     }
 }
