@@ -20,7 +20,17 @@
 //! treat as "forbidden".
 
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::sync::Arc;
+
+/// Relative rounding allowance of [`Cost::check_convex`]: a state may lie
+/// above the lower convex hull of the values by at most this fraction of
+/// its own value. It is 2^-40 — thousands of ulps, so costs computed in
+/// floating point from a convex formula pass, yet 2^10 times finer than
+/// the relative rounding margin (2^-30) of the LCP bound tracker's
+/// window, so no accepted cost can hide a lower minimum from its window
+/// search (the argument is in `rsdc_online::bounds`).
+pub const CONVEX_RTOL: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// Parameters of the Lin et al. style per-server cost used by the data-center
 /// workload builders: energy plus a queueing-delay penalty.
@@ -59,6 +69,36 @@ impl Default for ServerParams {
 }
 
 impl ServerParams {
+    /// Check the parameters that make [`Cost::Server`] convex and
+    /// non-negative: all finite, `0 <= e_idle <= e_peak`,
+    /// `delay_weight >= 0` and `delay_eps > 0`.
+    pub fn validate(&self) -> Result<(), String> {
+        let Self {
+            e_idle,
+            e_peak,
+            delay_weight,
+            delay_eps,
+        } = *self;
+        if ![e_idle, e_peak, delay_weight, delay_eps]
+            .iter()
+            .all(|v| v.is_finite())
+        {
+            return Err(format!("server params must be finite, got {self:?}"));
+        }
+        if !(0.0 <= e_idle && e_idle <= e_peak) {
+            return Err(format!(
+                "server params need 0 <= e_idle <= e_peak, got e_idle {e_idle}, e_peak {e_peak}"
+            ));
+        }
+        if delay_weight < 0.0 {
+            return Err(format!("delay_weight must be >= 0, got {delay_weight}"));
+        }
+        if delay_eps <= 0.0 {
+            return Err(format!("delay_eps must be > 0, got {delay_eps}"));
+        }
+        Ok(())
+    }
+
     /// Cost of a single server running at utilisation `rho` (clamped to
     /// `[0, 1]`).
     #[inline]
@@ -329,40 +369,61 @@ impl Cost {
     /// Verify convexity and non-negativity of the integer restriction over
     /// `0..=m`, allowing an infinite prefix (infeasible low states in the
     /// restricted model). Returns `Err` with a human-readable reason.
+    ///
+    /// "Convex" means within rounding of convex: no state may lie above
+    /// the lower convex hull of the values by more than [`CONVEX_RTOL`]
+    /// of its own value. The bound is on each state's height, so slight
+    /// concavity cannot add up across states into a hidden second well
+    /// (the LCP bound tracker's window search relies on that).
+    ///
+    /// Shapes whose parameters make them convex and non-negative on all
+    /// of `[0, m]` (see [`Cost::convex_by_construction`]) answer in
+    /// `O(1)`. Any other cost is read once per state when its values are
+    /// exactly convex, and up to three times otherwise; the hull lives in
+    /// a per-thread buffer, so a warm check allocates nothing.
     pub fn check_convex(&self, m: u32) -> Result<(), String> {
-        // Two passes over the states, evaluating as they go, so the check
-        // allocates nothing (the engine runs it on every explicit step).
-        // Infinite values must form a prefix.
-        let Some(first_finite) = (0..=m).find(|&x| self.eval(x).is_finite()) else {
-            return Err("cost is infinite at every state".into());
-        };
-        for x in first_finite..=m {
-            let v = self.eval(x);
-            if !v.is_finite() {
-                return Err(format!(
-                    "infinite cost at state {x} after finite state {first_finite}",
-                ));
-            }
-            if v < -1e-12 {
-                return Err(format!("negative cost {v} at state {x}"));
-            }
+        if self.convex_by_construction() {
+            return Ok(());
         }
-        let (mut a, mut b) = (0.0f64, 0.0f64);
-        for (i, x) in (first_finite..=m).enumerate() {
-            let c = self.eval(x);
-            if i >= 2 {
-                let tol = 1e-9 * (1.0 + a.abs().max(b.abs()).max(c.abs()));
-                if (b - a) > (c - b) + tol {
-                    return Err(format!(
-                        "slopes {} then {} (values {a}, {b}, {c})",
-                        b - a,
-                        c - b,
-                    ));
-                }
-            }
-            (a, b) = (b, c);
+        HULL.with_borrow_mut(|hull| match self {
+            // Past its end a table repeats its last entry, so one state
+            // of that tail decides the rest.
+            Cost::Table(v) => check_values(hull, m.min(v.len() as u32), |x| {
+                v[(x as usize).min(v.len() - 1)]
+            }),
+            _ => check_values(hull, m, |x| self.eval(x)),
+        })
+    }
+
+    /// Whether the shape's parameters alone make it convex and
+    /// non-negative on all of `[0, m]` for every `m`, with each value
+    /// computed to within a few ulps of itself: `Zero`, non-negative
+    /// `Const`, `Abs`, `Hinge` and `Scaled` factors, `Quadratic` with
+    /// `a, offset >= 0`, `Linear` with `intercept, slope >= 0`, and
+    /// `Server` with a finite non-negative load and overload and valid
+    /// [`ServerParams`]. Tables, load costs and padded costs are checked
+    /// state by state instead.
+    pub fn convex_by_construction(&self) -> bool {
+        let nonneg = |v: &[f64]| v.iter().all(|v| v.is_finite() && *v >= 0.0);
+        match self {
+            Cost::Zero => true,
+            Cost::Const(c) => nonneg(&[*c]),
+            Cost::Abs { slope, center } => nonneg(&[*slope]) && center.is_finite(),
+            Cost::Quadratic { a, center, offset } => nonneg(&[*a, *offset]) && center.is_finite(),
+            Cost::Linear { intercept, slope } => nonneg(&[*intercept, *slope]),
+            Cost::Hinge {
+                knee,
+                left_slope,
+                right_slope,
+            } => nonneg(&[*left_slope, *right_slope]) && knee.is_finite(),
+            Cost::Server {
+                lambda,
+                params,
+                overload,
+            } => nonneg(&[*lambda, *overload]) && params.validate().is_ok(),
+            Cost::Scaled { factor, inner } => nonneg(&[*factor]) && inner.convex_by_construction(),
+            Cost::Table(_) | Cost::Load { .. } | Cost::Padded { .. } => false,
         }
-        Ok(())
     }
 
     /// Smallest integer minimizer over `0..=m` (the paper's `x_t^{min-}`).
@@ -392,6 +453,88 @@ impl Cost {
         }
         best
     }
+}
+
+thread_local! {
+    /// The lower-hull stack [`Cost::check_convex`] reuses on this thread.
+    static HULL: RefCell<Vec<(u32, f64)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// [`Cost::check_convex`] over the values `value(0..=end)`, with `hull` as
+/// the hull stack. The first pass skips the infinite prefix, checks the
+/// rest finite and non-negative, and tests every triple of neighbours for
+/// exact convexity; values that pass it (the common case) are done. For
+/// the others, a second pass keeps the lower convex hull and a third
+/// measures every state between two hull vertices against their chord.
+fn check_values(
+    hull: &mut Vec<(u32, f64)>,
+    end: u32,
+    value: impl Fn(u32) -> f64,
+) -> Result<(), String> {
+    let Some(first) = (0..=end).find(|&x| value(x) != f64::INFINITY) else {
+        return Err("cost is infinite at every state".into());
+    };
+    let (mut a, mut b) = (0.0, 0.0);
+    let mut exact = true;
+    for x in first..=end {
+        let c = value(x);
+        if !(-1e-12..f64::INFINITY).contains(&c) {
+            return Err(if c.is_nan() {
+                format!("cost is NaN at state {x}")
+            } else if c == f64::INFINITY {
+                format!("infinite cost at state {x} after finite state {first}")
+            } else {
+                format!("negative cost {c} at state {x}")
+            });
+        }
+        if x >= first + 2 {
+            exact &= convex_triple(a, b, c);
+        }
+        (a, b) = (b, c);
+    }
+    if exact {
+        return Ok(());
+    }
+    hull.clear();
+    for x in first..=end {
+        let c = value(x);
+        while let [.., (xa, a), (xb, b)] = hull[..] {
+            // Drop `b` unless it lies strictly below the chord a–c.
+            if (b - a) * (x - xa) as f64 >= (c - a) * (xb - xa) as f64 {
+                hull.pop();
+            } else {
+                break;
+            }
+        }
+        hull.push((x, c));
+    }
+    for w in hull.windows(2) {
+        let ((xa, a), (xb, b)) = (w[0], w[1]);
+        for x in xa + 1..xb {
+            let c = value(x);
+            let chord = a + (b - a) * (x - xa) as f64 / (xb - xa) as f64;
+            if c - chord > CONVEX_RTOL * c.abs() {
+                return Err(format!(
+                    "state {x} lies {} above the convex hull (values {a} at {xa}, \
+                     {c} at {x}, {b} at {xb})",
+                    c - chord
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Whether `a + c >= 2 b` holds exactly for finite `a`, `b`, `c`. The sum
+/// `a + c` is split into its rounded value `s` and its exact error `e`
+/// (Knuth's two-sum); `(s - 2b) + e` then rounds to the sign of the exact
+/// `a + c - 2b`, whether or not `s - 2b` is exact.
+#[inline(always)]
+fn convex_triple(a: f64, b: f64, c: f64) -> bool {
+    let s = a + c;
+    let z = s - a;
+    let e = (a - (s - z)) + (c - z);
+    (s - 2.0 * b) + e >= 0.0
 }
 
 /// `acc[i] += f(i)` over the indices `0..acc.len()`.
@@ -591,6 +734,85 @@ mod tests {
     fn convexity_rejects_infinite_interior() {
         let t = Cost::table(vec![0.0, f64::INFINITY, 0.0]);
         assert!(t.check_convex(2).is_err());
+    }
+
+    #[test]
+    fn convexity_bounds_each_state_not_each_triple() {
+        // Values near 1e6 whose slope falls by 1e-4 per state: every
+        // triple is within a per-triple allowance of 1e-9 of the value,
+        // but over 500 states the shortfalls add up to a bump about 3
+        // above the hull.
+        let mut vals = vec![1e6];
+        let mut slope = 0.0;
+        for _ in 0..500 {
+            slope -= 1e-4;
+            vals.push(vals.last().unwrap() + slope);
+        }
+        for w in vals.windows(3) {
+            assert!((w[1] - w[0]) - (w[2] - w[1]) <= 1e-9 * w[0]);
+        }
+        assert!(Cost::table(vals).check_convex(500).is_err());
+    }
+
+    #[test]
+    fn convexity_allows_rounding_sized_bumps() {
+        // A linear table with one state raised a quarter, then four times,
+        // the allowance above its neighbours' chord.
+        let bumped = |k: f64| {
+            let mut vals: Vec<f64> = (0..=64).map(|x| 1e6 + x as f64).collect();
+            vals[32] += k * CONVEX_RTOL * vals[32];
+            Cost::table(vals)
+        };
+        bumped(0.25).check_convex(64).unwrap();
+        assert!(bumped(4.0).check_convex(64).is_err());
+    }
+
+    #[test]
+    fn server_params_validate() {
+        ServerParams::default().validate().unwrap();
+        let with = |f: fn(&mut ServerParams)| {
+            let mut p = ServerParams::default();
+            f(&mut p);
+            p.validate()
+        };
+        assert!(with(|p| p.e_idle = -0.5).is_err());
+        assert!(with(|p| p.e_peak = 0.5).is_err());
+        assert!(with(|p| p.delay_weight = -0.05).is_err());
+        assert!(with(|p| p.delay_eps = 0.0).is_err());
+        assert!(with(|p| p.e_peak = f64::NAN).is_err());
+    }
+
+    #[test]
+    fn server_cost_with_invalid_params_is_checked_state_by_state() {
+        let server = |delay_weight| Cost::Server {
+            lambda: 3.7,
+            params: ServerParams {
+                delay_weight,
+                ..ServerParams::default()
+            },
+            overload: 50.0,
+        };
+        assert!(server(1.0).convex_by_construction());
+        // A negative delay weight keeps this cost non-negative but bends
+        // it concave past the load.
+        let bent = server(-0.05);
+        assert!(!bent.convex_by_construction());
+        assert!((0..=32).all(|x| bent.eval(x) > 0.0));
+        assert!(bent.check_convex(32).is_err());
+    }
+
+    #[test]
+    fn convexity_rejects_nan() {
+        let t = Cost::table(vec![f64::NAN, 1.0, 2.0]);
+        assert!(t.check_convex(2).is_err());
+    }
+
+    #[test]
+    fn convexity_reads_one_state_of_a_table_tail() {
+        // Past its end a table repeats its last entry: a rising table then
+        // turns flat, which is concave.
+        assert!(Cost::table(vec![0.0, 1.0, 2.0]).check_convex(9).is_err());
+        Cost::table(vec![2.0, 1.0, 1.0]).check_convex(9).unwrap();
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod schedule;
 pub use analysis::{
     breakdown, phases, stats as schedule_stats, CostBreakdown, Direction, ScheduleStats,
 };
-pub use cost::{Cost, ServerParams, Unit};
+pub use cost::{Cost, ServerParams, Unit, CONVEX_RTOL};
 pub use error::Error;
 pub use instance::{Instance, RestrictedInstance};
 pub use schedule::{FracMode, FracSchedule, Schedule};

@@ -81,6 +81,17 @@ pub enum PolicyRuntime {
 }
 
 impl PolicySpec {
+    /// True for the policies that run an LCP bound tracker on the slot
+    /// costs: LCP, lookahead LCP and fractional LCP. Their explicit step
+    /// costs must pass [`Cost::check_convex`], as must those of any
+    /// tenant that tracks the prefix optimum.
+    pub fn runs_bound_tracker(&self) -> bool {
+        matches!(
+            self,
+            PolicySpec::Lcp | PolicySpec::Lookahead { .. } | PolicySpec::FlcpRounded { .. }
+        )
+    }
+
     /// True for the heterogeneous variant (whose step events must carry a
     /// `load` rather than an explicit 1-D cost).
     pub fn is_hetero(&self) -> bool {
@@ -243,8 +254,11 @@ impl TenantConfig {
     }
 
     /// Check the scalar parameters every tenant is built from: `m` at
-    /// most [`MAX_M`], `beta` finite and non-negative. [`Tenant::new`]
-    /// runs this, so admits, restores and recovery replay share it.
+    /// most [`MAX_M`], `beta` finite and non-negative, and an explicit
+    /// cost model's server parameters valid with a finite non-negative
+    /// overload (so every load it prices is convex).
+    /// [`Tenant::new`] runs this, so admits, restores and recovery replay
+    /// share it.
     pub fn validate(&self) -> Result<(), rsdc_core::Error> {
         let invalid = |m: String| Err(rsdc_core::Error::InvalidParameter(m));
         if self.m > MAX_M {
@@ -252,6 +266,17 @@ impl TenantConfig {
         }
         if !(self.beta.is_finite() && self.beta >= 0.0) {
             return invalid(format!("beta must be finite and >= 0, got {}", self.beta));
+        }
+        if let Some(model) = &self.cost_model {
+            if let Err(e) = model.server.validate() {
+                return invalid(format!("cost_model: {e}"));
+            }
+            if !(model.overload.is_finite() && model.overload >= 0.0) {
+                return invalid(format!(
+                    "cost_model: overload must be finite and >= 0, got {}",
+                    model.overload
+                ));
+            }
         }
         Ok(())
     }
@@ -612,10 +637,10 @@ impl Tenant {
         scratch.effect.commits.clear();
         match &mut self.policy {
             PolicyRuntime::Scalar(policy) => {
-                // The LCP window search relies on convex slot costs. A
-                // load priced into a `Server` cost is convex by
-                // construction; any other cost is checked over `0..=m`.
-                if !matches!(f, Cost::Server { .. }) {
+                // A bound tracker's window search relies on convex slot
+                // costs. Shapes convex by construction (a load priced
+                // into a `Server` cost among them) pass in O(1).
+                if self.cfg.track_opt || self.cfg.policy.runs_bound_tracker() {
                     f.check_convex(self.cfg.m)
                         .map_err(|msg| rsdc_core::Error::NotConvex {
                             t: self.events as usize + 1,
@@ -804,6 +829,61 @@ mod tests {
         (0..n)
             .map(|t| Cost::abs(1.0 + (t % 2) as f64, ((t * 3 + 1) % 7) as f64))
             .collect()
+    }
+
+    /// A `Server` cost whose negative delay weight bends it concave past
+    /// the load while keeping it positive.
+    fn bent_server_cost() -> Cost {
+        Cost::Server {
+            lambda: 3.7,
+            params: rsdc_core::ServerParams {
+                delay_weight: -0.05,
+                ..Default::default()
+            },
+            overload: 50.0,
+        }
+    }
+
+    #[test]
+    fn tracker_fed_tenants_refuse_non_convex_server_costs() {
+        let bent = bent_server_cost();
+        for (policy, track_opt, refused) in [
+            (PolicySpec::Lcp, false, true),
+            (PolicySpec::Lookahead { window: 2 }, false, true),
+            (PolicySpec::FlcpRounded { k: 2, seed: 1 }, false, true),
+            (PolicySpec::HalfStepRounded { seed: 1 }, true, true),
+            // No bound tracker reads this tenant's costs.
+            (PolicySpec::HalfStepRounded { seed: 1 }, false, false),
+        ] {
+            let mut cfg = TenantConfig::new("t", 32, 2.0, policy.clone());
+            cfg.track_opt = track_opt;
+            let mut tenant = Tenant::new(cfg).unwrap();
+            let result = tenant.step(&bent, None);
+            assert_eq!(
+                matches!(result, Err(rsdc_core::Error::NotConvex { t: 1, .. })),
+                refused,
+                "{policy:?} track_opt={track_opt}: {result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cost_models_with_invalid_server_params_are_refused() {
+        let model = |delay_weight, overload| CostModel {
+            server: rsdc_core::ServerParams {
+                delay_weight,
+                ..Default::default()
+            },
+            overload,
+            beta: 2.0,
+        };
+        let admit =
+            |m| Tenant::new(TenantConfig::new("t", 32, 2.0, PolicySpec::Lcp).with_cost_model(m));
+        admit(model(1.0, 20.0)).unwrap();
+        let err = admit(model(-0.05, 20.0)).err().unwrap().to_string();
+        assert!(err.contains("delay_weight"), "{err}");
+        let err = admit(model(1.0, f64::NAN)).err().unwrap().to_string();
+        assert!(err.contains("overload"), "{err}");
     }
 
     #[test]

@@ -51,7 +51,7 @@
 
 use rsdc_core::Cost;
 use rsdc_online::bounds::BoundTracker;
-use rsdc_power::{PowerConfig, PowerModel};
+use rsdc_power::{PowerConfig, PowerModel, PowerSpec};
 use serde::{Deserialize, Serialize};
 
 /// Knobs for the lazy auto-rebalancing policy.
@@ -127,6 +127,13 @@ impl TopologyConfig {
         }
         if let Some(pricing) = &self.pricing {
             pricing.validate()?;
+            // Each tick's priced cost is convex only when the watt curve
+            // is, and the LCP bound tracker relies on convex costs.
+            if let PowerSpec::Piecewise { points } = &pricing.model {
+                Cost::table(points.clone())
+                    .check_convex(points.len() as u32 - 1)
+                    .map_err(|e| format!("priced autoscaling needs a convex watt curve: {e}"))?;
+            }
         }
         Ok(())
     }

@@ -48,7 +48,14 @@
 //!
 //! The window search needs every `f_tau` convex over `0..=m`, as
 //! [`Cost::check_convex`] verifies; an infinite prefix (load constraints
-//! of the restricted model) is fine.
+//! of the restricted model) is fine. That check lets a state lie above
+//! the convex hull of `f_tau` by [`rsdc_core::CONVEX_RTOL`] (2^-40) of its
+//! value. Such a state's column value is then at most 2^-40 of itself
+//! above a convex column, so a slice end that clears the minimum by the
+//! margin still clears it by nearly the margin on the hull, and the
+//! states beyond cannot fall back below it. A cost with a deeper concave
+//! stretch could hide a lower minimum behind the slice end; the engine
+//! refuses those, and [`BoundTracker::step`] must not be fed them.
 //!
 //! The tracker also exposes the structural facts the analysis rests on so
 //! tests can assert them: the value function is convex (Lemma 8) and
@@ -142,9 +149,11 @@ impl BoundTracker {
         }
     }
 
-    /// Incorporate the next cost function, which must be convex over
-    /// `0..=m`; `O(x^U - x^L + moved)`.
+    /// Incorporate the next cost function, which must pass
+    /// [`Cost::check_convex`] over `0..=m` (debug builds assert it);
+    /// `O(x^U - x^L + moved)`.
     pub fn step(&mut self, f: &Cost) {
+        debug_assert_eq!(f.check_convex(self.m), Ok(()), "tau {}", self.tau + 1);
         self.tau += 1;
         self.relax_window();
         SLICE.with_borrow_mut(|slice| self.evaluate(f, slice));

@@ -592,3 +592,85 @@ fn window_keeps_the_states_rounding_decides() {
     ];
     check_against_full(1024, 8913.038036035241, &costs);
 }
+
+/// Two wells `0.5e-6` apart in depth behind a bump `0.4e-6` high, on
+/// values near 1e6: slightly concave over 600 states, yet no state lies
+/// more than [`rsdc_core::CONVEX_RTOL`] of its value above the convex hull, so
+/// `check_convex` accepts it. `mirror` swaps the wells.
+fn shallow_wells(m: u32, bump: f64, mirror: bool) -> Cost {
+    let v = 1e6;
+    let vals = (0..=m)
+        .map(|i| {
+            let x = if mirror { m - i } else { i } as f64;
+            if x < 200.0 {
+                v + 1e-3 * (200.0 - x)
+            } else if x <= 800.0 {
+                let s = (x - 200.0) / 600.0;
+                v - 0.5e-6 * s + bump * (std::f64::consts::PI * s).sin()
+            } else {
+                v - 0.5e-6 + 1e-3 * (x - 800.0)
+            }
+        })
+        .collect();
+    Cost::table(vals)
+}
+
+/// Costs that pass `check_convex` while bending concave by up to its
+/// allowance over a long stretch: the window still matches the full
+/// recursion bit for bit, because the allowance is far inside its
+/// rounding margin. A bump five times higher is refused.
+#[test]
+fn window_matches_full_recursion_on_costs_concave_within_the_allowance() {
+    let m = 1024;
+    assert!(shallow_wells(m, 2e-6, false).check_convex(m).is_err());
+    let costs: Vec<Cost> = (0..24)
+        .map(|t| shallow_wells(m, 0.4e-6, t % 5 < 2))
+        .collect();
+    for f in &costs {
+        f.check_convex(m).unwrap();
+    }
+    for beta in [1e-9, 1e-3, 1.0] {
+        check_against_full(m, beta, &costs);
+    }
+}
+
+/// Priced autoscaling feeds the tracker `events / s + price s watts(..)`
+/// over at most 256 shard counts. With a convex watt curve every tick
+/// cost is convex and the window matches the full recursion; a concave
+/// (SPEC-style) curve, on which a window search could stop at a local
+/// minimum, is refused when the policy is configured.
+#[test]
+fn priced_autoscale_costs_match_the_full_recursion() {
+    use rsdc_engine::{PowerConfig, PowerSpec, PriceSchedule, TopologyConfig};
+    let priced = |points: Vec<f64>| {
+        let mut cfg = TopologyConfig::new(1, 256);
+        cfg.pricing = Some(PowerConfig {
+            model: PowerSpec::Piecewise { points },
+            capacity: 1500.0,
+            price: PriceSchedule::Step {
+                period: 7,
+                prices: vec![1.0, 0.25, 3.0],
+            },
+        });
+        cfg
+    };
+    let concave = priced(vec![0.0, 100.0, 100.0]);
+    let err = concave.validate().unwrap_err();
+    assert!(err.contains("convex watt curve"), "{err}");
+
+    let cfg = priced(vec![60.0, 80.0, 130.0, 250.0]);
+    cfg.validate().unwrap();
+    let m = cfg.max_shards as u32 - cfg.min_shards as u32;
+    let costs: Vec<Cost> = (0..200u64)
+        .map(|tick| {
+            let angle = 2.0 * std::f64::consts::PI * tick as f64 / 48.0;
+            let events = (100_000.0 * (1.1 - angle.cos())).round();
+            let f = cfg.tick_cost(tick, events);
+            f.check_convex(m).unwrap();
+            f
+        })
+        .collect();
+    for beta in [cfg.switch_cost, 1.0, 500.0] {
+        check_against_full(m, beta, &costs);
+    }
+}
