@@ -406,6 +406,7 @@ fn measure_wire_codec(s: &Scale) -> Vec<serde::Value> {
 /// turns, framing, engine dispatch and socket I/O — per framing.
 fn measure_serve(s: &Scale) -> Vec<serde::Value> {
     use rsdc_engine::binwire::{encode_request_line, PREAMBLE};
+    use rsdc_engine::wire::Session;
     use rsdc_engine::{ServeConfig, Server, WireMode};
     use std::io::{Read, Write};
     use std::net::TcpStream;
@@ -453,13 +454,13 @@ fn measure_serve(s: &Scale) -> Vec<serde::Value> {
                 })
                 .collect();
             let cfg = ServeConfig {
-                engine: bench_cfg(1),
                 wire: WireMode::Auto,
                 max_conns: conns,
                 max_accepts: Some(conns as u64),
                 ..ServeConfig::default()
             };
-            let mut server = Server::bind(cfg, "127.0.0.1:0").expect("bind");
+            let session = Session::new(Engine::new(bench_cfg(1)));
+            let mut server = Server::bind(session, cfg, "127.0.0.1:0").expect("bind");
             let addr = server.local_addr();
             let server = std::thread::spawn(move || server.run().expect("serve"));
             let start = Instant::now();

@@ -3,6 +3,7 @@
 
 use crate::args::{ArgError, Args};
 use rsdc_core::prelude::*;
+use rsdc_engine::wire;
 use rsdc_online::fractional::{EvalMode, HalfStep};
 use rsdc_online::lcp::Lcp;
 use rsdc_online::randomized::RandomizedOnline;
@@ -105,7 +106,12 @@ COMMANDS
   serve      multiplexed TCP server for the engine wire protocol: one
              reactor and one engine-backed session shared by every
              connection (tenants, topology and stats are server-wide;
-             tenants outlive the connection that admitted them)
+             tenants outlive the connection that admitted them). The
+             session takes the engine's session flags: --shards, --vnodes,
+             --no-metrics, --trace-capacity, the control-plane and energy
+             flags, durability (--data-dir DIR is recovered before the
+             readiness line, announced by a \"recovered\" line after it,
+             and checkpointed when the server drains) and --metrics-dump
              [--listen ADDR] (default 127.0.0.1:7700; :0 picks a port —
              the bound address is announced on stdout as a JSONL line)
              [--max-conns N] (connection cap, default 64; over-cap
@@ -115,8 +121,7 @@ COMMANDS
              cap past --shed-timeout-ms is shed with a typed error)
              [--wire auto|jsonl|binary] (framing negotiation; auto sniffs
              the 6-byte RSDC preamble per connection)
-             [--shards N] [--vnodes V] [--no-metrics] (the server's
-             engine topology) [--handshake-timeout-ms MS] (default 10000)
+             [--handshake-timeout-ms MS] (default 10000)
              [--shed-timeout-ms MS] (default 5000)
              [--max-accepts N] (serve N connections then exit; smoke
              tests and benchmarks use this — default serves forever)
@@ -376,67 +381,43 @@ fn cmd_analyze(args: &Args) -> Result<String, CmdError> {
     Ok(serde_json::to_string_pretty(&body).expect("serializable") + "\n")
 }
 
-/// The engine config `rsdc engine` and `rsdc serve` share: `--shards`
-/// (0 = the default count), `--vnodes` (0 = the default ring density),
-/// `--no-metrics` and `--trace-capacity`.
-fn engine_config(args: &Args) -> Result<rsdc_engine::EngineConfig, CmdError> {
-    use rsdc_engine::{EngineConfig, DEFAULT_TRACE_CAPACITY};
+fn other(e: impl std::fmt::Display) -> CmdError {
+    CmdError::Other(e.to_string())
+}
+
+/// Build the session `rsdc engine` and `rsdc serve` both run, from the
+/// flags they share: the engine config (`--shards`, 0 = the default
+/// count; `--vnodes`, 0 = the default ring density; `--no-metrics`;
+/// `--trace-capacity`), the store (`--data-dir`, `--fsync-every`) and its
+/// recovery, `--checkpoint-every`, the admission limits, the energy meter
+/// and the autoscale policy. A malformed flag is refused before the store
+/// is opened. Returns the `recovered` line when recovery ran.
+///
+/// Limits, meter and policy are process state, not persisted: every
+/// invocation states its own.
+fn open_session(args: &Args) -> Result<(wire::Session, Option<String>), CmdError> {
+    use rsdc_engine::{AdmissionConfig, Engine, EngineConfig, DEFAULT_TRACE_CAPACITY};
+    use rsdc_engine::{PowerConfig, PowerSpec, PriceSchedule, TopologyConfig};
+    use rsdc_store::{Durability, FileStore, FileStoreConfig};
+    use std::sync::Arc;
 
     let shards: usize = args.get_or("shards", 0)?;
     let vnodes: usize = args.get_or("vnodes", 0)?;
-    let mut cfg = if shards == 0 {
+    let mut engine_cfg = if shards == 0 {
         EngineConfig::default()
     } else {
         EngineConfig::with_shards(shards)
     };
     if vnodes > 0 {
-        cfg.vnodes = vnodes;
+        engine_cfg.vnodes = vnodes;
     }
-    cfg.metrics = !args.has_flag("no-metrics");
-    cfg.trace_capacity = args.get_or("trace-capacity", DEFAULT_TRACE_CAPACITY)?;
-    Ok(cfg)
-}
-
-/// Run the streaming engine over a JSONL event file, or over a synthetic
-/// multi-tenant fleet derived from a trace. With `--data-dir` the engine
-/// journals every applied event to a write-ahead log and checkpoints
-/// periodically; restarting over a non-empty directory recovers the exact
-/// pre-crash engine (checkpoint + WAL replay) before processing new input.
-fn cmd_engine(args: &Args) -> Result<String, CmdError> {
-    use rsdc_engine::{wire, AdmissionConfig, Engine, PolicySpec, TenantConfig};
-    use rsdc_store::{Durability, FileStore, FileStoreConfig};
-    use std::sync::Arc;
-
-    let engine_cfg = engine_config(args)?;
-    let metrics_dump = args.get_str("metrics-dump").map(str::to_owned);
+    engine_cfg.metrics = !args.has_flag("no-metrics");
+    engine_cfg.trace_capacity = args.get_or("trace-capacity", DEFAULT_TRACE_CAPACITY)?;
     let checkpoint_every: u64 = args.get_or("checkpoint-every", 0)?;
-    let mut responses: Vec<String> = Vec::new();
-    let mut session = match args.get_str("data-dir") {
-        Some(dir) => {
-            let sync_every: u64 = args.get_or("fsync-every", 32)?;
-            let store: Arc<dyn Durability> = Arc::new(
-                FileStore::open(dir, FileStoreConfig { sync_every })
-                    .map_err(|e| CmdError::Other(e.to_string()))?,
-            );
-            let (session, recovered) = wire::Session::open_durable_cfg(engine_cfg, store)
-                .map_err(|e| CmdError::Other(e.to_string()))?;
-            if let Some(report) = recovered {
-                responses.push(wire::recovered_line(&report));
-            }
-            session.with_auto_checkpoint(checkpoint_every)
-        }
-        None => {
-            if checkpoint_every > 0 {
-                return Err(CmdError::Other(
-                    "--checkpoint-every requires --data-dir".into(),
-                ));
-            }
-            wire::Session::new(Engine::new(engine_cfg))
-        }
-    };
+    if checkpoint_every > 0 && args.get_str("data-dir").is_none() {
+        return Err(other("--checkpoint-every requires --data-dir"));
+    }
 
-    // Admission limits apply from the first record of this run; they are
-    // process state, not persisted, so every invocation states its own.
     let mut limits = AdmissionConfig {
         max_tenants: args.get_or("max-tenants", 0)?,
         ..AdmissionConfig::default()
@@ -444,7 +425,7 @@ fn cmd_engine(args: &Args) -> Result<String, CmdError> {
     if let Some(spec) = args.get_str("rate-limit") {
         let parse = |what: &str, s: &str| -> Result<f64, CmdError> {
             s.parse()
-                .map_err(|e| CmdError::Other(format!("bad --rate-limit {what} {s:?}: {e}")))
+                .map_err(|e| other(format!("bad --rate-limit {what} {s:?}: {e}")))
         };
         match spec.split_once(':') {
             Some((rate, burst)) => {
@@ -454,108 +435,151 @@ fn cmd_engine(args: &Args) -> Result<String, CmdError> {
             None => limits.rate = parse("rate", spec)?,
         }
     }
-    if limits != AdmissionConfig::default() {
-        session
-            .engine()
-            .set_limits(limits)
-            .map_err(|e| CmdError::Other(e.to_string()))?;
-    }
 
     // Energy accounting: --power-model installs the meter; capacity and
-    // price schedule refine it. Process state like the other control-plane
-    // knobs — every invocation states its own.
+    // price schedule refine it.
     if args.get_str("power-model").is_none()
         && (args.options.contains_key("power-capacity")
             || args.get_str("price").is_some()
             || args.get_str("price-trace").is_some()
             || args.has_flag("priced-autoscale"))
     {
-        return Err(CmdError::Other(
-            "--power-capacity/--price/--price-trace/--priced-autoscale require --power-model"
-                .into(),
+        return Err(other(
+            "--power-capacity/--price/--price-trace/--priced-autoscale require --power-model",
         ));
     }
-    if let Some(spec) = args.get_str("power-model") {
-        use rsdc_engine::{PowerConfig, PowerSpec, PriceSchedule};
-        let mut cfg = PowerConfig::new(
-            PowerSpec::parse(spec)
-                .map_err(|e| CmdError::Other(format!("bad --power-model: {e}")))?,
-        );
-        cfg.capacity = args.get_or("power-capacity", cfg.capacity)?;
-        if args.get_str("price").is_some() && args.get_str("price-trace").is_some() {
-            return Err(CmdError::Other(
-                "--price and --price-trace are mutually exclusive".into(),
-            ));
-        }
-        if let Some(p) = args.get_str("price") {
-            cfg.price = PriceSchedule::parse(p)
-                .map_err(|e| CmdError::Other(format!("bad --price: {e}")))?;
-        }
-        if let Some(path) = args.get_str("price-trace") {
-            let data = std::fs::read_to_string(path)?;
-            let mut prices = Vec::new();
-            for (n, line) in data.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                for tok in line.split([',', ' ', '\t']).filter(|t| !t.is_empty()) {
-                    prices.push(tok.parse::<f64>().map_err(|e| {
-                        CmdError::Other(format!(
-                            "bad --price-trace {path} line {}: {tok:?}: {e}",
-                            n + 1
-                        ))
-                    })?);
-                }
+    let power = match args.get_str("power-model") {
+        None => None,
+        Some(spec) => {
+            let mut cfg = PowerConfig::new(
+                PowerSpec::parse(spec).map_err(|e| other(format!("bad --power-model: {e}")))?,
+            );
+            cfg.capacity = args.get_or("power-capacity", cfg.capacity)?;
+            if args.get_str("price").is_some() && args.get_str("price-trace").is_some() {
+                return Err(other("--price and --price-trace are mutually exclusive"));
             }
-            cfg.price = PriceSchedule::Trace { prices };
+            if let Some(p) = args.get_str("price") {
+                cfg.price =
+                    PriceSchedule::parse(p).map_err(|e| other(format!("bad --price: {e}")))?;
+            }
+            if let Some(path) = args.get_str("price-trace") {
+                let data = std::fs::read_to_string(path)?;
+                let mut prices = Vec::new();
+                for (n, line) in data.lines().enumerate() {
+                    let line = line.trim();
+                    if line.is_empty() || line.starts_with('#') {
+                        continue;
+                    }
+                    for tok in line.split([',', ' ', '\t']).filter(|t| !t.is_empty()) {
+                        prices.push(tok.parse::<f64>().map_err(|e| {
+                            other(format!(
+                                "bad --price-trace {path} line {}: {tok:?}: {e}",
+                                n + 1
+                            ))
+                        })?);
+                    }
+                }
+                cfg.price = PriceSchedule::Trace { prices };
+            }
+            Some(cfg)
         }
-        session
-            .engine()
-            .set_power(Some(cfg))
-            .map_err(|e| CmdError::Other(e.to_string()))?;
-    }
+    };
     if args.has_flag("priced-autoscale") && args.get_str("auto-rebalance").is_none() {
-        return Err(CmdError::Other(
-            "--priced-autoscale requires --auto-rebalance".into(),
-        ));
+        return Err(other("--priced-autoscale requires --auto-rebalance"));
     }
 
-    // Lazy auto-rebalancing: like limits, policy knobs are process state
-    // stated per invocation. `lo:hi` bounds the shard count; the optional
+    // Lazy auto-rebalancing: `lo:hi` bounds the shard count; the optional
     // `beta` is the induced switching cost per shard powered up.
-    if let Some(spec) = args.get_str("auto-rebalance") {
-        let parse = |what: &str, s: &str| -> Result<usize, CmdError> {
-            s.parse()
-                .map_err(|e| CmdError::Other(format!("bad --auto-rebalance {what} {s:?}: {e}")))
-        };
-        let parts: Vec<&str> = spec.split(':').collect();
-        let mut cfg = match parts.as_slice() {
-            [lo, hi] | [lo, hi, _] => {
-                rsdc_engine::TopologyConfig::new(parse("lo", lo)?, parse("hi", hi)?)
+    let autoscale = match args.get_str("auto-rebalance") {
+        None => None,
+        Some(spec) => {
+            let parse = |what: &str, s: &str| -> Result<usize, CmdError> {
+                s.parse()
+                    .map_err(|e| other(format!("bad --auto-rebalance {what} {s:?}: {e}")))
+            };
+            let parts: Vec<&str> = spec.split(':').collect();
+            let mut cfg = match parts.as_slice() {
+                [lo, hi] | [lo, hi, _] => TopologyConfig::new(parse("lo", lo)?, parse("hi", hi)?),
+                _ => {
+                    return Err(other(format!(
+                        "bad --auto-rebalance {spec:?}: expected lo:hi[:beta]"
+                    )))
+                }
+            };
+            if let [_, _, beta] = parts.as_slice() {
+                cfg.switch_cost = beta
+                    .parse()
+                    .map_err(|e| other(format!("bad --auto-rebalance beta {beta:?}: {e}")))?;
             }
-            _ => {
-                return Err(CmdError::Other(format!(
-                    "bad --auto-rebalance {spec:?}: expected lo:hi[:beta]"
-                )))
+            // Priced mode: the policy sees induced costs in modeled watts
+            // and priced energy — the same physics the meter bills with.
+            if args.has_flag("priced-autoscale") {
+                cfg.pricing = power.clone();
             }
-        };
-        if let [_, _, beta] = parts.as_slice() {
-            cfg.switch_cost = beta
-                .parse()
-                .map_err(|e| CmdError::Other(format!("bad --auto-rebalance beta {beta:?}: {e}")))?;
+            Some(cfg)
         }
-        // Priced mode: the policy sees induced costs in modeled watts and
-        // priced energy — the same physics the meter bills with.
-        if args.has_flag("priced-autoscale") {
-            cfg.pricing = session.engine().power_config();
-            debug_assert!(cfg.pricing.is_some(), "guarded by the flag checks above");
+    };
+
+    let (session, recovered) = match args.get_str("data-dir") {
+        Some(dir) => {
+            let sync_every: u64 = args.get_or("fsync-every", 32)?;
+            let store: Arc<dyn Durability> =
+                Arc::new(FileStore::open(dir, FileStoreConfig { sync_every }).map_err(other)?);
+            let (session, report) =
+                wire::Session::open_durable_cfg(engine_cfg, store).map_err(other)?;
+            (
+                session.with_auto_checkpoint(checkpoint_every),
+                report.map(|r| wire::recovered_line(&r)),
+            )
         }
-        session
-            .engine()
-            .set_autoscale(Some(cfg))
-            .map_err(|e| CmdError::Other(e.to_string()))?;
+        None => (wire::Session::new(Engine::new(engine_cfg)), None),
+    };
+    // The defaults leave a fresh or recovered engine as it is.
+    let engine = session.engine();
+    engine.set_limits(limits).map_err(other)?;
+    engine.set_power(power).map_err(other)?;
+    engine.set_autoscale(autoscale).map_err(other)?;
+    Ok((session, recovered))
+}
+
+/// `--metrics-dump FILE`: write the session's metrics as Prometheus text.
+fn dump_metrics(args: &Args, session: &wire::Session) -> Result<(), CmdError> {
+    if let Some(path) = args.get_str("metrics-dump") {
+        let text = session.engine().obs().registry().render_prometheus();
+        std::fs::write(path, text)
+            .map_err(|e| other(format!("writing --metrics-dump {path}: {e}")))?;
     }
+    Ok(())
+}
+
+/// End a session built by [`open_session`]: a durable one takes a final
+/// checkpoint, so the next start over the same data directory replays
+/// nothing, then `--metrics-dump` records the final totals. Returns the
+/// checkpoint's response lines.
+fn close_session(args: &Args, session: &mut wire::Session) -> Result<Vec<String>, CmdError> {
+    let lines = if session.engine().store().is_durable() {
+        session.handle_lines(["{\"op\":\"checkpoint\"}"])
+    } else {
+        Vec::new()
+    };
+    dump_metrics(args, session)?;
+    Ok(lines)
+}
+
+/// Run the streaming engine over a JSONL event file, or over a synthetic
+/// multi-tenant fleet derived from a trace, in the session
+/// [`open_session`] builds. With `--data-dir` the engine journals every
+/// applied event to a write-ahead log and checkpoints periodically;
+/// restarting over a non-empty directory recovers the exact pre-crash
+/// engine (checkpoint + WAL replay) before processing new input.
+fn cmd_engine(args: &Args) -> Result<String, CmdError> {
+    use rsdc_engine::binwire::{self, BinSession, MAGIC};
+    use rsdc_engine::{PolicySpec, TenantConfig, WireMode};
+
+    let wire_mode = WireMode::parse(&args.get_or("wire", "auto".to_string())?);
+    let wire_mode = wire_mode.map_err(CmdError::Other)?;
+    let (mut session, recovered) = open_session(args)?;
+    let mut responses: Vec<String> = recovered.into_iter().collect();
 
     let body_lines = if let Some(path) = args.get_str("events") {
         let data = std::fs::read(path)?;
@@ -563,19 +587,13 @@ fn cmd_engine(args: &Args) -> Result<String, CmdError> {
         // byte (no JSONL record can start with 'R'); `binary`/`jsonl`
         // force one framing — forcing `binary` on a text file yields the
         // protocol's own bad-preamble error rather than a parse spray.
-        let wire_mode: String = args.get_or("wire", "auto".to_string())?;
-        let binary = match wire_mode.as_str() {
-            "jsonl" => false,
-            "binary" => true,
-            "auto" => data.first() == Some(&rsdc_engine::binwire::MAGIC[0]),
-            other => {
-                return Err(CmdError::Other(format!(
-                    "bad --wire {other:?}: expected binary, jsonl or auto"
-                )))
-            }
+        let binary = match wire_mode {
+            WireMode::Jsonl => false,
+            WireMode::Binary => true,
+            WireMode::Auto => data.first() == Some(&MAGIC[0]),
         };
         if binary {
-            let mut bin = rsdc_engine::binwire::BinSession::new(session);
+            let mut bin = BinSession::new(session);
             let mut reply_bytes = Vec::new();
             bin.feed(&data, &mut reply_bytes);
             bin.finish(&mut reply_bytes);
@@ -583,7 +601,7 @@ fn cmd_engine(args: &Args) -> Result<String, CmdError> {
             // Re-render the response stream as JSONL so --out, the
             // checkpoint detector and the exit dump stay framing-agnostic
             // (the two renderings are byte-identical by construction).
-            rsdc_engine::binwire::decode_response(&reply_bytes).map_err(CmdError::Other)?
+            binwire::decode_response(&reply_bytes).map_err(CmdError::Other)?
         } else {
             let text = std::str::from_utf8(&data)
                 .map_err(|e| CmdError::Other(format!("{path}: not UTF-8: {e}")))?;
@@ -668,48 +686,34 @@ fn cmd_engine(args: &Args) -> Result<String, CmdError> {
     };
     // Prometheus text dump: refreshed after any checkpoint taken during the
     // run, and once more on exit so the file always reflects final totals.
-    let dump = |session: &wire::Session| -> Result<(), CmdError> {
-        if let Some(path) = &metrics_dump {
-            let text = session.engine().obs().registry().render_prometheus();
-            std::fs::write(path, text)
-                .map_err(|e| CmdError::Other(format!("writing --metrics-dump {path}: {e}")))?;
-        }
-        Ok(())
-    };
     if body_lines
         .iter()
         .any(|l| l.contains("\"op\":\"checkpointed\""))
     {
-        dump(&session)?;
+        dump_metrics(args, &session)?;
     }
     responses.extend(body_lines);
-
-    // A durable run ends on a checkpoint, so the next start over the same
-    // data directory replays nothing.
-    if session.engine().store().is_durable() {
-        responses.extend(session.handle_lines(["{\"op\":\"checkpoint\"}"]));
-    }
-    dump(&session)?;
+    responses.extend(close_session(args, &mut session)?);
 
     let body = responses.join("\n") + "\n";
     write_output(args, "engine responses", body)
 }
 
 /// Serve the engine wire protocol over TCP: one reactor multiplexing up
-/// to `--max-conns` connections over one shared engine. Blocks
-/// until the reactor drains (`--max-accepts`) or the process is killed,
-/// so the bound address is announced eagerly on stdout rather than in
-/// the dispatch result.
+/// to `--max-conns` connections over the session [`open_session`]
+/// builds. Blocks until the reactor drains (`--max-accepts`) or the
+/// process is killed, so the bound address is announced eagerly on
+/// stdout, followed by the `recovered` line when recovery ran, rather
+/// than in the dispatch result. A drained server closes its session like
+/// `rsdc engine` does.
 fn cmd_serve(args: &Args) -> Result<String, CmdError> {
     use rsdc_engine::{ServeConfig, Server, WireMode};
     use std::io::Write as _;
     use std::time::Duration;
 
-    let engine = engine_config(args)?;
     let wire_spec: String = args.get_or("wire", "auto".to_string())?;
     let wire = WireMode::parse(&wire_spec).map_err(CmdError::Other)?;
     let mut cfg = ServeConfig {
-        engine,
         wire,
         ..ServeConfig::default()
     };
@@ -729,25 +733,31 @@ fn cmd_serve(args: &Args) -> Result<String, CmdError> {
         cfg.max_accepts = Some(args.require("max-accepts")?);
     }
 
+    let (session, recovered) = open_session(args)?;
     let max_conns = cfg.max_conns;
     let listen: String = args.get_or("listen", "127.0.0.1:7700".to_string())?;
-    let mut server =
-        Server::bind(cfg, &listen).map_err(|e| CmdError::Other(format!("bind {listen}: {e}")))?;
+    let mut server = Server::bind(session, cfg, &listen)
+        .map_err(|e| CmdError::Other(format!("bind {listen}: {e}")))?;
     let addr = server.local_addr();
 
     // Announce readiness before blocking in the reactor: callers (smoke
-    // tests, the bench harness) parse this line to learn the real port
-    // when `--listen` used :0.
+    // tests, the bench harness) parse this first line to learn the real
+    // port when `--listen` used :0.
     println!(
         "{{\"op\":\"serving\",\"addr\":\"{addr}\",\"wire\":\"{wire_spec}\",\"max_conns\":{max_conns}}}"
     );
+    if let Some(line) = recovered {
+        println!("{line}");
+    }
     std::io::stdout().flush()?;
 
     let summary = server.run().map_err(CmdError::Io)?;
-    Ok(format!(
-        "{{\"op\":\"served\",\"accepted\":{},\"closed\":{},\"shed\":{},\"bytes_in\":{},\"bytes_out\":{}}}\n",
+    let mut out = close_session(args, &mut server.into_session())?;
+    out.push(format!(
+        "{{\"op\":\"served\",\"accepted\":{},\"closed\":{},\"shed\":{},\"bytes_in\":{},\"bytes_out\":{}}}",
         summary.accepted, summary.closed, summary.shed, summary.bytes_in, summary.bytes_out
-    ))
+    ));
+    Ok(out.join("\n") + "\n")
 }
 
 const SCENARIO_USAGE: &str =

@@ -18,7 +18,11 @@ pub struct Instance {
 }
 
 impl Instance {
-    /// Build an instance. `beta` must be positive and finite; `m >= 1`.
+    /// Build an instance. `beta` must be positive and finite; `m >= 1`;
+    /// every cost function must be convex and non-negative over `0..=m`
+    /// ([`Cost::check_convex`]: O(1) for shapes convex by construction,
+    /// O(m) for tables and load costs), since the offline solvers and the
+    /// online bound trackers are only correct on convex costs.
     pub fn new(m: u32, beta: f64, costs: Vec<Cost>) -> Result<Self, Error> {
         if !(beta.is_finite() && beta > 0.0) {
             return Err(Error::InvalidParameter(format!(
@@ -28,19 +32,11 @@ impl Instance {
         if m == 0 {
             return Err(Error::InvalidParameter("m must be >= 1".into()));
         }
-        Ok(Self { m, beta, costs })
-    }
-
-    /// Build an instance and verify that every cost function is convex and
-    /// non-negative over `0..=m` (O(T m); intended for tests and ingestion
-    /// of untrusted data).
-    pub fn new_checked(m: u32, beta: f64, costs: Vec<Cost>) -> Result<Self, Error> {
-        let inst = Self::new(m, beta, costs)?;
-        for (t, f) in inst.costs.iter().enumerate() {
+        for (t, f) in costs.iter().enumerate() {
             f.check_convex(m)
                 .map_err(|msg| Error::NotConvex { t: t + 1, msg })?;
         }
-        Ok(inst)
+        Ok(Self { m, beta, costs })
     }
 
     /// Empty instance to be grown online via [`Instance::push`].
@@ -235,9 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn new_checked_rejects_concave() {
+    fn new_rejects_concave() {
         let bad = Cost::table(vec![0.0, 5.0, 6.0, 6.5, 6.6]);
-        let err = Instance::new_checked(4, 1.0, vec![Cost::Zero, bad]).unwrap_err();
+        let err = Instance::new(4, 1.0, vec![Cost::Zero, bad]).unwrap_err();
         match err {
             Error::NotConvex { t, .. } => assert_eq!(t, 2),
             other => panic!("unexpected error {other:?}"),

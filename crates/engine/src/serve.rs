@@ -9,7 +9,9 @@
 //! runtime, no extra dependencies, structured so a future tokio-backed
 //! reactor can slot in behind the same [`ServeConfig`]/[`Server`] surface
 //! (the readiness loop is the only piece that would change) — and one
-//! engine-backed [`Session`], built by [`Server::bind`].
+//! engine-backed [`Session`], built by the caller and handed to
+//! [`Server::bind`], so a served engine is built like any other: durable
+//! and recovered, limited, metered or autoscaled as its caller set it up.
 //!
 //! ## Connection lifecycle
 //!
@@ -71,7 +73,6 @@
 use crate::binwire::{Frames, MAGIC, PREAMBLE};
 use crate::framed::{Codec, Core, Framing};
 use crate::wire::{Lines, Reply, Session};
-use crate::{Engine, EngineConfig};
 use rsdc_obs::{Counter, Gauge, MetricId, Registry};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -125,9 +126,6 @@ impl WireMode {
 /// the CLI overrides the knobs it exposes.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Topology of the server's one engine, built by [`Server::bind`] and
-    /// shared by every connection.
-    pub engine: EngineConfig,
     /// Framing negotiation mode.
     pub wire: WireMode,
     /// Maximum concurrently open connections; connection N+1 is refused
@@ -160,7 +158,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            engine: EngineConfig::with_shards(1),
             wire: WireMode::Auto,
             max_conns: 64,
             write_buf: 256 * 1024,
@@ -457,9 +454,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` (e.g. `127.0.0.1:0`) and build the reactor and its
-    /// engine.
-    pub fn bind(cfg: ServeConfig, addr: &str) -> std::io::Result<Server> {
+    /// Bind `addr` (e.g. `127.0.0.1:0`) and build the reactor over
+    /// `session`, which every connection then shares.
+    pub fn bind(session: Session, cfg: ServeConfig, addr: &str) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -468,7 +465,7 @@ impl Server {
             listener_fd: raw_fd(&listener),
             listener,
             local_addr,
-            session: Session::new(Engine::new(cfg.engine.clone())),
+            session,
             conns: Vec::new(),
             rr: 0,
             obs: ServeObs::new(),
@@ -486,6 +483,12 @@ impl Server {
     /// Server-level metrics.
     pub fn obs(&self) -> &ServeObs {
         &self.obs
+    }
+
+    /// Unwrap the served session, e.g. to checkpoint it once
+    /// [`Server::run`] has drained.
+    pub fn into_session(self) -> Session {
+        self.session
     }
 
     /// The framing mode this server was configured with.
@@ -842,7 +845,8 @@ mod tests {
     use std::net::TcpStream;
 
     fn spawn_server(cfg: ServeConfig) -> (SocketAddr, std::thread::JoinHandle<ServeSummary>) {
-        let mut server = Server::bind(cfg, "127.0.0.1:0").expect("bind");
+        let session = Session::new(crate::Engine::new(crate::EngineConfig::with_shards(1)));
+        let mut server = Server::bind(session, cfg, "127.0.0.1:0").expect("bind");
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run().expect("run"));
         (addr, handle)

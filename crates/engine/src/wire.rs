@@ -622,24 +622,9 @@ impl Session {
         }
     }
 
-    /// Open a durable session over `store`: recovers the pre-crash engine
-    /// when the store holds state (returning the recovery report),
-    /// otherwise starts a fresh journaling engine. `shards == 0` picks the
-    /// default shard count.
-    pub fn open_durable(
-        shards: usize,
-        store: std::sync::Arc<dyn rsdc_store::Durability>,
-    ) -> Result<(Session, Option<crate::RecoveryReport>), crate::EngineError> {
-        let cfg = if shards == 0 {
-            crate::EngineConfig::default()
-        } else {
-            crate::EngineConfig::with_shards(shards)
-        };
-        Session::open_durable_cfg(cfg, store)
-    }
-
-    /// [`Session::open_durable`] with a full engine config (explicit ring
-    /// density, for the CLI's `--vnodes`).
+    /// Open a durable session over `store` with engine config `cfg`:
+    /// recovers the pre-crash engine when the store holds state (returning
+    /// the recovery report), otherwise starts a fresh journaling engine.
     pub fn open_durable_cfg(
         cfg: crate::EngineConfig,
         store: std::sync::Arc<dyn rsdc_store::Durability>,
@@ -2042,7 +2027,8 @@ mod tests {
         let want: serde::Value = serde_json::from_str(want_out.last().unwrap()).unwrap();
 
         // Durable run, killed after 4 of 6 loads (2 post-checkpoint).
-        let (mut durable, recovered) = Session::open_durable(1, store.clone()).unwrap();
+        let (mut durable, recovered) =
+            Session::open_durable_cfg(crate::EngineConfig::with_shards(1), store.clone()).unwrap();
         assert!(recovered.is_none(), "fresh store");
         let mut lines = vec![admit.to_string()];
         lines.extend(loads[..2].iter().map(|&l| step_load_line("a", l)));
@@ -2056,7 +2042,8 @@ mod tests {
 
         // Recover in a fresh session; the custom cost model must survive
         // so the remaining loads are priced identically.
-        let (mut session, report) = Session::open_durable(1, store).unwrap();
+        let (mut session, report) =
+            Session::open_durable_cfg(crate::EngineConfig::with_shards(1), store).unwrap();
         let report = report.expect("store had state");
         assert_eq!(report.tenants_restored, 1);
         assert!(report.records_replayed >= 1);

@@ -63,7 +63,7 @@ pub fn random_instance(cfg: &RandomInstanceCfg, seed: u64) -> Instance {
     let costs = (0..cfg.t_len)
         .map(|_| random_convex_table(&mut rng, cfg.m, cfg.slope_scale))
         .collect();
-    Instance::new_checked(cfg.m, beta, costs).expect("generator must emit convex costs")
+    Instance::new(cfg.m, beta, costs).expect("generator must emit convex costs")
 }
 
 /// A batch of random instances with distinct seeds.

@@ -57,7 +57,7 @@ pub fn instance(
     (m_range, t_range)
         .prop_flat_map(|(m, t_len)| (Just(m), 0.05f64..16.0, vec(any_cost(m), t_len)))
         .prop_map(|(m, beta, costs)| {
-            Instance::new_checked(m, beta, costs).expect("strategy must emit convex costs")
+            Instance::new(m, beta, costs).expect("strategy must emit convex costs")
         })
 }
 

@@ -674,3 +674,28 @@ fn priced_autoscale_costs_match_the_full_recursion() {
         check_against_full(m, beta, &costs);
     }
 }
+
+/// A library caller that skips the policy's validation still cannot hand
+/// the trackers a concave cost through an [`Instance`]: the priced tick
+/// cost of a concave watt curve (`piecewise:0,100,100`, 10 000 events,
+/// capacity 1500, m = 255), on which a window search stops at a local
+/// minimum, is refused at construction.
+#[test]
+fn instance_refuses_the_concave_priced_tick_cost() {
+    use rsdc_engine::{PowerConfig, PowerSpec, PriceSchedule, TopologyConfig};
+    let mut cfg = TopologyConfig::new(1, 256);
+    cfg.pricing = Some(PowerConfig {
+        model: PowerSpec::Piecewise {
+            points: vec![0.0, 100.0, 100.0],
+        },
+        capacity: 1500.0,
+        price: PriceSchedule::Constant { price: 1.0 },
+    });
+    let m = cfg.max_shards as u32 - cfg.min_shards as u32;
+    assert_eq!(m, 255);
+    let f = cfg.tick_cost(0, 10_000.0);
+    match Instance::new(m, 8.0, vec![Cost::Zero, f]) {
+        Err(Error::NotConvex { t, .. }) => assert_eq!(t, 2),
+        other => panic!("expected NotConvex at slot 2, got {other:?}"),
+    }
+}

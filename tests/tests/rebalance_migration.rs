@@ -612,7 +612,8 @@ fn recovered_engine_reports_migrations_replayed_in_wal_stats() {
         .expect("append");
     store.sync().expect("sync");
 
-    let (mut session, report) = Session::open_durable(2, open_store(&dir)).expect("open");
+    let (mut session, report) =
+        Session::open_durable_cfg(EngineConfig::with_shards(2), open_store(&dir)).expect("open");
     let report = report.expect("store had state");
     assert_eq!(report.migrations_replayed, 1);
     assert_eq!(report.rebalances_replayed, 0);

@@ -40,8 +40,12 @@ fn engine_cfg() -> EngineConfig {
     EngineConfig::with_shards(SHARDS)
 }
 
-fn spawn_server(cfg: ServeConfig) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeSummary>) {
-    let mut server = Server::bind(cfg, "127.0.0.1:0").expect("bind");
+fn spawn_server(
+    engine: EngineConfig,
+    cfg: ServeConfig,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeSummary>) {
+    let session = Session::new(Engine::new(engine));
+    let mut server = Server::bind(session, cfg, "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run().expect("reactor"));
     (addr, handle)
@@ -188,13 +192,12 @@ fn run_client(addr: std::net::SocketAddr, request: Vec<u8>, seed: u64) -> Vec<u8
 /// over its own tenants and byte-identical to its standalone serial twin.
 fn differential(clients: usize, ops: usize) {
     let cfg = ServeConfig {
-        engine: engine_cfg(),
         wire: WireMode::Auto,
         max_conns: clients,
         max_accepts: Some(clients as u64),
         ..ServeConfig::default()
     };
-    let (addr, server) = spawn_server(cfg);
+    let (addr, server) = spawn_server(engine_cfg(), cfg);
 
     let mut want = Vec::new();
     let mut handles = Vec::new();
@@ -247,12 +250,11 @@ fn interleaved_connections_match_serial_sessions_heavy() {
 /// fed the same streams in turn.
 fn sequential_differential(clients: usize, ops: usize) {
     let cfg = ServeConfig {
-        engine: engine_cfg(),
         wire: WireMode::Auto,
         max_accepts: Some(clients as u64),
         ..ServeConfig::default()
     };
-    let (addr, server) = spawn_server(cfg);
+    let (addr, server) = spawn_server(engine_cfg(), cfg);
 
     let mut session = Session::new(Engine::new(engine_cfg()));
     for i in 0..clients {
@@ -305,7 +307,6 @@ fn slow_client_is_shed_typed_while_the_rest_complete() {
     let shed_timeout = Duration::from_millis(1200);
     let clients = 4usize;
     let cfg = ServeConfig {
-        engine: EngineConfig::with_shards(1),
         wire: WireMode::Auto,
         max_conns: clients,
         max_accepts: Some(clients as u64),
@@ -313,7 +314,7 @@ fn slow_client_is_shed_typed_while_the_rest_complete() {
         shed_timeout,
         ..ServeConfig::default()
     };
-    let (addr, server) = spawn_server(cfg.clone());
+    let (addr, server) = spawn_server(EngineConfig::with_shards(1), cfg.clone());
 
     // The stalled client's stream: admit a wide tenant universe, then
     // fleet-wide reports — small requests, multi-kilobyte replies, so the

@@ -10,7 +10,8 @@
 //! reject.
 
 use rsdc_engine::binwire::{put_frame, PREAMBLE, TAG_RESP_ERROR};
-use rsdc_engine::{ServeConfig, ServeSummary, Server, WireMode};
+use rsdc_engine::wire::Session;
+use rsdc_engine::{Engine, EngineConfig, ServeConfig, ServeSummary, Server, WireMode};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
@@ -71,7 +72,8 @@ fn cases() -> Vec<Case> {
 }
 
 fn spawn_server(cfg: ServeConfig) -> (SocketAddr, std::thread::JoinHandle<ServeSummary>) {
-    let mut server = Server::bind(cfg, "127.0.0.1:0").expect("bind");
+    let session = Session::new(Engine::new(EngineConfig::with_shards(1)));
+    let mut server = Server::bind(session, cfg, "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
     (addr, std::thread::spawn(move || server.run().expect("run")))
 }

@@ -7,7 +7,8 @@
 #[cfg(target_os = "linux")]
 #[test]
 fn open_connections_share_the_servers_shard_threads() {
-    use rsdc_engine::{EngineConfig, ServeConfig, Server, WireMode};
+    use rsdc_engine::wire::Session;
+    use rsdc_engine::{Engine, EngineConfig, ServeConfig, Server, WireMode};
     use std::io::{BufRead, BufReader, Write};
     use std::net::{Shutdown, TcpStream};
 
@@ -22,12 +23,12 @@ fn open_connections_share_the_servers_shard_threads() {
     const SHARDS: usize = 2;
     const CONNS: usize = 6;
     let cfg = ServeConfig {
-        engine: EngineConfig::with_shards(SHARDS),
         wire: WireMode::Auto,
         max_accepts: Some(CONNS as u64),
         ..ServeConfig::default()
     };
-    let mut server = Server::bind(cfg, "127.0.0.1:0").expect("bind");
+    let session = Session::new(Engine::new(EngineConfig::with_shards(SHARDS)));
+    let mut server = Server::bind(session, cfg, "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
     assert_eq!(shard_threads(), SHARDS, "the engine exists once bound");
     let server = std::thread::spawn(move || server.run().expect("run"));

@@ -230,12 +230,12 @@ proptest! {
         let dir_j = case_dir("jsonl");
         let dir_b = case_dir("binary");
 
-        let (mut jsonl, none) = Session::open_durable(SHARDS, open_store(&dir_j)).expect("open");
+        let (mut jsonl, none) = Session::open_durable_cfg(EngineConfig::with_shards(SHARDS), open_store(&dir_j)).expect("open");
         prop_assert!(none.is_none());
         let want = jsonl.handle_lines(lines.iter().map(|s| s.as_str()));
         drop(jsonl);
 
-        let (binary, none) = Session::open_durable(SHARDS, open_store(&dir_b)).expect("open");
+        let (binary, none) = Session::open_durable_cfg(EngineConfig::with_shards(SHARDS), open_store(&dir_b)).expect("open");
         prop_assert!(none.is_none());
         let (got, session) = serve_binary(binary, &transcode(&lines), chunk);
         drop(session);
@@ -275,21 +275,21 @@ proptest! {
         // The killed binary connection: feed the cut stream, then drop it
         // (finish flushes what arrived — the engine-side close a real
         // transport kill triggers).
-        let (binary, _) = Session::open_durable(SHARDS, open_store(&dir_b)).expect("open");
+        let (binary, _) = Session::open_durable_cfg(EngineConfig::with_shards(SHARDS), open_store(&dir_b)).expect("open");
         let (_replies, session) = serve_binary(binary, &stream[..cut], chunk);
         drop(session);
 
         // The JSONL twin serves exactly the delivered prefix.
-        let (mut jsonl, _) = Session::open_durable(SHARDS, open_store(&dir_j)).expect("open");
+        let (mut jsonl, _) = Session::open_durable_cfg(EngineConfig::with_shards(SHARDS), open_store(&dir_j)).expect("open");
         jsonl.handle_lines(lines[..delivered].iter().map(|s| s.as_str()));
         drop(jsonl);
 
         // Recover both and interrogate them identically.
         let probe = [r#"{"op":"report"}"#, r#"{"op":"stats"}"#];
-        let (mut rj, _) = Session::open_durable(SHARDS, open_store(&dir_j)).expect("recover");
+        let (mut rj, _) = Session::open_durable_cfg(EngineConfig::with_shards(SHARDS), open_store(&dir_j)).expect("recover");
         let want = rj.handle_lines(probe);
         drop(rj);
-        let (mut rb, _) = Session::open_durable(SHARDS, open_store(&dir_b)).expect("recover");
+        let (mut rb, _) = Session::open_durable_cfg(EngineConfig::with_shards(SHARDS), open_store(&dir_b)).expect("recover");
         let got = rb.handle_lines(probe);
         drop(rb);
 
