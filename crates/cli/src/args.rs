@@ -36,6 +36,13 @@ pub enum ArgError {
     },
     /// Unexpected extra positional argument.
     ExtraPositional(String),
+    /// An option or flag the command does not read.
+    Unknown {
+        /// The command.
+        command: String,
+        /// The option, without its leading dashes.
+        key: String,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -47,6 +54,9 @@ impl std::fmt::Display for ArgError {
                 write!(f, "invalid value {value:?} for --{key}: {msg}")
             }
             ArgError::ExtraPositional(p) => write!(f, "unexpected argument {p:?}"),
+            ArgError::Unknown { command, key } => {
+                write!(f, "rsdc {command} does not take --{key}")
+            }
         }
     }
 }
@@ -124,6 +134,19 @@ impl Args {
     /// True if the bare flag was given.
     pub fn has_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
+    }
+
+    /// Reject any `--key` or `--flag` not named in `known` — the guard
+    /// that keeps a mistyped option from being silently ignored.
+    pub fn only(&self, known: &[&[&str]]) -> Result<(), ArgError> {
+        let mut given = self.options.keys().chain(&self.flags);
+        match given.find(|k| !known.iter().any(|l| l.contains(&k.as_str()))) {
+            None => Ok(()),
+            Some(key) => Err(ArgError::Unknown {
+                command: self.command.clone().unwrap_or_default(),
+                key: key.clone(),
+            }),
+        }
     }
 
     /// Reject trailing positionals — the guard every subcommand without a

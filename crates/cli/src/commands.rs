@@ -49,7 +49,7 @@ impl From<std::io::Error> for CmdError {
 pub const USAGE: &str = "\
 rsdc — discrete data-center right-sizing (Albers & Quedenfeld, SPAA 2018)
 
-USAGE: rsdc <command> [options]
+USAGE: rsdc <command> [options]   (a command refuses options it does not read)
 
 COMMANDS
   generate   synthesize a workload trace
@@ -137,12 +137,77 @@ COMMANDS
   help       this text
 ";
 
+/// Options `model_of` reads: the trace and the instance it prices.
+const MODEL_OPTIONS: &[&str] = &["trace", "m", "beta"];
+
+/// Options [`open_session`] and [`close_session`] read: the session flags
+/// `rsdc engine` and `rsdc serve` share.
+const SESSION_OPTIONS: &[&str] = &[
+    "shards",
+    "vnodes",
+    "no-metrics",
+    "trace-capacity",
+    "data-dir",
+    "fsync-every",
+    "checkpoint-every",
+    "max-tenants",
+    "rate-limit",
+    "power-model",
+    "power-capacity",
+    "price",
+    "price-trace",
+    "priced-autoscale",
+    "auto-rebalance",
+    "metrics-dump",
+];
+
+const ENGINE_OPTIONS: &[&str] = &[
+    "wire",
+    "events",
+    "out",
+    "tenants",
+    "policy",
+    "fleet",
+    "delay-weight",
+    "delay-eps",
+    "overload",
+];
+
+const SERVE_OPTIONS: &[&str] = &[
+    "wire",
+    "listen",
+    "max-conns",
+    "write-buf",
+    "handshake-timeout-ms",
+    "shed-timeout-ms",
+    "max-accepts",
+];
+
+/// The options (`--key value` and bare `--flag`) each command reads;
+/// [`dispatch`] refuses any other before the command runs.
+const COMMAND_OPTIONS: &[(&str, &[&[&str]])] = &[
+    ("generate", &[&["kind", "slots", "seed", "out"]]),
+    ("solve", &[MODEL_OPTIONS, &["algorithm", "out"]]),
+    ("online", &[MODEL_OPTIONS, &["algorithm", "seed", "out"]]),
+    ("simulate", &[MODEL_OPTIONS, &["policy"]]),
+    ("analyze", &[MODEL_OPTIONS]),
+    ("engine", &[SESSION_OPTIONS, MODEL_OPTIONS, ENGINE_OPTIONS]),
+    ("serve", &[SESSION_OPTIONS, SERVE_OPTIONS]),
+    ("scenario", &[&["quick", "all", "json", "out"]]),
+];
+
 /// Dispatch a parsed command line.
 pub fn dispatch(args: &Args) -> Result<String, CmdError> {
     // Only `scenario` has a positional grammar; everything else keeps the
     // historical "unexpected argument" behavior.
     if args.command.as_deref() != Some("scenario") {
         args.no_positionals()?;
+    }
+    if let Some((_, known)) = COMMAND_OPTIONS
+        .iter()
+        .find(|(name, _)| args.command.as_deref() == Some(*name))
+    {
+        args.only(known)?;
     }
     match args.command.as_deref() {
         Some("generate") => cmd_generate(args),

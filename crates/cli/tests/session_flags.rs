@@ -125,3 +125,88 @@ fn refused_flag_combinations_read_the_same_in_both_commands() {
         }
     }
 }
+
+#[test]
+fn options_a_command_does_not_read_are_refused_before_it_runs() {
+    let store = scratch("data-dri");
+    let out_file = scratch("unread-out.json");
+    // (argv, the refused option) — one row per command, each with an
+    // option another command reads or a typo of one.
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["engine", "--events", "/dev/null", "--data-dri", &store],
+            "data-dri",
+        ),
+        (
+            &[
+                "generate", "--kind", "diurnal", "--slots", "5", "--polcy", "x",
+            ],
+            "polcy",
+        ),
+        (
+            &[
+                "serve",
+                "--listen",
+                "127.0.0.1:0",
+                "--max-accepts",
+                "0",
+                "--out",
+                &out_file,
+            ],
+            "out",
+        ),
+        (
+            &["serve", "--listen", "127.0.0.1:0", "--events", "/dev/null"],
+            "events",
+        ),
+        (&["solve", "--trace", "/dev/null", "--quiet"], "quiet"),
+        (
+            &["online", "--trace", "/dev/null", "--shards", "2"],
+            "shards",
+        ),
+        (
+            &["simulate", "--trace", "/dev/null", "--out", &out_file],
+            "out",
+        ),
+        (
+            &["analyze", "--trace", "/dev/null", "--algorithm", "dp"],
+            "algorithm",
+        ),
+        (&["scenario", "list", "--fast"], "fast"),
+    ];
+    for (argv, key) in cases {
+        let out = rsdc(argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let needle = format!("rsdc {} does not take --{key}", argv[0]);
+        assert!(!out.status.success(), "{argv:?} must fail");
+        assert!(
+            stderr.contains(&needle),
+            "{argv:?}: {stderr:?} lacks {needle:?}"
+        );
+        assert!(out.stdout.is_empty(), "{argv:?}: refused before it ran");
+    }
+    assert!(
+        !std::path::Path::new(&store).exists(),
+        "no store was opened"
+    );
+    assert!(
+        !std::path::Path::new(&out_file).exists(),
+        "nothing was written"
+    );
+
+    // Help takes anything; a command's own options still pass.
+    for argv in [&["--help"][..], &["help"]] {
+        let out = rsdc(argv);
+        assert!(out.status.success(), "{argv:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("rsdc"));
+    }
+    let out = rsdc(&[
+        "engine",
+        "--events",
+        "/dev/null",
+        "--no-metrics",
+        "--shards",
+        "1",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+}

@@ -26,8 +26,9 @@
 //! * **Tenants** ([`TenantConfig`], [`tenant::Tenant`]) pair one
 //!   `m`/`beta` configuration with one policy ([`PolicySpec`]): LCP,
 //!   FLCP-rounded, half-step-rounded, memoryless-rounded, lookahead LCP,
-//!   or a baseline. Policies are the object-safe, resumable
-//!   [`rsdc_online::streaming::StreamingPolicy`] wrappers.
+//!   or a baseline. Each policy is the online algorithm itself, stepped
+//!   through the object-safe, resumable
+//!   [`rsdc_online::streaming::StreamingPolicy`] trait.
 //! * **Heterogeneous tenants** ([`TenantConfig::hetero`],
 //!   [`PolicySpec::Hetero`]) run mixed machine-class fleets: a
 //!   [`FleetSpec`] (per-class count/beta/energy/capacity) plus an

@@ -15,10 +15,13 @@
 use rsdc_core::analysis::{CostBreakdown, Direction, ScheduleStats};
 use rsdc_core::prelude::*;
 use rsdc_hetero::{FleetSpec, HeteroAlgo, HeteroSnapshot, HeteroStream};
+use rsdc_online::baselines::{FollowTheMinimizer, Hysteresis};
 use rsdc_online::bounds::{BoundTracker, TrackerSnapshot};
-use rsdc_online::streaming::{
-    StreamFollowMin, StreamHysteresis, StreamLcp, StreamLookahead, StreamRounded, StreamingPolicy,
-};
+use rsdc_online::flcp::GridLcp;
+use rsdc_online::fractional::{EvalMode, HalfStep, MemorylessBalance};
+use rsdc_online::randomized::RandomizedOnline;
+use rsdc_online::streaming::{StreamLookahead, StreamingPolicy};
+use rsdc_online::Lcp;
 use rsdc_workloads::builder::CostModel;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -71,7 +74,7 @@ pub enum PolicySpec {
     },
 }
 
-/// A live policy instance: the scalar streaming wrappers, or a
+/// A live policy instance: a scalar online algorithm, or a
 /// heterogeneous stream with vector states and its own fleet accounting.
 pub enum PolicyRuntime {
     /// Homogeneous policy over 1-D costs (scalar states).
@@ -110,30 +113,31 @@ impl PolicySpec {
         beta: f64,
         track_opt: bool,
     ) -> Result<PolicyRuntime, rsdc_core::Error> {
-        Ok(match self {
-            PolicySpec::Lcp => PolicyRuntime::Scalar(Box::new(StreamLcp::new(m, beta))),
-            PolicySpec::HalfStepRounded { seed } => {
-                PolicyRuntime::Scalar(Box::new(StreamRounded::halfstep(m, beta, *seed)))
-            }
-            PolicySpec::FlcpRounded { k, seed } => {
-                PolicyRuntime::Scalar(Box::new(StreamRounded::flcp(m, beta, *k, *seed)))
-            }
-            PolicySpec::MemorylessRounded { seed } => {
-                PolicyRuntime::Scalar(Box::new(StreamRounded::memoryless(m, beta, *seed)))
-            }
-            PolicySpec::Lookahead { window } => {
-                PolicyRuntime::Scalar(Box::new(StreamLookahead::new(m, beta, *window)))
-            }
-            PolicySpec::FollowTheMinimizer => {
-                PolicyRuntime::Scalar(Box::new(StreamFollowMin::new(m)))
-            }
-            PolicySpec::Hysteresis { band } => {
-                PolicyRuntime::Scalar(Box::new(StreamHysteresis::new(m, *band)))
-            }
-            PolicySpec::Hetero { fleet, algo } => PolicyRuntime::Hetero(Box::new(
-                HeteroStream::new(fleet.clone(), *algo, track_opt)?,
+        let interp = EvalMode::Interpolate;
+        let scalar: Box<dyn StreamingPolicy> = match self {
+            PolicySpec::Lcp => Box::new(Lcp::new(m, beta)),
+            PolicySpec::HalfStepRounded { seed } => Box::new(RandomizedOnline::new(
+                HalfStep::new(m, beta, interp),
+                m,
+                *seed,
             )),
-        })
+            PolicySpec::FlcpRounded { k, seed } => {
+                Box::new(RandomizedOnline::new(GridLcp::new(m, beta, *k), m, *seed))
+            }
+            PolicySpec::MemorylessRounded { seed } => Box::new(RandomizedOnline::new(
+                MemorylessBalance::new(m, beta, interp),
+                m,
+                *seed,
+            )),
+            PolicySpec::Lookahead { window } => Box::new(StreamLookahead::new(m, beta, *window)),
+            PolicySpec::FollowTheMinimizer => Box::new(FollowTheMinimizer::new(m)),
+            PolicySpec::Hysteresis { band } => Box::new(Hysteresis::new(m, *band)),
+            PolicySpec::Hetero { fleet, algo } => {
+                let stream = HeteroStream::new(fleet.clone(), *algo, track_opt)?;
+                return Ok(PolicyRuntime::Hetero(Box::new(stream)));
+            }
+        };
+        Ok(PolicyRuntime::Scalar(scalar))
     }
 
     /// Parse the CLI short syntax: `lcp`, `halfstep[:seed]`,
@@ -777,17 +781,43 @@ impl Tenant {
         }
     }
 
-    /// Rebuild a tenant from a snapshot.
+    /// Rebuild a tenant from a snapshot. Its lag must be consistent: every
+    /// ingested slot not yet committed is pending, and the policy holds
+    /// exactly the pending slots, so each state it later commits pairs
+    /// with its own slot's cost.
     pub fn from_snapshot(s: TenantSnapshot) -> Result<Self, rsdc_core::Error> {
         let mut tenant = Tenant::new(s.config)?;
-        match &mut tenant.policy {
-            PolicyRuntime::Scalar(policy) => policy.restore(&s.policy)?,
+        let held = match &mut tenant.policy {
+            PolicyRuntime::Scalar(policy) => {
+                policy.restore(&s.policy)?;
+                policy.held()
+            }
             PolicyRuntime::Hetero(stream) => {
                 let snap = HeteroSnapshot::from_value(&s.policy).map_err(|e| {
                     rsdc_core::Error::InvalidParameter(format!("bad hetero snapshot: {e}"))
                 })?;
                 stream.restore(&snap)?;
+                0
             }
+        };
+        let lag = |msg: String| Err(rsdc_core::Error::InvalidParameter(msg));
+        let pending = s.pending.len() as u64;
+        if s.committed > s.events {
+            return lag(format!(
+                "snapshot commits {} states but ingested {} events",
+                s.committed, s.events
+            ));
+        }
+        if pending != s.events - s.committed {
+            return lag(format!(
+                "snapshot has {pending} pending slots, expected events - committed = {}",
+                s.events - s.committed
+            ));
+        }
+        if pending != held as u64 {
+            return lag(format!(
+                "snapshot has {pending} pending slots but its policy holds {held}"
+            ));
         }
         tenant.events = s.events;
         tenant.committed = s.committed;
@@ -1005,6 +1035,91 @@ mod tests {
         assert_eq!(ra.stats, rb.stats);
         assert_eq!(ra.opt_cost, rb.opt_cost);
         assert_eq!(ra.ratio, rb.ratio);
+    }
+
+    /// A lookahead:2 tenant's snapshot after two steps: both slots pending.
+    fn two_pending_lookahead_snapshot() -> TenantSnapshot {
+        let mut tenant = lookahead_with_opt(2);
+        for f in &costs(2) {
+            assert!(tenant.step(f, None).unwrap().commits.is_empty());
+        }
+        let snap = tenant.snapshot();
+        assert_eq!((snap.events, snap.committed, snap.pending.len()), (2, 0, 2));
+        snap
+    }
+
+    fn refusal(snap: TenantSnapshot) -> String {
+        match Tenant::from_snapshot(snap) {
+            Ok(_) => panic!("crafted snapshot restored"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_pending_slots_short_of_the_uncommitted_events() {
+        let mut snap = two_pending_lookahead_snapshot();
+        snap.pending.clear();
+        let err = refusal(snap);
+        assert!(
+            err.contains("snapshot has 0 pending slots, expected events - committed = 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_lookahead_buffer_beyond_the_window() {
+        // Lag consistent with the events, but three buffered costs in a
+        // two-slot window: the tenant would hold one cost too many.
+        let mut snap = two_pending_lookahead_snapshot();
+        let extra = costs(3).pop().unwrap();
+        let mut policy =
+            rsdc_online::streaming::LookaheadSnapshot::from_value(&snap.policy).unwrap();
+        policy.buffered.push(extra.clone());
+        snap.policy = policy.to_value();
+        snap.pending.push(PendingSlot {
+            cost: extra,
+            load: None,
+        });
+        snap.events += 1;
+        let err = refusal(snap);
+        assert!(err.contains("lookahead buffer exceeds window"), "{err}");
+    }
+
+    #[test]
+    fn restore_refuses_more_commits_than_events() {
+        let mut tenant = Tenant::new(TenantConfig::new("t", 6, 2.0, PolicySpec::Lcp)).unwrap();
+        for f in &costs(3) {
+            tenant.step(f, None).unwrap();
+        }
+        let mut snap = tenant.snapshot();
+        snap.committed = 4;
+        let err = refusal(snap);
+        assert!(
+            err.contains("snapshot commits 4 states but ingested 3 events"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_pending_slots_the_policy_does_not_hold() {
+        // An LCP tenant commits one state per cost, so it holds none; a
+        // pending slot would pair its next state with the wrong cost.
+        let fs = costs(4);
+        let mut tenant = Tenant::new(TenantConfig::new("t", 6, 2.0, PolicySpec::Lcp)).unwrap();
+        for f in &fs[..3] {
+            tenant.step(f, None).unwrap();
+        }
+        let mut snap = tenant.snapshot();
+        snap.pending.push(PendingSlot {
+            cost: fs[3].clone(),
+            load: None,
+        });
+        snap.events += 1;
+        let err = refusal(snap);
+        assert!(
+            err.contains("snapshot has 1 pending slots but its policy holds 0"),
+            "{err}"
+        );
     }
 
     #[test]

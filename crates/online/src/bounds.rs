@@ -266,6 +266,11 @@ impl BoundTracker {
         self.x_up
     }
 
+    /// The configuration: fleet size `m` and power-up cost `beta`.
+    pub fn params(&self) -> (u32, f64) {
+        (self.m, self.beta)
+    }
+
     /// Number of steps consumed so far.
     pub fn tau(&self) -> usize {
         self.tau

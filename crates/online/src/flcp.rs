@@ -14,6 +14,7 @@
 //! an alternative to [`crate::fractional::HalfStep`].
 
 use crate::bounds::BoundTracker;
+use crate::lcp::LcpSnapshot;
 use crate::traits::FractionalAlgorithm;
 use rsdc_core::prelude::*;
 
@@ -57,30 +58,28 @@ impl GridLcp {
 
     /// Capture full state (tracker + grid-unit state) for streaming
     /// snapshots.
-    pub fn snapshot(&self) -> (crate::bounds::TrackerSnapshot, u32) {
-        (self.tracker.snapshot(), self.state)
+    pub fn snapshot(&self) -> LcpSnapshot {
+        LcpSnapshot {
+            tracker: self.tracker.snapshot(),
+            state: self.state,
+        }
     }
 
     /// Rebuild from a [`GridLcp::snapshot`]; `m` and `k` must match the
     /// original configuration (the tracker snapshot records `m * k`).
-    pub fn from_snapshot(
-        m: u32,
-        k: u32,
-        tracker: &crate::bounds::TrackerSnapshot,
-        state: u32,
-    ) -> Result<Self, rsdc_core::Error> {
-        if tracker.m != m.checked_mul(k).unwrap_or(0) {
+    pub fn from_snapshot(m: u32, k: u32, s: &LcpSnapshot) -> Result<Self, rsdc_core::Error> {
+        if s.tracker.m != m.checked_mul(k).unwrap_or(0) {
             return Err(rsdc_core::Error::InvalidParameter(format!(
                 "GridLcp snapshot tracker covers {} states, expected m*k = {}",
-                tracker.m,
+                s.tracker.m,
                 m as u64 * k as u64
             )));
         }
         Ok(Self {
             m,
             k,
-            tracker: crate::bounds::BoundTracker::from_snapshot(tracker)?,
-            state,
+            tracker: BoundTracker::from_snapshot(&s.tracker)?,
+            state: s.state,
         })
     }
 }

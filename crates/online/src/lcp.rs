@@ -11,9 +11,10 @@
 //! Theorem 2: LCP is 3-competitive, and by Theorem 4 no deterministic
 //! online algorithm does better in the discrete setting.
 
-use crate::bounds::BoundTracker;
+use crate::bounds::{BoundTracker, TrackerSnapshot};
 use crate::traits::OnlineAlgorithm;
 use rsdc_core::prelude::*;
+use serde::{Deserialize, Serialize};
 
 /// The discrete Lazy Capacity Provisioning algorithm. A step costs
 /// `O(x^U - x^L + moved)`: the bound tracker's window (see
@@ -45,20 +46,31 @@ impl Lcp {
 
     /// Capture the full algorithm state (tracker + current state) for the
     /// streaming layer's snapshot/restore protocol.
-    pub fn snapshot(&self) -> (crate::bounds::TrackerSnapshot, u32) {
-        (self.tracker.snapshot(), self.state)
+    pub fn snapshot(&self) -> LcpSnapshot {
+        LcpSnapshot {
+            tracker: self.tracker.snapshot(),
+            state: self.state,
+        }
     }
 
     /// Rebuild from a [`Lcp::snapshot`].
-    pub fn from_snapshot(
-        tracker: &crate::bounds::TrackerSnapshot,
-        state: u32,
-    ) -> Result<Self, rsdc_core::Error> {
+    pub fn from_snapshot(s: &LcpSnapshot) -> Result<Self, rsdc_core::Error> {
         Ok(Self {
-            tracker: BoundTracker::from_snapshot(tracker)?,
-            state,
+            tracker: BoundTracker::from_snapshot(&s.tracker)?,
+            state: s.state,
         })
     }
+}
+
+/// Serializable state of an LCP-family algorithm ([`Lcp`], and the
+/// [`crate::flcp::GridLcp`] and [`crate::prediction::LookaheadLcp`]
+/// variants): its bound tracker and its committed state.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct LcpSnapshot {
+    /// Tracker state.
+    pub tracker: TrackerSnapshot,
+    /// Committed state (grid units for [`crate::flcp::GridLcp`]).
+    pub state: u32,
 }
 
 impl OnlineAlgorithm for Lcp {

@@ -17,8 +17,9 @@
 //!   integral algorithm (Theorem 3, optimal by Theorem 8);
 //! * [`prediction`] — lookahead algorithms for the prediction-window model
 //!   of Section 5.4;
-//! * [`streaming`] — object-safe, resumable streaming wrappers with
-//!   snapshot/restore, the substrate of the `rsdc-engine` service layer;
+//! * [`streaming`] — the object-safe, resumable [`StreamingPolicy`] trait
+//!   with snapshot/restore, implemented by the algorithms themselves; the
+//!   substrate of the `rsdc-engine` service layer;
 //! * [`traits`] — the algorithm interfaces and runners.
 //!
 //! ## Example

@@ -16,6 +16,7 @@
 //!   computed from the known prefix, mirroring Lin et al.'s LCP(w).
 
 use crate::bounds::BoundTracker;
+use crate::lcp::LcpSnapshot;
 use crate::traits::LookaheadAlgorithm;
 use rsdc_core::prelude::*;
 use rsdc_offline::restricted_dp::solve_restricted;
@@ -85,19 +86,19 @@ impl LookaheadLcp {
     }
 
     /// Capture full state (tracker + current state) for streaming snapshots.
-    pub fn snapshot(&self) -> (crate::bounds::TrackerSnapshot, u32) {
-        (self.tracker.snapshot(), self.state)
+    pub fn snapshot(&self) -> LcpSnapshot {
+        LcpSnapshot {
+            tracker: self.tracker.snapshot(),
+            state: self.state,
+        }
     }
 
     /// Rebuild from a [`LookaheadLcp::snapshot`].
-    pub fn from_snapshot(
-        tracker: &crate::bounds::TrackerSnapshot,
-        state: u32,
-    ) -> Result<Self, rsdc_core::Error> {
+    pub fn from_snapshot(s: &LcpSnapshot) -> Result<Self, rsdc_core::Error> {
         Ok(Self {
-            tracker: BoundTracker::from_snapshot(tracker)?,
-            peek: BoundTracker::new(tracker.m, tracker.beta),
-            state,
+            tracker: BoundTracker::from_snapshot(&s.tracker)?,
+            peek: BoundTracker::new(s.tracker.m, s.tracker.beta),
+            state: s.state,
         })
     }
 }

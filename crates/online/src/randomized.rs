@@ -178,8 +178,8 @@ pub fn round_schedule_independent<R: Rng>(mut rng: R, xs: &FracSchedule) -> Sche
 /// (e.g. [`crate::fractional::HalfStep`] over the continuous extension)
 /// composed with the randomized [`Rounder`].
 pub struct RandomizedOnline<F: FractionalAlgorithm> {
-    fractional: F,
-    rounder: Rounder<StdRng>,
+    pub(crate) fractional: F,
+    pub(crate) rounder: Rounder<StdRng>,
     m: u32,
 }
 

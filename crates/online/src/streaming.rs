@@ -1,10 +1,13 @@
-//! Resumable, object-safe streaming wrappers over the online algorithms.
+//! The online algorithms as resumable, object-safe streaming policies.
 //!
 //! The batch runners in [`crate::traits`] consume a complete [`Instance`];
 //! a long-lived service instead sees an *unbounded* stream of cost
-//! functions and must be able to checkpoint and resume mid-stream. This
-//! module adapts every policy family to that shape behind one object-safe
-//! trait, [`StreamingPolicy`]:
+//! functions and must be able to checkpoint and resume mid-stream. The
+//! algorithms themselves implement the one object-safe trait for that
+//! shape, [`StreamingPolicy`]: [`Lcp`], [`RandomizedOnline`] over any
+//! [`ResumableFractional`] algorithm, [`FollowTheMinimizer`] and
+//! [`Hysteresis`]. [`StreamLookahead`] is the one adapter: it buffers the
+//! prediction window that [`LookaheadLcp`] reads.
 //!
 //! * **ingest** — feed the next cost function; committed states come back
 //!   through an out-buffer because lookahead policies emit them with a lag;
@@ -16,19 +19,18 @@
 //!   randomized policies, whose RNG state rides along.
 //!
 //! Equivalence guarantees (checked by the cross-crate differential tests):
-//! feeding a trace through a wrapper one event at a time, with any number
+//! feeding a trace through a policy one event at a time, with any number
 //! of snapshot/restore interruptions, produces exactly the schedule the
 //! corresponding batch runner produces on the equivalent [`Instance`].
 
 use crate::baselines::{FollowTheMinimizer, Hysteresis};
 use crate::bounds::{BoundTracker, TrackerSnapshot};
 use crate::flcp::GridLcp;
-use crate::fractional::{EvalMode, HalfStep, MemorylessBalance};
-use crate::lcp::Lcp;
+use crate::fractional::{HalfStep, MemorylessBalance};
+use crate::lcp::{Lcp, LcpSnapshot};
 use crate::prediction::LookaheadLcp;
-use crate::randomized::{Rounder, RounderSnapshot};
+use crate::randomized::{RandomizedOnline, Rounder, RounderSnapshot};
 use crate::traits::{FractionalAlgorithm, LookaheadAlgorithm, OnlineAlgorithm};
-use rand::rngs::StdRng;
 use rsdc_core::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -61,8 +63,9 @@ pub trait StreamingPolicy: Send {
     /// `out` (usually exactly one; zero while a lookahead window fills).
     fn ingest(&mut self, f: &Cost, out: &mut Vec<u32>);
 
-    /// Signal end-of-stream and flush any states still held back.
-    fn finish(&mut self, out: &mut Vec<u32>);
+    /// Signal end-of-stream and flush any states still held back. The
+    /// default holds none back.
+    fn finish(&mut self, _out: &mut Vec<u32>) {}
 
     /// Capture the complete mutable state.
     fn snapshot(&self) -> serde::Value;
@@ -70,6 +73,13 @@ pub trait StreamingPolicy: Send {
     /// Re-install a previously captured state. The receiver must have been
     /// built with the same configuration (`m`, `beta`, policy parameters).
     fn restore(&mut self, snapshot: &serde::Value) -> Result<(), StreamError>;
+
+    /// How many ingested costs wait for a committed state: a lookahead
+    /// window's buffer; 0 (the default) for a policy that commits one
+    /// state per cost.
+    fn held(&self) -> usize {
+        0
+    }
 
     /// The policy's own bound tracker, when it is stepped with exactly the
     /// ingested costs, one per committed state, over the policy's `m` and
@@ -86,62 +96,40 @@ fn decode<T: Deserialize>(v: &serde::Value, what: &str) -> Result<T, StreamError
     T::from_value(v).map_err(|e| bad_snapshot(&format!("{what}: {e}")))
 }
 
+/// Refuse a tracker snapshot taken over another `m` or `beta`.
+fn check_params(own: &BoundTracker, s: &TrackerSnapshot, what: &str) -> Result<(), StreamError> {
+    if (s.m, s.beta) != own.params() {
+        return Err(bad_snapshot(&format!("{what} snapshot m/beta mismatch")));
+    }
+    Ok(())
+}
+
 // ------------------------------------------------------------------- LCP
 
-/// Streaming discrete LCP ([`Lcp`]): one state per ingested cost.
-pub struct StreamLcp {
-    m: u32,
-    beta: f64,
-    inner: Lcp,
-}
-
-/// Serializable state of [`StreamLcp`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LcpSnapshot {
-    /// Tracker state.
-    pub tracker: TrackerSnapshot,
-    /// Committed state `x^LCP`.
-    pub state: u32,
-}
-
-impl StreamLcp {
-    /// Streaming LCP over `m` servers with power-up cost `beta`.
-    pub fn new(m: u32, beta: f64) -> Self {
-        Self {
-            m,
-            beta,
-            inner: Lcp::new(m, beta),
-        }
-    }
-}
-
-impl StreamingPolicy for StreamLcp {
+/// Discrete LCP: one state per ingested cost; the snapshot is an
+/// [`LcpSnapshot`].
+impl StreamingPolicy for Lcp {
     fn name(&self) -> String {
-        self.inner.name()
+        OnlineAlgorithm::name(self)
     }
 
     fn ingest(&mut self, f: &Cost, out: &mut Vec<u32>) {
-        out.push(self.inner.step(f).min(self.m));
+        out.push(self.step(f));
     }
 
-    fn finish(&mut self, _out: &mut Vec<u32>) {}
-
     fn snapshot(&self) -> serde::Value {
-        let (tracker, state) = self.inner.snapshot();
-        LcpSnapshot { tracker, state }.to_value()
+        Lcp::snapshot(self).to_value()
     }
 
     fn restore(&mut self, snapshot: &serde::Value) -> Result<(), StreamError> {
         let s: LcpSnapshot = decode(snapshot, "LCP")?;
-        if s.tracker.m != self.m || s.tracker.beta != self.beta {
-            return Err(bad_snapshot("LCP snapshot m/beta mismatch"));
-        }
-        self.inner = Lcp::from_snapshot(&s.tracker, s.state)?;
+        check_params(self.tracker(), &s.tracker, "LCP")?;
+        *self = Lcp::from_snapshot(&s)?;
         Ok(())
     }
 
     fn opt_tracker(&self) -> Option<&BoundTracker> {
-        Some(self.inner.tracker())
+        Some(self.tracker())
     }
 }
 
@@ -149,9 +137,9 @@ impl StreamingPolicy for StreamLcp {
 
 /// Fractional algorithms that can expose and re-install their full state.
 ///
-/// Implemented by [`HalfStep`], [`MemorylessBalance`] and [`GridLcp`]; the
-/// [`StreamRounded`] wrapper composes any of them with the Section 4
-/// randomized [`Rounder`] into an integral streaming policy.
+/// Implemented by [`HalfStep`], [`MemorylessBalance`] and [`GridLcp`];
+/// [`RandomizedOnline`] composes any of them with the Section 4 randomized
+/// [`Rounder`] into an integral streaming policy.
 pub trait ResumableFractional: FractionalAlgorithm + Send {
     /// Capture the algorithm's mutable state.
     fn frac_snapshot(&self) -> serde::Value;
@@ -182,40 +170,19 @@ impl ResumableFractional for MemorylessBalance {
     }
 }
 
-/// Serializable state of a [`GridLcp`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GridLcpSnapshot {
-    /// Tracker over the fine grid.
-    pub tracker: TrackerSnapshot,
-    /// State in grid units.
-    pub state: u32,
-}
-
 impl ResumableFractional for GridLcp {
     fn frac_snapshot(&self) -> serde::Value {
-        let (tracker, state) = self.snapshot();
-        GridLcpSnapshot { tracker, state }.to_value()
+        self.snapshot().to_value()
     }
 
     fn frac_restore(&mut self, v: &serde::Value) -> Result<(), StreamError> {
-        let s: GridLcpSnapshot = decode(v, "GridLcp")?;
-        *self = GridLcp::from_snapshot(self.m(), self.k(), &s.tracker, s.state)?;
+        let s: LcpSnapshot = decode(v, "GridLcp")?;
+        *self = GridLcp::from_snapshot(self.m(), self.k(), &s)?;
         Ok(())
     }
 }
 
-/// A fractional policy composed with the randomized rounding of Section 4,
-/// exactly mirroring [`crate::randomized::RandomizedOnline`] step for step
-/// (including the final `min(m)` clamp), so streamed output is
-/// bit-identical to the batch runner for equal seeds.
-pub struct StreamRounded<F: ResumableFractional> {
-    fractional: F,
-    rounder: Rounder<StdRng>,
-    m: u32,
-    label: String,
-}
-
-/// Serializable state of [`StreamRounded`].
+/// Serializable state of a [`RandomizedOnline`] policy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RoundedSnapshot {
     /// Inner fractional policy state (policy-specific layout).
@@ -224,30 +191,16 @@ pub struct RoundedSnapshot {
     pub rounder: RounderSnapshot,
 }
 
-impl<F: ResumableFractional> StreamRounded<F> {
-    /// Compose `fractional` with a seeded rounder over `0..=m`.
-    pub fn new(fractional: F, m: u32, seed: u64) -> Self {
-        let label = format!("Randomized({})", fractional.name());
-        Self {
-            fractional,
-            rounder: Rounder::seeded(seed),
-            m,
-            label,
-        }
-    }
-}
-
-impl<F: ResumableFractional> StreamingPolicy for StreamRounded<F> {
+/// The Section 4 randomized algorithm: its stream is the batch runner's
+/// for equal seeds, and its snapshot carries the rounder's RNG words.
+impl<F: ResumableFractional> StreamingPolicy for RandomizedOnline<F> {
     fn name(&self) -> String {
-        self.label.clone()
+        OnlineAlgorithm::name(self)
     }
 
     fn ingest(&mut self, f: &Cost, out: &mut Vec<u32>) {
-        let frac = self.fractional.step(f);
-        out.push(self.rounder.round(frac).min(self.m));
+        out.push(self.step(f));
     }
-
-    fn finish(&mut self, _out: &mut Vec<u32>) {}
 
     fn snapshot(&self) -> serde::Value {
         RoundedSnapshot {
@@ -258,7 +211,7 @@ impl<F: ResumableFractional> StreamingPolicy for StreamRounded<F> {
     }
 
     fn restore(&mut self, snapshot: &serde::Value) -> Result<(), StreamError> {
-        let s: RoundedSnapshot = decode(snapshot, "StreamRounded")?;
+        let s: RoundedSnapshot = decode(snapshot, "Randomized")?;
         self.fractional.frac_restore(&s.fractional)?;
         self.rounder = Rounder::from_snapshot(&s.rounder)?;
         Ok(())
@@ -272,8 +225,6 @@ impl<F: ResumableFractional> StreamingPolicy for StreamRounded<F> {
 /// where the window shrinks exactly like
 /// [`crate::traits::run_lookahead`] near the horizon).
 pub struct StreamLookahead {
-    m: u32,
-    beta: f64,
     window: usize,
     inner: LookaheadLcp,
     buf: VecDeque<Cost>,
@@ -294,8 +245,6 @@ impl StreamLookahead {
     /// Streaming [`LookaheadLcp`] with a `window`-slot prediction window.
     pub fn new(m: u32, beta: f64, window: usize) -> Self {
         Self {
-            m,
-            beta,
             window,
             inner: LookaheadLcp::new(m, beta),
             buf: VecDeque::new(),
@@ -303,7 +252,7 @@ impl StreamLookahead {
     }
 
     fn commit_front(&mut self, out: &mut Vec<u32>) {
-        let x = self.inner.step(self.buf.make_contiguous()).min(self.m);
+        let x = self.inner.step(self.buf.make_contiguous());
         self.buf.pop_front();
         out.push(x);
     }
@@ -328,7 +277,7 @@ impl StreamingPolicy for StreamLookahead {
     }
 
     fn snapshot(&self) -> serde::Value {
-        let (tracker, state) = self.inner.snapshot();
+        let LcpSnapshot { tracker, state } = self.inner.snapshot();
         LookaheadSnapshot {
             tracker,
             state,
@@ -339,15 +288,22 @@ impl StreamingPolicy for StreamLookahead {
 
     fn restore(&mut self, snapshot: &serde::Value) -> Result<(), StreamError> {
         let s: LookaheadSnapshot = decode(snapshot, "StreamLookahead")?;
-        if s.buffered.len() > self.window + 1 {
+        // `ingest` commits as soon as the buffer reaches `window + 1`, so a
+        // snapshot never holds more than `window` costs.
+        if s.buffered.len() > self.window {
             return Err(bad_snapshot("lookahead buffer exceeds window"));
         }
-        if s.tracker.m != self.m || s.tracker.beta != self.beta {
-            return Err(bad_snapshot("lookahead snapshot m/beta mismatch"));
-        }
-        self.inner = LookaheadLcp::from_snapshot(&s.tracker, s.state)?;
+        check_params(self.inner.tracker(), &s.tracker, "lookahead")?;
+        self.inner = LookaheadLcp::from_snapshot(&LcpSnapshot {
+            tracker: s.tracker,
+            state: s.state,
+        })?;
         self.buf = s.buffered.into_iter().collect();
         Ok(())
+    }
+
+    fn held(&self) -> usize {
+        self.buf.len()
     }
 
     fn opt_tracker(&self) -> Option<&BoundTracker> {
@@ -357,32 +313,15 @@ impl StreamingPolicy for StreamLookahead {
 
 // ------------------------------------------------------------- baselines
 
-/// Streaming [`FollowTheMinimizer`] (stateless between steps).
-pub struct StreamFollowMin {
-    m: u32,
-    inner: FollowTheMinimizer,
-}
-
-impl StreamFollowMin {
-    /// Streaming follow-the-minimizer over `0..=m`.
-    pub fn new(m: u32) -> Self {
-        Self {
-            m,
-            inner: FollowTheMinimizer::new(m),
-        }
-    }
-}
-
-impl StreamingPolicy for StreamFollowMin {
+/// Follow-the-minimizer keeps no state between steps.
+impl StreamingPolicy for FollowTheMinimizer {
     fn name(&self) -> String {
-        self.inner.name()
+        OnlineAlgorithm::name(self)
     }
 
     fn ingest(&mut self, f: &Cost, out: &mut Vec<u32>) {
-        out.push(self.inner.step(f).min(self.m));
+        out.push(self.step(f));
     }
-
-    fn finish(&mut self, _out: &mut Vec<u32>) {}
 
     fn snapshot(&self) -> serde::Value {
         serde::Value::Null
@@ -393,76 +332,31 @@ impl StreamingPolicy for StreamFollowMin {
     }
 }
 
-/// Streaming [`Hysteresis`] baseline.
-pub struct StreamHysteresis {
-    m: u32,
-    inner: Hysteresis,
-}
-
-impl StreamHysteresis {
-    /// Streaming hysteresis with dead-band `band`.
-    pub fn new(m: u32, band: u32) -> Self {
-        Self {
-            m,
-            inner: Hysteresis::new(m, band),
-        }
-    }
-}
-
-impl StreamingPolicy for StreamHysteresis {
+/// Hysteresis: the snapshot is the current state.
+impl StreamingPolicy for Hysteresis {
     fn name(&self) -> String {
-        self.inner.name()
+        OnlineAlgorithm::name(self)
     }
 
     fn ingest(&mut self, f: &Cost, out: &mut Vec<u32>) {
-        out.push(self.inner.step(f).min(self.m));
+        out.push(self.step(f));
     }
 
-    fn finish(&mut self, _out: &mut Vec<u32>) {}
-
     fn snapshot(&self) -> serde::Value {
-        self.inner.state().to_value()
+        self.state().to_value()
     }
 
     fn restore(&mut self, snapshot: &serde::Value) -> Result<(), StreamError> {
-        self.inner
-            .set_state(decode::<u32>(snapshot, "Hysteresis state")?);
+        self.set_state(decode::<u32>(snapshot, "Hysteresis state")?);
         Ok(())
-    }
-}
-
-/// Convenience constructors matching the CLI's policy names.
-impl StreamRounded<HalfStep> {
-    /// The Section 4 randomized algorithm over the interpolated extension —
-    /// the streaming twin of the CLI's `randomized` policy.
-    pub fn halfstep(m: u32, beta: f64, seed: u64) -> Self {
-        StreamRounded::new(HalfStep::new(m, beta, EvalMode::Interpolate), m, seed)
-    }
-}
-
-impl StreamRounded<GridLcp> {
-    /// Fractional LCP on a `1/k` grid, rounded — "FLCP-rounded".
-    pub fn flcp(m: u32, beta: f64, k: u32, seed: u64) -> Self {
-        StreamRounded::new(GridLcp::new(m, beta, k), m, seed)
-    }
-}
-
-impl StreamRounded<MemorylessBalance> {
-    /// Memoryless balance, rounded.
-    pub fn memoryless(m: u32, beta: f64, seed: u64) -> Self {
-        StreamRounded::new(
-            MemorylessBalance::new(m, beta, EvalMode::Interpolate),
-            m,
-            seed,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::randomized::RandomizedOnline;
-    use crate::traits::{run, run_lookahead};
+    use crate::fractional::EvalMode;
+    use crate::traits::run_lookahead;
 
     fn costs(n: usize) -> Vec<Cost> {
         (0..n)
@@ -480,26 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_lcp_matches_batch_run() {
-        let fs = costs(60);
-        let inst = Instance::new(8, 2.0, fs.clone()).unwrap();
-        let batch = run(&mut Lcp::new(8, 2.0), &inst);
-        let mut s = StreamLcp::new(8, 2.0);
-        assert_eq!(stream_all(&mut s, &fs), batch.0);
-    }
-
-    #[test]
-    fn stream_rounded_matches_randomized_online() {
-        let fs = costs(50);
-        let inst = Instance::new(6, 1.5, fs.clone()).unwrap();
-        let mut batch_alg =
-            RandomizedOnline::new(HalfStep::new(6, 1.5, EvalMode::Interpolate), 6, 99);
-        let batch = run(&mut batch_alg, &inst);
-        let mut s = StreamRounded::halfstep(6, 1.5, 99);
-        assert_eq!(stream_all(&mut s, &fs), batch.0);
-    }
-
-    #[test]
     fn stream_lookahead_matches_run_lookahead() {
         let fs = costs(31);
         let inst = Instance::new(8, 2.0, fs.clone()).unwrap();
@@ -513,30 +387,37 @@ mod tests {
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
         let fs = costs(40);
+        let interp = EvalMode::Interpolate;
         // Policies under test, paired with fresh twins restored mid-stream.
         type Builder = Box<dyn Fn() -> Box<dyn StreamingPolicy>>;
         let builders: Vec<(&str, Builder)> = vec![
-            ("lcp", Box::new(|| Box::new(StreamLcp::new(7, 2.5)))),
+            ("lcp", Box::new(|| Box::new(Lcp::new(7, 2.5)))),
             (
                 "halfstep",
-                Box::new(|| Box::new(StreamRounded::halfstep(7, 2.5, 5))),
+                Box::new(move || {
+                    Box::new(RandomizedOnline::new(HalfStep::new(7, 2.5, interp), 7, 5))
+                }),
             ),
             (
                 "flcp",
-                Box::new(|| Box::new(StreamRounded::flcp(7, 2.5, 3, 5))),
+                Box::new(|| Box::new(RandomizedOnline::new(GridLcp::new(7, 2.5, 3), 7, 5))),
             ),
             (
                 "memoryless",
-                Box::new(|| Box::new(StreamRounded::memoryless(7, 2.5, 5))),
+                Box::new(move || {
+                    let balance = MemorylessBalance::new(7, 2.5, interp);
+                    Box::new(RandomizedOnline::new(balance, 7, 5))
+                }),
             ),
             (
                 "lookahead",
                 Box::new(|| Box::new(StreamLookahead::new(7, 2.5, 2))),
             ),
             (
-                "hysteresis",
-                Box::new(|| Box::new(StreamHysteresis::new(7, 1))),
+                "followmin",
+                Box::new(|| Box::new(FollowTheMinimizer::new(7))),
             ),
+            ("hysteresis", Box::new(|| Box::new(Hysteresis::new(7, 1)))),
         ];
         for (name, make) in &builders {
             let mut uninterrupted = make();
@@ -562,14 +443,14 @@ mod tests {
     #[test]
     fn snapshot_survives_json_text() {
         let fs = costs(25);
-        let mut p = StreamRounded::flcp(5, 2.0, 2, 11);
+        let mut p = RandomizedOnline::new(GridLcp::new(5, 2.0, 2), 5, 11);
         let mut out = Vec::new();
         for f in &fs[..10] {
             p.ingest(f, &mut out);
         }
-        let text = serde_json::to_string(&p.snapshot()).unwrap();
+        let text = serde_json::to_string(&StreamingPolicy::snapshot(&p)).unwrap();
         let snap: serde::Value = serde_json::from_str(&text).unwrap();
-        let mut q = StreamRounded::flcp(5, 2.0, 2, 0);
+        let mut q = RandomizedOnline::new(GridLcp::new(5, 2.0, 2), 5, 0);
         q.restore(&snap).unwrap();
         let mut a = Vec::new();
         let mut b = Vec::new();
@@ -582,14 +463,14 @@ mod tests {
 
     #[test]
     fn restore_rejects_mismatched_config() {
-        let mut a = StreamLcp::new(4, 1.0);
+        let mut a = Lcp::new(4, 1.0);
         let mut out = Vec::new();
         a.ingest(&Cost::abs(1.0, 2.0), &mut out);
-        let snap = a.snapshot();
-        let mut b = StreamLcp::new(8, 1.0);
-        assert!(b.restore(&snap).is_err());
-        let mut c = StreamLcp::new(4, 2.0);
-        assert!(c.restore(&snap).is_err());
+        let snap = StreamingPolicy::snapshot(&a);
+        let mismatch = "incompatible snapshot: LCP snapshot m/beta mismatch";
+        let err = Lcp::new(8, 1.0).restore(&snap).unwrap_err();
+        assert!(err.to_string().contains(mismatch), "{err}");
+        assert!(Lcp::new(4, 2.0).restore(&snap).is_err());
 
         let mut a = StreamLookahead::new(4, 1.0, 2);
         a.ingest(&Cost::abs(1.0, 2.0), &mut out);
@@ -597,5 +478,18 @@ mod tests {
         assert!(StreamLookahead::new(4, 1.0, 2).restore(&snap).is_ok());
         assert!(StreamLookahead::new(8, 1.0, 2).restore(&snap).is_err());
         assert!(StreamLookahead::new(4, 2.0, 2).restore(&snap).is_err());
+        // `ingest` never leaves more than `window` costs buffered.
+        let mut overfull = LookaheadSnapshot::from_value(&snap).unwrap();
+        overfull.buffered.extend(costs(2));
+        let err = StreamLookahead::new(4, 1.0, 2)
+            .restore(&overfull.to_value())
+            .unwrap_err();
+        assert!(err.to_string().contains("lookahead buffer exceeds window"));
+
+        let flcp = RandomizedOnline::new(GridLcp::new(4, 1.0, 2), 4, 0);
+        let snap = StreamingPolicy::snapshot(&flcp);
+        let mut finer = RandomizedOnline::new(GridLcp::new(4, 1.0, 3), 4, 0);
+        let err = finer.restore(&snap).unwrap_err();
+        assert!(err.to_string().contains("expected m*k = 12"), "{err}");
     }
 }

@@ -1,4 +1,4 @@
-//! Tenant snapshots written by the two-DP bound tracker still restore.
+//! Tenant snapshots written by earlier engines still restore.
 //!
 //! `fixtures/two_dp_tenant_snapshots.jsonl` holds the `snapshot` replies of
 //! an LCP and a HalfStep tenant, both with `track_opt`, taken by
@@ -7,12 +7,19 @@
 //! tracker and, for the LCP tenant, a duplicate prefix-OPT tracker. Restored
 //! into the current engine, they must answer the rest of the stream with
 //! replies byte-identical to tenants that never snapshotted.
+//!
+//! `fixtures/scalar_policy_snapshots.jsonl` holds the `snapshot` replies of
+//! one tenant per scalar policy, taken by `rsdc engine --events` over
+//! [`scalar_prefix`] while each policy still ran inside its own streaming
+//! wrapper struct. The engine must write those bytes after the same prefix,
+//! and each restored tenant must continue byte-identically.
 
 use rsdc_engine::wire::Session;
 use rsdc_engine::{Engine, EngineConfig};
 use serde_json::json;
 
 const FIXTURE: &str = include_str!("../fixtures/two_dp_tenant_snapshots.jsonl");
+const SCALAR_FIXTURE: &str = include_str!("../fixtures/scalar_policy_snapshots.jsonl");
 
 const TENANTS: [&str; 2] = ["lcp", "half"];
 
@@ -65,8 +72,11 @@ fn run(lines: &[String]) -> Vec<String> {
 }
 
 fn fixture_snapshots() -> Vec<serde::Value> {
-    FIXTURE
-        .lines()
+    parse_fixture(FIXTURE)
+}
+
+fn parse_fixture(text: &str) -> Vec<serde::Value> {
+    text.lines()
         .map(|l| serde_json::from_str(l).expect("fixture line is JSON"))
         .collect()
 }
@@ -138,4 +148,97 @@ fn snapshots_share_the_lcp_tracker_and_drop_c_up() {
         fixture[0]["snapshot"]["policy"]["tracker"]["c_low"]
     );
     assert_eq!(half["opt"]["c_low"], fixture[1]["snapshot"]["opt"]["c_low"]);
+}
+
+/// (tenant id, policy) for every scalar policy family.
+const SCALAR_TENANTS: [(&str, &str); 7] = [
+    ("lcp", "lcp"),
+    ("halfstep", "halfstep:7"),
+    ("flcp", "flcp:3,5"),
+    ("memoryless", "memoryless:11"),
+    ("lookahead", "lookahead:2"),
+    ("followmin", "followmin"),
+    ("hysteresis", "hysteresis:1"),
+];
+
+/// The admits and steps the scalar fixture was captured after: twelve
+/// load steps and one explicit cost, so the lookahead tenant holds two
+/// pending slots.
+fn scalar_prefix() -> Vec<String> {
+    let mut lines: Vec<String> = SCALAR_TENANTS
+        .iter()
+        .map(|(id, policy)| {
+            line(
+                json!({"op": "admit", "id": id, "m": 16, "beta": 3.5, "policy": policy,
+                   "track_opt": true}),
+            )
+        })
+        .collect();
+    let loads = [
+        2.0, 5.5, 9.25, 11.0, 7.5, 3.0, 1.0, 0.5, 4.75, 10.5, 12.0, 6.25,
+    ];
+    for (i, &load) in loads.iter().enumerate() {
+        lines.extend(SCALAR_TENANTS.map(|(id, _)| step_load(id, load)));
+        if i == 5 {
+            lines.extend(SCALAR_TENANTS.map(|(id, _)| {
+                line(json!({"op": "step", "id": id,
+                       "cost": {"Abs": {"slope": 2.0, "center": 8.0}}}))
+            }));
+        }
+    }
+    lines
+}
+
+/// The rest of the scalar stream: more steps, a finish, then the reports.
+fn scalar_suffix() -> Vec<String> {
+    let mut lines = Vec::new();
+    for load in [8.0, 15.5, 13.25, 2.5, 0.0, 10.0, 16.0, 4.0] {
+        lines.extend(SCALAR_TENANTS.map(|(id, _)| step_load(id, load)));
+    }
+    lines.extend(SCALAR_TENANTS.map(|(id, _)| line(json!({"op": "finish", "id": id}))));
+    lines.extend(SCALAR_TENANTS.map(|(id, _)| line(json!({"op": "report", "id": id}))));
+    lines
+}
+
+#[test]
+fn scalar_policy_snapshots_keep_their_bytes() {
+    let mut lines = scalar_prefix();
+    lines.extend(SCALAR_TENANTS.map(|(id, _)| line(json!({"op": "snapshot", "id": id}))));
+    let out = run(&lines);
+    let fresh = &out[out.len() - SCALAR_TENANTS.len()..];
+    let fixture: Vec<&str> = SCALAR_FIXTURE.lines().collect();
+    assert_eq!(fixture.len(), SCALAR_TENANTS.len());
+    for ((got, want), (id, _)) in fresh.iter().zip(&fixture).zip(SCALAR_TENANTS) {
+        assert_eq!(got, want, "{id}: snapshot bytes changed");
+    }
+}
+
+#[test]
+fn scalar_policy_snapshots_restore_and_continue_byte_identically() {
+    let fixture = parse_fixture(SCALAR_FIXTURE);
+    let lookahead = &fixture[4]["snapshot"];
+    assert_eq!(lookahead["pending"].as_array().map(Vec::len), Some(2));
+
+    let mut uninterrupted = scalar_prefix();
+    uninterrupted.extend(scalar_suffix());
+    let want = run(&uninterrupted);
+    let want = &want[want.len() - scalar_suffix().len()..];
+
+    let mut restored: Vec<String> = fixture
+        .iter()
+        .zip(SCALAR_TENANTS)
+        .map(|(reply, (id, _))| {
+            assert_eq!(reply["id"], id);
+            line(
+                json!({"op": "restore", "snapshot": reply["snapshot"].clone(),
+                   "cost_model": reply["cost_model"].clone()}),
+            )
+        })
+        .collect();
+    restored.extend(scalar_suffix());
+    let got = run(&restored);
+    let (acks, got) = got.split_at(SCALAR_TENANTS.len());
+    assert!(acks.iter().all(|l| l.contains("\"restored\"")), "{acks:?}");
+    assert_eq!(got, want);
+    assert!(want.iter().any(|l| l.contains("LCP(lookahead,w=2)")));
 }
