@@ -1,17 +1,15 @@
 //! Engine throughput trajectory: a small wall-clock bench runner whose
 //! output is checked in as `BENCH_engine.json` at the repo root, so the
 //! engine's performance shape is recorded alongside the code that produced
-//! it.
-//!
-//! Eight measurements, mirroring the Criterion `engine_throughput` and
-//! `wire_codec` groups but cheap enough to re-run by hand (and, with
-//! `--quick`, in CI):
+//! it. It is the workspace's one engine and wire benchmark, cheap enough
+//! to re-run by hand (and, with `--quick`, in CI):
 //!
 //! - `throughput`  — policy-steps/s at shard counts 1, 2, 4, 8
 //! - `store_overhead` — `NullStore` vs `FileStore` journaling at 2 shards
 //! - `hetero`      — frontier vs greedy configuration-lattice stepping
 //! - `rebalance`   — full vs incremental migration, tenants moved per
-//!   second on a 4↔8 shard swing
+//!   second on a 4↔8 shard swing, plus the full swing on a `FileStore`
+//!   (which pays the journaled record and the fencing checkpoint)
 //! - `energy`      — metering overhead (power meter off vs on at 4
 //!   shards) and autoscale decision rates with counted vs priced
 //!   induced costs
@@ -21,9 +19,16 @@
 //! - `serve_throughput` — end-to-end served steps/s through the TCP
 //!   reactor on loopback, concurrent connections per framing (prices the
 //!   full stack: reactor, framing, engine, socket I/O)
-//! - `fleet_scaling` — median latency of one 8-event batch on 2 shards
-//!   with 1k, 10k and 100k admitted tenants: a batch must cost O(batch),
-//!   not O(fleet), so the schema caps the 100k row at 1.5x the 1k row
+//! - `fleet_scaling` — latency of one 8-event batch on 2 shards with 1k,
+//!   10k and 100k admitted tenants: a batch must cost O(batch), not
+//!   O(fleet), so the schema caps the 100k row at 1.5x the 1k row
+//!
+//! Every number is timed by [`timed`]: one untimed warm-up window, then
+//! 5 timed windows of at least 200 ms (3 of 20 ms with `--quick`, except
+//! `fleet_scaling`, which keeps its full windows). A
+//! row's own field holds the median over the windows, and `min`/`max`
+//! hold the spread. The document's `host` block names the core count and
+//! build profile the numbers were taken on.
 //!
 //! The engine runs with the metrics registry **disabled** (the documented
 //! hot-path configuration), so these numbers price the engine, not the
@@ -31,17 +36,18 @@
 //!
 //! USAGE: engine_bench [--quick] [--out FILE] [--validate FILE] [--shape FILE]
 //!
-//! `--validate` checks an existing file against the schema (sections
-//! present, every rate positive, binary wire decode ≥2x JSONL, the 100k
-//! fleet batch ≤1.5x the 1k one) and exits non-zero on mismatch — CI runs
+//! `--validate` checks an existing file against the schema (host block and
+//! sections present, every number positive, `min ≤ median ≤ max` in every
+//! row, binary wire decode ≥2x JSONL, the 100k fleet batch ≤1.5x the 1k
+//! one, both ratios on medians) and exits non-zero on mismatch — CI runs
 //! it over both a fresh `--quick` run and the checked-in trajectory.
 //! Absolute numbers are machine-dependent; only the schema and those two
 //! ratios are enforced.
 //!
-//! `--shape FILE` prints the file's deterministic projection — schema tag
-//! plus section/row structure with every measured number elided — which
-//! is byte-identical between a quick CI run and the checked-in full
-//! recording, so the nightly job re-records and literally `diff`s the
+//! `--shape FILE` prints the file's deterministic projection — schema tag,
+//! host block and section/row structure with every measured number elided
+//! — which is byte-identical between a quick CI run and the checked-in
+//! full recording, so the nightly job re-records and literally `diff`s the
 //! shapes.
 
 use rsdc_core::Cost;
@@ -51,11 +57,14 @@ use rsdc_engine::{
 };
 use rsdc_hetero::ServerType;
 use rsdc_store::{Durability, FileStore, FileStoreConfig, NullStore};
+use serde::Value;
+use serde_json::json;
+use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Schema tag validated by `--validate`; bump on shape changes.
-const SCHEMA: &str = "rsdc-engine-bench/v5";
+const SCHEMA: &str = "rsdc-engine-bench/v6";
 
 const M: u32 = 128;
 const BETA: f64 = 4.0;
@@ -65,28 +74,69 @@ struct Scale {
     tenants: usize,
     hetero_tenants: usize,
     rebalance_tenants: usize,
-    slots: usize,
+    /// Timed windows per row, after one untimed warm-up window.
+    windows: usize,
+    /// Least timed work per window.
+    window: Duration,
 }
 
 impl Scale {
+    /// A full run, or with `quick` the same run at a tenth of the size.
     fn new(quick: bool) -> Scale {
-        if quick {
-            Scale {
-                quick,
-                tenants: 200,
-                hetero_tenants: 40,
-                rebalance_tenants: 100,
-                slots: 2,
-            }
-        } else {
-            Scale {
-                quick,
-                tenants: 2_000,
-                hetero_tenants: 300,
-                rebalance_tenants: 1_000,
-                slots: 8,
-            }
+        let k = if quick { 1 } else { 10 };
+        Scale {
+            quick,
+            tenants: 200 * k,
+            hetero_tenants: 30 * k,
+            rebalance_tenants: 100 * k,
+            windows: if quick { 3 } else { 5 },
+            window: Duration::from_millis(20 * k as u64),
         }
+    }
+}
+
+/// One row's number over the timed windows.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    /// Microseconds per unit, from a spread of units per second.
+    fn micros_per_unit(self) -> Spread {
+        Spread {
+            median: 1e6 / self.median,
+            min: 1e6 / self.max,
+            max: 1e6 / self.min,
+        }
+    }
+}
+
+/// The one timing helper. Each window repeats `setup` (untimed) and then
+/// `run` on what `setup` returned (timed) until `s.window` of timed work
+/// has passed; `run` returns the units of work it did. Gives the spread
+/// of units per second over `s.windows` windows, after one warm-up window
+/// that is thrown away.
+fn timed<T>(s: &Scale, mut setup: impl FnMut() -> T, mut run: impl FnMut(T) -> usize) -> Spread {
+    let mut rates: Vec<f64> = (0..=s.windows)
+        .map(|_| {
+            let (mut units, mut busy) = (0usize, Duration::ZERO);
+            while busy < s.window {
+                let input = setup();
+                let start = Instant::now();
+                units += run(input);
+                busy += start.elapsed();
+            }
+            units as f64 / busy.as_secs_f64()
+        })
+        .skip(1)
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    Spread {
+        median: rates[rates.len() / 2],
+        min: rates[0],
+        max: rates[rates.len() - 1],
     }
 }
 
@@ -95,6 +145,25 @@ fn bench_cfg(shards: usize) -> EngineConfig {
     let mut cfg = EngineConfig::with_shards(shards);
     cfg.metrics = false;
     cfg
+}
+
+/// Where the `FileStore` rows keep their stores, one directory per
+/// section; removed once the run ends.
+fn scratch() -> PathBuf {
+    std::env::temp_dir().join(format!("rsdc-engine-bench-{}", std::process::id()))
+}
+
+/// An engine on `shards` shards journaling to `backend`: `"null"`, or
+/// `"file"` for a `FileStore` in `section`'s scratch directory.
+fn engine_on(shards: usize, backend: &str, section: &str) -> Engine {
+    let store: Arc<dyn Durability> = match backend {
+        "null" => Arc::new(NullStore),
+        _ => {
+            let dir = scratch().join(section);
+            Arc::new(FileStore::open(dir, FileStoreConfig { sync_every: 64 }).expect("open store"))
+        }
+    };
+    Engine::with_store(bench_cfg(shards), store).expect("engine")
 }
 
 fn scalar_batch(tenants: usize, slot: usize) -> Vec<(String, Cost)> {
@@ -119,135 +188,119 @@ fn admit_scalar(engine: &Engine, tenants: usize) {
     }
 }
 
-/// Steps/s over `slots` batches of one event per tenant.
-fn run_slots(engine: &Engine, tenants: usize, slots: usize) -> f64 {
-    let batches: Vec<_> = (0..slots).map(|t| scalar_batch(tenants, t)).collect();
-    let start = Instant::now();
-    for batch in batches {
-        engine.step_batch(batch).expect("step");
-    }
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    (tenants * slots) as f64 / secs
+/// Steps/s of slot batches, one event per tenant, on an engine with
+/// `tenants` scalar tenants admitted.
+fn slot_rate(s: &Scale, engine: &Engine, tenants: usize) -> Spread {
+    admit_scalar(engine, tenants);
+    let mut slot = 0;
+    timed(
+        s,
+        || {
+            slot += 1;
+            scalar_batch(tenants, slot)
+        },
+        |batch| engine.step_batch(batch).expect("step").len(),
+    )
 }
 
-fn measure_throughput(s: &Scale) -> Vec<serde::Value> {
+fn measure_throughput(s: &Scale) -> Vec<(Value, Spread)> {
     [1usize, 2, 4, 8]
         .iter()
         .map(|&shards| {
             let engine = Engine::new(bench_cfg(shards));
-            admit_scalar(&engine, s.tenants);
-            run_slots(&engine, s.tenants, s.slots); // warm-up pass
-            let rate = run_slots(&engine, s.tenants, s.slots);
+            let rate = slot_rate(s, &engine, s.tenants);
             engine.shutdown();
-            serde_json::json!({"shards": shards, "steps_per_sec": rate})
+            (json!({"shards": shards}), rate)
         })
         .collect()
 }
 
-fn measure_store_overhead(s: &Scale) -> Vec<serde::Value> {
-    let dir = std::env::temp_dir()
-        .join("rsdc-engine-bench")
-        .join(format!("wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = ["null", "file"]
+fn measure_store_overhead(s: &Scale) -> Vec<(Value, Spread)> {
+    ["null", "file"]
         .iter()
         .map(|&backend| {
-            let store: Arc<dyn Durability> = match backend {
-                "null" => Arc::new(NullStore),
-                _ => Arc::new(
-                    FileStore::open(&dir, FileStoreConfig { sync_every: 64 }).expect("open store"),
-                ),
-            };
-            let engine = Engine::with_store(bench_cfg(2), store).expect("durable engine");
-            admit_scalar(&engine, s.tenants);
-            run_slots(&engine, s.tenants, s.slots);
-            let rate = run_slots(&engine, s.tenants, s.slots);
+            let engine = engine_on(2, backend, "store_overhead");
+            let rate = slot_rate(s, &engine, s.tenants);
             engine.shutdown();
-            serde_json::json!({"backend": backend, "steps_per_sec": rate})
-        })
-        .collect();
-    let _ = std::fs::remove_dir_all(&dir);
-    out
-}
-
-fn measure_hetero(s: &Scale) -> Vec<serde::Value> {
-    let fleet = FleetSpec::new(vec![
-        ServerType {
-            count: 3,
-            beta: 1.0,
-            energy: 1.0,
-            capacity: 1.0,
-        },
-        ServerType {
-            count: 2,
-            beta: 2.5,
-            energy: 1.4,
-            capacity: 2.0,
-        },
-    ]);
-    [HeteroAlgo::Frontier, HeteroAlgo::Greedy]
-        .iter()
-        .map(|&algo| {
-            let engine = Engine::new(bench_cfg(2));
-            for i in 0..s.hetero_tenants {
-                engine
-                    .admit(TenantConfig::hetero(format!("h{i}"), fleet.clone(), algo))
-                    .expect("admit");
-            }
-            let run = |engine: &Engine| -> f64 {
-                let start = Instant::now();
-                for t in 0..s.slots {
-                    let batch: Vec<(String, Cost, Option<f64>)> = (0..s.hetero_tenants)
-                        .map(|i| {
-                            let load = 0.5 + ((t * 5 + i) % 11) as f64 * 0.5;
-                            (format!("h{i}"), Cost::Zero, Some(load))
-                        })
-                        .collect();
-                    engine.step_batch_loads(batch).expect("step");
-                }
-                let secs = start.elapsed().as_secs_f64().max(1e-9);
-                (s.hetero_tenants * s.slots) as f64 / secs
-            };
-            run(&engine);
-            let rate = run(&engine);
-            engine.shutdown();
-            let name = match algo {
-                HeteroAlgo::Frontier => "frontier",
-                HeteroAlgo::Greedy => "greedy",
-            };
-            serde_json::json!({"algo": name, "steps_per_sec": rate})
+            (json!({"backend": backend}), rate)
         })
         .collect()
 }
 
-fn measure_rebalance(s: &Scale) -> Vec<serde::Value> {
-    ["full", "incremental"]
+fn measure_hetero(s: &Scale) -> Vec<(Value, Spread)> {
+    let server = |count, beta, energy, capacity| ServerType {
+        count,
+        beta,
+        energy,
+        capacity,
+    };
+    let fleet = FleetSpec::new(vec![server(3, 1.0, 1.0, 1.0), server(2, 2.5, 1.4, 2.0)]);
+    [
+        (HeteroAlgo::Frontier, "frontier"),
+        (HeteroAlgo::Greedy, "greedy"),
+    ]
+    .iter()
+    .map(|&(algo, name)| {
+        let engine = Engine::new(bench_cfg(2));
+        for i in 0..s.hetero_tenants {
+            engine
+                .admit(TenantConfig::hetero(format!("h{i}"), fleet.clone(), algo))
+                .expect("admit");
+        }
+        let mut slot = 0;
+        let rate = timed(
+            s,
+            || {
+                slot += 1;
+                (0..s.hetero_tenants)
+                    .map(|i| {
+                        let load = 0.5 + ((slot * 5 + i) % 11) as f64 * 0.5;
+                        (format!("h{i}"), Cost::Zero, Some(load))
+                    })
+                    .collect()
+            },
+            |batch| engine.step_batch_loads(batch).expect("step").len(),
+        );
+        engine.shutdown();
+        (json!({"algo": name}), rate)
+    })
+    .collect()
+}
+
+/// Tenants moved per second, one 4→8→4 swing per timed pass. Both modes
+/// move the same ring diff; the full mode also rebuilds every shard, and
+/// on a `FileStore` each swing journals its record and writes the fencing
+/// checkpoint.
+fn measure_rebalance(s: &Scale) -> Vec<(Value, Spread)> {
+    [("full", "null"), ("incremental", "null"), ("full", "file")]
         .iter()
-        .map(|&mode| {
-            let mut engine = Engine::new(bench_cfg(4));
+        .map(|&(mode, backend)| {
+            let mut engine = engine_on(4, backend, "rebalance");
             admit_scalar(&engine, s.rebalance_tenants);
             for t in 0..2usize {
                 engine
                     .step_batch(scalar_batch(s.rebalance_tenants, t))
                     .expect("step");
             }
-            // Swing 4↔8 an even number of times so the engine ends where it
-            // started; each swing moves the same deterministic ring diff.
-            let swings = if s.quick { 2 } else { 6 };
-            let mut moved_total = 0usize;
-            let start = Instant::now();
-            for k in 0..swings {
-                let to = if k % 2 == 0 { 8 } else { 4 };
-                let report = match mode {
-                    "incremental" => engine.rebalance_incremental(to, None),
-                    _ => engine.rebalance(to, None),
-                }
-                .expect("rebalance");
-                moved_total += report.moved;
-            }
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
+            let rate = timed(
+                s,
+                || (),
+                |()| {
+                    [8, 4]
+                        .iter()
+                        .map(|&to| {
+                            match mode {
+                                "incremental" => engine.rebalance_incremental(to, None),
+                                _ => engine.rebalance(to, None),
+                            }
+                            .expect("rebalance")
+                            .moved
+                        })
+                        .sum()
+                },
+            );
             engine.shutdown();
-            serde_json::json!({"mode": mode, "moved_per_sec": moved_total as f64 / secs})
+            (json!({"mode": mode, "backend": backend}), rate)
         })
         .collect()
 }
@@ -267,25 +320,22 @@ fn bench_power() -> PowerConfig {
     p
 }
 
-fn measure_energy(s: &Scale) -> Vec<serde::Value> {
+fn measure_energy(s: &Scale) -> Vec<(Value, Spread)> {
     let mut out = Vec::new();
     // Metering overhead: the 4-shard hot path with the meter off vs on.
-    for metered in [false, true] {
+    for (metered, mode) in [(false, "unmetered"), (true, "metered")] {
         let engine = Engine::new(bench_cfg(4));
         if metered {
             engine.set_power(Some(bench_power())).expect("set_power");
         }
-        admit_scalar(&engine, s.tenants);
-        run_slots(&engine, s.tenants, s.slots); // warm-up pass
-        let rate = run_slots(&engine, s.tenants, s.slots);
+        let rate = slot_rate(s, &engine, s.tenants);
         engine.shutdown();
-        let mode = if metered { "metered" } else { "unmetered" };
-        out.push(serde_json::json!({"mode": mode, "rate": rate}));
+        out.push((json!({"mode": mode}), rate));
     }
     // Autoscale decision rate: observe() calls/s on a swinging load, with
     // the counting induced cost vs the priced (modeled-watts) one.
-    let ticks = if s.quick { 20_000usize } else { 200_000 };
-    for priced in [false, true] {
+    const TICKS: usize = 1_000;
+    for (priced, mode) in [(false, "autoscale_counted"), (true, "autoscale_priced")] {
         let mut cfg = TopologyConfig::new(1, 8);
         cfg.switch_cost = 8.0;
         cfg.cooldown = 0;
@@ -293,21 +343,22 @@ fn measure_energy(s: &Scale) -> Vec<serde::Value> {
             cfg.pricing = Some(bench_power());
         }
         let mut policy = TopologyPolicy::new(cfg, 1).expect("policy");
-        let start = Instant::now();
-        for t in 0..ticks {
-            let events = ((t * 37 + 11) % 500) as u64;
-            if let Some(target) = policy.observe(&[events], &[(0, 1)]) {
-                let from = policy.status().shards;
-                policy.record_applied(from, target, 0);
-            }
-        }
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        let mode = if priced {
-            "autoscale_priced"
-        } else {
-            "autoscale_counted"
-        };
-        out.push(serde_json::json!({"mode": mode, "rate": ticks as f64 / secs}));
+        let mut t = 0usize;
+        let rate = timed(
+            s,
+            || (),
+            |()| {
+                for _ in 0..TICKS {
+                    let events = ((t * 37 + 11) % 500) as u64;
+                    if let Some(target) = policy.observe(&[events], &[(0, 1)]) {
+                        policy.record_applied(policy.status().shards, target, 0);
+                    }
+                    t += 1;
+                }
+                TICKS
+            },
+        );
+        out.push((json!({"mode": mode}), rate));
     }
     out
 }
@@ -317,116 +368,99 @@ fn measure_energy(s: &Scale) -> Vec<serde::Value> {
 /// spends per event. JSONL parses each line through `parse_record`;
 /// binary walks CRC-checked frames and reads the `step_load` body fields.
 /// No engine behind either — this isolates the codec, where the binary
-/// framing's whole advantage lives (the `wire/serve` Criterion group
-/// covers the engine-dominated end-to-end path).
-fn measure_wire_codec(s: &Scale) -> Vec<serde::Value> {
+/// framing's whole advantage lives (`serve_throughput` covers the
+/// engine-dominated end-to-end path).
+fn measure_wire_codec(s: &Scale) -> Vec<(Value, Spread)> {
     use rsdc_engine::binwire::{
         put_frame, BodyReader, BodyWriter, FrameDecoder, PREAMBLE, TAG_STEP_LOAD,
     };
     use rsdc_engine::wire::parse_record;
+    use std::fmt::Write;
 
-    let events = if s.quick { 20_000usize } else { 200_000 };
-    let tenants = 200usize;
-    let load = |k: usize| 0.5 + (k % 11) as f64 * 0.5;
-    let reps = if s.quick { 3 } else { 5 };
-
-    let mut out = Vec::new();
+    const EVENTS: usize = 20_000;
+    const TENANTS: usize = 200;
 
     // JSONL stream: one step line per event (newline-framed).
     let mut text = String::new();
-    for k in 0..events {
-        use std::fmt::Write;
-        writeln!(
-            text,
-            "{{\"op\":\"step\",\"id\":\"h{}\",\"load\":{}}}",
-            k % tenants,
-            load(k)
-        )
-        .expect("write");
-    }
-    let mut rate = 0.0f64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let mut n = 0usize;
-        for line in text.lines() {
-            let rec = parse_record(line).expect("parse");
-            std::hint::black_box(&rec);
-            n += 1;
-        }
-        assert_eq!(n, events);
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        rate = rate.max(n as f64 / secs);
-    }
-    out.push(serde_json::json!({
-        "framing": "jsonl",
-        "steps_per_sec": rate,
-        "bytes_per_event": text.len() as f64 / events as f64,
-    }));
-
     // Binary stream: preamble + one TAG_STEP_LOAD frame per event.
-    let mut stream = Vec::with_capacity(PREAMBLE.len() + events * 24);
-    stream.extend_from_slice(&PREAMBLE);
+    let mut stream = PREAMBLE.to_vec();
     let mut payload = Vec::new();
-    for k in 0..events {
+    for k in 0..EVENTS {
+        let (id, v) = (format!("h{}", k % TENANTS), 0.5 + (k % 11) as f64 * 0.5);
+        writeln!(text, "{{\"op\":\"step\",\"id\":\"{id}\",\"load\":{v}}}").expect("write");
         BodyWriter::start(&mut payload, TAG_STEP_LOAD)
-            .str16(&format!("h{}", k % tenants))
-            .f64(load(k));
+            .str16(&id)
+            .f64(v);
         put_frame(&mut stream, &payload);
     }
-    let mut rate = 0.0f64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let mut dec = FrameDecoder::new();
-        dec.extend(&stream[PREAMBLE.len()..]);
-        let mut n = 0usize;
-        while let Some(frame) = dec.next_frame().expect("frame") {
-            assert_eq!(frame.tag, TAG_STEP_LOAD);
-            let mut r = BodyReader::new(frame.body);
-            let id = r.str16().expect("id");
-            let v = r.f64().expect("load");
-            std::hint::black_box((id, v));
-            n += 1;
-        }
-        assert_eq!(n, events);
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        rate = rate.max(n as f64 / secs);
-    }
-    out.push(serde_json::json!({
-        "framing": "binary",
-        "steps_per_sec": rate,
-        "bytes_per_event": stream.len() as f64 / events as f64,
-    }));
-    out
+
+    let jsonl = timed(
+        s,
+        || (),
+        |()| {
+            for line in text.lines() {
+                std::hint::black_box(parse_record(line).expect("parse"));
+            }
+            EVENTS
+        },
+    );
+    let binary = timed(
+        s,
+        || (),
+        |()| {
+            let mut dec = FrameDecoder::new();
+            dec.extend(&stream[PREAMBLE.len()..]);
+            let mut n = 0;
+            while let Some(frame) = dec.next_frame().expect("frame") {
+                assert_eq!(frame.tag, TAG_STEP_LOAD);
+                let mut r = BodyReader::new(frame.body);
+                std::hint::black_box((r.str16().expect("id"), r.f64().expect("load")));
+                n += 1;
+            }
+            n
+        },
+    );
+    let per_event = |bytes: usize| bytes as f64 / EVENTS as f64;
+    vec![
+        (
+            json!({"framing": "jsonl", "bytes_per_event": per_event(text.len())}),
+            jsonl,
+        ),
+        (
+            json!({"framing": "binary", "bytes_per_event": per_event(stream.len())}),
+            binary,
+        ),
+    ]
 }
 
 /// End-to-end served throughput: a reactor on loopback, concurrent
 /// connections each streaming admits + steps for its own tenants through
-/// the server's one engine, wall clock from first connect to last EOF.
-/// Unlike `wire_codec` this prices the full serving stack — reactor
+/// a fresh server's one engine, timed from first connect to the server's
+/// exit. Unlike `wire_codec` this prices the full serving stack — reactor
 /// turns, framing, engine dispatch and socket I/O — per framing.
-fn measure_serve(s: &Scale) -> Vec<serde::Value> {
+fn measure_serve(s: &Scale) -> Vec<(Value, Spread)> {
     use rsdc_engine::binwire::{encode_request_line, PREAMBLE};
     use rsdc_engine::wire::Session;
-    use rsdc_engine::{ServeConfig, Server, WireMode};
+    use rsdc_engine::{ServeConfig, Server};
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
-    let events = if s.quick { 2_000usize } else { 20_000 };
-    let tenants = 50usize;
-    let conns = 4usize;
+    const EVENTS: usize = 20_000;
+    const TENANTS: usize = 50;
+    const CONNS: usize = 4;
 
     // Connection `c` drives tenants `c{c}-t*`: the engine is shared, so
     // each connection admits and steps a fleet of its own.
     let conn_lines = |c: usize| -> Vec<String> {
-        let mut lines: Vec<String> = (0..tenants)
+        let mut lines: Vec<String> = (0..TENANTS)
             .map(|i| {
                 format!(r#"{{"op":"admit","id":"c{c}-t{i}","m":{M},"beta":{BETA},"policy":"lcp"}}"#)
             })
             .collect();
-        for k in 0..events {
+        for k in 0..EVENTS {
             lines.push(format!(
                 r#"{{"op":"step","id":"c{c}-t{}","cost":{{"Abs":{{"slope":1.0,"center":{}.0}}}}}}"#,
-                k % tenants,
+                k % TENANTS,
                 k % (M as usize + 1)
             ));
         }
@@ -436,14 +470,13 @@ fn measure_serve(s: &Scale) -> Vec<serde::Value> {
     ["jsonl", "binary"]
         .iter()
         .map(|&framing| {
-            let requests: Vec<Vec<u8>> = (0..conns)
+            let requests: Vec<Vec<u8>> = (0..CONNS)
                 .map(|c| {
                     let lines = conn_lines(c);
                     match framing {
                         "jsonl" => (lines.join("\n") + "\n").into_bytes(),
                         _ => {
-                            let mut out = Vec::new();
-                            out.extend_from_slice(&PREAMBLE);
+                            let mut out = PREAMBLE.to_vec();
                             let mut payload = Vec::new();
                             for line in &lines {
                                 encode_request_line(line, &mut payload, &mut out);
@@ -453,69 +486,73 @@ fn measure_serve(s: &Scale) -> Vec<serde::Value> {
                     }
                 })
                 .collect();
-            let cfg = ServeConfig {
-                wire: WireMode::Auto,
-                max_conns: conns,
-                max_accepts: Some(conns as u64),
-                ..ServeConfig::default()
-            };
-            let session = Session::new(Engine::new(bench_cfg(1)));
-            let mut server = Server::bind(session, cfg, "127.0.0.1:0").expect("bind");
-            let addr = server.local_addr();
-            let server = std::thread::spawn(move || server.run().expect("serve"));
-            let start = Instant::now();
-            let clients: Vec<_> = requests
-                .into_iter()
-                .map(|request| {
-                    std::thread::spawn(move || {
-                        let mut stream = TcpStream::connect(addr).expect("connect");
-                        let mut writer = stream.try_clone().expect("clone");
-                        // Write and read concurrently: the reply stream is
-                        // as long as the request stream, so a one-sided
-                        // client would wedge on full buffers.
-                        let sender = std::thread::spawn(move || {
-                            writer.write_all(&request).expect("send");
-                            writer
-                                .shutdown(std::net::Shutdown::Write)
-                                .expect("half-close");
-                        });
-                        let mut sink = Vec::new();
-                        stream.read_to_end(&mut sink).expect("drain");
-                        sender.join().expect("sender");
-                    })
-                })
-                .collect();
-            for client in clients {
-                client.join().expect("client");
-            }
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            server.join().expect("server");
-            serde_json::json!({
-                "framing": framing,
-                "conns": conns,
-                "steps_per_sec": (events * conns) as f64 / secs,
-            })
+            let rate = timed(
+                s,
+                || {
+                    let cfg = ServeConfig {
+                        max_conns: CONNS,
+                        max_accepts: Some(CONNS as u64),
+                        ..ServeConfig::default()
+                    };
+                    let session = Session::new(Engine::new(bench_cfg(1)));
+                    let mut server = Server::bind(session, cfg, "127.0.0.1:0").expect("bind");
+                    let addr = server.local_addr();
+                    let server = std::thread::spawn(move || server.run().expect("serve"));
+                    (addr, server, requests.clone())
+                },
+                |(addr, server, requests)| {
+                    let clients: Vec<_> = requests
+                        .into_iter()
+                        .map(|request| {
+                            std::thread::spawn(move || {
+                                let mut stream = TcpStream::connect(addr).expect("connect");
+                                let mut writer = stream.try_clone().expect("clone");
+                                // Write and read concurrently: the reply
+                                // stream is as long as the request stream,
+                                // so a one-sided client would wedge on full
+                                // buffers.
+                                let sender = std::thread::spawn(move || {
+                                    writer.write_all(&request).expect("send");
+                                    writer
+                                        .shutdown(std::net::Shutdown::Write)
+                                        .expect("half-close");
+                                });
+                                let mut sink = Vec::new();
+                                stream.read_to_end(&mut sink).expect("drain");
+                                sender.join().expect("sender");
+                            })
+                        })
+                        .collect();
+                    for client in clients {
+                        client.join().expect("client");
+                    }
+                    server.join().expect("server");
+                    EVENTS * CONNS
+                },
+            );
+            (json!({"framing": framing, "conns": CONNS}), rate)
         })
         .collect()
 }
 
-/// Fleet sizes the `fleet_scaling` rows admit (quick runs too: the point
-/// is the 100k row).
+/// Fleet sizes the `fleet_scaling` rows admit, at full windows (quick
+/// runs too: the point is the 100k row, and one ~10 ms scheduler stall
+/// would swing a 20 ms window's mean past the cap).
 const FLEET_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 
 /// The cap `--validate` puts on the largest fleet's batch latency,
 /// relative to the smallest's.
 const FLEET_SPREAD: f64 = 1.5;
 
-/// Median wall time of one 8-event batch on 2 shards per fleet size.
-/// The batches cycle through the same 64 tenants, spread evenly over the
-/// fleet, so the rows differ only in how many tenants sit idle: any work
+/// Wall time of one 8-event batch on 2 shards per fleet size. The batches
+/// cycle through the same 64 tenants, spread evenly over the fleet, so
+/// the rows differ only in how many tenants sit idle: any work
 /// proportional to the fleet shows up as a slope, and cache misses on a
 /// cold working set do not.
-fn measure_fleet_scaling(s: &Scale) -> Vec<serde::Value> {
+fn measure_fleet_scaling(_: &Scale) -> Vec<(Value, Spread)> {
+    let s = &Scale::new(false);
     const BATCH: usize = 8;
     const HOT: usize = 64;
-    let repeats = if s.quick { 400 } else { 4_000 };
     FLEET_SIZES
         .iter()
         .map(|&tenants| {
@@ -527,120 +564,185 @@ fn measure_fleet_scaling(s: &Scale) -> Vec<serde::Value> {
                     .expect("admit");
             }
             let hot: Vec<&String> = (0..HOT).map(|k| &ids[k * tenants / HOT]).collect();
-            let mut samples: Vec<f64> = (0..repeats + repeats / 10)
-                .map(|r| {
-                    let batch: Vec<_> = (0..BATCH)
+            let mut r = 0;
+            let batches = timed(
+                s,
+                || {
+                    r += 1;
+                    (0..BATCH)
                         .map(|k| {
                             let load = ((r + k) % 16) as f64;
                             let id = hot[(r * BATCH + k) % HOT].clone();
                             (id, Cost::abs(1.0, load), Some(load))
                         })
-                        .collect();
-                    let start = Instant::now();
+                        .collect()
+                },
+                |batch| {
                     engine.step_batch_loads(batch).expect("step");
-                    start.elapsed().as_secs_f64() * 1e6
-                })
-                .skip(repeats / 10) // warm-up
-                .collect();
+                    1
+                },
+            );
             engine.shutdown();
-            samples.sort_by(f64::total_cmp);
-            serde_json::json!({
-                "tenants": tenants,
-                "shards": 2,
-                "batch_us": samples[samples.len() / 2],
-            })
+            (
+                json!({"tenants": tenants, "shards": 2}),
+                batches.micros_per_unit(),
+            )
         })
         .collect()
 }
 
-/// Schema check: every section present, every rate a positive number.
-/// Returns the list of violations (empty = valid).
-pub fn validate(doc: &serde::Value) -> Vec<String> {
+/// How a section measures its rows: each row's identifying keys, and
+/// the spread of its number.
+type Measure = fn(&Scale) -> Vec<(Value, Spread)>;
+
+/// The `results` sections: name, the keys that identify a row, the field
+/// that holds each row's median (next to `min` and `max`), and how to
+/// measure the rows.
+const SECTIONS: [(&str, &[&str], &str, Measure); 8] = [
+    (
+        "throughput",
+        &["shards"],
+        "steps_per_sec",
+        measure_throughput,
+    ),
+    (
+        "store_overhead",
+        &["backend"],
+        "steps_per_sec",
+        measure_store_overhead,
+    ),
+    ("hetero", &["algo"], "steps_per_sec", measure_hetero),
+    (
+        "rebalance",
+        &["mode", "backend"],
+        "moved_per_sec",
+        measure_rebalance,
+    ),
+    ("energy", &["mode"], "rate", measure_energy),
+    (
+        "wire_codec",
+        &["framing", "bytes_per_event"],
+        "steps_per_sec",
+        measure_wire_codec,
+    ),
+    (
+        "serve_throughput",
+        &["framing", "conns"],
+        "steps_per_sec",
+        measure_serve,
+    ),
+    (
+        "fleet_scaling",
+        &["tenants", "shards"],
+        "batch_us",
+        measure_fleet_scaling,
+    ),
+];
+
+/// A result row: `keys`, then `field` holding the median, then `min`
+/// and `max`.
+fn row(keys: Value, field: &str, spread: Spread) -> Value {
+    let Value::Object(mut fields) = keys else {
+        unreachable!("row keys are a JSON object")
+    };
+    fields.push((field.to_string(), json!(spread.median)));
+    fields.push(("min".to_string(), json!(spread.min)));
+    fields.push(("max".to_string(), json!(spread.max)));
+    Value::Object(fields)
+}
+
+/// Schema check: host block and every section present, every number
+/// positive, every row's median within its spread, and the two pinned
+/// ratios on medians. Returns the list of violations (empty = valid).
+pub fn validate(doc: &Value) -> Vec<String> {
     let mut errs = Vec::new();
     if doc["schema"].as_str() != Some(SCHEMA) {
-        errs.push(format!("schema != {SCHEMA:?}"));
+        let found = doc["schema"].as_str().unwrap_or("(none)");
+        errs.push(format!("schema {found:?} != {SCHEMA:?}"));
     }
-    let sections: [(&str, &[&str]); 8] = [
-        ("throughput", &["shards", "steps_per_sec"]),
-        ("store_overhead", &["backend", "steps_per_sec"]),
-        ("hetero", &["algo", "steps_per_sec"]),
-        ("rebalance", &["mode", "moved_per_sec"]),
-        ("energy", &["mode", "rate"]),
-        (
-            "wire_codec",
-            &["framing", "steps_per_sec", "bytes_per_event"],
-        ),
-        ("serve_throughput", &["framing", "conns", "steps_per_sec"]),
-        ("fleet_scaling", &["tenants", "shards", "batch_us"]),
-    ];
-    for (section, fields) in sections {
-        let rows = match doc["results"][section].as_array() {
+    if !(doc["host"]["available_parallelism"]
+        .as_u64()
+        .is_some_and(|n| n > 0)
+        && doc["host"]["profile"].as_str().is_some())
+    {
+        errs.push("host: missing available_parallelism or profile".into());
+    }
+    for (name, keys, field, _) in SECTIONS {
+        let rows = match doc["results"][name].as_array() {
             Some(rows) if !rows.is_empty() => rows,
             _ => {
-                errs.push(format!("results.{section}: missing or empty"));
+                errs.push(format!("results.{name}: missing or empty"));
                 continue;
             }
         };
         for (i, row) in rows.iter().enumerate() {
-            for field in fields {
-                let v = &row[*field];
-                let numeric_ok = v.as_f64().is_some_and(|x| x > 0.0);
-                if !(numeric_ok || v.as_str().is_some()) {
-                    errs.push(format!("results.{section}[{i}].{field}: bad value"));
+            for key in keys {
+                let v = &row[*key];
+                if !(v.as_f64().is_some_and(|x| x > 0.0) || v.as_str().is_some()) {
+                    errs.push(format!("results.{name}[{i}].{key}: bad value"));
                 }
+            }
+            let number = |f: &str| row[f].as_f64().filter(|x| *x > 0.0);
+            match (number("min"), number(field), number("max")) {
+                (Some(lo), Some(mid), Some(hi)) if lo <= mid && mid <= hi => {}
+                (Some(lo), Some(mid), Some(hi)) => errs.push(format!(
+                    "results.{name}[{i}]: median {mid} outside [min {lo}, max {hi}]"
+                )),
+                _ => errs.push(format!(
+                    "results.{name}[{i}]: {field}/min/max must be positive numbers"
+                )),
             }
         }
     }
     // The one machine-independent relative claim the recording makes: the
     // binary framing decodes at least twice as fast as JSONL.
-    if let Some(rows) = doc["results"]["wire_codec"].as_array() {
-        let rate = |framing: &str| {
-            rows.iter()
-                .find(|r| r["framing"].as_str() == Some(framing))
-                .and_then(|r| r["steps_per_sec"].as_f64())
-        };
-        match (rate("jsonl"), rate("binary")) {
-            (Some(j), Some(b)) if b < 2.0 * j => errs.push(format!(
-                "results.wire_codec: binary decode is {b:.0} steps/s vs jsonl {j:.0} — \
-                 under the pinned 2x floor"
-            )),
-            (Some(_), Some(_)) => {}
-            _ => errs.push("results.wire_codec: missing jsonl/binary rows".into()),
-        }
+    let median = |section: &str, key: &str, id: &Value, field: &str| {
+        doc["results"][section]
+            .as_array()?
+            .iter()
+            .find(|r| r[key] == *id)?[field]
+            .as_f64()
+    };
+    match (
+        median("wire_codec", "framing", &json!("jsonl"), "steps_per_sec"),
+        median("wire_codec", "framing", &json!("binary"), "steps_per_sec"),
+    ) {
+        (Some(j), Some(b)) if b < 2.0 * j => errs.push(format!(
+            "results.wire_codec: binary decode is {b:.0} steps/s vs jsonl {j:.0} — \
+             under the pinned 2x floor"
+        )),
+        (Some(_), Some(_)) => {}
+        _ => errs.push("results.wire_codec: missing jsonl/binary rows".into()),
     }
     // Per-batch cost is O(batch): the largest fleet's batch stays within
     // a fixed factor of the smallest's.
-    if let Some(rows) = doc["results"]["fleet_scaling"].as_array() {
-        let latency = |tenants: usize| {
-            rows.iter()
-                .find(|r| r["tenants"].as_u64() == Some(tenants as u64))
-                .and_then(|r| r["batch_us"].as_f64())
-        };
-        let (small, large) = (FLEET_SIZES[0], FLEET_SIZES[FLEET_SIZES.len() - 1]);
-        match (latency(small), latency(large)) {
-            (Some(a), Some(b)) if b > FLEET_SPREAD * a => errs.push(format!(
-                "results.fleet_scaling: an 8-event batch takes {b:.1} us at {large} tenants \
-                 vs {a:.1} us at {small} — over the {FLEET_SPREAD}x cap"
-            )),
-            (Some(_), Some(_)) => {}
-            _ => errs.push(format!(
-                "results.fleet_scaling: missing {small}/{large}-tenant rows"
-            )),
-        }
+    let (small, large) = (FLEET_SIZES[0], FLEET_SIZES[FLEET_SIZES.len() - 1]);
+    match (
+        median("fleet_scaling", "tenants", &json!(small), "batch_us"),
+        median("fleet_scaling", "tenants", &json!(large), "batch_us"),
+    ) {
+        (Some(a), Some(b)) if b > FLEET_SPREAD * a => errs.push(format!(
+            "results.fleet_scaling: an 8-event batch takes {b:.1} us at {large} tenants \
+             vs {a:.1} us at {small} — over the {FLEET_SPREAD}x cap"
+        )),
+        (Some(_), Some(_)) => {}
+        _ => errs.push(format!(
+            "results.fleet_scaling: missing {small}/{large}-tenant rows"
+        )),
     }
     errs
 }
 
-/// The deterministic projection `--shape` prints: schema tag and full
-/// section/row structure with every measured number replaced by `"_"`.
-/// Quick and full runs of the same binary project identically, so the
-/// nightly job byte-diffs a fresh run's shape against the recording's.
-fn shape(doc: &serde::Value) -> serde::Value {
-    fn strip(v: &serde::Value) -> serde::Value {
+/// The deterministic projection `--shape` prints: schema tag, host block
+/// and full section/row structure with every measured number replaced by
+/// `"_"`. Quick and full runs of the same binary project identically, so
+/// the nightly job byte-diffs a fresh run's shape against the recording's.
+fn shape(doc: &Value) -> Value {
+    fn strip(v: &Value) -> Value {
         match v {
-            serde::Value::Number(_) => serde::Value::String("_".into()),
-            serde::Value::Array(items) => serde::Value::Array(items.iter().map(strip).collect()),
-            serde::Value::Object(fields) => serde::Value::Object(
+            Value::Number(_) => Value::String("_".into()),
+            Value::Array(items) => Value::Array(items.iter().map(strip).collect()),
+            Value::Object(fields) => Value::Object(
                 fields
                     .iter()
                     .map(|(k, v)| (k.clone(), strip(v)))
@@ -649,10 +751,16 @@ fn shape(doc: &serde::Value) -> serde::Value {
             other => other.clone(),
         }
     }
-    serde_json::json!({
+    json!({
         "schema": doc["schema"].clone(),
+        "host": strip(&doc["host"]),
         "results": strip(&doc["results"]),
     })
+}
+
+fn read_doc(path: &str) -> Value {
+    let data = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    serde_json::from_str(&data).unwrap_or_else(|e| panic!("parsing {path}: {e:?}"))
 }
 
 fn main() {
@@ -666,21 +774,13 @@ fn main() {
     };
 
     if let Some(path) = opt("--shape") {
-        let data = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let doc: serde::Value =
-            serde_json::from_str(&data).unwrap_or_else(|e| panic!("parsing {path}: {e:?}"));
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&shape(&doc)).expect("render")
-        );
+        let text = serde_json::to_string_pretty(&shape(&read_doc(&path))).expect("render");
+        println!("{text}");
         return;
     }
 
     if let Some(path) = opt("--validate") {
-        let data = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let doc: serde::Value =
-            serde_json::from_str(&data).unwrap_or_else(|e| panic!("parsing {path}: {e:?}"));
-        let errs = validate(&doc);
+        let errs = validate(&read_doc(&path));
         if errs.is_empty() {
             println!("{path}: valid {SCHEMA}");
             return;
@@ -693,43 +793,36 @@ fn main() {
 
     let scale = Scale::new(flag("--quick"));
     eprintln!(
-        "engine_bench: {} tenants x {} slots{}",
+        "engine_bench: {} tenants, {} windows of {:?}{}",
         scale.tenants,
-        scale.slots,
+        scale.windows,
+        scale.window,
         if scale.quick { " (quick)" } else { "" }
     );
-    let throughput = measure_throughput(&scale);
-    eprintln!("engine_bench: throughput done");
-    let store_overhead = measure_store_overhead(&scale);
-    eprintln!("engine_bench: store overhead done");
-    let hetero = measure_hetero(&scale);
-    eprintln!("engine_bench: hetero done");
-    let rebalance = measure_rebalance(&scale);
-    eprintln!("engine_bench: rebalance done");
-    let energy = measure_energy(&scale);
-    eprintln!("engine_bench: energy done");
-    let wire_codec = measure_wire_codec(&scale);
-    eprintln!("engine_bench: wire codec done");
-    let serve_throughput = measure_serve(&scale);
-    eprintln!("engine_bench: serve throughput done");
-    let fleet_scaling = measure_fleet_scaling(&scale);
-    eprintln!("engine_bench: fleet scaling done");
+    let results = SECTIONS
+        .iter()
+        .map(|(name, _, field, measure)| {
+            let rows = measure(&scale)
+                .into_iter()
+                .map(|(keys, spread)| row(keys, field, spread))
+                .collect();
+            eprintln!("engine_bench: {name} done");
+            (name.to_string(), Value::Array(rows))
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(scratch());
 
-    let doc = serde_json::json!({
+    let doc = json!({
         "schema": SCHEMA,
         "quick": scale.quick,
         "tenants": scale.tenants,
-        "slots": scale.slots,
-        "results": {
-            "throughput": serde::Value::Array(throughput),
-            "store_overhead": serde::Value::Array(store_overhead),
-            "hetero": serde::Value::Array(hetero),
-            "rebalance": serde::Value::Array(rebalance),
-            "energy": serde::Value::Array(energy),
-            "wire_codec": serde::Value::Array(wire_codec),
-            "serve_throughput": serde::Value::Array(serve_throughput),
-            "fleet_scaling": serde::Value::Array(fleet_scaling),
+        "windows": scale.windows,
+        "window_ms": scale.window.as_millis() as u64,
+        "host": {
+            "available_parallelism": std::thread::available_parallelism().map_or(1, |n| n.get()),
+            "profile": if cfg!(debug_assertions) { "debug" } else { "release" },
         },
+        "results": Value::Object(results),
     });
     let errs = validate(&doc);
     assert!(errs.is_empty(), "self-validation failed: {errs:?}");
@@ -740,5 +833,104 @@ fn main() {
             eprintln!("engine_bench: wrote {path}");
         }
         None => print!("{text}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A valid v6 document whose spreads are wide enough that the two
+    /// ratio checks pass on medians but would fail on the extremes.
+    const DOC: &str = r#"{
+      "schema": "rsdc-engine-bench/v6",
+      "host": {"available_parallelism": 2, "profile": "release"},
+      "results": {
+        "throughput": [{"shards": 1, "steps_per_sec": 300, "min": 290, "max": 310}],
+        "store_overhead": [{"backend": "file", "steps_per_sec": 200, "min": 190, "max": 210}],
+        "hetero": [{"algo": "greedy", "steps_per_sec": 900, "min": 800, "max": 1000}],
+        "rebalance": [{"mode": "full", "backend": "file", "moved_per_sec": 30, "min": 25, "max": 35}],
+        "energy": [{"mode": "metered", "rate": 250, "min": 240, "max": 260}],
+        "wire_codec": [
+          {"framing": "jsonl", "bytes_per_event": 35.5, "steps_per_sec": 100, "min": 90, "max": 110},
+          {"framing": "binary", "bytes_per_event": 22.5, "steps_per_sec": 400, "min": 150, "max": 450}
+        ],
+        "serve_throughput": [{"framing": "jsonl", "conns": 4, "steps_per_sec": 200, "min": 180, "max": 220}],
+        "fleet_scaling": [
+          {"tenants": 1000, "shards": 2, "batch_us": 18, "min": 17, "max": 30},
+          {"tenants": 100000, "shards": 2, "batch_us": 20, "min": 19, "max": 40}
+        ]
+      }
+    }"#;
+
+    fn errors(edit: &[(&str, &str)]) -> Vec<String> {
+        let text = edit.iter().fold(DOC.to_string(), |doc, (from, to)| {
+            assert!(doc.contains(from), "{from:?} is not in the document");
+            doc.replacen(from, to, 1)
+        });
+        validate(&serde_json::from_str(&text).expect("parse"))
+    }
+
+    fn refused(edit: &[(&str, &str)], needle: &str) {
+        let errs = errors(edit);
+        assert!(
+            errs.iter().any(|e| e.contains(needle)),
+            "{edit:?}: {errs:?} lacks {needle:?}"
+        );
+    }
+
+    #[test]
+    fn accepts_a_valid_v6_document() {
+        assert_eq!(errors(&[]), Vec::<String>::new());
+    }
+
+    #[test]
+    fn refuses_a_v5_document() {
+        refused(
+            &[("rsdc-engine-bench/v6", "rsdc-engine-bench/v5")],
+            "schema \"rsdc-engine-bench/v5\" != \"rsdc-engine-bench/v6\"",
+        );
+    }
+
+    #[test]
+    fn refuses_a_median_outside_its_spread() {
+        refused(
+            &[("\"min\": 290", "\"min\": 305")],
+            "results.throughput[0]: median 300 outside [min 305, max 310]",
+        );
+        refused(
+            &[("\"max\": 310", "\"max\": 295")],
+            "results.throughput[0]: median 300 outside [min 290, max 295]",
+        );
+        refused(
+            &[(", \"min\": 240", "")],
+            "results.energy[0]: rate/min/max must be positive numbers",
+        );
+    }
+
+    #[test]
+    fn refuses_a_missing_host_block() {
+        refused(
+            &[(
+                r#""host": {"available_parallelism": 2, "profile": "release"},"#,
+                "",
+            )],
+            "host: missing",
+        );
+    }
+
+    #[test]
+    fn ratio_checks_read_the_medians() {
+        // Binary's max is still over 2x JSONL's median; its median is not.
+        refused(
+            &[("\"steps_per_sec\": 400", "\"steps_per_sec\": 190")],
+            "under the pinned 2x floor",
+        );
+        // The 100k row's median moves past 1.5x the 1k median, inside
+        // its own spread.
+        refused(
+            &[("\"batch_us\": 20", "\"batch_us\": 28")],
+            "over the 1.5x cap",
+        );
     }
 }

@@ -15,6 +15,11 @@
 //! * `online_step` — per-step cost of LCP and the bound tracker;
 //! * `rounding` — throughput of the randomized rounding;
 //! * `sim_throughput` — slots/second of the cluster simulator.
+//!
+//! Engine and wire speeds are measured by one binary, `engine_bench`
+//! (`cargo run --release -p rsdc-bench --bin engine_bench`), which
+//! records `BENCH_engine.json`; `scenario_bench` records the scenario
+//! fleet's `BENCH_scenarios.json`.
 
 #![warn(missing_docs)]
 

@@ -112,6 +112,7 @@ COMMANDS
              flags, durability (--data-dir DIR is recovered before the
              readiness line, announced by a \"recovered\" line after it,
              and checkpointed when the server drains) and --metrics-dump
+             (which also writes the server's serve_* metrics)
              [--listen ADDR] (default 127.0.0.1:7700; :0 picks a port —
              the bound address is announced on stdout as a JSONL line)
              [--max-conns N] (connection cap, default 64; over-cap
@@ -607,10 +608,16 @@ fn open_session(args: &Args) -> Result<(wire::Session, Option<String>), CmdError
     Ok((session, recovered))
 }
 
-/// `--metrics-dump FILE`: write the session's metrics as Prometheus text.
-fn dump_metrics(args: &Args, session: &wire::Session) -> Result<(), CmdError> {
+/// `--metrics-dump FILE`: write the session's metrics as Prometheus text,
+/// followed by `server_metrics`, the serving reactor's own registry
+/// rendered the same way (empty for `rsdc engine`).
+fn dump_metrics(
+    args: &Args,
+    session: &wire::Session,
+    server_metrics: &str,
+) -> Result<(), CmdError> {
     if let Some(path) = args.get_str("metrics-dump") {
-        let text = session.engine().obs().registry().render_prometheus();
+        let text = session.engine().obs().registry().render_prometheus() + server_metrics;
         std::fs::write(path, text)
             .map_err(|e| other(format!("writing --metrics-dump {path}: {e}")))?;
     }
@@ -619,15 +626,20 @@ fn dump_metrics(args: &Args, session: &wire::Session) -> Result<(), CmdError> {
 
 /// End a session built by [`open_session`]: a durable one takes a final
 /// checkpoint, so the next start over the same data directory replays
-/// nothing, then `--metrics-dump` records the final totals. Returns the
+/// nothing, then `--metrics-dump` records the final totals (with
+/// `server_metrics` appended, see [`dump_metrics`]). Returns the
 /// checkpoint's response lines.
-fn close_session(args: &Args, session: &mut wire::Session) -> Result<Vec<String>, CmdError> {
+fn close_session(
+    args: &Args,
+    session: &mut wire::Session,
+    server_metrics: &str,
+) -> Result<Vec<String>, CmdError> {
     let lines = if session.engine().store().is_durable() {
         session.handle_lines(["{\"op\":\"checkpoint\"}"])
     } else {
         Vec::new()
     };
-    dump_metrics(args, session)?;
+    dump_metrics(args, session, server_metrics)?;
     Ok(lines)
 }
 
@@ -755,10 +767,10 @@ fn cmd_engine(args: &Args) -> Result<String, CmdError> {
         .iter()
         .any(|l| l.contains("\"op\":\"checkpointed\""))
     {
-        dump_metrics(args, &session)?;
+        dump_metrics(args, &session, "")?;
     }
     responses.extend(body_lines);
-    responses.extend(close_session(args, &mut session)?);
+    responses.extend(close_session(args, &mut session, "")?);
 
     let body = responses.join("\n") + "\n";
     write_output(args, "engine responses", body)
@@ -817,7 +829,8 @@ fn cmd_serve(args: &Args) -> Result<String, CmdError> {
     std::io::stdout().flush()?;
 
     let summary = server.run().map_err(CmdError::Io)?;
-    let mut out = close_session(args, &mut server.into_session())?;
+    let server_metrics = server.obs().registry().render_prometheus();
+    let mut out = close_session(args, &mut server.into_session(), &server_metrics)?;
     out.push(format!(
         "{{\"op\":\"served\",\"accepted\":{},\"closed\":{},\"shed\":{},\"bytes_in\":{},\"bytes_out\":{}}}",
         summary.accepted, summary.closed, summary.shed, summary.bytes_in, summary.bytes_out

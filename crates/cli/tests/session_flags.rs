@@ -89,6 +89,26 @@ fn serve_and_engine_read_back_the_same_session() {
 }
 
 #[test]
+fn serve_metrics_dump_carries_the_server_registry() {
+    let dump = scratch("serve-metrics.prom");
+    let replies = served_replies(
+        &["--metrics-dump", &dump],
+        "{\"op\":\"admit\",\"id\":\"a\",\"m\":4,\"beta\":2.0,\"policy\":\"lcp\"}\n\
+         {\"op\":\"step\",\"id\":\"a\",\"load\":1.0}\n",
+    );
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    let prom = std::fs::read_to_string(&dump).expect("metrics dump");
+    let _ = std::fs::remove_file(&dump);
+    for line in [
+        "engine_events_ingested 1",
+        "serve_conns_accepted 1",
+        "serve_conns_closed 1",
+    ] {
+        assert!(prom.lines().any(|l| l == line), "{line:?} not in {prom}");
+    }
+}
+
+#[test]
 fn refused_flag_combinations_read_the_same_in_both_commands() {
     // (argv after the command, text the refusal must carry)
     let cases: &[(&[&str], &str)] = &[

@@ -53,8 +53,8 @@
 //!   [`ServeConfig::handshake_timeout`] with a typed sequence-0 error —
 //!   it cannot hold a connection slot open forever.
 //! * **Fairness**: each reactor turn visits connections in rotating
-//!   round-robin order and reads at most [`ServeConfig::read_chunk`]
-//!   bytes per connection, so one chatty client cannot starve the rest.
+//!   round-robin order and reads at most 64 KiB (`READ_CHUNK`) per
+//!   connection, so one chatty client cannot starve the rest.
 //! * **Backpressure and shedding**: responses queue in a per-connection
 //!   outbound buffer. While the backlog exceeds
 //!   [`ServeConfig::write_buf`] the connection is marked *slow* and the
@@ -86,6 +86,10 @@ pub const SHED_HANDSHAKE_TIMEOUT: &str = "handshake-timeout";
 pub const SHED_AT_CAPACITY: &str = "at-capacity";
 /// Typed shed reason: the socket errored mid-stream.
 pub const SHED_IO_ERROR: &str = "io-error";
+
+/// Most input bytes one connection may deliver per reactor turn (the
+/// round-robin fairness quantum).
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Which framing(s) a listener accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,9 +150,6 @@ pub struct ServeConfig {
     /// ([`SHED_SLOW_CONSUMER`]). Also the drain window a closing
     /// connection gets to flush its final bytes.
     pub shed_timeout: Duration,
-    /// Most input bytes one connection may deliver per reactor turn (the
-    /// round-robin fairness quantum).
-    pub read_chunk: usize,
     /// Stop taking connections off the listener after this many accepts
     /// (capacity rejects included) and return from [`Server::run`] once
     /// every admitted connection closes. `None` serves forever.
@@ -163,7 +164,6 @@ impl Default for ServeConfig {
             write_buf: 256 * 1024,
             handshake_timeout: Duration::from_secs(10),
             shed_timeout: Duration::from_secs(5),
-            read_chunk: 64 * 1024,
             max_accepts: None,
         }
     }
@@ -460,7 +460,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let scratch = vec![0u8; cfg.read_chunk.max(1)];
+        let scratch = vec![0u8; READ_CHUNK];
         Ok(Server {
             listener_fd: raw_fd(&listener),
             listener,
@@ -560,7 +560,7 @@ impl Server {
         }
 
         // Sweep connections starting at a rotating offset: each gets at
-        // most one read_chunk of input per turn, so a firehose client
+        // most one READ_CHUNK of input per turn, so a firehose client
         // cannot monopolize the reactor.
         let n = self.conns.len();
         if n > 0 {
