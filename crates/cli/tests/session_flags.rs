@@ -109,6 +109,30 @@ fn serve_metrics_dump_carries_the_server_registry() {
 }
 
 #[test]
+fn unbuildable_flcp_admits_answer_errors_in_both_commands() {
+    // The grid tracker has m * k states: k = 0 and an m * k past the
+    // tenant cap are typed errors, and both commands go on to the stats.
+    let requests = concat!(
+        r#"{"op":"admit","id":"a","m":8,"beta":1.0,"policy":{"FlcpRounded":{"k":0,"seed":1}}}"#,
+        "\n",
+        r#"{"op":"admit","id":"b","m":8,"beta":1.0,"policy":{"FlcpRounded":{"k":1073741824,"seed":1}}}"#,
+        "\n",
+        r#"{"op":"admit","id":"c","m":8,"beta":1.0,"policy":"flcp:0"}"#,
+        "\n",
+        r#"{"op":"stats"}"#,
+        "\n",
+    );
+    let engine = engine_replies(&[], requests);
+    assert_eq!(engine.len(), 4, "{engine:?}");
+    for reply in &engine[..3] {
+        assert!(reply.contains(r#""op":"error""#), "{reply}");
+    }
+    assert!(engine[1].contains("exceeds the cap"), "{}", engine[1]);
+    assert!(engine[3].contains(r#""op":"stats""#), "{}", engine[3]);
+    assert_eq!(served_replies(&[], requests), engine);
+}
+
+#[test]
 fn refused_flag_combinations_read_the_same_in_both_commands() {
     // (argv after the command, text the refusal must carry)
     let cases: &[(&[&str], &str)] = &[

@@ -67,7 +67,7 @@
 //!   per event — a batch costs O(batch) work, not O(fleet).
 //! * **Snapshots** ([`tenant::TenantSnapshot`]) capture the *complete*
 //!   tenant state — policy value functions, fractional states, rounder RNG
-//!   words, lookahead buffers and the running accounting — so a tenant
+//!   words, pending slots and the running accounting — so a tenant
 //!   restored on a fresh engine continues **bit-identically**, a property
 //!   the cross-crate differential tests enforce.
 //! * **Durability** ([`journal`], `rsdc-store`): shards journal every

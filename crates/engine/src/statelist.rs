@@ -1,7 +1,7 @@
 //! Small-vector state list for step outcomes.
 //!
 //! Nearly every step commits a handful of states — one per slot drained
-//! from the policy's pending queue, which is almost always exactly one in
+//! from the tenant's pending queue, which is almost always exactly one in
 //! steady state. Storing them in a `Vec<u32>` costs one heap allocation
 //! per event, which is the difference between a zero-allocation ingest
 //! path and one allocation per event at data-center rates. [`StateList`]

@@ -19,8 +19,9 @@ use rsdc_online::baselines::{FollowTheMinimizer, Hysteresis};
 use rsdc_online::bounds::{BoundTracker, TrackerSnapshot};
 use rsdc_online::flcp::GridLcp;
 use rsdc_online::fractional::{EvalMode, HalfStep, MemorylessBalance};
+use rsdc_online::prediction::LookaheadLcp;
 use rsdc_online::randomized::RandomizedOnline;
-use rsdc_online::streaming::{StreamLookahead, StreamingPolicy};
+use rsdc_online::streaming::{refuse_lag, StreamingPolicy};
 use rsdc_online::Lcp;
 use rsdc_workloads::builder::CostModel;
 use serde::{Deserialize, Serialize};
@@ -129,7 +130,9 @@ impl PolicySpec {
                 m,
                 *seed,
             )),
-            PolicySpec::Lookahead { window } => Box::new(StreamLookahead::new(m, beta, *window)),
+            PolicySpec::Lookahead { window } => {
+                Box::new(LookaheadLcp::with_window(m, beta, *window))
+            }
             PolicySpec::FollowTheMinimizer => Box::new(FollowTheMinimizer::new(m)),
             PolicySpec::Hysteresis { band } => Box::new(Hysteresis::new(m, *band)),
             PolicySpec::Hetero { fleet, algo } => {
@@ -148,12 +151,15 @@ impl PolicySpec {
             Some((n, a)) => (n, Some(a)),
             None => (s, None),
         };
-        let num = |a: Option<&str>, default: u64| -> Result<u64, String> {
+        fn num<T: std::str::FromStr>(a: Option<&str>, default: T) -> Result<T, String>
+        where
+            T::Err: std::fmt::Display,
+        {
             match a {
                 None => Ok(default),
                 Some(x) => x.parse().map_err(|e| format!("bad number {x:?}: {e}")),
             }
-        };
+        }
         match name {
             "lcp" => Ok(PolicySpec::Lcp),
             "halfstep" | "randomized" => Ok(PolicySpec::HalfStepRounded {
@@ -167,17 +173,17 @@ impl PolicySpec {
                         Some((k, s)) => (num(Some(k), 4)?, num(Some(s), 0)?),
                     },
                 };
-                Ok(PolicySpec::FlcpRounded { k: k as u32, seed })
+                Ok(PolicySpec::FlcpRounded { k, seed })
             }
             "memoryless" => Ok(PolicySpec::MemorylessRounded {
                 seed: num(arg, 0)?,
             }),
             "lookahead" => Ok(PolicySpec::Lookahead {
-                window: num(arg, 1)? as usize,
+                window: num(arg, 1)?,
             }),
             "followmin" => Ok(PolicySpec::FollowTheMinimizer),
             "hysteresis" => Ok(PolicySpec::Hysteresis {
-                band: num(arg, 1)? as u32,
+                band: num(arg, 1)?,
             }),
             other => Err(format!(
                 "unknown policy {other:?} (lcp|halfstep|flcp|memoryless|lookahead|followmin|hysteresis)"
@@ -258,9 +264,11 @@ impl TenantConfig {
     }
 
     /// Check the scalar parameters every tenant is built from: `m` at
-    /// most [`MAX_M`], `beta` finite and non-negative, and an explicit
-    /// cost model's server parameters valid with a finite non-negative
-    /// overload (so every load it prices is convex).
+    /// most [`MAX_M`], `beta` finite and non-negative, a fractional LCP
+    /// grid of `m * k` states with `1 <= k` and `m * k` at most [`MAX_M`]
+    /// (its bound tracker runs over the grid), and an explicit cost
+    /// model's server parameters valid with a finite non-negative overload
+    /// (so every load it prices is convex).
     /// [`Tenant::new`] runs this, so admits, restores and recovery replay
     /// share it.
     pub fn validate(&self) -> Result<(), rsdc_core::Error> {
@@ -270,6 +278,17 @@ impl TenantConfig {
         }
         if !(self.beta.is_finite() && self.beta >= 0.0) {
             return invalid(format!("beta must be finite and >= 0, got {}", self.beta));
+        }
+        if let PolicySpec::FlcpRounded { k, .. } = self.policy {
+            if k == 0 {
+                return invalid("flcp grid resolution k must be at least 1".into());
+            }
+            let states = self.m as u64 * k as u64;
+            if states > MAX_M as u64 {
+                return invalid(format!(
+                    "flcp grid m * k = {states} exceeds the cap of {MAX_M}"
+                ));
+            }
         }
         if let Some(model) = &self.cost_model {
             if let Err(e) = model.server.validate() {
@@ -377,7 +396,8 @@ pub struct TenantSnapshot {
     /// Policy-specific snapshot payload.
     pub policy: serde::Value,
     /// Slots ingested but not yet matched to a committed state
-    /// (lookahead lag).
+    /// (lookahead lag), oldest first. They are a lookahead policy's
+    /// window: its payload holds no cost.
     pub pending: Vec<PendingSlot>,
     /// Prefix-optimum tracker state, when tracked by a separate tracker.
     /// `None` for LCP and lookahead tenants, whose policy snapshot carries
@@ -412,7 +432,12 @@ pub struct Tenant {
     sum_states: f64,
     phases_closed: u64,
     dir: Direction,
-    pending: VecDeque<PendingSlot>,
+    /// The costs of the slots ingested but not yet committed, oldest
+    /// first: the one buffer of them, which a lookahead policy reads as
+    /// its window.
+    pending: VecDeque<Cost>,
+    /// The offered loads of the `pending` slots, when known.
+    pending_loads: VecDeque<Option<f64>>,
     /// Separate prefix-optimum tracker: only for `track_opt` scalar
     /// policies without an [`StreamingPolicy::opt_tracker`] of their own.
     opt: Option<BoundTracker>,
@@ -508,6 +533,7 @@ impl Tenant {
             phases_closed: 0,
             dir: Direction::Flat,
             pending: VecDeque::new(),
+            pending_loads: VecDeque::new(),
         })
     }
 
@@ -578,22 +604,28 @@ impl Tenant {
         });
     }
 
-    fn account(&mut self, x: u32, effect: &mut StepEffect) {
-        let slot = self
-            .pending
-            .pop_front()
-            .expect("policy committed more states than costs ingested");
-        self.operating += slot.cost.eval(x);
+    /// Scalar accounting of state `x` for the oldest pending slot.
+    fn account_pending(&mut self, x: u32, effect: &mut StepEffect) {
+        let (Some(cost), Some(load)) = (self.pending.pop_front(), self.pending_loads.pop_front())
+        else {
+            panic!("policy committed more states than costs ingested");
+        };
+        self.account(x, &cost, load, effect);
+    }
+
+    /// Scalar accounting of state `x` for a slot with cost `cost`.
+    fn account(&mut self, x: u32, cost: &Cost, load: Option<f64>, effect: &mut StepEffect) {
+        self.operating += cost.eval(x);
         // The prefix optimum advances per *committed* slot, so mid-stream
         // ratios always compare cost and optimum over the same prefix even
         // under lookahead lag.
         if let Some(opt) = &mut self.opt {
-            opt.step(&slot.cost);
+            opt.step(cost);
         }
         let up = x.saturating_sub(self.prev_state) as u64;
         let down = self.prev_state.saturating_sub(x) as u64;
         self.switching += self.cfg.beta * up as f64;
-        self.commit_slot(x, up, down, None, slot.load, effect);
+        self.commit_slot(x, up, down, None, load, effect);
     }
 
     /// Hetero accounting: the stream reports exact per-commit fleet costs;
@@ -652,11 +684,23 @@ impl Tenant {
                         })?;
                 }
                 self.events += 1;
-                self.pending.push_back(PendingSlot {
-                    cost: f.clone(),
-                    load,
-                });
-                policy.ingest(f, &mut scratch.out);
+                if self.pending.is_empty() {
+                    // Nothing is held back, so the new cost alone is the
+                    // window; it is queued only if the policy holds it.
+                    policy.ingest(std::slice::from_ref(f), &mut scratch.out);
+                    debug_assert!(scratch.out.len() <= 1, "one state per pending cost");
+                    match scratch.out.first() {
+                        Some(&x) => self.account(x, f, load, &mut scratch.effect),
+                        None => {
+                            self.pending.push_back(f.clone());
+                            self.pending_loads.push_back(load);
+                        }
+                    }
+                    return Ok(());
+                }
+                self.pending.push_back(f.clone());
+                self.pending_loads.push_back(load);
+                policy.ingest(self.pending.make_contiguous(), &mut scratch.out);
             }
             PolicyRuntime::Hetero(stream) => {
                 let Some(lambda) = load else {
@@ -672,8 +716,7 @@ impl Tenant {
             }
         }
         for i in 0..scratch.out.len() {
-            let x = scratch.out[i];
-            self.account(x, &mut scratch.effect);
+            self.account_pending(scratch.out[i], &mut scratch.effect);
         }
         Ok(())
     }
@@ -683,11 +726,11 @@ impl Tenant {
     pub fn finish(&mut self) -> StepEffect {
         let mut out = Vec::new();
         if let PolicyRuntime::Scalar(policy) = &mut self.policy {
-            policy.finish(&mut out);
+            policy.finish(self.pending.make_contiguous(), &mut out);
         }
         let mut effect = StepEffect::default();
         for x in out {
-            self.account(x, &mut effect);
+            self.account_pending(x, &mut effect);
         }
         effect
     }
@@ -776,48 +819,51 @@ impl Tenant {
                 PolicyRuntime::Scalar(policy) => policy.snapshot(),
                 PolicyRuntime::Hetero(stream) => stream.snapshot().to_value(),
             },
-            pending: self.pending.iter().cloned().collect(),
+            pending: self
+                .pending
+                .iter()
+                .zip(&self.pending_loads)
+                .map(|(cost, &load)| PendingSlot {
+                    cost: cost.clone(),
+                    load,
+                })
+                .collect(),
             opt: self.opt.as_ref().map(|t| t.snapshot()),
         }
     }
 
     /// Rebuild a tenant from a snapshot. Its lag must be consistent: every
-    /// ingested slot not yet committed is pending, and the policy holds
-    /// exactly the pending slots, so each state it later commits pairs
-    /// with its own slot's cost.
+    /// ingested slot not yet committed is pending, and the policy accepts
+    /// that many pending slots ([`StreamingPolicy::check_lag`]), so each
+    /// state it later commits pairs with its own slot's cost.
     pub fn from_snapshot(s: TenantSnapshot) -> Result<Self, rsdc_core::Error> {
         let mut tenant = Tenant::new(s.config)?;
-        let held = match &mut tenant.policy {
-            PolicyRuntime::Scalar(policy) => {
-                policy.restore(&s.policy)?;
-                policy.held()
-            }
+        match &mut tenant.policy {
+            PolicyRuntime::Scalar(policy) => policy.restore(&s.policy)?,
             PolicyRuntime::Hetero(stream) => {
                 let snap = HeteroSnapshot::from_value(&s.policy).map_err(|e| {
                     rsdc_core::Error::InvalidParameter(format!("bad hetero snapshot: {e}"))
                 })?;
                 stream.restore(&snap)?;
-                0
             }
-        };
+        }
         let lag = |msg: String| Err(rsdc_core::Error::InvalidParameter(msg));
-        let pending = s.pending.len() as u64;
+        let pending = s.pending.len();
         if s.committed > s.events {
             return lag(format!(
                 "snapshot commits {} states but ingested {} events",
                 s.committed, s.events
             ));
         }
-        if pending != s.events - s.committed {
+        if pending as u64 != s.events - s.committed {
             return lag(format!(
                 "snapshot has {pending} pending slots, expected events - committed = {}",
                 s.events - s.committed
             ));
         }
-        if pending != held as u64 {
-            return lag(format!(
-                "snapshot has {pending} pending slots but its policy holds {held}"
-            ));
+        match &tenant.policy {
+            PolicyRuntime::Scalar(policy) => policy.check_lag(pending)?,
+            PolicyRuntime::Hetero(_) => refuse_lag(pending)?,
         }
         tenant.events = s.events;
         tenant.committed = s.committed;
@@ -831,7 +877,8 @@ impl Tenant {
         tenant.sum_states = s.sum_states;
         tenant.phases_closed = s.phases_closed;
         tenant.dir = s.dir;
-        tenant.pending = s.pending.into_iter().collect();
+        (tenant.pending, tenant.pending_loads) =
+            s.pending.into_iter().map(|p| (p.cost, p.load)).unzip();
         // Only a tenant built with a separate tracker restores one. LCP
         // and lookahead tenants read the optimum from their policy's
         // tracker, restored above, and ignore the duplicate older
@@ -1068,21 +1115,35 @@ mod tests {
 
     #[test]
     fn restore_refuses_a_lookahead_buffer_beyond_the_window() {
-        // Lag consistent with the events, but three buffered costs in a
+        // Lag consistent with the events, but three pending costs in a
         // two-slot window: the tenant would hold one cost too many.
         let mut snap = two_pending_lookahead_snapshot();
-        let extra = costs(3).pop().unwrap();
-        let mut policy =
-            rsdc_online::streaming::LookaheadSnapshot::from_value(&snap.policy).unwrap();
-        policy.buffered.push(extra.clone());
-        snap.policy = policy.to_value();
         snap.pending.push(PendingSlot {
-            cost: extra,
+            cost: costs(3).pop().unwrap(),
             load: None,
         });
         snap.events += 1;
         let err = refusal(snap);
         assert!(err.contains("lookahead buffer exceeds window"), "{err}");
+    }
+
+    #[test]
+    fn lookahead_snapshot_holds_each_pending_cost_once() {
+        let snap = two_pending_lookahead_snapshot();
+        let text = serde_json::to_string(&snap.to_value()).unwrap();
+        for slot in &snap.pending {
+            let cost = serde_json::to_string(&slot.cost.to_value()).unwrap();
+            assert_eq!(text.matches(&cost).count(), 1, "{cost} in {text}");
+        }
+        // The policy payload is the plain LCP state: tracker and state.
+        let keys: Vec<&str> = snap
+            .policy
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["tracker", "state"]);
     }
 
     #[test]
@@ -1156,6 +1217,57 @@ mod tests {
         assert_eq!(ra.breakdown.switching, rb.breakdown.switching);
         assert_eq!(ra.stats, rb.stats);
         assert_eq!(ra.opt_cost, rb.opt_cost);
+    }
+
+    #[test]
+    fn flcp_grids_are_refused_past_the_cap() {
+        let cap = "exceeds the cap of 65536";
+        for (m, k, refusal) in [
+            (8, 0, Some("flcp grid resolution k must be at least 1")),
+            (0, 0, Some("flcp grid resolution k must be at least 1")),
+            (8, 1 << 30, Some(cap)),
+            (8, u32::MAX, Some(cap)),
+            (65_536, 2, Some(cap)),
+            (8, 8_192, None),
+            (65_536, 1, None),
+        ] {
+            let cfg = TenantConfig::new("t", m, 1.0, PolicySpec::FlcpRounded { k, seed: 1 });
+            match (Tenant::new(cfg), refusal) {
+                (Ok(_), None) => {}
+                (Err(rsdc_core::Error::InvalidParameter(e)), Some(want)) => {
+                    assert!(e.contains(want), "m = {m}, k = {k}: {e}")
+                }
+                (got, _) => panic!("m = {m}, k = {k}: {:?}", got.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn short_syntax_refuses_numbers_past_u32() {
+        for (short, parsed) in [
+            // Parses; the admit then refuses the grid.
+            ("flcp:0", Some(PolicySpec::FlcpRounded { k: 0, seed: 0 })),
+            (
+                "flcp:4294967295,2",
+                Some(PolicySpec::FlcpRounded {
+                    k: u32::MAX,
+                    seed: 2,
+                }),
+            ),
+            ("flcp:4294967296", None),
+            ("flcp:4294967297,1", None),
+            (
+                "hysteresis:4294967295",
+                Some(PolicySpec::Hysteresis { band: u32::MAX }),
+            ),
+            ("hysteresis:4294967296", None),
+        ] {
+            let got = PolicySpec::parse_short(short);
+            match parsed {
+                Some(want) => assert_eq!(got, Ok(want), "{short}"),
+                None => assert!(got.unwrap_err().contains("bad number"), "{short}"),
+            }
+        }
     }
 
     #[test]

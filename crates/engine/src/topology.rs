@@ -20,10 +20,9 @@
 //! Each ingested batch is one logical tick (the same clock the admission
 //! gate uses). The observation stream induces an instance of the paper's
 //! problem over states `x = shards - min_shards in 0..=(max - min)`, and
-//! the policy runs the real LCP machinery on it — an
-//! [`rsdc_online::bounds::BoundTracker`] maintains the lower/upper bounds
-//! `x^L_t <= x^U_t`, and the planned state moves **only when the bounds
-//! force it** (eq. 13). That inherits the paper's guarantees verbatim:
+//! the policy runs [`rsdc_online::Lcp`] itself on it — its bound tracker
+//! maintains the lower/upper bounds `x^L_t <= x^U_t`, and the planned
+//! state moves **only when the bounds force it** (eq. 13). That inherits the paper's guarantees verbatim:
 //! the (imbalance + switching) cost of the topology schedule is within a
 //! factor 3 of the offline-optimal schedule for the same observations
 //! (Theorem 2), and the plan provably cannot flap — a grow is never
@@ -50,7 +49,7 @@
 //! engine re-learns the load in a few ticks).
 
 use rsdc_core::Cost;
-use rsdc_online::bounds::BoundTracker;
+use rsdc_online::{Lcp, OnlineAlgorithm};
 use rsdc_power::{PowerConfig, PowerModel, PowerSpec};
 use serde::{Deserialize, Serialize};
 
@@ -233,9 +232,8 @@ pub struct TopologyStatus {
 #[derive(Debug, Clone)]
 pub struct TopologyPolicy {
     cfg: TopologyConfig,
-    tracker: BoundTracker,
     /// The LCP plan, in policy states (`shards = min + state`).
-    state: u32,
+    lcp: Lcp,
     /// Shard count last applied to the engine.
     applied: usize,
     ticks: u64,
@@ -256,8 +254,7 @@ impl TopologyPolicy {
     pub fn new(cfg: TopologyConfig, shards: usize) -> Result<TopologyPolicy, String> {
         cfg.validate()?;
         Ok(TopologyPolicy {
-            tracker: BoundTracker::new(cfg.states(), cfg.switch_cost),
-            state: 0,
+            lcp: Lcp::new(cfg.states(), cfg.switch_cost),
             applied: shards,
             ticks: 0,
             last_change: 0,
@@ -306,9 +303,8 @@ impl TopologyPolicy {
             (self.applied.clamp(self.cfg.min_shards, self.cfg.max_shards) - self.cfg.min_shards)
                 as u32,
         );
-        self.tracker.step(&f);
         // Eq. 13: lazily project the previous plan into [x^L, x^U].
-        self.state = self.state.clamp(self.tracker.x_low(), self.tracker.x_up());
+        self.lcp.step(&f);
         self.pending()
     }
 
@@ -330,7 +326,7 @@ impl TopologyPolicy {
 
     /// The shard count the LCP plan currently wants.
     pub fn target(&self) -> usize {
-        self.cfg.min_shards + self.state as usize
+        self.cfg.min_shards + self.lcp.state() as usize
     }
 
     /// Record that a *policy-triggered* topology change (from `from` to
@@ -370,8 +366,8 @@ impl TopologyPolicy {
             config: self.cfg.clone(),
             shards: self.applied,
             target: self.target(),
-            lower: self.cfg.min_shards + self.tracker.x_low() as usize,
-            upper: self.cfg.min_shards + self.tracker.x_up() as usize,
+            lower: self.cfg.min_shards + self.lcp.tracker().x_low() as usize,
+            upper: self.cfg.min_shards + self.lcp.tracker().x_up() as usize,
             ticks: self.ticks,
             imbalance_cost: self.imbalance_cost,
             switch_cost_accrued: self.switch_cost_accrued,

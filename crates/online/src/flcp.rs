@@ -13,19 +13,18 @@
 //! and provides the natural fractional input for the Section 4 rounding as
 //! an alternative to [`crate::fractional::HalfStep`].
 
-use crate::bounds::BoundTracker;
-use crate::lcp::LcpSnapshot;
-use crate::traits::FractionalAlgorithm;
+use crate::lcp::{Lcp, LcpSnapshot};
+use crate::traits::{FractionalAlgorithm, OnlineAlgorithm};
 use rsdc_core::prelude::*;
 
-/// Fractional LCP on a `1/k` grid over `[0, m]`.
+/// Fractional LCP on a `1/k` grid over `[0, m]`: discrete [`Lcp`] over
+/// `m * k` grid states with power-up cost `beta / k`.
 #[derive(Debug, Clone)]
 pub struct GridLcp {
     m: u32,
     k: u32,
-    tracker: BoundTracker,
-    /// Current state in *grid units* (servers = state / k).
-    state: u32,
+    /// LCP in *grid units* (servers = state / k).
+    lcp: Lcp,
 }
 
 impl GridLcp {
@@ -36,14 +35,13 @@ impl GridLcp {
         Self {
             m,
             k,
-            tracker: BoundTracker::new(fine_m, beta / k as f64),
-            state: 0,
+            lcp: Lcp::new(fine_m, beta / k as f64),
         }
     }
 
     /// Current fractional state in server units.
     pub fn state(&self) -> f64 {
-        self.state as f64 / self.k as f64
+        self.lcp.state() as f64 / self.k as f64
     }
 
     /// Grid resolution.
@@ -59,10 +57,7 @@ impl GridLcp {
     /// Capture full state (tracker + grid-unit state) for streaming
     /// snapshots.
     pub fn snapshot(&self) -> LcpSnapshot {
-        LcpSnapshot {
-            tracker: self.tracker.snapshot(),
-            state: self.state,
-        }
+        self.lcp.snapshot()
     }
 
     /// Rebuild from a [`GridLcp::snapshot`]; `m` and `k` must match the
@@ -78,23 +73,18 @@ impl GridLcp {
         Ok(Self {
             m,
             k,
-            tracker: BoundTracker::from_snapshot(&s.tracker)?,
-            state: s.state,
+            lcp: Lcp::from_snapshot(s)?,
         })
     }
 }
 
 impl FractionalAlgorithm for GridLcp {
     fn step(&mut self, f: &Cost) -> f64 {
-        // Present the interpolated cost on the fine grid to the tracker.
+        // Present the interpolated cost on the fine grid to LCP.
         let vals: Vec<f64> = (0..=self.m * self.k)
             .map(|i| f.interpolate(i as f64 / self.k as f64))
             .collect();
-        let fine = Cost::table(vals);
-        self.tracker.step(&fine);
-        let lo = self.tracker.x_low();
-        let hi = self.tracker.x_up();
-        self.state = self.state.clamp(lo.min(hi), hi.max(lo));
+        self.lcp.step(&Cost::table(vals));
         self.state()
     }
 

@@ -16,7 +16,6 @@
 //!   computed from the known prefix, mirroring Lin et al.'s LCP(w).
 
 use crate::bounds::BoundTracker;
-use crate::lcp::LcpSnapshot;
 use crate::traits::LookaheadAlgorithm;
 use rsdc_core::prelude::*;
 use rsdc_offline::restricted_dp::solve_restricted;
@@ -62,19 +61,30 @@ impl LookaheadAlgorithm for RecedingHorizon {
 /// the projection, so the algorithm projects onto `[x^L_{t+w}, x^U_{t+w}]`.
 #[derive(Debug, Clone)]
 pub struct LookaheadLcp {
-    tracker: BoundTracker,
+    pub(crate) tracker: BoundTracker,
     /// Scratch copy the window is peeked on, refreshed every step.
     peek: BoundTracker,
-    state: u32,
+    pub(crate) state: u32,
+    /// Window length `w` as a streaming policy (see
+    /// [`crate::streaming::StreamingPolicy`]); the batch runner
+    /// [`crate::traits::run_lookahead`] passes its own.
+    pub(crate) window: usize,
 }
 
 impl LookaheadLcp {
-    /// New lookahead LCP.
+    /// New lookahead LCP (streaming window 0).
     pub fn new(m: u32, beta: f64) -> Self {
+        Self::with_window(m, beta, 0)
+    }
+
+    /// New lookahead LCP that, as a streaming policy, commits a slot once
+    /// `window` later costs are pending.
+    pub fn with_window(m: u32, beta: f64, window: usize) -> Self {
         Self {
             tracker: BoundTracker::new(m, beta),
             peek: BoundTracker::new(m, beta),
             state: 0,
+            window,
         }
     }
 
@@ -83,23 +93,6 @@ impl LookaheadLcp {
     /// optimum of the committed prefix.
     pub fn tracker(&self) -> &BoundTracker {
         &self.tracker
-    }
-
-    /// Capture full state (tracker + current state) for streaming snapshots.
-    pub fn snapshot(&self) -> LcpSnapshot {
-        LcpSnapshot {
-            tracker: self.tracker.snapshot(),
-            state: self.state,
-        }
-    }
-
-    /// Rebuild from a [`LookaheadLcp::snapshot`].
-    pub fn from_snapshot(s: &LcpSnapshot) -> Result<Self, rsdc_core::Error> {
-        Ok(Self {
-            tracker: BoundTracker::from_snapshot(&s.tracker)?,
-            peek: BoundTracker::new(s.tracker.m, s.tracker.beta),
-            state: s.state,
-        })
     }
 }
 

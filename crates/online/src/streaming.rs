@@ -5,18 +5,25 @@
 //! functions and must be able to checkpoint and resume mid-stream. The
 //! algorithms themselves implement the one object-safe trait for that
 //! shape, [`StreamingPolicy`]: [`Lcp`], [`RandomizedOnline`] over any
-//! [`ResumableFractional`] algorithm, [`FollowTheMinimizer`] and
-//! [`Hysteresis`]. [`StreamLookahead`] is the one adapter: it buffers the
-//! prediction window that [`LookaheadLcp`] reads.
+//! [`ResumableFractional`] algorithm, [`LookaheadLcp`],
+//! [`FollowTheMinimizer`] and [`Hysteresis`]. No adapter sits between.
 //!
-//! * **ingest** — feed the next cost function; committed states come back
-//!   through an out-buffer because lookahead policies emit them with a lag;
-//! * **finish** — end-of-stream: flush states still held back by lookahead;
+//! The caller keeps the one buffer of ingested, uncommitted costs (its
+//! *pending* slots, oldest first) and hands it to every call, so a
+//! lookahead policy reads its prediction window there instead of keeping
+//! a copy:
+//!
+//! * **ingest** — the new cost is the last pending one; committed states
+//!   come back through an out-buffer, one per oldest pending cost, because
+//!   lookahead policies emit them with a lag;
+//! * **finish** — end-of-stream: commit every pending slot;
 //! * **snapshot / restore** — capture and re-install the *complete*
 //!   mutable state (bound-tracker value function, fractional states,
-//!   rounder RNG words, buffered windows) as a [`serde::Value`] tree, so a
-//!   restored policy continues **bit-identically** — including the
-//!   randomized policies, whose RNG state rides along.
+//!   rounder RNG words) as a [`serde::Value`] tree, so a restored policy,
+//!   handed the same pending slots, continues **bit-identically** —
+//!   including the randomized policies, whose RNG state rides along;
+//! * **check_lag** — how many pending slots a restored policy may be
+//!   handed: none, or up to the window for lookahead.
 //!
 //! Equivalence guarantees (checked by the cross-crate differential tests):
 //! feeding a trace through a policy one event at a time, with any number
@@ -33,13 +40,28 @@ use crate::randomized::{RandomizedOnline, Rounder, RounderSnapshot};
 use crate::traits::{FractionalAlgorithm, LookaheadAlgorithm, OnlineAlgorithm};
 use rsdc_core::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Errors raised by snapshot/restore.
 pub type StreamError = rsdc_core::Error;
 
 fn bad_snapshot(what: &str) -> StreamError {
     rsdc_core::Error::InvalidParameter(format!("incompatible snapshot: {what}"))
+}
+
+/// The lag rule of a policy that commits one state per cost: it is never
+/// handed a pending slot after a restore.
+pub fn refuse_lag(pending: usize) -> Result<(), StreamError> {
+    if pending == 0 {
+        return Ok(());
+    }
+    Err(rsdc_core::Error::InvalidParameter(format!(
+        "snapshot has {pending} pending slots but its policy holds 0"
+    )))
+}
+
+/// The new cost of an [`StreamingPolicy::ingest`] call.
+fn newest(pending: &[Cost]) -> &Cost {
+    pending.last().expect("ingest is handed the new cost")
 }
 
 /// An online policy adapted to unbounded streams with checkpointing.
@@ -49,23 +71,27 @@ fn bad_snapshot(what: &str) -> StreamError {
 /// The contract every implementation upholds (and the differential tests
 /// enforce): (1) streamed output equals the corresponding batch runner's
 /// on the equivalent instance; (2) `restore(snapshot())` on a same-config
-/// receiver continues **bit-identically** — including RNG state, so even
-/// randomized policies survive checkpoints exactly; (3) `restore` rejects
-/// snapshots from a differently-configured policy instead of silently
-/// corrupting state. Heterogeneous (vector-state) tenants stream through
-/// the parallel `rsdc_hetero::HeteroStream` shape, which upholds the same
-/// three guarantees with the DP frontier as its snapshot.
+/// receiver, handed the same pending slots, continues **bit-identically**
+/// — including RNG state, so even randomized policies survive checkpoints
+/// exactly; (3) `restore` and `check_lag` reject state from a
+/// differently-configured policy instead of silently corrupting it.
+/// Heterogeneous (vector-state) tenants stream through the parallel
+/// `rsdc_hetero::HeteroStream` shape, which upholds the same three
+/// guarantees with the DP frontier as its snapshot.
 pub trait StreamingPolicy: Send {
     /// Human-readable policy name.
     fn name(&self) -> String;
 
-    /// Feed the next cost function; newly committed states are appended to
-    /// `out` (usually exactly one; zero while a lookahead window fills).
-    fn ingest(&mut self, f: &Cost, out: &mut Vec<u32>);
+    /// Feed the next cost function, the last of the caller's `pending`
+    /// costs (ingested, not yet committed, oldest first). Newly committed
+    /// states are appended to `out`, one for each of the oldest pending
+    /// costs, which the caller then drops (usually exactly one; zero while
+    /// a lookahead window fills).
+    fn ingest(&mut self, pending: &[Cost], out: &mut Vec<u32>);
 
-    /// Signal end-of-stream and flush any states still held back. The
-    /// default holds none back.
-    fn finish(&mut self, _out: &mut Vec<u32>) {}
+    /// Signal end-of-stream: commit a state for every `pending` cost. The
+    /// default has none pending.
+    fn finish(&mut self, _pending: &[Cost], _out: &mut Vec<u32>) {}
 
     /// Capture the complete mutable state.
     fn snapshot(&self) -> serde::Value;
@@ -74,11 +100,10 @@ pub trait StreamingPolicy: Send {
     /// built with the same configuration (`m`, `beta`, policy parameters).
     fn restore(&mut self, snapshot: &serde::Value) -> Result<(), StreamError>;
 
-    /// How many ingested costs wait for a committed state: a lookahead
-    /// window's buffer; 0 (the default) for a policy that commits one
-    /// state per cost.
-    fn held(&self) -> usize {
-        0
+    /// Accept or refuse `pending` uncommitted slots for a restored policy.
+    /// The default ([`refuse_lag`]) accepts none.
+    fn check_lag(&self, pending: usize) -> Result<(), StreamError> {
+        refuse_lag(pending)
     }
 
     /// The policy's own bound tracker, when it is stepped with exactly the
@@ -113,8 +138,8 @@ impl StreamingPolicy for Lcp {
         OnlineAlgorithm::name(self)
     }
 
-    fn ingest(&mut self, f: &Cost, out: &mut Vec<u32>) {
-        out.push(self.step(f));
+    fn ingest(&mut self, pending: &[Cost], out: &mut Vec<u32>) {
+        out.push(self.step(newest(pending)));
     }
 
     fn snapshot(&self) -> serde::Value {
@@ -198,8 +223,8 @@ impl<F: ResumableFractional> StreamingPolicy for RandomizedOnline<F> {
         OnlineAlgorithm::name(self)
     }
 
-    fn ingest(&mut self, f: &Cost, out: &mut Vec<u32>) {
-        out.push(self.step(f));
+    fn ingest(&mut self, pending: &[Cost], out: &mut Vec<u32>) {
+        out.push(self.step(newest(pending)));
     }
 
     fn snapshot(&self) -> serde::Value {
@@ -220,94 +245,56 @@ impl<F: ResumableFractional> StreamingPolicy for RandomizedOnline<F> {
 
 // ------------------------------------------------------------ lookahead
 
-/// Streaming lookahead: buffers up to `window` future costs and commits
-/// slot `t` once `f_{t+window}` arrives (or at [`StreamingPolicy::finish`],
-/// where the window shrinks exactly like
-/// [`crate::traits::run_lookahead`] near the horizon).
-pub struct StreamLookahead {
-    window: usize,
-    inner: LookaheadLcp,
-    buf: VecDeque<Cost>,
-}
-
-/// Serializable state of [`StreamLookahead`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LookaheadSnapshot {
-    /// Tracker state.
-    pub tracker: TrackerSnapshot,
-    /// Committed state.
-    pub state: u32,
-    /// Buffered, not-yet-committed window costs (oldest first).
-    pub buffered: Vec<Cost>,
-}
-
-impl StreamLookahead {
-    /// Streaming [`LookaheadLcp`] with a `window`-slot prediction window.
-    pub fn new(m: u32, beta: f64, window: usize) -> Self {
-        Self {
-            window,
-            inner: LookaheadLcp::new(m, beta),
-            buf: VecDeque::new(),
-        }
-    }
-
-    fn commit_front(&mut self, out: &mut Vec<u32>) {
-        let x = self.inner.step(self.buf.make_contiguous());
-        self.buf.pop_front();
-        out.push(x);
-    }
-}
-
-impl StreamingPolicy for StreamLookahead {
+/// Lookahead LCP reads its prediction window from the caller's pending
+/// costs: it commits the oldest once they number `window + 1`, and at
+/// [`StreamingPolicy::finish`] over the shrinking tail, exactly like
+/// [`crate::traits::run_lookahead`] near the horizon. The snapshot is an
+/// [`LcpSnapshot`]; the window itself is the caller's to keep.
+impl StreamingPolicy for LookaheadLcp {
     fn name(&self) -> String {
         format!("LCP(lookahead,w={})", self.window)
     }
 
-    fn ingest(&mut self, f: &Cost, out: &mut Vec<u32>) {
-        self.buf.push_back(f.clone());
-        if self.buf.len() == self.window + 1 {
-            self.commit_front(out);
+    fn ingest(&mut self, pending: &[Cost], out: &mut Vec<u32>) {
+        if pending.len() > self.window {
+            out.push(self.step(pending));
         }
     }
 
-    fn finish(&mut self, out: &mut Vec<u32>) {
-        while !self.buf.is_empty() {
-            self.commit_front(out);
+    fn finish(&mut self, pending: &[Cost], out: &mut Vec<u32>) {
+        for start in 0..pending.len() {
+            out.push(self.step(&pending[start..]));
         }
     }
 
     fn snapshot(&self) -> serde::Value {
-        let LcpSnapshot { tracker, state } = self.inner.snapshot();
-        LookaheadSnapshot {
-            tracker,
-            state,
-            buffered: self.buf.iter().cloned().collect(),
+        LcpSnapshot {
+            tracker: self.tracker.snapshot(),
+            state: self.state,
         }
         .to_value()
     }
 
     fn restore(&mut self, snapshot: &serde::Value) -> Result<(), StreamError> {
-        let s: LookaheadSnapshot = decode(snapshot, "StreamLookahead")?;
-        // `ingest` commits as soon as the buffer reaches `window + 1`, so a
-        // snapshot never holds more than `window` costs.
-        if s.buffered.len() > self.window {
-            return Err(bad_snapshot("lookahead buffer exceeds window"));
-        }
-        check_params(self.inner.tracker(), &s.tracker, "lookahead")?;
-        self.inner = LookaheadLcp::from_snapshot(&LcpSnapshot {
-            tracker: s.tracker,
-            state: s.state,
-        })?;
-        self.buf = s.buffered.into_iter().collect();
+        // Snapshots written before the window lived with the caller carry
+        // a `buffered` copy of it; decoding skips that field.
+        let s: LcpSnapshot = decode(snapshot, "LookaheadLcp")?;
+        check_params(&self.tracker, &s.tracker, "lookahead")?;
+        self.tracker = BoundTracker::from_snapshot(&s.tracker)?;
+        self.state = s.state;
         Ok(())
     }
 
-    fn held(&self) -> usize {
-        self.buf.len()
+    fn check_lag(&self, pending: usize) -> Result<(), StreamError> {
+        // `ingest` commits as soon as `window + 1` costs are pending.
+        if pending > self.window {
+            return Err(bad_snapshot("lookahead buffer exceeds window"));
+        }
+        Ok(())
     }
 
     fn opt_tracker(&self) -> Option<&BoundTracker> {
-        Some(self.inner.tracker())
+        Some(self.tracker())
     }
 }
 
@@ -319,8 +306,8 @@ impl StreamingPolicy for FollowTheMinimizer {
         OnlineAlgorithm::name(self)
     }
 
-    fn ingest(&mut self, f: &Cost, out: &mut Vec<u32>) {
-        out.push(self.step(f));
+    fn ingest(&mut self, pending: &[Cost], out: &mut Vec<u32>) {
+        out.push(self.step(newest(pending)));
     }
 
     fn snapshot(&self) -> serde::Value {
@@ -338,8 +325,8 @@ impl StreamingPolicy for Hysteresis {
         OnlineAlgorithm::name(self)
     }
 
-    fn ingest(&mut self, f: &Cost, out: &mut Vec<u32>) {
-        out.push(self.step(f));
+    fn ingest(&mut self, pending: &[Cost], out: &mut Vec<u32>) {
+        out.push(self.step(newest(pending)));
     }
 
     fn snapshot(&self) -> serde::Value {
@@ -364,12 +351,33 @@ mod tests {
             .collect()
     }
 
-    fn stream_all(p: &mut dyn StreamingPolicy, fs: &[Cost]) -> Vec<u32> {
-        let mut out = Vec::new();
+    /// Ingest `fs` the way a tenant does: `pending` is the one buffer of
+    /// ingested, uncommitted costs, and each committed state drops the
+    /// oldest.
+    fn feed(p: &mut dyn StreamingPolicy, pending: &mut Vec<Cost>, fs: &[Cost], out: &mut Vec<u32>) {
         for f in fs {
-            p.ingest(f, &mut out);
+            pending.push(f.clone());
+            let before = out.len();
+            p.ingest(pending, out);
+            pending.drain(..out.len() - before);
         }
-        p.finish(&mut out);
+    }
+
+    fn flush(p: &mut dyn StreamingPolicy, pending: &mut Vec<Cost>, out: &mut Vec<u32>) {
+        let before = out.len();
+        p.finish(pending, out);
+        assert_eq!(
+            out.len() - before,
+            pending.len(),
+            "one state per pending cost"
+        );
+        pending.clear();
+    }
+
+    fn stream_all(p: &mut dyn StreamingPolicy, fs: &[Cost]) -> Vec<u32> {
+        let (mut pending, mut out) = (Vec::new(), Vec::new());
+        feed(p, &mut pending, fs, &mut out);
+        flush(p, &mut pending, &mut out);
         out
     }
 
@@ -377,10 +385,31 @@ mod tests {
     fn stream_lookahead_matches_run_lookahead() {
         let fs = costs(31);
         let inst = Instance::new(8, 2.0, fs.clone()).unwrap();
-        for w in [0usize, 1, 3, 7] {
+        for w in 0..=3 {
             let batch = run_lookahead(&mut LookaheadLcp::new(8, 2.0), &inst, w);
-            let mut s = StreamLookahead::new(8, 2.0, w);
+            let mut s = LookaheadLcp::with_window(8, 2.0, w);
             assert_eq!(stream_all(&mut s, &fs), batch.0, "window {w}");
+        }
+    }
+
+    #[test]
+    fn lookahead_resumes_from_every_prefix() {
+        let fs = costs(12);
+        for w in 0..=3 {
+            let full = stream_all(&mut LookaheadLcp::with_window(7, 2.5, w), &fs);
+            for cut in 0..=fs.len() {
+                let (mut pending, mut out) = (Vec::new(), Vec::new());
+                let mut first = LookaheadLcp::with_window(7, 2.5, w);
+                feed(&mut first, &mut pending, &fs[..cut], &mut out);
+                assert_eq!(pending.len(), cut.min(w), "window {w}, cut {cut}");
+                let snap = StreamingPolicy::snapshot(&first);
+                let mut resumed = LookaheadLcp::with_window(7, 2.5, w);
+                resumed.restore(&snap).unwrap();
+                resumed.check_lag(pending.len()).unwrap();
+                feed(&mut resumed, &mut pending, &fs[cut..], &mut out);
+                flush(&mut resumed, &mut pending, &mut out);
+                assert_eq!(out, full, "window {w}, cut {cut}");
+            }
         }
     }
 
@@ -411,7 +440,7 @@ mod tests {
             ),
             (
                 "lookahead",
-                Box::new(|| Box::new(StreamLookahead::new(7, 2.5, 2))),
+                Box::new(|| Box::new(LookaheadLcp::with_window(7, 2.5, 2))),
             ),
             (
                 "followmin",
@@ -424,18 +453,15 @@ mod tests {
             let full = stream_all(uninterrupted.as_mut(), &fs);
 
             let mut first = make();
-            let mut out = Vec::new();
-            for f in &fs[..17] {
-                first.ingest(f, &mut out);
-            }
+            let (mut pending, mut out) = (Vec::new(), Vec::new());
+            feed(first.as_mut(), &mut pending, &fs[..17], &mut out);
             let snap = first.snapshot();
             drop(first);
             let mut resumed = make();
             resumed.restore(&snap).unwrap();
-            for f in &fs[17..] {
-                resumed.ingest(f, &mut out);
-            }
-            resumed.finish(&mut out);
+            resumed.check_lag(pending.len()).unwrap();
+            feed(resumed.as_mut(), &mut pending, &fs[17..], &mut out);
+            flush(resumed.as_mut(), &mut pending, &mut out);
             assert_eq!(out, full, "policy {name}");
         }
     }
@@ -445,19 +471,15 @@ mod tests {
         let fs = costs(25);
         let mut p = RandomizedOnline::new(GridLcp::new(5, 2.0, 2), 5, 11);
         let mut out = Vec::new();
-        for f in &fs[..10] {
-            p.ingest(f, &mut out);
-        }
+        feed(&mut p, &mut Vec::new(), &fs[..10], &mut out);
         let text = serde_json::to_string(&StreamingPolicy::snapshot(&p)).unwrap();
         let snap: serde::Value = serde_json::from_str(&text).unwrap();
         let mut q = RandomizedOnline::new(GridLcp::new(5, 2.0, 2), 5, 0);
         q.restore(&snap).unwrap();
         let mut a = Vec::new();
         let mut b = Vec::new();
-        for f in &fs[10..] {
-            p.ingest(f, &mut a);
-            q.ingest(f, &mut b);
-        }
+        feed(&mut p, &mut Vec::new(), &fs[10..], &mut a);
+        feed(&mut q, &mut Vec::new(), &fs[10..], &mut b);
         assert_eq!(a, b);
     }
 
@@ -465,26 +487,34 @@ mod tests {
     fn restore_rejects_mismatched_config() {
         let mut a = Lcp::new(4, 1.0);
         let mut out = Vec::new();
-        a.ingest(&Cost::abs(1.0, 2.0), &mut out);
+        feed(&mut a, &mut Vec::new(), &costs(1), &mut out);
         let snap = StreamingPolicy::snapshot(&a);
         let mismatch = "incompatible snapshot: LCP snapshot m/beta mismatch";
         let err = Lcp::new(8, 1.0).restore(&snap).unwrap_err();
         assert!(err.to_string().contains(mismatch), "{err}");
         assert!(Lcp::new(4, 2.0).restore(&snap).is_err());
+        let err = a.check_lag(1).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("snapshot has 1 pending slots but its policy holds 0"));
 
-        let mut a = StreamLookahead::new(4, 1.0, 2);
-        a.ingest(&Cost::abs(1.0, 2.0), &mut out);
-        let snap = a.snapshot();
-        assert!(StreamLookahead::new(4, 1.0, 2).restore(&snap).is_ok());
-        assert!(StreamLookahead::new(8, 1.0, 2).restore(&snap).is_err());
-        assert!(StreamLookahead::new(4, 2.0, 2).restore(&snap).is_err());
-        // `ingest` never leaves more than `window` costs buffered.
-        let mut overfull = LookaheadSnapshot::from_value(&snap).unwrap();
-        overfull.buffered.extend(costs(2));
-        let err = StreamLookahead::new(4, 1.0, 2)
-            .restore(&overfull.to_value())
-            .unwrap_err();
-        assert!(err.to_string().contains("lookahead buffer exceeds window"));
+        let mismatch = "incompatible snapshot: lookahead snapshot m/beta mismatch";
+        for w in 0..=3 {
+            let mut a = LookaheadLcp::with_window(4, 1.0, w);
+            feed(&mut a, &mut Vec::new(), &costs(1), &mut out);
+            let snap = StreamingPolicy::snapshot(&a);
+            assert!(LookaheadLcp::with_window(4, 1.0, w).restore(&snap).is_ok());
+            for (m, beta) in [(8, 1.0), (4, 2.0)] {
+                let err = LookaheadLcp::with_window(m, beta, w)
+                    .restore(&snap)
+                    .unwrap_err();
+                assert!(err.to_string().contains(mismatch), "window {w}: {err}");
+            }
+            // `ingest` never leaves more than `window` costs pending.
+            a.check_lag(w).unwrap();
+            let err = a.check_lag(w + 1).unwrap_err();
+            assert!(err.to_string().contains("lookahead buffer exceeds window"));
+        }
 
         let flcp = RandomizedOnline::new(GridLcp::new(4, 1.0, 2), 4, 0);
         let snap = StreamingPolicy::snapshot(&flcp);

@@ -4,15 +4,14 @@
 //! Two snapshots of a `lookahead:2` tenant taken after two steps are
 //! tampered with: one has its `pending` slots emptied (the policy would
 //! then commit states no cost is pending for), the other holds three
-//! buffered costs in its two-slot window. Each `restore` must answer an
-//! error line, leave the original tenant in place, and a later
-//! connection must still be served.
+//! pending costs, its policy's window, in a two-slot window. Each
+//! `restore` must answer an error line, leave the original tenant in
+//! place, and a later connection must still be served.
 
 use rsdc_core::prelude::Cost;
 use rsdc_engine::tenant::{PendingSlot, TenantSnapshot};
 use rsdc_engine::wire::Session;
 use rsdc_engine::{Engine, EngineConfig, ServeConfig, Server};
-use rsdc_online::streaming::LookaheadSnapshot;
 use serde::{Deserialize, Serialize};
 use serde_json::json;
 use std::io::{Read, Write};
@@ -65,12 +64,8 @@ fn crafted_lag_restores_are_refused_and_the_server_keeps_serving() {
     emptied.pending.clear();
     // Lag consistent with the events, but three costs in a two-slot window.
     let mut overfull = snap.clone();
-    let extra = Cost::abs(1.0, 4.0);
-    let mut policy = LookaheadSnapshot::from_value(&snap.policy).expect("lookahead snapshot");
-    policy.buffered.push(extra.clone());
-    overfull.policy = policy.to_value();
     overfull.pending.push(PendingSlot {
-        cost: extra,
+        cost: Cost::abs(1.0, 4.0),
         load: None,
     });
     overfull.events += 1;

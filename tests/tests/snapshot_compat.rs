@@ -12,7 +12,9 @@
 //! one tenant per scalar policy, taken by `rsdc engine --events` over
 //! [`scalar_prefix`] while each policy still ran inside its own streaming
 //! wrapper struct. The engine must write those bytes after the same prefix,
-//! and each restored tenant must continue byte-identically.
+//! except that the lookahead tenant's policy payload no longer carries
+//! `buffered`, a copy of its pending costs; and each restored tenant must
+//! continue byte-identically.
 
 use rsdc_engine::wire::Session;
 use rsdc_engine::{Engine, EngineConfig};
@@ -200,6 +202,38 @@ fn scalar_suffix() -> Vec<String> {
     lines
 }
 
+/// The entries of the object `v`.
+fn entries(v: &mut serde::Value) -> &mut Vec<(String, serde::Value)> {
+    match v {
+        serde::Value::Object(entries) => entries,
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// The field `key` of the object `v`.
+fn field<'a>(v: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
+    let found = entries(v).iter_mut().find(|(k, _)| k == key);
+    &mut found.unwrap_or_else(|| panic!("no field {key}")).1
+}
+
+/// The fixture's lookahead line without its policy's `buffered` field, the
+/// second copy of the pending costs that lookahead snapshots no longer
+/// write. Re-rendering the parsed line must give back its exact bytes, so
+/// the derived line differs from it in that field alone.
+fn without_buffered(fixture_line: &str) -> String {
+    let mut reply: serde::Value = serde_json::from_str(fixture_line).expect("JSON line");
+    assert_eq!(
+        line(reply.clone()),
+        fixture_line,
+        "the line re-renders exactly"
+    );
+    let policy = entries(field(field(&mut reply, "snapshot"), "policy"));
+    let before = policy.len();
+    policy.retain(|(key, _)| key != "buffered");
+    assert_eq!(policy.len(), before - 1, "the fixture carries buffered");
+    line(reply)
+}
+
 #[test]
 fn scalar_policy_snapshots_keep_their_bytes() {
     let mut lines = scalar_prefix();
@@ -209,7 +243,13 @@ fn scalar_policy_snapshots_keep_their_bytes() {
     let fixture: Vec<&str> = SCALAR_FIXTURE.lines().collect();
     assert_eq!(fixture.len(), SCALAR_TENANTS.len());
     for ((got, want), (id, _)) in fresh.iter().zip(&fixture).zip(SCALAR_TENANTS) {
-        assert_eq!(got, want, "{id}: snapshot bytes changed");
+        if id == "lookahead" {
+            // The pending slots are the window: the policy payload drops
+            // its copy of them and nothing else.
+            assert_eq!(got, &without_buffered(want), "{id}: snapshot bytes changed");
+        } else {
+            assert_eq!(got, want, "{id}: snapshot bytes changed");
+        }
     }
 }
 
