@@ -133,6 +133,36 @@ fn unbuildable_flcp_admits_answer_errors_in_both_commands() {
 }
 
 #[test]
+fn oversized_lookahead_windows_answer_errors_in_both_commands() {
+    // A window past the cap of 1024 would never commit: its tenant's
+    // pending costs would grow with the stream. Both commands refuse the
+    // admit with a line-numbered error and go on serving.
+    let requests = concat!(
+        r#"{"op":"admit","id":"a","m":16,"beta":1.0,"policy":"lookahead:1000000000"}"#,
+        "\n",
+        r#"{"op":"admit","id":"b","m":16,"beta":1.0,"policy":{"Lookahead":{"window":1025}}}"#,
+        "\n",
+        r#"{"op":"admit","id":"c","m":16,"beta":1.0,"policy":"lookahead:1024"}"#,
+        "\n",
+        r#"{"op":"stats"}"#,
+        "\n",
+    );
+    let engine = engine_replies(&[], requests);
+    assert_eq!(engine.len(), 4, "{engine:?}");
+    for (line, reply) in engine[..2].iter().enumerate() {
+        assert!(reply.contains(r#""op":"error""#), "{reply}");
+        assert!(
+            reply.contains(&format!(r#""line":{}"#, line + 1)),
+            "{reply}"
+        );
+        assert!(reply.contains("exceeds the cap of 1024"), "{reply}");
+    }
+    assert!(engine[2].contains(r#""op":"admitted""#), "{}", engine[2]);
+    assert!(engine[3].contains(r#""op":"stats""#), "{}", engine[3]);
+    assert_eq!(served_replies(&[], requests), engine);
+}
+
+#[test]
 fn refused_flag_combinations_read_the_same_in_both_commands() {
     // (argv after the command, text the refusal must carry)
     let cases: &[(&[&str], &str)] = &[

@@ -10,10 +10,10 @@
 //!                              └── [tag: u8] [body: len-1 bytes]
 //! ```
 //!
-//! `crc` is the CRC-32 (IEEE polynomial, the same one the WAL uses) of
-//! the payload. `len` counts the payload only and is capped at
-//! [`MAX_FRAME_LEN`]; a larger prefix is rejected before any buffering
-//! happens, so a corrupt length cannot balloon memory. The response
+//! `crc` is the CRC-32 of the payload, computed by the WAL's own
+//! [`rsdc_store::wal::crc32`]. `len` counts the payload only and is
+//! capped at [`MAX_FRAME_LEN`]; a larger prefix is rejected before any
+//! buffering happens, so a corrupt length cannot balloon memory. The response
 //! stream echoes the preamble once, then frames its replies the same
 //! way.
 //!
@@ -23,6 +23,7 @@
 //! [`crate::wire::Session`] behind both framings is shared — the
 //! differential test suite pins byte-identical behaviour.
 
+use rsdc_store::wal::crc32;
 use std::fmt;
 
 /// The 4 ASCII magic bytes opening a binary connection: `RSDC`.
@@ -82,21 +83,6 @@ pub const TAG_RESP_LINE: u8 = 0x80;
 pub const TAG_RESP_STEPPED: u8 = 0x81;
 /// `{seq: u32, [id], message}` — error carrying the request sequence.
 pub const TAG_RESP_ERROR: u8 = 0x82;
-
-/// CRC-32 (IEEE 802.3 polynomial, bit-reflected: `0xedb8_8320`) — the
-/// same checksum the store's WAL uses, computed here without a table so
-/// the wire layer stays dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// A framing-level protocol violation. Violations of frame structure
 /// kill the connection (there is no way to resynchronize a byte stream
@@ -889,13 +875,6 @@ fn decode_response_frame(tag: u8, body: &[u8]) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::wire::Session;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard check value for the IEEE CRC-32.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn frames_round_trip_across_split_feeds() {

@@ -14,7 +14,7 @@ use crate::topology::{TopologyConfig, TopologyPolicy, TopologyStatus};
 use crate::EngineError;
 use rsdc_core::Cost;
 use rsdc_power::{EnergyStatus, PowerConfig};
-use rsdc_store::{Durability, InstrumentedStore, NullStore};
+use rsdc_store::{Durability, NullStore};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -90,12 +90,10 @@ impl EngineConfig {
 /// handle lock, and no thread takes the handle lock while it holds a
 /// shard lock.
 pub struct Engine {
-    /// The journaling handle shards write through: `raw_store` wrapped in
-    /// an [`InstrumentedStore`] reporting to `obs`.
+    /// The backend shards journal through; its appends, checkpoint
+    /// commits and final sync are timed and counted into `obs` where they
+    /// are called.
     store: Arc<dyn Durability>,
-    /// The backend as constructed, before instrumentation — what recovery
-    /// re-wraps, so stores never nest observers.
-    raw_store: Arc<dyn Durability>,
     obs: Arc<EngineObs>,
     /// The handle lock.
     control: Mutex<Control>,
@@ -462,11 +460,6 @@ impl Engine {
     fn spawn(cfg: EngineConfig, store: Arc<dyn Durability>) -> Engine {
         let spec = cfg.ring_spec();
         let obs = Arc::new(EngineObs::new(cfg.metrics, cfg.trace_capacity));
-        // Shards journal through the instrumented wrapper; the raw handle
-        // is kept for recovery (which must not re-wrap a wrapper).
-        let raw_store = store;
-        let store: Arc<dyn Durability> =
-            Arc::new(InstrumentedStore::new(raw_store.clone(), obs.clone()));
         let mut control = Control {
             shards: (0..spec.shards)
                 .map(|i| Arc::new(Mutex::new(Shard::new(i, &obs))))
@@ -482,7 +475,6 @@ impl Engine {
         control.pool.resize(spec.shards);
         Engine {
             store,
-            raw_store,
             obs,
             control: Mutex::new(control),
         }
@@ -501,16 +493,10 @@ impl Engine {
         Ok(())
     }
 
-    /// The durability backend this engine journals through (the
-    /// metrics-instrumented wrapper).
+    /// The durability backend this engine journals through, as it was
+    /// given — what a restart hands back to [`Engine::recover`].
     pub fn store(&self) -> &Arc<dyn Durability> {
         &self.store
-    }
-
-    /// The durability backend as constructed, without the metrics
-    /// wrapper — what a restart should hand back to [`Engine::recover`].
-    pub fn raw_store(&self) -> &Arc<dyn Durability> {
-        &self.raw_store
     }
 
     /// The engine's observability state: metrics registry, control-plane
@@ -1106,9 +1092,13 @@ impl Engine {
             tenants,
             shard_meta,
         };
+        let payload = doc.encode();
+        let lap = self.obs.clock();
         self.store
-            .commit_checkpoint(seq, &doc.encode())
-            .map_err(EngineError::from_store)
+            .commit_checkpoint(seq, &payload)
+            .map_err(EngineError::from_store)?;
+        self.obs.wal_committed(lap);
+        Ok(())
     }
 
     /// Re-partition the engine onto a new ring topology, live, rebuilding
@@ -1532,7 +1522,10 @@ impl Drop for Engine {
         ctl.pool.resize(0);
         // Whatever the store buffered reaches disk before the engine goes.
         if ctl.attached {
-            let _ = self.store.sync();
+            let lap = self.obs.clock();
+            if self.store.sync().is_ok() {
+                self.obs.wal_synced(lap);
+            }
         }
     }
 }

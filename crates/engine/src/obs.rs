@@ -1,12 +1,13 @@
 //! Engine-side observability: the pre-registered metric handles and the
 //! control-plane trace the engine records into.
 //!
-//! One [`EngineObs`] lives in the [`Engine`](crate::Engine) handle (shared
-//! with the store seam via `Arc`; each shard holds its own handles). Everything here
-//! is observation-only state **outside** journaled engine state: enabling
-//! or disabling metrics changes no journaled byte, so recovery remains
-//! byte-identical with observability on or off — the regression tests
-//! hold the engine to that.
+//! One [`EngineObs`] lives in the [`Engine`](crate::Engine) handle and is
+//! shared via `Arc` with every shard, which records its batches and WAL
+//! appends into it. Everything here is observation-only state
+//! **outside** journaled engine state: enabling or disabling metrics
+//! changes no journaled byte, so recovery remains byte-identical with
+//! observability on or off — the regression tests hold the engine to
+//! that.
 //!
 //! Metric handles are registered once at engine spawn (registry lookups
 //! take a lock; the handles themselves are lock-free), except the
@@ -14,7 +15,6 @@
 //! own index when it is built.
 
 use rsdc_obs::{Counter, FieldValue, Gauge, Histogram, MetricId, Registry, TraceBuffer};
-use rsdc_store::{StoreObserver, StoreOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -65,7 +65,8 @@ pub struct EngineObs {
     /// Raw connection bytes sent (preamble included).
     pub(crate) wire_bytes_out: Counter,
 
-    // Store-seam metrics, fed by the `StoreObserver` impl below.
+    // WAL metrics, recorded where the engine calls its store: the
+    // shard's append, the handle's checkpoint commit and its final sync.
     wal_append_ns: Histogram,
     wal_fsync_ns: Histogram,
     wal_checkpoint_commit_ns: Histogram,
@@ -187,6 +188,28 @@ impl EngineObs {
         }
     }
 
+    /// Count one WAL append of `bytes` payload bytes that succeeded,
+    /// timed from a [`clock`](EngineObs::clock) lap.
+    pub(crate) fn wal_appended(&self, start: Option<Instant>, bytes: usize) {
+        self.lap(&self.wal_append_ns, start);
+        self.volume_records.fetch_add(1, Ordering::Relaxed);
+        self.volume_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.wal_appended_records.inc();
+        self.wal_appended_bytes.add(bytes as u64);
+    }
+
+    /// Count one explicit WAL sync that succeeded.
+    pub(crate) fn wal_synced(&self, start: Option<Instant>) {
+        self.lap(&self.wal_fsync_ns, start);
+        self.volume_syncs.fetch_add(1, Ordering::Relaxed);
+        self.wal_fsyncs.inc();
+    }
+
+    /// Time one checkpoint commit that succeeded.
+    pub(crate) fn wal_committed(&self, start: Option<Instant>) {
+        self.lap(&self.wal_checkpoint_commit_ns, start);
+    }
+
     /// Count one admission refusal by reason.
     pub(crate) fn count_refusal(&self, e: &crate::AdmissionError) {
         match e {
@@ -207,6 +230,16 @@ impl EngineObs {
         ))
     }
 
+    /// The batch-latency histogram of one shard, registered when the
+    /// shard is built.
+    pub(crate) fn shard_batch_ns(&self, shard: usize) -> Histogram {
+        self.registry.histogram(MetricId::labelled(
+            "engine_batch_ns",
+            "shard",
+            &shard.to_string(),
+        ))
+    }
+
     /// Trace admission-window open/close *edges*: called with the current
     /// window state, records an event only on a transition.
     pub(crate) fn note_window(&self, tick: u64, open: bool) {
@@ -222,58 +255,6 @@ impl EngineObs {
     }
 }
 
-impl StoreObserver for EngineObs {
-    fn observe(&self, op: StoreOp, nanos: u64, bytes: u64) {
-        match op {
-            StoreOp::Append => {
-                self.volume_records.fetch_add(1, Ordering::Relaxed);
-                self.volume_bytes.fetch_add(bytes, Ordering::Relaxed);
-                self.wal_appended_records.inc();
-                self.wal_appended_bytes.add(bytes);
-                self.wal_append_ns.record(nanos);
-            }
-            StoreOp::Sync => {
-                self.volume_syncs.fetch_add(1, Ordering::Relaxed);
-                self.wal_fsyncs.inc();
-                self.wal_fsync_ns.record(nanos);
-            }
-            StoreOp::CommitCheckpoint => {
-                self.wal_checkpoint_commit_ns.record(nanos);
-            }
-        }
-    }
-
-    fn timing_enabled(&self) -> bool {
-        self.registry.enabled()
-    }
-}
-
-/// The slice of [`EngineObs`] a shard touches per batch: plain
-/// handle clones plus the baked-in enabled flag, so the hot loop never
-/// looks anything up.
-pub(crate) struct ShardObs {
-    pub(crate) enabled: bool,
-    pub(crate) batch_ns: Histogram,
-    pub(crate) ingested: Counter,
-    pub(crate) dropped: Counter,
-}
-
-impl ShardObs {
-    /// Handles for shard `index` (registers its latency histogram).
-    pub(crate) fn for_shard(obs: &EngineObs, index: usize) -> ShardObs {
-        ShardObs {
-            enabled: obs.metrics_enabled(),
-            batch_ns: obs.registry.histogram(MetricId::labelled(
-                "engine_batch_ns",
-                "shard",
-                &index.to_string(),
-            )),
-            ingested: obs.events_ingested.clone(),
-            dropped: obs.events_dropped.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,9 +262,12 @@ mod tests {
     #[test]
     fn wal_volume_counts_even_with_metrics_disabled() {
         let obs = EngineObs::new(false, 16);
-        obs.observe(StoreOp::Append, 0, 100);
-        obs.observe(StoreOp::Append, 0, 50);
-        obs.observe(StoreOp::Sync, 0, 0);
+        let start = obs.clock();
+        assert!(start.is_none(), "no clock read with metrics off");
+        obs.wal_appended(start, 100);
+        obs.wal_appended(start, 50);
+        obs.wal_synced(start);
+        obs.wal_committed(start);
         assert_eq!(obs.wal_volume(), (2, 150, 1));
         // ...but the registry-backed counters stayed silent.
         let total: u64 = obs
@@ -296,7 +280,6 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 0);
-        assert!(!obs.timing_enabled());
     }
 
     #[test]

@@ -29,16 +29,16 @@
 //! fixed size however many events it has processed.
 
 use crate::journal::{JournalEvent, JournalRecord};
-use crate::obs::{EngineObs, ShardObs};
+use crate::obs::EngineObs;
 use crate::statelist::StateList;
 use crate::tenant::{StepScratch, Tenant, TenantReport, TenantSnapshot};
 use crate::EngineError;
+use rsdc_obs::Histogram;
 use rsdc_store::Durability;
 use serde::{Deserialize, Serialize};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// One streamed event: a tenant id (shared, interned), its slab key, the
 /// next cost function, and (when the event was derived from a load) the
@@ -466,21 +466,24 @@ pub struct Shard {
     machines: u64,
     meta: ShardMeta,
     store: Option<Arc<dyn Durability>>,
-    obs: ShardObs,
+    obs: Arc<EngineObs>,
+    /// This shard's `engine_batch_ns{shard}` histogram.
+    batch_ns: Histogram,
     scratch: StepScratch,
 }
 
 impl Shard {
     /// An empty shard `index`, journaling nothing until a store is
     /// attached.
-    pub(crate) fn new(index: usize, obs: &EngineObs) -> Shard {
+    pub(crate) fn new(index: usize, obs: &Arc<EngineObs>) -> Shard {
         Shard {
             index,
             slab: Slab::default(),
             machines: 0,
             meta: ShardMeta::new(index),
             store: None,
-            obs: ShardObs::for_shard(obs, index),
+            obs: Arc::clone(obs),
+            batch_ns: obs.shard_batch_ns(index),
             scratch: StepScratch::default(),
         }
     }
@@ -500,9 +503,12 @@ impl Shard {
     pub(crate) fn journal(&self, record: &JournalRecord) -> Result<(), EngineError> {
         if self.durable() {
             let store = self.store.as_ref().expect("durable implies store");
+            let payload = record.encode();
+            let lap = self.obs.clock();
             store
-                .append(self.index, &record.encode())
+                .append(self.index, &payload)
                 .map_err(|e| EngineError::Store(e.to_string()))?;
+            self.obs.wal_appended(lap, payload.len());
         }
         Ok(())
     }
@@ -582,14 +588,10 @@ impl Shard {
         events: &mut Vec<Event>,
         out: &mut Vec<(usize, StepOutcome)>,
     ) -> Result<Pulse, EngineError> {
-        // One clock pair per *batch*, journal included, gated on a bool
-        // baked in at spawn — with metrics off the hot path pays exactly
+        // One clock pair per *batch*, journal included, gated on the
+        // registry's flag — with metrics off the hot path pays exactly
         // this branch and two counter no-ops.
-        let lap = if self.obs.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let lap = self.obs.clock();
         if self.durable() {
             // The whole batch is one WAL record, including events that will
             // fail with a per-event error: replay reproduces the outcomes
@@ -641,13 +643,9 @@ impl Shard {
                 }
             }
         }
-        self.obs.ingested.add(ingested);
-        self.obs.dropped.add(dropped);
-        if let Some(start) = lap {
-            self.obs
-                .batch_ns
-                .record(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        self.obs.events_ingested.add(ingested);
+        self.obs.events_dropped.add(dropped);
+        self.obs.lap(&self.batch_ns, lap);
         Ok(Pulse {
             tenants: self.slab.len(),
             machines: self.machines,
@@ -729,7 +727,7 @@ mod tests {
     /// holds another tenant misses, for every keyed operation.
     #[test]
     fn stale_keys_miss_the_tenant_that_reused_them() {
-        let mut shard = Shard::new(0, &EngineObs::new(false, 1));
+        let mut shard = Shard::new(0, &Arc::new(EngineObs::new(false, 1)));
         let tenant = |id: &str| Tenant::new(TenantConfig::new(id, 4, 2.0, PolicySpec::Lcp));
         shard.place(0, tenant("z").unwrap());
         assert!(shard.tenant(0, "a").is_none());

@@ -199,6 +199,13 @@ impl PolicySpec {
 /// [`rsdc_hetero::streaming::MAX_LATTICE`].
 pub const MAX_M: u32 = 65_536;
 
+/// Largest lookahead window a tenant may declare. A lookahead tenant keeps
+/// up to `window` costs pending and each ingest peeks its bound tracker
+/// through all of them, so the cap bounds both the tenant's memory and
+/// its per-step work. Without it, a window longer than the stream never
+/// commits and the tenant holds every cost it was sent.
+pub const MAX_WINDOW: usize = 1024;
+
 /// Static configuration of one tenant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantConfig {
@@ -266,9 +273,10 @@ impl TenantConfig {
     /// Check the scalar parameters every tenant is built from: `m` at
     /// most [`MAX_M`], `beta` finite and non-negative, a fractional LCP
     /// grid of `m * k` states with `1 <= k` and `m * k` at most [`MAX_M`]
-    /// (its bound tracker runs over the grid), and an explicit cost
-    /// model's server parameters valid with a finite non-negative overload
-    /// (so every load it prices is convex).
+    /// (its bound tracker runs over the grid), a lookahead window of at
+    /// most [`MAX_WINDOW`], and an explicit cost model's server
+    /// parameters valid with a finite non-negative overload (so every
+    /// load it prices is convex).
     /// [`Tenant::new`] runs this, so admits, restores and recovery replay
     /// share it.
     pub fn validate(&self) -> Result<(), rsdc_core::Error> {
@@ -287,6 +295,13 @@ impl TenantConfig {
             if states > MAX_M as u64 {
                 return invalid(format!(
                     "flcp grid m * k = {states} exceeds the cap of {MAX_M}"
+                ));
+            }
+        }
+        if let PolicySpec::Lookahead { window } = self.policy {
+            if window > MAX_WINDOW {
+                return invalid(format!(
+                    "lookahead window {window} exceeds the cap of {MAX_WINDOW}"
                 ));
             }
         }
@@ -1240,6 +1255,31 @@ mod tests {
                 (got, _) => panic!("m = {m}, k = {k}: {:?}", got.err()),
             }
         }
+    }
+
+    #[test]
+    fn lookahead_windows_are_refused_past_the_cap() {
+        for (window, refused) in [(0, false), (MAX_WINDOW, false), (MAX_WINDOW + 1, true)] {
+            let cfg = TenantConfig::new("t", 8, 1.0, PolicySpec::Lookahead { window });
+            match Tenant::new(cfg) {
+                Ok(_) => assert!(!refused, "window {window} must be refused"),
+                Err(rsdc_core::Error::InvalidParameter(e)) => {
+                    assert!(refused, "window {window}: {e}");
+                    assert_eq!(e, "lookahead window 1025 exceeds the cap of 1024");
+                }
+                Err(e) => panic!("window {window}: {e:?}"),
+            }
+        }
+        // A restore (and so recovery from a checkpoint) checks it too.
+        let cfg = TenantConfig::new("t", 8, 1.0, PolicySpec::Lookahead { window: 2 });
+        let mut snapshot = Tenant::new(cfg).expect("tenant").snapshot();
+        snapshot.config.policy = PolicySpec::Lookahead {
+            window: MAX_WINDOW + 1,
+        };
+        assert!(matches!(
+            Tenant::from_snapshot(snapshot),
+            Err(rsdc_core::Error::InvalidParameter(_))
+        ));
     }
 
     #[test]

@@ -835,11 +835,9 @@ impl Session {
     }
 
     fn recover_in_place(&mut self) -> Result<crate::RecoveryReport, crate::EngineError> {
-        // Recover from the *raw* backend: the new engine wraps it in its
-        // own instrumentation, so observers never nest. (The replacement
-        // engine starts with fresh metrics/trace state — observation is
-        // process state, not journaled state.)
-        let store = self.engine.raw_store().clone();
+        // The replacement engine starts with fresh metrics/trace state:
+        // observation is process state, not journaled state.
+        let store = self.engine.store().clone();
         if !store.is_durable() {
             return Err(crate::EngineError::Store(
                 "engine has no durable store to recover from".into(),
@@ -1157,10 +1155,10 @@ impl Session {
                 ));
             }
             Record::WalStats => {
-                // Write-volume counters from the engine's store seam: what
-                // *this* handle appended/synced (always counted, even with
-                // metrics off) — distinct from the backend's own `store`
-                // stats, which survive across handles via recovery.
+                // Write-volume counters, counted where the engine appends:
+                // what *this* handle appended/synced (always counted, even
+                // with metrics off) — distinct from the backend's own
+                // `store` stats, which survive across handles via recovery.
                 let (wal_records, wal_bytes, wal_syncs) = {
                     let v = self.engine.obs().wal_volume();
                     (v.0, v.1, v.2)

@@ -37,12 +37,10 @@
 #![warn(missing_docs)]
 
 pub mod file;
-pub mod instrument;
 pub mod null;
 pub mod wal;
 
 pub use file::{FileStore, FileStoreConfig};
-pub use instrument::{InstrumentedStore, StoreObserver, StoreOp};
 pub use null::NullStore;
 
 use serde::{Deserialize, Serialize};

@@ -12,7 +12,8 @@
 //!   report the same again.
 //! * A batch that fails on one shard (its WAL append is refused) leaves
 //!   that shard's tenants untouched and the handoff clean: the next
-//!   batch's outcomes are exactly its own.
+//!   batch's outcomes are exactly its own. The engine counts only the
+//!   WAL appends and checkpoint commits the store accepted.
 //! * A rebalance whose fencing checkpoint fails — full or incremental,
 //!   grow or shrink — leaves the engine serving on its old shards, with
 //!   every tenant back on its old shard and every shard's aggregates
@@ -35,6 +36,7 @@ use rsdc_engine::{
     AdmissionConfig, Engine, EngineConfig, EngineError, HashRing, PolicySpec, PowerConfig,
     PowerSpec, StepEvent, TenantConfig, TenantReport, TopologyConfig, UNKNOWN_KEY,
 };
+use rsdc_obs::MetricValue;
 use rsdc_store::{Durability, FileStore, FileStoreConfig, Recovery, StoreError, StoreStats};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -165,10 +167,11 @@ fn shared_engine_matches_a_serial_run_and_recovers_it() {
     let want = texts(&serial);
     assert_eq!(texts(&shared), want);
     assert_eq!(texts(&engine.report_all().expect("report_all")), want);
-    let raw = engine.raw_store().clone();
+    let store = engine.store().clone();
     drop(engine);
 
-    let (recovered, report) = Engine::recover(EngineConfig::with_shards(2), raw).expect("recover");
+    let (recovered, report) =
+        Engine::recover(EngineConfig::with_shards(2), store).expect("recover");
     assert_eq!(report.replay_errors, 0);
     assert_eq!(texts(&recovered.report_all().expect("report_all")), want);
     drop(recovered);
@@ -232,8 +235,24 @@ impl Durability for FailingStore {
 
 const NO_SHARD: usize = usize::MAX;
 
+/// The engine's `wal_appended_records` counter and the sample count of
+/// its `wal_checkpoint_commit_ns` histogram.
+fn wal_metrics(engine: &Engine) -> (u64, u64) {
+    let (mut records, mut commits) = (0, 0);
+    for m in engine.obs().registry().snapshot() {
+        match (m.id.name.as_str(), &m.value) {
+            ("wal_appended_records", MetricValue::Counter(v)) => records = *v,
+            ("wal_checkpoint_commit_ns", MetricValue::Histogram(h)) => commits = h.count,
+            _ => {}
+        }
+    }
+    (records, commits)
+}
+
 /// Fail one batch's append on `shard`, then check that shard applied
-/// nothing and the next batch comes back clean.
+/// nothing, the refused append was not counted and the next batch comes
+/// back clean; then fail a checkpoint commit and check it adds no
+/// commit-latency sample.
 fn failed_batch_case(shard: usize) {
     let dir =
         std::env::temp_dir().join(format!("rsdc-engine-failed-{shard}-{}", std::process::id()));
@@ -268,14 +287,33 @@ fn failed_batch_case(shard: usize) {
             .collect()
     };
     let before = snapshots(&engine);
+    let (volume, metrics) = (engine.obs().wal_volume(), wal_metrics(&engine));
 
     store.fail.store(shard, Ordering::SeqCst);
+    let only_failing: Vec<String> = failing.iter().map(|id| id.to_string()).collect();
+    let refused = engine.step_batch_loads(batch(&only_failing, 6.0));
+    assert!(matches!(refused, Err(EngineError::Store(_))), "{refused:?}");
+    assert_eq!(
+        engine.obs().wal_volume(),
+        volume,
+        "a refused append adds no volume"
+    );
+    assert_eq!(wal_metrics(&engine), metrics, "nor a counted record");
     let failed = engine.step_batch_loads(batch(&ids, 6.0));
     assert!(
         matches!(failed, Err(EngineError::Store(_))),
         "a refused append fails the batch: {failed:?}"
     );
     assert_eq!(snapshots(&engine), before, "shard {shard} applied nothing");
+    // The other shard's append went through: the engine's counts are the
+    // store's own, which counts only accepted appends.
+    let stats = store.wal_stats().expect("stats");
+    let (records, bytes, _) = engine.obs().wal_volume();
+    assert_eq!(
+        (records, bytes),
+        (stats.appended_records, stats.appended_bytes)
+    );
+    assert_eq!(wal_metrics(&engine).0, records);
 
     store.fail.store(NO_SHARD, Ordering::SeqCst);
     let next: Vec<String> = ids.iter().rev().step_by(2).cloned().collect();
@@ -288,6 +326,19 @@ fn failed_batch_case(shard: usize) {
     assert!(outcomes
         .iter()
         .all(|o| o.error.is_none() && o.states.len() == 1));
+
+    let commits = wal_metrics(&engine).1;
+    store.fail_commit.store(true, Ordering::SeqCst);
+    let refused = engine.checkpoint();
+    assert!(matches!(refused, Err(EngineError::Store(_))), "{refused:?}");
+    assert_eq!(
+        wal_metrics(&engine).1,
+        commits,
+        "a refused commit is not timed"
+    );
+    store.fail_commit.store(false, Ordering::SeqCst);
+    engine.checkpoint().expect("checkpoint");
+    assert_eq!(wal_metrics(&engine).1, commits + 1, "an accepted one is");
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -425,9 +476,10 @@ fn stale_resolved_keys_step_the_tenant_their_id_names() {
     );
 
     let want = texts(&engine.report_all().expect("report_all"));
-    let raw = engine.raw_store().clone();
+    let store = engine.store().clone();
     drop(engine);
-    let (recovered, report) = Engine::recover(EngineConfig::with_shards(2), raw).expect("recover");
+    let (recovered, report) =
+        Engine::recover(EngineConfig::with_shards(2), store).expect("recover");
     assert_eq!(report.replay_errors, 0);
     assert_eq!(texts(&recovered.report_all().expect("report_all")), want);
     drop(recovered);
@@ -448,9 +500,10 @@ fn durable_engine(tag: &str) -> (Engine, std::path::PathBuf) {
 /// `engine` did (`gone` ids stay unknown).
 fn recovers_identically(engine: Engine, dir: std::path::PathBuf, gone: &[&str]) {
     let want = texts(&engine.report_all().expect("report_all"));
-    let raw = engine.raw_store().clone();
+    let store = engine.store().clone();
     drop(engine);
-    let (recovered, report) = Engine::recover(EngineConfig::with_shards(1), raw).expect("recover");
+    let (recovered, report) =
+        Engine::recover(EngineConfig::with_shards(1), store).expect("recover");
     assert_eq!(report.replay_errors, 0);
     assert_eq!(texts(&recovered.report_all().expect("report_all")), want);
     for id in gone {

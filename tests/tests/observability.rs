@@ -142,7 +142,7 @@ fn metrics_flag_never_touches_journaled_state() {
 
 /// Crash-recovery with metrics enabled end to end reproduces the reports
 /// of an uninterrupted metrics-**off** run: instrumentation (including the
-/// `InstrumentedStore` seam recovery reads through) never perturbs replay.
+/// WAL timing around every append recovery replays) never perturbs replay.
 #[test]
 fn recovery_with_metrics_enabled_is_byte_identical() {
     // Metrics-off uninterrupted reference.
