@@ -85,14 +85,19 @@ pub enum PolicyRuntime {
 }
 
 impl PolicySpec {
-    /// True for the policies that run an LCP bound tracker on the slot
-    /// costs: LCP, lookahead LCP and fractional LCP. Their explicit step
-    /// costs must pass [`Cost::check_convex`], as must those of any
+    /// True for the policies whose step assumes convex slot costs: LCP,
+    /// lookahead LCP and fractional LCP run an LCP bound tracker, and
+    /// HalfStep and memoryless search for the minimizer. Their explicit
+    /// step costs must pass [`Cost::check_convex`], as must those of any
     /// tenant that tracks the prefix optimum.
-    pub fn runs_bound_tracker(&self) -> bool {
+    pub fn needs_convex_costs(&self) -> bool {
         matches!(
             self,
-            PolicySpec::Lcp | PolicySpec::Lookahead { .. } | PolicySpec::FlcpRounded { .. }
+            PolicySpec::Lcp
+                | PolicySpec::Lookahead { .. }
+                | PolicySpec::FlcpRounded { .. }
+                | PolicySpec::HalfStepRounded { .. }
+                | PolicySpec::MemorylessRounded { .. }
         )
     }
 
@@ -688,10 +693,11 @@ impl Tenant {
         scratch.effect.commits.clear();
         match &mut self.policy {
             PolicyRuntime::Scalar(policy) => {
-                // A bound tracker's window search relies on convex slot
-                // costs. Shapes convex by construction (a load priced
-                // into a `Server` cost among them) pass in O(1).
-                if self.cfg.track_opt || self.cfg.policy.runs_bound_tracker() {
+                // A bound tracker's window search and the fractional
+                // policies' minimizer search rely on convex slot costs.
+                // Shapes convex by construction (a load priced into a
+                // `Server` cost among them) pass in O(1).
+                if self.cfg.track_opt || self.cfg.policy.needs_convex_costs() {
                     f.check_convex(self.cfg.m)
                         .map_err(|msg| rsdc_core::Error::NotConvex {
                             t: self.events as usize + 1,
@@ -944,8 +950,12 @@ mod tests {
             (PolicySpec::Lookahead { window: 2 }, false, true),
             (PolicySpec::FlcpRounded { k: 2, seed: 1 }, false, true),
             (PolicySpec::HalfStepRounded { seed: 1 }, true, true),
-            // No bound tracker reads this tenant's costs.
-            (PolicySpec::HalfStepRounded { seed: 1 }, false, false),
+            (PolicySpec::HalfStepRounded { seed: 1 }, false, true),
+            (PolicySpec::MemorylessRounded { seed: 1 }, false, true),
+            (PolicySpec::FollowTheMinimizer, true, true),
+            // Nothing in this tenant assumes convex costs.
+            (PolicySpec::FollowTheMinimizer, false, false),
+            (PolicySpec::Hysteresis { band: 1 }, false, false),
         ] {
             let mut cfg = TenantConfig::new("t", 32, 2.0, policy.clone());
             cfg.track_opt = track_opt;

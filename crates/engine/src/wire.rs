@@ -1812,6 +1812,59 @@ mod tests {
     }
 
     #[test]
+    fn fractional_tenants_refuse_concave_costs_without_track_opt() {
+        let mut session = Session::new(crate::Engine::new(crate::EngineConfig::with_shards(1)));
+        for (id, policy) in [("h", "halfstep:3"), ("m", "memoryless:3")] {
+            let line = |rest: &str| format!("{{\"id\":\"{id}\",{rest}}}");
+            let lines = [
+                line(&format!(
+                    "\"op\":\"admit\",\"m\":4,\"beta\":2.0,\"policy\":\"{policy}\""
+                )),
+                line("\"op\":\"step\",\"cost\":{\"Abs\":{\"slope\":1.0,\"center\":2.5}}"),
+                line("\"op\":\"snapshot\""),
+                line("\"op\":\"step\",\"cost\":{\"Table\":[0.0,3.0,5.0,6.0,6.5]}"),
+                line("\"op\":\"snapshot\""),
+            ];
+            let out = session.handle_lines(lines.iter().map(String::as_str));
+            let error: serde::Value = serde_json::from_str(&out[3]).unwrap();
+            assert_eq!(error["op"], "error", "{policy}: {out:?}");
+            assert_eq!(error["line"], 4);
+            let message = error["message"].as_str().unwrap();
+            assert!(message.contains("slot 2 is not convex"), "{message}");
+            assert_eq!(
+                out[2], out[4],
+                "{policy}: the refused step moved the tenant"
+            );
+        }
+    }
+
+    #[test]
+    fn fractional_tenants_step_over_an_infinite_prefix() {
+        // A load cost is infinite below its load. The first state that
+        // serves it is the minimizer, and every tenant must commit it.
+        let mut session = Session::new(crate::Engine::new(crate::EngineConfig::with_shards(1)));
+        let mut lines = Vec::new();
+        for (id, policy) in [("h", "halfstep:1"), ("m", "memoryless:1"), ("l", "lcp")] {
+            lines.push(format!(
+                "{{\"op\":\"admit\",\"id\":\"{id}\",\"m\":16,\"beta\":2.0,\"policy\":\"{policy}\"}}"
+            ));
+            lines.push(format!(
+                "{{\"op\":\"step\",\"id\":\"{id}\",\"cost\":{{\"Load\":{{\"lambda\":12.0,\
+                 \"unit\":{{\"Affine\":{{\"base\":1.0,\"slope\":1.0}}}}}}}}}}"
+            ));
+            lines.push(format!("{{\"op\":\"report\",\"id\":\"{id}\"}}"));
+        }
+        let out = session.handle_lines(lines.iter().map(String::as_str));
+        for replies in out.chunks(3) {
+            let stepped: serde::Value = serde_json::from_str(&replies[1]).unwrap();
+            let report: serde::Value = serde_json::from_str(&replies[2]).unwrap();
+            assert_eq!(stepped["states"], serde_json::json!([12]), "{replies:?}");
+            let operating = &report["report"]["breakdown"]["operating"];
+            assert_eq!(operating.as_f64(), Some(24.0), "{replies:?}");
+        }
+    }
+
+    #[test]
     fn hetero_session_streams_snapshots_and_rejects_explicit_costs() {
         let mut session = Session::new(crate::Engine::new(crate::EngineConfig::with_shards(2)));
         let loads = [1.0, 4.5, 2.0, 5.5];

@@ -24,6 +24,15 @@
 //! (the Section 5 convention, equal in total to eq. 1 for closed
 //! schedules), evaluate costs in a chosen [`FracMode`], and keep states in
 //! `[0, m]`.
+//!
+//! Each step first finds the minimizer of `f_t`. Under
+//! [`EvalMode::Interpolate`] the eq. 3 extension is linear between
+//! integers, so a convex cost is minimized at an integer vertex: a
+//! bisection on the sign of `f(i+1) - f(i)` returns the smallest integer
+//! minimizer in `ceil(log2(m + 1))` rounds of two integer reads, and an
+//! infinite prefix (states that cannot serve the load) counts as
+//! descending. [`EvalMode::Analytic`] costs need not bend at integers and
+//! keep a ternary search.
 
 use crate::traits::FractionalAlgorithm;
 use rsdc_core::cost::interpolate_integers;
@@ -50,7 +59,8 @@ impl EvalMode {
 }
 
 /// One cost read in one [`EvalMode`] during one step. `Interpolate`
-/// memoises the integer values it blends: once a search bracket is
+/// memoises the integer values it reads: the step reads the minimizer
+/// again after the search, and once the balance bisection's bracket is
 /// narrower than 2, every read lands on the same two or three integers.
 /// Each read is bit-identical to [`Cost::interpolate`].
 struct Reader<'a> {
@@ -91,14 +101,38 @@ impl<'a> Reader<'a> {
         v
     }
 
-    /// Continuous minimizer of the convex function over `[0, m]` by
-    /// ternary search (exact enough for piecewise-linear/quadratic shapes).
-    fn argmin(&mut self, m: f64) -> f64 {
-        ternary_argmin(|x| self.eval(x), m, true)
+    /// Minimizer of the convex function over `[0, m]`: under
+    /// `Interpolate` the exact integer [`integer_argmin`] finds, under
+    /// `Analytic` the [`ternary_argmin`] point.
+    fn argmin(&mut self, m: u32) -> f64 {
+        match self.mode {
+            EvalMode::Analytic => ternary_argmin(|x| self.f.eval_analytic(x), m as f64, true),
+            EvalMode::Interpolate => integer_argmin(m, |i| self.integer(i)) as f64,
+        }
     }
 }
 
-/// At most this many iterations for the ternary and bisection searches.
+/// Smallest minimizer of the convex integer values `int(0..=m)`: the first
+/// `i < m` with a finite `int(i) <= int(i + 1)`, or `m` if there is none,
+/// found by bisection in `ceil(log2(m + 1))` rounds of two reads. An
+/// infinite `int(i)` counts as descending, so an infinite prefix (states
+/// that cannot serve the load) leads the search to the first finite state.
+fn integer_argmin(m: u32, mut int: impl FnMut(u32) -> f64) -> u32 {
+    let (mut lo, mut hi) = (0, m);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let here = int(mid);
+        if here.is_finite() && int(mid + 1) >= here {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// At most this many iterations for the ternary and bisection searches of
+/// real states.
 const SEARCH_ITERS: usize = 200;
 
 /// Shrink `bracket` by `step` [`SEARCH_ITERS`] times and return its
@@ -125,9 +159,10 @@ fn narrow(
     0.5 * (bracket.0 + bracket.1)
 }
 
-/// Ternary search for the minimizer of a convex `eval` over `[0, m]`. (On
-/// `Server` costs at m = 1024 the bracket reaches its fixed point after
-/// about 91 of the [`SEARCH_ITERS`] steps.)
+/// Ternary search for the minimizer of a convex `eval` over `[0, m]`: the
+/// [`EvalMode::Analytic`] search, and the oracle the integer search is
+/// tested against. (On `Server` costs at m = 1024 the bracket reaches its
+/// fixed point after about 91 of the [`SEARCH_ITERS`] steps.)
 fn ternary_argmin(mut eval: impl FnMut(f64) -> f64, m: f64, stop_at_fixed_point: bool) -> f64 {
     narrow((0.0, m), stop_at_fixed_point, |lo, hi| {
         let a = lo + (hi - lo) / 3.0;
@@ -187,7 +222,7 @@ impl HalfStep {
 impl FractionalAlgorithm for HalfStep {
     fn step(&mut self, f: &Cost) -> f64 {
         let mut reader = Reader::new(self.mode, f);
-        let target = reader.argmin(self.m);
+        let target = reader.argmin(self.m as u32);
         let dist = (target - self.state).abs();
         if dist > 1e-15 {
             // Average slope of f between the current state and the
@@ -304,7 +339,7 @@ impl FractionalAlgorithm for Obd {
 /// difference.
 fn balance_point(mode: EvalMode, f: &Cost, from: f64, m: f64, move_rate: f64, gamma: f64) -> f64 {
     let mut reader = Reader::new(mode, f);
-    let target = reader.argmin(m);
+    let target = reader.argmin(m as u32);
     let mut h = |x: f64| reader.eval(x) - gamma * move_rate * (x - from).abs();
     if h(from) <= 0.0 {
         // Already cheap enough: don't move.
@@ -396,15 +431,16 @@ mod tests {
         assert!(x > 0.0 && x <= 2.0 + 1e-9);
     }
 
-    /// Random convex costs over `[0, m]` for the search tests: every shape
-    /// the streaming policies meet, including `Server` and `Table` costs.
-    fn random_costs(n: usize) -> Vec<(Cost, u32)> {
+    /// Random convex costs over `[0, m]`, `m <= max_m`, for the search
+    /// tests: every shape the streaming policies meet, including `Server`
+    /// and `Table` costs.
+    fn random_costs(n: usize, max_m: u32) -> Vec<(Cost, u32)> {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(17);
         (0..n)
             .map(|i| {
-                let m = rng.gen_range(1..=64u32);
+                let m = rng.gen_range(1..=max_m);
                 let mf = m as f64;
                 let c = rng.gen_range(0.0..mf);
                 let f = match i % 5 {
@@ -438,7 +474,7 @@ mod tests {
 
     #[test]
     fn ternary_fixed_point_stop_is_bit_identical() {
-        for (f, m) in random_costs(400) {
+        for (f, m) in random_costs(400, 64) {
             for mode in [EvalMode::Analytic, EvalMode::Interpolate] {
                 let eval = |x: f64| mode.eval(&f, x);
                 let early = ternary_argmin(eval, m as f64, true);
@@ -450,10 +486,10 @@ mod tests {
 
     #[test]
     fn memoryless_fixed_point_stop_is_bit_identical() {
-        for (i, (f, m)) in random_costs(400).into_iter().enumerate() {
+        for (i, (f, m)) in random_costs(400, 64).into_iter().enumerate() {
             let mode = EvalMode::Interpolate;
             let mf = m as f64;
-            let target = Reader::new(mode, &f).argmin(mf);
+            let target = Reader::new(mode, &f).argmin(m);
             for from in [0.0, mf, mf * (i % 7) as f64 / 7.0] {
                 // The balance of `balance_point` at move rate 1 and gamma 1.
                 let h = |x: f64| mode.eval(&f, x) - (x - from).abs();
@@ -466,12 +502,15 @@ mod tests {
 
     #[test]
     fn memoised_searches_are_bit_identical() {
-        for (i, (f, m)) in random_costs(400).into_iter().enumerate() {
+        for (i, (f, m)) in random_costs(400, 64).into_iter().enumerate() {
             let mf = m as f64;
             for mode in [EvalMode::Analytic, EvalMode::Interpolate] {
                 let mut reader = Reader::new(mode, &f);
-                let plain = ternary_argmin(|x| mode.eval(&f, x), mf, true);
-                let target = reader.argmin(mf);
+                let plain = match mode {
+                    EvalMode::Analytic => ternary_argmin(|x| mode.eval(&f, x), mf, true),
+                    EvalMode::Interpolate => integer_argmin(m, |x| f.eval(x)) as f64,
+                };
+                let target = reader.argmin(m);
                 assert_eq!(plain.to_bits(), target.to_bits(), "{f:?} m={m} {mode:?}");
                 for from in [0.0, mf, mf * (i % 7) as f64 / 7.0] {
                     let plain = bisect(|x| mode.eval(&f, x) - (x - from).abs(), from, target, true);
@@ -479,6 +518,66 @@ mod tests {
                     assert_eq!(plain.to_bits(), memo.to_bits(), "{f:?} m={m} from={from}");
                 }
             }
+        }
+    }
+
+    /// The `Interpolate` search on `f` over `0..=m` against a full scan
+    /// and against the ternary search it replaced.
+    fn check_integer_search(f: &Cost, m: u32) {
+        let target = Reader::new(EvalMode::Interpolate, f).argmin(m);
+        assert_eq!(target.fract(), 0.0, "{f:?} m={m}");
+        let min = (0..=m).map(|x| f.eval(x)).fold(f64::INFINITY, f64::min);
+        let at = f.eval(target as u32);
+        assert!(
+            at - min <= 1e-12 * min.abs(),
+            "{f:?} m={m}: f({target}) = {at} > {min}"
+        );
+        // These shapes' integer values are exactly convex.
+        if matches!(f, Cost::Abs { .. } | Cost::Hinge { .. } | Cost::Table(_)) {
+            assert_eq!(target as u32, f.argmin_low(m), "{f:?} m={m}");
+        }
+        let ternary = ternary_argmin(|x| f.interpolate(x), m as f64, true);
+        assert!(
+            (target - ternary).abs() <= 1e-9 * m as f64,
+            "{f:?} m={m}: {target} vs ternary {ternary}"
+        );
+    }
+
+    #[test]
+    fn integer_search_finds_the_smallest_minimizer() {
+        for (f, m) in random_costs(400, 64) {
+            check_integer_search(&f, m);
+        }
+    }
+
+    #[test]
+    #[ignore = "heavy: run via the nightly --include-ignored CI job"]
+    fn integer_search_finds_the_smallest_minimizer_up_to_the_largest_fleet() {
+        // 65 536 is the engine's largest tenant fleet (`MAX_M`).
+        for (f, m) in random_costs(400, 65_536) {
+            check_integer_search(&f, m);
+        }
+    }
+
+    #[test]
+    fn integer_search_steps_over_an_infinite_prefix() {
+        // A load cost is infinite below its load; the first state that
+        // serves it is the minimizer, which both policies reach in one
+        // step.
+        for (lambda, m) in [(12.0, 16), (900.0, 1024), (16.0, 16), (0.5, 4)] {
+            let f = Cost::load(
+                lambda,
+                Unit::Affine {
+                    base: 1.0,
+                    slope: 1.0,
+                },
+            );
+            let want = f64::ceil(lambda);
+            assert_eq!(Reader::new(EvalMode::Interpolate, &f).argmin(m), want);
+            let mut b = HalfStep::new(m, 2.0, EvalMode::Interpolate);
+            assert_eq!(b.step(&f), want, "lambda {lambda} m={m}");
+            let mut a = MemorylessBalance::new(m, 2.0, EvalMode::Interpolate);
+            assert_eq!(a.step(&f), want, "lambda {lambda} m={m}");
         }
     }
 

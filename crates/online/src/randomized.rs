@@ -399,6 +399,30 @@ mod tests {
     }
 
     #[test]
+    fn a_reached_minimizer_is_committed_without_a_draw() {
+        // Under eq. 3 the minimizer is an integer, so a fractional state
+        // that reaches it is integral and the rounder commits it without
+        // a draw (the integral case of Lemma 18).
+        use crate::fractional::{EvalMode, HalfStep, MemorylessBalance};
+        let f = Cost::Server {
+            lambda: 6.3,
+            params: ServerParams::default(),
+            overload: 50.0,
+        };
+        let target = f.argmin_low(16);
+        let mode = EvalMode::Interpolate;
+        let mut half = RandomizedOnline::new(HalfStep::new(16, 2.0, mode), 16, 5);
+        let rng = half.rounder.snapshot().rng_state;
+        assert_eq!(half.step(&f), target);
+        assert_eq!(half.fractional.state(), target as f64);
+        assert_eq!(half.rounder.snapshot().rng_state, rng);
+        let mut memo = RandomizedOnline::new(MemorylessBalance::new(16, 2.0, mode), 16, 5);
+        assert_eq!(memo.step(&f), target);
+        assert_eq!(memo.fractional.state(), target as f64);
+        assert_eq!(memo.rounder.snapshot().rng_state, rng);
+    }
+
+    #[test]
     fn composed_online_algorithm_is_feasible() {
         use crate::fractional::{EvalMode, HalfStep};
         use crate::traits::run;

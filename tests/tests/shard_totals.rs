@@ -8,7 +8,8 @@
 //!   `rsdc engine --events events.jsonl --shards 2 --data-dir data`)
 //!   still recovers: its `stats` are byte-identical to what that engine
 //!   reported (`stats.jsonl`), and stepping continues exactly as on an
-//!   engine that never checkpointed;
+//!   engine that never checkpointed, except for the fixture's HalfStep
+//!   and memoryless tenants (see [`FRACTIONAL`]);
 //! * random sequences of admits, load steps, finishes, evictions,
 //!   restores (new and replacing), full and incremental rebalances and
 //!   crash recoveries keep each shard's running `machines` equal to the
@@ -68,6 +69,23 @@ fn fixture_lines(name: &str) -> Vec<String> {
         .collect()
 }
 
+/// The fixture's HalfStep (`api`) and memoryless (`batch`) tenants. Its
+/// engine found their minimizers by a ternary search, where the current
+/// one bisects over the integers, so a fresh run of the prefix takes other
+/// states for them. They are the only tenants whose reference is not a
+/// fresh run: it starts from their states in the fixture.
+const FRACTIONAL: [&str; 2] = ["api", "batch"];
+
+/// The `stats` reply after a fresh run of the fixture's prefix. It differs
+/// from `stats.jsonl` only through the [`FRACTIONAL`] tenants' commits.
+const FRESH_STATS: &str = concat!(
+    r#"{"op":"stats","shards":[{"shard":0,"tenants":3,"events":90,"states":90,"metric_slots":90,"#,
+    r#""total_energy":1114.0,"drop_rate":0.0,"mean_committed":12.377777777777778,"total_wakes":88},"#,
+    r#"{"shard":1,"tenants":3,"events":90,"states":88,"metric_slots":88,"total_energy":1157.0,"#,
+    r#""drop_rate":0.002939020671230947,"mean_committed":13.147727272727273,"total_wakes":70}],"#,
+    r#""skew":{"tenants":1.0,"events":1.0},"autoscale":null,"energy":null}"#
+);
+
 /// Steps, finishes and reads to run after the fixture's prefix.
 fn suffix_records() -> Vec<String> {
     let ids = ["web", "api", "db", "cache", "batch", "edge"];
@@ -99,9 +117,10 @@ fn pre_totals_checkpoint_recovers_with_identical_stats_and_continues() {
         .collect();
 
     // The fixture's record arrays carry load-aware slots on both shards.
-    let doc = std::fs::read(Path::new(FIXTURE).join("data/ckpt-00000000000000000001.ckpt"))
+    // The document follows the checkpoint frame's length and CRC words.
+    let frame = std::fs::read(Path::new(FIXTURE).join("data/ckpt-00000000000000000001.ckpt"))
         .expect("read fixture checkpoint");
-    let doc = String::from_utf8_lossy(&doc);
+    let doc = std::str::from_utf8(&frame[8..]).expect("checkpoint document is UTF-8");
     assert_eq!(doc.matches(r#""metrics":{"records":[{"#).count(), 2);
 
     // Recover a copy (recovery writes a fresh checkpoint into its dir).
@@ -120,15 +139,54 @@ fn pre_totals_checkpoint_recovers_with_identical_stats_and_continues() {
     assert_eq!(recovered.handle_lines([r#"{"op":"stats"}"#]), want_stats);
 
     // The same events on an engine that never checkpointed.
-    let mut reference = Session::new(Engine::new(EngineConfig::with_shards(2)));
-    reference.handle_lines(prefix.iter().copied());
+    let mut fresh = Session::new(Engine::new(EngineConfig::with_shards(2)));
+    fresh.handle_lines(prefix.iter().copied());
+    assert_eq!(fresh.handle_lines([r#"{"op":"stats"}"#]), [FRESH_STATS]);
+
+    // The reference recovers the fixture's checkpoint with every tenant
+    // but the fractional ones taken from the fresh run: the shard totals
+    // and the fractional tenants start where the fixture's engine left
+    // them, the other tenants where a run that never checkpointed is.
+    let mut checkpoint: serde::Value = serde_json::from_str(doc).expect("checkpoint is JSON");
+    let serde::Value::Object(fields) = &mut checkpoint else {
+        panic!("checkpoint is an object");
+    };
+    let Some((_, serde::Value::Array(tenants))) = fields.iter_mut().find(|(k, _)| k == "tenants")
+    else {
+        panic!("checkpoint lists its tenants");
+    };
+    for tenant in tenants.iter_mut() {
+        let id = tenant["config"]["id"]
+            .as_str()
+            .expect("tenant id")
+            .to_owned();
+        if !FRACTIONAL.contains(&id.as_str()) {
+            use serde::Serialize as _;
+            *tenant = fresh
+                .engine()
+                .snapshot(&id)
+                .expect("fresh tenant")
+                .to_value();
+        }
+    }
+    let reference_dir = case_dir("reference");
+    let store = open_store(&reference_dir);
+    let seq = store.begin_checkpoint().expect("begin checkpoint");
+    let checkpoint = serde_json::to_string(&checkpoint).expect("render checkpoint");
+    store
+        .commit_checkpoint(seq, checkpoint.as_bytes())
+        .expect("write reference checkpoint");
+    let (mut reference, _) =
+        Session::open_durable_cfg(EngineConfig::with_shards(2), store).expect("recover reference");
     assert_eq!(reference.handle_lines([r#"{"op":"stats"}"#]), want_stats);
 
     let suffix = suffix_records();
     let want = reference.handle_lines(suffix.iter().map(String::as_str));
     let got = recovered.handle_lines(suffix.iter().map(String::as_str));
     assert_eq!(got, want);
+    drop((recovered, reference));
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&reference_dir);
 }
 
 #[test]

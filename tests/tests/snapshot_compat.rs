@@ -14,7 +14,18 @@
 //! wrapper struct. The engine must write those bytes after the same prefix,
 //! except that the lookahead tenant's policy payload no longer carries
 //! `buffered`, a copy of its pending costs; and each restored tenant must
-//! continue byte-identically.
+//! continue byte-identically. Its `halfstep` and `memoryless` lines were
+//! re-captured when the fractional policies' minimizer search became an
+//! integer bisection; the lines the ternary search wrote are in
+//! `fixtures/ternary_search_snapshots.jsonl`, and they still restore.
+//!
+//! A HalfStep or memoryless tenant restored from a snapshot the ternary
+//! search wrote holds a fractional state that the current engine does not
+//! reach over the same prefix. Its reference is therefore the
+//! uninterrupted run with that tenant restored to its fixture's own
+//! policy state and the run's own OPT tracker, which depends only on the
+//! costs ([`continue_from_fixture_states`]). Every other tenant is compared
+//! with the uninterrupted run itself.
 
 use rsdc_engine::wire::Session;
 use rsdc_engine::{Engine, EngineConfig};
@@ -22,6 +33,7 @@ use serde_json::json;
 
 const FIXTURE: &str = include_str!("../fixtures/two_dp_tenant_snapshots.jsonl");
 const SCALAR_FIXTURE: &str = include_str!("../fixtures/scalar_policy_snapshots.jsonl");
+const TERNARY_FIXTURE: &str = include_str!("../fixtures/ternary_search_snapshots.jsonl");
 
 const TENANTS: [&str; 2] = ["lcp", "half"];
 
@@ -73,6 +85,42 @@ fn run(lines: &[String]) -> Vec<String> {
     session.handle_lines(lines.iter().map(String::as_str))
 }
 
+/// The `restore` line of a fixture's `snapshot` reply.
+fn restore_line(reply: &serde::Value) -> String {
+    line(
+        json!({"op": "restore", "snapshot": reply["snapshot"].clone(),
+       "cost_model": reply["cost_model"].clone()}),
+    )
+}
+
+/// An uninterrupted run of `prefix`, then each of the fixture's
+/// `fractional` tenants restored to its fixture policy state and
+/// accounting with the run's own OPT tracker, then `suffix`: the
+/// replies to `suffix`.
+fn continue_from_fixture_states(
+    prefix: &[String],
+    fixture: &[serde::Value],
+    fractional: &[&str],
+    suffix: &[String],
+) -> Vec<String> {
+    let mut session = Session::new(Engine::new(EngineConfig::with_shards(1)));
+    session.handle_lines(prefix.iter().map(String::as_str));
+    for &id in fractional {
+        let reply = fixture
+            .iter()
+            .find(|reply| reply["id"] == id)
+            .unwrap_or_else(|| panic!("no fixture line for {id}"));
+        let snapshot = line(json!({"op": "snapshot", "id": id}));
+        let fresh: serde::Value =
+            serde_json::from_str(&session.handle_lines([snapshot.as_str()])[0]).unwrap();
+        let mut reply = reply.clone();
+        *field(field(&mut reply, "snapshot"), "opt") = fresh["snapshot"]["opt"].clone();
+        let ack = session.handle_lines([restore_line(&reply).as_str()]);
+        assert!(ack[0].contains("\"restored\""), "{id}: {ack:?}");
+    }
+    session.handle_lines(suffix.iter().map(String::as_str))
+}
+
 fn fixture_snapshots() -> Vec<serde::Value> {
     parse_fixture(FIXTURE)
 }
@@ -95,20 +143,10 @@ fn two_dp_snapshots_restore_and_continue_byte_identically() {
         );
     }
 
-    let mut uninterrupted = prefix_records();
-    uninterrupted.extend(suffix_records());
-    let want = run(&uninterrupted);
-    let want = &want[want.len() - suffix_records().len()..];
+    let want =
+        continue_from_fixture_states(&prefix_records(), &fixture, &["half"], &suffix_records());
 
-    let mut restored: Vec<String> = fixture
-        .iter()
-        .map(|reply| {
-            line(
-                json!({"op": "restore", "snapshot": reply["snapshot"].clone(),
-                   "cost_model": reply["cost_model"].clone()}),
-            )
-        })
-        .collect();
+    let mut restored: Vec<String> = fixture.iter().map(restore_line).collect();
     restored.extend(suffix_records());
     let got = run(&restored);
     assert!(
@@ -162,6 +200,10 @@ const SCALAR_TENANTS: [(&str, &str); 7] = [
     ("followmin", "followmin"),
     ("hysteresis", "hysteresis:1"),
 ];
+
+/// The scalar tenants whose policy searches for the minimizer of each
+/// slot cost: HalfStep and memoryless balance.
+const FRACTIONAL_TENANTS: [&str; 2] = ["halfstep", "memoryless"];
 
 /// The admits and steps the scalar fixture was captured after: twelve
 /// load steps and one explicit cost, so the lookahead tenant holds two
@@ -255,24 +297,29 @@ fn scalar_policy_snapshots_keep_their_bytes() {
 
 #[test]
 fn scalar_policy_snapshots_restore_and_continue_byte_identically() {
-    let fixture = parse_fixture(SCALAR_FIXTURE);
+    // The fixture as captured: the fractional tenants' lines are the
+    // ones the ternary search wrote.
+    let mut fixture = parse_fixture(SCALAR_FIXTURE);
+    for reply in parse_fixture(TERNARY_FIXTURE) {
+        let at = SCALAR_TENANTS.iter().position(|(id, _)| reply["id"] == *id);
+        fixture[at.expect("a scalar tenant")] = reply;
+    }
     let lookahead = &fixture[4]["snapshot"];
     assert_eq!(lookahead["pending"].as_array().map(Vec::len), Some(2));
 
-    let mut uninterrupted = scalar_prefix();
-    uninterrupted.extend(scalar_suffix());
-    let want = run(&uninterrupted);
-    let want = &want[want.len() - scalar_suffix().len()..];
+    let want = continue_from_fixture_states(
+        &scalar_prefix(),
+        &fixture,
+        &FRACTIONAL_TENANTS,
+        &scalar_suffix(),
+    );
 
     let mut restored: Vec<String> = fixture
         .iter()
         .zip(SCALAR_TENANTS)
         .map(|(reply, (id, _))| {
             assert_eq!(reply["id"], id);
-            line(
-                json!({"op": "restore", "snapshot": reply["snapshot"].clone(),
-                   "cost_model": reply["cost_model"].clone()}),
-            )
+            restore_line(reply)
         })
         .collect();
     restored.extend(scalar_suffix());
@@ -281,4 +328,29 @@ fn scalar_policy_snapshots_restore_and_continue_byte_identically() {
     assert!(acks.iter().all(|l| l.contains("\"restored\"")), "{acks:?}");
     assert_eq!(got, want);
     assert!(want.iter().any(|l| l.contains("LCP(lookahead,w=2)")));
+}
+
+#[test]
+fn ternary_search_snapshots_restore_to_their_bytes() {
+    let fixture: Vec<&str> = TERNARY_FIXTURE.lines().collect();
+    assert_eq!(fixture.len(), FRACTIONAL_TENANTS.len());
+    let mut lines = Vec::new();
+    for (text, id) in fixture.iter().zip(FRACTIONAL_TENANTS) {
+        let reply: serde::Value = serde_json::from_str(text).expect("JSON line");
+        assert_eq!(reply["id"], id);
+        // Restored without a `cost_model`, the tenant's config keeps the
+        // snapshot's `null` one, as the captured tenant had.
+        lines.push(line(
+            json!({"op": "restore", "snapshot": reply["snapshot"].clone()}),
+        ));
+        lines.push(line(json!({"op": "snapshot", "id": id})));
+    }
+    let out = run(&lines);
+    for (pair, want) in out.chunks(2).zip(&fixture) {
+        assert!(pair[0].contains("\"restored\""), "{pair:?}");
+        assert_eq!(&pair[1], want);
+    }
+    // The memoryless line is one the integer search no longer writes: its
+    // fractional state sits ulps below the minimizer 12.
+    assert!(fixture[1].contains("\"fractional\":11.999999999999993"));
 }
