@@ -17,11 +17,14 @@
 //! stream echoes the preamble once, then frames its replies the same
 //! way.
 //!
-//! Framing is deliberately dumb: every request tag maps 1:1 onto an
-//! operation of the JSONL protocol (see `WIRE.md`), errors carry the
-//! same 1-based sequence numbers a JSONL session would report, and the
-//! [`crate::wire::Session`] behind both framings is shared — the
-//! differential test suite pins byte-identical behaviour.
+//! Framing is deliberately dumb: the two step tags carry a step's fields
+//! compactly, and every other request, the whole control plane, is one
+//! JSONL line inside a [`TAG_JSON`] envelope, read by the same
+//! [`parse_record`](crate::wire::parse_record) a JSONL session uses (see
+//! `WIRE.md`). Errors carry the same 1-based sequence numbers a JSONL
+//! session would report, and the [`crate::wire::Session`] behind both
+//! framings is shared — the differential test suite pins byte-identical
+//! behaviour.
 
 use rsdc_store::wal::crc32;
 use std::fmt;
@@ -33,8 +36,10 @@ pub const MAGIC: [u8; 4] = *b"RSDC";
 /// preamble from a file that merely starts with `RSDC`).
 pub const PROTO: u8 = 0xB1;
 
-/// Current protocol version.
-pub const VERSION: u8 = 1;
+/// Current protocol version. Version 1 also gave ten control ops their
+/// own tags (0x03–0x0C); a version-1 preamble is refused like any other
+/// unknown version.
+pub const VERSION: u8 = 2;
 
 /// The full 6-byte connection preamble for [`VERSION`].
 pub const PREAMBLE: [u8; 6] = [MAGIC[0], MAGIC[1], MAGIC[2], MAGIC[3], PROTO, VERSION];
@@ -46,34 +51,14 @@ pub const MAX_FRAME_LEN: u32 = 1 << 24;
 /// Bytes of frame header: length prefix + CRC.
 pub const FRAME_HEADER: usize = 8;
 
-// Request tags. Hot-path steps get dedicated compact encodings; the
-// long tail of control operations travels as a framed JSONL record
-// (tag 0x0F) and is handled by the same parser as the text protocol.
-/// `{id, load}` — heterogeneous step.
+// Request tags. Steps get dedicated compact encodings; every other
+// operation travels as a framed JSONL record (tag 0x0F) and is handled
+// by the same parser as the text protocol.
+/// `{id, load}` — load-carrying step.
 pub const TAG_STEP_LOAD: u8 = 0x01;
 /// `{id, cost[, load]}` — scalar step, cost as canonical JSON.
 pub const TAG_STEP_COST: u8 = 0x02;
-/// `{id}` — end-of-stream flush.
-pub const TAG_FINISH: u8 = 0x03;
-/// `{id}` — full tenant snapshot.
-pub const TAG_SNAPSHOT: u8 = 0x04;
-/// `{[id]}` — one report or all.
-pub const TAG_REPORT: u8 = 0x05;
-/// shard statistics.
-pub const TAG_STATS: u8 = 0x06;
-/// durable checkpoint.
-pub const TAG_CHECKPOINT: u8 = 0x07;
-/// recovery report of the serving engine.
-pub const TAG_RECOVER: u8 = 0x08;
-/// WAL write-volume counters.
-pub const TAG_WAL_STATS: u8 = 0x09;
-/// metrics registry dump.
-pub const TAG_METRICS: u8 = 0x0A;
-/// `{[after]}` — control-plane trace.
-pub const TAG_TRACE: u8 = 0x0B;
-/// `{shards[, vnodes], incremental}` — topology change.
-pub const TAG_REBALANCE: u8 = 0x0C;
-/// Body is one JSONL request line (admit/restore/autoscale/energy/...).
+/// Body is one JSONL request line: any op but a compact step.
 pub const TAG_JSON: u8 = 0x0F;
 
 // Response tags.
@@ -399,10 +384,7 @@ impl<'a> BodyWriter<'a> {
 // ---- binary server session ----
 
 use crate::framed::{Codec, Core};
-use crate::ring::{MAX_SHARDS, MAX_VNODES};
-use crate::wire::{
-    error_reply_line, stepped_states_line, too_large, Record, Reply, Request, WireError,
-};
+use crate::wire::{error_reply_line, stepped_states_line, Reply, Request, WireError};
 use rsdc_core::Cost;
 use serde::Deserialize;
 
@@ -532,69 +514,6 @@ fn decode_request(tag: u8, body: &[u8]) -> Result<Request<'_>, String> {
                 load,
             })
         }
-        TAG_FINISH => {
-            let id = r.str16().ok_or_else(|| underrun(tag))?;
-            Ok(Request::Record(Record::Finish { id: id.to_string() }))
-        }
-        TAG_SNAPSHOT => {
-            let id = r.str16().ok_or_else(|| underrun(tag))?;
-            Ok(Request::Record(Record::Snapshot { id: id.to_string() }))
-        }
-        TAG_REPORT => {
-            if body.is_empty() {
-                Ok(Request::Record(Record::Report(None)))
-            } else {
-                let id = r.str16().ok_or_else(|| underrun(tag))?;
-                Ok(Request::Record(Record::Report(Some(id.to_string()))))
-            }
-        }
-        TAG_STATS => Ok(Request::Record(Record::Stats)),
-        TAG_CHECKPOINT => Ok(Request::Record(Record::Checkpoint)),
-        TAG_RECOVER => Ok(Request::Record(Record::Recover)),
-        TAG_WAL_STATS => Ok(Request::Record(Record::WalStats)),
-        TAG_METRICS => Ok(Request::Record(Record::Metrics)),
-        TAG_TRACE => {
-            if body.is_empty() {
-                Ok(Request::Record(Record::Trace { last: None }))
-            } else {
-                let last = r.u32().ok_or_else(|| underrun(tag))?;
-                Ok(Request::Record(Record::Trace {
-                    last: Some(last as usize),
-                }))
-            }
-        }
-        TAG_REBALANCE => {
-            let shards = r.u32().ok_or_else(|| underrun(tag))?;
-            if shards == 0 {
-                return Err(
-                    WireError("field \"shards\" must be an integer >= 1".into()).to_string()
-                );
-            }
-            if shards as usize > MAX_SHARDS {
-                return Err(too_large("shards", MAX_SHARDS).to_string());
-            }
-            let has_vnodes = r.u8().ok_or_else(|| underrun(tag))?;
-            let vnodes = if has_vnodes != 0 {
-                let v = r.u32().ok_or_else(|| underrun(tag))?;
-                if v == 0 {
-                    return Err(
-                        WireError("field \"vnodes\" must be an integer >= 1".into()).to_string()
-                    );
-                }
-                if v as usize > MAX_VNODES {
-                    return Err(too_large("vnodes", MAX_VNODES).to_string());
-                }
-                Some(v as usize)
-            } else {
-                None
-            };
-            let incremental = r.u8().ok_or_else(|| underrun(tag))? != 0;
-            Ok(Request::Record(Record::Rebalance {
-                shards: shards as usize,
-                vnodes,
-                incremental,
-            }))
-        }
         TAG_JSON => {
             let text = std::str::from_utf8(body)
                 .map_err(|_| "frame body is not valid UTF-8".to_string())?;
@@ -651,159 +570,65 @@ fn encode_reply(reply: Reply, payload: &mut Vec<u8>, out: &mut Vec<u8>) {
 // ---- client-side codecs ----
 
 /// Transcode one JSONL request line into its binary frame, appended to
-/// `out` (via the reusable `payload` scratch). Hot-path and simple
-/// control ops get their compact tags; everything else — including blank
-/// and `#` comment lines, which must keep consuming sequence numbers —
-/// travels as a [`TAG_JSON`] envelope and hits the same parser a JSONL
-/// session uses, so both framings reject a bad line with the same
-/// message at the same sequence.
+/// `out` (via the reusable `payload` scratch). A step gets its compact
+/// tag; everything else — every control op, and blank and `#` comment
+/// lines, which must keep consuming sequence numbers — travels as a
+/// [`TAG_JSON`] envelope and hits the same parser a JSONL session uses,
+/// so both framings reject a bad line with the same message at the same
+/// sequence.
 pub fn encode_request_line(line: &str, payload: &mut Vec<u8>, out: &mut Vec<u8>) {
     let trimmed = line.trim();
-    if compact_request(trimmed, payload) {
-        put_frame(out, payload);
-        return;
+    if !compact_step(trimmed, payload) {
+        payload.clear();
+        payload.push(TAG_JSON);
+        payload.extend_from_slice(trimmed.as_bytes());
     }
-    payload.clear();
-    payload.push(TAG_JSON);
-    payload.extend_from_slice(trimmed.as_bytes());
     put_frame(out, payload);
 }
 
-/// Try the compact encoding for `line`; true when `payload` holds it.
-/// Any shape the compact tags can't represent faithfully (per
-/// [`parse_record`](crate::wire::parse_record)'s field semantics) falls
-/// back to the JSON envelope.
-fn compact_request(line: &str, payload: &mut Vec<u8>) -> bool {
-    if line.is_empty() || line.starts_with('#') {
-        return false;
-    }
+/// Try the compact step encoding for `line`; true when `payload` holds
+/// it. A line that is not a step, or a step the two step tags can't
+/// represent faithfully (per [`parse_record`](crate::wire::parse_record)'s
+/// field semantics), falls back to the JSON envelope.
+fn compact_step(line: &str, payload: &mut Vec<u8>) -> bool {
     let Ok(v) = serde_json::from_str::<serde::Value>(line) else {
         return false;
     };
-    let Some(op) = v.get("op").and_then(|x| x.as_str()) else {
+    if v.get("op").and_then(|x| x.as_str()) != Some("step") {
+        return false;
+    }
+    let Some(id) = v
+        .get("id")
+        .and_then(|x| x.as_str())
+        .filter(|s| s.len() <= u16::MAX as usize)
+    else {
         return false;
     };
-    let str16able = |key: &str| {
-        v.get(key)
-            .and_then(|x| x.as_str())
-            .filter(|s| s.len() <= u16::MAX as usize)
-    };
-    match op {
-        "step" => {
-            let Some(id) = str16able("id") else {
-                return false;
-            };
-            let cost = v.get("cost").filter(|c| !c.is_null());
-            let load = v.get("load").and_then(|x| x.as_f64());
-            match (cost, load) {
-                (None, Some(load)) => {
-                    BodyWriter::start(payload, TAG_STEP_LOAD)
-                        .str16(id)
-                        .f64(load);
-                    true
-                }
-                (Some(cost), load) => {
-                    let cost = serde_json::to_string(cost).expect("serializable");
-                    let mut w = BodyWriter::start(payload, TAG_STEP_COST);
-                    w.str16(id);
-                    match load {
-                        Some(l) => {
-                            w.u8(1).f64(l);
-                        }
-                        None => {
-                            w.u8(0);
-                        }
-                    }
-                    w.raw(cost.as_bytes());
-                    true
-                }
-                (None, None) => false,
-            }
+    let cost = v.get("cost").filter(|c| !c.is_null());
+    let load = v.get("load").and_then(|x| x.as_f64());
+    match (cost, load) {
+        (None, Some(load)) => {
+            BodyWriter::start(payload, TAG_STEP_LOAD)
+                .str16(id)
+                .f64(load);
         }
-        "finish" | "snapshot" => {
-            let Some(id) = str16able("id") else {
-                return false;
-            };
-            let tag = if op == "finish" {
-                TAG_FINISH
-            } else {
-                TAG_SNAPSHOT
-            };
-            BodyWriter::start(payload, tag).str16(id);
-            true
-        }
-        "report" => {
-            // A non-string id is ignored by the parser, so it compacts to
-            // the report-all form.
-            match str16able("id") {
-                Some(id) => {
-                    BodyWriter::start(payload, TAG_REPORT).str16(id);
-                }
-                None => {
-                    BodyWriter::start(payload, TAG_REPORT);
-                }
-            }
-            true
-        }
-        "stats" | "checkpoint" | "recover" | "wal_stats" | "metrics" => {
-            let tag = match op {
-                "stats" => TAG_STATS,
-                "checkpoint" => TAG_CHECKPOINT,
-                "recover" => TAG_RECOVER,
-                "wal_stats" => TAG_WAL_STATS,
-                _ => TAG_METRICS,
-            };
-            BodyWriter::start(payload, tag);
-            true
-        }
-        "trace" => match v.get("last") {
-            None | Some(serde::Value::Null) => {
-                BodyWriter::start(payload, TAG_TRACE);
-                true
-            }
-            Some(x) => match x.as_u64().and_then(|n| u32::try_from(n).ok()) {
-                Some(last) => {
-                    BodyWriter::start(payload, TAG_TRACE).u32(last);
-                    true
-                }
-                None => false,
-            },
-        },
-        "rebalance" => {
-            let count = |key: &str| match v.get(key) {
-                None | Some(serde::Value::Null) => Some(None),
-                Some(x) => x
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .filter(|&n| n >= 1)
-                    .map(Some),
-            };
-            let (Some(Some(shards)), Some(vnodes)) = (count("shards"), count("vnodes")) else {
-                return false;
-            };
-            let incremental = match v.get("mode").filter(|m| !m.is_null()) {
-                None => false,
-                Some(m) => match m.as_str() {
-                    Some("incremental") => true,
-                    Some("full") => false,
-                    _ => return false,
-                },
-            };
-            let mut w = BodyWriter::start(payload, TAG_REBALANCE);
-            w.u32(shards);
-            match vnodes {
-                Some(vn) => {
-                    w.u8(1).u32(vn);
+        (Some(cost), load) => {
+            let cost = serde_json::to_string(cost).expect("serializable");
+            let mut w = BodyWriter::start(payload, TAG_STEP_COST);
+            w.str16(id);
+            match load {
+                Some(l) => {
+                    w.u8(1).f64(l);
                 }
                 None => {
                     w.u8(0);
                 }
             }
-            w.u8(incremental as u8);
-            true
+            w.raw(cost.as_bytes());
         }
-        _ => false,
+        (None, None) => return false,
     }
+    true
 }
 
 /// Decode a complete binary response stream (preamble + frames) back into
@@ -879,8 +704,8 @@ mod tests {
     #[test]
     fn frames_round_trip_across_split_feeds() {
         let mut wire = Vec::new();
-        put_frame(&mut wire, &[TAG_FINISH, 1, 2, 3]);
-        put_frame(&mut wire, &[TAG_STATS]);
+        put_frame(&mut wire, &[TAG_STEP_LOAD, 1, 2, 3]);
+        put_frame(&mut wire, &[TAG_JSON]);
         let mut dec = FrameDecoder::new();
         // Feed byte-by-byte: partial frames must stay buffered.
         let mut seen = Vec::new();
@@ -890,24 +715,33 @@ mod tests {
                 seen.push((frame.tag, frame.body.to_vec()));
             }
         }
-        assert_eq!(seen, vec![(TAG_FINISH, vec![1, 2, 3]), (TAG_STATS, vec![])]);
+        assert_eq!(
+            seen,
+            vec![(TAG_STEP_LOAD, vec![1, 2, 3]), (TAG_JSON, vec![])]
+        );
         dec.finish().unwrap();
     }
 
     #[test]
     fn corrupt_crc_is_reported_and_skipped() {
         let mut wire = Vec::new();
-        put_frame(&mut wire, &[TAG_FINISH, 9]);
+        put_frame(&mut wire, &[TAG_STEP_LOAD, 9]);
         let good_len = wire.len();
-        put_frame(&mut wire, &[TAG_STATS]);
+        put_frame(&mut wire, &[TAG_JSON]);
         wire[good_len + FRAME_HEADER] ^= 0xFF; // flip a payload byte of frame 2
-        put_frame(&mut wire, &[TAG_METRICS]);
+        put_frame(&mut wire, &[TAG_JSON, b'{']);
         let mut dec = FrameDecoder::new();
         dec.extend(&wire);
-        assert_eq!(dec.next_frame().unwrap().unwrap().tag, TAG_FINISH);
+        assert_eq!(dec.next_frame().unwrap().unwrap().tag, TAG_STEP_LOAD);
         assert!(matches!(dec.next_frame(), Err(FrameError::BadCrc { .. })));
         // The corrupt frame is consumed; the stream continues.
-        assert_eq!(dec.next_frame().unwrap().unwrap().tag, TAG_METRICS);
+        assert_eq!(
+            dec.next_frame().unwrap(),
+            Some(Frame {
+                tag: TAG_JSON,
+                body: b"{"
+            })
+        );
         dec.finish().unwrap();
     }
 
@@ -922,7 +756,7 @@ mod tests {
         );
 
         let mut wire = Vec::new();
-        put_frame(&mut wire, &[TAG_FINISH, 1, 2, 3]);
+        put_frame(&mut wire, &[TAG_STEP_LOAD, 1, 2, 3]);
         let mut dec = FrameDecoder::new();
         dec.extend(&wire[..wire.len() - 2]);
         assert_eq!(dec.next_frame(), Ok(None));
@@ -941,6 +775,9 @@ mod tests {
         let mut bad = PREAMBLE;
         bad[5] = 9;
         assert_eq!(check_preamble(&bad), Err(FrameError::BadVersion(9)));
+        // Version 1, which had compact control-op tags, is refused.
+        bad[5] = 1;
+        assert_eq!(check_preamble(&bad), Err(FrameError::BadVersion(1)));
         let mut bad = PREAMBLE;
         bad[0] = b'X';
         assert!(matches!(check_preamble(&bad), Err(FrameError::BadMagic(_))));
@@ -1078,18 +915,18 @@ mod tests {
                 "{\"op\":\"step\",\"id\":\"a\",\"cost\":\"Zero\"}",
                 TAG_STEP_COST,
             ),
-            ("{\"op\":\"finish\",\"id\":\"a\"}", TAG_FINISH),
-            ("{\"op\":\"snapshot\",\"id\":\"a\"}", TAG_SNAPSHOT),
-            ("{\"op\":\"report\"}", TAG_REPORT),
-            ("{\"op\":\"report\",\"id\":\"a\"}", TAG_REPORT),
-            ("{\"op\":\"stats\"}", TAG_STATS),
-            ("{\"op\":\"checkpoint\"}", TAG_CHECKPOINT),
-            ("{\"op\":\"recover\"}", TAG_RECOVER),
-            ("{\"op\":\"wal_stats\"}", TAG_WAL_STATS),
-            ("{\"op\":\"metrics\"}", TAG_METRICS),
-            ("{\"op\":\"trace\",\"last\":4}", TAG_TRACE),
-            ("{\"op\":\"rebalance\",\"shards\":4}", TAG_REBALANCE),
-            // The long tail rides the JSON envelope.
+            // Every control op rides the JSON envelope.
+            ("{\"op\":\"finish\",\"id\":\"a\"}", TAG_JSON),
+            ("{\"op\":\"snapshot\",\"id\":\"a\"}", TAG_JSON),
+            ("{\"op\":\"report\"}", TAG_JSON),
+            ("{\"op\":\"report\",\"id\":\"a\"}", TAG_JSON),
+            ("{\"op\":\"stats\"}", TAG_JSON),
+            ("{\"op\":\"checkpoint\"}", TAG_JSON),
+            ("{\"op\":\"recover\"}", TAG_JSON),
+            ("{\"op\":\"wal_stats\"}", TAG_JSON),
+            ("{\"op\":\"metrics\"}", TAG_JSON),
+            ("{\"op\":\"trace\",\"last\":4}", TAG_JSON),
+            ("{\"op\":\"rebalance\",\"shards\":4}", TAG_JSON),
             (
                 "{\"op\":\"admit\",\"id\":\"a\",\"m\":1,\"beta\":1.0,\"policy\":\"lcp\"}",
                 TAG_JSON,

@@ -219,19 +219,12 @@ fn count(v: &serde::Value, key: &str) -> Result<Option<usize>, WireError> {
     })
 }
 
-/// [`count`] capped at `max`: a larger integer fails as
-/// [`too_large`] (the `rebalance` shard and vnode counts).
+/// [`count`] capped at `max` (the `rebalance` shard and vnode counts).
 fn count_at_most(v: &serde::Value, key: &str, max: usize) -> Result<Option<usize>, WireError> {
     match count(v, key)? {
-        Some(n) if n > max => Err(too_large(key, max)),
+        Some(n) if n > max => Err(WireError(format!("field {key:?} must be at most {max}"))),
         n => Ok(n),
     }
-}
-
-/// The error for an integer field `key` above its cap `max`, shared by
-/// both framings.
-pub(crate) fn too_large(key: &str, max: usize) -> WireError {
-    WireError(format!("field {key:?} must be at most {max}"))
 }
 
 /// Optional field `key` of `v`: a finite number `> 0` when present.

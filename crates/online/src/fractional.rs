@@ -135,8 +135,7 @@ fn integer_argmin(m: u32, mut int: impl FnMut(u32) -> f64) -> u32 {
 /// real states.
 const SEARCH_ITERS: usize = 200;
 
-/// Shrink `bracket` by `step` [`SEARCH_ITERS`] times and return its
-/// midpoint.
+/// Shrink `bracket` by `step` [`SEARCH_ITERS`] times and return it.
 ///
 /// With `stop_at_fixed_point`, the loop ends as soon as a step leaves the
 /// bracket bit-for-bit unchanged: every later step would see the same
@@ -146,7 +145,7 @@ fn narrow(
     mut bracket: (f64, f64),
     stop_at_fixed_point: bool,
     mut step: impl FnMut(f64, f64) -> (f64, f64),
-) -> f64 {
+) -> (f64, f64) {
     for _ in 0..SEARCH_ITERS {
         let next = step(bracket.0, bracket.1);
         let fixed =
@@ -156,36 +155,53 @@ fn narrow(
             break;
         }
     }
-    0.5 * (bracket.0 + bracket.1)
+    bracket
+}
+
+/// The midpoint of a search's final `bracket`, or its upper end where
+/// `eval` is infinite at the midpoint. Both searches keep the upper end
+/// finite, so a bracket that closes on the edge of an infinite prefix
+/// (states that cannot serve the load) answers a state that can.
+fn settle((lo, hi): (f64, f64), mut eval: impl FnMut(f64) -> f64) -> f64 {
+    let mid = 0.5 * (lo + hi);
+    if eval(mid).is_finite() {
+        mid
+    } else {
+        hi
+    }
 }
 
 /// Ternary search for the minimizer of a convex `eval` over `[0, m]`: the
 /// [`EvalMode::Analytic`] search, and the oracle the integer search is
 /// tested against. (On `Server` costs at m = 1024 the bracket reaches its
-/// fixed point after about 91 of the [`SEARCH_ITERS`] steps.)
+/// fixed point after about 91 of the [`SEARCH_ITERS`] steps.) As in
+/// [`integer_argmin`], an infinite `eval(a)` counts as descending.
 fn ternary_argmin(mut eval: impl FnMut(f64) -> f64, m: f64, stop_at_fixed_point: bool) -> f64 {
-    narrow((0.0, m), stop_at_fixed_point, |lo, hi| {
+    let bracket = narrow((0.0, m), stop_at_fixed_point, |lo, hi| {
         let a = lo + (hi - lo) / 3.0;
         let b = hi - (hi - lo) / 3.0;
-        if eval(a) <= eval(b) {
+        let at_a = eval(a);
+        if at_a.is_finite() && at_a <= eval(b) {
             (lo, b)
         } else {
             (a, hi)
         }
-    })
+    });
+    settle(bracket, eval)
 }
 
 /// Bisection for the sign change of `h` between `lo` (where `h > 0`) and
 /// `hi`.
 fn bisect(mut h: impl FnMut(f64) -> f64, lo: f64, hi: f64, stop_at_fixed_point: bool) -> f64 {
-    narrow((lo, hi), stop_at_fixed_point, |lo, hi| {
+    let bracket = narrow((lo, hi), stop_at_fixed_point, |lo, hi| {
         let mid = 0.5 * (lo + hi);
         if h(mid) > 0.0 {
             (mid, hi)
         } else {
             (lo, mid)
         }
-    })
+    });
+    settle(bracket, h)
 }
 
 /// The half-subgradient fractional algorithm (see module docs).
@@ -578,6 +594,20 @@ mod tests {
             assert_eq!(b.step(&f), want, "lambda {lambda} m={m}");
             let mut a = MemorylessBalance::new(m, 2.0, EvalMode::Interpolate);
             assert_eq!(a.step(&f), want, "lambda {lambda} m={m}");
+            // The analytic cost is finite from `lambda - 1e-12` up, and
+            // increasing there: each policy lands on a state that serves
+            // the load, at a finite cost, within that tolerance of it.
+            for beta in [2.0, 100.0] {
+                let mut b = HalfStep::new(m, beta, EvalMode::Analytic);
+                let mut a = MemorylessBalance::new(m, beta, EvalMode::Analytic);
+                for x in [b.step(&f), a.step(&f)] {
+                    let cost = f.eval_analytic(x);
+                    assert!(
+                        x + 1e-12 >= lambda && x <= lambda + 1e-9 && cost.is_finite(),
+                        "lambda {lambda} m={m} beta {beta}: f({x}) = {cost}"
+                    );
+                }
+            }
         }
     }
 

@@ -5,6 +5,7 @@
 //! harness in whichever shape they arrive.
 
 use crate::traces::Trace;
+use rsdc_store::wal::crc32;
 use std::io::{BufRead, BufReader, Read, Write};
 
 /// Magic bytes opening a binary trace file: ASCII `RSDT`.
@@ -55,21 +56,6 @@ pub fn read_csv<R: Read>(r: R, label: impl Into<String>) -> std::io::Result<Trac
         loads.push(v);
     }
     Ok(Trace::new(label, loads))
-}
-
-/// CRC-32 (IEEE polynomial, bit-reflected) — the checksum the engine's
-/// wire framing and WAL use, computed table-free here so the workloads
-/// crate stays dependency-free.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// True when `data` opens with the binary trace magic — the sniff the

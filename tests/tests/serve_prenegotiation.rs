@@ -117,10 +117,10 @@ fn run(wire: WireMode, ending: Ending) -> (Vec<u8>, ServeSummary) {
             read_all(client)
         }
         Ending::Garbage => {
+            // Spelled out, so the refusal's byte dump does not follow
+            // the version byte of `PREAMBLE`.
             let mut client = connect(addr);
-            let mut garbage = PREAMBLE;
-            garbage[4] = 0;
-            client.write_all(&garbage).expect("send");
+            client.write_all(b"RSDC\x00\x01").expect("send");
             read_all(client)
         }
         Ending::AtCapacity => {

@@ -14,7 +14,9 @@
 //! comment), fed verbatim to a fresh single-shard [`BinSession`]; the
 //! remaining lines are the decoded JSONL text of the expected response
 //! frames. The documented frame bytes — preambles, CRCs, tag layouts —
-//! are therefore checked against the live codec.
+//! are therefore checked against the live codec. A refused preamble is
+//! answered without the preamble echo; such a block's lone error frame
+//! is decoded as if the echo were there.
 //!
 //! Determinism ground rules for conformance blocks, enforced here:
 //! * each block runs on a fresh single-shard session (durable blocks get
@@ -26,7 +28,7 @@
 //!   `metrics` responses (`sum`/`max`/`p50`/`p90`/`p99`) become `0` —
 //!   histogram **counts** are deterministic and stay checked.
 
-use rsdc_engine::binwire::{decode_response, BinSession};
+use rsdc_engine::binwire::{decode_response, BinSession, PREAMBLE};
 use rsdc_engine::wire::Session;
 use rsdc_engine::EngineConfig;
 use rsdc_store::{Durability, FileStore, FileStoreConfig};
@@ -181,6 +183,9 @@ fn every_wire_md_example_matches_a_live_session() {
             let mut frames = Vec::new();
             bin.feed(&hex_bytes(&block.requests, block.doc_line), &mut frames);
             bin.finish(&mut frames);
+            if !frames.starts_with(&PREAMBLE) {
+                frames.splice(0..0, PREAMBLE);
+            }
             let out = decode_response(&frames).unwrap_or_else(|e| {
                 panic!(
                     "undecodable response stream for block at docs/WIRE.md:{}: {e}",

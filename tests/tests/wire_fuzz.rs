@@ -22,8 +22,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rsdc_engine::binwire::{
-    encode_request_line, put_frame, BinSession, BodyReader, BodyWriter, FrameDecoder,
-    MAX_FRAME_LEN, PREAMBLE, TAG_REBALANCE, TAG_RESP_ERROR,
+    encode_request_line, put_frame, BinSession, BodyReader, FrameDecoder, MAX_FRAME_LEN, PREAMBLE,
+    TAG_RESP_ERROR,
 };
 use rsdc_engine::wire::{parse_record, Session};
 use rsdc_engine::{Engine, EngineConfig};
@@ -618,9 +618,8 @@ fn hostile_corner_case_lines_are_rejected() {
 }
 
 /// The binary framing refuses the same oversized rebalances: lines past
-/// the caps (encoded as rebalance frames when they fit a `u32`, as JSON
-/// frames when not) and raw rebalance frames carrying `u32::MAX` shards or
-/// vnodes all answer typed errors whose text is the JSONL parser's.
+/// the caps travel as JSON envelopes, so they answer the JSONL parser's
+/// typed errors, at the same sequence numbers.
 #[test]
 fn oversized_rebalances_are_refused_in_both_framings() {
     let lines = [
@@ -636,18 +635,8 @@ fn oversized_rebalances_are_refused_in_both_framings() {
     for line in lines {
         encode_request_line(line, &mut payload, &mut stream);
     }
-    for (shards, vnodes) in [(u32::MAX, None), (2, Some(u32::MAX))] {
-        let mut w = BodyWriter::start(&mut payload, TAG_REBALANCE);
-        w.u32(shards);
-        match vnodes {
-            Some(v) => w.u8(1).u32(v).u8(0),
-            None => w.u8(0).u8(0),
-        };
-        put_frame(&mut stream, &payload);
-    }
     let got = check_binary_contract(&stream, 7);
-    assert_eq!(got.len(), lines.len() + 2, "{got:?}");
-    assert_eq!(&got[..lines.len()], &want[..]);
+    assert_eq!(got, want);
     for (i, reply) in got.iter().enumerate() {
         let v: serde::Value = serde_json::from_str(reply).unwrap();
         assert_eq!(v["op"], "error", "{reply}");
@@ -655,4 +644,32 @@ fn oversized_rebalances_are_refused_in_both_framings() {
         let message = v["message"].as_str().unwrap();
         assert!(message.contains("must be at most"), "{reply}");
     }
+}
+
+/// Version 1 gave ten control ops their own tags, 0x03 to 0x0C. On a
+/// version 2 connection each is an unknown tag, answered at its own
+/// sequence number, and the connection keeps serving.
+#[test]
+fn retired_control_tags_are_unknown_frame_tags() {
+    let retired = 0x03u8..=0x0C;
+    let mut stream = PREAMBLE.to_vec();
+    for tag in retired.clone() {
+        // Each with a body its version 1 decoder would have accepted.
+        put_frame(&mut stream, &[tag, 1, 0, b'a', 1, 0, 0, 0, 0, 0]);
+    }
+    let mut payload = Vec::new();
+    encode_request_line(r#"{"op":"stats"}"#, &mut payload, &mut stream);
+    let got = check_binary_contract(&stream, 5);
+    assert_eq!(got.len(), retired.clone().count() + 1, "{got:?}");
+    for (i, tag) in retired.enumerate() {
+        let v: serde::Value = serde_json::from_str(&got[i]).unwrap();
+        assert_eq!(v["op"], "error", "{}", got[i]);
+        assert_eq!(v["line"].as_u64().unwrap(), i as u64 + 1, "{}", got[i]);
+        let message = v["message"].as_str().unwrap();
+        assert_eq!(message, format!("unknown frame tag {tag:#04x}"));
+    }
+    assert!(
+        got[got.len() - 1].starts_with(r#"{"op":"stats""#),
+        "{got:?}"
+    );
 }
