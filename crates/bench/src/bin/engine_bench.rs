@@ -1,8 +1,9 @@
 //! Engine throughput trajectory: a small wall-clock bench runner whose
 //! output is checked in as `BENCH_engine.json` at the repo root, so the
 //! engine's performance shape is recorded alongside the code that produced
-//! it. It is the workspace's one engine and wire benchmark, cheap enough
-//! to re-run by hand (and, with `--quick`, in CI):
+//! it. It is the workspace's one wall-clock benchmark, of the engine, the
+//! wire and the policy step, cheap enough to re-run by hand (and, with
+//! `--quick`, in CI):
 //!
 //! - `throughput`  — policy-steps/s at shard counts 1, 2, 4, 8
 //! - `store_overhead` — `NullStore` vs `FileStore` journaling at 2 shards
@@ -22,6 +23,11 @@
 //! - `fleet_scaling` — latency of one 8-event batch on 2 shards with 1k,
 //!   10k and 100k admitted tenants: a batch must cost O(batch), not
 //!   O(fleet), so the schema caps the 100k row at 1.5x the 1k row
+//! - `policy_step` — ns per step of the policies with no engine around
+//!   them: LCP and the bound tracker at m = 16, 256, 4096; the m = 1024
+//!   `Server` load through the tracker (and at m = 65536), LCP+OPT and
+//!   HalfStep+OPT tenants; `FrontierDp` at S = 91 and 4096; rounding, the
+//!   fractional HalfStep stage and the LCP cluster simulator
 //!
 //! Every number is timed by [`timed`]: one untimed warm-up window, then
 //! 5 timed windows of at least 200 ms (3 of 20 ms with `--quick`, except
@@ -39,8 +45,9 @@
 //! `--validate` checks an existing file against the schema (host block and
 //! sections present, every number positive, `min ≤ median ≤ max` in every
 //! row, binary wire decode ≥2x JSONL, the 100k fleet batch ≤1.5x the 1k
-//! one, both ratios on medians) and exits non-zero on mismatch — CI runs
-//! it over both a fresh `--quick` run and the checked-in trajectory.
+//! one, both ratios on medians) and exits 1 on mismatch — CI runs it over
+//! both a fresh `--quick` run and the checked-in trajectory. Any other
+//! argument, or an option without its value, exits 2 before any work.
 //! Absolute numbers are machine-dependent; only the schema and those two
 //! ratios are enforced.
 //!
@@ -50,21 +57,33 @@
 //! full recording, so the nightly job re-records and literally `diff`s the
 //! shapes.
 
-use rsdc_core::Cost;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rsdc_bench::{read_doc, validate_file, write_doc, Args};
+use rsdc_core::prelude::*;
+use rsdc_engine::tenant::{StepScratch, Tenant, MAX_M};
 use rsdc_engine::{
     Engine, EngineConfig, FleetSpec, HeteroAlgo, PolicySpec, PowerConfig, PowerSpec, PriceSchedule,
     TenantConfig, TopologyConfig, TopologyPolicy,
 };
-use rsdc_hetero::ServerType;
+use rsdc_hetero::{FrontierDp, ServerType};
+use rsdc_online::bounds::BoundTracker;
+use rsdc_online::fractional::{EvalMode, HalfStep};
+use rsdc_online::lcp::Lcp;
+use rsdc_online::randomized::round_schedule;
+use rsdc_online::traits::{run_frac, OnlineAlgorithm};
+use rsdc_sim::{simulate_online, SimConfig};
 use rsdc_store::{Durability, FileStore, FileStoreConfig, NullStore};
+use rsdc_workloads::traces::Diurnal;
 use serde::Value;
 use serde_json::json;
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Schema tag validated by `--validate`; bump on shape changes.
-const SCHEMA: &str = "rsdc-engine-bench/v6";
+const SCHEMA: &str = "rsdc-engine-bench/v7";
 
 const M: u32 = 128;
 const BETA: f64 = 4.0;
@@ -103,12 +122,13 @@ struct Spread {
 }
 
 impl Spread {
-    /// Microseconds per unit, from a spread of units per second.
-    fn micros_per_unit(self) -> Spread {
+    /// Time per unit, counted in `ticks_per_sec` ticks a second (1e6 for
+    /// microseconds), from a spread of units per second.
+    fn per_unit(self, ticks_per_sec: f64) -> Spread {
         Spread {
-            median: 1e6 / self.median,
-            min: 1e6 / self.max,
-            max: 1e6 / self.min,
+            median: ticks_per_sec / self.median,
+            min: ticks_per_sec / self.max,
+            max: ticks_per_sec / self.min,
         }
     }
 }
@@ -227,13 +247,16 @@ fn measure_store_overhead(s: &Scale) -> Vec<(Value, Spread)> {
         .collect()
 }
 
-fn measure_hetero(s: &Scale) -> Vec<(Value, Spread)> {
-    let server = |count, beta, energy, capacity| ServerType {
+fn server(count: u32, beta: f64, energy: f64, capacity: f64) -> ServerType {
+    ServerType {
         count,
         beta,
         energy,
         capacity,
-    };
+    }
+}
+
+fn measure_hetero(s: &Scale) -> Vec<(Value, Spread)> {
     let fleet = FleetSpec::new(vec![server(3, 1.0, 1.0, 1.0), server(2, 2.5, 1.4, 2.0)]);
     [
         (HeteroAlgo::Frontier, "frontier"),
@@ -585,10 +608,212 @@ fn measure_fleet_scaling(_: &Scale) -> Vec<(Value, Spread)> {
             engine.shutdown();
             (
                 json!({"tenants": tenants, "shards": 2}),
-                batches.micros_per_unit(),
+                batches.per_unit(1e6),
             )
         })
         .collect()
+}
+
+/// 256 `Server` slot costs on a noisy diurnal load over `m` servers.
+fn diurnal_server_costs(m: u32) -> Vec<Cost> {
+    let cap = m as f64;
+    (0..256)
+        .map(|k| {
+            let angle = 2.0 * std::f64::consts::PI * k as f64 / 48.0;
+            let noise = ((k * 37 % 101) as f64 / 50.0 - 1.0) * 0.1;
+            let lambda = (0.4 - 0.3 * angle.cos()) * cap * (1.0 + noise);
+            Cost::Server {
+                lambda: (lambda * 16.0).round() / 16.0,
+                params: ServerParams::default(),
+                overload: 20.0,
+            }
+        })
+        .collect()
+}
+
+/// Two classes (power-up betas 4 and 10) of `small` and `large` machines.
+fn two_class_fleet(small: u32, large: u32) -> FleetSpec {
+    FleetSpec::new(vec![
+        server(small, 4.0, 1.0, 1.0),
+        server(large, 10.0, 1.6, 2.0),
+    ])
+}
+
+/// Nanoseconds per step of the policies themselves, with no engine
+/// around them; each row names its run.
+///
+/// - `lcp_full_run_T1024` and `bound_tracker_T1024`: LCP's step is
+///   O(x^U - x^L + moved), since the bound tracker relaxes `\hat C^L` on
+///   its window around the bounds (Lemma 7 derives `\hat C^U` from it).
+/// - `server_m1024_T256` prices the `large-m` shape: `Server` costs on a
+///   diurnal load at m = 1024, through the bare tracker and through
+///   LCP+OPT and HalfStep+OPT tenants. `tracker_m65536` runs the bare
+///   tracker on the same load at the engine's `MAX_M`, where the window's
+///   sublinear scaling shows against the m = 1024 row.
+/// - `frontier_step`: one `FrontierDp` step, O(S * D), on the
+///   `durable-mixed` 12+6 fleet (S = 91) and a 63 x 63 fleet at the
+///   lattice cap (S = 4096), from a warmed frontier.
+/// - `rounding`: the randomized rounding of a fractional schedule and
+///   the fractional HalfStep stage; `sim`: one simulated LCP slot.
+fn measure_policy_step(s: &Scale) -> Vec<(Value, Spread)> {
+    let mut rows = Vec::new();
+    let mut push = |name: String, steps_per_sec: Spread| {
+        rows.push((json!({ "row": name }), steps_per_sec.per_unit(1e9)));
+    };
+    for m in [16u32, 256, 4096] {
+        let costs: Vec<Cost> = (0..1024)
+            .map(|t| Cost::abs(1.0, (t % (m as usize + 1)) as f64))
+            .collect();
+        let rate = timed(
+            s,
+            || Lcp::new(m, 2.0),
+            |mut lcp| {
+                for f in &costs {
+                    black_box(lcp.step(black_box(f)));
+                }
+                costs.len()
+            },
+        );
+        push(format!("online/lcp_full_run_T1024/lcp/{m}"), rate);
+    }
+    let tracker_run = |m: u32, beta: f64, costs: &[Cost]| {
+        timed(
+            s,
+            || BoundTracker::new(m, beta),
+            |mut tracker| {
+                for f in costs {
+                    tracker.step(black_box(f));
+                }
+                black_box((tracker.x_low(), tracker.x_up()));
+                costs.len()
+            },
+        )
+    };
+    for m in [16u32, 256, 4096] {
+        let costs: Vec<Cost> = (0..1024)
+            .map(|t| Cost::quadratic(0.5, (t % (m as usize + 1)) as f64, 0.0))
+            .collect();
+        push(
+            format!("online/bound_tracker_T1024/tracker/{m}"),
+            tracker_run(m, 2.0, &costs),
+        );
+    }
+
+    const SERVER_M: u32 = 1024;
+    const SERVER_BETA: f64 = 6.0;
+    let server = "online/server_m1024_T256";
+    let costs = diurnal_server_costs(SERVER_M);
+    push(
+        format!("{server}/tracker"),
+        tracker_run(SERVER_M, SERVER_BETA, &costs),
+    );
+    push(
+        format!("{server}/tracker_m65536"),
+        tracker_run(MAX_M, SERVER_BETA, &diurnal_server_costs(MAX_M)),
+    );
+    for (name, policy) in [
+        ("lcp_opt_tenant", PolicySpec::Lcp),
+        (
+            "halfstep_opt_tenant",
+            PolicySpec::HalfStepRounded { seed: 1 },
+        ),
+    ] {
+        let cfg = TenantConfig::new("t", SERVER_M, SERVER_BETA, policy).with_opt_tracking();
+        let mut scratch = StepScratch::default();
+        let rate = timed(
+            s,
+            || Tenant::new(cfg.clone()).expect("valid tenant"),
+            |mut tenant| {
+                for f in &costs {
+                    tenant
+                        .step_into(black_box(f), None, &mut scratch)
+                        .expect("scalar step");
+                }
+                black_box(tenant.report().opt_cost);
+                costs.len()
+            },
+        );
+        push(format!("{server}/{name}"), rate);
+    }
+
+    for fleet in [two_class_fleet(12, 6), two_class_fleet(63, 63)] {
+        let cap: f64 = fleet
+            .types
+            .iter()
+            .map(|t| t.count as f64 * t.capacity)
+            .sum();
+        let costs: Vec<_> = (0..48)
+            .map(|k| {
+                let angle = 2.0 * std::f64::consts::PI * k as f64 / 48.0;
+                fleet.hcost((0.4 - 0.3 * angle.cos()) * cap)
+            })
+            .collect();
+        // Warm the frontier so every timed step is a steady-state step.
+        let mut dp = FrontierDp::new(&fleet.types);
+        for cost in &costs {
+            dp.step_cost(cost);
+        }
+        let rate = timed(
+            s,
+            || (),
+            |()| {
+                for cost in &costs {
+                    black_box(dp.step_cost(black_box(cost)));
+                }
+                costs.len()
+            },
+        );
+        push(
+            format!("hetero/frontier_step/lattice/{}", fleet.lattice_size()),
+            rate,
+        );
+    }
+
+    let xs = FracSchedule(
+        (0..4096)
+            .map(|t| 4.0 + 3.5 * ((t as f64) * 0.1).sin())
+            .collect(),
+    );
+    let rate = timed(
+        s,
+        || StdRng::seed_from_u64(7),
+        |rng| black_box(round_schedule(rng, black_box(&xs))).0.len(),
+    );
+    push("rounding/round_schedule_T4096".into(), rate);
+    let costs = (0..1024)
+        .map(|t| Cost::abs(1.0, 8.0 + 6.0 * ((t as f64) * 0.2).sin()))
+        .collect();
+    let inst = Instance::new(16, 2.0, costs).expect("valid instance");
+    let rate = timed(
+        s,
+        || HalfStep::new(16, 2.0, EvalMode::Interpolate),
+        |mut alg| black_box(run_frac(&mut alg, black_box(&inst))).0.len(),
+    );
+    push("rounding/halfstep_T1024".into(), rate);
+
+    for m in [16u32, 64, 256] {
+        let trace = Diurnal {
+            period: 48,
+            base: 2.0,
+            peak: m as f64 * 0.7,
+            noise: 0.1,
+        }
+        .generate(960, 3);
+        let cfg = SimConfig {
+            m,
+            ..Default::default()
+        };
+        let rate = timed(
+            s,
+            || Lcp::new(cfg.m, cfg.cost_model.beta),
+            |mut lcp| {
+                black_box(simulate_online(&cfg, &trace, &mut lcp).model_cost);
+                trace.len()
+            },
+        );
+        push(format!("sim/lcp_diurnal_T960/m/{m}"), rate);
+    }
+    rows
 }
 
 /// How a section measures its rows: each row's identifying keys, and
@@ -598,7 +823,7 @@ type Measure = fn(&Scale) -> Vec<(Value, Spread)>;
 /// The `results` sections: name, the keys that identify a row, the field
 /// that holds each row's median (next to `min` and `max`), and how to
 /// measure the rows.
-const SECTIONS: [(&str, &[&str], &str, Measure); 8] = [
+const SECTIONS: [(&str, &[&str], &str, Measure); 9] = [
     (
         "throughput",
         &["shards"],
@@ -637,6 +862,7 @@ const SECTIONS: [(&str, &[&str], &str, Measure); 8] = [
         "batch_us",
         measure_fleet_scaling,
     ),
+    ("policy_step", &["row"], "step_ns", measure_policy_step),
 ];
 
 /// A result row: `keys`, then `field` holding the median, then `min`
@@ -758,40 +984,22 @@ fn shape(doc: &Value) -> Value {
     })
 }
 
-fn read_doc(path: &str) -> Value {
-    let data = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    serde_json::from_str(&data).unwrap_or_else(|e| panic!("parsing {path}: {e:?}"))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-
-    if let Some(path) = opt("--shape") {
-        let text = serde_json::to_string_pretty(&shape(&read_doc(&path))).expect("render");
+    let args = Args::from_env(
+        "engine_bench",
+        &["--quick"],
+        &["--out", "--validate", "--shape"],
+    );
+    if let Some(path) = args.opt("--shape") {
+        let text = serde_json::to_string_pretty(&shape(&read_doc(path))).expect("render");
         println!("{text}");
         return;
     }
-
-    if let Some(path) = opt("--validate") {
-        let errs = validate(&read_doc(&path));
-        if errs.is_empty() {
-            println!("{path}: valid {SCHEMA}");
-            return;
-        }
-        for e in &errs {
-            eprintln!("{path}: {e}");
-        }
-        std::process::exit(1);
+    if let Some(path) = args.opt("--validate") {
+        validate_file(path, SCHEMA, validate);
     }
 
-    let scale = Scale::new(flag("--quick"));
+    let scale = Scale::new(args.flag("--quick"));
     eprintln!(
         "engine_bench: {} tenants, {} windows of {:?}{}",
         scale.tenants,
@@ -826,24 +1034,17 @@ fn main() {
     });
     let errs = validate(&doc);
     assert!(errs.is_empty(), "self-validation failed: {errs:?}");
-    let text = serde_json::to_string_pretty(&doc).expect("render") + "\n";
-    match opt("--out") {
-        Some(path) => {
-            std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            eprintln!("engine_bench: wrote {path}");
-        }
-        None => print!("{text}"),
-    }
+    write_doc("engine_bench", args.opt("--out"), &doc);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A valid v6 document whose spreads are wide enough that the two
+    /// A valid v7 document whose spreads are wide enough that the two
     /// ratio checks pass on medians but would fail on the extremes.
     const DOC: &str = r#"{
-      "schema": "rsdc-engine-bench/v6",
+      "schema": "rsdc-engine-bench/v7",
       "host": {"available_parallelism": 2, "profile": "release"},
       "results": {
         "throughput": [{"shards": 1, "steps_per_sec": 300, "min": 290, "max": 310}],
@@ -859,7 +1060,8 @@ mod tests {
         "fleet_scaling": [
           {"tenants": 1000, "shards": 2, "batch_us": 18, "min": 17, "max": 30},
           {"tenants": 100000, "shards": 2, "batch_us": 20, "min": 19, "max": 40}
-        ]
+        ],
+        "policy_step": [{"row": "online/lcp_full_run_T1024/lcp/16", "step_ns": 180, "min": 170, "max": 190}]
       }
     }"#;
 
@@ -880,15 +1082,20 @@ mod tests {
     }
 
     #[test]
-    fn accepts_a_valid_v6_document() {
+    fn accepts_a_valid_v7_document() {
         assert_eq!(errors(&[]), Vec::<String>::new());
     }
 
     #[test]
-    fn refuses_a_v5_document() {
+    fn refuses_a_v6_document() {
         refused(
-            &[("rsdc-engine-bench/v6", "rsdc-engine-bench/v5")],
-            "schema \"rsdc-engine-bench/v5\" != \"rsdc-engine-bench/v6\"",
+            &[("rsdc-engine-bench/v7", "rsdc-engine-bench/v6")],
+            "schema \"rsdc-engine-bench/v6\" != \"rsdc-engine-bench/v7\"",
+        );
+        // v7 adds the policy_step section.
+        refused(
+            &[("\"policy_step\"", "\"online_step\"")],
+            "results.policy_step: missing or empty",
         );
     }
 

@@ -4,9 +4,8 @@
 //! experiments [--quick] [--json <dir>] [id ...]
 //! ```
 //!
-//! With no ids, runs the full E1–E12 suite. Markdown reports go to stdout;
-//! `--json <dir>` additionally writes one JSON file per report (consumed
-//! when refreshing EXPERIMENTS.md).
+//! With no ids, runs the full E1–E16 suite. Markdown reports go to stdout;
+//! `--json <dir>` additionally writes one JSON file per report.
 
 use rsdc_bench::experiments::{run_by_id, ALL};
 use std::process::ExitCode;
@@ -27,7 +26,7 @@ fn main() -> ExitCode {
                 }));
             }
             "--help" | "-h" => {
-                eprintln!("usage: experiments [--quick] [--json <dir>] [e1 .. e12]");
+                eprintln!("usage: experiments [--quick] [--json <dir>] [e1 .. e16]");
                 return ExitCode::SUCCESS;
             }
             other => ids.push(other.to_ascii_lowercase()),
@@ -47,7 +46,7 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     for id in &ids {
         let Some(report) = run_by_id(id, quick) else {
-            eprintln!("unknown experiment id {id:?} (expected e1..e12)");
+            eprintln!("unknown experiment id {id:?} (expected e1..e16)");
             failures += 1;
             continue;
         };

@@ -14,9 +14,11 @@
 //! `--quick` runs the 120-tick fleet (push CI); the default is the
 //! 960-tick nightly horizon. `--validate` checks an existing file
 //! against the schema — fleet complete, bounds satisfied, every metric
-//! finite — and exits non-zero on mismatch. One `name: ratio=...`
+//! finite — and exits 1 on mismatch. Any other argument, or an option
+//! without its value, exits 2 before any work. One `name: ratio=...`
 //! summary line per scenario goes to stderr either way.
 
+use rsdc_bench::{validate_file, write_doc, Args};
 use rsdc_scenarios::zoo;
 
 /// Schema tag validated by `--validate`; bump on shape changes.
@@ -86,31 +88,12 @@ pub fn validate(doc: &serde::Value) -> Vec<String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-
-    if let Some(path) = opt("--validate") {
-        let data = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let doc: serde::Value =
-            serde_json::from_str(&data).unwrap_or_else(|e| panic!("parsing {path}: {e:?}"));
-        let errs = validate(&doc);
-        if errs.is_empty() {
-            println!("{path}: valid {SCHEMA}");
-            return;
-        }
-        for e in &errs {
-            eprintln!("{path}: {e}");
-        }
-        std::process::exit(1);
+    let args = Args::from_env("scenario_bench", &["--quick"], &["--out", "--validate"]);
+    if let Some(path) = args.opt("--validate") {
+        validate_file(path, SCHEMA, validate);
     }
 
-    let quick = flag("--quick");
+    let quick = args.flag("--quick");
     eprintln!(
         "scenario_bench: running the {}-scenario fleet{}",
         FLEET.len(),
@@ -157,12 +140,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    let text = serde_json::to_string_pretty(&doc).expect("render") + "\n";
-    match opt("--out") {
-        Some(path) => {
-            std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            eprintln!("scenario_bench: wrote {path}");
-        }
-        None => print!("{text}"),
-    }
+    write_doc("scenario_bench", args.opt("--out"), &doc);
 }

@@ -7,8 +7,8 @@
 //! `beta` grows and as the peak-to-mean ratio approaches 1.
 //!
 //! The proprietary MSR/Hotmail traces are substituted by the synthetic
-//! corpus (DESIGN.md substitution 1); the sweep over peak-to-mean ratios
-//! makes the qualitative claim testable over the whole regime.
+//! corpus; the sweep over peak-to-mean ratios makes the qualitative claim
+//! testable over the whole regime.
 
 use crate::report::{fmt, Report};
 use rayon::prelude::*;

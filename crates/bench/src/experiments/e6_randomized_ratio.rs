@@ -92,7 +92,7 @@ pub fn run_sized(trials: usize) -> Report {
     );
     rep.note(
         "frac/OPT is the empirical competitiveness of the HalfStep fractional stage \
-         (substitute for Bansal et al., see DESIGN.md substitution 2)",
+         (substitute for Bansal et al.)",
     );
     rep
 }

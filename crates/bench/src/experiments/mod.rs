@@ -1,5 +1,6 @@
-//! The experiment suite: one module per row of the DESIGN.md experiment
-//! index (E1–E12) plus the ablation/calibration suite (E13–E16). Each module exposes `run() -> Report`.
+//! The experiment suite: one module per paper experiment (E1–E12) plus
+//! the ablation/calibration suite (E13–E16). Each module exposes
+//! `run() -> Report`.
 
 pub mod e10_prediction;
 pub mod e11_casestudy;
@@ -26,7 +27,7 @@ pub const ALL: &[&str] = &[
     "e16",
 ];
 
-/// Run one experiment by id (`"e1"`..`"e12"`). `quick` shrinks the sizes of
+/// Run one experiment by id (`"e1"`..`"e16"`). `quick` shrinks the sizes of
 /// the slow ones.
 pub fn run_by_id(id: &str, quick: bool) -> Option<Report> {
     Some(match id {

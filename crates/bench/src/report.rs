@@ -1,5 +1,5 @@
 //! Tabular experiment reports: built programmatically, rendered as
-//! GitHub-flavoured markdown (for EXPERIMENTS.md) and serializable to JSON.
+//! GitHub-flavoured markdown and serializable to JSON.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
