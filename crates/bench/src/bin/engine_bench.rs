@@ -8,9 +8,9 @@
 //! - `throughput`  — policy-steps/s at shard counts 1, 2, 4, 8
 //! - `store_overhead` — `NullStore` vs `FileStore` journaling at 2 shards
 //! - `hetero`      — frontier vs greedy configuration-lattice stepping
-//! - `rebalance`   — full vs incremental migration, tenants moved per
-//!   second on a 4↔8 shard swing, plus the full swing on a `FileStore`
-//!   (which pays the journaled record and the fencing checkpoint)
+//! - `rebalance`   — tenants moved per second on a 4↔8 shard swing, on
+//!   a `NullStore` and on a `FileStore` (which pays the journaled record
+//!   and the fencing checkpoint)
 //! - `energy`      — metering overhead (power meter off vs on at 4
 //!   shards) and autoscale decision rates with counted vs priced
 //!   induced costs
@@ -83,7 +83,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Schema tag validated by `--validate`; bump on shape changes.
-const SCHEMA: &str = "rsdc-engine-bench/v7";
+const SCHEMA: &str = "rsdc-engine-bench/v8";
 
 const M: u32 = 128;
 const BETA: f64 = 4.0;
@@ -290,14 +290,13 @@ fn measure_hetero(s: &Scale) -> Vec<(Value, Spread)> {
     .collect()
 }
 
-/// Tenants moved per second, one 4→8→4 swing per timed pass. Both modes
-/// move the same ring diff; the full mode also rebuilds every shard, and
-/// on a `FileStore` each swing journals its record and writes the fencing
-/// checkpoint.
+/// Tenants moved per second, one 4→8→4 swing per timed pass. Each swing
+/// moves the ring diff; on a `FileStore` it also journals its record and
+/// writes the fencing checkpoint.
 fn measure_rebalance(s: &Scale) -> Vec<(Value, Spread)> {
-    [("full", "null"), ("incremental", "null"), ("full", "file")]
+    ["null", "file"]
         .iter()
-        .map(|&(mode, backend)| {
+        .map(|&backend| {
             let mut engine = engine_on(4, backend, "rebalance");
             admit_scalar(&engine, s.rebalance_tenants);
             for t in 0..2usize {
@@ -311,19 +310,12 @@ fn measure_rebalance(s: &Scale) -> Vec<(Value, Spread)> {
                 |()| {
                     [8, 4]
                         .iter()
-                        .map(|&to| {
-                            match mode {
-                                "incremental" => engine.rebalance_incremental(to, None),
-                                _ => engine.rebalance(to, None),
-                            }
-                            .expect("rebalance")
-                            .moved
-                        })
+                        .map(|&to| engine.rebalance(to, None).expect("rebalance").moved)
                         .sum()
                 },
             );
             engine.shutdown();
-            (json!({"mode": mode, "backend": backend}), rate)
+            (json!({"backend": backend}), rate)
         })
         .collect()
 }
@@ -839,7 +831,7 @@ const SECTIONS: [(&str, &[&str], &str, Measure); 9] = [
     ("hetero", &["algo"], "steps_per_sec", measure_hetero),
     (
         "rebalance",
-        &["mode", "backend"],
+        &["backend"],
         "moved_per_sec",
         measure_rebalance,
     ),
@@ -1032,25 +1024,32 @@ fn main() {
         },
         "results": Value::Object(results),
     });
-    let errs = validate(&doc);
-    assert!(errs.is_empty(), "self-validation failed: {errs:?}");
+    // The document is written even when it breaks a bound, so the run
+    // that broke it can be inspected.
     write_doc("engine_bench", args.opt("--out"), &doc);
+    let errs = validate(&doc);
+    if !errs.is_empty() {
+        for e in &errs {
+            eprintln!("engine_bench: {e}");
+        }
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A valid v7 document whose spreads are wide enough that the two
+    /// A valid v8 document whose spreads are wide enough that the two
     /// ratio checks pass on medians but would fail on the extremes.
     const DOC: &str = r#"{
-      "schema": "rsdc-engine-bench/v7",
+      "schema": "rsdc-engine-bench/v8",
       "host": {"available_parallelism": 2, "profile": "release"},
       "results": {
         "throughput": [{"shards": 1, "steps_per_sec": 300, "min": 290, "max": 310}],
         "store_overhead": [{"backend": "file", "steps_per_sec": 200, "min": 190, "max": 210}],
         "hetero": [{"algo": "greedy", "steps_per_sec": 900, "min": 800, "max": 1000}],
-        "rebalance": [{"mode": "full", "backend": "file", "moved_per_sec": 30, "min": 25, "max": 35}],
+        "rebalance": [{"backend": "file", "moved_per_sec": 30, "min": 25, "max": 35}],
         "energy": [{"mode": "metered", "rate": 250, "min": 240, "max": 260}],
         "wire_codec": [
           {"framing": "jsonl", "bytes_per_event": 35.5, "steps_per_sec": 100, "min": 90, "max": 110},
@@ -1082,20 +1081,30 @@ mod tests {
     }
 
     #[test]
-    fn accepts_a_valid_v7_document() {
+    fn accepts_a_valid_v8_document() {
         assert_eq!(errors(&[]), Vec::<String>::new());
     }
 
     #[test]
     fn refuses_a_v6_document() {
         refused(
-            &[("rsdc-engine-bench/v7", "rsdc-engine-bench/v6")],
-            "schema \"rsdc-engine-bench/v6\" != \"rsdc-engine-bench/v7\"",
+            &[("rsdc-engine-bench/v8", "rsdc-engine-bench/v6")],
+            "schema \"rsdc-engine-bench/v6\" != \"rsdc-engine-bench/v8\"",
         );
         // v7 adds the policy_step section.
         refused(
             &[("\"policy_step\"", "\"online_step\"")],
             "results.policy_step: missing or empty",
+        );
+    }
+
+    /// v8 keys the rebalance rows by backend alone: v7 also keyed them by
+    /// a rebalance mode the engine no longer has.
+    #[test]
+    fn refuses_a_v7_document() {
+        refused(
+            &[("rsdc-engine-bench/v8", "rsdc-engine-bench/v7")],
+            "schema \"rsdc-engine-bench/v7\" != \"rsdc-engine-bench/v8\"",
         );
     }
 

@@ -84,9 +84,9 @@ COMMANDS
              [--auto-rebalance LO:HI[:BETA]] (lazy auto-rebalancing: the
              shard count follows the LCP policy between LO and HI, moving
              only when accumulated imbalance cost beats the switching
-             cost BETA; changes are incremental migrations)
+             cost BETA; each change moves only the ring diff)
              live rebalance: send {\"op\":\"rebalance\",\"shards\":N}
-             (add \"mode\":\"incremental\" to move only the ring diff)
+             (moves only the tenants whose ring placement changes)
              energy accounting: [--power-model constant:W | linear:I:P |
              piecewise:W0,W1,...] (per-machine watts vs utilization)
              [--power-capacity C] (events one machine serves per tick)
@@ -1355,7 +1355,7 @@ mod tests {
             .find(|v| v["op"] == "rebalanced")
             .expect("an auto-triggered migration");
         assert_eq!(auto["auto"], true);
-        assert_eq!(auto["mode"], "incremental");
+        assert!(auto.get("mode").is_none(), "one rebalance, no mode");
         assert!(auto["shards"].as_u64().unwrap() > 1);
         // The autoscale state is visible in the closing stats line.
         let stats = parsed.iter().find(|v| v["op"] == "stats").unwrap();

@@ -238,7 +238,7 @@ impl AdmissionControl {
     }
 
     /// Open (or extend) the migration window for the next `ticks` ticks.
-    /// Called by the engine when an auto-triggered incremental migration
+    /// Called by the engine when an auto-triggered migration
     /// lands. `0` closes nothing and opens nothing.
     ///
     /// Every bucket of the fleet is settled (refilled at the full rate)

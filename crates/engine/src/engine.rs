@@ -1,6 +1,6 @@
 //! The engine handle: tenant routing, batched dispatch, lifecycle,
 //! admission control, checkpointing, crash recovery, live ring
-//! rebalancing (full and incremental), and lazy auto-rebalancing.
+//! rebalancing (moving only the ring diff), and lazy auto-rebalancing.
 
 use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionError};
 use crate::intern::{Interner, Pricing, UNKNOWN_KEY};
@@ -180,26 +180,18 @@ pub struct CheckpointReport {
     pub durable: bool,
 }
 
-/// What [`Engine::rebalance`] / [`Engine::rebalance_incremental`] did.
+/// What [`Engine::rebalance`] did.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RebalanceReport {
     /// Shard count after the rebalance.
     pub shards: usize,
     /// Virtual nodes per shard after the rebalance.
     pub vnodes: usize,
-    /// Live tenants the operation moved: the whole fleet for a full
-    /// rebalance (every shard is rebuilt), only the ring diff for an
-    /// incremental one.
-    pub tenants: usize,
-    /// Tenants whose ring placement changed (the consistent-hashing
-    /// minority; the rest map to a same-index shard).
+    /// Tenants the rebalance moved: those whose ring placement changed
+    /// (the consistent-hashing minority; the rest stay on their shard).
     pub moved: usize,
-    /// The tenants whose ring placement changed, sorted by id: the ring
-    /// diff, in both modes.
+    /// The tenants it moved, sorted by id: the ring diff.
     pub moved_ids: Vec<String>,
-    /// True for an incremental (diff-only) migration, false for a full
-    /// rebuild-every-shard rebalance.
-    pub incremental: bool,
     /// Sequence of the fencing checkpoint (0 on a non-durable engine).
     pub seq: u64,
     /// Whether the topology change was fenced by a durable checkpoint.
@@ -236,14 +228,11 @@ pub struct RecoveryReport {
     pub corrupt_segments: usize,
     /// Newer-but-invalid checkpoint files skipped by the store scan.
     pub checkpoints_skipped: usize,
-    /// Interrupted `Rebalance` records found in the WAL tail. The last
-    /// topology record's spec (`Rebalance` or `Migrate`, whichever came
-    /// later) is applied after replay, completing the change the crash
-    /// cut short.
-    pub rebalances_replayed: usize,
-    /// Interrupted incremental `Migrate` records found in the WAL tail —
-    /// counted separately so an operator can tell which rebalance mode
-    /// the crash interrupted (both are completed the same way).
+    /// Interrupted topology-change records found in the WAL tail: every
+    /// `Migrate`, and every `Rebalance` an older build journaled. The
+    /// last one's spec is applied after replay by the same ring-diff
+    /// migration as [`Engine::rebalance`], completing the change the
+    /// crash cut short.
     pub migrations_replayed: usize,
     /// Sequence of the fresh checkpoint written right after recovery.
     pub post_checkpoint_seq: u64,
@@ -332,9 +321,9 @@ impl Control {
     }
 
     /// Keep the autoscale policy's view of the topology in sync after a
-    /// successful rebalance of either kind — including operator-requested
-    /// ones, which would otherwise leave the policy reasoning (and
-    /// reporting) against a stale shard count.
+    /// successful rebalance — including operator-requested ones, which
+    /// would otherwise leave the policy reasoning (and reporting) against
+    /// a stale shard count.
     fn sync_policy_topology(&mut self, shards: usize) {
         if let Some(policy) = &mut self.policy {
             policy.note_topology(shards);
@@ -405,9 +394,9 @@ impl Control {
         Ok(report)
     }
 
-    /// Apply `f` to post-migration shard `index`: a shard the migration
-    /// keeps (under its lock) or, from `keep` on, one of the `fresh`
-    /// shards it builds.
+    /// Apply `f` to post-migration shard `index`: a surviving shard
+    /// (under its lock) or, from `keep` on, one of the `fresh` shards a
+    /// grow builds.
     fn on_new_shard<T>(
         &self,
         fresh: &mut [Shard],
@@ -616,8 +605,8 @@ impl Engine {
     ///
     /// Once enabled, every ingested batch feeds the policy one
     /// observation tick; call [`Engine::maybe_autoscale`] (the wire
-    /// session does this after every batch) to apply pending decisions as
-    /// incremental migrations.
+    /// session does this after every batch) to apply pending decisions
+    /// through [`Engine::rebalance`]'s migration.
     pub fn set_autoscale(&self, cfg: Option<TopologyConfig>) -> Result<(), EngineError> {
         let mut ctl = self.control();
         ctl.policy = cfg
@@ -633,8 +622,9 @@ impl Engine {
         self.control().policy.as_ref().map(|p| p.status())
     }
 
-    /// Apply the auto-rebalancing policy's pending decision, if any, as
-    /// an **incremental** migration (only the ring-diff tenants move).
+    /// Apply the auto-rebalancing policy's pending decision, if any,
+    /// through [`Engine::rebalance`]'s migration (only the ring-diff
+    /// tenants move).
     /// Returns the migration report when a topology change was applied.
     /// A no-op when the policy is disabled, satisfied, or cooling down.
     /// Opens the admission migration window for the policy's cooldown
@@ -667,7 +657,8 @@ impl Engine {
                 ("event_skew", status.event_skew.into()),
             ],
         );
-        let report = self.rebalance_diff(&mut ctl, shards, None)?;
+        let spec = RingSpec::new(shards, ctl.ring.spec().vnodes);
+        let report = self.migrate(&mut ctl, spec)?;
         let ctl = &mut *ctl;
         if let Some(policy) = &mut ctl.policy {
             policy.record_applied(from, report.shards, report.moved);
@@ -1101,39 +1092,21 @@ impl Engine {
         Ok(())
     }
 
-    /// Re-partition the engine onto a new ring topology, live, rebuilding
-    /// every shard: each old shard is retired, every tenant moves as the
-    /// same live object onto a new shard routed by the new ring, and the
-    /// old shards' aggregates fold onto the new shard 0 in shard order
-    /// (fleet totals are exact; per-shard attribution restarts). The
-    /// journaled record is a [`JournalRecord::Rebalance`]; crash safety is
-    /// [`Engine::rebalance_incremental`]'s protocol, which this shares.
-    /// `vnodes = None` keeps the current ring density. Passing the current
-    /// topology still rebuilds (and, on a durable engine, fences) and
-    /// reports `moved: 0`.
-    pub fn rebalance(
-        &mut self,
-        new_shards: usize,
-        vnodes: Option<usize>,
-    ) -> Result<RebalanceReport, EngineError> {
-        let mut ctl = self.control();
-        let spec = RingSpec::new(new_shards, vnodes.unwrap_or(ctl.ring.spec().vnodes));
-        self.migrate(&mut ctl, spec, 0)
-    }
-
-    /// Re-partition onto a new ring topology by moving **only** the
-    /// tenants whose placement the ring change affects (the old-ring/new-
-    /// ring route diff). Surviving shards stay in place (their unmoved
-    /// tenants, aggregates and per-shard attribution untouched), a grow
-    /// adds only the new indices, and a shrink retires only the dead ones
-    /// (their historical aggregates fold onto shard 0).
+    /// Re-partition the engine onto a new ring topology, live, moving
+    /// **only** the tenants whose placement the ring change affects (the
+    /// old-ring/new-ring route diff, [`moved_ids`]). Surviving shards stay
+    /// in place (their unmoved tenants, aggregates and per-shard
+    /// attribution untouched), a grow adds only the new indices, and a
+    /// shrink retires the dead ones (their historical aggregates fold
+    /// onto shard 0). Every tenant moves as the same live object, so the
+    /// stream continues bit-exactly.
     ///
-    /// Crash safety on a durable engine, for both rebalance modes:
+    /// Crash safety on a durable engine:
     ///
-    /// 1. the topology record ([`JournalRecord::Migrate`] here, carrying
-    ///    the target spec and the moved-id list) is journaled write-ahead
-    ///    to shard 0's WAL, so a crash mid-migration leaves a record
-    ///    [`Engine::recover`] replays to finish the topology change;
+    /// 1. a [`JournalRecord::Migrate`] (the target spec and the moved-id
+    ///    list) is journaled write-ahead to shard 0's WAL, so a crash
+    ///    mid-migration leaves a record [`Engine::recover`] replays to
+    ///    finish the topology change;
     /// 2. tenants move with take/place, bypassing the journal, and the
     ///    migration is *fenced* by a full-state checkpoint carrying the
     ///    new topology — its commit is the atomic commit point, truncating
@@ -1148,83 +1121,48 @@ impl Engine {
     /// checkpoint — the migration happened). `vnodes = None` keeps the
     /// current ring density. Requesting the current topology is a true
     /// no-op: `moved: 0`, no journal record, no fence, no shard touched.
-    pub fn rebalance_incremental(
+    pub fn rebalance(
         &mut self,
         new_shards: usize,
         vnodes: Option<usize>,
     ) -> Result<RebalanceReport, EngineError> {
-        self.rebalance_diff(&mut self.control(), new_shards, vnodes)
+        let mut ctl = self.control();
+        let spec = RingSpec::new(new_shards, vnodes.unwrap_or(ctl.ring.spec().vnodes));
+        self.migrate(&mut ctl, spec)
     }
 
-    /// [`Engine::rebalance_incremental`] under the held handle lock.
-    fn rebalance_diff(
-        &self,
-        ctl: &mut Control,
-        new_shards: usize,
-        vnodes: Option<usize>,
-    ) -> Result<RebalanceReport, EngineError> {
-        let spec = RingSpec::new(new_shards, vnodes.unwrap_or(ctl.ring.spec().vnodes));
+    /// The one migration routine behind [`Engine::rebalance`], the
+    /// autoscale policy and recovery. Post-migration shard `i` is the old
+    /// shard `i` when both topologies have it, else a new plain
+    /// [`Shard`]; every old shard past the new count retires, and its
+    /// aggregates fold onto shard 0. A tenant moves exactly when the ring
+    /// diff re-routes it. The protocol is fenced only on a durable engine
+    /// whose store is attached — recovery runs it before attaching, and
+    /// checkpoints afterwards itself. The current topology is a no-op.
+    fn migrate(&self, ctl: &mut Control, spec: RingSpec) -> Result<RebalanceReport, EngineError> {
         if spec == ctl.ring.spec() {
             ctl.sync_policy_topology(spec.shards);
             return Ok(RebalanceReport {
                 shards: spec.shards,
                 vnodes: spec.vnodes,
-                tenants: 0,
                 moved: 0,
                 moved_ids: Vec::new(),
-                incremental: true,
                 seq: 0,
                 durable: false,
                 tick: ctl.gate.now(),
             });
         }
-        let keep = ctl.shards.len();
-        self.migrate(ctl, spec, keep)
-    }
-
-    /// The one migration routine behind both rebalance modes and
-    /// recovery. Post-migration shard `i` is the old shard `i` when `i`
-    /// is below both `fresh_from` and the old shard count, else a new
-    /// plain [`Shard`]; every old shard not kept retires, and its
-    /// aggregates fold onto shard 0. A tenant moves when the ring diff
-    /// re-routes it or its shard retires: `fresh_from = 0` moves the
-    /// whole fleet (a full rebalance), the old shard count moves exactly
-    /// the ring diff (an incremental one). The journaled record kind
-    /// follows the mode. The protocol is fenced only on a durable engine
-    /// whose store is attached — recovery runs it before attaching, and
-    /// checkpoints afterwards itself.
-    fn migrate(
-        &self,
-        ctl: &mut Control,
-        spec: RingSpec,
-        fresh_from: usize,
-    ) -> Result<RebalanceReport, EngineError> {
-        let incremental = fresh_from > 0;
-        let mode = if incremental { "incremental" } else { "full" };
-        let record = |spec: RingSpec, moved: Vec<String>| {
-            let (shards, vnodes) = (spec.shards, spec.vnodes);
-            if incremental {
-                JournalRecord::Migrate {
-                    shards,
-                    vnodes,
-                    moved,
-                }
-            } else {
-                JournalRecord::Rebalance { shards, vnodes }
-            }
+        let record = |spec: RingSpec, moved| JournalRecord::Migrate {
+            shards: spec.shards,
+            vnodes: spec.vnodes,
+            moved,
         };
-        let (old_shards, keep) = (ctl.shards.len(), fresh_from.min(spec.shards));
+        let (old_shards, keep) = (ctl.shards.len(), ctl.shards.len().min(spec.shards));
         let ring = HashRing::new(spec);
         let ids = ctl.tenant_ids()?;
-        // Sorted, because `ids` is.
+        // Sorted, because `ids` is. Every tenant of a retired shard is in
+        // it: the new ring routes no tenant to an index it does not have.
         let moved = moved_ids(&ctl.ring, &ring, ids.iter().map(|s| s.as_str()));
-        let movers: Vec<&String> = ids
-            .iter()
-            .filter(|id| {
-                let from = ctl.ring.route(id);
-                from >= keep || from != ring.route(id)
-            })
-            .collect();
         let durable = self.journaling(ctl);
         let lap = self.obs.clock();
         let tick = ctl.gate.now();
@@ -1232,7 +1170,6 @@ impl Engine {
             tick,
             "rebalance_begin",
             vec![
-                ("mode", mode.into()),
                 ("shards", spec.shards.into()),
                 ("vnodes", spec.vnodes.into()),
                 ("moved", moved.len().into()),
@@ -1256,7 +1193,7 @@ impl Engine {
         let mut placed = 0;
         let mut retired_meta: Vec<ShardMeta> = Vec::new();
         let mut migrate = || -> Result<(), EngineError> {
-            for id in &movers {
+            for id in &moved {
                 let (key, from) = ctl.locate(id)?;
                 let tenant = ctl.shard(from)?.take(key).ok_or_else(|| unknown(id))?;
                 ctl.on_new_shard(&mut fresh, keep, ring.route(id), |s| s.place(key, tenant))?;
@@ -1296,12 +1233,12 @@ impl Engine {
             self.obs.event(
                 tick,
                 "rebalance_abort",
-                vec![("mode", mode.into()), ("error", e.to_string().into())],
+                vec![("error", e.to_string().into())],
             );
             // Abort: move every tenant already placed back to its old
             // shard, drop the new shards, and keep serving on the old
             // topology.
-            for id in &movers[..placed] {
+            for id in &moved[..placed] {
                 let Ok((key, from)) = ctl.locate(id) else {
                     continue;
                 };
@@ -1315,7 +1252,6 @@ impl Engine {
             }
             return Err(e);
         }
-        let tenants = movers.len();
         // Past the commit point: the migration *happened* (on a durable
         // engine the fence is on disk), so the swap — pure in-memory,
         // infallible — comes first. Any error in the bookkeeping below is
@@ -1345,7 +1281,6 @@ impl Engine {
             tick,
             "rebalance_commit",
             vec![
-                ("mode", mode.into()),
                 ("shards", spec.shards.into()),
                 ("moved", moved.len().into()),
                 ("seq", seq.into()),
@@ -1354,10 +1289,8 @@ impl Engine {
         Ok(RebalanceReport {
             shards: spec.shards,
             vnodes: spec.vnodes,
-            tenants,
             moved: moved.len(),
             moved_ids: moved,
-            incremental,
             seq: if durable { seq } else { 0 },
             durable,
             tick,
@@ -1373,9 +1306,11 @@ impl Engine {
     /// control (the journaled stream *is* the admitted traffic). Per-tenant
     /// state is exact for any shard count; shard-level aggregates are only
     /// carried over when the shard count matches the checkpoint's. An
-    /// interrupted rebalance (a [`JournalRecord::Rebalance`] surviving in
-    /// the WAL tail) is completed: the engine re-partitions onto the
-    /// journaled topology after replay, before the fresh checkpoint.
+    /// interrupted rebalance (a [`JournalRecord::Migrate`], or an older
+    /// build's [`JournalRecord::Rebalance`], surviving in the WAL tail) is
+    /// completed: after replay the engine moves the ring diff onto the
+    /// journaled topology, exactly as [`Engine::rebalance`] would have,
+    /// before the fresh checkpoint.
     pub fn recover(
         cfg: EngineConfig,
         store: Arc<dyn Durability>,
@@ -1419,19 +1354,15 @@ impl Engine {
                 report.records_replayed += 1;
                 match JournalRecord::decode(bytes) {
                     Err(_) => report.replay_errors += 1,
-                    Ok(JournalRecord::Rebalance { shards, vnodes }) => {
+                    Ok(
+                        JournalRecord::Migrate { shards, vnodes, .. }
+                        | JournalRecord::Rebalance { shards, vnodes },
+                    ) => {
                         // Applied after replay: tenant state is topology-
                         // independent, so order against other shards' WALs
                         // does not matter — only the last topology does.
-                        interrupted = Some(RingSpec::new(shards, vnodes));
-                        report.rebalances_replayed += 1;
-                    }
-                    Ok(JournalRecord::Migrate { shards, vnodes, .. }) => {
-                        // An interrupted *incremental* migration: finished
-                        // the same way (re-partition onto the journaled
-                        // spec after replay — the moved list is advisory,
-                        // a full in-memory re-route is exact), counted
-                        // separately so operators can tell the paths apart.
+                        // The moved list is advisory: the migration
+                        // recomputes the ring diff from the live tenants.
                         interrupted = Some(RingSpec::new(shards, vnodes));
                         report.migrations_replayed += 1;
                     }
@@ -1456,9 +1387,7 @@ impl Engine {
             ],
         );
         if let Some(spec) = interrupted {
-            if spec != ctl.ring.spec() {
-                engine.migrate(&mut ctl, spec, 0)?;
-            }
+            engine.migrate(&mut ctl, spec)?;
             engine.obs.event(
                 0,
                 "recovery_topology_completed",

@@ -39,30 +39,29 @@ pub enum JournalRecord {
     Evict(String),
     /// A tenant was installed from a snapshot.
     Restore(Box<TenantSnapshot>),
-    /// The ring topology changed. Journaled (write-ahead, to shard 0's
-    /// WAL) before a rebalance migrates anything: a completed rebalance
-    /// truncates the record away with its fencing checkpoint, so finding
-    /// one during recovery means the migration was interrupted —
-    /// [`Engine::recover`](crate::Engine::recover) finishes it by
-    /// re-partitioning onto this topology after replay. Tenant state is
-    /// topology-independent, so applying it at the end of replay is exact
-    /// regardless of where the record sat in the WAL.
+    /// A topology change journaled by an older build, which rebuilt
+    /// every shard. Read-only: the engine writes only
+    /// [`Migrate`](Self::Migrate), and decodes this variant so that a data
+    /// directory left by a crash inside such a rebalance still recovers
+    /// ([`Engine::recover`](crate::Engine::recover) completes it exactly
+    /// like an interrupted `Migrate`).
     Rebalance {
         /// Target shard count.
         shards: usize,
         /// Target virtual nodes per shard.
         vnodes: usize,
     },
-    /// An **incremental** ring migration: only the tenants in `moved`
-    /// (the old-ring/new-ring route diff) change shards. Journaled
-    /// write-ahead to shard 0's WAL exactly like [`Rebalance`](Self::Rebalance)
-    /// and fenced by the same full-state checkpoint; a record surviving in
-    /// the WAL tail means the crash hit inside the migration window, and
+    /// The ring topology changed: only the tenants in `moved` (the
+    /// old-ring/new-ring route diff) change shards. Journaled
+    /// (write-ahead, to shard 0's WAL) before a rebalance migrates
+    /// anything; a completed rebalance truncates the record away with its
+    /// fencing checkpoint, so finding one during recovery means the crash
+    /// hit inside the migration window, and
     /// [`Engine::recover`](crate::Engine::recover) finishes the topology
-    /// change after replay (tenant state is topology-independent, so a
-    /// full in-memory re-partition onto the journaled spec is exact — the
-    /// moved list documents the intended diff for operators and the
-    /// recovery report).
+    /// change after replay. Tenant state is topology-independent, so
+    /// applying it at the end of replay is exact regardless of where the
+    /// record sat in the WAL; the migration recomputes the ring diff, and
+    /// the moved list documents the intended diff for operators.
     Migrate {
         /// Target shard count.
         shards: usize,

@@ -47,19 +47,19 @@
 //!   operations are serialized and deterministic — and so changing the
 //!   shard count moves only a minority of tenants.
 //! * **Control plane** ([`admission`], [`Engine::rebalance`],
-//!   [`Engine::rebalance_incremental`], [`topology`]): an admission gate
+//!   [`topology`]): an admission gate
 //!   in front of the shards enforces tenant caps and per-tenant
 //!   token-bucket rate limits with typed
 //!   [`Rejected`](AdmissionError::Rejected)/[`Throttled`](AdmissionError::Throttled)
 //!   errors (refused traffic never reaches a WAL), and live rebalancing
 //!   migrates tenants bit-exactly onto a new ring topology — one
-//!   migration routine whose full mode rebuilds every shard and whose
-//!   incremental mode moves exactly the ring-diff tenant set — journaled
-//!   and checkpoint-fenced so a kill mid-migration recovers exactly. The
+//!   migration routine that moves exactly the ring-diff tenant set and
+//!   leaves every surviving shard in place — journaled and
+//!   checkpoint-fenced so a kill mid-migration recovers exactly. The
 //!   [`topology`] module closes the loop: a [`TopologyPolicy`] applies
 //!   the paper's own LCP hysteresis to the shard count, auto-triggering
-//!   incremental migrations only when accumulated load-imbalance cost
-//!   provably exceeds the migration's switching cost.
+//!   migrations only when accumulated load-imbalance cost provably
+//!   exceeds the migration's switching cost.
 //! * **Accounting** reuses [`rsdc_core::analysis`] (cost breakdowns,
 //!   schedule statistics with identical phase semantics); shard-level
 //!   load aggregates are fixed-size running totals ([`ShardTotals`]) and
@@ -325,12 +325,10 @@ mod tests {
         let mut want = moved_ids(&old, &new, ids.iter().map(|s| s.as_str()));
         want.sort_unstable();
 
-        let report = engine.rebalance_incremental(5, None).unwrap();
-        assert!(report.incremental);
+        let report = engine.rebalance(5, None).unwrap();
         assert_eq!(report.shards, 5);
         assert_eq!(report.moved_ids, want, "exactly the diff, nothing else");
         assert_eq!(report.moved, want.len());
-        assert_eq!(report.tenants, want.len(), "only the diff was re-installed");
         assert_eq!(engine.shards(), 5);
         assert_eq!(engine.live_tenants().unwrap(), ids.len());
 
@@ -363,7 +361,7 @@ mod tests {
         // Shrinking back also moves only the (reverse) diff, and fleet
         // totals survive the retired shards.
         let before: u64 = engine.shard_stats().unwrap().iter().map(|s| s.events).sum();
-        let report = engine.rebalance_incremental(2, None).unwrap();
+        let report = engine.rebalance(2, None).unwrap();
         assert_eq!(engine.shards(), 2);
         let mut back = moved_ids(&new, &old, ids.iter().map(|s| s.as_str()));
         back.sort_unstable();
@@ -388,8 +386,7 @@ mod tests {
                 .unwrap();
         }
         // 30 events per tick against f(s) = 30/s + s: the plan should
-        // leave 1 shard within a few ticks; each applied change is an
-        // incremental migration.
+        // leave 1 shard within a few ticks.
         let mut applied = Vec::new();
         for t in 0..30 {
             let batch: Vec<(String, Cost)> = ids
@@ -398,7 +395,6 @@ mod tests {
                 .collect();
             engine.step_batch(batch).unwrap();
             if let Some(report) = engine.maybe_autoscale().unwrap() {
-                assert!(report.incremental);
                 applied.push(report.shards);
             }
         }
@@ -434,11 +430,10 @@ mod tests {
         engine
             .admit(TenantConfig::new("a", 4, 1.0, PolicySpec::Lcp))
             .unwrap();
-        // Operator-requested changes (full and incremental) must be
-        // visible to the policy...
+        // Operator-requested changes must be visible to the policy...
         engine.rebalance(4, None).unwrap();
         assert_eq!(engine.autoscale_status().unwrap().shards, 4);
-        engine.rebalance_incremental(3, None).unwrap();
+        engine.rebalance(3, None).unwrap();
         let status = engine.autoscale_status().unwrap();
         assert_eq!(status.shards, 3);
         // ...without being charged to the policy's own accounting.
@@ -731,7 +726,6 @@ mod tests {
         feed(&engine, &fs[..20]);
         let r = engine.rebalance(3, None).unwrap();
         assert_eq!(r.shards, 3);
-        assert_eq!(r.tenants, fleet_cfg.len());
         assert!(r.moved > 0, "growing 1→3 must move someone");
         assert!(!r.durable, "no store on this engine");
         feed(&engine, &fs[20..41]);
@@ -951,14 +945,15 @@ mod tests {
         assert_eq!(report.tenants_restored, 6, "fencing checkpoint had all");
         assert_eq!(report.replay_errors, 0);
         assert_eq!(
-            report.rebalances_replayed, 0,
+            report.migrations_replayed, 0,
             "completed fence truncated it"
         );
         drop(engine);
 
         // Interrupted rebalance: journal the record but crash before the
         // fence (the journal-then-die window) — recovery must finish the
-        // topology change.
+        // topology change. The record is the read-only `Rebalance` an
+        // older build wrote, so its data directories still recover.
         {
             let store = open();
             let recovery = store.recover().unwrap();
@@ -976,7 +971,7 @@ mod tests {
             store.sync().unwrap();
         }
         let (mut engine, report) = Engine::recover(EngineConfig::with_shards(3), open()).unwrap();
-        assert_eq!(report.rebalances_replayed, 1);
+        assert_eq!(report.migrations_replayed, 1);
         assert_eq!(
             engine.ring_spec(),
             ring::RingSpec::new(2, 16),

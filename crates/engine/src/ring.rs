@@ -128,7 +128,7 @@ impl HashRing {
 }
 
 /// The ids whose placement differs between two rings — the **exact**
-/// tenant set an incremental migration from `old` to `new` must move (and
+/// tenant set a migration from `old` to `new` must move (and
 /// the set it is forbidden to exceed; the migration tests assert equality
 /// both ways). Order follows the input.
 pub fn moved_ids<'a>(

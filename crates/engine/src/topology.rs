@@ -226,7 +226,7 @@ pub struct TopologyStatus {
 /// Owned by the [`Engine`](crate::Engine) handle under its one lock, fed by
 /// [`step_batch`](crate::Engine::step_batch) aggregates (one
 /// [`observe`](TopologyPolicy::observe) per ingested batch), and applied
-/// by [`maybe_autoscale`](crate::Engine::maybe_autoscale) as incremental
+/// by [`maybe_autoscale`](crate::Engine::maybe_autoscale) as ring-diff
 /// migrations. Usable standalone too — the differential tests drive it
 /// directly against the offline optimum.
 #[derive(Debug, Clone)]

@@ -19,8 +19,7 @@
 //! {"op":"checkpoint"}        // durable full-state checkpoint + WAL truncation
 //! {"op":"recover"}           // rebuild the engine from the durable store
 //! {"op":"wal_stats"}         // store + tenant-distribution statistics
-//! {"op":"rebalance","shards":4,"vnodes":64}   // live ring re-partition
-//! {"op":"rebalance","shards":4,"mode":"incremental"}  // move only the ring diff
+//! {"op":"rebalance","shards":4,"vnodes":64}   // live ring re-partition (moves the ring diff)
 //! {"op":"autoscale","min":1,"max":8,"switch_cost":32.0}  // lazy auto-rebalancing
 //! {"op":"autoscale","min":1,"max":8,"switch_cost":32.0,"priced":true}  // price-aware
 //! {"op":"energy","model":"linear:100:250","capacity":4.0,"price":"step:24:1,3.5"}
@@ -43,8 +42,8 @@
 //! accounting is on), `stats` (incl. per-shard skew, the
 //! autoscale-policy state and the energy meter), `checkpointed`,
 //! `recovered`, `wal_stats`,
-//! `rebalanced` (with its `mode`; emitted unsolicited with `"auto":true`
-//! when the autoscale policy triggers a migration), `autoscale`,
+//! `rebalanced` (emitted unsolicited with `"auto":true` when the
+//! autoscale policy triggers a migration), `autoscale`,
 //! `energy`, `limits`, `metrics`, `trace`, or
 //! `{"op":"error","line":N,"message":...}` — error
 //! responses carry the 1-based input line number of the offending record,
@@ -110,18 +109,14 @@ pub enum Record {
     Recover,
     /// Durability-layer statistics.
     WalStats,
-    /// Re-partition the engine onto a new ring topology, live.
+    /// Re-partition the engine onto a new ring topology, live, moving
+    /// only the ring-diff tenant set ([`Engine::rebalance`](crate::Engine::rebalance)).
     Rebalance {
         /// Target shard count.
         shards: usize,
         /// Target virtual nodes per shard (`None` keeps the current ring
         /// density).
         vnodes: Option<usize>,
-        /// `"mode":"incremental"` moves only the ring-diff tenant set
-        /// ([`Engine::rebalance_incremental`](crate::Engine::rebalance_incremental));
-        /// the default (`"full"`) rebuilds every shard and moves the whole
-        /// fleet onto them.
-        incremental: bool,
     },
     /// Configure (`min`/`max` present), disable (`"off":true`) or read
     /// back (bare) the lazy auto-rebalancing policy.
@@ -384,22 +379,9 @@ pub fn parse_record(line: &str) -> Result<Record, WireError> {
         "rebalance" => {
             let shards = count_at_most(&v, "shards", crate::ring::MAX_SHARDS)?
                 .ok_or_else(|| WireError("rebalance needs \"shards\"".into()))?;
-            let incremental = match optional(&v, "mode") {
-                Some(m) => match m.as_str() {
-                    Some("incremental") => true,
-                    Some("full") => false,
-                    _ => {
-                        return Err(WireError(
-                            "field \"mode\" must be \"full\" or \"incremental\"".into(),
-                        ))
-                    }
-                },
-                None => false,
-            };
             Ok(Record::Rebalance {
                 shards,
                 vnodes: count_at_most(&v, "vnodes", crate::ring::MAX_VNODES)?,
-                incremental,
             })
         }
         "autoscale" => {
@@ -778,8 +760,8 @@ impl Session {
                     }
                 }
                 // The batch fed the auto-rebalancing policy one tick;
-                // apply any pending topology decision as an incremental
-                // migration and announce it (like auto-checkpoints, the
+                // apply any pending topology decision as a migration and
+                // announce it (like auto-checkpoints, the
                 // response is unsolicited but self-identifying). Failures
                 // are attributed to the batch's *last* record — the one
                 // whose ingestion triggered the background work.
@@ -982,17 +964,8 @@ impl Session {
                 Ok(report) => out.push(Reply::Line(recovered_line(&report))),
                 Err(e) => out.push(error_line(&e.to_string())),
             },
-            Record::Rebalance {
-                shards,
-                vnodes,
-                incremental,
-            } => {
-                let result = if incremental {
-                    self.engine.rebalance_incremental(shards, vnodes)
-                } else {
-                    self.engine.rebalance(shards, vnodes)
-                };
-                match result {
+            Record::Rebalance { shards, vnodes } => {
+                match self.engine.rebalance(shards, vnodes) {
                     Ok(report) => {
                         // A durable rebalance is fenced by a fresh
                         // checkpoint, so the auto-checkpoint clock restarts.
@@ -1167,10 +1140,10 @@ impl Session {
                         Ok((store, ids, shards))
                     });
                 match gathered {
-                    // The trailing counters surface what the *last
-                    // recovery* replayed from the WAL tail — full
-                    // rebalances and incremental migrations separately
-                    // (both zero when this process never recovered).
+                    // The trailing counter surfaces the interrupted
+                    // topology changes the *last recovery* completed from
+                    // the WAL tail (zero when this process never
+                    // recovered).
                     Ok((store, ids, shards)) => out.push(Reply::Line(
                         serde_json::to_string(&serde_json::json!({
                             "op": "wal_stats",
@@ -1184,11 +1157,6 @@ impl Session {
                             "tenant_ids": ids,
                             "tenants_per_shard":
                                 shards.iter().map(|s| s.tenants).collect::<Vec<_>>(),
-                            "rebalances_replayed": self
-                                .last_recovery
-                                .as_ref()
-                                .map(|r| r.rebalances_replayed)
-                                .unwrap_or(0),
                             "migrations_replayed": self
                                 .last_recovery
                                 .as_ref()
@@ -1387,11 +1355,9 @@ pub(crate) fn stepped_states_line(id: &str, states: &[u32]) -> String {
 fn rebalanced_line(report: &crate::RebalanceReport, auto: bool) -> String {
     serde_json::to_string(&serde_json::json!({
         "op": "rebalanced",
-        "mode": if report.incremental { "incremental" } else { "full" },
         "auto": auto,
         "shards": report.shards,
         "vnodes": report.vnodes,
-        "tenants": report.tenants,
         "moved": report.moved,
         "seq": report.seq,
         "durable": report.durable,
@@ -1932,7 +1898,10 @@ mod tests {
             .find(|v: &serde::Value| v["op"] == "rebalanced")
             .expect("rebalanced response");
         assert_eq!(rebalanced["shards"], 3);
-        assert_eq!(rebalanced["tenants"], 2);
+        assert_eq!(
+            rebalanced["moved"], 2,
+            "1 → 3 shards moves both tenants here"
+        );
         assert_eq!(rebalanced["durable"], false);
         assert_eq!(session.engine().shards(), 3);
 

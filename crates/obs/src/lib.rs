@@ -3,7 +3,7 @@
 //! Metrics and control-plane tracing for the [`rsdc-engine`] streaming
 //! autoscaler. The engine's whole point is running the Albers–Quedenfeld
 //! online policies *continuously*, which makes its control plane — LCP
-//! bound crossings, autoscale decisions, incremental migrations, WAL
+//! bound crossings, autoscale decisions, migrations, WAL
 //! recovery — the interesting surface to observe. This crate provides the
 //! two primitives that surface wires through:
 //!

@@ -255,17 +255,10 @@ pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, String> {
                         .map_err(|e| format!("checkpoint: {e}"))?;
                     c.checkpoints += 1;
                 }
-                FaultAction::Rebalance {
-                    shards,
-                    incremental,
-                    ..
-                } => {
-                    let report = if incremental {
-                        engine.rebalance_incremental(shards, None)
-                    } else {
-                        engine.rebalance(shards, None)
-                    }
-                    .map_err(|e| format!("rebalance: {e}"))?;
+                FaultAction::Rebalance { shards, .. } => {
+                    let report = engine
+                        .rebalance(shards, None)
+                        .map_err(|e| format!("rebalance: {e}"))?;
                     c.forced_rebalances += 1;
                     c.moved += report.moved as u64;
                 }

@@ -227,14 +227,13 @@ pub enum FaultAction {
         /// Tick to checkpoint at.
         at: usize,
     },
-    /// Force a live topology change to `shards`.
+    /// Force a live topology change to `shards` (it moves only the
+    /// ring-diff tenant set).
     Rebalance {
         /// Tick to rebalance at.
         at: usize,
         /// Target shard count.
         shards: usize,
-        /// Move only the ring-diff tenant set.
-        incremental: bool,
     },
 }
 

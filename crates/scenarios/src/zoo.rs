@@ -109,7 +109,7 @@ pub fn zoo(quick: bool) -> Vec<Scenario> {
             },
         },
         // 3. A skew storm concentrates 85% of the load on one victim tenant
-        //    while forced incremental rebalances reshape the ring mid-storm.
+        //    while forced rebalances reshape the ring mid-storm.
         Scenario {
             spec: ScenarioSpec {
                 name: "skew-storm".into(),
@@ -134,12 +134,10 @@ pub fn zoo(quick: bool) -> Vec<Scenario> {
                     FaultAction::Rebalance {
                         at: t / 3,
                         shards: 4,
-                        incremental: true,
                     },
                     FaultAction::Rebalance {
                         at: 2 * t / 3,
                         shards: 2,
-                        incremental: true,
                     },
                 ],
             },
@@ -197,7 +195,6 @@ pub fn zoo(quick: bool) -> Vec<Scenario> {
                     FaultAction::Rebalance {
                         at: t / 4,
                         shards: 3,
-                        incremental: true,
                     },
                     FaultAction::Kill { at: t / 4 + 1 },
                     FaultAction::Checkpoint { at: t / 2 },

@@ -1,6 +1,6 @@
 //! Trace statistics: the shape descriptors used to match synthetic traces
 //! to the qualitative properties of the (proprietary) originals, and to
-//! report workload characteristics in EXPERIMENTS.md.
+//! report workload characteristics (`rsdc analyze`).
 
 use crate::traces::Trace;
 use serde::{Deserialize, Serialize};

@@ -6,8 +6,7 @@
 //! discusses: strong diurnal periodicity, bursts, occasional spikes and a
 //! tunable peak-to-mean ratio. The optimization algorithms only ever see
 //! the convex per-slot cost functions derived from a trace, so any trace
-//! with comparable variability exercises identical code paths (DESIGN.md,
-//! substitution 1).
+//! with comparable variability exercises identical code paths.
 //!
 //! All generators are deterministic given a seed (ChaCha8).
 

@@ -14,8 +14,8 @@
 //!   that shard's tenants untouched and the handoff clean: the next
 //!   batch's outcomes are exactly its own. The engine counts only the
 //!   WAL appends and checkpoint commits the store accepted.
-//! * A rebalance whose fencing checkpoint fails — full or incremental,
-//!   grow or shrink — leaves the engine serving on its old shards, with
+//! * A rebalance whose fencing checkpoint fails — grow or shrink —
+//!   leaves the engine serving on its old shards, with
 //!   every tenant back on its old shard and every shard's aggregates
 //!   untouched, and the run continues (and recovers) exactly as if it had
 //!   not been tried.
@@ -380,11 +380,9 @@ fn aborted_rebalances_keep_the_old_shards() {
         (0..20).for_each(|slot| step(&engine, slot));
         texts(&engine.report_all().expect("report_all"))
     };
-    for (incremental, target) in [(false, 3), (true, 3), (false, 1), (true, 1)] {
-        let dir = std::env::temp_dir().join(format!(
-            "rsdc-engine-abort-{incremental}-{target}-{}",
-            std::process::id()
-        ));
+    for target in [3, 1] {
+        let dir =
+            std::env::temp_dir().join(format!("rsdc-engine-abort-{target}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(FailingStore::open(&dir));
         let mut engine =
@@ -395,11 +393,7 @@ fn aborted_rebalances_keep_the_old_shards() {
         let placed = placement(&engine);
 
         store.fail_commit.store(true, Ordering::SeqCst);
-        let aborted = if incremental {
-            engine.rebalance_incremental(target, None)
-        } else {
-            engine.rebalance(target, None)
-        };
+        let aborted = engine.rebalance(target, None);
         assert!(
             matches!(aborted, Err(EngineError::Store(_))),
             "the fence commit fails the rebalance: {aborted:?}"
@@ -410,7 +404,7 @@ fn aborted_rebalances_keep_the_old_shards() {
         assert_eq!(
             placement(&engine),
             placed,
-            "placement and aggregates untouched (incremental {incremental}, target {target})"
+            "placement and aggregates untouched (target {target})"
         );
 
         (10..20).for_each(|slot| step(&engine, slot));

@@ -147,7 +147,7 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
         (
             arb_skew(),
             arb_surge(),
-            // Forced incremental rebalance tick; 40+ disables it.
+            // Forced rebalance tick; 40+ disables it.
             0usize..80,
             // Durable store (enables a mid-run kill).
             prop_oneof![Just(false), Just(true)],
@@ -158,11 +158,7 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                 let reb = (reb_at < 40).then_some(reb_at);
                 let mut faults = Vec::new();
                 if let Some(at) = reb {
-                    faults.push(FaultAction::Rebalance {
-                        at,
-                        shards: 3,
-                        incremental: true,
-                    });
+                    faults.push(FaultAction::Rebalance { at, shards: 3 });
                 }
                 if durable && t_len > 4 {
                     faults.push(FaultAction::Kill { at: t_len / 2 });

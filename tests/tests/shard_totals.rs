@@ -11,7 +11,7 @@
 //!   engine that never checkpointed, except for the fixture's HalfStep
 //!   and memoryless tenants (see [`FRACTIONAL`]);
 //! * random sequences of admits, load steps, finishes, evictions,
-//!   restores (new and replacing), full and incremental rebalances and
+//!   restores (new and replacing), rebalances and
 //!   crash recoveries keep each shard's running `machines` equal to the
 //!   sum of its tenants' last committed states (read back through the
 //!   energy meter) and its `ShardStats` equal to the record log
@@ -373,18 +373,8 @@ impl Oracle {
         }
     }
 
-    /// A full rebalance folds every shard's history, in shard order, onto
-    /// an empty new shard 0.
-    fn rebalance_full(&mut self, new_shards: usize) {
-        let old = std::mem::take(&mut self.shards);
-        self.shards = (0..new_shards).map(|_| ShardLog::default()).collect();
-        for log in old {
-            self.shards[0].merge(log);
-        }
-    }
-
-    /// An incremental rebalance folds only retired shards onto shard 0.
-    fn rebalance_incremental(&mut self, new_shards: usize) {
+    /// A rebalance folds only retired shards onto shard 0.
+    fn rebalance(&mut self, new_shards: usize) {
         let retired = self.shards.split_off(new_shards.min(self.shards.len()));
         for log in retired {
             self.shards[0].merge(log);
@@ -624,19 +614,11 @@ fn run_case(seed: u64, ops: usize, shards: usize) {
                     oracle.tenants.insert(id, shadow);
                 }
             }
-            84..=87 => {
+            84..=92 => {
                 let to = rng.gen_range(1usize..5);
                 let vnodes = rng.gen_bool(0.5).then(|| rng.gen_range(8usize..96));
                 engine.rebalance(to, vnodes).expect("rebalance");
-                oracle.rebalance_full(to);
-            }
-            88..=92 => {
-                let to = rng.gen_range(1usize..5);
-                let vnodes = rng.gen_bool(0.5).then(|| rng.gen_range(8usize..96));
-                engine
-                    .rebalance_incremental(to, vnodes)
-                    .expect("incremental");
-                oracle.rebalance_incremental(to);
+                oracle.rebalance(to);
             }
             93..=95 => {
                 engine.checkpoint().expect("checkpoint");

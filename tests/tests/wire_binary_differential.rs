@@ -51,6 +51,8 @@ fn line_strategy() -> impl Strategy<Value = String> {
         Just(r#"{"op":"stats"}"#.to_string()),
         Just(r#"{"op":"wal_stats"}"#.to_string()),
         (1usize..5).prop_map(|s| format!(r#"{{"op":"rebalance","shards":{s},"vnodes":8}}"#)),
+        // `mode` is a key the op does not define (rebalances have one
+        // mode): both framings ignore it alike.
         (1usize..5).prop_map(|s| format!(
             r#"{{"op":"rebalance","shards":{s},"vnodes":8,"mode":"incremental"}}"#
         )),

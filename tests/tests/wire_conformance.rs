@@ -145,7 +145,7 @@ fn every_wire_md_example_matches_a_live_session() {
     let doc = std::fs::read_to_string(doc_path).expect("read docs/WIRE.md");
     let blocks = conformance_blocks(&doc);
     // The floor has been raised PR over PR: autoscale (live auto-trigger
-    // transcript plus error cases), incremental rebalance, the
+    // transcript plus error cases), rebalance, the
     // skew/policy-carrying stats + wal_stats shapes, the observability
     // pair (metrics-registry dump + traced autoscale decision), and now
     // the energy trio — metered session, spec rejections, and the
@@ -158,8 +158,8 @@ fn every_wire_md_example_matches_a_live_session() {
     let executed: usize = blocks.iter().map(|b| b.requests.len()).sum();
     assert!(executed >= 120, "suspiciously few requests: {executed}");
     assert!(
-        doc.contains("\"op\":\"autoscale\"") && doc.contains("\"mode\":\"incremental\""),
-        "the autoscale and incremental-rebalance examples must stay documented"
+        doc.contains("\"op\":\"autoscale\"") && doc.contains("\"op\":\"rebalanced\""),
+        "the autoscale and rebalance examples must stay documented"
     );
     assert!(
         doc.contains("\"op\":\"metrics\"") && doc.contains("autoscale_decision"),
