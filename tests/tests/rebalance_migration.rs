@@ -7,12 +7,13 @@
 //! never rebalanced at all, and every rebalance moves exactly the ring
 //! diff.
 //!
-//! The proptest randomizes the fleet (scalar policies × seeds, plus
-//! hetero lattice-DP tenants), the rebalance points and target
-//! topologies, the checkpoint cadence, the kill point, and the
-//! shard count recovery restarts with. The heavy `#[ignore]`d variant
-//! runs the same property at a raised case count for the nightly CI job
-//! (`cargo test -- --include-ignored`, `RSDC_HEAVY_CASES` to scale).
+//! The proptests (one per topology record) randomize the fleet (scalar
+//! policies × seeds, plus hetero lattice-DP tenants), the rebalance
+//! points and target topologies, the checkpoint cadence, the kill point,
+//! and the shard count recovery restarts with. The heavy `#[ignore]`d
+//! variants run the same properties at raised case counts for the nightly
+//! CI job (`cargo test -- --include-ignored`, `RSDC_HEAVY_CASES` to
+//! scale).
 
 use proptest::prelude::*;
 use rsdc_core::Cost;
@@ -213,8 +214,9 @@ fn interrupted_record(target: RingSpec, older_build: bool) -> JournalRecord {
 /// rebalance schedules × kill points, including the journal-then-die
 /// window where a topology record survives in the WAL tail. Recovery must
 /// be byte-identical to the static single-shard reference, and the
-/// recovery report must count the interrupted migration. Panics (via
-/// assert) on any divergence.
+/// recovery report must count the interrupted migration. `older_build`
+/// picks the topology record the mid-migration kill leaves behind (see
+/// [`interrupted_record`]). Panics (via assert) on any divergence.
 #[allow(clippy::too_many_arguments)]
 fn run_case(
     seed: u64,
@@ -228,6 +230,7 @@ fn run_case(
     kill_at: usize,
     shards_after: usize,
     mid_kill: bool,
+    older_build: bool,
 ) {
     let trace = Diurnal::default().generate(SLOTS, seed);
     let fleet = build_fleet(seed, n_scalar, n_hetero);
@@ -265,14 +268,13 @@ fn run_case(
     // but the crash hit before the fencing checkpoint — exactly the state
     // Engine::rebalance leaves behind if it dies between its first and
     // second durable write. Recovery must finish the migration, from this
-    // build's `Migrate` record on even seeds and from an older build's
-    // `Rebalance` record on odd ones.
+    // build's `Migrate` record or from an older build's `Rebalance` record.
     let mid_target = RingSpec::new(1 + (seed as usize % 4), 8 + (seed as usize % 48));
     if mid_kill {
         let store = open_store(&dir);
         store.recover().expect("scan");
         store
-            .append(0, &interrupted_record(mid_target, seed % 2 == 1).encode())
+            .append(0, &interrupted_record(mid_target, older_build).encode())
             .expect("journal the topology record");
         store.sync().expect("sync");
     }
@@ -311,11 +313,12 @@ fn run_case(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random fleet × rebalance schedule × kill point (including the
-    /// journal-then-die mid-migration window, for both topology records):
-    /// byte-identical reports, moved set = ring diff exactly.
+    /// Random fleet × rebalance schedule × kill point, where the
+    /// journal-then-die mid-migration window leaves an older build's
+    /// `Rebalance` record: byte-identical reports, moved set = ring diff
+    /// exactly.
     #[test]
     fn random_rebalance_schedules_recover_bit_identically(
         seed in 0u64..1_000_000,
@@ -333,12 +336,13 @@ proptest! {
         run_case(
             seed, n_scalar, n_hetero, shards_before, rebalance_at,
             rebalance_to, vnodes_to, ck_every, kill_at, shards_after, mid == 1,
+            true,
         );
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(heavy_cases(96)))]
+    #![proptest_config(ProptestConfig::with_cases(heavy_cases(48)))]
 
     /// Nightly-depth version of the same property (`--include-ignored`,
     /// scaled by `RSDC_HEAVY_CASES`).
@@ -360,6 +364,64 @@ proptest! {
         run_case(
             seed, n_scalar, n_hetero, shards_before, rebalance_at,
             rebalance_to, vnodes_to, ck_every, kill_at, shards_after, mid == 1,
+            true,
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Random fleet × rebalance schedule × kill point, where the
+    /// journal-then-die mid-migration window leaves this build's
+    /// `Migrate` record: byte-identical reports, moved set = ring diff
+    /// exactly.
+    #[test]
+    fn random_incremental_migrations_recover_bit_identically(
+        seed in 0u64..1_000_000,
+        n_scalar in 2usize..6,
+        n_hetero in 0usize..3,
+        shards_before in 1usize..4,
+        rebalance_at in 1usize..SLOTS,
+        rebalance_to in 1usize..5,
+        vnodes_to in 8usize..96,
+        ck_every in 1usize..18,
+        kill_at in 1usize..SLOTS,
+        shards_after in 1usize..4,
+        mid in 0u8..2,
+    ) {
+        run_case(
+            seed, n_scalar, n_hetero, shards_before, rebalance_at,
+            rebalance_to, vnodes_to, ck_every, kill_at, shards_after, mid == 1,
+            false,
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(heavy_cases(48)))]
+
+    /// Nightly-depth version of the `Migrate`-record property
+    /// (`--include-ignored`, scaled by `RSDC_HEAVY_CASES`).
+    #[test]
+    #[ignore = "heavy: run via the nightly --include-ignored CI job"]
+    fn random_incremental_migrations_recover_bit_identically_heavy(
+        seed in 0u64..1_000_000,
+        n_scalar in 2usize..6,
+        n_hetero in 0usize..3,
+        shards_before in 1usize..4,
+        rebalance_at in 1usize..SLOTS,
+        rebalance_to in 1usize..5,
+        vnodes_to in 8usize..96,
+        ck_every in 1usize..18,
+        kill_at in 1usize..SLOTS,
+        shards_after in 1usize..4,
+        mid in 0u8..2,
+    ) {
+        run_case(
+            seed, n_scalar, n_hetero, shards_before, rebalance_at,
+            rebalance_to, vnodes_to, ck_every, kill_at, shards_after, mid == 1,
+            false,
         );
     }
 }
