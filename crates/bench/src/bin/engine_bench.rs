@@ -25,16 +25,20 @@
 //!   O(fleet), so the schema caps the 100k row at 1.5x the 1k row
 //! - `policy_step` — ns per step of the policies with no engine around
 //!   them: LCP and the bound tracker at m = 16, 256, 4096; the m = 1024
-//!   `Server` load through the tracker (and at m = 65536), LCP+OPT and
-//!   HalfStep+OPT tenants; `FrontierDp` at S = 91 and 4096; rounding, the
-//!   fractional HalfStep stage and the LCP cluster simulator
+//!   `Server` load through the tracker (and at m = 65536), through
+//!   `Cost::add_range_to` over the windows the tracker reads (the floor
+//!   its step is read against), and through LCP+OPT and HalfStep+OPT
+//!   tenants; `FrontierDp` at S = 91 and 4096; rounding, the fractional
+//!   HalfStep stage and the LCP cluster simulator
 //!
 //! Every number is timed by [`timed`]: one untimed warm-up window, then
 //! 5 timed windows of at least 200 ms (3 of 20 ms with `--quick`, except
 //! `fleet_scaling`, which keeps its full windows). A
 //! row's own field holds the median over the windows, and `min`/`max`
-//! hold the spread. The document's `host` block names the core count and
-//! build profile the numbers were taken on.
+//! hold the spread. Rows timed together take their windows in turn: the
+//! four m = 1024 `Server` rows do, so their ratios are read under the
+//! same load on the host. The document's `host` block names the core
+//! count and build profile the numbers were taken on.
 //!
 //! The engine runs with the metrics registry **disabled** (the documented
 //! hot-path configuration), so these numbers price the engine, not the
@@ -83,7 +87,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Schema tag validated by `--validate`; bump on shape changes.
-const SCHEMA: &str = "rsdc-engine-bench/v8";
+const SCHEMA: &str = "rsdc-engine-bench/v9";
 
 const M: u32 = 128;
 const BETA: f64 = 4.0;
@@ -133,31 +137,50 @@ impl Spread {
     }
 }
 
-/// The one timing helper. Each window repeats `setup` (untimed) and then
-/// `run` on what `setup` returned (timed) until `s.window` of timed work
-/// has passed; `run` returns the units of work it did. Gives the spread
-/// of units per second over `s.windows` windows, after one warm-up window
-/// that is thrown away.
-fn timed<T>(s: &Scale, mut setup: impl FnMut() -> T, mut run: impl FnMut(T) -> usize) -> Spread {
-    let mut rates: Vec<f64> = (0..=s.windows)
-        .map(|_| {
+/// One row of [`timed`]: each repetition runs a setup (untimed) and then
+/// the timed work on what the setup returned, which gives the units of
+/// work it did.
+struct Row<'a>(Box<dyn FnMut() -> (usize, Duration) + 'a>);
+
+impl<'a> Row<'a> {
+    fn new<T>(mut setup: impl FnMut() -> T + 'a, mut run: impl FnMut(T) -> usize + 'a) -> Self {
+        Row(Box::new(move || {
+            let input = setup();
+            let start = Instant::now();
+            let units = run(input);
+            (units, start.elapsed())
+        }))
+    }
+}
+
+/// The one timing helper. A row's window repeats it until `s.window` of
+/// timed work has passed. The rows take their windows in turn, so rows
+/// timed together see the same load on the host and their ratios hold
+/// under it. Gives each row's spread of units per second over `s.windows`
+/// windows, after one warm-up window that is thrown away.
+fn timed<const N: usize>(s: &Scale, mut rows: [Row; N]) -> [Spread; N] {
+    let mut rates = [(); N].map(|_| Vec::with_capacity(s.windows));
+    for window in 0..=s.windows {
+        for (row, rates) in rows.iter_mut().zip(&mut rates) {
             let (mut units, mut busy) = (0usize, Duration::ZERO);
             while busy < s.window {
-                let input = setup();
-                let start = Instant::now();
-                units += run(input);
-                busy += start.elapsed();
+                let (done, took) = (row.0)();
+                units += done;
+                busy += took;
             }
-            units as f64 / busy.as_secs_f64()
-        })
-        .skip(1)
-        .collect();
-    rates.sort_by(f64::total_cmp);
-    Spread {
-        median: rates[rates.len() / 2],
-        min: rates[0],
-        max: rates[rates.len() - 1],
+            if window > 0 {
+                rates.push(units as f64 / busy.as_secs_f64());
+            }
+        }
     }
+    rates.map(|mut rates| {
+        rates.sort_by(f64::total_cmp);
+        Spread {
+            median: rates[rates.len() / 2],
+            min: rates[0],
+            max: rates[rates.len() - 1],
+        }
+    })
 }
 
 /// The hot-path engine configuration: metrics off.
@@ -213,14 +236,17 @@ fn admit_scalar(engine: &Engine, tenants: usize) {
 fn slot_rate(s: &Scale, engine: &Engine, tenants: usize) -> Spread {
     admit_scalar(engine, tenants);
     let mut slot = 0;
-    timed(
+    let [rate] = timed(
         s,
-        || {
-            slot += 1;
-            scalar_batch(tenants, slot)
-        },
-        |batch| engine.step_batch(batch).expect("step").len(),
-    )
+        [Row::new(
+            || {
+                slot += 1;
+                scalar_batch(tenants, slot)
+            },
+            |batch| engine.step_batch(batch).expect("step").len(),
+        )],
+    );
+    rate
 }
 
 fn measure_throughput(s: &Scale) -> Vec<(Value, Spread)> {
@@ -271,18 +297,20 @@ fn measure_hetero(s: &Scale) -> Vec<(Value, Spread)> {
                 .expect("admit");
         }
         let mut slot = 0;
-        let rate = timed(
+        let [rate] = timed(
             s,
-            || {
-                slot += 1;
-                (0..s.hetero_tenants)
-                    .map(|i| {
-                        let load = 0.5 + ((slot * 5 + i) % 11) as f64 * 0.5;
-                        (format!("h{i}"), Cost::Zero, Some(load))
-                    })
-                    .collect()
-            },
-            |batch| engine.step_batch_loads(batch).expect("step").len(),
+            [Row::new(
+                || {
+                    slot += 1;
+                    (0..s.hetero_tenants)
+                        .map(|i| {
+                            let load = 0.5 + ((slot * 5 + i) % 11) as f64 * 0.5;
+                            (format!("h{i}"), Cost::Zero, Some(load))
+                        })
+                        .collect()
+                },
+                |batch| engine.step_batch_loads(batch).expect("step").len(),
+            )],
         );
         engine.shutdown();
         (json!({"algo": name}), rate)
@@ -304,15 +332,17 @@ fn measure_rebalance(s: &Scale) -> Vec<(Value, Spread)> {
                     .step_batch(scalar_batch(s.rebalance_tenants, t))
                     .expect("step");
             }
-            let rate = timed(
+            let [rate] = timed(
                 s,
-                || (),
-                |()| {
-                    [8, 4]
-                        .iter()
-                        .map(|&to| engine.rebalance(to, None).expect("rebalance").moved)
-                        .sum()
-                },
+                [Row::new(
+                    || (),
+                    |()| {
+                        [8, 4]
+                            .iter()
+                            .map(|&to| engine.rebalance(to, None).expect("rebalance").moved)
+                            .sum()
+                    },
+                )],
             );
             engine.shutdown();
             (json!({"backend": backend}), rate)
@@ -359,19 +389,21 @@ fn measure_energy(s: &Scale) -> Vec<(Value, Spread)> {
         }
         let mut policy = TopologyPolicy::new(cfg, 1).expect("policy");
         let mut t = 0usize;
-        let rate = timed(
+        let [rate] = timed(
             s,
-            || (),
-            |()| {
-                for _ in 0..TICKS {
-                    let events = ((t * 37 + 11) % 500) as u64;
-                    if let Some(target) = policy.observe(&[events], &[(0, 1)]) {
-                        policy.record_applied(policy.status().shards, target, 0);
+            [Row::new(
+                || (),
+                |()| {
+                    for _ in 0..TICKS {
+                        let events = ((t * 37 + 11) % 500) as u64;
+                        if let Some(target) = policy.observe(&[events], &[(0, 1)]) {
+                            policy.record_applied(policy.status().shards, target, 0);
+                        }
+                        t += 1;
                     }
-                    t += 1;
-                }
-                TICKS
-            },
+                    TICKS
+                },
+            )],
         );
         out.push((json!({"mode": mode}), rate));
     }
@@ -409,31 +441,35 @@ fn measure_wire_codec(s: &Scale) -> Vec<(Value, Spread)> {
         put_frame(&mut stream, &payload);
     }
 
-    let jsonl = timed(
+    let [jsonl] = timed(
         s,
-        || (),
-        |()| {
-            for line in text.lines() {
-                std::hint::black_box(parse_record(line).expect("parse"));
-            }
-            EVENTS
-        },
+        [Row::new(
+            || (),
+            |()| {
+                for line in text.lines() {
+                    std::hint::black_box(parse_record(line).expect("parse"));
+                }
+                EVENTS
+            },
+        )],
     );
-    let binary = timed(
+    let [binary] = timed(
         s,
-        || (),
-        |()| {
-            let mut dec = FrameDecoder::new();
-            dec.extend(&stream[PREAMBLE.len()..]);
-            let mut n = 0;
-            while let Some(frame) = dec.next_frame().expect("frame") {
-                assert_eq!(frame.tag, TAG_STEP_LOAD);
-                let mut r = BodyReader::new(frame.body);
-                std::hint::black_box((r.str16().expect("id"), r.f64().expect("load")));
-                n += 1;
-            }
-            n
-        },
+        [Row::new(
+            || (),
+            |()| {
+                let mut dec = FrameDecoder::new();
+                dec.extend(&stream[PREAMBLE.len()..]);
+                let mut n = 0;
+                while let Some(frame) = dec.next_frame().expect("frame") {
+                    assert_eq!(frame.tag, TAG_STEP_LOAD);
+                    let mut r = BodyReader::new(frame.body);
+                    std::hint::black_box((r.str16().expect("id"), r.f64().expect("load")));
+                    n += 1;
+                }
+                n
+            },
+        )],
     );
     let per_event = |bytes: usize| bytes as f64 / EVENTS as f64;
     vec![
@@ -501,49 +537,51 @@ fn measure_serve(s: &Scale) -> Vec<(Value, Spread)> {
                     }
                 })
                 .collect();
-            let rate = timed(
+            let [rate] = timed(
                 s,
-                || {
-                    let cfg = ServeConfig {
-                        max_conns: CONNS,
-                        max_accepts: Some(CONNS as u64),
-                        ..ServeConfig::default()
-                    };
-                    let session = Session::new(Engine::new(bench_cfg(1)));
-                    let mut server = Server::bind(session, cfg, "127.0.0.1:0").expect("bind");
-                    let addr = server.local_addr();
-                    let server = std::thread::spawn(move || server.run().expect("serve"));
-                    (addr, server, requests.clone())
-                },
-                |(addr, server, requests)| {
-                    let clients: Vec<_> = requests
-                        .into_iter()
-                        .map(|request| {
-                            std::thread::spawn(move || {
-                                let mut stream = TcpStream::connect(addr).expect("connect");
-                                let mut writer = stream.try_clone().expect("clone");
-                                // Write and read concurrently: the reply
-                                // stream is as long as the request stream,
-                                // so a one-sided client would wedge on full
-                                // buffers.
-                                let sender = std::thread::spawn(move || {
-                                    writer.write_all(&request).expect("send");
-                                    writer
-                                        .shutdown(std::net::Shutdown::Write)
-                                        .expect("half-close");
-                                });
-                                let mut sink = Vec::new();
-                                stream.read_to_end(&mut sink).expect("drain");
-                                sender.join().expect("sender");
+                [Row::new(
+                    || {
+                        let cfg = ServeConfig {
+                            max_conns: CONNS,
+                            max_accepts: Some(CONNS as u64),
+                            ..ServeConfig::default()
+                        };
+                        let session = Session::new(Engine::new(bench_cfg(1)));
+                        let mut server = Server::bind(session, cfg, "127.0.0.1:0").expect("bind");
+                        let addr = server.local_addr();
+                        let server = std::thread::spawn(move || server.run().expect("serve"));
+                        (addr, server, requests.clone())
+                    },
+                    |(addr, server, requests)| {
+                        let clients: Vec<_> = requests
+                            .into_iter()
+                            .map(|request| {
+                                std::thread::spawn(move || {
+                                    let mut stream = TcpStream::connect(addr).expect("connect");
+                                    let mut writer = stream.try_clone().expect("clone");
+                                    // Write and read concurrently: the reply
+                                    // stream is as long as the request stream,
+                                    // so a one-sided client would wedge on full
+                                    // buffers.
+                                    let sender = std::thread::spawn(move || {
+                                        writer.write_all(&request).expect("send");
+                                        writer
+                                            .shutdown(std::net::Shutdown::Write)
+                                            .expect("half-close");
+                                    });
+                                    let mut sink = Vec::new();
+                                    stream.read_to_end(&mut sink).expect("drain");
+                                    sender.join().expect("sender");
+                                })
                             })
-                        })
-                        .collect();
-                    for client in clients {
-                        client.join().expect("client");
-                    }
-                    server.join().expect("server");
-                    EVENTS * CONNS
-                },
+                            .collect();
+                        for client in clients {
+                            client.join().expect("client");
+                        }
+                        server.join().expect("server");
+                        EVENTS * CONNS
+                    },
+                )],
             );
             (json!({"framing": framing, "conns": CONNS}), rate)
         })
@@ -580,22 +618,24 @@ fn measure_fleet_scaling(_: &Scale) -> Vec<(Value, Spread)> {
             }
             let hot: Vec<&String> = (0..HOT).map(|k| &ids[k * tenants / HOT]).collect();
             let mut r = 0;
-            let batches = timed(
+            let [batches] = timed(
                 s,
-                || {
-                    r += 1;
-                    (0..BATCH)
-                        .map(|k| {
-                            let load = ((r + k) % 16) as f64;
-                            let id = hot[(r * BATCH + k) % HOT].clone();
-                            (id, Cost::abs(1.0, load), Some(load))
-                        })
-                        .collect()
-                },
-                |batch| {
-                    engine.step_batch_loads(batch).expect("step");
-                    1
-                },
+                [Row::new(
+                    || {
+                        r += 1;
+                        (0..BATCH)
+                            .map(|k| {
+                                let load = ((r + k) % 16) as f64;
+                                let id = hot[(r * BATCH + k) % HOT].clone();
+                                (id, Cost::abs(1.0, load), Some(load))
+                            })
+                            .collect()
+                    },
+                    |batch| {
+                        engine.step_batch_loads(batch).expect("step");
+                        1
+                    },
+                )],
             );
             engine.shutdown();
             (
@@ -623,6 +663,20 @@ fn diurnal_server_costs(m: u32) -> Vec<Cost> {
         .collect()
 }
 
+/// A row stepping a fresh tracker through `costs`.
+fn tracker_row(m: u32, beta: f64, costs: &[Cost]) -> Row<'_> {
+    Row::new(
+        move || BoundTracker::new(m, beta),
+        move |mut tracker| {
+            for f in costs {
+                tracker.step(black_box(f));
+            }
+            black_box((tracker.x_low(), tracker.x_up()));
+            costs.len()
+        },
+    )
+}
+
 /// Two classes (power-up betas 4 and 10) of `small` and `large` machines.
 fn two_class_fleet(small: u32, large: u32) -> FleetSpec {
     FleetSpec::new(vec![
@@ -639,9 +693,12 @@ fn two_class_fleet(small: u32, large: u32) -> FleetSpec {
 ///   its window around the bounds (Lemma 7 derives `\hat C^U` from it).
 /// - `server_m1024_T256` prices the `large-m` shape: `Server` costs on a
 ///   diurnal load at m = 1024, through the bare tracker and through
-///   LCP+OPT and HalfStep+OPT tenants. `tracker_m65536` runs the bare
-///   tracker on the same load at the engine's `MAX_M`, where the window's
-///   sublinear scaling shows against the m = 1024 row.
+///   LCP+OPT and HalfStep+OPT tenants. `add_range` times
+///   `Cost::add_range_to` alone over the window the tracker reads before
+///   each step (recorded untimed): the slot cost's share of a tracker
+///   step. These four rows take their windows in turn. `tracker_m65536`
+///   runs the bare tracker on the same load at the engine's `MAX_M`, where
+///   the window's sublinear scaling shows against the m = 1024 row.
 /// - `frontier_step`: one `FrontierDp` step, O(S * D), on the
 ///   `durable-mixed` 12+6 fleet (S = 91) and a 63 x 63 fleet at the
 ///   lattice cap (S = 4096), from a warmed frontier.
@@ -656,67 +713,50 @@ fn measure_policy_step(s: &Scale) -> Vec<(Value, Spread)> {
         let costs: Vec<Cost> = (0..1024)
             .map(|t| Cost::abs(1.0, (t % (m as usize + 1)) as f64))
             .collect();
-        let rate = timed(
+        let [rate] = timed(
             s,
-            || Lcp::new(m, 2.0),
-            |mut lcp| {
-                for f in &costs {
-                    black_box(lcp.step(black_box(f)));
-                }
-                costs.len()
-            },
+            [Row::new(
+                || Lcp::new(m, 2.0),
+                |mut lcp| {
+                    for f in &costs {
+                        black_box(lcp.step(black_box(f)));
+                    }
+                    costs.len()
+                },
+            )],
         );
         push(format!("online/lcp_full_run_T1024/lcp/{m}"), rate);
     }
-    let tracker_run = |m: u32, beta: f64, costs: &[Cost]| {
-        timed(
-            s,
-            || BoundTracker::new(m, beta),
-            |mut tracker| {
-                for f in costs {
-                    tracker.step(black_box(f));
-                }
-                black_box((tracker.x_low(), tracker.x_up()));
-                costs.len()
-            },
-        )
-    };
     for m in [16u32, 256, 4096] {
         let costs: Vec<Cost> = (0..1024)
             .map(|t| Cost::quadratic(0.5, (t % (m as usize + 1)) as f64, 0.0))
             .collect();
-        push(
-            format!("online/bound_tracker_T1024/tracker/{m}"),
-            tracker_run(m, 2.0, &costs),
-        );
+        let [rate] = timed(s, [tracker_row(m, 2.0, &costs)]);
+        push(format!("online/bound_tracker_T1024/tracker/{m}"), rate);
     }
 
     const SERVER_M: u32 = 1024;
     const SERVER_BETA: f64 = 6.0;
     let server = "online/server_m1024_T256";
-    let costs = diurnal_server_costs(SERVER_M);
-    push(
-        format!("{server}/tracker"),
-        tracker_run(SERVER_M, SERVER_BETA, &costs),
-    );
-    push(
-        format!("{server}/tracker_m65536"),
-        tracker_run(MAX_M, SERVER_BETA, &diurnal_server_costs(MAX_M)),
-    );
-    for (name, policy) in [
-        ("lcp_opt_tenant", PolicySpec::Lcp),
-        (
-            "halfstep_opt_tenant",
-            PolicySpec::HalfStepRounded { seed: 1 },
-        ),
-    ] {
+    let costs = &diurnal_server_costs(SERVER_M);
+    // The windows the tracker reads before each step, for `add_range`.
+    let mut probe = BoundTracker::new(SERVER_M, SERVER_BETA);
+    let spans: Vec<(u32, usize)> = costs
+        .iter()
+        .map(|f| {
+            let (lo, window) = probe.window();
+            let span = (lo, window.len());
+            probe.step(f);
+            span
+        })
+        .collect();
+    let tenant_row = |policy: PolicySpec| {
         let cfg = TenantConfig::new("t", SERVER_M, SERVER_BETA, policy).with_opt_tracking();
         let mut scratch = StepScratch::default();
-        let rate = timed(
-            s,
-            || Tenant::new(cfg.clone()).expect("valid tenant"),
-            |mut tenant| {
-                for f in &costs {
+        Row::new(
+            move || Tenant::new(cfg.clone()).expect("valid tenant"),
+            move |mut tenant| {
+                for f in costs {
                     tenant
                         .step_into(black_box(f), None, &mut scratch)
                         .expect("scalar step");
@@ -724,9 +764,33 @@ fn measure_policy_step(s: &Scale) -> Vec<(Value, Spread)> {
                 black_box(tenant.report().opt_cost);
                 costs.len()
             },
-        );
-        push(format!("{server}/{name}"), rate);
-    }
+        )
+    };
+    let [tracker, add_range, lcp_opt, halfstep_opt] = timed(
+        s,
+        [
+            tracker_row(SERVER_M, SERVER_BETA, costs),
+            Row::new(
+                || vec![0.0; SERVER_M as usize + 1],
+                |mut acc| {
+                    for (f, &(lo, len)) in costs.iter().zip(&spans) {
+                        f.add_range_to(lo, &mut acc[..len]);
+                    }
+                    black_box(&acc);
+                    costs.len()
+                },
+            ),
+            tenant_row(PolicySpec::Lcp),
+            tenant_row(PolicySpec::HalfStepRounded { seed: 1 }),
+        ],
+    );
+    let costs_m65536 = diurnal_server_costs(MAX_M);
+    let [tracker_m65536] = timed(s, [tracker_row(MAX_M, SERVER_BETA, &costs_m65536)]);
+    push(format!("{server}/tracker"), tracker);
+    push(format!("{server}/add_range"), add_range);
+    push(format!("{server}/tracker_m65536"), tracker_m65536);
+    push(format!("{server}/lcp_opt_tenant"), lcp_opt);
+    push(format!("{server}/halfstep_opt_tenant"), halfstep_opt);
 
     for fleet in [two_class_fleet(12, 6), two_class_fleet(63, 63)] {
         let cap: f64 = fleet
@@ -745,15 +809,17 @@ fn measure_policy_step(s: &Scale) -> Vec<(Value, Spread)> {
         for cost in &costs {
             dp.step_cost(cost);
         }
-        let rate = timed(
+        let [rate] = timed(
             s,
-            || (),
-            |()| {
-                for cost in &costs {
-                    black_box(dp.step_cost(black_box(cost)));
-                }
-                costs.len()
-            },
+            [Row::new(
+                || (),
+                |()| {
+                    for cost in &costs {
+                        black_box(dp.step_cost(black_box(cost)));
+                    }
+                    costs.len()
+                },
+            )],
         );
         push(
             format!("hetero/frontier_step/lattice/{}", fleet.lattice_size()),
@@ -766,20 +832,24 @@ fn measure_policy_step(s: &Scale) -> Vec<(Value, Spread)> {
             .map(|t| 4.0 + 3.5 * ((t as f64) * 0.1).sin())
             .collect(),
     );
-    let rate = timed(
+    let [rate] = timed(
         s,
-        || StdRng::seed_from_u64(7),
-        |rng| black_box(round_schedule(rng, black_box(&xs))).0.len(),
+        [Row::new(
+            || StdRng::seed_from_u64(7),
+            |rng| black_box(round_schedule(rng, black_box(&xs))).0.len(),
+        )],
     );
     push("rounding/round_schedule_T4096".into(), rate);
     let costs = (0..1024)
         .map(|t| Cost::abs(1.0, 8.0 + 6.0 * ((t as f64) * 0.2).sin()))
         .collect();
     let inst = Instance::new(16, 2.0, costs).expect("valid instance");
-    let rate = timed(
+    let [rate] = timed(
         s,
-        || HalfStep::new(16, 2.0, EvalMode::Interpolate),
-        |mut alg| black_box(run_frac(&mut alg, black_box(&inst))).0.len(),
+        [Row::new(
+            || HalfStep::new(16, 2.0, EvalMode::Interpolate),
+            |mut alg| black_box(run_frac(&mut alg, black_box(&inst))).0.len(),
+        )],
     );
     push("rounding/halfstep_T1024".into(), rate);
 
@@ -795,13 +865,15 @@ fn measure_policy_step(s: &Scale) -> Vec<(Value, Spread)> {
             m,
             ..Default::default()
         };
-        let rate = timed(
+        let [rate] = timed(
             s,
-            || Lcp::new(cfg.m, cfg.cost_model.beta),
-            |mut lcp| {
-                black_box(simulate_online(&cfg, &trace, &mut lcp).model_cost);
-                trace.len()
-            },
+            [Row::new(
+                || Lcp::new(cfg.m, cfg.cost_model.beta),
+                |mut lcp| {
+                    black_box(simulate_online(&cfg, &trace, &mut lcp).model_cost);
+                    trace.len()
+                },
+            )],
         );
         push(format!("sim/lcp_diurnal_T960/m/{m}"), rate);
     }
@@ -1040,10 +1112,10 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// A valid v8 document whose spreads are wide enough that the two
+    /// A valid v9 document whose spreads are wide enough that the two
     /// ratio checks pass on medians but would fail on the extremes.
     const DOC: &str = r#"{
-      "schema": "rsdc-engine-bench/v8",
+      "schema": "rsdc-engine-bench/v9",
       "host": {"available_parallelism": 2, "profile": "release"},
       "results": {
         "throughput": [{"shards": 1, "steps_per_sec": 300, "min": 290, "max": 310}],
@@ -1081,15 +1153,15 @@ mod tests {
     }
 
     #[test]
-    fn accepts_a_valid_v8_document() {
+    fn accepts_a_valid_v9_document() {
         assert_eq!(errors(&[]), Vec::<String>::new());
     }
 
     #[test]
     fn refuses_a_v6_document() {
         refused(
-            &[("rsdc-engine-bench/v8", "rsdc-engine-bench/v6")],
-            "schema \"rsdc-engine-bench/v6\" != \"rsdc-engine-bench/v8\"",
+            &[("rsdc-engine-bench/v9", "rsdc-engine-bench/v6")],
+            "schema \"rsdc-engine-bench/v6\" != \"rsdc-engine-bench/v9\"",
         );
         // v7 adds the policy_step section.
         refused(
@@ -1103,8 +1175,18 @@ mod tests {
     #[test]
     fn refuses_a_v7_document() {
         refused(
-            &[("rsdc-engine-bench/v8", "rsdc-engine-bench/v7")],
-            "schema \"rsdc-engine-bench/v7\" != \"rsdc-engine-bench/v8\"",
+            &[("rsdc-engine-bench/v9", "rsdc-engine-bench/v7")],
+            "schema \"rsdc-engine-bench/v7\" != \"rsdc-engine-bench/v9\"",
+        );
+    }
+
+    /// v9 adds the `policy_step` row `online/server_m1024_T256/add_range`,
+    /// the slot-cost floor the `tracker` row is read against.
+    #[test]
+    fn refuses_a_v8_document() {
+        refused(
+            &[("rsdc-engine-bench/v9", "rsdc-engine-bench/v8")],
+            "schema \"rsdc-engine-bench/v8\" != \"rsdc-engine-bench/v9\"",
         );
     }
 

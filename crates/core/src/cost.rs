@@ -257,24 +257,39 @@ impl Cost {
 
     /// [`Cost::add_to`] over the states `start..start + acc.len()`: adds
     /// `f(start + i)` to `acc[i]`, bit-identical to
-    /// `acc[i] += self.eval(start + i)`. The window bound tracker evaluates
-    /// a slot's cost on a slice of the states with it.
+    /// `acc[i] += self.eval(start + i)`.
     pub fn add_range_to(&self, start: u32, acc: &mut [f64]) {
+        self.visit_range(start, acc.iter_mut(), |a, v| *a += v);
+    }
+
+    /// Call `visit(item, f(start + i))` for the `i`-th of `items`, in
+    /// order, with each value bit-identical to `self.eval(start + i)`: the
+    /// one loop over states behind [`Cost::add_range_to`]. The variant is
+    /// matched once per call rather than once per state, and
+    /// [`Cost::Server`] computes its junction terms once. The window bound
+    /// tracker folds its whole step into `visit`.
+    #[inline]
+    pub fn visit_range<T>(
+        &self,
+        start: u32,
+        items: impl Iterator<Item = T>,
+        visit: impl FnMut(T, f64),
+    ) {
         let at = |i: usize| (start as usize + i) as f64;
         match self {
-            Cost::Zero => add_each(acc, |_| 0.0),
-            Cost::Const(c) => add_each(acc, |_| *c),
-            Cost::Abs { slope, center } => add_each(acc, |i| slope * (at(i) - center).abs()),
-            Cost::Quadratic { a, center, offset } => add_each(acc, |i| {
+            Cost::Zero => each(items, visit, |_| 0.0),
+            Cost::Const(c) => each(items, visit, |_| *c),
+            Cost::Abs { slope, center } => each(items, visit, |i| slope * (at(i) - center).abs()),
+            Cost::Quadratic { a, center, offset } => each(items, visit, |i| {
                 let d = at(i) - center;
                 a * d * d + offset
             }),
-            Cost::Linear { intercept, slope } => add_each(acc, |i| intercept + slope * at(i)),
+            Cost::Linear { intercept, slope } => each(items, visit, |i| intercept + slope * at(i)),
             Cost::Table(v) => {
                 // Integer states read the table directly; states past its
                 // end clamp to the last entry, as `interpolate_table` does.
                 let last = v.len() - 1;
-                add_each(acc, |i| v[(start as usize + i).min(last)]);
+                each(items, visit, |i| v[(start as usize + i).min(last)]);
             }
             Cost::Server {
                 lambda,
@@ -283,7 +298,7 @@ impl Cost {
             } => {
                 let x0 = server_x0(*lambda);
                 let (g_x0, pen) = server_extension(*lambda, params, *overload, x0);
-                add_each(acc, |i| {
+                each(items, visit, |i| {
                     let x = at(i);
                     if x >= x0 {
                         server_g(*lambda, params, x)
@@ -292,7 +307,7 @@ impl Cost {
                     }
                 });
             }
-            _ => add_each(acc, |i| self.eval_analytic(at(i))),
+            _ => each(items, visit, |i| self.eval_analytic(at(i))),
         }
     }
 
@@ -537,11 +552,15 @@ fn convex_triple(a: f64, b: f64, c: f64) -> bool {
     (s - 2.0 * b) + e >= 0.0
 }
 
-/// `acc[i] += f(i)` over the indices `0..acc.len()`.
+/// `visit(item, f(i))` for the `i`-th of `items`.
 #[inline(always)]
-fn add_each(acc: &mut [f64], f: impl Fn(usize) -> f64) {
-    for (i, a) in acc.iter_mut().enumerate() {
-        *a += f(i);
+fn each<T>(
+    items: impl Iterator<Item = T>,
+    mut visit: impl FnMut(T, f64),
+    f: impl Fn(usize) -> f64,
+) {
+    for (i, item) in items.enumerate() {
+        visit(item, f(i));
     }
 }
 

@@ -32,12 +32,29 @@
 //! convex (Lemma 8), its relaxation is the constant `\hat C^L(x^L)` below
 //! `x^L`, equals `\hat C^L` between `x^L` and `x^U`, and rises with slope
 //! `beta` above `x^U` (Lemma 9). So the tracker keeps `\hat C^L` only on a
-//! window of states around `[x^L, x^U]`. A step relaxes the window, reads
-//! the two tails from its ends, and adds `f_tau` ([`Cost::add_range_to`])
-//! on a slice grown outward from the old bounds until both new argmins lie
-//! inside it; by convexity of `f_tau` they are then the global ones. The
-//! new window is that slice cut back to the new bounds. A step costs
-//! `O(x^U - x^L + moved)`, where `moved` is how far the bounds travel.
+//! window of states around `[x^L, x^U]`, and a step is one fused pass over
+//! it ([`Cost::visit_range`]): per state it reads the old value, relaxes
+//! it, adds `f_tau`, writes `\hat C^L_tau` in place and `\hat C^U_tau` to a
+//! scratch column, and takes both argmins, in one loop with the slot
+//! cost's own evaluation. The relaxation needs each state's suffix minimum
+//! `S` and prefix minimum `U` of `\hat C^L(x) - beta x`. `U` is a running
+//! minimum of the pass. `S` is the window's minimum up to the old `x^L`
+//! and the state's own value above it; a compare of every state first
+//! confirms that the window is convex that way, and a window that
+//! rounding left otherwise takes its exact suffix minima instead.
+//!
+//! Past the window's ends the pass extends the two tails from two
+//! scalars: below it `S` is the window's minimum, above it `U` is its last
+//! prefix minimum. It grows each end until the end's value clears the
+//! minimum (by convexity of `f_tau` the argmins are then the global ones),
+//! by as many states as the slope and curvature at the end say it needs.
+//! The next window is cut back from the states visited to the new bounds.
+//! The column is indexed by state and grows only when the bounds reach
+//! states it has not held, so nothing is copied or allocated in a step
+//! once the bounds have swept their range. A step costs one evaluation of
+//! `f_tau` and a few dozen flops per state of the window, plus the states
+//! the bounds move: on the `large-m` load at m = 1024, about twice
+//! [`Cost::add_range_to`] over the window alone.
 //!
 //! The window keeps, past each bound, every state whose value lies within a
 //! rounding margin of the minimum there. Outside it, the values of the full
@@ -51,10 +68,10 @@
 //! of the restricted model) is fine. That check lets a state lie above
 //! the convex hull of `f_tau` by [`rsdc_core::CONVEX_RTOL`] (2^-40) of its
 //! value. Such a state's column value is then at most 2^-40 of itself
-//! above a convex column, so a slice end that clears the minimum by the
-//! margin still clears it by nearly the margin on the hull, and the
-//! states beyond cannot fall back below it. A cost with a deeper concave
-//! stretch could hide a lower minimum behind the slice end; the engine
+//! above a convex column, so an end of the pass that clears the minimum
+//! by the margin still clears it by nearly the margin on the hull, and
+//! the states beyond cannot fall back below it. A cost with a deeper
+//! concave stretch could hide a lower minimum behind the end; the engine
 //! refuses those, and [`BoundTracker::step`] must not be fed them.
 //!
 //! The tracker also exposes the structural facts the analysis rests on so
@@ -66,7 +83,6 @@
 use rsdc_core::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::ops::Range;
 
 /// Relative rounding margin: the window keeps states whose value lies
 /// within `MARGIN * (|min| + beta m)` of a minimum. Rounding in one step is
@@ -80,49 +96,33 @@ pub struct BoundTracker {
     m: u32,
     beta: f64,
     tau: usize,
-    /// `\hat C^L_tau` on the states `lo..lo + window.len()`, a range that
+    /// The column: state `x` at `col[x - base]`. It holds `\hat C^L_tau`
+    /// on `span`, the states the last step visited.
+    col: Vec<f64>,
+    base: u32,
+    span: (u32, u32),
+    /// The window `lo..=hi` the next step reads, inside `span`; it
     /// contains `[x^L, x^U]`.
-    window: Vec<f64>,
     lo: u32,
+    hi: u32,
     x_low: u32,
     x_up: u32,
-    /// The relaxation of `\hat C^{L}_{tau-1}` the last step read.
-    relaxed: Relaxed,
-    /// `f_tau`, so [`BoundTracker::c_low`] can answer outside the window.
+    /// The relaxation's tails past the window the last step read: the
+    /// suffix minimum `S` below it and the prefix minimum `U` above it.
+    tails: (f64, f64),
+    /// `f_tau`, so [`BoundTracker::c_low`] can answer outside `span`.
     last: Option<Cost>,
 }
 
-/// The relaxation of a window of `\hat C^L`: per state, the suffix minimum
-/// `S(x) = min_{x' >= x} C(x')` (stay or power down) and the prefix minimum
-/// `U(x) = min_{x' <= x} (C(x') - beta x')` (power up, before `+ beta x`).
-#[derive(Debug, Default)]
-struct Relaxed {
-    lo: u32,
-    /// `(S, U)` on `lo..lo + mins.len()`.
-    mins: Vec<(f64, f64)>,
-}
-
-impl Relaxed {
-    /// `(S(x), U(x))`. Below the window `S` is the minimum and no power-up
-    /// candidate competes; above it `U` is the window's last prefix minimum
-    /// and staying never competes.
-    fn at(&self, x: u32) -> (f64, f64) {
-        let n = self.mins.len();
-        match x.checked_sub(self.lo).map(|i| i as usize) {
-            None => (self.mins[0].0, f64::INFINITY),
-            Some(i) if i < n => self.mins[i],
-            Some(_) => (f64::INFINITY, self.mins[n - 1].1),
-        }
-    }
-}
-
-/// The relaxed `(\hat C^L, \hat C^U)` at a state from its `(S, U)` and
-/// `shift = beta x`. For `\hat C^U(x) = \hat C^L(x) - beta x` the `- beta x`
-/// goes inside the two candidates instead of after them: the power-up
-/// candidate then contributes its minimum before `beta x` is added back.
-/// So where `\hat C^U` is flat in exact arithmetic (a flat stretch of `f`
-/// the schedule powers up into), it is flat in floating point too, and its
-/// largest argmin is not decided by rounding noise.
+/// The relaxed `(\hat C^L, \hat C^U)` at a state from its suffix minimum
+/// `s = min_{x' >= x} C(x')` (stay or power down), its prefix minimum
+/// `u = min_{x' <= x} (C(x') - beta x')` (power up, before `+ beta x`) and
+/// `shift = beta x`. For `\hat C^U(x) = \hat C^L(x) - beta x` the
+/// `- beta x` goes inside the two candidates instead of after them: the
+/// power-up candidate then contributes its minimum before `beta x` is
+/// added back. So where `\hat C^U` is flat in exact arithmetic (a flat
+/// stretch of `f` the schedule powers up into), it is flat in floating
+/// point too, and its largest argmin is not decided by rounding noise.
 #[inline(always)]
 fn relax(s: f64, u: f64, shift: f64) -> (f64, f64) {
     let low = if s < u + shift { s } else { u + shift };
@@ -130,21 +130,130 @@ fn relax(s: f64, u: f64, shift: f64) -> (f64, f64) {
     (low, up)
 }
 
+/// The running minima of one step: the smallest argmin of `\hat C^L_tau`
+/// and the largest of `\hat C^U_tau` over the states visited so far.
+struct Mins {
+    low: f64,
+    x_low: Option<u32>,
+    up: f64,
+    x_up: Option<u32>,
+}
+
+impl Mins {
+    const NONE: Mins = Mins {
+        low: f64::INFINITY,
+        x_low: None,
+        up: f64::INFINITY,
+        x_up: None,
+    };
+
+    /// Fold in the minima of states that all lie below those seen so far:
+    /// a tie moves `x^L` down and leaves `x^U`.
+    fn below(&mut self, lower: Mins) {
+        if lower.x_low.is_some() && lower.low <= self.low {
+            (self.low, self.x_low) = (lower.low, lower.x_low);
+        }
+        if lower.up < self.up {
+            (self.up, self.x_up) = (lower.up, lower.x_up);
+        }
+    }
+}
+
+/// How many states an end of the pass still needs to clear `target`,
+/// estimated from the values at the `end`, outermost first, on a convex
+/// column (with fewer than three values there is no estimate). Where the
+/// column already rises outward, at that slope (a convex column rises at
+/// least that fast). Where it still falls, to where its slope, changing by
+/// the curvature at the end, turns; taken 1.5 times, since a slot cost's
+/// curvature falls off toward its minimum (on the `large-m` load that
+/// takes about a quarter fewer growths for the same states visited). At
+/// least `4 << times` for an end's growth after `times` others, so a long
+/// walk takes O(log m) growths.
+fn reach(mut end: impl Iterator<Item = f64>, target: f64, times: u32) -> u32 {
+    let mut next = || end.next().unwrap_or(f64::NAN);
+    let (v0, v1, v2) = (next(), next(), next());
+    let (d0, d1) = (v0 - v1, v1 - v2);
+    let k = if d0 > 0.0 {
+        (target - v0) / d0 + 1.0
+    } else if d0 - d1 > 0.0 {
+        1.5 * -d0 / (d0 - d1) + 2.0
+    } else {
+        f64::NAN
+    };
+    (k as u64).clamp(4 << times.min(29), u32::MAX as u64) as u32
+}
+
+/// One step's pass: the slot cost, `beta`, and the scratch column that
+/// takes `\hat C^U_tau(x)` at `up[x]`.
+struct Pass<'a> {
+    f: &'a Cost,
+    beta: f64,
+    up: &'a mut [f64],
+}
+
+impl Pass<'_> {
+    /// The fused pass over the states from `x0` up, one per entry of
+    /// `low`. On entry `low` holds `\hat C^L_{tau-1}` where the window has
+    /// it, and `u` is the prefix minimum below `x0`; `state(c, shift)`
+    /// gives a state's suffix minimum and its power-up candidate. Each
+    /// state gets its relaxation plus `0.0 + f_tau` (as a zeroed column
+    /// sums it): `\hat C^L_tau` into `low`, `\hat C^U_tau` into `up`, and
+    /// both argmins scan up (`<` keeps the smallest of `\hat C^L`, `<=` the
+    /// largest of `\hat C^U`). Returns the prefix minimum after the last
+    /// state.
+    // Not inlined: on its own the loop keeps its values in registers.
+    #[inline(never)]
+    fn sweep(
+        &mut self,
+        low: &mut [f64],
+        x0: u32,
+        mut u: f64,
+        mut state: impl FnMut(f64, f64) -> (f64, f64),
+        mins: &mut Mins,
+    ) -> f64 {
+        let (beta, start) = (self.beta, x0 as usize);
+        let up = &mut self.up[start..start + low.len()];
+        let mut x = x0;
+        self.f
+            .visit_range(x0, low.iter_mut().zip(up), |(low, up), fx| {
+                let shift = beta * x as f64;
+                let (s, cand) = state(*low, shift);
+                if cand < u {
+                    u = cand;
+                }
+                let (relaxed_low, relaxed_up) = relax(s, u, shift);
+                let fx = 0.0 + fx;
+                (*low, *up) = (relaxed_low + fx, relaxed_up + fx);
+                if *low < mins.low {
+                    (mins.low, mins.x_low) = (*low, Some(x));
+                }
+                if *up <= mins.up {
+                    (mins.up, mins.x_up) = (*up, Some(x));
+                }
+                x += 1;
+            });
+        u
+    }
+}
+
 impl BoundTracker {
     /// Start tracking for a data center with `m` servers and power-up cost
     /// `beta`. Before any [`step`](Self::step), the bounds are `0`.
     pub fn new(m: u32, beta: f64) -> Self {
         // At tau = 0 the only reachable state is 0 (x_0 = 0): every other
-        // state costs infinity, which the window's upper tail encodes.
+        // state costs infinity, which `c_low` answers outside the span.
         Self {
             m,
             beta,
             tau: 0,
-            window: vec![0.0],
+            col: vec![0.0],
+            base: 0,
+            span: (0, 0),
             lo: 0,
+            hi: 0,
             x_low: 0,
             x_up: 0,
-            relaxed: Relaxed::default(),
+            tails: (f64::INFINITY, f64::INFINITY),
             last: None,
         }
     }
@@ -155,103 +264,138 @@ impl BoundTracker {
     pub fn step(&mut self, f: &Cost) {
         debug_assert_eq!(f.check_convex(self.m), Ok(()), "tau {}", self.tau + 1);
         self.tau += 1;
-        self.relax_window();
-        SLICE.with_borrow_mut(|slice| self.evaluate(f, slice));
+        SCRATCH.with_borrow_mut(|scratch| self.pass(f, scratch));
         self.last = Some(f.clone());
     }
 
-    /// Fill `relaxed` from the window: the forward pass takes the prefix
-    /// minima `U`, the backward pass the suffix minima `S`.
-    fn relax_window(&mut self) {
-        let Self {
-            window,
-            relaxed,
-            beta,
-            lo,
-            ..
-        } = self;
-        relaxed.lo = *lo;
-        relaxed.mins.clear();
-        let mut u = f64::INFINITY;
-        for (i, &c) in window.iter().enumerate() {
-            let cand = c - *beta * (*lo as usize + i) as f64;
-            if cand < u {
-                u = cand;
-            }
-            relaxed.mins.push((f64::INFINITY, u));
+    /// One step: the fused pass over the window, the pass extended past
+    /// its ends until both argmins clear them, and the cut back to the new
+    /// window.
+    fn pass(&mut self, f: &Cost, scratch: &mut Scratch) {
+        let (m, beta, x_low) = (self.m, self.beta, self.x_low);
+        let margin = |min: f64| (min.abs() + beta * m as f64) * MARGIN;
+        let Scratch { up, suffix } = scratch;
+        if up.len() <= m as usize {
+            up.resize(m as usize + 1, 0.0);
         }
-        let mut s = f64::INFINITY;
-        for (&c, mins) in window.iter().zip(relaxed.mins.iter_mut()).rev() {
-            if c < s {
-                s = c;
-            }
-            mins.0 = s;
-        }
-    }
+        let mut pass = Pass { f, beta, up };
+        let (lo, hi) = (self.lo, self.hi);
+        let window = self.states(lo, hi);
+        // The suffix minimum `S` of a convex window is its minimum up to
+        // its smallest argmin `x^L` and the value itself above: a compare
+        // of every state confirms both (and refuses NaN). A window that
+        // rounding left unconvex takes its exact suffix minima instead.
+        let k = (x_low - lo) as usize;
+        let min = window[k];
+        let convex = window[..k].iter().fold(true, |ok, &c| ok & (c >= min))
+            && window[k + 1..]
+                .iter()
+                .zip(&window[k..])
+                .fold(true, |ok, (&c, &prev)| ok & (c >= prev));
+        let mut mins = Mins::NONE;
+        let inf = f64::INFINITY;
+        let (s_below, u_above) = if convex {
+            let (left, right) = window.split_at_mut(k + 1);
+            let u = pass.sweep(left, lo, inf, |c, shift| (min, c - shift), &mut mins);
+            let u = pass.sweep(right, x_low + 1, u, |c, shift| (c, c - shift), &mut mins);
+            (min, u)
+        } else {
+            suffix.clear();
+            suffix.extend(window.iter().rev().scan(inf, |s, &c| {
+                if c < *s {
+                    *s = c;
+                }
+                Some(*s)
+            }));
+            let mut s = suffix.iter().rev().copied();
+            let exact = |c: f64, shift| (s.next().expect("one per state"), c - shift);
+            let u = pass.sweep(window, lo, inf, exact, &mut mins);
+            (suffix[suffix.len() - 1], u)
+        };
 
-    /// Add `f` to the relaxed column on a slice grown from the old window
-    /// until both argmins clear its ends, then cut the slice back to the
-    /// new window.
-    fn evaluate(&mut self, f: &Cost, slice: &mut Slice) {
-        let (r, beta) = (&self.relaxed, self.beta);
-        // Start from the old window, whose ends cleared the old minima.
-        slice.reset(self.lo);
-        slice.append(f, r, beta, self.window.len() as u32);
-        let chunk = (self.window.len() as u32 / 4).max(4);
-        let (mut down, mut up) = (chunk, chunk);
+        // Extend past the ends until each clears its minimum by more than
+        // the margin (NaN and infinite minima never clear). Below the
+        // window `S` is its minimum and no power-up candidate competes;
+        // above it `U` is its last prefix minimum and staying never
+        // competes. Each growth is estimated from the three states at the
+        // end.
+        let (mut downs, mut ups) = (0, 0);
+        let (mut a, mut b) = (lo, hi);
         loop {
-            let margin = self.margin(slice.min_low);
-            let b = slice.end();
-            // An end clears its minimum when it lies above it by more
-            // than the margin (NaN and infinite minima never clear).
-            let low_clear = slice.low[0] > slice.min_low + margin;
-            let up_clear = slice.up[slice.up.len() - 1] > slice.min_up + margin;
-            let grow_down = slice.a > 0 && !low_clear;
-            let grow_up = b < self.m && !up_clear;
+            let margin = margin(mins.low);
+            let (low, up) = (self.states(a, b), &pass.up[a as usize..=b as usize]);
+            let n = low.len() - 1;
+            let low_clear = low[0] > mins.low + margin;
+            let up_clear = up[n] > mins.up + margin;
+            let (grow_down, grow_up) = (a > 0 && !low_clear, b < m && !up_clear);
             if !(grow_down || grow_up) {
                 break;
             }
+            let down_by = reach(low.iter().copied(), mins.low + margin, downs);
+            let up_by = reach(up.iter().rev().copied(), mins.up + margin, ups);
             if grow_down {
-                slice.prepend(f, r, beta, down.min(slice.a));
-                down = down.saturating_mul(2);
+                let from = a - down_by.min(a);
+                self.cover(from, b);
+                let mut lower = Mins::NONE;
+                let states = self.states(from, a - 1);
+                pass.sweep(states, from, inf, |_, _| (s_below, inf), &mut lower);
+                mins.below(lower);
+                (a, downs) = (from, downs + 1);
             }
             if grow_up {
-                slice.append(f, r, beta, up.min(self.m - b));
-                up = up.saturating_mul(2);
+                let to = b + up_by.min(m - b);
+                self.cover(a, to);
+                let states = self.states(b + 1, to);
+                pass.sweep(states, b + 1, u_above, |_, _| (inf, inf), &mut mins);
+                (b, ups) = (to, ups + 1);
             }
         }
-        // Cut the slice back to the new bounds plus, on each side, the
-        // states within the margin of the minimum there.
-        self.x_low = slice.x_low.unwrap_or(slice.a);
-        self.x_up = slice.x_up.unwrap_or(slice.end());
-        let margin = self.margin(slice.min_low);
-        let (il, iu) = (
-            (self.x_low - slice.a) as usize,
-            (self.x_up - slice.a) as usize,
-        );
-        let mut first = il;
-        while first > 0 {
+
+        // Cut back to the new bounds plus, on each side, the states within
+        // the margin of the minimum there.
+        self.x_low = mins.x_low.unwrap_or(a);
+        self.x_up = mins.x_up.unwrap_or(b);
+        let margin = margin(mins.low);
+        let mut first = self.x_low;
+        while first > a {
             first -= 1;
-            if slice.low[first] > slice.min_low + margin {
+            if self.col[(first - self.base) as usize] > mins.low + margin {
                 break;
             }
         }
-        let mut last = iu;
-        while last + 1 < slice.up.len() {
+        let mut last = self.x_up;
+        while last < b {
             last += 1;
-            if slice.up[last] > slice.min_up + margin {
+            if pass.up[last as usize] > mins.up + margin {
                 break;
             }
         }
-        let (first, last) = (first.min(iu), last.max(il));
-        self.window.clear();
-        self.window.extend_from_slice(&slice.low[first..=last]);
-        self.lo = slice.a + first as u32;
+        (self.lo, self.hi) = (first.min(self.x_up), last.max(self.x_low));
+        self.span = (a, b);
+        self.tails = (s_below, u_above);
     }
 
-    /// Rounding margin at a minimum of value `min`.
-    fn margin(&self, min: f64) -> f64 {
-        (min.abs() + self.beta * self.m as f64) * MARGIN
+    /// `\hat C^L` on the states `a..=b` of the column.
+    fn states(&mut self, a: u32, b: u32) -> &mut [f64] {
+        let base = self.base;
+        &mut self.col[(a - base) as usize..=(b - base) as usize]
+    }
+
+    /// Make `col` hold the states `a..=b`, growing it by at least its own
+    /// length on the side that lacks room, so a tracker whose bounds sweep
+    /// the same states again reallocates nothing.
+    fn cover(&mut self, a: u32, b: u32) {
+        if a < self.base {
+            let grow = (self.base - a).max(self.col.len() as u32).min(self.base);
+            self.col
+                .splice(0..0, std::iter::repeat_n(0.0, grow as usize));
+            self.base -= grow;
+        }
+        let need = (b - self.base) as usize + 1;
+        if need > self.col.len() {
+            let most = (self.m - self.base) as usize + 1;
+            self.col.resize(need.max(2 * self.col.len()).min(most), 0.0);
+        }
     }
 
     /// `x^L_tau`: smallest final state of an optimal power-up-charged
@@ -278,25 +422,29 @@ impl BoundTracker {
 
     /// The window: its first state and `\hat C^L_tau` on it.
     pub fn window(&self) -> (u32, &[f64]) {
-        (self.lo, &self.window)
+        let (lo, hi) = (self.lo - self.base, self.hi - self.base);
+        (self.lo, &self.col[lo as usize..=hi as usize])
     }
 
-    /// `\hat C^L_tau(x)`, for any `x` in `0..=m`: read from the window
-    /// inside it, and from the last step's relaxation plus its cost outside.
-    /// (Before the first step only state 0 is reachable; a tracker rebuilt
-    /// by [`BoundTracker::from_snapshot`] holds all states until its next
+    /// `\hat C^L_tau(x)`, for any `x` in `0..=m`: read from the column on
+    /// the states the last step visited, and from the tails of its
+    /// relaxation plus its cost outside them. (Before the first step only
+    /// state 0 is reachable; a tracker rebuilt by
+    /// [`BoundTracker::from_snapshot`] holds all states until its next
     /// step.)
     pub fn c_low(&self, x: u32) -> f64 {
-        if let Some(&v) = x
-            .checked_sub(self.lo)
-            .and_then(|i| self.window.get(i as usize))
-        {
-            return v;
+        let (a, b) = self.span;
+        if (a..=b).contains(&x) {
+            return self.col[(x - self.base) as usize];
         }
         match &self.last {
             None => f64::INFINITY,
             Some(f) => {
-                let (s, u) = self.relaxed.at(x);
+                let (s, u) = if x < a {
+                    (self.tails.0, f64::INFINITY)
+                } else {
+                    (f64::INFINITY, self.tails.1)
+                };
                 relax(s, u, self.beta * x as f64).0 + (0.0 + f.eval(x))
             }
         }
@@ -310,7 +458,7 @@ impl BoundTracker {
     /// The optimum of the truncated instance `f_1..=f_tau`, i.e.
     /// `min_x \hat C^L_tau(x)` (`None` before the first step).
     pub fn prefix_opt(&self) -> Option<f64> {
-        (self.tau > 0).then(|| self.window[(self.x_low - self.lo) as usize])
+        (self.tau > 0).then(|| self.col[(self.x_low - self.base) as usize])
     }
 
     /// Verify Lemma 8 (convexity of `\hat C^L`) and Lemma 9 (slope of
@@ -354,98 +502,21 @@ impl BoundTracker {
 
 thread_local! {
     /// The step scratch every tracker stepped on this thread shares, so a
-    /// tracker's own memory is its window and last relaxation.
-    static SLICE: RefCell<Slice> = RefCell::new(Slice::default());
+    /// tracker's own memory is its column.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
-/// One step's evaluated slice: `\hat C^L_tau` and `\hat C^U_tau` on the
-/// states `a..a + low.len()`, with their running argmins.
+/// One step's scratch.
 #[derive(Default)]
-struct Slice {
-    a: u32,
-    low: Vec<f64>,
+struct Scratch {
+    /// `\hat C^U_tau(x)` at `up[x]` for the states a step visits.
     up: Vec<f64>,
-    min_low: f64,
-    x_low: Option<u32>,
-    min_up: f64,
-    x_up: Option<u32>,
-}
-
-impl Slice {
-    /// Empty the slice, to grow from state `a`.
-    fn reset(&mut self, a: u32) {
-        self.a = a;
-        self.low.clear();
-        self.up.clear();
-        (self.min_low, self.x_low) = (f64::INFINITY, None);
-        (self.min_up, self.x_up) = (f64::INFINITY, None);
-    }
-
-    /// Last state of the (non-empty) slice.
-    fn end(&self) -> u32 {
-        self.a + self.low.len() as u32 - 1
-    }
-
-    /// Evaluate the `k` states above the slice, add them to it and update
-    /// its argmins (scanning up, `<` keeps the smallest argmin of
-    /// `\hat C^L` and `<=` the largest of `\hat C^U`).
-    fn append(&mut self, f: &Cost, r: &Relaxed, beta: f64, k: u32) {
-        let (n, start) = (self.low.len(), self.a + self.low.len() as u32);
-        self.low.resize(n + k as usize, 0.0);
-        self.up.resize(n + k as usize, 0.0);
-        self.fill(f, r, beta, start, n..n + k as usize);
-        for i in n..self.low.len() {
-            let x = start + (i - n) as u32;
-            if self.low[i] < self.min_low {
-                (self.min_low, self.x_low) = (self.low[i], Some(x));
-            }
-            if self.up[i] <= self.min_up {
-                (self.min_up, self.x_up) = (self.up[i], Some(x));
-            }
-        }
-    }
-
-    /// Evaluate the `k` states below the slice, add them to it and update
-    /// its argmins (scanning down, `<=` keeps the smallest argmin of
-    /// `\hat C^L` and `<` the largest of `\hat C^U`).
-    fn prepend(&mut self, f: &Cost, r: &Relaxed, beta: f64, k: u32) {
-        let (n, k) = (self.low.len(), k as usize);
-        self.low.resize(n + k, 0.0);
-        self.up.resize(n + k, 0.0);
-        self.low.copy_within(0..n, k);
-        self.up.copy_within(0..n, k);
-        self.a -= k as u32;
-        self.fill(f, r, beta, self.a, 0..k);
-        for i in (0..k).rev() {
-            let x = self.a + i as u32;
-            if self.low[i] <= self.min_low {
-                (self.min_low, self.x_low) = (self.low[i], Some(x));
-            }
-            if self.up[i] < self.min_up {
-                (self.min_up, self.x_up) = (self.up[i], Some(x));
-            }
-        }
-    }
-
-    /// Write the relaxed column `r` plus `f` into `low`/`up` at the
-    /// indices `range`, whose first index is state `start`.
-    fn fill(&mut self, f: &Cost, r: &Relaxed, beta: f64, start: u32, range: Range<usize>) {
-        let (low, up) = (&mut self.low[range.clone()], &mut self.up[range]);
-        // `up` holds `f` first: `0.0 + f(x)`, as a zeroed column sums it.
-        up.fill(0.0);
-        f.add_range_to(start, up);
-        for (i, (low, up)) in low.iter_mut().zip(up.iter_mut()).enumerate() {
-            let x = start + i as u32;
-            let (s, u) = r.at(x);
-            let (relaxed_low, relaxed_up) = relax(s, u, beta * x as f64);
-            *low = relaxed_low + *up;
-            *up += relaxed_up;
-        }
-    }
+    /// The suffix minima of a window that is not convex in floating point.
+    suffix: Vec<f64>,
 }
 
 /// A peek copy (lookahead) reuses its buffers: `clone_from` copies the
-/// window and the last relaxation, and allocates only to grow.
+/// states the source's last step visited, and allocates only to grow.
 impl Clone for BoundTracker {
     fn clone(&self) -> Self {
         let mut copy = BoundTracker::new(self.m, self.beta);
@@ -457,12 +528,17 @@ impl Clone for BoundTracker {
         self.m = source.m;
         self.beta = source.beta;
         self.tau = source.tau;
-        self.window.clone_from(&source.window);
+        self.col.resize(source.col.len(), 0.0);
+        let (a, b) = source.span;
+        let states = (a - source.base) as usize..=(b - source.base) as usize;
+        self.col[states.clone()].copy_from_slice(&source.col[states]);
+        self.base = source.base;
+        self.span = source.span;
         self.lo = source.lo;
+        self.hi = source.hi;
         self.x_low = source.x_low;
         self.x_up = source.x_up;
-        self.relaxed.lo = source.relaxed.lo;
-        self.relaxed.mins.clone_from(&source.relaxed.mins);
+        self.tails = source.tails;
         self.last.clone_from(&source.last);
     }
 }
@@ -535,7 +611,7 @@ impl BoundTracker {
         }
         let mut tracker = BoundTracker::new(s.m, s.beta);
         tracker.tau = s.tau as usize;
-        tracker.window = s
+        tracker.col = s
             .c_low
             .iter()
             .map(|&x| {
@@ -546,6 +622,7 @@ impl BoundTracker {
                 }
             })
             .collect();
+        (tracker.span, tracker.hi) = ((0, s.m), s.m);
         tracker.x_low = s.x_low.min(s.m);
         tracker.x_up = s.x_up.min(s.m);
         Ok(tracker)

@@ -24,15 +24,21 @@
 //! and `2B` batches, may not allocate per batch either — with no limits
 //! and under a per-tenant rate limit that never throttles (the bucket
 //! check runs in the routing loop, on the tenant's intern entry).
+//!
+//! A third holds the policy step of the `large-m` shape: LCP+OPT and
+//! HalfStep+OPT tenants at m = 1024, stepped by load over a 48-slot
+//! diurnal period, allocate nothing at all once a period has warmed them.
 
-use rsdc_core::Cost;
+use rsdc_core::{Cost, ServerParams};
 use rsdc_engine::binwire::{put_frame, BinSession, BodyWriter, PREAMBLE, TAG_STEP_LOAD};
+use rsdc_engine::tenant::{StepScratch, Tenant};
 use rsdc_engine::wire::Session;
 use rsdc_engine::{
     AdmissionConfig, Engine, EngineConfig, PolicySpec, StepEvent, StepOutcome, TenantConfig,
 };
 use rsdc_tests::heavy_cases;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -42,9 +48,22 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// The same count for the current thread alone: a pin whose work runs
+    /// on the test's own thread reads it, so the allocations of other test
+    /// threads and of the harness never reach it. (`const` and without a
+    /// destructor, so reading it allocates nothing.)
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -53,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -229,4 +248,68 @@ fn steady_state_engine_batches_allocate_nothing_per_batch() {
              {delta} allocations (small run {small}, large run {large}, slack {slack})"
         );
     }
+}
+
+/// Slots in one period of the `large-m` load curve.
+const PERIOD: usize = 48;
+
+/// The `Server` cost the engine prices tenant `t`'s load at slot `k` into
+/// (the default cost model), on a diurnal curve between 10% and 70% of
+/// m = 1024 with a phase per tenant and ±10% noise, in sixteenths.
+fn large_m_step(t: usize, k: usize) -> (Cost, f64) {
+    let angle = 2.0 * std::f64::consts::PI * ((k + 5 * t) % PERIOD) as f64 / PERIOD as f64;
+    let noise = ((k * 37 + t * 11) % 101) as f64 / 50.0 - 1.0;
+    let load = (409.6 - 307.2 * angle.cos()) * (1.0 + 0.1 * noise);
+    let load = (load * 16.0).round() / 16.0;
+    let cost = Cost::Server {
+        lambda: load,
+        params: ServerParams::default(),
+        overload: 20.0,
+    };
+    (cost, load)
+}
+
+/// The `large-m` tenants allocate nothing per step once warm: after one
+/// period of load steps, every buffer a step uses (a bound tracker's
+/// column and step scratch, the HalfStep stage, the tenant's effect
+/// scratch) has reached the size the load's swing needs, so two more
+/// periods of steps allocate nothing at all on the stepping thread.
+#[test]
+fn steady_state_large_m_tenants_allocate_nothing_per_step() {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut tenants: Vec<Tenant> = (0..8)
+        .map(|i| {
+            let policy = if i % 2 == 0 {
+                PolicySpec::Lcp
+            } else {
+                PolicySpec::HalfStepRounded { seed: i as u64 }
+            };
+            let cfg = TenantConfig::new(format!("L{i}"), 1024, 6.0, policy).with_opt_tracking();
+            Tenant::new(cfg).expect("valid tenant")
+        })
+        .collect();
+    let mut scratch = StepScratch::default();
+    let mut slot = 0;
+    let mut run = |slots: usize| {
+        let before = THREAD_ALLOCATIONS.with(Cell::get);
+        for _ in 0..slots {
+            for (t, tenant) in tenants.iter_mut().enumerate() {
+                let (cost, load) = large_m_step(t, slot);
+                tenant
+                    .step_into(&cost, Some(load), &mut scratch)
+                    .expect("step");
+            }
+            slot += 1;
+        }
+        THREAD_ALLOCATIONS.with(Cell::get) - before
+    };
+    let warmup = run(PERIOD);
+    let steady = run(2 * PERIOD);
+    eprintln!("large-m tenants: {warmup} allocations warming up, {steady} in two periods after");
+    assert_eq!(
+        steady,
+        0,
+        "large-m tenants allocate per step: {steady} allocations in {} warm steps",
+        2 * PERIOD * tenants.len()
+    );
 }

@@ -379,9 +379,24 @@ fn fleet() -> impl Strategy<Value = u32> {
     prop_oneof![Just(16u32), Just(64u32), Just(1024u32)]
 }
 
-/// Step the window and the full tracker through `costs`: per step `x^L`
-/// and `x^U` equal, and `\hat C^L` bit-equal on every state (so the
+/// `x^L` and `x^U` equal, and `\hat C^L` bit-equal on every state (so the
 /// minimum is too).
+fn assert_matches_full(window: &BoundTracker, full: &FullTracker, ctx: impl Fn() -> String) {
+    prop_assert_eq!(window.x_low(), full.x_low, "x^L at {}", ctx());
+    prop_assert_eq!(window.x_up(), full.x_up, "x^U at {}", ctx());
+    for (x, c) in full.c_low.iter().enumerate() {
+        prop_assert_eq!(
+            window.c_low(x as u32).to_bits(),
+            c.to_bits(),
+            "C^L({}) at {}",
+            x,
+            ctx()
+        );
+    }
+}
+
+/// Step the window and the full tracker through `costs`, and match them
+/// after every step.
 fn check_against_full(m: u32, beta: f64, costs: &[Cost]) {
     let mut window = BoundTracker::new(m, beta);
     let mut full = FullTracker::new(m, beta);
@@ -389,17 +404,7 @@ fn check_against_full(m: u32, beta: f64, costs: &[Cost]) {
         window.step(f);
         full.step(f);
         let ctx = || format!("step {t} of m={m} beta={beta} costs={costs:?}");
-        prop_assert_eq!(window.x_low(), full.x_low, "x^L at {}", ctx());
-        prop_assert_eq!(window.x_up(), full.x_up, "x^U at {}", ctx());
-        for x in 0..=m {
-            prop_assert_eq!(
-                window.c_low(x).to_bits(),
-                full.c_low[x as usize].to_bits(),
-                "C^L({}) at {}",
-                x,
-                ctx()
-            );
-        }
+        assert_matches_full(&window, &full, ctx);
     }
 }
 
@@ -482,6 +487,76 @@ proptest! {
             prop_assert_eq!(restored.snapshot(), full.snapshot());
         }
     }
+
+    /// The pass reads the suffix minima of a convex window from its
+    /// smallest argmin `x^L`, after a compare of every state confirms it.
+    /// A restored snapshot whose `x^L` and `x^U` were written elsewhere
+    /// fails that compare, and the step takes the exact minima instead: it
+    /// still continues bit-identically to the full recursion.
+    #[test]
+    fn restored_bounds_off_the_minimum_step_exactly(
+        (m, beta, costs, cut, x_low, x_up) in fleet().prop_flat_map(|m| {
+            (Just(m), 0.05f64..16.0, vec(decimal_cost(m), 2..=12), 1usize..12, 0..=m, 0..=m)
+        })
+    ) {
+        let cut = cut.min(costs.len() - 1);
+        let mut full = FullTracker::new(m, beta);
+        for f in &costs[..cut] {
+            full.step(f);
+        }
+        let mut snap = full.snapshot();
+        (snap.x_low, snap.x_up) = (x_low, x_up);
+        let mut restored = BoundTracker::from_snapshot(&snap).unwrap();
+        for (t, f) in costs[cut..].iter().enumerate() {
+            restored.step(f);
+            full.step(f);
+            let ctx = || format!("step {t} after {cut} of m={m} beta={beta} costs={costs:?}");
+            assert_matches_full(&restored, &full, ctx);
+        }
+    }
+
+    /// A snapshot taken before the first step holds `+inf` (written as
+    /// `f64::MAX`) on every state but 0. Restored, its window is all
+    /// `m + 1` states, the infinities included, and it steps bit-identically
+    /// to the full recursion.
+    #[test]
+    fn never_stepped_snapshots_restore_and_step(
+        (m, beta, costs) in fleet().prop_flat_map(|m| {
+            (Just(m), 0.05f64..16.0, vec(decimal_cost(m), 1..=20))
+        })
+    ) {
+        let mut full = FullTracker::new(m, beta);
+        let json = serde_json::to_string(&BoundTracker::new(m, beta).snapshot()).unwrap();
+        let snap: TrackerSnapshot = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&snap, &full.snapshot());
+        let mut restored = BoundTracker::from_snapshot(&snap).unwrap();
+        let (lo, window) = restored.window();
+        prop_assert_eq!((lo, window.len()), (0, m as usize + 1));
+        prop_assert!(window[1..].iter().all(|c| *c == f64::INFINITY));
+        for (t, f) in costs.iter().enumerate() {
+            restored.step(f);
+            full.step(f);
+            let ctx = || format!("step {t} of m={m} beta={beta} costs={costs:?}");
+            assert_matches_full(&restored, &full, ctx);
+        }
+    }
+}
+
+/// `Server` costs on a noisy diurnal load over `m` servers: the `large-m`
+/// benchmark's shape.
+fn diurnal_server_costs(m: u32, slots: usize) -> Vec<Cost> {
+    (0..slots)
+        .map(|k| {
+            let angle = 2.0 * std::f64::consts::PI * (k as f64 + 7.0) / 48.0;
+            let noise = ((k * 37 % 101) as f64 / 50.0 - 1.0) * 0.1;
+            let lambda = (0.5 - 0.3 * angle.cos()) * m as f64 * (1.0 + noise);
+            Cost::Server {
+                lambda: (lambda * 16.0).round() / 16.0,
+                params: ServerParams::default(),
+                overload: 20.0,
+            }
+        })
+        .collect()
 }
 
 /// The `large-m` shape at m = 1024 and at `MAX_M` = 65 536: the window
@@ -489,19 +564,40 @@ proptest! {
 #[test]
 fn window_matches_full_recursion_on_diurnal_server_costs() {
     for (m, slots) in [(1024u32, 600usize), (65_536, 40)] {
-        let costs: Vec<Cost> = (0..slots)
-            .map(|k| {
-                let angle = 2.0 * std::f64::consts::PI * (k as f64 + 7.0) / 48.0;
-                let noise = ((k * 37 % 101) as f64 / 50.0 - 1.0) * 0.1;
-                let lambda = (0.5 - 0.3 * angle.cos()) * m as f64 * (1.0 + noise);
-                Cost::Server {
-                    lambda: (lambda * 16.0).round() / 16.0,
-                    params: ServerParams::default(),
-                    overload: 20.0,
-                }
-            })
-            .collect();
-        check_against_full(m, 6.0, &costs);
+        check_against_full(m, 6.0, &diurnal_server_costs(m, slots));
+    }
+}
+
+/// Bounds, window and `\hat C^L` at every state, bit for bit.
+fn assert_same(a: &BoundTracker, b: &BoundTracker, m: u32, ctx: &str) {
+    assert_eq!((a.x_low(), a.x_up()), (b.x_low(), b.x_up()), "{ctx}");
+    assert_eq!(a.window(), b.window(), "{ctx}");
+    for x in 0..=m {
+        assert_eq!(a.c_low(x).to_bits(), b.c_low(x).to_bits(), "x={x} {ctx}");
+    }
+}
+
+/// Lookahead steps a peek: `peek.clone_from(&t)`, then the next slots. On
+/// the `large-m` costs at m = 1024, a peek that held another state before
+/// must equal the tracker it copied, and then match a fresh clone stepped
+/// the same way, on the bounds, the window and `\hat C^L` at every state:
+/// whatever a step or `c_low` reads, `clone_from` copies.
+#[test]
+fn clone_from_peeks_match_fresh_clones() {
+    let m = 1024;
+    let costs = diurnal_server_costs(m, 200);
+    let mut tracker = BoundTracker::new(m, 6.0);
+    let mut peek = BoundTracker::new(m, 6.0);
+    for (t, f) in costs.iter().enumerate() {
+        peek.clone_from(&tracker);
+        assert_same(&peek, &tracker, m, &format!("copy at slot {t}"));
+        let mut fresh = tracker.clone();
+        for (k, g) in costs[t..].iter().take(3).enumerate() {
+            peek.step(g);
+            fresh.step(g);
+            assert_same(&peek, &fresh, m, &format!("peek {k} from slot {t}"));
+        }
+        tracker.step(f);
     }
 }
 
